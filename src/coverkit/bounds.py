@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal
 
 from . import _numeric as num
 from .core import CAParams
@@ -82,16 +82,24 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class DiscreteSljTrace:
-    """Exact leftover counts r(0..N) and per-step deficits of the
-    row-at-a-time recurrence.  deficits[i] = y*r(i) - r(i+1) as an exact
-    rational, where y = 1 - 1/v**t."""
+    """Exact leftover counts r(0..N) of the row-at-a-time recurrence, and
+    its per-step deficits derived from them on access.  deficits[i] =
+    y*r(i) - r(i+1) as an exact rational, where y = 1 - 1/v**t."""
 
     counts: tuple[int, ...]
-    deficits: tuple[Fraction, ...]
+    tuple_count: int
 
     @property
     def steps(self) -> int:
         return len(self.counts) - 1
+
+    @property
+    def deficits(self) -> tuple[Fraction, ...]:
+        vt = self.tuple_count
+        return tuple(
+            Fraction(r * (vt - 1), vt) - nxt
+            for r, nxt in zip(self.counts, self.counts[1:])
+        )
 
 
 def _dependence_counts(params: CAParams) -> dict:
@@ -157,34 +165,35 @@ def discrete_slj_bound(
     ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
     """
     vt = params.tuple_count
-    r = params.interaction_space_size
-    counts = [r]
-    deficits: list[Fraction] = []
-    stepno = 0
-    while r > 0:
-        stepno += 1
-        if max_steps is not None and stepno > max_steps:
+    counts = [params.interaction_space_size]
+    for r in _leftover_recurrence(counts[0], vt):
+        if max_steps is not None and len(counts) > max_steps:
             raise ResourceLimitError(
-                f"discrete recurrence exceeded {max_steps} steps at r={r}"
+                f"discrete recurrence exceeded {max_steps} steps at r={counts[-1]}"
             )
-        scaled = r * (vt - 1)
-        nxt = scaled // vt
-        if stepno > 1 and r % vt == 0:
-            nxt -= 1
-        deficits.append(Fraction(scaled, vt) - nxt)
-        counts.append(nxt)
-        r = nxt
-    trace = DiscreteSljTrace(tuple(counts), tuple(deficits))
-    interior = deficits[1 : stepno - 1]
+        counts.append(r)
+    # deficits of the interior steps 1..N-2, scaled by v**t to stay integral
+    interior = [r * (vt - 1) - nxt * vt for r, nxt in zip(counts[1:-2], counts[2:-1])]
     report = BoundReport(
         method="discrete_slj",
-        value=stepno,
+        value=len(counts) - 1,
         notes={
             "estimate": discrete_slj_estimate(params),
-            "deficit_min": float(min(interior)) if interior else None,
+            "deficit_min": min(interior) / vt if interior else None,
         },
     )
-    return report, trace
+    return report, DiscreteSljTrace(tuple(counts), vt)
+
+
+def _leftover_recurrence(start: int, vt: int) -> Iterator[int]:
+    """r(1), r(2), ..., 0 of the leftover recurrence from r(0) = start."""
+    r, first = start, True
+    while r > 0:
+        nxt = r * (vt - 1) // vt
+        if not first and r % vt == 0:
+            nxt -= 1
+        yield nxt
+        r, first = nxt, False
 
 
 def discrete_slj_estimate(params: CAParams) -> float:
@@ -470,7 +479,7 @@ def conditional_lll_two_stage_bound(
     if second_stage == "one_row_each":
         stage2 = e2
     elif second_stage == "discrete_slj":
-        stage2 = _recurrence_steps(e2, vt)
+        stage2 = sum(1 for _ in _leftover_recurrence(e2, vt))
     else:
         raise ValueError(f"unknown second stage {second_stage!r}")
 
@@ -487,19 +496,6 @@ def conditional_lll_two_stage_bound(
             "inequality": "n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1",
         },
     )
-
-
-def _recurrence_steps(start: int, vt: int) -> int:
-    """Steps of the floor recurrence from an arbitrary starting count."""
-    r = start
-    steps = 0
-    while r > 0:
-        steps += 1
-        nxt = (r * (vt - 1)) // vt
-        if steps > 1 and r % vt == 0:
-            nxt -= 1
-        r = nxt
-    return steps
 
 
 def asymptotic_coefficient(method: str, t: int, v: int) -> float:

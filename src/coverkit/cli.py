@@ -11,12 +11,14 @@ import argparse
 import csv
 import json
 import sys
+import time
 
 from . import bounds
 from .arrayfile import ArrayFormatError, read_array, write_array
 from .construct import (
     DEFAULT_SEED,
     BuildConfig,
+    BuildLog,
     density_build,
     moser_tardos_build,
     pgl_build,
@@ -32,58 +34,8 @@ EXIT_VERIFY = 1
 EXIT_PARAMS = 2
 EXIT_RESOURCE = 3
 
-BOUND_METHODS = (
-    "slj",
-    "discrete_slj",
-    "dslj_estimate",
-    "two_stage",
-    "gss",
-    "cyclic",
-    "frobenius",
-    "pgl",
-    "conditional_lll",
-    "conditional_lll_density",
-    "katona",
-)
 
-
-def _bound_record(method: str, params: CAParams, dependence: str) -> dict:
-    if method == "slj":
-        rep = bounds.slj_bound(params)
-    elif method == "discrete_slj":
-        rep, _ = bounds.discrete_slj_bound(params)
-    elif method == "dslj_estimate":
-        est = bounds.discrete_slj_estimate(params)
-        return {"method": method, "value": est, "stage1_rows": None, "notes": {}}
-    elif method == "two_stage":
-        rep = bounds.two_stage_bound(params)
-    elif method == "gss":
-        rep = bounds.gss_lll_bound(params, dependence)
-    elif method == "cyclic":
-        rep = bounds.cyclic_lll_bound(params, dependence)
-    elif method == "frobenius":
-        rep = bounds.frobenius_lll_bound(params, dependence)
-    elif method == "pgl":
-        rep = bounds.pgl_lll_bound(params, dependence)
-    elif method == "conditional_lll":
-        rep = bounds.conditional_lll_two_stage_bound(params, "one_row_each")
-    elif method == "conditional_lll_density":
-        rep = bounds.conditional_lll_two_stage_bound(params, "discrete_slj")
-    elif method == "katona":
-        if params.t != 2 or params.v != 2:
-            raise UnsupportedParameterError(
-                "katona gives exact CAN(2,k,2) and requires t=2, v=2"
-            )
-        return {
-            "method": method,
-            "value": bounds.katona_kleitman_exact(params.k),
-            "stage1_rows": None,
-            "notes": {"exact": True},
-        }
-    else:
-        raise UnsupportedParameterError(
-            f"unknown method {method!r}; choose from {', '.join(BOUND_METHODS)}"
-        )
+def _report_record(rep: bounds.BoundReport) -> dict:
     return {
         "method": rep.method,
         "value": rep.value,
@@ -93,10 +45,57 @@ def _bound_record(method: str, params: CAParams, dependence: str) -> dict:
     }
 
 
+def _katona_record(params: CAParams) -> dict:
+    if params.t != 2 or params.v != 2:
+        raise UnsupportedParameterError(
+            "katona gives exact CAN(2,k,2) and requires t=2, v=2"
+        )
+    return {
+        "method": "katona",
+        "value": bounds.katona_kleitman_exact(params.k),
+        "stage1_rows": None,
+        "notes": {"exact": True},
+    }
+
+
+# method name -> (params, dependence) -> JSON record; shared by bounds and sweep
+BOUND_RECORDS = {
+    "slj": lambda p, d: _report_record(bounds.slj_bound(p)),
+    "discrete_slj": lambda p, d: _report_record(bounds.discrete_slj_bound(p)[0]),
+    "dslj_estimate": lambda p, d: {
+        "method": "dslj_estimate",
+        "value": bounds.discrete_slj_estimate(p),
+        "stage1_rows": None,
+        "notes": {},
+    },
+    "two_stage": lambda p, d: _report_record(bounds.two_stage_bound(p)),
+    "gss": lambda p, d: _report_record(bounds.gss_lll_bound(p, d)),
+    "cyclic": lambda p, d: _report_record(bounds.cyclic_lll_bound(p, d)),
+    "frobenius": lambda p, d: _report_record(bounds.frobenius_lll_bound(p, d)),
+    "pgl": lambda p, d: _report_record(bounds.pgl_lll_bound(p, d)),
+    "conditional_lll": lambda p, d: _report_record(
+        bounds.conditional_lll_two_stage_bound(p, "one_row_each")
+    ),
+    "conditional_lll_density": lambda p, d: _report_record(
+        bounds.conditional_lll_two_stage_bound(p, "discrete_slj")
+    ),
+    "katona": lambda p, d: _katona_record(p),
+}
+BOUND_METHODS = tuple(BOUND_RECORDS)
+
+
+def _method_record(method: str, params: CAParams, dependence: str) -> dict:
+    if method not in BOUND_RECORDS:
+        raise UnsupportedParameterError(
+            f"unknown method {method!r}; choose from {', '.join(BOUND_METHODS)}"
+        )
+    return BOUND_RECORDS[method](params, dependence)
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    records = [_bound_record(m, params, args.dependence) for m in methods]
+    records = [_method_record(m, params, args.dependence) for m in methods]
     if args.json:
         doc = {"t": args.t, "k": args.k, "v": args.v, "results": records}
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
@@ -113,6 +112,30 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _density_strategy(
+    params: CAParams, config: BuildConfig
+) -> tuple[SymbolArray, BuildLog]:
+    t0 = time.perf_counter()
+    array = density_build(SymbolArray.empty(params))
+    log = BuildLog(
+        strategy="density",
+        stage2_rows=array.n_rows,
+        total_rows=array.n_rows,
+        elapsed={"density": time.perf_counter() - t0},
+    )
+    return array, log
+
+
+# strategy name -> (params, config) -> (array, log)
+BUILD_STRATEGIES = {
+    "two_stage": two_stage_build,
+    "mt_cyclic": lambda p, c: moser_tardos_build(p, make_cyclic(p.v), c),
+    "mt_frobenius": lambda p, c: moser_tardos_build(p, make_frobenius(p.v), c),
+    "pgl": pgl_build,
+    "density": _density_strategy,
+}
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
     seed = DEFAULT_SEED if args.seed is None else args.seed
@@ -123,30 +146,14 @@ def cmd_build(args: argparse.Namespace) -> int:
         dependence_estimate=args.dependence,
         second_stage=args.second_stage,
         n_override=args.n_override,
-        workers=args.threads,
     )
-    if args.strategy == "two_stage":
-        array, log = two_stage_build(params, config)
-    elif args.strategy == "mt_cyclic":
-        array, log = moser_tardos_build(params, make_cyclic(params.v), config)
-    elif args.strategy == "mt_frobenius":
-        array, log = moser_tardos_build(params, make_frobenius(params.v), config)
-    elif args.strategy == "pgl":
-        array, log = pgl_build(params, config)
-    elif args.strategy == "density":
-        array = density_build(SymbolArray.empty(params))
-        log = None
-    else:  # argparse choices prevent this
-        raise UnsupportedParameterError(f"unknown strategy {args.strategy!r}")
+    array, log = BUILD_STRATEGIES[args.strategy](params, config)
 
     write_array(args.out, array)
-    if log is not None:
-        for line in log.summary_lines():
-            print(line)
-    else:
-        print(f"strategy           density\ntotal rows         {array.n_rows}")
-    report = full_check(array, workers=args.threads)
-    if log is not None and not log.success:
+    for line in log.summary_lines():
+        print(line)
+    report = full_check(array)
+    if not log.success:
         print(f"build failed: {log.failure_reason}", file=sys.stderr)
         return EXIT_VERIFY
     if not report.is_covering:
@@ -163,7 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.t is not None and args.t != array.params.t:
         p = array.params
         array = SymbolArray(CAParams(args.t, p.k, p.v), array.cells)
-    report = full_check(array, workers=args.threads)
+    report = full_check(array)
     if report.is_covering:
         print(f"OK: covers all {array.params.interaction_space_size} interactions")
         return EXIT_OK
@@ -219,7 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             params = CAParams(args.t, k, args.v)
             row: list = [k]
             for m in methods:
-                row.append(_bound_record(m, params, args.dependence)["value"])
+                row.append(_method_record(m, params, args.dependence)["value"])
             writer.writerow(row)
     print(f"wrote {len(ks)} rows -> {args.out}")
     return EXIT_OK
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p_build)
     p_build.add_argument(
         "--strategy",
-        choices=("two_stage", "mt_cyclic", "mt_frobenius", "pgl", "density"),
+        choices=tuple(BUILD_STRATEGIES),
         default="two_stage",
     )
     p_build.add_argument(
@@ -265,13 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--second-stage", choices=("one_row_each", "density_greedy"), default="one_row_each"
     )
     p_build.add_argument("--dependence", choices=("simple", "improved"), default="simple")
-    p_build.add_argument("--threads", type=int, default=1)
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify an array file")
     p_verify.add_argument("path")
     p_verify.add_argument("-t", type=int, default=None, help="override strength")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="bound values over a k range, as CSV")

@@ -17,15 +17,17 @@ Three builders realize the bound families constructively:
 
 Every builder is deterministic given (params, config): the seed fully
 drives all random draws.  No step ever materializes the set of all
-C(k,t) * v**t interactions; coverage is streamed one column t-set at a
-time with a single v**t-sized table in flight.
+C(k,t) * v**t interactions.  All coverage questions - counting, listing,
+density scoring and the resampling scan - go through one kernel,
+``_coverage_tables``, which streams one column t-set at a time with a
+single v**t-sized (or orbit-count-sized) table in flight.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 import numpy as np
 
@@ -79,7 +81,6 @@ class BuildConfig:
     stage1_target: Literal["expectation", "tuple_budget"] = "expectation"
     pair_strategy: Literal["two_stage", "mt_cyclic"] = "two_stage"
     n_override: int | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.max_stage1_attempts < 1:
@@ -141,44 +142,45 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     return SymbolArray(params, cells)
 
 
-def _column_weights(params: CAParams) -> np.ndarray:
-    v, t = params.v, params.t
-    return np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
+def _coverage_tables(
+    params: CAParams,
+    cells: np.ndarray,
+    subsets: Iterable[tuple[int, ...]] | None = None,
+    orbits: OrbitTable | None = None,
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """The coverage kernel: yield (cols, seen) for every column t-set in
+    colex order, or for each set of ``subsets``.  seen[i] is True iff some
+    row's symbol tuple on cols has rank i or, given ``orbits``, lies in
+    orbit i.  Both resource caps are checked before the first table is
+    allocated, and one table is in flight at a time.
+
+    Takes the raw cell matrix rather than a SymbolArray, whose buffer is
+    frozen, so that the resampling loop can rewrite columns between scans.
+    """
+    t, v = params.t, params.v
+    slots = params.tuple_count if orbits is None else orbits.n_orbits
+    limits.check_table_bytes(slots, 1, "coverage mask")
+    limits.check_column_sets(params.k, t, "coverage scan")
+    weights = np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
+    if subsets is None:
+        subsets = colex_combinations(params.k, t)
+    for cols in subsets:
+        ranks = cells[:, cols].astype(np.int64) @ weights
+        if orbits is not None:
+            ranks = orbits.orbit_id_of[ranks]
+        seen = np.zeros(slots, dtype=bool)
+        seen[ranks] = True
+        yield cols, seen
 
 
-def _subset_uncovered(
-    cells: np.ndarray, cols: tuple[int, ...], weights: np.ndarray, vt: int
-) -> int:
-    ranks = cells[:, cols].astype(np.int64) @ weights
-    seen = np.zeros(vt, dtype=bool)
-    seen[ranks] = True
-    return vt - int(np.count_nonzero(seen))
-
-
-def count_uncovered(array: SymbolArray, *, workers: int = 1) -> int:
+def count_uncovered(array: SymbolArray) -> int:
     """Exact number of uncovered interactions, streamed one column t-set at
     a time (one v**t table in flight, never a global interaction list)."""
-    params = array.params
-    vt = params.tuple_count
-    limits.check_table_bytes(vt, 1, "coverage mask")
-    limits.check_column_sets(params.k, params.t, "count_uncovered")
-    weights = _column_weights(params)
-    subsets = colex_combinations(params.k, params.t)
-    if workers <= 1:
-        return sum(
-            _subset_uncovered(array.cells, cols, weights, vt) for cols in subsets
-        )
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-    for i, cols in enumerate(subsets):
-        chunks[i % workers].append(cols)
-
-    def total(chunk: list[tuple[int, ...]]) -> int:
-        return sum(_subset_uncovered(array.cells, cols, weights, vt) for cols in chunk)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(total, chunks))
+    vt = array.params.tuple_count
+    return sum(
+        vt - int(np.count_nonzero(seen))
+        for _, seen in _coverage_tables(array.params, array.cells)
+    )
 
 
 def uncovered_interactions(array: SymbolArray, limit: int) -> UncoveredScan:
@@ -190,15 +192,8 @@ def uncovered_interactions(array: SymbolArray, limit: int) -> UncoveredScan:
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     params = array.params
-    vt = params.tuple_count
-    limits.check_table_bytes(vt, 1, "coverage mask")
-    limits.check_column_sets(params.k, params.t, "uncovered_interactions")
-    weights = _column_weights(params)
     out: list[Interaction] = []
-    for cols in colex_combinations(params.k, params.t):
-        ranks = array.cells[:, cols].astype(np.int64) @ weights
-        seen = np.zeros(vt, dtype=bool)
-        seen[ranks] = True
+    for cols, seen in _coverage_tables(params, array.cells):
         for tup_rank in np.flatnonzero(~seen):
             if len(out) == limit:
                 return UncoveredScan(out, True)
@@ -234,7 +229,7 @@ def two_stage_build(
     best_uncovered = None
     for attempt in range(1, config.max_stage1_attempts + 1):
         cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
-        u = count_uncovered(SymbolArray(params, cells), workers=config.workers)
+        u = count_uncovered(SymbolArray(params, cells))
         if best_uncovered is None or u < best_uncovered:
             best_cells, best_uncovered = cells, u
         if u <= target:
@@ -280,21 +275,15 @@ def density_row(array: SymbolArray) -> np.ndarray | None:
     """
     params = array.params
     t, k, v = params.t, params.k, params.v
-    vt = params.tuple_count
-    weights = _column_weights(params)
     if count_uncovered(array) == 0:
         return None
 
     row = np.zeros(k, dtype=CELL_DTYPE)
     for j in range(k):
         scores = [0] * v
-        for cols in colex_combinations(k, t):
-            if j not in cols:
-                continue
+        with_j = (cols for cols in colex_combinations(k, t) if j in cols)
+        for cols, seen in _coverage_tables(params, array.cells, with_j):
             pos_j = cols.index(j)
-            ranks = array.cells[:, cols].astype(np.int64) @ weights
-            seen = np.zeros(vt, dtype=bool)
-            seen[ranks] = True
             fixed = [(i, c) for i, c in enumerate(cols) if c < j]
             weight = v ** (len(fixed) + 1)
             for tup_rank in np.flatnonzero(~seen):
@@ -332,22 +321,16 @@ def _resample_full_orbits(
 
     Orbit coverage is decided from the OrbitTable alone: per column set, a
     boolean table indexed by orbit id (memory O(v**t + n*k))."""
-    k, t = params.k, params.t
-    cells = rng.integers(0, params.v, size=(n, k), dtype=CELL_DTYPE)
-    weights = _column_weights(params)
-    orbit_of = table.orbit_id_of
+    cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
         return cells
     while True:
-        offending = None
-        for pos, cols in enumerate(colex_combinations(k, t)):
-            ranks = cells[:, cols].astype(np.int64) @ weights
-            seen = np.zeros(table.n_orbits, dtype=bool)
-            seen[orbit_of[ranks]] = True
-            if not seen[full_ids].all():
-                offending = (pos, cols)
-                break
+        scan = enumerate(_coverage_tables(params, cells, orbits=table))
+        offending = next(
+            ((pos, cols) for pos, (cols, seen) in scan if not seen[full_ids].all()),
+            None,
+        )
         if offending is None:
             return cells
         if log.resample_count >= cap:

@@ -73,26 +73,18 @@ def _check_column_set(
     return missing, mask.index(0)
 
 
-def full_check(array: SymbolArray, *, workers: int = 1) -> CoverageReport:
+def full_check(array: SymbolArray) -> CoverageReport:
     """Check every column t-set against its v**t bitmap, one row pass each."""
     params = array.params
     t, v = params.t, params.v
     limits.check_table_bytes(params.tuple_count, 1, "verifier bitmap")
     limits.check_column_sets(params.k, t, "full_check")
     rows = [tuple(int(x) for x in r) for r in array.cells]
-    subsets = list(colex_combinations(params.k, t))
-
-    if workers <= 1:
-        results = [_check_column_set(rows, cols, t, v) for cols in subsets]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cols: _check_column_set(rows, cols, t, v), subsets))
 
     uncovered = 0
     first: Interaction | None = None
-    for cols, (missing, first_idx) in zip(subsets, results):
+    for cols in colex_combinations(params.k, t):
+        missing, first_idx = _check_column_set(rows, cols, t, v)
         uncovered += missing
         if first is None and first_idx is not None:
             first = Interaction(cols, _unrank_symbols(first_idx, t, v))

@@ -5,7 +5,7 @@ import json
 import math
 from pathlib import Path
 
-from coverkit.cli import main
+from coverkit.cli import BOUND_METHODS, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,6 +74,20 @@ class TestBoundsCommand:
         got = json.loads(out)
         golden = json.loads((DATA / "bounds_golden.json").read_text())
         assert got == golden
+
+    def test_json_matches_golden_for_remaining_methods(self, capsys):
+        # conditional_lll, conditional_lll_density, dslj_estimate and katona;
+        # together with bounds_golden.json every method's record is pinned
+        cases = json.loads((DATA / "bounds_golden_more.json").read_text())
+        pinned = set()
+        for case in cases:
+            code, out, _ = run(case["argv"], capsys)
+            assert code == 0
+            assert json.loads(out) == case["output"]
+            pinned.update(case["argv"][case["argv"].index("--methods") + 1].split(","))
+        golden = json.loads((DATA / "bounds_golden.json").read_text())
+        pinned.update(rec["method"] for rec in golden["results"])
+        assert pinned == set(BOUND_METHODS)
 
     def test_json_schema_stable_across_runs(self, capsys):
         argv = ["bounds", "-t", "2", "-k", "6", "-v", "3", "--methods", "slj", "--json"]

@@ -77,10 +77,6 @@ class TestCountUncovered:
             arr = random_array(CAParams(2, 4, 2), n, seed=int(rng.integers(2**31)))
             assert count_uncovered(arr) == naive_uncovered(arr)
 
-    def test_workers_agree(self):
-        arr = random_array(CAParams(2, 8, 3), 9, seed=5)
-        assert count_uncovered(arr) == count_uncovered(arr, workers=3)
-
 
 class TestUncoveredInteractions:
     def test_covering_array_yields_empty(self):

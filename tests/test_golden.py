@@ -1,0 +1,148 @@
+"""Golden outputs: the arrays every builder makes for fixed seeds.
+
+Each case is pinned by (rows, resamples, failure reason, SHA-256 of the
+array).  The digest input is the header line "CA n t k v\\n" followed by
+the cells as uint8 bytes in row-major order.  The digests were taken from
+the builders as they stood before their coverage scans were merged into
+one kernel; any later change that alters an array for a given seed fails
+here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from coverkit.construct import (
+    BuildConfig,
+    density_build,
+    moser_tardos_build,
+    pgl_build,
+    two_stage_build,
+)
+from coverkit.core import CAParams, SymbolArray
+from coverkit.groups import make_cyclic, make_frobenius
+
+
+def digest(array: SymbolArray) -> str:
+    p = array.params
+    h = hashlib.sha256(f"CA {array.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
+    h.update(np.ascontiguousarray(array.cells, dtype=np.uint8).tobytes())
+    return h.hexdigest()
+
+
+def _two_stage(t, k, v, **config):
+    return lambda: two_stage_build(CAParams(t, k, v), BuildConfig(**config))
+
+
+def _mt(make_action, t, k, v, **config):
+    return lambda: moser_tardos_build(CAParams(t, k, v), make_action(v), BuildConfig(**config))
+
+
+def _pgl(t, k, v, **config):
+    return lambda: pgl_build(CAParams(t, k, v), BuildConfig(**config))
+
+
+def _density(t, k, v):
+    return lambda: (density_build(SymbolArray.empty(CAParams(t, k, v))), None)
+
+
+CASES = {
+    "two_stage-3-8-3-s1": _two_stage(3, 8, 3, seed=1),
+    "two_stage-3-8-3-s2": _two_stage(3, 8, 3, seed=2),
+    "two_stage-2-12-4-s3": _two_stage(2, 12, 4, seed=3),
+    "two_stage-density-2-6-3-s1": _two_stage(2, 6, 3, seed=1, second_stage="density_greedy"),
+    "two_stage-density-3-6-2-s2": _two_stage(3, 6, 2, seed=2, second_stage="density_greedy"),
+    "two_stage-density-2-5-4-s3": _two_stage(2, 5, 4, seed=3, second_stage="density_greedy"),
+    "two_stage-budget-3-8-2-s1": _two_stage(3, 8, 2, seed=1, stage1_target="tuple_budget"),
+    "two_stage-budget-2-10-3-s2": _two_stage(2, 10, 3, seed=2, stage1_target="tuple_budget"),
+    "two_stage-budget-3-8-3-s3-missed": _two_stage(
+        3, 8, 3, seed=3, stage1_target="tuple_budget", n_override=40, max_stage1_attempts=5),
+    "mt_cyclic-3-10-3-s1": _mt(make_cyclic, 3, 10, 3, seed=1),
+    "mt_cyclic-3-10-3-s2-n45": _mt(make_cyclic, 3, 10, 3, seed=2, n_override=45),
+    "mt_cyclic-2-8-4-s3-n11": _mt(make_cyclic, 2, 8, 4, seed=3, n_override=11),
+    "mt_cyclic-3-8-3-s1-capped": _mt(
+        make_cyclic, 3, 8, 3, seed=1, n_override=4, resample_step_cap=3),
+    "mt_frobenius-3-8-4-s1": _mt(make_frobenius, 3, 8, 4, seed=1),
+    "mt_frobenius-3-8-4-s2-n19": _mt(make_frobenius, 3, 8, 4, seed=2, n_override=19),
+    "mt_frobenius-3-10-3-s3-n18": _mt(make_frobenius, 3, 10, 3, seed=3, n_override=18),
+    "pgl-3-8-4-s1": _pgl(3, 8, 4, seed=1),
+    "pgl-3-8-4-s2": _pgl(3, 8, 4, seed=2),
+    "pgl-3-8-3-s3": _pgl(3, 8, 3, seed=3),
+    "pgl-mt-3-8-4-s1": _pgl(3, 8, 4, seed=1, pair_strategy="mt_cyclic"),
+    "pgl-mt-3-8-4-s2": _pgl(3, 8, 4, seed=2, pair_strategy="mt_cyclic"),
+    "pgl-mt-3-8-3-s3": _pgl(3, 8, 3, seed=3, pair_strategy="mt_cyclic"),
+    "density-2-6-3": _density(2, 6, 3),
+    "density-3-7-2": _density(3, 7, 2),
+    "density-2-5-4": _density(2, 5, 4),
+}
+
+GOLDEN = {
+    "density-2-5-4": (16, None, None,
+        "e9e3186d3b9d52373ff8a134a6fda33b7d515aa484064064b3ec5c2d9a00afdb"),
+    "density-2-6-3": (15, None, None,
+        "0b936b28137910e2dbf38b81670a1b0cf2003b195c1278a612c384cc9818a702"),
+    "density-3-7-2": (15, None, None,
+        "ffbefe13b5a446e51429753cab71802d2d4208839dd75edf53e5082687114f2a"),
+    "mt_cyclic-2-8-4-s3-n11": (44, 19, None,
+        "f19b198c1eae980b4d863a77f19954694d8cf352074229bbb882125c67fa4dc4"),
+    "mt_cyclic-3-10-3-s1": (207, 0, None,
+        "6247a3d5899cc348280891a6d128fa49ded650f2de97fcf8d487f24671890e5f"),
+    "mt_cyclic-3-10-3-s2-n45": (135, 10, None,
+        "500d22d9e1955a02d46bc7ac499fd7099027105bb46bc08edd7e44855661b5b3"),
+    "mt_cyclic-3-8-3-s1-capped": (12, 3, "resample cap 3 reached at scan position 0",
+        "53e97b09b3d14cbe898a6c50ef1c25447888282dd9a195cb71ad9bdd26f8b4a0"),
+    "mt_frobenius-3-10-3-s3-n18": (111, 39, None,
+        "42e141c941e2e47ce0735c78cd209233f85f593707291cc084a45da98ef8a59d"),
+    "mt_frobenius-3-8-4-s1": (412, 0, None,
+        "9c03d3da7d21b6cfc5dc3f4e1effcbd45bd44d463b3d17cacacb59970a85ebe1"),
+    "mt_frobenius-3-8-4-s2-n19": (232, 52, None,
+        "9a14cecbf7f4f6f27ecff04387682bdbedd644baba46292beca5acbb21c5f6db"),
+    "pgl-3-8-3-s3": (243, 1, None,
+        "fb589d5019c394220c913f631a1e858c28ec01e6a8974f7d4445e56a946d37fb"),
+    "pgl-3-8-4-s1": (502, 0, None,
+        "90a647b8daf1531009e9d4d08e609d02fba9d610c9b3c66b4cfee2b70bda133c"),
+    "pgl-3-8-4-s2": (472, 0, None,
+        "9fb9bcadbb29df053af429be816b1a1a2fbde43378a681af55e92a39434c6add"),
+    "pgl-mt-3-8-3-s3": (279, 1, None,
+        "dd715d6187d3093f4c2ca20a81d3dbf96939b9b1ef509cbc79c7d57b3f15d951"),
+    "pgl-mt-3-8-4-s1": (580, 0, None,
+        "25bbebcc6e80407e25d6e4f5ba24a5125bfe4adf572e74194ea9a8b0974867db"),
+    "pgl-mt-3-8-4-s2": (580, 0, None,
+        "e979925387269b3040e502abdff3c1dd08a42e752f6014cc15ba8ab93b6da9e1"),
+    "two_stage-2-12-4-s3": (79, 0, None,
+        "1de04c5d8828ada508bd7fe9234b85941d80ff062e3e92f2a75e8e9b98a7928a"),
+    "two_stage-3-8-3-s1": (118, 0, None,
+        "6e7588dd53d3891ac170174ec3f99859bf1c1889d6862c80432b00340ccb508d"),
+    "two_stage-3-8-3-s2": (126, 0, None,
+        "fc6578397e049b6f0c4c121f49df108d81f32b3b96c45d03d26b50b5058f3ecd"),
+    "two_stage-budget-2-10-3-s2": (39, 0, None,
+        "2d453fd405d38fc5ef17fdae6e21ab4570f0b606fc5d35477e023a8f2e328121"),
+    "two_stage-budget-3-8-2-s1": (30, 0, None,
+        "c35ddca8278eb8714aebca14314bd37ddb9b33588dfd79a38e6f0dd40dea63ef"),
+    "two_stage-budget-3-8-3-s3-missed": (325, 0, "stage 1 missed target 27 in 5 attempts",
+        "407efa7623b555ab95e1c0bb9df969a6a7a15ee284b3d9f160ba49d33931e0ff"),
+    "two_stage-density-2-5-4-s3": (38, 0, None,
+        "00c3615ce7dde78558a6e4b48574d92c0a190c676bcb3ac04bf09ecce398e408"),
+    "two_stage-density-2-6-3-s1": (26, 0, None,
+        "897a51525306dac8c82f4b6599b0dae58a2d7287efd6420b3e1016c7675d3a87"),
+    "two_stage-density-3-6-2-s2": (23, 0, None,
+        "7fd54f298c9b749d69015249f46076d0d899684324704dfe4d63c8e2ea61317d"),
+}
+
+
+def outcome(name: str) -> tuple:
+    array, log = CASES[name]()
+    if log is None:
+        return (array.n_rows, None, None, digest(array))
+    assert log.total_rows == array.n_rows
+    return (array.n_rows, log.resample_count, log.failure_reason, digest(array))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_array(name):
+    assert outcome(name) == GOLDEN[name]
+
+
+def test_every_case_is_pinned():
+    assert set(GOLDEN) == set(CASES)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from coverkit.construct import count_uncovered, random_array
+from coverkit.construct import count_uncovered, moser_tardos_build, random_array
 from coverkit.core import CAParams
 from coverkit.errors import ResourceLimitError
 from coverkit.groups import enumerate_orbits, make_cyclic
@@ -40,6 +40,11 @@ class TestColumnSetCap:
         with pytest.raises(ResourceLimitError, match="column sets"):
             count_uncovered(arr)
 
+    def test_resampling_respects_cap(self, monkeypatch):
+        monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", "5")
+        with pytest.raises(ResourceLimitError, match="column sets"):
+            moser_tardos_build(CAParams(2, 6, 2), make_cyclic(2))
+
 
 class TestCliResourceExit:
     def test_exit_code_3(self, tmp_path, monkeypatch, capsys):
@@ -50,3 +55,15 @@ class TestCliResourceExit:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
         assert main(["verify", str(f)]) == 3
         capsys.readouterr()
+
+    def test_build_mt_cyclic_over_column_set_cap(self, tmp_path, monkeypatch, capsys):
+        from coverkit.cli import main
+
+        # the cap stops resampling itself, before any array is written
+        monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", "5")
+        out = tmp_path / "a.txt"
+        argv = ["build", "-t", "2", "-k", "6", "-v", "2", "--strategy", "mt_cyclic",
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert "column sets" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,13 +4,43 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverkit import bounds
-from coverkit.construct import count_uncovered, random_array
-from coverkit.core import CAParams, Interaction, SymbolArray
+from coverkit.construct import (
+    BuildConfig,
+    count_uncovered,
+    moser_tardos_build,
+    random_array,
+    uncovered_interactions,
+)
+from coverkit.core import (
+    CAParams,
+    Interaction,
+    SymbolArray,
+    colex_rank,
+    covers,
+    interaction_unrank,
+)
 from coverkit.errors import BudgetExceededError
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_trivial
 from coverkit.verify import exhaustive_can, full_check, orbit_check
+
+
+@st.composite
+def small_params(draw):
+    t = draw(st.integers(2, 3))
+    return CAParams(t, draw(st.integers(t, 6)), draw(st.integers(2, 4)))
+
+
+@st.composite
+def small_arrays(draw):
+    p = draw(small_params())
+    n = draw(st.integers(0, 12))
+    row = st.lists(st.integers(0, p.v - 1), min_size=p.k, max_size=p.k)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return SymbolArray(p, np.array(rows, dtype=np.int32).reshape(n, p.k))
 
 
 class TestFullCheck:
@@ -51,21 +81,10 @@ class TestFullCheck:
         report = full_check(SymbolArray.empty(p))
         assert report.uncovered_count == p.interaction_space_size
 
-    def test_agrees_with_streaming_counter(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            t = int(rng.integers(2, 4))
-            k = int(rng.integers(t, 6))
-            v = int(rng.integers(2, 4))
-            if k < t:
-                continue
-            p = CAParams(t, max(k, t), v)
-            arr = random_array(p, int(rng.integers(0, 10)), seed=int(rng.integers(2**31)))
-            assert full_check(arr).uncovered_count == count_uncovered(arr)
-
-    def test_workers_agree(self):
-        arr = random_array(CAParams(2, 7, 3), 8, seed=4)
-        assert full_check(arr).uncovered_count == full_check(arr, workers=3).uncovered_count
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_arrays())
+    def test_agrees_with_streaming_counter(self, arr):
+        assert full_check(arr).uncovered_count == count_uncovered(arr)
 
 
 class TestOrbitCheck:
@@ -135,3 +154,40 @@ class TestExhaustiveCan:
     def test_matches_formula_for_small_binary_pairs(self):
         for k in range(2, 6):
             assert exhaustive_can(CAParams(2, k, 2), 8) == bounds.katona_kleitman_exact(k)
+
+
+class TestBuilderScansAgainstTrustedBase:
+    """The builders' coverage kernel, through its other consumers, agrees
+    with core.covers and orbit_check on hypothesis-generated inputs."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_arrays())
+    def test_listing_is_exactly_what_covers_rejects(self, arr):
+        p = arr.params
+        every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
+        scan = uncovered_interactions(arr, 10**6)
+        assert not scan.truncated
+        # the same set, and both in rank order
+        assert scan.interactions == [i for i in every if not covers(arr, i)]
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        small_params(),
+        st.sampled_from([make_cyclic, make_frobenius]),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_resample_scan_position_matches_orbit_check(self, p, make_action, n, seed):
+        action = make_action(p.v)
+        config = BuildConfig(seed=seed, n_override=n, resample_step_cap=0)
+        arr, log = moser_tardos_build(p, action, config)
+        # the developed stage-1 rows only: constant rows may hit a full orbit
+        # (Frobenius at v=2) that the resampling scan saw uncovered
+        developed = SymbolArray(p, arr.cells[: n * log.group_order])
+        report = orbit_check(developed, enumerate_orbits(action, p.t), full_only=True)
+        if log.success:
+            assert report.all_covered
+        else:
+            position = int(log.failure_reason.rsplit(" ", 1)[1])
+            assert report.first_uncovered is not None
+            assert position == colex_rank(report.first_uncovered[0].columns)
