@@ -219,15 +219,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {len(ns)} rows -> {args.out}")
         return EXIT_OK
 
+    # every value first, so a bad method or k leaves no file behind
+    rows = []
+    for k in ks:
+        params = CAParams(args.t, k, args.v)
+        values = [_method_record(m, params, args.dependence)["value"] for m in methods]
+        rows.append([k] + values)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + methods)
-        for k in ks:
-            params = CAParams(args.t, k, args.v)
-            row: list = [k]
-            for m in methods:
-                row.append(_method_record(m, params, args.dependence)["value"])
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"wrote {len(ks)} rows -> {args.out}")
     return EXIT_OK
 

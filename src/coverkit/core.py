@@ -93,6 +93,8 @@ class SymbolArray:
 
     def __post_init__(self) -> None:
         cells = np.ascontiguousarray(self.cells, dtype=CELL_DTYPE)
+        if cells is self.cells:
+            cells = cells.copy()  # own the cells: never freeze or alias the caller's buffer
         if cells.ndim != 2:
             cells = cells.reshape((-1, self.params.k))
         if cells.shape[1] != self.params.k:

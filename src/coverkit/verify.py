@@ -1,10 +1,21 @@
-"""Independent, clarity-first verification of coverage.
+"""Independent verification of coverage.
 
-``full_check`` and ``orbit_check`` are the trusted base of the package:
-plain row loops filling one bitmap per column t-set, deliberately sharing
-no coverage-counting code with the numpy-vectorized paths in ``construct``.
-Disagreement between the two sides on any input is a bug of the highest
-severity, and the test suite cross-checks them.
+``full_check`` and ``orbit_check`` are the trusted base of the package.
+They share no coverage-counting code with ``construct`` and use other
+formulations than its rank-and-scatter kernel, so a bug on one side shows
+as a disagreement that the test suite's cross-checks catch.
+
+``full_check`` is the standard column-bitset check. ``bits[c, s]`` is the
+set of rows holding symbol ``s`` in column ``c``, packed 64 rows to a word.
+A t-way interaction is covered iff the AND of its t row sets is nonempty.
+In colex order the t-sets sharing a suffix ``(c2, ..., ct)`` are
+contiguous and ordered by the first column, so each suffix's ``v**(t-1)``
+row sets are ANDed once and then with every first column ``c1 < c2`` at
+once. The test suite holds a plain row loop, one bitmap per column t-set,
+as the reference oracle for it.
+
+``orbit_check`` is a plain row loop filling one orbit bitmap per column
+t-set.
 
 ``exhaustive_can`` is a ground-truth oracle for tiny parameters: a
 backtracking search over canonical-form arrays (first row all zeros, rows
@@ -17,8 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from . import limits
-from .core import CAParams, ColumnSet, Interaction, SymbolArray, colex_combinations
+from .core import (
+    CAParams,
+    ColumnSet,
+    Interaction,
+    SymbolArray,
+    colex_combinations,
+    symbols_unrank,
+)
 from .errors import BudgetExceededError
 from .groups import OrbitTable
 
@@ -51,43 +71,50 @@ def _tuple_index(row: tuple[int, ...], cols: tuple[int, ...], v: int) -> int:
     return idx
 
 
-def _unrank_symbols(idx: int, t: int, v: int) -> tuple[int, ...]:
-    out = [0] * t
-    for i in range(t - 1, -1, -1):
-        out[i] = idx % v
-        idx //= v
-    return tuple(out)
-
-
-def _check_column_set(
-    rows: list[tuple[int, ...]], cols: tuple[int, ...], t: int, v: int
-) -> tuple[int, int | None]:
-    """(uncovered count, first uncovered tuple index) for one column set."""
-    vt = v**t
-    mask = bytearray(vt)
-    for row in rows:
-        mask[_tuple_index(row, cols, v)] = 1
-    missing = vt - sum(mask)
-    if missing == 0:
-        return 0, None
-    return missing, mask.index(0)
+def _row_bitsets(cells: np.ndarray, v: int, words: int) -> np.ndarray:
+    """bits[c, s]: the rows holding symbol s in column c, as uint64 words."""
+    n, k = cells.shape
+    packed = np.zeros((k, v, 8 * words), dtype=np.uint8)
+    symbols = np.arange(v)[:, None]
+    for c in range(k):
+        packed[c, :, : (n + 7) // 8] = np.packbits(cells[:, c] == symbols, axis=-1)
+    return packed.view(np.uint64)
 
 
 def full_check(array: SymbolArray) -> CoverageReport:
-    """Check every column t-set against its v**t bitmap, one row pass each."""
+    """Count the uncovered interactions and find the first in rank order."""
     params = array.params
-    t, v = params.t, params.v
-    limits.check_table_bytes(params.tuple_count, 1, "verifier bitmap")
-    limits.check_column_sets(params.k, t, "full_check")
-    rows = [tuple(int(x) for x in r) for r in array.cells]
+    t, k, v = params.t, params.k, params.v
+    vt = params.tuple_count
+    limits.check_column_sets(k, t, "full_check")
+    words = (array.n_rows + 63) // 64
+    limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets")
+    # first columns per AND block: as many v**t-row-set slabs as fit the cap
+    slab = vt * 8 * words
+    chunk = max(1, limits.memory_cap_bytes() // slab) if slab else k
+    limits.check_table_bytes(min(chunk, k - 1) * vt, 8 * words, "verifier AND block")
+    bits = _row_bitsets(array.cells, v, words)
 
     uncovered = 0
     first: Interaction | None = None
-    for cols in colex_combinations(params.k, t):
-        missing, first_idx = _check_column_set(rows, cols, t, v)
-        uncovered += missing
-        if first is None and first_idx is not None:
-            first = Interaction(cols, _unrank_symbols(first_idx, t, v))
+    for suffix in colex_combinations(k, t - 1):
+        c2 = suffix[0]
+        if c2 == 0:
+            continue  # no first column below it
+        rows = bits[c2]
+        for c in suffix[1:]:
+            rows = (rows[:, None, :] & bits[c]).reshape(rows.shape[0] * v, words)
+        for lo in range(0, c2, chunk):
+            block = bits[lo : min(lo + chunk, c2), :, None, :] & rows
+            # (first column, tuple rank): colex-set order, then rank order
+            covered = block.any(axis=-1).reshape(-1)
+            missing = covered.size - int(np.count_nonzero(covered))
+            if missing == 0:
+                continue
+            uncovered += missing
+            if first is None:
+                c1, rank = divmod(int(covered.argmin()), vt)
+                first = Interaction((lo + c1,) + suffix, symbols_unrank(rank, t, v))
     return CoverageReport(uncovered == 0, uncovered, first)
 
 

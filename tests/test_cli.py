@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+import pytest
+
 from coverkit.cli import BOUND_METHODS, main
 
 DATA = Path(__file__).parent / "data"
@@ -206,6 +208,20 @@ class TestSweepCommand:
         first_n = min(n for n, v in rows if v == best)
         assert best == 13162
         assert first_n == 12402
+
+    @pytest.mark.parametrize(
+        "v, methods", [(2, "slj,nope"), (6, "slj,frobenius")], ids=["unknown", "unsupported"]
+    )
+    def test_bad_method_leaves_no_file(self, tmp_path, capsys, v, methods):
+        out_csv = tmp_path / "f.csv"
+        code, _, err = run(
+            ["sweep", "-t", "2", "-v", str(v), "--k", "4:8",
+             "--methods", methods, "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 2
+        assert "error" in err
+        assert not out_csv.exists()
 
     def test_curve_rejects_ranges(self, capsys):
         code, _, err = run(

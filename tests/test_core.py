@@ -42,6 +42,17 @@ class TestSymbolArray:
         with pytest.raises(ValueError):
             arr.cells[0, 0] = 1
 
+    def test_caller_buffer_stays_writeable_and_unshared(self):
+        p = CAParams(2, 4, 2)
+        buf = np.zeros((3, 4), dtype=np.int32)
+        arr = SymbolArray(p, buf)
+        view = buf[:]
+        view.setflags(write=False)
+        from_view = SymbolArray(p, view)
+        assert buf.flags.writeable and not arr.cells.flags.writeable
+        buf[0, 0] = 1
+        assert arr.cells[0, 0] == 0 and from_view.cells[0, 0] == 0
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             SymbolArray.from_rows(CAParams(2, 2, 2), [(0, 2)])

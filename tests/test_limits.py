@@ -3,7 +3,7 @@
 import pytest
 
 from coverkit.construct import count_uncovered, moser_tardos_build, random_array
-from coverkit.core import CAParams
+from coverkit.core import CAParams, Interaction, SymbolArray
 from coverkit.errors import ResourceLimitError
 from coverkit.groups import enumerate_orbits, make_cyclic
 from coverkit.verify import full_check
@@ -21,6 +21,21 @@ class TestMemoryCap:
         arr = random_array(CAParams(2, 4, 2), 3, seed=1)
         with pytest.raises(ResourceLimitError):
             full_check(arr)
+
+    def test_full_check_chunks_under_a_small_cap(self, monkeypatch):
+        p = CAParams(3, 20, 4)
+        cells = random_array(p, 9000, seed=1).cells.copy()
+        # break one interaction whose first column lies past the first chunk
+        target = Interaction((15, 18, 19), (1, 2, 3))
+        hits = (cells[:, list(target.columns)] == target.symbols).all(axis=1)
+        cells[hits, 15] = 0
+        arr = SymbolArray(p, cells)
+        block = (p.k - 1) * p.tuple_count * 8 * ((arr.n_rows + 63) // 64)
+        assert block > 1 << 20  # one AND block over every first column is above the cap
+        uncapped = full_check(arr)
+        assert uncapped.first_witness == target
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        assert full_check(arr) == uncapped
 
     def test_orbit_table_respects_cap(self, monkeypatch):
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")

@@ -1,13 +1,15 @@
 """Tests for the independent verifier and the exhaustive search oracle."""
 
-from itertools import product
+import ast
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds
+from coverkit import bounds, verify
+from coverkit.cli import BUILD_STRATEGIES
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
@@ -19,13 +21,47 @@ from coverkit.core import (
     CAParams,
     Interaction,
     SymbolArray,
+    colex_combinations,
     colex_rank,
     covers,
     interaction_unrank,
+    symbols_rank,
+    symbols_unrank,
 )
 from coverkit.errors import BudgetExceededError
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_trivial
-from coverkit.verify import exhaustive_can, full_check, orbit_check
+from coverkit.verify import CoverageReport, exhaustive_can, full_check, orbit_check
+
+
+def _check_column_set(
+    rows: list[tuple[int, ...]], cols: tuple[int, ...], t: int, v: int
+) -> tuple[int, int | None]:
+    """(uncovered count, first uncovered tuple index) for one column set."""
+    vt = v**t
+    mask = bytearray(vt)
+    for row in rows:
+        mask[symbols_rank([row[c] for c in cols], v)] = 1
+    missing = vt - sum(mask)
+    if missing == 0:
+        return 0, None
+    return missing, mask.index(0)
+
+
+def reference_full_check(array: SymbolArray) -> CoverageReport:
+    """The reference oracle for full_check: a plain row loop filling one
+    v**t bitmap per column t-set, in colex order."""
+    params = array.params
+    t, v = params.t, params.v
+    rows = [tuple(int(x) for x in r) for r in array.cells]
+
+    uncovered = 0
+    first: Interaction | None = None
+    for cols in colex_combinations(params.k, t):
+        missing, first_idx = _check_column_set(rows, cols, t, v)
+        uncovered += missing
+        if first is None and first_idx is not None:
+            first = Interaction(cols, symbols_unrank(first_idx, t, v))
+    return CoverageReport(uncovered == 0, uncovered, first)
 
 
 @st.composite
@@ -85,6 +121,89 @@ class TestFullCheck:
     @given(small_arrays())
     def test_agrees_with_streaming_counter(self, arr):
         assert full_check(arr).uncovered_count == count_uncovered(arr)
+
+
+@st.composite
+def verifier_arrays(draw):
+    """Random arrays over t <= 4, k <= 7, v <= 4 with 0 to 3 * v**t rows."""
+    t = draw(st.integers(2, 4))
+    p = CAParams(t, draw(st.integers(t, 7)), draw(st.integers(2, 4)))
+    n = draw(st.integers(0, 3 * p.tuple_count))
+    return random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestAgainstReference:
+    """full_check against the row-loop oracle, core.covers and exhaustive_can."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(verifier_arrays())
+    @example(SymbolArray.empty(CAParams(3, 5, 2)))
+    @example(random_array(CAParams(4, 7, 4), 3 * 4**4, seed=7))
+    @example(random_array(CAParams(4, 4, 3), 60, seed=3))
+    @example(random_array(CAParams(2, 2, 4), 48, seed=4))
+    def test_three_way(self, arr):
+        report = full_check(arr)
+        assert report == reference_full_check(arr)
+        p = arr.params
+        every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
+        rejected = [i for i in every if not covers(arr, i)]
+        assert report.uncovered_count == len(rejected)
+        assert report.first_witness == (rejected[0] if rejected else None)
+
+    def test_shares_nothing_with_the_builder_kernel(self):
+        tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
+        modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        assert not any("construct" in m for m in modules)
+        # no rank-and-scatter: the builder kernel ranks tuples with `cells @ weights`
+        assert not any(isinstance(n, ast.MatMult) for n in ast.walk(tree))
+
+    def test_below_exhaustive_can_never_covers(self):
+        p = CAParams(2, 4, 2)
+        can = exhaustive_can(p, 8)
+        assert can == 5
+        # repeating a row changes no coverage, so every array of fewer than
+        # `can` rows covers what one of these multisets of can - 1 rows does
+        for rows in combinations_with_replacement(list(product(range(2), repeat=4)), can - 1):
+            assert not full_check(SymbolArray.from_rows(p, rows)).is_covering
+
+
+class TestFaultInjection:
+    """Break one interaction in a built array; every verifier must see it."""
+
+    PARAMS = CAParams(3, 6, 3)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("strategy", tuple(BUILD_STRATEGIES))
+    def test_broken_interaction_is_reported(self, strategy, seed):
+        p = self.PARAMS
+        # density takes no seed; the seed still picks the fault
+        array, log = BUILD_STRATEGIES[strategy](p, BuildConfig(seed=seed))
+        assert log.success
+        assert full_check(array) == reference_full_check(array) == CoverageReport(True, 0, None)
+
+        rng = np.random.default_rng(seed)
+        target = interaction_unrank(int(rng.integers(p.interaction_space_size)), p)
+        cols = list(target.columns)
+        hits = (array.cells[:, cols] == target.symbols).all(axis=1)
+        assert hits.any()
+        pos = int(rng.integers(p.t))
+        cells = array.cells.copy()
+        cells[hits, cols[pos]] = (target.symbols[pos] + int(rng.integers(1, p.v))) % p.v
+        broken = SymbolArray(p, cells)
+        assert not covers(broken, target)
+        reports = [full_check(broken), reference_full_check(broken)]
+        for report in reports:
+            assert report.uncovered_count >= 1
+            assert not covers(broken, report.first_witness)
+        assert reports[0] == reports[1]
+
+        # one random cell changed: the verifiers agree, whatever the verdict
+        cells = array.cells.copy()
+        row, col = int(rng.integers(array.n_rows)), int(rng.integers(p.k))
+        cells[row, col] = (cells[row, col] + int(rng.integers(1, p.v))) % p.v
+        changed = SymbolArray(p, cells)
+        assert full_check(changed) == reference_full_check(changed)
 
 
 class TestOrbitCheck:
