@@ -15,23 +15,31 @@ Three builders realize the bound families constructively:
   over every symbol pair covers the two-symbol orbits, and constant rows
   cover the rest.
 
+``density_build`` adds greedy density rows (Bryce & Colbourn) to any
+array; it is also the ``density_greedy`` second stage of the two-stage
+builder.
+
 Every builder is deterministic given (params, config): the seed fully
-drives all random draws.  No step ever materializes the set of all
-C(k,t) * v**t interactions.  All coverage questions - counting, listing,
-density scoring and the resampling scan - go through one kernel,
+drives all random draws.  All coverage questions - counting, listing,
+the density state and the resampling scan - go through one kernel,
 ``_coverage_tables``, which streams one column t-set at a time with a
-single v**t-sized (or orbit-count-sized) table in flight.
+single v**t-sized (or orbit-count-sized) table in flight.  The density
+state is the one table of all C(k,t) * v**t interactions: a mask of the
+uncovered ones, built by one kernel pass, updated as each row is added,
+and checked against the memory cap before it is allocated.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 import numpy as np
 
 from . import bounds, limits
+from .errors import ResourceLimitError
 from ._numeric import floor_scaled_power
 from .core import (
     CAParams,
@@ -145,14 +153,13 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
-    subsets: Iterable[tuple[int, ...]] | None = None,
     orbits: OrbitTable | None = None,
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """The coverage kernel: yield (cols, seen) for every column t-set in
-    colex order, or for each set of ``subsets``.  seen[i] is True iff some
-    row's symbol tuple on cols has rank i or, given ``orbits``, lies in
-    orbit i.  Both resource caps are checked before the first table is
-    allocated, and one table is in flight at a time.
+    colex order.  seen[i] is True iff some row's symbol tuple on cols has
+    rank i or, given ``orbits``, lies in orbit i.  Both resource caps are
+    checked before the first table is allocated, and one table is in
+    flight at a time.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -162,9 +169,7 @@ def _coverage_tables(
     limits.check_table_bytes(slots, 1, "coverage mask")
     limits.check_column_sets(params.k, t, "coverage scan")
     weights = np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
-    if subsets is None:
-        subsets = colex_combinations(params.k, t)
-    for cols in subsets:
+    for cols in colex_combinations(params.k, t):
         ranks = cells[:, cols].astype(np.int64) @ weights
         if orbits is not None:
             ranks = orbits.orbit_id_of[ranks]
@@ -264,46 +269,93 @@ def two_stage_build(
     return result, log
 
 
+class _DensityState:
+    """The coverage state of the density algorithm: the C(k,t) x v**t mask
+    of uncovered interactions, built by one pass of the coverage kernel and
+    then updated one added row at a time, never rescanned.
+
+    ``sets`` is the m x t column-set matrix in colex order (m = C(k,t)),
+    ``uncovered[i, r]`` is True iff the tuple of rank r on ``sets[i]`` is
+    in no row yet, and ``holders[j][p]`` lists the sets holding column j
+    at position p.  Both tables and the exact-integer score range are
+    checked before anything is allocated.
+    """
+
+    def __init__(self, params: CAParams, cells: np.ndarray) -> None:
+        t, k, v = params.t, params.k, params.v
+        m = math.comb(k, t)
+        limits.check_table_bytes(m, params.tuple_count, "density coverage mask")
+        limits.check_table_bytes(2 * m * t, np.dtype(np.intp).itemsize, "density column index")
+        if m * v ** (2 * t) >= 2**63:
+            raise ResourceLimitError(
+                f"density scores for {params} could exceed the int64 range"
+            )
+        self.params = params
+        self.sets = np.empty((m, t), dtype=np.intp)
+        self.uncovered = np.empty((m, params.tuple_count), dtype=bool)
+        for i, (cols, seen) in enumerate(_coverage_tables(params, cells)):
+            self.sets[i] = cols
+            np.logical_not(seen, out=self.uncovered[i])
+        self.remaining = int(np.count_nonzero(self.uncovered))
+        self._weights = np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
+        self.holders: list[list[np.ndarray]] = [[] for _ in range(k)]
+        for p in range(t):
+            order = np.argsort(self.sets[:, p], kind="stable")
+            ends = np.searchsorted(self.sets[order, p], np.arange(k + 1))
+            for j in range(k):
+                self.holders[j].append(order[ends[j] : ends[j + 1]])
+
+    def choose_row(self) -> np.ndarray:
+        """Fix cells left to right, each maximizing its exact score.
+
+        A set holding column j at position p adds v**(p+1) to symbol s for
+        each uncovered tuple with s at p that matches the cells already
+        fixed at positions 0..p-1: the tuple's coverage probability scaled
+        by v**t.  Ties go to the smaller symbol.
+        """
+        t, k, v = self.params.t, self.params.k, self.params.v
+        row = np.zeros(k, dtype=CELL_DTYPE)
+        for j in range(k):
+            scores = np.zeros(v, dtype=np.int64)
+            for p, held in enumerate(self.holders[j]):
+                prefix = row[self.sets[held, :p]] @ self._weights[t - p :]
+                blocks = self.uncovered.reshape(-1, v**p, v, v ** (t - p - 1))[held, prefix]
+                scores += v ** (p + 1) * blocks.sum(axis=(0, 2), dtype=np.int64)
+            row[j] = np.argmax(scores)
+        return row
+
+    def add_row(self, row: np.ndarray) -> None:
+        """Mark the new row's C(k,t) tuples covered."""
+        every = np.arange(len(self.sets))
+        ranks = row[self.sets] @ self._weights
+        self.remaining -= int(np.count_nonzero(self.uncovered[every, ranks]))
+        self.uncovered[every, ranks] = False
+
+
 def density_row(array: SymbolArray) -> np.ndarray | None:
-    """One greedy row: fix cells left to right, each chosen to minimize the
-    conditional expected number of interactions left uncovered.
+    """One greedy row of the density algorithm (Bryce & Colbourn): fix cells
+    left to right, each chosen to minimize the conditional expected number
+    of interactions left uncovered.
 
     Scoring is exact integer arithmetic: an uncovered interaction matching
     the fixed prefix contributes v**(fixed positions) to its symbol's score,
     i.e. the coverage probability scaled by v**t.  Ties break toward the
     smaller symbol.  Returns None when the array already covers everything.
     """
-    params = array.params
-    t, k, v = params.t, params.k, params.v
-    if count_uncovered(array) == 0:
-        return None
-
-    row = np.zeros(k, dtype=CELL_DTYPE)
-    for j in range(k):
-        scores = [0] * v
-        with_j = (cols for cols in colex_combinations(k, t) if j in cols)
-        for cols, seen in _coverage_tables(params, array.cells, with_j):
-            pos_j = cols.index(j)
-            fixed = [(i, c) for i, c in enumerate(cols) if c < j]
-            weight = v ** (len(fixed) + 1)
-            for tup_rank in np.flatnonzero(~seen):
-                tup = symbols_unrank(int(tup_rank), t, v)
-                if all(tup[i] == row[c] for i, c in fixed):
-                    scores[tup[pos_j]] += weight
-        row[j] = max(range(v), key=lambda s: (scores[s], -s))
-    return row
+    state = _DensityState(array.params, array.cells)
+    return state.choose_row() if state.remaining else None
 
 
 def density_build(array: SymbolArray) -> SymbolArray:
-    """Append greedy density rows until the array covers everything."""
-    current = array
-    while True:
-        row = density_row(current)
-        if row is None:
-            return current
-        current = SymbolArray(
-            current.params, np.vstack([current.cells, row[None, :]])
-        )
+    """Append greedy density rows until the array covers everything.  The
+    coverage state is built once and updated per row."""
+    state = _DensityState(array.params, array.cells)
+    rows = []
+    while state.remaining:
+        row = state.choose_row()
+        state.add_row(row)
+        rows.append(row)
+    return SymbolArray(array.params, np.vstack([array.cells, *rows]))
 
 
 def _resample_full_orbits(

@@ -96,7 +96,7 @@ class SymbolArray:
         if cells is self.cells:
             cells = cells.copy()  # own the cells: never freeze or alias the caller's buffer
         if cells.ndim != 2:
-            cells = cells.reshape((-1, self.params.k))
+            raise ValueError(f"cells must be a 2-D array, got {cells.ndim}-D")
         if cells.shape[1] != self.params.k:
             raise ValueError(
                 f"rows have length {cells.shape[1]}, expected k={self.params.k}"

@@ -7,6 +7,9 @@ Both caps can be configured through the environment:
   their estimated footprint against this before allocating.
 * ``COVERKIT_MAX_COLUMN_SETS``   - cap on the number of column t-sets an
   operation may stream over (default 50 million).
+
+Each value must be a nonnegative integer; anything else raises a
+ValueError naming the variable.
 """
 
 import math
@@ -18,13 +21,26 @@ _DEFAULT_MEMORY_CAP_MIB = 256
 _DEFAULT_COLUMN_SET_CAP = 50_000_000
 
 
+def _env_count(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    error = ValueError(f"{name} must be a nonnegative integer, got {text!r}")
+    try:
+        value = int(text)
+    except ValueError:
+        raise error from None
+    if value < 0:
+        raise error
+    return value
+
+
 def memory_cap_bytes() -> int:
-    mib = int(os.environ.get("COVERKIT_MEMORY_CAP_MIB", _DEFAULT_MEMORY_CAP_MIB))
-    return mib * (1 << 20)
+    return _env_count("COVERKIT_MEMORY_CAP_MIB", _DEFAULT_MEMORY_CAP_MIB) * (1 << 20)
 
 
 def column_set_cap() -> int:
-    return int(os.environ.get("COVERKIT_MAX_COLUMN_SETS", _DEFAULT_COLUMN_SET_CAP))
+    return _env_count("COVERKIT_MAX_COLUMN_SETS", _DEFAULT_COLUMN_SET_CAP)
 
 
 def check_table_bytes(n_entries: int, bytes_per_entry: int, what: str) -> None:

@@ -1,16 +1,21 @@
 """Tests for the randomized builders.
 
 Oracles: a naive per-interaction coverage counter (independent of both
-production code paths) cross-checks count_uncovered; verify.full_check
-decides end-to-end soundness.
+production code paths) cross-checks count_uncovered; a per-column rescan
+(the density algorithm without its coverage state) cross-checks
+density_row and density_build; verify.full_check decides end-to-end
+soundness.
 """
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coverkit import bounds
+from coverkit import bounds, construct
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
@@ -22,7 +27,8 @@ from coverkit.construct import (
     two_stage_build,
     uncovered_interactions,
 )
-from coverkit.core import CAParams, Interaction, SymbolArray, covers
+from coverkit.core import CAParams, Interaction, SymbolArray, covers, symbols_unrank
+from coverkit.errors import ResourceLimitError
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl
 from coverkit.verify import full_check
 
@@ -36,6 +42,58 @@ def naive_uncovered(array: SymbolArray) -> int:
             if not covers(array, Interaction(cols, syms)):
                 count += 1
     return count
+
+
+def _uncovered_ranks(array: SymbolArray, cols: tuple[int, ...]) -> np.ndarray:
+    """Ranks of the symbol tuples no row has on cols, ascending."""
+    p = array.params
+    weights = p.v ** np.arange(p.t - 1, -1, -1, dtype=np.int64)
+    present = array.cells[:, list(cols)].astype(np.int64) @ weights
+    return np.setdiff1d(np.arange(p.tuple_count), present)
+
+
+def reference_density_row(array: SymbolArray) -> np.ndarray | None:
+    """The reference oracle for density_row: for each column j, rescan every
+    column t-set holding j and score its uncovered tuples one at a time."""
+    params = array.params
+    t, k, v = params.t, params.k, params.v
+    if not any(_uncovered_ranks(array, cols).size for cols in combinations(range(k), t)):
+        return None
+
+    row = np.zeros(k, dtype=np.int32)
+    for j in range(k):
+        scores = [0] * v
+        for cols in (cols for cols in combinations(range(k), t) if j in cols):
+            pos_j = cols.index(j)
+            fixed = [(i, c) for i, c in enumerate(cols) if c < j]
+            weight = v ** (len(fixed) + 1)
+            for tup_rank in _uncovered_ranks(array, cols):
+                tup = symbols_unrank(int(tup_rank), t, v)
+                if all(tup[i] == row[c] for i, c in fixed):
+                    scores[tup[pos_j]] += weight
+        row[j] = max(range(v), key=lambda s: (scores[s], -s))
+    return row
+
+
+def reference_density_build(array: SymbolArray) -> SymbolArray:
+    while (row := reference_density_row(array)) is not None:
+        array = SymbolArray(array.params, np.vstack([array.cells, row]))
+    return array
+
+
+@st.composite
+def density_arrays(draw, max_interactions=None):
+    """t <= 4, k <= 8, v <= 4 and 0..3*v**t random rows."""
+    shapes = [
+        (t, k, v)
+        for t in range(2, 5)
+        for k in range(t, 9)
+        for v in range(2, 5)
+        if max_interactions is None or comb(k, t) * v**t <= max_interactions
+    ]
+    t, k, v = draw(st.sampled_from(shapes))
+    n = draw(st.integers(0, 3 * v**t))
+    return random_array(CAParams(t, k, v), n, seed=draw(st.integers(0, 2**32 - 1)))
 
 
 class TestRandomArray:
@@ -193,6 +251,40 @@ class TestDensityRow:
             cur = count_uncovered(arr)
             assert cur * vt <= prev * (vt - 1)
             prev = cur
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(density_arrays())
+    @example(SymbolArray.from_rows(CAParams(2, 3, 2), list(product(range(2), repeat=3))))
+    @example(random_array(CAParams(4, 4, 3), 20, seed=1))
+    @example(random_array(CAParams(4, 8, 4), 3 * 4**4, seed=2))
+    def test_row_matches_reference(self, arr):
+        row, ref = density_row(arr), reference_density_row(arr)
+        if ref is None:
+            assert row is None
+        else:
+            assert row.dtype == ref.dtype and np.array_equal(row, ref)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(density_arrays(max_interactions=1500))
+    @example(SymbolArray.from_rows(CAParams(2, 3, 2), list(product(range(2), repeat=3))))
+    @example(SymbolArray.empty(CAParams(3, 3, 3)))
+    @example(random_array(CAParams(4, 8, 2), 5, seed=3))
+    def test_build_matches_iterated_reference(self, arr):
+        built = density_build(arr)
+        assert built == reference_density_build(arr)
+        assert np.array_equal(built.cells[: arr.n_rows], arr.cells)
+
+    def test_build_makes_one_coverage_pass(self, monkeypatch):
+        passes = []
+        kernel = construct._coverage_tables
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "_coverage_tables", counted)
+        arr = density_build(SymbolArray.empty(CAParams(3, 6, 2)))
+        assert arr.n_rows > 1 and len(passes) == 1
 
     def test_greedy_build_beats_discrete_bound(self):
         for k in range(4, 9):

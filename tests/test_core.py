@@ -57,6 +57,12 @@ class TestSymbolArray:
         with pytest.raises(ValueError):
             SymbolArray.from_rows(CAParams(2, 2, 2), [(0, 2)])
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 2, 2)])
+    def test_rejects_cells_that_are_not_2d(self, shape):
+        # 8 cells would reshape silently to two rows of k=4
+        with pytest.raises(ValueError, match="2-D"):
+            SymbolArray(CAParams(2, 4, 2), np.zeros(shape, dtype=np.int32))
+
     def test_rejects_bad_row_length(self):
         with pytest.raises(ValueError):
             SymbolArray(CAParams(2, 3, 2), np.zeros((2, 2), dtype=np.int32))

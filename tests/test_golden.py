@@ -4,8 +4,9 @@ Each case is pinned by (rows, resamples, failure reason, SHA-256 of the
 array).  The digest input is the header line "CA n t k v\\n" followed by
 the cells as uint8 bytes in row-major order.  The digests were taken from
 the builders as they stood before their coverage scans were merged into
-one kernel; any later change that alters an array for a given seed fails
-here.
+one kernel, and the k >= 8 density cases before density rows were chosen
+from an incremental coverage state; any later change that alters an array
+for a given seed fails here.
 """
 
 import hashlib
@@ -54,6 +55,7 @@ CASES = {
     "two_stage-density-2-6-3-s1": _two_stage(2, 6, 3, seed=1, second_stage="density_greedy"),
     "two_stage-density-3-6-2-s2": _two_stage(3, 6, 2, seed=2, second_stage="density_greedy"),
     "two_stage-density-2-5-4-s3": _two_stage(2, 5, 4, seed=3, second_stage="density_greedy"),
+    "two_stage-density-3-8-3-s1": _two_stage(3, 8, 3, seed=1, second_stage="density_greedy"),
     "two_stage-budget-3-8-2-s1": _two_stage(3, 8, 2, seed=1, stage1_target="tuple_budget"),
     "two_stage-budget-2-10-3-s2": _two_stage(2, 10, 3, seed=2, stage1_target="tuple_budget"),
     "two_stage-budget-3-8-3-s3-missed": _two_stage(
@@ -75,6 +77,8 @@ CASES = {
     "density-2-6-3": _density(2, 6, 3),
     "density-3-7-2": _density(3, 7, 2),
     "density-2-5-4": _density(2, 5, 4),
+    "density-3-10-3": _density(3, 10, 3),
+    "density-4-8-3": _density(4, 8, 3),
 }
 
 GOLDEN = {
@@ -84,6 +88,10 @@ GOLDEN = {
         "0b936b28137910e2dbf38b81670a1b0cf2003b195c1278a612c384cc9818a702"),
     "density-3-7-2": (15, None, None,
         "ffbefe13b5a446e51429753cab71802d2d4208839dd75edf53e5082687114f2a"),
+    "density-3-10-3": (69, None, None,
+        "c09c2033ff05df74e609b0ab291b40ad508379d88dbee7670ba2a8418903bdd4"),
+    "density-4-8-3": (196, None, None,
+        "edd21ba6cb84a64253e190f8b3a7849839f27159cd3999389b2a0d836324f3c2"),
     "mt_cyclic-2-8-4-s3-n11": (44, 19, None,
         "f19b198c1eae980b4d863a77f19954694d8cf352074229bbb882125c67fa4dc4"),
     "mt_cyclic-3-10-3-s1": (207, 0, None,
@@ -128,6 +136,8 @@ GOLDEN = {
         "897a51525306dac8c82f4b6599b0dae58a2d7287efd6420b3e1016c7675d3a87"),
     "two_stage-density-3-6-2-s2": (23, 0, None,
         "7fd54f298c9b749d69015249f46076d0d899684324704dfe4d63c8e2ea61317d"),
+    "two_stage-density-3-8-3-s1": (109, 0, None,
+        "383aa2b7ff27d90af18947871b8b8b2b5a7e3493aac4929160dd03f44035aedb"),
 }
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from coverkit.construct import count_uncovered, moser_tardos_build, random_array
+from coverkit import limits
+from coverkit.construct import count_uncovered, density_build, moser_tardos_build, random_array
 from coverkit.core import CAParams, Interaction, SymbolArray
 from coverkit.errors import ResourceLimitError
 from coverkit.groups import enumerate_orbits, make_cyclic
@@ -37,6 +38,20 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         assert full_check(arr) == uncapped
 
+    def test_density_state_is_checked_before_allocation(self, monkeypatch):
+        # the kernel's own table is 64 bytes; the density mask is
+        # C(60,3) * 4**3 = 34220 * 64 bytes, about 2.2 MB
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        with pytest.raises(ResourceLimitError, match="density coverage mask"):
+            density_build(SymbolArray.empty(CAParams(3, 60, 4)))
+
+    def test_density_scores_never_wrap(self, monkeypatch):
+        # with the memory cap lifted, the mask for (2,2,2**16) would fit,
+        # but a score could reach C(2,2) * v**4 = 2**64
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", str(1 << 40))
+        with pytest.raises(ResourceLimitError, match="int64"):
+            density_build(SymbolArray.empty(CAParams(2, 2, 1 << 16)))
+
     def test_orbit_table_respects_cap(self, monkeypatch):
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
         with pytest.raises(ResourceLimitError):
@@ -61,6 +76,34 @@ class TestColumnSetCap:
             moser_tardos_build(CAParams(2, 6, 2), make_cyclic(2))
 
 
+ENV_CAPS = {"COVERKIT_MEMORY_CAP_MIB": limits.memory_cap_bytes,
+            "COVERKIT_MAX_COLUMN_SETS": limits.column_set_cap}
+
+
+class TestEnvValues:
+    @pytest.mark.parametrize("name", sorted(ENV_CAPS))
+    @pytest.mark.parametrize("text", ["abc", "1.5", "-5", ""])
+    def test_bad_value_names_the_variable(self, monkeypatch, name, text):
+        monkeypatch.setenv(name, text)
+        with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
+            ENV_CAPS[name]()
+
+    @pytest.mark.parametrize("name", sorted(ENV_CAPS))
+    def test_zero_is_a_valid_cap(self, monkeypatch, name):
+        monkeypatch.setenv(name, "0")
+        assert ENV_CAPS[name]() == 0
+
+    @pytest.mark.parametrize("name", sorted(ENV_CAPS))
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys, name):
+        from coverkit.cli import main
+
+        f = tmp_path / "a.txt"
+        f.write_text("CA 1 2 4 2\n0 0 0 0\n")
+        monkeypatch.setenv(name, "1.5")
+        assert main(["verify", str(f)]) == 2
+        assert name in capsys.readouterr().err
+
+
 class TestCliResourceExit:
     def test_exit_code_3(self, tmp_path, monkeypatch, capsys):
         from coverkit.cli import main
@@ -81,4 +124,15 @@ class TestCliResourceExit:
                 "--out", str(out)]
         assert main(argv) == 3
         assert "column sets" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_build_density_over_memory_cap(self, tmp_path, monkeypatch, capsys):
+        from coverkit.cli import main
+
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        out = tmp_path / "a.txt"
+        argv = ["build", "-t", "3", "-k", "60", "-v", "4", "--strategy", "density",
+                "--out", str(out)]
+        assert main(argv) == 3
+        assert "density coverage mask" in capsys.readouterr().err
         assert not out.exists()
