@@ -41,8 +41,8 @@ def sweep_objective_curve(path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "objective"])
-        for n in range(center - 800, center + 801, 4):
-            w.writerow([n, bounds.two_stage_objective(p, n)])
+        ns = range(center - 800, center + 801, 4)
+        w.writerows(zip(ns, bounds.two_stage_objectives(p, ns)))
     print(f"wrote {path} (minimum at n={center})")
 
 

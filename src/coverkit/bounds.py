@@ -24,8 +24,9 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   conditioned on the first stage succeeding.
 
 All "smallest n satisfying an inequality" computations are solved in
-50-digit arithmetic and, when the inequality is purely rational, confirmed
-against the exact integer comparison (see ``_numeric``).  Counts such as
+50-digit arithmetic.  When the inequality is purely rational, that result
+decides only if it clears a proven error bound, and the exact integer
+comparison decides otherwise (see ``_numeric``).  Counts such as
 C(k,t) * v**t are exact integers throughout; nothing is ever silently
 truncated to machine floats except in report fields documented as floats.
 """
@@ -36,7 +37,8 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Literal
+from itertools import islice
+from typing import Iterator, Literal, Sequence
 
 from . import _numeric as num
 from .core import CAParams
@@ -50,6 +52,7 @@ __all__ = [
     "discrete_slj_estimate",
     "two_stage_bound",
     "two_stage_objective",
+    "two_stage_objectives",
     "gss_lll_bound",
     "cyclic_lll_bound",
     "frobenius_lll_bound",
@@ -166,34 +169,39 @@ def discrete_slj_bound(
     """
     vt = params.tuple_count
     counts = [params.interaction_space_size]
-    for r in _leftover_recurrence(counts[0], vt):
-        if max_steps is not None and len(counts) > max_steps:
+    steps = _leftover_recurrence(counts[0], vt)
+    if max_steps is None:
+        counts.extend(steps)
+    else:
+        counts.extend(islice(steps, max(max_steps, 0)))
+        if counts[-1] > 0:
             raise ResourceLimitError(
                 f"discrete recurrence exceeded {max_steps} steps at r={counts[-1]}"
             )
-        counts.append(r)
-    # deficits of the interior steps 1..N-2, scaled by v**t to stay integral
-    interior = [r * (vt - 1) - nxt * vt for r, nxt in zip(counts[1:-2], counts[2:-1])]
+    # interior steps 1..N-2 have deficit (v**t - r % v**t) / v**t
+    interior = counts[1:-2]
+    deficit_min = (vt - max(r % vt for r in interior)) / vt if interior else None
     report = BoundReport(
         method="discrete_slj",
         value=len(counts) - 1,
-        notes={
-            "estimate": discrete_slj_estimate(params),
-            "deficit_min": min(interior) / vt if interior else None,
-        },
+        notes={"estimate": discrete_slj_estimate(params), "deficit_min": deficit_min},
     )
     return report, DiscreteSljTrace(tuple(counts), vt)
 
 
 def _leftover_recurrence(start: int, vt: int) -> Iterator[int]:
-    """r(1), r(2), ..., 0 of the leftover recurrence from r(0) = start."""
-    r, first = start, True
+    """r(1), r(2), ..., 0 of the leftover recurrence from r(0) = start.
+
+    Both branches after the first step come to r - (r // vt + 1): when vt
+    divides r that is y*r - 1, and otherwise it is r - ceil(r / vt).
+    """
+    r = start
+    if r > 0:
+        r -= -(-r // vt)
+        yield r
     while r > 0:
-        nxt = r * (vt - 1) // vt
-        if not first and r % vt == 0:
-            nxt -= 1
-        yield nxt
-        r, first = nxt, False
+        r -= r // vt + 1
+        yield r
 
 
 def discrete_slj_estimate(params: CAParams) -> float:
@@ -206,10 +214,15 @@ def discrete_slj_estimate(params: CAParams) -> float:
 def two_stage_objective(params: CAParams, n: int) -> int:
     """n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), the completed-array size
     when a random n-row array is patched one row per uncovered interaction."""
-    if n < 0:
-        raise ValueError("row count must be nonnegative")
+    return two_stage_objectives(params, (n,))[0]
+
+
+def two_stage_objectives(params: CAParams, ns: Sequence[int]) -> list[int]:
+    """``two_stage_objective`` at each n of ns, with the logarithms behind
+    the floors computed once.  A negative n raises ValueError."""
     vt = params.tuple_count
-    return n + num.floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
+    floors = num.floor_scaled_powers(params.interaction_space_size, vt - 1, vt, ns)
+    return [n + f for n, f in zip(ns, floors)]
 
 
 def two_stage_bound(params: CAParams) -> BoundReport:
@@ -232,11 +245,9 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     lo = max(0, math.floor(nstar) - radius)
     hi = math.floor(nstar) + radius
 
-    best_n, best_val = lo, two_stage_objective(params, lo)
-    for n in range(lo + 1, hi + 1):
-        val = two_stage_objective(params, n)
-        if val < best_val:
-            best_n, best_val = n, val
+    values = two_stage_objectives(params, range(lo, hi + 1))
+    best_val = min(values)
+    best_n = lo + values.index(best_val)
 
     leftover = best_val - best_n
     analytic = _two_stage_analytic_value(params)
@@ -458,6 +469,10 @@ def conditional_lll_two_stage_bound(
     The coarser closed form floor(k * e**t * (v**t - 1)/t**2 * (1-1/t)**(t-1))
     obtained by bounding the binomials is reported in the notes for
     reference; it badly overestimates the leftovers and is not used.
+
+    E2 is only evaluated while ln E2 < 200 (E2 below about 7e86).  At
+    ln E2 >= 200 the bound raises ResourceLimitError("conditional leftover
+    estimate overflows"); at t=6, v=3 that happens near k = 3.58e85.
     """
     t, k, v = params.t, params.k, params.v
     vt = params.tuple_count

@@ -211,11 +211,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             ns = _parse_range(args.n)
         else:
             ns = list(range(max(0, center - 512), center + 513))
+        # every value first, so a bad n leaves no file behind
+        values = bounds.two_stage_objectives(params, ns)
         with open(args.out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "objective"])
-            for n in ns:
-                writer.writerow([n, bounds.two_stage_objective(params, n)])
+            writer.writerows(zip(ns, values))
         print(f"wrote {len(ns)} rows -> {args.out}")
         return EXIT_OK
 

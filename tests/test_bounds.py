@@ -9,10 +9,47 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverkit import bounds
 from coverkit.core import CAParams
-from coverkit.errors import UnsupportedParameterError
+from coverkit.errors import ResourceLimitError, UnsupportedParameterError
+
+
+@st.composite
+def small_params(draw, max_t=4, max_k=30, max_v=5):
+    t = draw(st.integers(2, max_t))
+    return CAParams(t, draw(st.integers(t, max_k)), draw(st.integers(2, max_v)))
+
+
+def reference_leftover_counts(start, vt):
+    """r(0..N) of the leftover recurrence in its two-branch form: floor(y*r)
+    on the first step and whenever v**t does not divide r, y*r - 1 on the
+    other steps, with y = 1 - 1/v**t."""
+    counts, first = [start], True
+    while counts[-1] > 0:
+        r = counts[-1]
+        nxt = r * (vt - 1) // vt
+        if not first and r % vt == 0:
+            nxt -= 1
+        counts.append(nxt)
+        first = False
+    return counts
+
+
+def exact_two_stage_minimum(params, lo, hi):
+    """(smallest minimizing n, minimum) of n + floor(M*y**n) over lo..hi,
+    by exact big-integer arithmetic."""
+    vt = params.tuple_count
+    a, b = params.interaction_space_size * (vt - 1) ** lo, vt**lo
+    best = None
+    for n in range(lo, hi + 1):
+        val = n + a // b
+        if best is None or val < best[1]:
+            best = (n, val)
+        a, b = a * (vt - 1), b * vt
+    return best
 
 
 class TestSljBound:
@@ -94,10 +131,47 @@ class TestDiscreteSlj:
         assert rep.value > bounds.discrete_slj_estimate(p)
 
     def test_step_cap(self):
-        from coverkit.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
             bounds.discrete_slj_bound(CAParams(2, 12, 3), max_steps=5)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(small_params())
+    @example(CAParams(6, 54, 3))
+    @example(CAParams(2, 2, 2))
+    @example(CAParams(2, 4, 2))
+    def test_trace_matches_two_branch_recurrence(self, p):
+        vt = p.tuple_count
+        ref = reference_leftover_counts(p.interaction_space_size, vt)
+        rep, trace = bounds.discrete_slj_bound(p)
+        assert list(trace.counts) == ref
+        assert rep.value == len(ref) - 1
+        deficits = [Fraction(r * (vt - 1), vt) - nxt for r, nxt in zip(ref, ref[1:])]
+        assert list(trace.deficits) == deficits
+        interior = [r * (vt - 1) - nxt * vt for r, nxt in zip(ref[1:-2], ref[2:-1])]
+        assert rep.notes["deficit_min"] == (min(interior) / vt if interior else None)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000))
+    @example(start=0, vt=4)
+    @example(start=24, vt=4)
+    def test_recurrence_matches_two_branch_form(self, start, vt):
+        assert list(bounds._leftover_recurrence(start, vt)) == (
+            reference_leftover_counts(start, vt)[1:]
+        )
+
+    @pytest.mark.parametrize("t,k,v", [(2, 12, 3), (3, 9, 2), (6, 54, 3)])
+    def test_step_cap_boundary(self, t, k, v):
+        p = CAParams(t, k, v)
+        counts = reference_leftover_counts(p.interaction_space_size, p.tuple_count)
+        steps = len(counts) - 1
+        rep, _ = bounds.discrete_slj_bound(p, max_steps=steps)
+        assert rep.value == steps
+        for cap in (steps - 1, 0):
+            with pytest.raises(ResourceLimitError) as exc:
+                bounds.discrete_slj_bound(p, max_steps=cap)
+            assert str(exc.value) == (
+                f"discrete recurrence exceeded {cap} steps at r={counts[cap]}"
+            )
 
 
 class TestDiscreteSljEstimate:
@@ -152,6 +226,15 @@ class TestTwoStage:
             expect = n + int(m * Fraction(3, 4) ** n)
             assert bounds.two_stage_objective(p, n) == expect
 
+    def test_batched_objectives_match_single(self):
+        p = CAParams(3, 12, 3)
+        ns = [0, 5, 40, 40, 3, 200]
+        assert bounds.two_stage_objectives(p, ns) == [
+            bounds.two_stage_objective(p, n) for n in ns
+        ]
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            bounds.two_stage_objectives(p, [1, -1])
+
     def test_bound_is_window_minimum(self):
         # the reported value is minimal over a wide brute-forced range
         p = CAParams(2, 10, 2)
@@ -160,6 +243,27 @@ class TestTwoStage:
         assert rep.value == brute
         firsts = [n for n in range(0, 200) if bounds.two_stage_objective(p, n) == brute]
         assert rep.stage1_rows == firsts[0]
+
+    @pytest.mark.parametrize(
+        "t,k,v",
+        [(2, 2, 2), (2, 10, 2), (3, 10, 3), (3, 30, 3), (4, 16, 3), (5, 30, 2), (6, 54, 3)],
+    )
+    def test_bound_is_minimum_of_window_four_times_wider(self, t, k, v):
+        self._check_wide_window(CAParams(t, k, v))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_params(max_t=4, max_k=40, max_v=4))
+    def test_bound_is_minimum_of_wide_window_hypothesis(self, p):
+        self._check_wide_window(p)
+
+    @staticmethod
+    def _check_wide_window(p):
+        rep = bounds.two_stage_bound(p)
+        lo, hi = rep.notes["search_window"]
+        center = math.floor(rep.notes["analytic_optimum_n"])
+        radius = hi - center
+        wide = (max(0, center - 4 * radius), center + 4 * radius)
+        assert (rep.stage1_rows, rep.value) == exact_two_stage_minimum(p, *wide)
 
     def test_below_analytic_ceiling(self):
         for t, k, v in [(2, 10, 2), (3, 12, 2), (2, 30, 3), (6, 54, 3)]:
@@ -333,6 +437,17 @@ class TestConditional:
         loose = int(54 * math.e**6 * 728 / 36 * (5 / 6) ** 5)
         assert abs(rep.notes["loose_linear_leftover"] - loose) <= 1
         assert rep.notes["expected_leftover_floor"] < rep.notes["loose_linear_leftover"]
+
+
+    # k at which log E2 sits about 0.01 below and above 200 at t=6, v=3
+    K_BELOW_OVERFLOW = 354 * 10**83
+    K_ABOVE_OVERFLOW = 3612 * 10**82
+
+    def test_overflow_boundary(self):
+        rep = bounds.conditional_lll_two_stage_bound(CAParams(6, self.K_BELOW_OVERFLOW, 3))
+        assert math.log(rep.notes["expected_leftover_floor"]) == pytest.approx(199.99, abs=5e-3)
+        with pytest.raises(ResourceLimitError, match="conditional leftover estimate overflows"):
+            bounds.conditional_lll_two_stage_bound(CAParams(6, self.K_ABOVE_OVERFLOW, 3))
 
 
 class TestKatonaKleitman:

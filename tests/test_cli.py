@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -96,6 +97,17 @@ class TestBoundsCommand:
         _, out1, _ = run(argv, capsys)
         _, out2, _ = run(argv, capsys)
         assert out1 == out2
+
+
+    def test_conditional_lll_overflow_exits_3(self, capsys):
+        # log E2 is about 199.99 at the first k and 200.01 at the second
+        argv = ["bounds", "-t", "6", "-v", "3", "--methods", "conditional_lll", "-k"]
+        code, _, _ = run(argv + [str(354 * 10**83)], capsys)
+        assert code == 0
+        code, out, err = run(argv + [str(3612 * 10**82)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "conditional leftover estimate overflows" in err
 
 
 class TestBuildAndVerify:
@@ -209,6 +221,20 @@ class TestSweepCommand:
         assert best == 13162
         assert first_n == 12402
 
+    def test_two_stage_curve_csv_pinned(self, tmp_path, capsys):
+        # n = 11890..12914 around the minimum at 12402, pinned byte for byte
+        out_csv = tmp_path / "curve.csv"
+        code, out, _ = run(
+            ["sweep", "-t", "6", "-v", "3", "--k", "54",
+             "--methods", "two_stage_curve", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0
+        assert "wrote 1025 rows" in out
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "4013a61c68743f08e92ffa8201c499ca1b6ed788d455f93460f10fcc1ba16e15"
+        )
+
     @pytest.mark.parametrize(
         "v, methods", [(2, "slj,nope"), (6, "slj,frobenius")], ids=["unknown", "unsupported"]
     )
@@ -221,6 +247,17 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "error" in err
+        assert not out_csv.exists()
+
+    def test_curve_negative_n_leaves_no_file(self, tmp_path, capsys):
+        out_csv = tmp_path / "curve.csv"
+        code, _, err = run(
+            ["sweep", "-t", "2", "-v", "2", "--k", "5", "--methods", "two_stage_curve",
+             "--n=-3:2", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 2
+        assert "exponent must be nonnegative" in err
         assert not out_csv.exists()
 
     def test_curve_rejects_ranges(self, capsys):

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the source tree."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# SHA-256 of the CSVs each demo writes, byte for byte
+CSV_SHA256 = {
+    "05_bound_sweeps.py": {
+        "sweep_t6_v3.csv":
+            "fcfb0a00c198346ff3a246e3f6e83a54da39d4217b7dfc0df571b49772c8e1a2",
+        "two_stage_objective_t6_k54_v3.csv":
+            "1dc397ea196521dc2d5329d0e7e71b26845ac1405fa4889a2dc8420f83e9b062",
+        "conditional_vs_plain_t6_v3.csv":
+            "e48fb8cea2d7d95468a70762d99252c224073a965f711392cb248a981d079602",
+    },
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -25,3 +38,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    for name, digest in CSV_SHA256.get(demo.name, {}).items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

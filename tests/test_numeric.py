@@ -1,13 +1,19 @@
 """Tests for the high-precision numeric helpers."""
 
 import math
+from decimal import Context
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coverkit import _numeric, bounds
+from coverkit.core import CAParams
 from coverkit._numeric import (
     dec_ln,
     floor_scaled_power,
+    floor_scaled_powers,
     is_prime_power,
     least_n_for_log_threshold,
     least_power_exponent,
@@ -55,6 +61,192 @@ class TestFloorScaledPower:
     def test_zero_cases(self):
         assert floor_scaled_power(0, 1, 2, 10) == 0
         assert floor_scaled_power(7, 1, 2, 0) == 7
+
+
+def exact_floor(m, num, den, n):
+    return (m * num**n) // den**n
+
+
+@st.composite
+def proper_fractions(draw, max_den=1000):
+    den = draw(st.integers(2, max_den))
+    return draw(st.integers(1, den - 1)), den
+
+
+@st.composite
+def near_integer_cases(draw):
+    """(m, num, den, n) where m*(num/den)**n is an integer, or an integer
+    plus or minus d*(num/den)**n with d small: fractional parts at, just
+    above 0 and just below 1, often inside the 1e-9 guard band."""
+    num, den = draw(proper_fractions(max_den=20))
+    n = draw(st.integers(1, 60))
+    whole = draw(st.integers(0, 10**6))
+    d = draw(st.sampled_from([0, 1, 2, -1, -2]))
+    m = whole * den**n + d
+    return max(m, 0), num, den, n
+
+
+class TestFloorScaledPowerExact:
+    """floor_scaled_power against the exact big-integer floor."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(m=st.integers(0, 10**80), frac=proper_fractions(), n=st.integers(0, 400))
+    @example(m=10**60, frac=(728, 729), n=100)  # value near 8.7e59, past 50 digits
+    @example(m=18828003285 * 10**40, frac=(728, 729), n=12402)
+    def test_matches_exact_floor(self, m, frac, n):
+        num, den = frac
+        assert floor_scaled_power(m, num, den, n) == exact_floor(m, num, den, n)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(near_integer_cases())
+    @example((5 * 10**12 + 1, 1, 10, 12))  # 5 + 1e-12: inside the guard
+    @example((6 * 10**12 - 1, 1, 10, 12))  # 6 - 1e-12: inside the guard
+    @example((5 * 10**8 + 1, 1, 10, 8))  # 5 + 1e-8: just outside the guard
+    @example((6 * 10**8 - 1, 1, 10, 8))  # 6 - 1e-8: just outside the guard
+    @example((64, 1, 2, 6))  # exactly 1
+    # an integer near 5e38, whose 50-digit estimate is 1.1e-9 below it
+    @example((697363996128588383383374009608639543587219, 6, 7, 47))
+    def test_near_integer_values(self, case):
+        m, num, den, n = case
+        assert floor_scaled_power(m, num, den, n) == exact_floor(m, num, den, n)
+
+    def test_values_above_fifty_digits(self):
+        for m in (10**55 + 7, 3**200, 2**300 - 1):
+            for num, den, n in ((728, 729, 5000), (1, 3, 20), (99, 100, 1)):
+                got = floor_scaled_power(m, num, den, n)
+                assert got == exact_floor(m, num, den, n)
+
+
+class TestFloorScaledPowers:
+    """The batched helper against the exact floor, n by n."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        m=st.integers(0, 10**80),
+        frac=proper_fractions(),
+        ns=st.lists(st.integers(0, 400), max_size=20),
+    )
+    def test_matches_exact_floor(self, m, frac, ns):
+        num, den = frac
+        assert floor_scaled_powers(m, num, den, ns) == [
+            exact_floor(m, num, den, n) for n in ns
+        ]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(near_integer_cases())
+    @example((697363996128588383383374009608639543587219, 6, 7, 47))
+    def test_near_integer_values(self, case):
+        m, num, den, n = case
+        ns = [0, n, n + 1, max(n - 1, 0), n]
+        assert floor_scaled_powers(m, num, den, ns) == [
+            exact_floor(m, num, den, j) for j in ns
+        ]
+
+    def test_window_of_the_two_stage_objective(self):
+        m, ns = 18828003285, range(12300, 12500)
+        assert floor_scaled_powers(m, 728, 729, ns) == [
+            exact_floor(m, 728, 729, n) for n in ns
+        ]
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError):
+            floor_scaled_powers(5, 1, 2, [3, -1])
+
+
+def exponent_holds(m, num, den, n, strict):
+    lhs, rhs = num**n, m * den**n
+    return lhs > rhs if strict else lhs >= rhs
+
+
+class TestLeastPowerExponentMinimal:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 10**40),
+        den=st.integers(1, 80),
+        step=st.integers(1, 80),
+        strict=st.booleans(),
+    )
+    @example(m=8, den=1, step=1, strict=True)
+    @example(m=8, den=1, step=1, strict=False)
+    @example(m=1, den=4, step=1, strict=True)
+    @example(m=1, den=4, step=1, strict=False)
+    def test_minimal(self, m, den, step, strict):
+        num = den + step
+        n = least_power_exponent(m, num, den, strict=strict)
+        assert exponent_holds(m, num, den, n, strict)
+        assert n == 0 or not exponent_holds(m, num, den, n - 1, strict)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(num=st.integers(2, 50), j=st.integers(0, 80), shift=st.sampled_from([-1, 0, 1]))
+    def test_exact_powers(self, num, j, shift):
+        # m = num**j makes q = ln m / ln num an integer; m +- 1 sits next to it
+        m = num**j + shift
+        if m < 1:
+            return
+        for strict in (True, False):
+            n = least_power_exponent(m, num, 1, strict=strict)
+            assert exponent_holds(m, num, 1, n, strict)
+            assert n == 0 or not exponent_holds(m, num, 1, n - 1, strict)
+        if shift == 0:
+            assert least_power_exponent(m, num, 1, strict=True) == j + 1
+            assert least_power_exponent(m, num, 1, strict=False) == j
+
+    @pytest.mark.parametrize("t,v", [(6, 3), (4, 4), (3, 7)])
+    def test_slj_shapes(self, t, v):
+        # the slj inequality C(k,t)*v^t*(1-1/v^t)^N < 1 over a k range
+        vt = v**t
+        for k in range(t, 400, 37):
+            m = math.comb(k, t) * vt
+            n = least_power_exponent(m, vt, vt - 1, strict=True)
+            assert exponent_holds(m, vt, vt - 1, n, True)
+            assert not exponent_holds(m, vt, vt - 1, n - 1, True)
+
+
+class TestPowerQuotientErrorBound:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 10**40),
+        den=st.one_of(st.integers(1, 10**4), st.integers(1, 10**45)),
+        step=st.integers(1, 3),
+    )
+    @example(m=18828003285, den=728, step=1)
+    @example(m=10**30, den=10**44, step=1)  # ln num - ln den cancels 44 digits
+    def test_bound_covers_the_error(self, m, den, step):
+        num = den + step
+        q, err = _numeric._power_quotient(m, num, den)
+        ctx = Context(prec=200)
+        exact = ctx.divide(ctx.ln(m), ctx.subtract(ctx.ln(num), ctx.ln(den)))
+        assert abs(ctx.subtract(q, exact)) <= err
+
+    def test_ratio_lost_to_cancellation_is_rejected(self):
+        # ln(10**60 + 1) and ln(10**60) agree to all 50 digits
+        with pytest.raises(ValueError, match="too close to 1"):
+            least_power_exponent(5, 10**60 + 1, 10**60)
+
+
+class TestExactCheckIsAFallback:
+    @pytest.fixture
+    def exact_calls(self, monkeypatch):
+        calls = []
+        exact = _numeric._least_power_exact
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(_numeric, "_least_power_exact", counted)
+        return calls
+
+    def test_sweep_grid_never_needs_it(self, exact_calls):
+        for k in range(10, 1001, 15):
+            bounds.slj_bound(CAParams(6, k, 3))
+        assert exact_calls == []
+
+    @pytest.mark.parametrize("strict,expect", [(True, 4), (False, 3)])
+    def test_exact_power_takes_it(self, exact_calls, strict, expect):
+        # ln 8 / ln 2 = 3 exactly: 50 digits cannot tell > from >=
+        assert least_power_exponent(8, 2, 1, strict=strict) == expect
+        assert len(exact_calls) == 1
 
 
 class TestLogThreshold:

@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Summarise paired perfbench runs into one BENCH_<n>.json file.
+
+    python3 tools/bench_summary.py --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \
+        --out BENCH_6.json
+
+Each checkout holds the records that ``perfbench/run.py`` wrote to its
+``perfbench/_out/`` (untraced runs, one per workload and seed).  For every
+workload and end-to-end metric named in ``BENCHMARK.json``, the file gives
+the parent and change medians, their quartiles (``statistics.quantiles``,
+exclusive method) and IQR, and how many seed pairs the change won, tied
+and lost in the metric's better direction.  The seeds, and for each side
+the git SHA and SHA-256 of the ``src/coverkit`` sources that the records
+carry and ``os.cpu_count()`` of its runs, are recorded alongside.  A record
+has a git SHA only when its checkout has a ``.git`` (``git clone``); for an
+uncommitted change it is null and the source digest identifies the code.
+"""
+
+import argparse
+import json
+import statistics
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_records(checkout: Path) -> dict:
+    """(workload, seed) -> record, for every untraced run in the checkout."""
+    out = {}
+    for path in sorted((checkout / "perfbench" / "_out").glob("*.json")):
+        rec = json.loads(path.read_text(encoding="ascii"))
+        if isinstance(rec, dict) and rec.get("trace") == 0:
+            out[(rec["workload"], rec["seed"])] = rec
+    return out
+
+
+def spread(values: list[float]) -> dict:
+    # quantiles needs two points; one run is its own quartiles
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def side(records: dict) -> dict:
+    return {
+        "git_sha": next(iter(records.values()))["git_sha"],
+        "source_sha256": sorted({r["source_sha256"] for r in records.values()}),
+        "cpu_count": sorted({r["cpu_count"] for r in records.values()}),
+        "all_match_digests": all(r["matches_reference"] for r in records.values()),
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--note", default="", help="free text stored with the summary")
+    args = ap.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent, change = load_records(args.parent), load_records(args.change)
+    pairs = sorted(set(parent) & set(change))
+
+    workloads = {}
+    for wl in sorted({w for w, _ in pairs}):
+        seeds = [s for w, s in pairs if w == wl]
+        metrics = {}
+        for name, direction in better.items():
+            p = [parent[wl, s]["metrics"][name]["value"] for s in seeds]
+            c = [change[wl, s]["metrics"][name]["value"] for s in seeds]
+            sign = 1 if direction == "higher" else -1
+            diffs = [sign * (b - a) for a, b in zip(p, c)]
+            metrics[name] = {
+                "unit": parent[wl, seeds[0]]["metrics"][name]["unit"],
+                "better": direction,
+                "parent": spread(p),
+                "change": spread(c),
+                "wins": sum(d > 0 for d in diffs),
+                "ties": sum(d == 0 for d in diffs),
+                "losses": sum(d < 0 for d in diffs),
+            }
+        workloads[wl] = {"seeds": seeds, "metrics": metrics}
+
+    summary = {
+        "note": args.note,
+        "seconds": sorted({r["seconds"] for r in parent.values()}),
+        "parent": side({k: parent[k] for k in pairs}),
+        "change": side({k: change[k] for k in pairs}),
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="ascii")
+
+
+if __name__ == "__main__":
+    main()
