@@ -5,6 +5,8 @@ Three builders realize the bound families constructively:
 * ``two_stage_build``    - draw random arrays of the optimal stage-1 size
   until the uncovered count is within target, then patch each surviving
   uncovered interaction with one dedicated row (or greedy density rows).
+  The scan that accepts an attempt also lists its leftovers, so stage 2
+  patches from that listing without a second pass.
 * ``moser_tardos_build`` - maintain a random n x k array and, scanning
   column t-sets in a fixed order, resample the columns of the first set
   with an uncovered full-length orbit until no such set remains; then
@@ -20,13 +22,16 @@ array; it is also the ``density_greedy`` second stage of the two-stage
 builder.
 
 Every builder is deterministic given (params, config): the seed fully
-drives all random draws.  All coverage questions - counting, listing,
+drives all random draws.  All coverage questions - the uncovered scan,
 the density state and the resampling scan - go through one kernel,
 ``_coverage_tables``, which streams one column t-set at a time with a
-single v**t-sized (or orbit-count-sized) table in flight.  The density
-state is the one table of all C(k,t) * v**t interactions: a mask of the
-uncovered ones, built by one kernel pass, updated as each row is added,
-and checked against the memory cap before it is allocated.
+single v**t-sized (or orbit-count-sized) table in flight.  The uncovered
+scan counts and lists in one pass: the exact count, and the uncovered
+interactions in rank order while that count stays within a cap (the
+stage-1 target).  The density state is the one table of all
+C(k,t) * v**t interactions: a mask of the uncovered ones, built by one
+kernel pass, updated as each row is added, and checked against the
+memory cap before it is allocated.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -44,10 +49,8 @@ from ._numeric import floor_scaled_power
 from .core import (
     CAParams,
     CELL_DTYPE,
-    Interaction,
     SymbolArray,
     colex_combinations,
-    symbols_unrank,
 )
 from .groups import (
     GroupAction,
@@ -63,10 +66,8 @@ __all__ = [
     "DEFAULT_SEED",
     "BuildConfig",
     "BuildLog",
-    "UncoveredScan",
     "random_array",
     "count_uncovered",
-    "uncovered_interactions",
     "two_stage_build",
     "density_row",
     "density_build",
@@ -136,11 +137,6 @@ class BuildLog:
         return lines
 
 
-class UncoveredScan(NamedTuple):
-    interactions: list[Interaction]
-    truncated: bool
-
-
 def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in seed."""
     if n < 0:
@@ -178,32 +174,28 @@ def _coverage_tables(
         yield cols, seen
 
 
+def _uncovered_scan(
+    params: CAParams, cells: np.ndarray, keep: int
+) -> tuple[int, np.ndarray]:
+    """One kernel pass: the exact uncovered count and, if that count is at
+    most ``keep``, the uncovered interactions as rows (columns..., tuple
+    rank) in rank order.  Past ``keep`` the listing is empty (t+1 columns,
+    no rows) and only the count goes on."""
+    vt = params.tuple_count
+    count = 0
+    found = [np.empty((0, params.t + 1), dtype=np.int64)]
+    for cols, seen in _coverage_tables(params, cells):
+        missing = vt - int(np.count_nonzero(seen))
+        count += missing
+        if missing and count <= keep:
+            found.append(np.column_stack([np.tile(cols, (missing, 1)), np.flatnonzero(~seen)]))
+    return count, np.vstack(found if count <= keep else found[:1], dtype=np.int64)
+
+
 def count_uncovered(array: SymbolArray) -> int:
     """Exact number of uncovered interactions, streamed one column t-set at
     a time (one v**t table in flight, never a global interaction list)."""
-    vt = array.params.tuple_count
-    return sum(
-        vt - int(np.count_nonzero(seen))
-        for _, seen in _coverage_tables(array.params, array.cells)
-    )
-
-
-def uncovered_interactions(array: SymbolArray, limit: int) -> UncoveredScan:
-    """The uncovered interactions in rank order, truncated at ``limit``.
-
-    Truncation is reported, never silent: ``truncated`` is True iff at
-    least one further uncovered interaction exists beyond the returned ones.
-    """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    params = array.params
-    out: list[Interaction] = []
-    for cols, seen in _coverage_tables(params, array.cells):
-        for tup_rank in np.flatnonzero(~seen):
-            if len(out) == limit:
-                return UncoveredScan(out, True)
-            out.append(Interaction(cols, symbols_unrank(int(tup_rank), params.t, params.v)))
-    return UncoveredScan(out, False)
+    return _uncovered_scan(array.params, array.cells, keep=0)[0]
 
 
 def _stage1_target(params: CAParams, n: int, mode: str) -> int:
@@ -230,13 +222,12 @@ def two_stage_build(
     log = BuildLog(strategy="two_stage", stage1_rows=n)
 
     t0 = time.perf_counter()
-    best_cells = None
-    best_uncovered = None
+    best = None
     for attempt in range(1, config.max_stage1_attempts + 1):
         cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
-        u = count_uncovered(SymbolArray(params, cells))
-        if best_uncovered is None or u < best_uncovered:
-            best_cells, best_uncovered = cells, u
+        u, leftovers = _uncovered_scan(params, cells, keep=target)
+        if best is None or u < best[1]:
+            best = cells, u, leftovers
         if u <= target:
             break
     else:
@@ -244,26 +235,23 @@ def two_stage_build(
         log.failure_reason = (
             f"stage 1 missed target {target} in {config.max_stage1_attempts} attempts"
         )
+    best_cells, best_uncovered, leftovers = best
     log.stage1_attempts = attempt
     log.uncovered_after_stage1 = best_uncovered
     log.elapsed["stage1"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    stage1 = SymbolArray(params, best_cells)
     if config.second_stage == "density_greedy":
-        result = density_build(stage1)
-        patch_rows = result.n_rows - n
+        result = density_build(SymbolArray(params, best_cells))
     else:
-        scan = uncovered_interactions(stage1, limit=best_uncovered)
-        assert not scan.truncated
-        patches = np.empty((len(scan.interactions), params.k), dtype=CELL_DTYPE)
-        for i, inter in enumerate(scan.interactions):
-            row = rng.integers(0, params.v, size=params.k, dtype=CELL_DTYPE)
-            row[list(inter.columns)] = inter.symbols
-            patches[i] = row
-        result = SymbolArray(params, np.vstack([stage1.cells, patches]))
-        patch_rows = len(scan.interactions)
-    log.stage2_rows = patch_rows
+        if best_uncovered > target:  # missed: list the best attempt's leftovers
+            leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
+        cols, ranks = leftovers[:, :-1], leftovers[:, -1:]
+        place = params.v ** np.arange(params.t - 1, -1, -1)
+        patches = rng.integers(0, params.v, size=(len(ranks), params.k), dtype=CELL_DTYPE)
+        patches[np.arange(len(ranks))[:, None], cols] = ranks // place % params.v
+        result = SymbolArray(params, np.vstack([best_cells, patches]))
+    log.stage2_rows = result.n_rows - n
     log.total_rows = result.n_rows
     log.elapsed["stage2"] = time.perf_counter() - t1
     return result, log
@@ -398,18 +386,22 @@ def _resample_full_orbits(
         log.resample_witness.append((pos, log.resample_count))
 
 
+# action kind -> the LLL bound whose stage-1 row count its builder draws
+_ACTION_BOUNDS = {
+    "cyclic": bounds.cyclic_lll_bound,
+    "frobenius": bounds.frobenius_lll_bound,
+    "pgl": bounds.pgl_lll_bound,
+}
+
+
 def _stage1_rows_for_action(
     params: CAParams, action: GroupAction, config: BuildConfig
 ) -> int:
     if config.n_override is not None:
         return config.n_override
-    if action.kind == "cyclic":
-        return bounds.cyclic_lll_bound(params, config.dependence_estimate).stage1_rows
-    if action.kind == "frobenius":
-        return bounds.frobenius_lll_bound(params, config.dependence_estimate).stage1_rows
-    if action.kind == "pgl":
-        return bounds.pgl_lll_bound(params, config.dependence_estimate).stage1_rows
-    raise ValueError(f"no bound-level row count for action kind {action.kind!r}")
+    if action.kind not in _ACTION_BOUNDS:
+        raise ValueError(f"no bound-level row count for action kind {action.kind!r}")
+    return _ACTION_BOUNDS[action.kind](params, config.dependence_estimate).stage1_rows
 
 
 def moser_tardos_build(
@@ -467,15 +459,10 @@ def pgl_build(
     n = _stage1_rows_for_action(params, action, config)
     log.stage1_rows = n
     t0 = time.perf_counter()
-    if n > 0:
-        table = enumerate_orbits(action, params.t)
-        rng = np.random.default_rng(seed_full)
-        cells = _resample_full_orbits(
-            params, table, n, rng, config.resample_step_cap, log
-        )
-        developed = develop(SymbolArray(params, cells), action).cells
-    else:
-        developed = np.empty((0, params.k), dtype=CELL_DTYPE)
+    table = enumerate_orbits(action, params.t)
+    rng = np.random.default_rng(seed_full)
+    cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
+    developed = develop(SymbolArray(params, cells), action).cells
     log.elapsed["resample"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()

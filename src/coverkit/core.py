@@ -119,9 +119,6 @@ class SymbolArray:
     def n_rows(self) -> int:
         return self.cells.shape[0]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.cells[i])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolArray):
             return NotImplemented

@@ -328,10 +328,6 @@ class OrbitTable:
     def n_orbits(self) -> int:
         return len(self.representatives)
 
-    @property
-    def full_length(self) -> int:
-        return self.action.order
-
     def is_full(self, orbit_id: int) -> bool:
         return self.lengths[orbit_id] == self.action.order
 

@@ -1,0 +1,88 @@
+"""Tests for tools/bench_summary.py on two small synthetic checkouts."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "bench_summary.py"
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+
+def write_records(checkout: Path, workload: str, values: dict[int, dict[str, float]]) -> None:
+    """One untraced record per seed; metrics missing from values read 1.0."""
+    out = checkout / "perfbench" / "_out"
+    out.mkdir(parents=True)
+    for seed, given in values.items():
+        rec = {
+            "workload": workload,
+            "seed": seed,
+            "seconds": 30.0,
+            "trace": 0,
+            "git_sha": None,
+            "source_sha256": f"src-{checkout.name}",
+            "cpu_count": 2,
+            "matches_reference": True,
+            "metrics": {
+                m["name"]: {"value": given.get(m["name"], 1.0), "unit": m["unit"]}
+                for m in END_TO_END
+            },
+        }
+        (out / f"{workload}-seed{seed}.json").write_text(json.dumps(rec), encoding="ascii")
+
+
+def summarise(tmp_path: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--parent", str(tmp_path / "parent"),
+         "--change", str(tmp_path / "change"), "--out", str(tmp_path / "bench.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.fixture
+def summary(tmp_path):
+    write_records(tmp_path / "parent", "two-stage", {
+        1: {"build_s": 2.0, "ok_share": 0.5},
+        2: {"build_s": 3.0, "ok_share": 0.5},
+        3: {"build_s": 4.0, "ok_share": 1.0},
+    })
+    write_records(tmp_path / "change", "two-stage", {
+        1: {"build_s": 1.0, "ok_share": 1.0},  # both better
+        2: {"build_s": 2.0, "ok_share": 1.0},  # both better
+        3: {"build_s": 5.0, "ok_share": 1.0},  # slower; ok_share tied
+        4: {"build_s": 9.0},                   # no parent record: not a pair
+    })
+    done = summarise(tmp_path)
+    assert done.returncode == 0, done.stderr
+    return json.loads((tmp_path / "bench.json").read_text(encoding="ascii"))
+
+
+def test_medians_of_paired_seeds(summary):
+    wl = summary["workloads"]["two-stage"]
+    assert wl["seeds"] == [1, 2, 3]
+    build, ok = wl["metrics"]["build_s"], wl["metrics"]["ok_share"]
+    assert (build["parent"]["median"], build["change"]["median"]) == (3.0, 2.0)
+    assert (ok["parent"]["median"], ok["change"]["median"]) == (0.5, 1.0)
+    assert summary["change"]["source_sha256"] == ["src-change"]
+
+
+def test_wins_follow_the_better_direction(summary):
+    metrics = summary["workloads"]["two-stage"]["metrics"]
+    lower, higher = metrics["build_s"], metrics["ok_share"]
+    assert (lower["better"], higher["better"]) == ("lower", "higher")
+    assert (lower["wins"], lower["ties"], lower["losses"]) == (2, 0, 1)
+    assert (higher["wins"], higher["ties"], higher["losses"]) == (2, 1, 0)
+
+
+def test_no_pairs_exits_nonzero_naming_both_outs(tmp_path):
+    write_records(tmp_path / "parent", "two-stage", {1: {}})
+    write_records(tmp_path / "change", "orbit-resample", {1: {}})
+    done = summarise(tmp_path)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert str(tmp_path / "parent" / "perfbench" / "_out") in done.stderr
+    assert str(tmp_path / "change" / "perfbench" / "_out") in done.stderr
+    assert not (tmp_path / "bench.json").exists()

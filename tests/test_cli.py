@@ -160,6 +160,24 @@ class TestBuildAndVerify:
             assert code == 0, strategy
             assert run(["verify", str(out_file)], capsys)[0] == 0
 
+    def test_pgl_without_rows_for_full_orbits_fails(self, tmp_path, capsys):
+        out_file = tmp_path / "pgl.txt"
+        code, out, err = run(
+            ["build", "-t", "3", "-k", "6", "-v", "4", "--strategy", "pgl",
+             "--n-override", "0", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 1
+        assert "success            False (resample cap 10000 reached at scan position 0)" in out
+        assert err.startswith("build failed: resample cap")
+        # a negative row count is a usage error, as for the other strategies
+        code, _, err = run(
+            ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", "pgl",
+             "--n-override", "-1", "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 2 and "negative dimensions" in err
+
     def test_verify_detects_mutilation(self, tmp_path, capsys):
         # CA(5; 2,4,2) is minimal (CAN(2,4,2) = 5), so dropping the last
         # row must break coverage

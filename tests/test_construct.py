@@ -25,11 +25,23 @@ from coverkit.construct import (
     pgl_build,
     random_array,
     two_stage_build,
-    uncovered_interactions,
 )
-from coverkit.core import CAParams, Interaction, SymbolArray, covers, symbols_unrank
+from coverkit.core import (
+    CAParams,
+    Interaction,
+    SymbolArray,
+    covers,
+    interaction_unrank,
+    symbols_unrank,
+)
 from coverkit.errors import ResourceLimitError
-from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl
+from coverkit.groups import (
+    enumerate_orbits,
+    make_cyclic,
+    make_frobenius,
+    make_pgl,
+    make_trivial,
+)
 from coverkit.verify import full_check
 
 
@@ -136,33 +148,53 @@ class TestCountUncovered:
             assert count_uncovered(arr) == naive_uncovered(arr)
 
 
+def assert_patch_rows_follow_rank_order(arr: SymbolArray, log) -> None:
+    """Patch row i holds the i-th interaction, in rank order, that
+    core.covers rejects on the stage-1 rows."""
+    p = arr.params
+    stage1 = SymbolArray(p, arr.cells[: log.stage1_rows])
+    every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
+    rejected = [i for i in every if not covers(stage1, i)]
+    assert log.stage2_rows == len(rejected) == log.uncovered_after_stage1
+    for inter, row in zip(rejected, arr.cells[log.stage1_rows :], strict=True):
+        assert covers(SymbolArray(p, row[None, :]), inter)
+
+
+def listed(array: SymbolArray, keep: int) -> tuple[int, list[Interaction]]:
+    """The one-pass scan's count and listing, as Interactions."""
+    p = array.params
+    count, rows = construct._uncovered_scan(p, array.cells, keep)
+    assert rows.shape == (len(rows), p.t + 1)
+    return count, [
+        Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
+        for r in rows
+    ]
+
+
 class TestUncoveredInteractions:
     def test_covering_array_yields_empty(self):
         p = CAParams(2, 2, 2)
         arr = SymbolArray.from_rows(p, list(product(range(2), repeat=2)))
-        scan = uncovered_interactions(arr, limit=10)
-        assert scan.interactions == [] and not scan.truncated
+        assert listed(arr, keep=10) == (0, [])
 
     def test_diagonal_pairs_listed(self):
         arr = SymbolArray.from_rows(CAParams(2, 2, 2), [(0, 0), (1, 1)])
-        scan = uncovered_interactions(arr, limit=10)
-        assert set(scan.interactions) == {
-            Interaction((0, 1), (0, 1)),
-            Interaction((0, 1), (1, 0)),
-        }
+        assert listed(arr, keep=10) == (
+            2,
+            [Interaction((0, 1), (0, 1)), Interaction((0, 1), (1, 0))],
+        )
 
-    def test_truncation_is_flagged(self):
+    def test_listing_empty_past_keep(self):
         arr = SymbolArray.from_rows(CAParams(2, 2, 2), [(0, 0), (1, 1)])
-        scan = uncovered_interactions(arr, limit=1)
-        assert len(scan.interactions) == 1 and scan.truncated
+        assert listed(arr, keep=1) == (2, [])
+        assert listed(arr, keep=2)[1] == listed(arr, keep=10)[1]
 
     def test_length_matches_count(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             arr = random_array(CAParams(2, 5, 2), int(rng.integers(0, 7)), seed=int(rng.integers(2**31)))
-            scan = uncovered_interactions(arr, limit=10**6)
-            assert len(scan.interactions) == count_uncovered(arr)
-            assert not scan.truncated
+            count, inters = listed(arr, keep=10**6)
+            assert count == len(inters) == count_uncovered(arr)
 
 
 class TestTwoStageBuild:
@@ -183,11 +215,39 @@ class TestTwoStageBuild:
         p = CAParams(2, 5, 3)
         config = BuildConfig(seed=21)
         arr, log = two_stage_build(p, config)
-        n1 = log.stage1_rows
-        stage1 = SymbolArray(p, arr.cells[:n1])
-        scan = uncovered_interactions(stage1, limit=p.interaction_space_size)
-        for inter, row in zip(scan.interactions, arr.cells[n1:]):
-            assert all(row[c] == s for c, s in zip(inter.columns, inter.symbols))
+        assert log.stage2_rows > 0
+        assert_patch_rows_follow_rank_order(arr, log)
+
+    def _count_kernel_passes(self, monkeypatch, p, config):
+        passes = []
+        kernel = construct._coverage_tables
+
+        def counted(*args, **kwargs):
+            passes.append(args[0])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "_coverage_tables", counted)
+        arr, log = two_stage_build(p, config)
+        return len(passes), arr, log
+
+    def test_met_target_makes_one_kernel_pass_per_attempt(self, monkeypatch):
+        # seed 1 at (2,5,3) needs four attempts to meet the target
+        passes, arr, log = self._count_kernel_passes(
+            monkeypatch, CAParams(2, 5, 3), BuildConfig(seed=1)
+        )
+        assert log.success and log.stage1_attempts == 4
+        assert passes == log.stage1_attempts
+        assert full_check(arr).is_covering
+        assert_patch_rows_follow_rank_order(arr, log)
+
+    def test_missed_target_rescans_the_best_attempt_once(self, monkeypatch):
+        passes, arr, log = self._count_kernel_passes(
+            monkeypatch, CAParams(2, 5, 3), BuildConfig(seed=1, max_stage1_attempts=3)
+        )
+        assert not log.success and log.stage1_attempts == 3
+        assert passes == log.stage1_attempts + 1
+        assert full_check(arr).is_covering
+        assert_patch_rows_follow_rank_order(arr, log)
 
     def test_deterministic(self):
         p = CAParams(2, 6, 2)
@@ -386,10 +446,41 @@ class TestPglBuild:
                 present.add(int(table.orbit_id_of[rank]))
             assert all(oid in present for oid in nonfull), cols
 
+    def test_zero_rows_with_full_orbits_fail_at_resample_cap(self):
+        # t=3, v=4 has one full orbit; no row can cover it
+        p = CAParams(3, 6, 4)
+        arr, log = pgl_build(p, BuildConfig(seed=5, n_override=0, resample_step_cap=3))
+        assert not log.success
+        assert log.failure_reason == "resample cap 3 reached at scan position 0"
+        assert log.resample_count == 3 and log.stage1_rows == 0
+        assert not full_check(arr).is_covering
+
     def test_mt_cyclic_pair_strategy(self):
         p = CAParams(2, 4, 4)
         arr, log = pgl_build(p, BuildConfig(seed=5, pair_strategy="mt_cyclic"))
         assert full_check(arr).is_covering
+
+
+class TestStage1RowsForAction:
+    def test_each_kind_takes_its_bound(self):
+        p = CAParams(3, 6, 4)
+        config = BuildConfig(dependence_estimate="improved")
+        for action, bound in (
+            (make_cyclic(4), bounds.cyclic_lll_bound),
+            (make_frobenius(4), bounds.frobenius_lll_bound),
+            (make_pgl(4), bounds.pgl_lll_bound),
+        ):
+            rows = construct._stage1_rows_for_action(p, action, config)
+            assert rows == bound(p, "improved").stage1_rows
+
+    def test_override_comes_first(self):
+        config = BuildConfig(n_override=7)
+        for action in (make_cyclic(3), make_trivial(3)):
+            assert construct._stage1_rows_for_action(CAParams(2, 4, 3), action, config) == 7
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="action kind 'trivial'"):
+            construct._stage1_rows_for_action(CAParams(2, 4, 3), make_trivial(3), BuildConfig())
 
 
 class TestSizeDiscipline:

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds, verify
+from coverkit import bounds, construct, verify
 from coverkit.cli import BUILD_STRATEGIES
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
     moser_tardos_build,
     random_array,
-    uncovered_interactions,
 )
 from coverkit.core import (
     CAParams,
@@ -284,10 +283,26 @@ class TestBuilderScansAgainstTrustedBase:
     def test_listing_is_exactly_what_covers_rejects(self, arr):
         p = arr.params
         every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
-        scan = uncovered_interactions(arr, 10**6)
-        assert not scan.truncated
-        # the same set, and both in rank order
-        assert scan.interactions == [i for i in every if not covers(arr, i)]
+        rejected = [i for i in every if not covers(arr, i)]
+        for keep in (len(rejected), p.interaction_space_size):
+            count, rows = construct._uncovered_scan(p, arr.cells, keep)
+            listing = [
+                Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
+                for r in rows
+            ]
+            # the same set, and both in rank order
+            assert count == len(rejected) and listing == rejected
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(small_arrays())
+    def test_scan_count_is_exact_past_keep(self, arr):
+        p = arr.params
+        exact = full_check(arr).uncovered_count
+        assert construct.count_uncovered(arr) == exact
+        for keep in {max(exact - 1, 0), 0}:
+            count, rows = construct._uncovered_scan(p, arr.cells, keep)
+            assert count == exact
+            assert rows.shape == (exact if exact <= keep else 0, p.t + 1)
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(

@@ -19,15 +19,20 @@ uncommitted change it is null and the source digest identifies the code.
 import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def out_dir(checkout: Path) -> Path:
+    return checkout / "perfbench" / "_out"
+
+
 def load_records(checkout: Path) -> dict:
     """(workload, seed) -> record, for every untraced run in the checkout."""
     out = {}
-    for path in sorted((checkout / "perfbench" / "_out").glob("*.json")):
+    for path in sorted(out_dir(checkout).glob("*.json")):
         rec = json.loads(path.read_text(encoding="ascii"))
         if isinstance(rec, dict) and rec.get("trace") == 0:
             out[(rec["workload"], rec["seed"])] = rec
@@ -61,6 +66,11 @@ def main() -> None:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     parent, change = load_records(args.parent), load_records(args.change)
     pairs = sorted(set(parent) & set(change))
+    if not pairs:
+        sys.exit(
+            f"no untraced (workload, seed) record is in both {out_dir(args.parent)} "
+            f"and {out_dir(args.change)}"
+        )
 
     workloads = {}
     for wl in sorted({w for w, _ in pairs}):
