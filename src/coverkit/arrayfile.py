@@ -34,6 +34,7 @@ def write_array(path: str, array: SymbolArray) -> None:
 
 def read_array(path: str) -> SymbolArray:
     header: tuple[int, int, int, int] | None = None
+    header_line = 1
     rows: list[list[int]] = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -48,7 +49,7 @@ def read_array(path: str) -> SymbolArray:
                     n, t, k, v = (int(x) for x in parts[1:])
                 except ValueError:
                     raise ArrayFormatError(lineno, f"non-integer header field in {line!r}")
-                header = (n, t, k, v)
+                header, header_line = (n, t, k, v), lineno
                 continue
             try:
                 row = [int(x) for x in line.split()]
@@ -68,7 +69,7 @@ def read_array(path: str) -> SymbolArray:
     n, t, k, v = header
     if len(rows) != n:
         raise ArrayFormatError(
-            1, f"header declares {n} rows but file has {len(rows)}"
+            header_line, f"header declares {n} rows but file has {len(rows)}"
         )
     params = CAParams(t, k, v)
     cells = np.array(rows, dtype=CELL_DTYPE).reshape((-1, k))

@@ -18,6 +18,10 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   column t-sets sharing a column, and e*p*(d+1) <= 1 guarantees a good
   outcome.  The group variants count orbits instead of tuples and pay a
   factor of the group order (plus short-orbit patch rows) on the way back.
+  All four, the conditional bound's first stage and
+  ``asymptotic_coefficient`` read one orbit census per action (events per
+  column set, the chance a row hits one, the group order) and share one
+  solver.
 * ``conditional_lll_two_stage_bound`` - a local lemma first stage that
   covers one designated interaction per column set, followed by patching;
   the leftover count after stage one is estimated under the distribution
@@ -103,31 +107,6 @@ class DiscreteSljTrace:
             Fraction(r * (vt - 1), vt) - nxt
             for r, nxt in zip(self.counts, self.counts[1:])
         )
-
-
-def _dependence_counts(params: CAParams) -> dict:
-    """Both dependence estimates for column-t-set events.
-
-    A column set's event depends only on events of sets sharing a column:
-    at most t*C(k-1, t-1) of them, commonly relaxed to t*C(k, t-1).  Under a
-    sharply transitive symbol action the sets sharing exactly one column can
-    be discounted, giving t*C(k-1, t-1) - C(k-t, t-1).
-    """
-    t, k = params.t, params.k
-    return {
-        "d_simple": t * math.comb(k, t - 1),
-        "d_improved": t * math.comb(k - 1, t - 1) - math.comb(k - t, t - 1),
-    }
-
-
-def _lll_event_factor(params: CAParams, dependence: Dependence, *, improved_count: int) -> int:
-    """The (d+1) factor used in e*p*(d+1) <= 1 under the chosen estimate."""
-    if dependence == "simple":
-        # t*C(k,t-1) strictly exceeds the true d, so it serves as d+1
-        return params.t * math.comb(params.k, params.t - 1)
-    if dependence == "improved":
-        return improved_count + 1
-    raise ValueError(f"unknown dependence estimate {dependence!r}")
 
 
 def slj_bound(params: CAParams) -> BoundReport:
@@ -273,6 +252,74 @@ def _two_stage_analytic_value(params: CAParams) -> float:
             + math.log(lnx) + 1) / lnx
 
 
+def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
+    """What a symbol action costs the local lemma: (events, base, hit, order).
+
+    Each column t-set has ``events`` bad events (orbits of symbol t-tuples
+    developed in full), a random row hits a given one with probability
+    hit/base, and developing the array multiplies its rows by ``order``.
+    """
+    base = v ** (t - 1)
+    if kind == "gss":
+        return v**t, v**t, 1, 1
+    if kind == "cyclic":
+        return base, base, 1, v
+    if kind == "frobenius":
+        if num.is_prime_power(v) is None:
+            raise UnsupportedParameterError(
+                f"frobenius action requires a prime-power alphabet, got v={v}"
+            )
+        return (base - 1) // (v - 1), base, v - 1, v * (v - 1)
+    if kind == "pgl":
+        if v < 3 or num.is_prime_power(v - 1) is None:
+            raise UnsupportedParameterError(
+                f"pgl action requires v >= 3 with v-1 a prime power, got v={v}"
+            )
+        full = pgl_orbit_counts(t, v)["full_orbits"]
+        return full, base, (v - 1) * (v - 2), v * (v - 1) * (v - 2)
+    raise ValueError(f"unknown method {kind!r}; expected one of {COEFFICIENT_METHODS}")
+
+
+def _lll_solve(
+    params: CAParams, kind: str, dependence: Dependence = "simple", *, weight: int | None = None
+) -> tuple[int, tuple[int, int, int, int], dict]:
+    """Smallest n >= 0 with e * weight * (1 - hit/base)**n * (d+1) < 1 under
+    the action's census (<= without a group action, as the plain bound is
+    stated), returned with the census and the dependence and ``p`` notes.
+    ``weight`` defaults to the census's event count; with none, n is 0.
+
+    A column set's events depend only on those of sets sharing a column: at
+    most t*C(k-1, t-1) of them, which "simple" relaxes to t*C(k, t-1) and
+    uses as d+1.  Under a group action the sets sharing exactly one column
+    can be discounted, C(k-t, t-1) of them.
+    """
+    t, k = params.t, params.k
+    events, base, hit, order = census = _orbit_census(kind, t, params.v)
+    weight = events if weight is None else weight
+    d_simple = t * math.comb(k, t - 1)
+    d_improved = t * math.comb(k - 1, t - 1) - (math.comb(k - t, t - 1) if order > 1 else 0)
+    if dependence == "simple":
+        factor = d_simple
+    elif dependence == "improved":
+        factor = d_improved + 1
+    else:
+        raise ValueError(f"unknown dependence estimate {dependence!r}")
+    n, p = 0, 0.0
+    if weight:
+        threshold = 1 + num.dec_ln(weight * factor)
+        n = num.least_n_for_log_threshold(
+            threshold, num.ln_ratio(base, base - hit), strict=order > 1
+        )
+        p = math.exp(math.log(weight) - n * _log_ratio_float(base, base - hit))
+    return n, census, {
+        "p": p,
+        "d_plus_1": factor,
+        "d_simple": d_simple,
+        "d_improved_option": d_improved,
+        "dependence": dependence,
+    }
+
+
 def gss_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
     """Local lemma bound without a group action.
 
@@ -285,24 +332,9 @@ def gss_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
     with the (d+1) factor from the chosen dependence estimate; it is
     recorded in the report notes.
     """
-    vt = params.tuple_count
-    deps = _dependence_counts(params)
-    improved = params.t * math.comb(params.k - 1, params.t - 1)
-    factor = _lll_event_factor(params, dependence, improved_count=improved)
-    threshold = 1 + num.dec_ln(vt * factor)
-    n = num.least_n_for_log_threshold(threshold, num.ln_ratio(vt, vt - 1), strict=False)
-    return BoundReport(
-        method="gss",
-        value=n,
-        notes={
-            "p": math.exp(-n * _log_ratio_float(vt, vt - 1) + math.log(vt)),
-            "d_plus_1": factor,
-            "d_simple": deps["d_simple"],
-            "d_improved_option": improved,
-            "dependence": dependence,
-            "inequality": "e*v^t*(1-1/v^t)^N*(d+1) <= 1",
-        },
-    )
+    n, _, notes = _lll_solve(params, "gss", dependence)
+    notes["inequality"] = "e*v^t*(1-1/v^t)^N*(d+1) <= 1"
+    return BoundReport(method="gss", value=n, notes=notes)
 
 
 def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
@@ -313,25 +345,16 @@ def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> Bou
     group multiplies the rows by v but shrinks the event probability to
     v**(t-1) * (1 - 1/v**(t-1))**n.
     """
-    t, v = params.t, params.v
-    base = v ** (t - 1)
-    deps = _dependence_counts(params)
-    factor = _lll_event_factor(params, dependence, improved_count=deps["d_improved"])
-    threshold = 1 + num.dec_ln(base * factor)
-    n = num.least_n_for_log_threshold(threshold, num.ln_ratio(base, base - 1), strict=True)
+    n, (orbits, _, _, order), notes = _lll_solve(params, "cyclic", dependence)
     return BoundReport(
         method="cyclic",
-        value=v * n,
+        value=order * n,
         stage1_rows=n,
         notes={
-            "orbit_count": base,
-            "orbit_length": v,
-            "group_order": v,
-            "p": math.exp(math.log(base) - n * _log_ratio_float(base, base - 1)),
-            "d_plus_1": factor,
-            "d_simple": deps["d_simple"],
-            "d_improved_option": deps["d_improved"],
-            "dependence": dependence,
+            "orbit_count": orbits,
+            "orbit_length": order,
+            "group_order": order,
+            **notes,
             "inequality": "e*v^(t-1)*(1-1/v^(t-1))^n*(d+1) < 1; N = v*n",
         },
     )
@@ -345,35 +368,18 @@ def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> 
     (v**(t-1) - 1)/(v - 1) orbits have full length v(v-1) and each is hit
     with probability 1 - (1 - (v-1)/v**(t-1))**n.
     """
-    t, v = params.t, params.v
-    if num.is_prime_power(v) is None:
-        raise UnsupportedParameterError(
-            f"frobenius action requires a prime-power alphabet, got v={v}"
-        )
-    base = v ** (t - 1)
-    full_orbits = (base - 1) // (v - 1)
-    deps = _dependence_counts(params)
-    factor = _lll_event_factor(params, dependence, improved_count=deps["d_improved"])
-    threshold = 1 + num.dec_ln(full_orbits * factor)
-    n = num.least_n_for_log_threshold(
-        threshold, num.ln_ratio(base, base - (v - 1)), strict=True
-    )
+    v = params.v
+    n, (full_orbits, _, _, order), notes = _lll_solve(params, "frobenius", dependence)
     return BoundReport(
         method="frobenius",
-        value=v * (v - 1) * n + v,
+        value=order * n + v,
         stage1_rows=n,
         notes={
             "full_orbit_count": full_orbits,
-            "full_orbit_length": v * (v - 1),
+            "full_orbit_length": order,
             "short_orbit_rows": v,
-            "group_order": v * (v - 1),
-            "p": math.exp(
-                math.log(full_orbits) - n * _log_ratio_float(base, base - (v - 1))
-            ),
-            "d_plus_1": factor,
-            "d_simple": deps["d_simple"],
-            "d_improved_option": deps["d_improved"],
-            "dependence": dependence,
+            "group_order": order,
+            **notes,
             "inequality": (
                 "e*((v^(t-1)-1)/(v-1))*(1-(v-1)/v^(t-1))^n*(d+1) < 1; "
                 "N = v*(v-1)*n + v"
@@ -407,23 +413,9 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
     the cyclic bound at v=2; constants cost v extra rows.
     """
     t, k, v = params.t, params.k, params.v
-    if v < 3 or num.is_prime_power(v - 1) is None:
-        raise UnsupportedParameterError(
-            f"pgl action requires v >= 3 with v-1 a prime power, got v={v}"
-        )
-    census = pgl_orbit_counts(t, v)
-    r = census["full_orbits"]
-    base = v ** (t - 1)
-    deps = _dependence_counts(params)
-    factor = _lll_event_factor(params, dependence, improved_count=deps["d_improved"])
-    if r > 0:
-        threshold = 1 + num.dec_ln(r * factor)
-        n = num.least_n_for_log_threshold(
-            threshold, num.ln_ratio(base, base - (v - 1) * (v - 2)), strict=True
-        )
-    else:
-        n = 0
-    full_part = v * (v - 1) * (v - 2) * n + v
+    n, (r, _, _, order), notes = _lll_solve(params, "pgl", dependence)
+    del notes["p"]
+    full_part = order * n + v
     binary = cyclic_lll_bound(CAParams(t, k, 2), dependence)
     pair_part = math.comb(v, 2) * binary.value
     return BoundReport(
@@ -432,15 +424,12 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
         stage1_rows=n,
         notes={
             "full_orbit_count": r,
-            "two_symbol_orbit_count": census["two_symbol_orbits"],
-            "group_order": v * (v - 1) * (v - 2),
+            "two_symbol_orbit_count": pgl_orbit_counts(t, v)["two_symbol_orbits"],
+            "group_order": order,
             "full_stage_addend": full_part,
             "pair_addend": pair_part,
             "binary_bound_per_pair": binary.value,
-            "d_plus_1": factor,
-            "d_simple": deps["d_simple"],
-            "d_improved_option": deps["d_improved"],
-            "dependence": dependence,
+            **notes,
             "inequality": (
                 "e*r*(1-(v-1)(v-2)/v^(t-1))^n*(d+1) < 1; "
                 "N = v(v-1)(v-2)*n + v + C(v,2)*cyclic(t,k,2)"
@@ -476,9 +465,9 @@ def conditional_lll_two_stage_bound(
     """
     t, k, v = params.t, params.k, params.v
     vt = params.tuple_count
+    # the plain local lemma solve with one designated event per column set
+    n1, _, _ = _lll_solve(params, "gss", weight=1)
     lnx = num.ln_ratio(vt, vt - 1)
-    threshold = 1 + num.dec_ln(t * math.comb(k, t - 1))
-    n1 = num.least_n_for_log_threshold(threshold, lnx, strict=False)
 
     with localcontext() as ctx:
         ctx.prec = num.PRECISION
@@ -514,35 +503,22 @@ def conditional_lll_two_stage_bound(
 
 
 def asymptotic_coefficient(method: str, t: int, v: int) -> float:
-    """Coefficient of log k in the named bound as k grows, for fixed t, v."""
+    """Coefficient of log k in the named bound as k grows, for fixed t, v.
+
+    A local lemma bound grows as order*(t-1)*log k / log(base/(base-hit))
+    with the action's orbit census, with no such term when the census has
+    no events; pgl adds C(v,2) binary cyclic bounds for its two-symbol
+    orbits.
+    """
     if t < 2 or v < 2:
         raise ValueError("need t >= 2 and v >= 2")
     if method == "slj":
         return t / _log_ratio_float(v**t, v**t - 1)
-    if method == "gss":
-        return (t - 1) / _log_ratio_float(v**t, v**t - 1)
-    if method == "cyclic":
-        base = v ** (t - 1)
-        return v * (t - 1) / _log_ratio_float(base, base - 1)
-    if method == "frobenius":
-        if num.is_prime_power(v) is None:
-            raise UnsupportedParameterError(
-                f"frobenius coefficient requires a prime-power v, got {v}"
-            )
-        base = v ** (t - 1)
-        return v * (v - 1) * (t - 1) / _log_ratio_float(base, base - (v - 1))
+    events, base, hit, order = _orbit_census(method, t, v)
+    coef = order * (t - 1) / _log_ratio_float(base, base - hit) if events else 0.0
     if method == "pgl":
-        if v < 3 or num.is_prime_power(v - 1) is None:
-            raise UnsupportedParameterError(
-                f"pgl coefficient requires v >= 3 with v-1 a prime power, got {v}"
-            )
-        base = v ** (t - 1)
-        full = v * (v - 1) * (v - 2) * (t - 1) / _log_ratio_float(
-            base, base - (v - 1) * (v - 2)
-        )
-        pairs = v * (v - 1) * (t - 1) / _log_ratio_float(2 ** (t - 1), 2 ** (t - 1) - 1)
-        return full + pairs
-    raise ValueError(f"unknown method {method!r}; expected one of {COEFFICIENT_METHODS}")
+        coef += math.comb(v, 2) * asymptotic_coefficient("cyclic", t, 2)
+    return coef
 
 
 def katona_kleitman_exact(k: int) -> int:

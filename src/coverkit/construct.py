@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal
+from typing import Iterator, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -96,6 +96,19 @@ class BuildConfig:
             raise ValueError("need at least one stage-1 attempt")
         if self.resample_step_cap < 0:
             raise ValueError("resample cap must be nonnegative")
+        for name, choices in _CONFIG_CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {', '.join(choices)}, got {getattr(self, name)!r}"
+                )
+
+
+# BuildConfig field -> the choices of its Literal annotation
+_CONFIG_CHOICES = {
+    name: get_args(hint)
+    for name, hint in get_type_hints(BuildConfig).items()
+    if get_origin(hint) is Literal
+}
 
 
 @dataclass

@@ -63,6 +63,14 @@ class TestErrors:
         with pytest.raises(ArrayFormatError, match="declares 3"):
             read_array(str(path))
 
+    def test_row_count_mismatch_names_the_header_line(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("# made by hand\n# second comment\nCA 3 2 3 2\n0 1 0\n1 0 1\n")
+        with pytest.raises(ArrayFormatError) as exc:
+            read_array(str(path))
+        assert exc.value.lineno == 3
+        assert str(exc.value) == "line 3: header declares 3 rows but file has 2"
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("# nothing here\n")

@@ -12,15 +12,18 @@ TOOL = ROOT / "tools" / "bench_summary.py"
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
-def write_records(checkout: Path, workload: str, values: dict[int, dict[str, float]]) -> None:
-    """One untraced record per seed; metrics missing from values read 1.0."""
+def write_records(checkout: Path, workload: str, values: dict[int, dict[str, float]], *,
+                  seconds: float = 30.0, outputs: dict[int, str] | None = None) -> None:
+    """One untraced record per seed; metrics missing from values read 1.0,
+    and a seed's output digest is its own unless outputs names another."""
     out = checkout / "perfbench" / "_out"
-    out.mkdir(parents=True)
+    out.mkdir(parents=True, exist_ok=True)
     for seed, given in values.items():
         rec = {
             "workload": workload,
             "seed": seed,
-            "seconds": 30.0,
+            "seconds": seconds,
+            "output_sha256": (outputs or {}).get(seed, f"out-{workload}-{seed}"),
             "trace": 0,
             "git_sha": None,
             "source_sha256": f"src-{checkout.name}",
@@ -85,4 +88,32 @@ def test_no_pairs_exits_nonzero_naming_both_outs(tmp_path):
     assert "Traceback" not in done.stderr
     assert str(tmp_path / "parent" / "perfbench" / "_out") in done.stderr
     assert str(tmp_path / "change" / "perfbench" / "_out") in done.stderr
+    assert not (tmp_path / "bench.json").exists()
+
+
+def test_outputs_identical_when_every_pair_agrees(summary):
+    assert summary["workloads"]["two-stage"]["outputs_identical"] is True
+    assert summary["seconds"] == [30.0]
+
+
+def test_one_differing_output_is_flagged(tmp_path):
+    write_records(tmp_path / "parent", "two-stage", {1: {}, 2: {}})
+    write_records(tmp_path / "parent", "bound-sweep", {1: {}})
+    write_records(tmp_path / "change", "two-stage", {1: {}, 2: {}}, outputs={2: "other"})
+    write_records(tmp_path / "change", "bound-sweep", {1: {}})
+    done = summarise(tmp_path)
+    assert done.returncode == 0, done.stderr
+    workloads = json.loads((tmp_path / "bench.json").read_text(encoding="ascii"))["workloads"]
+    assert workloads["two-stage"]["outputs_identical"] is False
+    assert workloads["bound-sweep"]["outputs_identical"] is True
+
+
+def test_pairs_run_at_different_seconds_exit_nonzero(tmp_path):
+    write_records(tmp_path / "parent", "two-stage", {1: {}, 2: {}}, seconds=20.0)
+    write_records(tmp_path / "change", "two-stage", {1: {}, 2: {}}, seconds=30.0)
+    done = summarise(tmp_path)
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert "workload two-stage seed 1" in done.stderr
+    assert "20.0" in done.stderr and "30.0" in done.stderr
     assert not (tmp_path / "bench.json").exists()

@@ -414,6 +414,18 @@ class TestPgl:
         pairs = v * (v - 1) * (t - 1) / math.log(2 ** (t - 1) / (2 ** (t - 1) - 1))
         assert bounds.asymptotic_coefficient("pgl", t, v) == pytest.approx(full + pairs, rel=1e-12)
 
+    @pytest.mark.parametrize("v", [3, 4, 5, 6])
+    def test_coefficient_at_t2_is_the_pair_term_alone(self, v):
+        # at t = 2 no tuple has three distinct symbols, so there are no full
+        # orbits and the bound grows only through its binary pair stage
+        assert bounds.pgl_orbit_counts(2, v)["full_orbits"] == 0
+        coef = bounds.asymptotic_coefficient("pgl", 2, v)
+        assert coef == pytest.approx(
+            math.comb(v, 2) * bounds.asymptotic_coefficient("cyclic", 2, 2), rel=1e-12
+        )
+        lo, hi = (bounds.pgl_lll_bound(CAParams(2, k, v)).value for k in (10**6, 10**12))
+        assert (hi - lo) / math.log(10**6) == pytest.approx(coef, rel=0.01)
+
 
 class TestConditional:
     def test_discrete_variant_never_worse(self):
@@ -527,3 +539,40 @@ class TestCrossBoundProperties:
         for t, k, v in self.GRID + [(6, 54, 3)]:
             p = CAParams(t, k, v)
             assert bounds.two_stage_bound(p).value <= bounds.slj_bound(p).value
+
+    @pytest.mark.parametrize("dependence", ["simple", "improved"])
+    def test_lll_rows_solve_each_stated_inequality(self, dependence):
+        # e * events * y**n * (d+1) < 1 (<= for gss) holds at the reported n
+        # and fails at n - 1, with each action's events and y written out
+        def actions(t, v):
+            b = v ** (t - 1)
+            yield "gss", v**t, 1 - 1 / v**t, False
+            yield "cyclic", b, 1 - 1 / b, True
+            if v in (2, 3, 4, 5, 7, 8, 9):
+                yield "frobenius", (b - 1) // (v - 1), 1 - (v - 1) / b, True
+            if v in (3, 4, 5, 6, 8, 9, 10):
+                full = bounds.pgl_orbit_counts(t, v)["full_orbits"]
+                yield "pgl", full, 1 - (v - 1) * (v - 2) / b, True
+
+        for t, k, v in self.GRID + [(3, 20, 4), (4, 30, 5), (5, 12, 9)]:
+            p = CAParams(t, k, v)
+            for name, events, y, strict in actions(t, v):
+                rep = getattr(bounds, f"{name}_lll_bound")(p, dependence)
+                n = rep.value if name == "gss" else rep.stage1_rows
+                if events == 0:
+                    assert n == 0
+                    continue
+                lhs = lambda j: 1 + math.log(events * rep.notes["d_plus_1"]) + j * math.log(y)
+                assert (lhs(n) < 0) if strict else (lhs(n) <= 1e-12), (name, p)
+                assert n == 0 or lhs(n - 1) >= 0, (name, p)
+
+    def test_coefficients_match_the_bounds_growth(self):
+        # the slope of each local lemma bound between k = 10^6 and 10^12
+        for t in (3, 4):
+            for v in (3, 4, 5):
+                for name in ("gss", "cyclic", "frobenius", "pgl"):
+                    lo, hi = (getattr(bounds, f"{name}_lll_bound")(CAParams(t, k, v)).value
+                              for k in (10**6, 10**12))
+                    slope = (hi - lo) / math.log(10**6)
+                    coef = bounds.asymptotic_coefficient(name, t, v)
+                    assert slope == pytest.approx(coef, rel=0.01), (name, t, v)

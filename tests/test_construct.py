@@ -108,6 +108,33 @@ def density_arrays(draw, max_interactions=None):
     return random_array(CAParams(t, k, v), n, seed=draw(st.integers(0, 2**32 - 1)))
 
 
+class TestBuildConfig:
+    def test_misspelt_second_stage_rejected(self):
+        # "density" once fell through to one patch row per leftover
+        with pytest.raises(ValueError, match="second_stage must be one of one_row_each, density_greedy"):
+            BuildConfig(seed=1, second_stage="density")
+
+    def test_unknown_stage1_target_rejected(self):
+        with pytest.raises(ValueError, match="stage1_target must be one of expectation, tuple_budget"):
+            BuildConfig(stage1_target="budget")
+
+    def test_unknown_pair_strategy_rejected(self):
+        with pytest.raises(ValueError, match="pair_strategy must be one of two_stage, mt_cyclic"):
+            BuildConfig(pair_strategy="cyclic")
+
+    def test_unknown_dependence_estimate_rejected(self):
+        with pytest.raises(ValueError, match="dependence_estimate must be one of simple, improved"):
+            BuildConfig(dependence_estimate="tight")
+
+    def test_every_listed_choice_accepted(self):
+        assert set(construct._CONFIG_CHOICES) == {
+            "dependence_estimate", "second_stage", "stage1_target", "pair_strategy"
+        }
+        for name, choices in construct._CONFIG_CHOICES.items():
+            for choice in choices:
+                assert getattr(BuildConfig(**{name: choice}), name) == choice
+
+
 class TestRandomArray:
     def test_empty(self):
         arr = random_array(CAParams(2, 4, 2), 0, seed=1)

@@ -9,7 +9,10 @@ Each checkout holds the records that ``perfbench/run.py`` wrote to its
 workload and end-to-end metric named in ``BENCHMARK.json``, the file gives
 the parent and change medians, their quartiles (``statistics.quantiles``,
 exclusive method) and IQR, and how many seed pairs the change won, tied
-and lost in the metric's better direction.  The seeds, and for each side
+and lost in the metric's better direction, and whether every paired run
+wrote the same output (``outputs_identical``, by ``output_sha256``).  A
+pair whose two runs used different ``--seconds`` is an error: the tool
+exits nonzero naming the first such pair.  The seeds, and for each side
 the git SHA and SHA-256 of the ``src/coverkit`` sources that the records
 carry and ``os.cpu_count()`` of its runs, are recorded alongside.  A record
 has a git SHA only when its checkout has a ``.git`` (``git clone``); for an
@@ -71,6 +74,13 @@ def main() -> None:
             f"no untraced (workload, seed) record is in both {out_dir(args.parent)} "
             f"and {out_dir(args.change)}"
         )
+    for key in pairs:
+        if parent[key]["seconds"] != change[key]["seconds"]:
+            sys.exit(
+                f"workload {key[0]} seed {key[1]} ran at --seconds "
+                f"{parent[key]['seconds']} in the parent and {change[key]['seconds']} "
+                "in the change; pair runs made at the same --seconds"
+            )
 
     workloads = {}
     for wl in sorted({w for w, _ in pairs}):
@@ -90,11 +100,17 @@ def main() -> None:
                 "ties": sum(d == 0 for d in diffs),
                 "losses": sum(d < 0 for d in diffs),
             }
-        workloads[wl] = {"seeds": seeds, "metrics": metrics}
+        workloads[wl] = {
+            "seeds": seeds,
+            "outputs_identical": all(
+                parent[wl, s]["output_sha256"] == change[wl, s]["output_sha256"] for s in seeds
+            ),
+            "metrics": metrics,
+        }
 
     summary = {
         "note": args.note,
-        "seconds": sorted({r["seconds"] for r in parent.values()}),
+        "seconds": sorted({parent[k]["seconds"] for k in pairs}),
         "parent": side({k: parent[k] for k in pairs}),
         "change": side({k: change[k] for k in pairs}),
         "workloads": workloads,
