@@ -12,10 +12,12 @@ import csv
 import json
 import sys
 import time
+from typing import get_args
 
 from . import bounds
 from .arrayfile import ArrayFormatError, read_array, write_array
 from .construct import (
+    _CONFIG_CHOICES,
     DEFAULT_SEED,
     BuildConfig,
     BuildLog,
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARAMS = 2
 EXIT_RESOURCE = 3
+DEPENDENCE_CHOICES = get_args(bounds.Dependence)
 
 
 def _report_record(rep: bounds.BoundReport) -> dict:
@@ -84,6 +87,13 @@ BOUND_RECORDS = {
 BOUND_METHODS = tuple(BOUND_RECORDS)
 
 
+def _methods(text: str) -> list[str]:
+    methods = [m.strip() for m in text.split(",") if m.strip()]
+    if not methods:
+        raise UnsupportedParameterError(f"no method given; choose from {', '.join(BOUND_METHODS)}")
+    return methods
+
+
 def _method_record(method: str, params: CAParams, dependence: str) -> dict:
     if method not in BOUND_RECORDS:
         raise UnsupportedParameterError(
@@ -94,7 +104,7 @@ def _method_record(method: str, params: CAParams, dependence: str) -> dict:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _methods(args.methods)
     records = [_method_record(m, params, args.dependence) for m in methods]
     if args.json:
         doc = {"t": args.t, "k": args.k, "v": args.v, "results": records}
@@ -194,7 +204,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _methods(args.methods)
     ks = _parse_range(args.k)
 
     if "two_stage_curve" in methods:
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print bound values for one (t,k,v)")
     add_params(p_bounds)
     p_bounds.add_argument("--methods", default="slj,two_stage", help="comma-separated")
-    p_bounds.add_argument("--dependence", choices=("simple", "improved"), default="simple")
+    p_bounds.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -271,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--resample-cap", type=int, default=10_000)
     p_build.add_argument("--n-override", type=int, default=None)
     p_build.add_argument(
-        "--second-stage", choices=("one_row_each", "density_greedy"), default="one_row_each"
+        "--second-stage", choices=_CONFIG_CHOICES["second_stage"], default="one_row_each"
     )
-    p_build.add_argument("--dependence", choices=("simple", "improved"), default="simple")
+    p_build.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify an array file")
@@ -287,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", required=True, help="lo:hi[:step] or a single k")
     p_sweep.add_argument("--n", default=None, help="n range for two_stage_curve")
     p_sweep.add_argument("--methods", default="slj,discrete_slj,two_stage")
-    p_sweep.add_argument("--dependence", choices=("simple", "improved"), default="simple")
+    p_sweep.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

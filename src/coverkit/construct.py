@@ -1,21 +1,19 @@
 """Randomized covering array construction.
 
-Three builders realize the bound families constructively:
+Two builders realize the bound families constructively:
 
 * ``two_stage_build``    - draw random arrays of the optimal stage-1 size
   until the uncovered count is within target, then patch each surviving
   uncovered interaction with one dedicated row (or greedy density rows).
   The scan that accepts an attempt also lists its leftovers, so stage 2
   patches from that listing without a second pass.
-* ``moser_tardos_build`` - maintain a random n x k array and, scanning
-  column t-sets in a fixed order, resample the columns of the first set
-  with an uncovered full-length orbit until no such set remains; then
-  develop over the group and patch short orbits with constant rows.
-  Applies to the cyclic and Frobenius actions.
-* ``pgl_build``          - the sharply 3-transitive variant: resampling
-  covers the full-length orbits, a single binary covering array replicated
-  over every symbol pair covers the two-symbol orbits, and constant rows
-  cover the rest.
+* ``moser_tardos_build`` - the orbit builder for the cyclic, Frobenius
+  and PGL actions (``pgl_build`` for short): maintain a random n x k
+  array and, scanning column t-sets in a fixed order, resample the
+  columns of the first set missing a full orbit (one the action's local
+  lemma bound counts) until none remains; then develop over the group and
+  cover the short orbits with constant rows and, under PGL, a binary
+  covering array mapped onto every symbol pair.
 
 ``density_build`` adds greedy density rows (Bryce & Colbourn) to any
 array; it is also the ``density_greedy`` second stage of the two-stage
@@ -87,11 +85,12 @@ class BuildConfig:
     resample_step_cap: int = 10_000
     dependence_estimate: bounds.Dependence = "simple"
     second_stage: Literal["one_row_each", "density_greedy"] = "one_row_each"
-    stage1_target: Literal["expectation", "tuple_budget"] = "expectation"
-    pair_strategy: Literal["two_stage", "mt_cyclic"] = "two_stage"
     n_override: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_override"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.max_stage1_attempts < 1:
             raise ValueError("need at least one stage-1 attempt")
         if self.resample_step_cap < 0:
@@ -211,13 +210,6 @@ def count_uncovered(array: SymbolArray) -> int:
     return _uncovered_scan(array.params, array.cells, keep=0)[0]
 
 
-def _stage1_target(params: CAParams, n: int, mode: str) -> int:
-    if mode == "tuple_budget":
-        return params.tuple_count
-    vt = params.tuple_count
-    return floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
-
-
 def two_stage_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
@@ -230,7 +222,8 @@ def two_stage_build(
         n = config.n_override
     else:
         n = bounds.two_stage_bound(params).stage1_rows
-    target = _stage1_target(params, n, config.stage1_target)
+    vt = params.tuple_count
+    target = floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
     rng = np.random.default_rng(config.seed)
     log = BuildLog(strategy="two_stage", stage1_rows=n)
 
@@ -368,9 +361,9 @@ def _resample_full_orbits(
     log: BuildLog,
 ) -> np.ndarray:
     """Core resampling loop: an n x k random array, rescanned from the start
-    after each resample, until every full-length orbit is covered on every
-    column t-set.  Returns the array; sets failure flags on the log if the
-    resample cap is hit.
+    after each resample, until every full orbit (``table.full_orbit_ids``,
+    the bound's events) is covered on every column t-set.  Returns the
+    array; sets failure flags on the log if the resample cap is hit.
 
     Orbit coverage is decided from the OrbitTable alone: per column set, a
     boolean table indexed by orbit id (memory O(v**t + n*k))."""
@@ -420,84 +413,82 @@ def _stage1_rows_for_action(
 def moser_tardos_build(
     params: CAParams, action: GroupAction, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
-    """Resample until all full-length orbits are covered, then develop over
-    the group and append constant rows for the short orbit (Frobenius).
-
-    Accepts the cyclic and Frobenius actions, whose orbits are exhausted by
-    full orbits plus constants; use ``pgl_build`` for the 3-transitive
-    action, which additionally needs the per-pair binary arrays."""
-    if action.kind not in ("cyclic", "frobenius"):
-        raise ValueError(
-            f"moser_tardos_build covers full orbits and constants only; "
-            f"got action kind {action.kind!r} (use pgl_build for pgl)"
-        )
-    if action.degree != params.v:
-        raise ValueError(f"action degree {action.degree} does not match v={params.v}")
-    config = config or BuildConfig()
-    log = BuildLog(strategy=f"mt_{action.kind}", group_order=action.order)
-    table = enumerate_orbits(action, params.t)
-    n = _stage1_rows_for_action(params, action, config)
-    log.stage1_rows = n
-    rng = np.random.default_rng(config.seed)
-
-    t0 = time.perf_counter()
-    cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
-    log.elapsed["resample"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    developed = develop(SymbolArray(params, cells), action)
-    pieces = [developed.cells]
-    if action.kind == "frobenius":
-        pieces.append(constant_rows(params).cells)
-        log.short_orbit_rows = params.v
-    result = SymbolArray(params, np.vstack(pieces))
-    log.total_rows = result.n_rows
-    log.elapsed["develop"] = time.perf_counter() - t1
-    return result, log
+    """The orbit builder under any action with a bound: cyclic, Frobenius
+    or PGL (the same arrays as ``pgl_build``)."""
+    return _orbit_build(params, action, config or BuildConfig())
 
 
 def pgl_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
-    """Sharply 3-transitive construction: resampled full orbits developed
-    over the group, one binary covering array mapped onto every symbol
-    pair, and v constant rows."""
-    config = config or BuildConfig()
-    action = make_pgl(params.v)
-    log = BuildLog(strategy="pgl", group_order=action.order)
-    seeds = np.random.SeedSequence(config.seed).spawn(2)
-    seed_full = int(seeds[0].generate_state(1)[0])
-    seed_pairs = int(seeds[1].generate_state(1)[0])
+    """The orbit builder under the sharply 3-transitive PGL action."""
+    return _orbit_build(params, make_pgl(params.v), config or BuildConfig())
 
+
+def _orbit_build(
+    params: CAParams, action: GroupAction, config: BuildConfig
+) -> tuple[SymbolArray, BuildLog]:
+    """Resample n rows until every full orbit is hit, develop them over the
+    group, then cover the short orbits of a sharply l-transitive action: v
+    constant rows when l >= 2 and, when l = 3, the pair rows, drawn from a
+    seed stream of their own."""
+    if action.kind not in _ACTION_BOUNDS:
+        raise ValueError(f"no orbit builder for action kind {action.kind!r}")
+    if action.degree != params.v:
+        raise ValueError(f"action degree {action.degree} does not match v={params.v}")
+    ell = action.sharp_transitivity
     n = _stage1_rows_for_action(params, action, config)
-    log.stage1_rows = n
-    t0 = time.perf_counter()
+    strategy = "pgl" if ell == 3 else f"mt_{action.kind}"
+    log = BuildLog(strategy=strategy, stage1_rows=n, group_order=action.order)
+    seed = config.seed
+    if ell == 3:
+        seed, pair_seed = (
+            int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(2)
+        )
     table = enumerate_orbits(action, params.t)
-    rng = np.random.default_rng(seed_full)
+
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(seed)
     cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
-    developed = develop(SymbolArray(params, cells), action).cells
     log.elapsed["resample"] = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    pieces = [develop(SymbolArray(params, cells), action).cells]
+    log.elapsed["develop"] = time.perf_counter() - t1
+    if ell == 3:
+        t2 = time.perf_counter()
+        pieces.append(_pair_rows(params, replace(config, seed=pair_seed), log))
+        log.stage2_rows = len(pieces[-1])
+        log.elapsed["pairs"] = time.perf_counter() - t2
+    if ell >= 2:
+        pieces.append(constant_rows(params).cells)
+        log.short_orbit_rows = params.v
+    result = SymbolArray(params, np.vstack(pieces))
+    log.total_rows = result.n_rows
+    return result, log
+
+
+def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog) -> np.ndarray:
+    """One binary covering array mapped onto every symbol pair a < b: the
+    two-symbol orbits.  It comes from the builder with the smaller bound at
+    v = 2, the cyclic one only when strictly smaller.  That keeps a
+    successful PGL build within ``pgl_lll_bound``, which prices the pairs
+    by the cyclic bound, at the cost of the rows two-stage's leftovers can
+    save below its own bound (832 rows against 844 at (3,30,4), seed 1)."""
     binary_params = CAParams(params.t, params.k, 2)
-    pair_config = replace(config, seed=seed_pairs, n_override=None)
-    if config.pair_strategy == "mt_cyclic":
-        binary, blog = moser_tardos_build(binary_params, make_cyclic(2), pair_config)
+    two_stage = bounds.two_stage_bound(binary_params)
+    cyclic = bounds.cyclic_lll_bound(binary_params, config.dependence_estimate)
+    if cyclic.value < two_stage.value:
+        binary, blog = _orbit_build(
+            binary_params, make_cyclic(2), replace(config, n_override=cyclic.stage1_rows))
     else:
-        binary, blog = two_stage_build(binary_params, pair_config)
+        binary, blog = two_stage_build(
+            binary_params, replace(config, n_override=two_stage.stage1_rows))
     if not blog.success:
         log.success = False
         log.failure_reason = f"binary stage: {blog.failure_reason}"
-    pair_blocks = []
-    for a, b in ((a, b) for a in range(params.v) for b in range(a + 1, params.v)):
-        mapped = np.where(binary.cells == 0, a, b).astype(CELL_DTYPE)
-        pair_blocks.append(mapped)
-    pairs = np.vstack(pair_blocks)
-    log.stage2_rows = pairs.shape[0]
-    log.elapsed["pairs"] = time.perf_counter() - t1
-
-    consts = constant_rows(params).cells
-    log.short_orbit_rows = params.v
-    result = SymbolArray(params, np.vstack([developed, pairs, consts]))
-    log.total_rows = result.n_rows
-    return result, log
+    return np.vstack([
+        np.where(binary.cells == 0, a, b).astype(CELL_DTYPE)
+        for a in range(params.v)
+        for b in range(a + 1, params.v)
+    ])

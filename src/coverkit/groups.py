@@ -328,12 +328,13 @@ class OrbitTable:
     def n_orbits(self) -> int:
         return len(self.representatives)
 
-    def is_full(self, orbit_id: int) -> bool:
-        return self.lengths[orbit_id] == self.action.order
-
     @property
     def full_orbit_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, L in enumerate(self.lengths) if L == self.action.order)
+        """Orbits of tuples with at least ``sharp_transitivity`` distinct
+        symbols: the local lemma's events.  Not every full-length orbit is
+        one (PGL's two-symbol orbits at v = 3, Frobenius's constants at 2)."""
+        ell = self.action.sharp_transitivity
+        return tuple(i for i, rep in enumerate(self.representatives) if len(set(rep)) >= ell)
 
     def length_of(self, representative: tuple[int, ...]) -> int:
         rank = symbols_rank(representative, self.action.degree)

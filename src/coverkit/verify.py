@@ -121,8 +121,8 @@ def full_check(array: SymbolArray) -> CoverageReport:
 def orbit_check(
     array: SymbolArray, table: OrbitTable, *, full_only: bool = False
 ) -> OrbitCoverageReport:
-    """Check that every (full-length, if full_only) orbit is hit on every
-    column t-set: some row's symbol tuple on those columns lies in it."""
+    """Check that every orbit (each of ``table.full_orbit_ids``, if full_only)
+    is hit on every column t-set: some row's tuple on those columns lies in it."""
     params = array.params
     t, v = params.t, params.v
     if table.action.degree != v:
@@ -131,11 +131,7 @@ def orbit_check(
         )
     if table.t != t:
         raise ValueError(f"orbit table strength {table.t} does not match t={t}")
-    required = [
-        oid
-        for oid in range(table.n_orbits)
-        if not full_only or table.is_full(oid)
-    ]
+    required = table.full_orbit_ids if full_only else range(table.n_orbits)
     rows = [tuple(int(x) for x in r) for r in array.cells]
     for cols in colex_combinations(params.k, t):
         seen = bytearray(table.n_orbits)

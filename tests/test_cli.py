@@ -4,11 +4,14 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from coverkit import cli
 from coverkit.cli import BOUND_METHODS, main
+from coverkit.construct import BuildConfig, two_stage_build
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,7 +179,47 @@ class TestBuildAndVerify:
              "--n-override", "-1", "--out", str(out_file)],
             capsys,
         )
-        assert code == 2 and "negative dimensions" in err
+        assert code == 2 and "n_override must be nonnegative, got -1" in err
+
+    def test_pgl_t2_v3_needs_no_resampling(self, tmp_path, capsys):
+        # order 6 = v(v-1) at v=3: the two-symbol orbits have full length,
+        # but the pair arrays cover them and nothing is left to resample
+        for k in ("6", "100"):
+            code, out, _ = run(
+                ["build", "-t", "2", "-k", k, "-v", "3", "--strategy", "pgl",
+                 "--out", str(tmp_path / "pgl.txt")],
+                capsys,
+            )
+            assert code == 0, k
+            assert "resamples          0\n" in out
+
+    @pytest.mark.parametrize("flag", ["--seed", "--n-override"])
+    def test_negative_count_names_its_field(self, tmp_path, capsys, flag):
+        for strategy in ("two_stage", "mt_cyclic", "pgl"):
+            code, _, err = run(
+                ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", strategy,
+                 flag, "-1", "--out", str(tmp_path / "a.txt")],
+                capsys,
+            )
+            field = flag[2:].replace("-", "_")
+            assert code == 2 and f"{field} must be nonnegative, got -1" in err, strategy
+
+    def test_every_config_field_has_a_build_flag(self, tmp_path, capsys, monkeypatch):
+        # every flag off its default; a BuildConfig field no flag reaches
+        # keeps its default and fails here
+        seen = []
+        monkeypatch.setitem(cli.BUILD_STRATEGIES, "two_stage",
+                            lambda p, c: seen.append(c) or two_stage_build(p, c))
+        code, _, _ = run(
+            ["build", "-t", "2", "-k", "4", "-v", "2", "--out", str(tmp_path / "a.txt"),
+             "--seed", "5", "--attempts", "7", "--resample-cap", "9", "--n-override", "6",
+             "--second-stage", "density_greedy", "--dependence", "improved"],
+            capsys,
+        )
+        assert code == 0
+        default = BuildConfig()
+        for f in fields(BuildConfig):
+            assert getattr(seen[0], f.name) != getattr(default, f.name), f.name
 
     def test_verify_detects_mutilation(self, tmp_path, capsys):
         # CA(5; 2,4,2) is minimal (CAN(2,4,2) = 5), so dropping the last
@@ -266,6 +309,19 @@ class TestSweepCommand:
         assert code == 2
         assert "error" in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("methods", ["", " , "])
+    def test_no_method_is_a_usage_error(self, tmp_path, capsys, methods):
+        out_csv = tmp_path / "f.csv"
+        code, _, err = run(
+            ["sweep", "-t", "2", "-v", "2", "--k", "4:8", "--methods", methods,
+             "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 2 and "no method given" in err
+        assert not out_csv.exists()
+        code, out, err = run(["bounds", "-t", "2", "-k", "4", "-v", "2", "--methods", methods], capsys)
+        assert code == 2 and "no method given" in err and out == ""
 
     def test_curve_negative_n_leaves_no_file(self, tmp_path, capsys):
         out_csv = tmp_path / "curve.csv"

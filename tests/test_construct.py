@@ -34,7 +34,7 @@ from coverkit.core import (
     interaction_unrank,
     symbols_unrank,
 )
-from coverkit.errors import ResourceLimitError
+from coverkit.errors import ResourceLimitError, UnsupportedParameterError
 from coverkit.groups import (
     enumerate_orbits,
     make_cyclic,
@@ -114,22 +114,12 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="second_stage must be one of one_row_each, density_greedy"):
             BuildConfig(seed=1, second_stage="density")
 
-    def test_unknown_stage1_target_rejected(self):
-        with pytest.raises(ValueError, match="stage1_target must be one of expectation, tuple_budget"):
-            BuildConfig(stage1_target="budget")
-
-    def test_unknown_pair_strategy_rejected(self):
-        with pytest.raises(ValueError, match="pair_strategy must be one of two_stage, mt_cyclic"):
-            BuildConfig(pair_strategy="cyclic")
-
     def test_unknown_dependence_estimate_rejected(self):
         with pytest.raises(ValueError, match="dependence_estimate must be one of simple, improved"):
             BuildConfig(dependence_estimate="tight")
 
     def test_every_listed_choice_accepted(self):
-        assert set(construct._CONFIG_CHOICES) == {
-            "dependence_estimate", "second_stage", "stage1_target", "pair_strategy"
-        }
+        assert set(construct._CONFIG_CHOICES) == {"dependence_estimate", "second_stage"}
         for name, choices in construct._CONFIG_CHOICES.items():
             for choice in choices:
                 assert getattr(BuildConfig(**{name: choice}), name) == choice
@@ -294,12 +284,6 @@ class TestTwoStageBuild:
         assert full_check(arr).is_covering
         assert log.stage2_rows == arr.n_rows - log.stage1_rows
 
-    def test_tuple_budget_target(self):
-        p = CAParams(2, 5, 2)
-        arr, log = two_stage_build(p, BuildConfig(seed=3, stage1_target="tuple_budget"))
-        assert full_check(arr).is_covering
-        assert log.uncovered_after_stage1 <= p.tuple_count
-
     def test_degenerate_zero_row_stage1(self):
         # at (2,2,2) the objective is minimized at n=0: the whole array is
         # patch rows, one per interaction
@@ -426,10 +410,35 @@ class TestMoserTardos:
         assert log.resample_count == 5
         assert "cap" in log.failure_reason
 
-    def test_pgl_action_is_redirected(self):
-        p = CAParams(2, 4, 4)
-        with pytest.raises(ValueError, match="pgl_build"):
-            moser_tardos_build(p, make_pgl(4), BuildConfig(seed=1))
+    def test_pgl_action_matches_pgl_build(self):
+        for p in (CAParams(2, 4, 4), CAParams(3, 5, 4), CAParams(2, 6, 3)):
+            config = BuildConfig(seed=1)
+            a1, l1 = moser_tardos_build(p, make_pgl(p.v), config)
+            a2, l2 = pgl_build(p, config)
+            assert a1 == a2
+            assert (l1.strategy, l1.resample_count, l1.total_rows) == (
+                l2.strategy, l2.resample_count, l2.total_rows)
+
+    def test_trivial_action_is_rejected(self):
+        with pytest.raises(ValueError, match="action kind 'trivial'"):
+            moser_tardos_build(CAParams(2, 4, 3), make_trivial(3), BuildConfig(n_override=5))
+
+    @pytest.mark.parametrize("kind", ["cyclic", "frobenius", "pgl"])
+    def test_resample_targets_are_the_census_events(self, kind):
+        make_action = {"cyclic": make_cyclic, "frobenius": make_frobenius, "pgl": make_pgl}[kind]
+        checked = 0
+        for v in range(2, 10):
+            try:
+                action = make_action(v)
+            except UnsupportedParameterError:
+                continue
+            for t in range(2, 5):
+                if v**t > 20000:
+                    continue
+                targets = enumerate_orbits(action, t).full_orbit_ids
+                assert len(targets) == bounds._orbit_census(kind, t, v)[0], (t, v)
+                checked += 1
+        assert checked >= 5
 
     def test_witness_positions_recorded(self):
         p = CAParams(2, 6, 2)
@@ -465,7 +474,7 @@ class TestPglBuild:
         arr, log = pgl_build(p, BuildConfig(seed=5))
         tail = SymbolArray(p, arr.cells[24 * log.stage1_rows :])
         table = enumerate_orbits(make_pgl(4), 3)
-        nonfull = [oid for oid in range(table.n_orbits) if not table.is_full(oid)]
+        nonfull = set(range(table.n_orbits)) - set(table.full_orbit_ids)
         for cols in combinations(range(5), 3):
             present = set()
             for row in tail.cells:
@@ -483,9 +492,25 @@ class TestPglBuild:
         assert not full_check(arr).is_covering
 
     def test_mt_cyclic_pair_strategy(self):
-        p = CAParams(2, 4, 4)
-        arr, log = pgl_build(p, BuildConfig(seed=5, pair_strategy="mt_cyclic"))
+        # at (2,16,2) the cyclic bound (16) undercuts two-stage (20), so the
+        # pair array is the cyclic orbit builder's, of exactly 16 rows
+        p = CAParams(2, 16, 4)
+        binary = CAParams(2, 16, 2)
+        assert bounds.cyclic_lll_bound(binary).value < bounds.two_stage_bound(binary).value
+        arr, log = pgl_build(p, BuildConfig(seed=5))
         assert full_check(arr).is_covering
+        assert log.stage2_rows == comb(4, 2) * bounds.cyclic_lll_bound(binary).value
+
+    def test_pair_array_takes_two_stage_when_not_beaten(self, monkeypatch):
+        # at (2,4,2) two-stage (10) undercuts the cyclic bound (12); its
+        # stage-1 rows are handed over, not computed again
+        calls = []
+        monkeypatch.setattr(
+            construct, "two_stage_build", lambda p, c: calls.append(c) or two_stage_build(p, c))
+        arr, log = pgl_build(CAParams(2, 4, 4), BuildConfig(seed=5))
+        assert full_check(arr).is_covering
+        binary = CAParams(2, 4, 2)
+        assert [c.n_override for c in calls] == [bounds.two_stage_bound(binary).stage1_rows]
 
 
 class TestStage1RowsForAction:
@@ -517,6 +542,10 @@ class TestSizeDiscipline:
             (CAParams(2, 6, 3), "two_stage"),
             (CAParams(2, 5, 4), "mt_cyclic"),
             (CAParams(2, 6, 3), "mt_frobenius"),
+            (CAParams(2, 16, 4), "pgl"),
+            (CAParams(2, 30, 4), "pgl"),
+            (CAParams(3, 8, 4), "pgl"),
+            (CAParams(2, 6, 3), "pgl"),
         ]
         for p, strategy in cases:
             for seed in range(5):
@@ -527,6 +556,9 @@ class TestSizeDiscipline:
                 elif strategy == "mt_cyclic":
                     arr, log = moser_tardos_build(p, make_cyclic(p.v), config)
                     cap = bounds.cyclic_lll_bound(p).value
+                elif strategy == "pgl":
+                    arr, log = pgl_build(p, config)
+                    cap = bounds.pgl_lll_bound(p).value
                 else:
                     arr, log = moser_tardos_build(p, make_frobenius(p.v), config)
                     cap = bounds.frobenius_lll_bound(p).value

@@ -6,7 +6,10 @@ the cells as uint8 bytes in row-major order.  The digests were taken from
 the builders as they stood before their coverage scans were merged into
 one kernel, and the k >= 8 density cases before density rows were chosen
 from an incremental coverage state; any later change that alters an array
-for a given seed fails here.
+for a given seed fails here.  The one deliberate move: pgl-3-8-3-s3 was
+re-pinned when the resampler stopped treating PGL's two-symbol orbits at
+v = 3 (full length, since the group order is v(v-1)) as full orbits; it
+went from 1 resample to 0 at the same 243 rows.
 """
 
 import hashlib
@@ -56,10 +59,8 @@ CASES = {
     "two_stage-density-3-6-2-s2": _two_stage(3, 6, 2, seed=2, second_stage="density_greedy"),
     "two_stage-density-2-5-4-s3": _two_stage(2, 5, 4, seed=3, second_stage="density_greedy"),
     "two_stage-density-3-8-3-s1": _two_stage(3, 8, 3, seed=1, second_stage="density_greedy"),
-    "two_stage-budget-3-8-2-s1": _two_stage(3, 8, 2, seed=1, stage1_target="tuple_budget"),
-    "two_stage-budget-2-10-3-s2": _two_stage(2, 10, 3, seed=2, stage1_target="tuple_budget"),
-    "two_stage-budget-3-8-3-s3-missed": _two_stage(
-        3, 8, 3, seed=3, stage1_target="tuple_budget", n_override=40, max_stage1_attempts=5),
+    "two_stage-3-8-3-s4-n40-missed": _two_stage(
+        3, 8, 3, seed=4, n_override=40, max_stage1_attempts=2),
     "mt_cyclic-3-10-3-s1": _mt(make_cyclic, 3, 10, 3, seed=1),
     "mt_cyclic-3-10-3-s2-n45": _mt(make_cyclic, 3, 10, 3, seed=2, n_override=45),
     "mt_cyclic-2-8-4-s3-n11": _mt(make_cyclic, 2, 8, 4, seed=3, n_override=11),
@@ -71,9 +72,7 @@ CASES = {
     "pgl-3-8-4-s1": _pgl(3, 8, 4, seed=1),
     "pgl-3-8-4-s2": _pgl(3, 8, 4, seed=2),
     "pgl-3-8-3-s3": _pgl(3, 8, 3, seed=3),
-    "pgl-mt-3-8-4-s1": _pgl(3, 8, 4, seed=1, pair_strategy="mt_cyclic"),
-    "pgl-mt-3-8-4-s2": _pgl(3, 8, 4, seed=2, pair_strategy="mt_cyclic"),
-    "pgl-mt-3-8-3-s3": _pgl(3, 8, 3, seed=3, pair_strategy="mt_cyclic"),
+    "pgl-2-16-4-s1": _pgl(2, 16, 4, seed=1),
     "density-2-6-3": _density(2, 6, 3),
     "density-3-7-2": _density(3, 7, 2),
     "density-2-5-4": _density(2, 5, 4),
@@ -106,30 +105,22 @@ GOLDEN = {
         "9c03d3da7d21b6cfc5dc3f4e1effcbd45bd44d463b3d17cacacb59970a85ebe1"),
     "mt_frobenius-3-8-4-s2-n19": (232, 52, None,
         "9a14cecbf7f4f6f27ecff04387682bdbedd644baba46292beca5acbb21c5f6db"),
-    "pgl-3-8-3-s3": (243, 1, None,
-        "fb589d5019c394220c913f631a1e858c28ec01e6a8974f7d4445e56a946d37fb"),
+    "pgl-3-8-3-s3": (243, 0, None,
+        "90c827c6bebd1acfe9ed63980e01222a5e13c80c87ac1fd37f62a2231e3a5ebe"),
+    "pgl-2-16-4-s1": (100, 0, None,
+        "50899d836fec1c0655b0e71c49caffd71f3a0864fb266b3cce3c9aa39f5d337d"),
     "pgl-3-8-4-s1": (502, 0, None,
         "90a647b8daf1531009e9d4d08e609d02fba9d610c9b3c66b4cfee2b70bda133c"),
     "pgl-3-8-4-s2": (472, 0, None,
         "9fb9bcadbb29df053af429be816b1a1a2fbde43378a681af55e92a39434c6add"),
-    "pgl-mt-3-8-3-s3": (279, 1, None,
-        "dd715d6187d3093f4c2ca20a81d3dbf96939b9b1ef509cbc79c7d57b3f15d951"),
-    "pgl-mt-3-8-4-s1": (580, 0, None,
-        "25bbebcc6e80407e25d6e4f5ba24a5125bfe4adf572e74194ea9a8b0974867db"),
-    "pgl-mt-3-8-4-s2": (580, 0, None,
-        "e979925387269b3040e502abdff3c1dd08a42e752f6014cc15ba8ab93b6da9e1"),
     "two_stage-2-12-4-s3": (79, 0, None,
         "1de04c5d8828ada508bd7fe9234b85941d80ff062e3e92f2a75e8e9b98a7928a"),
     "two_stage-3-8-3-s1": (118, 0, None,
         "6e7588dd53d3891ac170174ec3f99859bf1c1889d6862c80432b00340ccb508d"),
     "two_stage-3-8-3-s2": (126, 0, None,
         "fc6578397e049b6f0c4c121f49df108d81f32b3b96c45d03d26b50b5058f3ecd"),
-    "two_stage-budget-2-10-3-s2": (39, 0, None,
-        "2d453fd405d38fc5ef17fdae6e21ab4570f0b606fc5d35477e023a8f2e328121"),
-    "two_stage-budget-3-8-2-s1": (30, 0, None,
-        "c35ddca8278eb8714aebca14314bd37ddb9b33588dfd79a38e6f0dd40dea63ef"),
-    "two_stage-budget-3-8-3-s3-missed": (325, 0, "stage 1 missed target 27 in 5 attempts",
-        "407efa7623b555ab95e1c0bb9df969a6a7a15ee284b3d9f160ba49d33931e0ff"),
+    "two_stage-3-8-3-s4-n40-missed": (398, 0, "stage 1 missed target 334 in 2 attempts",
+        "d8b59dc76827e70155a5e8a2053da8c0277af1f7e6ec71353be6f896edfc0943"),
     "two_stage-density-2-5-4-s3": (38, 0, None,
         "00c3615ce7dde78558a6e4b48574d92c0a190c676bcb3ac04bf09ecce398e408"),
     "two_stage-density-2-6-3-s1": (26, 0, None,

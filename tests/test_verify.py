@@ -315,8 +315,7 @@ class TestBuilderScansAgainstTrustedBase:
         action = make_action(p.v)
         config = BuildConfig(seed=seed, n_override=n, resample_step_cap=0)
         arr, log = moser_tardos_build(p, action, config)
-        # the developed stage-1 rows only: constant rows may hit a full orbit
-        # (Frobenius at v=2) that the resampling scan saw uncovered
+        # the developed stage-1 rows only, as the resampling scan saw them
         developed = SymbolArray(p, arr.cells[: n * log.group_order])
         report = orbit_check(developed, enumerate_orbits(action, p.t), full_only=True)
         if log.success:
