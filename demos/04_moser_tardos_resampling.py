@@ -2,8 +2,9 @@
 """Orbit resampling walkthrough.
 
 The resampling builder keeps an n x k random array and scans column t-sets
-in a fixed order.  Whenever some full-length orbit is uncovered on a set,
-it redraws those t columns entirely and restarts the scan.  At the row
+in a fixed order.  Whenever an orbit of tuples with at least l distinct
+symbols (l = 2 for the Frobenius group) is uncovered on a set, it redraws
+those t columns entirely and restarts the scan.  At the row
 count the local lemma prescribes, the expected number of redraws is small;
 the witness trace below records each one.
 """
@@ -19,8 +20,8 @@ def main() -> None:
     action = make_frobenius(3)
     plan = bounds.frobenius_lll_bound(p)
     print(
-        f"t={p.t}, k={p.k}, v={p.v}: resample target is every full orbit on "
-        f"all {8*7*6//6} column triples"
+        f"t={p.t}, k={p.k}, v={p.v}: resample target is every orbit with at least "
+        f"{action.sharp_transitivity} distinct symbols on all {8*7*6//6} column triples"
     )
     print(
         f"stage-1 rows n={plan.stage1_rows}; after development x{action.order} "

@@ -38,6 +38,7 @@ truncated to machine floats except in report fields documented as floats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -45,6 +46,7 @@ from itertools import islice
 from typing import Iterator, Literal, Sequence
 
 from . import _numeric as num
+from . import limits
 from .core import CAParams
 from .errors import ResourceLimitError, UnsupportedParameterError
 
@@ -145,9 +147,18 @@ def discrete_slj_bound(
     covers strictly more than the expected number of new interactions.  The
     bound is the step count N with r(N) = 0.  Exact integer arithmetic;
     ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
+    The trace is checked against the memory cap before it is built, at the
+    length ``discrete_slj_estimate`` gives, which is below the step count.
     """
     vt = params.tuple_count
     counts = [params.interaction_space_size]
+    estimate = discrete_slj_estimate(params)
+    length = math.ceil(estimate)
+    if max_steps is not None:
+        length = min(length, max_steps)
+    # each count is held by the list, the interior slice and the trace tuple
+    entry = 3 * 8 + sys.getsizeof(counts[0])
+    limits.check_table_bytes(length, entry, "discrete recurrence trace")
     steps = _leftover_recurrence(counts[0], vt)
     if max_steps is None:
         counts.extend(steps)
@@ -163,7 +174,7 @@ def discrete_slj_bound(
     report = BoundReport(
         method="discrete_slj",
         value=len(counts) - 1,
-        notes={"estimate": discrete_slj_estimate(params), "deficit_min": deficit_min},
+        notes={"estimate": estimate, "deficit_min": deficit_min},
     )
     return report, DiscreteSljTrace(tuple(counts), vt)
 
@@ -223,6 +234,8 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     radius = max(64, math.isqrt(math.ceil(3 / float(lnx))) + 8)
     lo = max(0, math.floor(nstar) - radius)
     hi = math.floor(nstar) + radius
+    entry = 3 * (8 + sys.getsizeof(total))  # ns, floors, objectives: ints <= total
+    limits.check_table_bytes(hi - lo + 1, entry, "two-stage search window")
 
     values = two_stage_objectives(params, range(lo, hi + 1))
     best_val = min(values)

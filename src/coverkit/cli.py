@@ -1,6 +1,6 @@
 """Command-line surface: bound tables, construction, verification, sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 parameter error,
+Exit codes: 0 success, 1 verification failure, 2 parameter or file error,
 3 resource or budget error.  Column indices in human-readable output are
 1-based; machine output (--json, CSV, array files) stays 0-based.
 """
@@ -145,6 +145,25 @@ BUILD_STRATEGIES = {
     "density": _density_strategy,
 }
 
+# BuildConfig field -> the build flag that sets it (--seed sets the seed)
+CONFIG_FLAGS = {
+    "n_override": "--n-override",
+    "max_stage1_attempts": "--attempts",
+    "second_stage": "--second-stage",
+    "resample_step_cap": "--resample-cap",
+    "dependence_estimate": "--dependence",
+}
+_ORBIT_FIELDS = ("n_override", "resample_step_cap", "dependence_estimate")
+# strategy -> the BuildConfig fields it reads besides the seed; pgl reads the
+# two-stage ones too when its pair rows come from two_stage_build
+STRATEGY_FIELDS = {
+    "two_stage": ("n_override", "max_stage1_attempts", "second_stage"),
+    "mt_cyclic": _ORBIT_FIELDS,
+    "mt_frobenius": _ORBIT_FIELDS,
+    "pgl": tuple(CONFIG_FLAGS),
+    "density": (),
+}
+
 
 def cmd_build(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
@@ -157,6 +176,17 @@ def cmd_build(args: argparse.Namespace) -> int:
         second_stage=args.second_stage,
         n_override=args.n_override,
     )
+    default = BuildConfig()
+    unread = [
+        flag
+        for name, flag in CONFIG_FLAGS.items()
+        if name not in STRATEGY_FIELDS[args.strategy]
+        and getattr(config, name) != getattr(default, name)
+    ]
+    if unread:
+        raise UnsupportedParameterError(
+            f"the {args.strategy} strategy does not read {', '.join(unread)}"
+        )
     array, log = BUILD_STRATEGIES[args.strategy](params, config)
 
     write_array(args.out, array)
@@ -206,6 +236,8 @@ def _parse_range(text: str) -> list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _methods(args.methods)
     ks = _parse_range(args.k)
+    if args.n is not None and "two_stage_curve" not in methods:
+        raise UnsupportedParameterError("--n is read only by two_stage_curve")
 
     if "two_stage_curve" in methods:
         if len(methods) != 1:
@@ -317,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedParameterError, ArrayFormatError, ValueError) as exc:
+    except (UnsupportedParameterError, ArrayFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except (ResourceLimitError, BudgetExceededError) as exc:

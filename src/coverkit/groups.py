@@ -13,9 +13,15 @@ t-tuples coordinatewise and partitioning them into orbits:
 Symbol identification is fixed and documented: the elements of GF(p**m) are
 numbered 0..q-1 by their coefficient vectors, element i having the
 polynomial whose coefficients are the base-p digits of i (constant term
-least significant).  The modulus is the monic irreducible polynomial of
-degree m whose non-leading coefficient vector encodes the smallest integer.
-The projective point at infinity is the extra symbol q, i.e. the last one.
+least significant).  GF(q) is held as two read-only q x q tables, addition
+and multiplication, and the Frobenius and PGL permutations are read off
+them.  The modulus is the monic irreducible polynomial of degree m whose
+non-leading coefficient vector encodes the smallest integer: the moduli are
+tried in that order and the first whose multiplication table gives every
+nonzero element an inverse is kept, since the quotient ring is a field
+exactly when the modulus is irreducible.  Distributivity is then checked on
+every triple.  The projective point at infinity is the extra symbol q, i.e.
+the last one.
 
 ``enumerate_orbits`` tabulates the orbit partition of all v**t symbol
 tuples; ``develop`` replaces every row of an array by its full set of
@@ -49,132 +55,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteField:
-    """GF(p**m) on the integer codes 0..q-1 described in the module docstring."""
+    """GF(p**m) on the integer codes 0..q-1 described in the module docstring.
+
+    ``add_table`` and ``mul_table`` are read-only q x q arrays; every
+    operation is a lookup in them.
+    """
 
     p: int
     m: int
     modulus: tuple[int, ...]  # monic, length m+1, constant term first
     q: int
-    inverse: tuple[int, ...] = field(repr=False, default=())
-
-    def digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def undigits(self, ds: list[int]) -> int:
-        a = 0
-        for d in reversed(ds):
-            a = a * self.p + d
-        return a
+    add_table: np.ndarray = field(repr=False)
+    mul_table: np.ndarray = field(repr=False)
 
     def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        return self.undigits([(-x) % self.p for x in self.digits(a)])
+        return int(self.add_table[a].argmin())  # row a holds 0 at column -a
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self.undigits(_poly_mod(prod, self.modulus, self.p)[: self.m])
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return self.inverse[a]
+        return int((self.mul_table[a] == 1).argmax())
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
 
-def _poly_mod(poly: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of poly modulo a monic modulus, coefficients mod p."""
-    rem = list(poly)
-    deg_m = len(modulus) - 1
-    for i in range(len(rem) - 1, deg_m - 1, -1):
-        c = rem[i] % p
-        if c:
-            for j in range(deg_m + 1):
-                rem[i - deg_m + j] = (rem[i - deg_m + j] - c * modulus[j]) % p
-    rem = rem[:deg_m]
-    rem += [0] * (deg_m - len(rem))
-    return rem
-
-
-def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(coeffs) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = tuple(tail) + (1,)
-            if not any(_poly_mod(list(coeffs), divisor, p)):
-                return False
-    return True
-
-
 def finite_field(q: int) -> FiniteField:
-    """Construct GF(q), verifying inverses exist for every nonzero element."""
+    """GF(q) as its tables, with the modulus and the field check of the
+    module docstring; raises ArithmeticError if the check fails."""
     pm = num.is_prime_power(q)
     if pm is None:
         raise UnsupportedParameterError(f"{q} is not a prime power")
     p, m = pm
-    modulus = None
-    for code in range(p**m):
-        tail = []
-        c = code
-        for _ in range(m):
-            tail.append(c % p)
-            c //= p
-        cand = tuple(tail) + (1,)
-        if _poly_is_irreducible(cand, p):
-            modulus = cand
+    # the two tables plus one q x q x m digit temporary
+    limits.check_table_bytes(q * q * (m + 2), 8, f"GF({q}) tables")
+    powers = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // powers % p  # row i: base-p digits of i
+    add = (digits[:, None] + digits) % p @ powers
+    for tail in digits:
+        mul = _mul_digits(digits, tail, p) @ powers
+        if (mul[1:] == 1).any(axis=1).all():
             break
-    assert modulus is not None, "no irreducible modulus found"
-    fld = FiniteField(p, m, modulus, q)
-    inverse = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if fld.mul(a, b) == 1:
-                inverse[a] = b
-                break
-        else:
-            raise ArithmeticError(f"element {a} of GF({q}) has no inverse")
-    fld = FiniteField(p, m, modulus, q, tuple(inverse))
-    _spot_check_axioms(fld)
-    return fld
+    else:
+        raise ArithmeticError(f"no modulus of degree {m} makes GF({q}) a field")
+    limits.check_table_bytes(q**3, 17, f"GF({q}) distributivity check")
+    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
+        raise ArithmeticError(f"a(b + c) != ab + ac for some triple in GF({q})")
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    return FiniteField(p, m, tuple(tail.tolist()) + (1,), q, add, mul)
 
 
-def _spot_check_axioms(fld: FiniteField) -> None:
-    """a * a^-1 == 1 for all nonzero a; distributivity on sampled triples."""
-    for a in range(1, fld.q):
-        if fld.mul(a, fld.inv(a)) != 1:
-            raise ArithmeticError(f"inverse check failed for {a} in GF({fld.q})")
-    step = max(1, fld.q // 5)
-    sample = range(0, fld.q, step)
-    for a in sample:
-        for b in sample:
-            for c in sample:
-                lhs = fld.mul(a, fld.add(b, c))
-                rhs = fld.add(fld.mul(a, b), fld.mul(a, c))
-                if lhs != rhs:
-                    raise ArithmeticError(
-                        f"distributivity failed at ({a},{b},{c}) in GF({fld.q})"
-                    )
+def _mul_digits(digits: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
+    """Digits of a*b mod x**m + tail for all codes a, b.  Entry i of
+    ``powers_times_b`` is x**i * b, reduced by folding x**m = -tail back."""
+    powers_times_b = [digits]
+    for _ in range(1, len(tail)):
+        prev = powers_times_b[-1]
+        shifted = np.pad(prev[:, :-1], ((0, 0), (1, 0)))
+        powers_times_b.append((shifted - prev[:, -1:] * tail) % p)
+    return np.einsum("ai,ibk->abk", digits, np.stack(powers_times_b)) % p
 
 
 @dataclass(frozen=True)
@@ -251,24 +202,24 @@ def make_cyclic(v: int) -> GroupAction:
 
 
 def make_frobenius(v: int) -> GroupAction:
-    """The v(v-1) affine maps x -> a*x + b over GF(v), a != 0."""
+    """The v(v-1) affine maps x -> a*x + b over GF(v), a != 0, in (a, b)
+    order, so the identity (a = 1, b = 0) comes first."""
     fld = finite_field(v)  # raises UnsupportedParameterError if not a prime power
-    elements = []
-    for a in range(1, v):
-        for b in range(v):
-            elements.append(tuple(fld.add(fld.mul(a, x), b) for x in range(v)))
-    # identity is a=1, b=0; reorder so constructors always list it first
-    elements.sort(key=lambda perm: perm != tuple(range(v)))
-    return GroupAction("frobenius", v, tuple(elements), 2)
+    # the images as an array, as lists and as tuples
+    limits.check_table_bytes(v**3, 3 * 8, f"Frobenius group on {v} symbols")
+    images = fld.add_table[fld.mul_table[1:, None, :], np.arange(v)[:, None]]
+    elements = tuple(map(tuple, images.reshape(-1, v).tolist()))
+    return GroupAction("frobenius", v, elements, 2)
 
 
 def make_pgl(v: int) -> GroupAction:
     """The v(v-1)(v-2) fractional-linear maps on GF(q) + {infinity}, v = q+1.
 
     Matrices (a b; c d) with ad - bc != 0 are taken one per projective
-    class by normalizing the first nonzero entry of (a, b, c, d) to 1.
-    Infinity is the symbol q; it maps to a/c (or stays at infinity when
-    c = 0), and the pole -d/c maps to infinity.
+    class by normalizing the first nonzero entry of (a, b, c, d) to 1, in
+    lexicographic order with the identity moved first.  Infinity is the
+    symbol q; it maps to a/c (or stays at infinity when c = 0), and the
+    pole -d/c maps to infinity.
     """
     if v < 3:
         raise UnsupportedParameterError("pgl needs at least three symbols")
@@ -278,28 +229,22 @@ def make_pgl(v: int) -> GroupAction:
             f"pgl requires v-1 to be a prime power, got v-1={q}"
         )
     fld = finite_field(q)
-    infinity = q
-    elements = []
-    for a, b, c, d in product(range(q), repeat=4):
-        det = fld.sub(fld.mul(a, d), fld.mul(b, c))
-        if det == 0:
-            continue
-        first = next(x for x in (a, b, c, d) if x != 0)
-        if first != 1:
-            continue
-        perm = []
-        for x in range(q):
-            den = fld.add(fld.mul(c, x), d)
-            if den == 0:
-                perm.append(infinity)
-            else:
-                perm.append(fld.div(fld.add(fld.mul(a, x), b), den))
-        perm.append(fld.div(a, c) if c != 0 else infinity)
-        elements.append(tuple(perm))
-    elements.sort(key=lambda perm: perm != tuple(range(v)))
-    action = GroupAction("pgl", v, tuple(elements), 3)
-    assert action.order == v * (v - 1) * (v - 2)
-    return action
+    add, mul = fld.add_table, fld.mul_table
+    neg = add.argmin(axis=1)  # row a of add holds 0 at column -a
+    inv = (mul == 1).argmax(axis=1)  # inv[0] = 0 is never read
+    # 2q^3 candidates (a is 0 or 1 after normalizing), each with v images
+    limits.check_table_bytes(2 * q**3 * (v + 4), 8, f"PGL(2, {q}) images")
+    a, b, c, d = np.indices((2, q, q, q)).reshape(4, -1)
+    keep = (add[mul[a, d], neg[mul[b, c]]] != 0) & ((a == 1) | (b == 1))
+    a, b, c, d = (coef[keep, None] for coef in (a, b, c, d))
+    x = np.arange(q)
+    den = add[mul[c, x], d]
+    finite = np.where(den == 0, q, mul[add[mul[a, x], b], inv[den]])
+    infinite = np.where(c != 0, mul[a, inv[c]], q)
+    identity = tuple(range(v))
+    elements = sorted(map(tuple, np.hstack([finite, infinite]).tolist()),
+                      key=lambda perm: perm != identity)
+    return GroupAction("pgl", v, tuple(elements), 3)
 
 
 def make_trivial(v: int) -> GroupAction:

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,9 +14,10 @@ import pytest
 
 from coverkit import cli
 from coverkit.cli import BOUND_METHODS, main
-from coverkit.construct import BuildConfig, two_stage_build
+from coverkit.construct import BuildConfig, pgl_build
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
@@ -205,13 +209,14 @@ class TestBuildAndVerify:
             assert code == 2 and f"{field} must be nonnegative, got -1" in err, strategy
 
     def test_every_config_field_has_a_build_flag(self, tmp_path, capsys, monkeypatch):
-        # every flag off its default; a BuildConfig field no flag reaches
-        # keeps its default and fails here
+        # every flag off its default under pgl, which reads them all; a
+        # BuildConfig field no flag reaches keeps its default and fails here
         seen = []
-        monkeypatch.setitem(cli.BUILD_STRATEGIES, "two_stage",
-                            lambda p, c: seen.append(c) or two_stage_build(p, c))
+        monkeypatch.setitem(cli.BUILD_STRATEGIES, "pgl",
+                            lambda p, c: seen.append(c) or pgl_build(p, c))
         code, _, _ = run(
-            ["build", "-t", "2", "-k", "4", "-v", "2", "--out", str(tmp_path / "a.txt"),
+            ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", "pgl",
+             "--out", str(tmp_path / "a.txt"),
              "--seed", "5", "--attempts", "7", "--resample-cap", "9", "--n-override", "6",
              "--second-stage", "density_greedy", "--dependence", "improved"],
             capsys,
@@ -341,3 +346,76 @@ class TestSweepCommand:
             capsys,
         )
         assert code == 2
+
+
+# bad input, the exit code the module docstring documents for it, and a
+# fragment of its error message
+BAD_INPUTS = [
+    pytest.param(["verify", "/nonexistent.ca"], 2, "/nonexistent.ca", id="verify-missing-file"),
+    pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--out", "/no/such/dir/x.ca"],
+                 2, "/no/such/dir/x.ca", id="build-unwritable-out"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4:8", "--out", "/no/such/dir/x.csv"],
+                 2, "/no/such/dir/x.csv", id="sweep-unwritable-out"),
+    # about 1.1e9 recurrence steps
+    pytest.param(["bounds", "-t", "8", "-k", "100", "-v", "9", "--methods", "discrete_slj"],
+                 3, "discrete recurrence trace", id="discrete-slj-trace"),
+    # a search window of radius about 6e9
+    pytest.param(["bounds", "-t", "20", "-k", "30", "-v", "9", "--methods", "two_stage"],
+                 3, "two-stage search window", id="two-stage-window"),
+    pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--strategy", "density",
+                  "--n-override", "3", "--second-stage", "density_greedy", "--attempts", "1",
+                  "--out", "/no/such/dir/x.ca"],
+                 2, "density strategy does not read --n-override, --attempts, --second-stage",
+                 id="build-unread-flags"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4", "--n", "1:3",
+                  "--out", "/no/such/dir/x.csv"],
+                 2, "--n is read only by two_stage_curve", id="sweep-n-without-curve"),
+]
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("argv, code, message", BAD_INPUTS)
+    def test_documented_code_and_no_traceback(self, argv, code, message):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "coverkit.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        assert result.stderr.startswith("error:") and message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("two_stage", ["--resample-cap", "5"]),
+        ("mt_cyclic", ["--attempts", "5"]),
+        ("mt_frobenius", ["--second-stage", "density_greedy"]),
+        ("two_stage", ["--dependence", "improved"]),
+    ])
+    def test_unread_build_flag_is_named(self, tmp_path, capsys, strategy, flags):
+        out_file = tmp_path / "a.txt"
+        code, _, err = run(
+            ["build", "-t", "2", "-k", "4", "-v", "3", "--strategy", strategy, *flags,
+             "--out", str(out_file)],
+            capsys,
+        )
+        assert code == 2 and strategy in err
+        assert all(flag in err for flag in flags[::2])
+        assert not out_file.exists()
+
+    def test_read_flags_and_defaults_pass(self, tmp_path, capsys):
+        # a flag left at its default is not "set", and --seed is read everywhere
+        for strategy, flags in [
+            ("density", ["--attempts", "1000", "--seed", "4"]),
+            ("two_stage", ["--n-override", "6", "--attempts", "50"]),
+            ("mt_frobenius", ["--resample-cap", "20000", "--dependence", "improved"]),
+        ]:
+            code, _, err = run(
+                ["build", "-t", "2", "-k", "4", "-v", "3", "--strategy", strategy, *flags,
+                 "--out", str(tmp_path / "a.txt")],
+                capsys,
+            )
+            assert code == 0, (strategy, err)

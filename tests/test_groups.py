@@ -1,7 +1,10 @@
 """Tests for finite fields, group actions, orbit tables, and development."""
 
+import hashlib
+import json
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,12 @@ from coverkit.groups import (
     make_trivial,
 )
 from coverkit.verify import full_check
+
+DIGESTS = json.loads((Path(__file__).parent / "data" / "groups_digests.json").read_text())
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestFiniteField:
@@ -55,6 +64,14 @@ class TestFiniteField:
     def test_rejects_non_prime_power(self):
         with pytest.raises(UnsupportedParameterError):
             finite_field(6)
+
+    @pytest.mark.parametrize("q", sorted(map(int, DIGESTS["add"])))
+    def test_tables_match_pinned_digests(self, q):
+        # every prime power q <= 49: the same modulus, so the same numbering
+        fld = finite_field(q)
+        pairs = list(product(range(q), repeat=2))
+        assert _sha256(bytes(fld.add(a, b) for a, b in pairs)) == DIGESTS["add"][str(q)]
+        assert _sha256(bytes(fld.mul(a, b) for a, b in pairs)) == DIGESTS["mul"][str(q)]
 
 
 class TestCyclic:
@@ -95,6 +112,12 @@ class TestFrobenius:
         with pytest.raises(UnsupportedParameterError):
             make_frobenius(6)
 
+    @pytest.mark.parametrize("v", sorted(map(int, DIGESTS["frobenius"])))
+    def test_elements_match_pinned_digests(self, v):
+        # element order fixes develop's row order, so it is pinned too
+        elements = make_frobenius(v).elements
+        assert _sha256(repr(elements).encode()) == DIGESTS["frobenius"][str(v)]
+
 
 class TestPgl:
     def test_v3_is_symmetric_group(self):
@@ -123,6 +146,11 @@ class TestPgl:
             make_pgl(7)  # v-1 = 6 is not a prime power
         with pytest.raises(UnsupportedParameterError):
             make_pgl(2)  # needs at least three symbols
+
+    @pytest.mark.parametrize("v", sorted(map(int, DIGESTS["pgl"])))
+    def test_elements_match_pinned_digests(self, v):
+        elements = make_pgl(v).elements
+        assert _sha256(repr(elements).encode()) == DIGESTS["pgl"][str(v)]
 
 
 class TestOrbitTables:

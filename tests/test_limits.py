@@ -6,7 +6,7 @@ from coverkit import limits
 from coverkit.construct import count_uncovered, density_build, moser_tardos_build, random_array
 from coverkit.core import CAParams, Interaction, SymbolArray
 from coverkit.errors import ResourceLimitError
-from coverkit.groups import enumerate_orbits, make_cyclic
+from coverkit.groups import enumerate_orbits, finite_field, make_cyclic, make_frobenius, make_pgl
 from coverkit.verify import full_check
 
 
@@ -51,6 +51,17 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", str(1 << 40))
         with pytest.raises(ResourceLimitError, match="int64"):
             density_build(SymbolArray.empty(CAParams(2, 2, 1 << 16)))
+
+    @pytest.mark.parametrize("cap, build, what", [
+        (0, lambda: finite_field(4), r"GF\(4\) tables"),
+        (600, lambda: finite_field(4), r"GF\(4\) distributivity"),  # tables need 512 bytes
+        (1200, lambda: make_frobenius(4), "Frobenius group"),  # GF(4) needs 1088
+        (2000, lambda: make_pgl(5), r"PGL\(2, 4\) images"),
+    ])
+    def test_field_and_group_tables_are_checked_first(self, monkeypatch, cap, build, what):
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: cap)
+        with pytest.raises(ResourceLimitError, match=what):
+            build()
 
     def test_orbit_table_respects_cap(self, monkeypatch):
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
