@@ -1,35 +1,33 @@
 """High-precision numeric helpers backing the bound computations.
 
-Every "smallest n such that an inequality holds" question in this package
-reduces to one of two primitives:
+The rational questions - the least n with (num/den)**n past an integer m
+(``least_power_exponent``) and floor(m * (num/den)**n) over many n
+(``floor_scaled_powers``, one-n form ``floor_scaled_power``) - read one
+estimate, ``_log_estimate``: ln m and ln(num/den) at 50 digits, and a
+proven bound err(n) on the error of ln m + n * ln(num/den) evaluated from
+them.  The estimate decides only where it is clear of err(n) plus a 1e-9
+guard (of one step for the exponent, of one unit for a floor), and a
+floor is 0 as soon as estimate + err(n) < 0.  Elsewhere the exact
+integers decide, once the memory cap has passed the powers they build.
 
-* ``least_power_exponent`` - smallest n with (num/den)**n beyond an integer
-  threshold.  The quotient ln m / ln(num/den) is computed at 50 digits
-  with a proven error bound.  When the quotient is farther from every
-  integer than that bound plus a 1e-9 guard, the 50-digit arithmetic
-  decides the answer; otherwise the exact integer inequality is checked.
-* ``least_n_for_log_threshold`` - smallest n with n*step past a threshold,
-  both already in the log domain as 50-digit Decimals.  Used when the
-  threshold contains the transcendental factor e, where exact equality is
-  impossible and 50 digits decide the comparison outright.
-
-``floor_scaled_powers`` computes floor(m * (num/den)**n) over many n with
-one pair of logarithms.  The 50-digit estimate is trusted only when its
-fractional part is farther from an integer than both a 1e-9 guard and the
-estimate's own proven error bound; otherwise the exact big-integer quotient
-is used.  ``floor_scaled_power`` is its one-n form.
+``least_n_for_log_threshold`` - smallest n with n*step past a threshold,
+both already in the log domain as 50-digit Decimals - serves thresholds
+containing the transcendental factor e, where exact equality is
+impossible and 50 digits decide the comparison outright.
 """
 
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
+
+from . import limits
 
 PRECISION = 50
-_FLOOR_GUARD = Decimal("1e-9")
+_GUARD = Decimal("1e-9")
 # Decimal's ln, exp and arithmetic are correctly rounded, so each 50-digit
 # operation errs by at most half a unit in the 50th digit: _ULP / 2 of its
-# result.  The error bounds below are built from this.
+# result.  The error bound below is built from this.
 _ULP = Decimal(10) ** (1 - PRECISION)
 
 
@@ -64,61 +62,63 @@ def least_n_for_log_threshold(threshold: Decimal, step: Decimal, *, strict: bool
     return max(n, 0)
 
 
+def _log_estimate(
+    m: int, num: int, den: int
+) -> tuple[Decimal, Decimal, Callable[[int], Decimal]]:
+    """ln m and step = ln num - ln den at 50 digits, for integers m, num,
+    den >= 1, and err(n): a bound on how far ln m + n * step, evaluated at
+    50 digits, is from ln(m * (num/den)**n), for every n >= 0.
+
+    ln m, ln num, ln den, the step, n * step and the sum each err by at
+    most _ULP / 2 of their computed size, and the sum is at most
+    |ln m| + n|step| up to a factor 1 + 2 * _ULP.  So the total error is at
+    most _ULP/2 * (3 ln m + n * (ln num + ln den + 4|step|)), which is at
+    most 3/4 of err(n) = _ULP * (2 ln m + n * (ln num + ln den + 3|step|)).
+    """
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        ln_m, ln_num, ln_den = Decimal(m).ln(), Decimal(num).ln(), Decimal(den).ln()
+        step = ln_num - ln_den
+        at_zero = 2 * _ULP * ln_m
+        per_n = _ULP * (ln_num + ln_den + 3 * abs(step))
+    return ln_m, step, lambda n: at_zero + n * per_n
+
+
+def _check_power(base: int, n: int) -> None:
+    """Raise ResourceLimitError before base**n would pass the memory cap."""
+    limits.check_table_bytes(n, -(-base.bit_length() // 8), f"the exact power {base}**{n}")
+
+
 def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> int:
     """Smallest n >= 0 with (num/den)**n > m (or >= m when not strict).
 
-    Requires num > den >= 1 and m >= 1.  With Q = ln m / ln(num/den), the
-    answer is floor(Q) + 1 for either comparison unless Q is an integer.
-    When the 50-digit estimate q is farther from every integer than its
-    error bound plus the 1e-9 guard, Q is not an integer and floor(q) + 1
-    is the answer.  Otherwise the exact integer inequality
-    num**n ? m * den**n decides, stepping from the estimate.
+    Requires num > den >= 1.  With L(n) the estimate of ln(m * (den/num)**n)
+    and g the guard, 1e-9 of one step ln(num/den), the guess
+    n = floor(ln m / ln(num/den)) + 1 is the answer to both comparisons when
+    L(n) < -(err(n) + g) and L(n-1) > err(n-1) + g: m * (den/num)**n then
+    crosses 1 strictly between n - 1 and n.  Otherwise the exact integer
+    inequality num**n ? m * den**n decides, stepping from the guess.
     """
     if num <= den:
         raise ValueError("ratio must exceed 1")
     if m < 1:
         return 0
-    q, err = _power_quotient(m, num, den)
+    ln_m, step, err = _log_estimate(m, den, num)
+    if step == 0:
+        raise ValueError("ratio too close to 1 for 50-digit logarithms")
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        frac = q - math.floor(q)
-        clear = min(frac, 1 - frac) > _FLOOR_GUARD + err
-    if clear:
-        return math.floor(q) + 1
-    n = math.floor(q) + 1 if strict else math.ceil(q)
+        n, g = math.floor(ln_m / -step) + 1, _GUARD * -step
+        if ln_m + n * step < -(err(n) + g) and ln_m + (n - 1) * step > err(n - 1) + g:
+            return n
     return _least_power_exact(m, num, den, n, strict)
-
-
-def _power_quotient(m: int, num: int, den: int) -> tuple[Decimal, Decimal]:
-    """q = ln m / ln(num/den) at 50 digits, and a bound on |q - ln m / ln(num/den)|.
-
-    ln m and the quotient each add a relative error of at most _ULP / 2.  The
-    step ln num - ln den carries the absolute errors of both logs plus its
-    own rounding, a relative error of at most step_rel / 2 with
-    step_rel = (ln num + ln den + step) / step * _ULP.  This is the
-    cancellation term: large when num/den is close to 1, as v**t/(v**t - 1)
-    is for large v**t.  While step_rel <= 1/4 the bound returned,
-    2 * (q + 1) * (2 * _ULP + step_rel), is four times the first-order error
-    and covers the higher-order terms; past that it is infinite, so the
-    exact check decides.
-    """
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        ln_num, ln_den = Decimal(num).ln(), Decimal(den).ln()
-        step = ln_num - ln_den
-        if step <= 0:
-            raise ValueError("ratio too close to 1 for 50-digit logarithms")
-        q = Decimal(m).ln() / step
-        step_rel = (ln_num + ln_den + step) / step * _ULP
-        if step_rel > Decimal("0.25"):
-            return q, Decimal("Infinity")
-        return q, 2 * (q + 1) * (2 * _ULP + step_rel)
 
 
 def _least_power_exact(m: int, num: int, den: int, n: int, strict: bool) -> int:
     """Smallest n >= 0 with num**n > m * den**n (>= when not strict), found
     from the candidate n by exact integer steps: the powers are built once,
     then moved by one multiplication or division per step."""
+    _check_power(num, n)
     lhs, rhs = num**n, m * den**n
 
     def holds(a: int, b: int) -> bool:
@@ -135,43 +135,37 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
     """[floor(m * (num/den)**n) for n in ns], exactly, for m >= 0 and
     0 < num < den.
 
-    ln m and ln num - ln den are computed once, then each n costs one 50-digit
-    exp.  An estimate is trusted only when its fractional part is farther
-    from an integer than both the 1e-9 guard and the estimate's own error
-    bound; otherwise the exact big-integer quotient is used.
+    Each n costs a multiply-add on the shared estimate L of
+    ln(m * (num/den)**n) and, unless L + err(n) < 0 makes the floor 0, one
+    50-digit exp.  That exp is within a factor exp(+-3/4 err(n)) and
+    1 +- _ULP / 2 of the exact value, so within 2 * (err(n) + _ULP) of its
+    own size while err(n) <= 0.65; from err(n) = 1/2 on that bound is at
+    least the exp itself, so the exact quotient decides.  The exp's integer
+    part is trusted only when its fractional part is clear of this bound
+    and of the 1e-9 guard.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
         raise ValueError("exponent must be nonnegative")
     if m == 0:
         return [0] * len(ns)
+    ln_m, step, err = _log_estimate(m, num, den)
     out = []
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        ln_m, ln_num, ln_den = Decimal(m).ln(), Decimal(num).ln(), Decimal(den).ln()
-        step = ln_num - ln_den
-        # Relative error bound for every estimate below.  ln m, the step (from
-        # two logs), n * step and the sum each err by at most _ULP / 2 of
-        # their size, and |log_e| <= |ln m| + n|step|, so log_e is off by at
-        # most _ULP/2 * (2|ln m| + n*(|ln num| + |ln den| + 3|step|)); exp
-        # adds _ULP / 2.  Taken at the largest n and doubled, this covers
-        # the higher-order terms.  Times the estimate, it exceeds the 1e-9
-        # guard only far above any bound's floors: above about 6e34 for n
-        # near 12,400 and v**t = 729.
-        rel = _ULP * (
-            2 * abs(ln_m) + max(ns, default=0) * (abs(ln_num) + abs(ln_den) + 3 * abs(step)) + 1
-        )
         for n in ns:
-            if n == 0:
-                out.append(m)
+            log_e, bound = ln_m + n * step, err(n)
+            if log_e + bound < 0:
+                out.append(0)
                 continue
-            est = (ln_m + n * step).exp()
+            est = log_e.exp()
             frac = est - int(est)
-            guard = max(_FLOOR_GUARD, est * rel)
-            if frac < guard or frac > 1 - guard:
-                out.append((m * num**n) // den**n)
-            else:
+            guard = max(_GUARD, 2 * est * (bound + _ULP))
+            if guard < frac < 1 - guard:
                 out.append(int(est))
+            else:
+                _check_power(den, n)
+                out.append((m * num**n) // den**n)
     return out
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from pathlib import Path
 from typing import get_args
 
 from . import bounds
@@ -187,6 +189,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UnsupportedParameterError(
             f"the {args.strategy} strategy does not read {', '.join(unread)}"
         )
+    # fail before the build, and create nothing, when --out cannot be written
+    out = Path(args.out)
+    if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
+        raise OSError(f"cannot write {args.out}")
     array, log = BUILD_STRATEGIES[args.strategy](params, config)
 
     write_array(args.out, array)
@@ -309,13 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"integer, or 'random' (default: fixed {DEFAULT_SEED})",
     )
     p_build.add_argument("--out", required=True, help="output array file")
-    p_build.add_argument("--attempts", type=int, default=1000)
-    p_build.add_argument("--resample-cap", type=int, default=10_000)
-    p_build.add_argument("--n-override", type=int, default=None)
+    config = BuildConfig()
+    p_build.add_argument("--attempts", type=int, default=config.max_stage1_attempts)
+    p_build.add_argument("--resample-cap", type=int, default=config.resample_step_cap)
+    p_build.add_argument("--n-override", type=int, default=config.n_override)
     p_build.add_argument(
-        "--second-stage", choices=_CONFIG_CHOICES["second_stage"], default="one_row_each"
+        "--second-stage", choices=_CONFIG_CHOICES["second_stage"], default=config.second_stage
     )
-    p_build.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
+    p_build.add_argument(
+        "--dependence", choices=DEPENDENCE_CHOICES, default=config.dependence_estimate
+    )
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify an array file")

@@ -158,6 +158,11 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     return SymbolArray(params, cells)
 
 
+def _place_values(params: CAParams) -> np.ndarray:
+    """v**(t-1), ..., v, 1: the base-v place values that rank a symbol tuple."""
+    return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
+
+
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
@@ -172,12 +177,11 @@ def _coverage_tables(
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
     """
-    t, v = params.t, params.v
     slots = params.tuple_count if orbits is None else orbits.n_orbits
     limits.check_table_bytes(slots, 1, "coverage mask")
-    limits.check_column_sets(params.k, t, "coverage scan")
-    weights = np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
-    for cols in colex_combinations(params.k, t):
+    limits.check_column_sets(params.k, params.t, "coverage scan")
+    weights = _place_values(params)
+    for cols in colex_combinations(params.k, params.t):
         ranks = cells[:, cols].astype(np.int64) @ weights
         if orbits is not None:
             ranks = orbits.orbit_id_of[ranks]
@@ -253,9 +257,8 @@ def two_stage_build(
         if best_uncovered > target:  # missed: list the best attempt's leftovers
             leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
         cols, ranks = leftovers[:, :-1], leftovers[:, -1:]
-        place = params.v ** np.arange(params.t - 1, -1, -1)
         patches = rng.integers(0, params.v, size=(len(ranks), params.k), dtype=CELL_DTYPE)
-        patches[np.arange(len(ranks))[:, None], cols] = ranks // place % params.v
+        patches[np.arange(len(ranks))[:, None], cols] = ranks // _place_values(params) % params.v
         result = SymbolArray(params, np.vstack([best_cells, patches]))
     log.stage2_rows = result.n_rows - n
     log.total_rows = result.n_rows
@@ -291,7 +294,7 @@ class _DensityState:
             self.sets[i] = cols
             np.logical_not(seen, out=self.uncovered[i])
         self.remaining = int(np.count_nonzero(self.uncovered))
-        self._weights = np.array([v ** (t - 1 - i) for i in range(t)], dtype=np.int64)
+        self._weights = _place_values(params)
         self.holders: list[list[np.ndarray]] = [[] for _ in range(k)]
         for p in range(t):
             order = np.argsort(self.sets[:, p], kind="stable")
@@ -405,8 +408,6 @@ def _stage1_rows_for_action(
 ) -> int:
     if config.n_override is not None:
         return config.n_override
-    if action.kind not in _ACTION_BOUNDS:
-        raise ValueError(f"no bound-level row count for action kind {action.kind!r}")
     return _ACTION_BOUNDS[action.kind](params, config.dependence_estimate).stage1_rows
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -339,6 +340,20 @@ class TestSweepCommand:
         assert "exponent must be nonnegative" in err
         assert not out_csv.exists()
 
+    def test_curve_past_the_zero_floors_is_fast(self, tmp_path, capsys):
+        # every floor past n = 18 is 0, decided without building a power
+        out_csv = tmp_path / "curve.csv"
+        start = time.perf_counter()
+        code, _, _ = run(
+            ["sweep", "-t", "2", "-v", "2", "--k", "10", "--methods", "two_stage_curve",
+             "--n", "0:300000", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0 and time.perf_counter() - start < 15
+        with open(out_csv) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-1] == ["300000", "300000"] and len(rows) == 300002
+
     def test_curve_rejects_ranges(self, capsys):
         code, _, err = run(
             ["sweep", "-t", "6", "-v", "3", "--k", "10:20",
@@ -359,6 +374,10 @@ BAD_INPUTS = [
     # about 1.1e9 recurrence steps
     pytest.param(["bounds", "-t", "8", "-k", "100", "-v", "9", "--methods", "discrete_slj"],
                  3, "discrete recurrence trace", id="discrete-slj-trace"),
+    # the exponent guess near 1e29 is not certified, and the exact check
+    # would build 50**16 to that power
+    pytest.param(["bounds", "-t", "16", "-k", "17", "-v", "50", "--methods", "slj"],
+                 3, "exact power", id="slj-exact-power"),
     # a search window of radius about 6e9
     pytest.param(["bounds", "-t", "20", "-k", "30", "-v", "9", "--methods", "two_stage"],
                  3, "two-stage search window", id="two-stage-window"),
@@ -405,6 +424,15 @@ class TestErrorExits:
         assert code == 2 and strategy in err
         assert all(flag in err for flag in flags[::2])
         assert not out_file.exists()
+
+    def test_unwritable_out_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.BUILD_STRATEGIES, "two_stage", lambda p, c: calls.append(p))
+        for out in (tmp_path / "no" / "a.txt", tmp_path):
+            code, _, err = run(
+                ["build", "-t", "2", "-k", "4", "-v", "2", "--out", str(out)], capsys)
+            assert code == 2 and f"cannot write {out}" in err
+        assert calls == [] and list(tmp_path.iterdir()) == []
 
     def test_read_flags_and_defaults_pass(self, tmp_path, capsys):
         # a flag left at its default is not "set", and --seed is read everywhere

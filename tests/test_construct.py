@@ -530,10 +530,6 @@ class TestStage1RowsForAction:
         for action in (make_cyclic(3), make_trivial(3)):
             assert construct._stage1_rows_for_action(CAParams(2, 4, 3), action, config) == 7
 
-    def test_unknown_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="action kind 'trivial'"):
-            construct._stage1_rows_for_action(CAParams(2, 4, 3), make_trivial(3), BuildConfig())
-
 
 class TestSizeDiscipline:
     def test_builds_stay_within_matching_bounds(self):

@@ -1,7 +1,7 @@
 """Tests for the high-precision numeric helpers."""
 
 import math
-from decimal import Context
+from decimal import Context, localcontext
 from fractions import Fraction
 
 import pytest
@@ -203,25 +203,77 @@ class TestLeastPowerExponentMinimal:
 
 
 class TestPowerQuotientErrorBound:
+    """The one error bound both primitives read: err(n) from _log_estimate
+    covers the 50-digit ln m + n * step, with the 1/4 slack floor_scaled_powers
+    relies on, for ratios on both sides of 1."""
+
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         m=st.integers(1, 10**40),
         den=st.one_of(st.integers(1, 10**4), st.integers(1, 10**45)),
         step=st.integers(1, 3),
+        n=st.one_of(st.integers(0, 100), st.integers(0, 10**50)),
     )
-    @example(m=18828003285, den=728, step=1)
-    @example(m=10**30, den=10**44, step=1)  # ln num - ln den cancels 44 digits
-    def test_bound_covers_the_error(self, m, den, step):
-        num = den + step
-        q, err = _numeric._power_quotient(m, num, den)
+    @example(m=18828003285, den=728, step=1, n=12402)
+    @example(m=10**30, den=10**44, step=1, n=10**45)  # ln num - ln den cancels 44 digits
+    def test_bound_covers_the_error(self, m, den, step, n):
         ctx = Context(prec=200)
-        exact = ctx.divide(ctx.ln(m), ctx.subtract(ctx.ln(num), ctx.ln(den)))
-        assert abs(ctx.subtract(q, exact)) <= err
+        for a, b in ((den + step, den), (den, den + step)):
+            ln_m, log_step, err = _numeric._log_estimate(m, a, b)
+            with localcontext() as ctx50:
+                ctx50.prec = _numeric.PRECISION
+                estimate = ln_m + n * log_step
+            exact = ctx.add(ctx.ln(m), ctx.multiply(n, ctx.subtract(ctx.ln(a), ctx.ln(b))))
+            assert abs(ctx.subtract(estimate, exact)) <= 3 * err(n) / 4
 
     def test_ratio_lost_to_cancellation_is_rejected(self):
         # ln(10**60 + 1) and ln(10**60) agree to all 50 digits
         with pytest.raises(ValueError, match="too close to 1"):
             least_power_exponent(5, 10**60 + 1, 10**60)
+
+
+class TestAgainstExactArithmetic:
+    """Both primitives against Fraction arithmetic, with exponents up to
+    1e5: floors of 0, floors at exact ties, and least exponents at exact
+    powers, where 50 digits cannot decide and the exact path must."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        m=st.integers(0, 10**40),
+        frac=proper_fractions(),
+        ns=st.lists(st.integers(0, 10**5), max_size=8),
+        tie=st.one_of(st.none(), st.integers(0, 200)),
+    )
+    @example(m=180, frac=(3, 4), ns=[0, 18, 19, 10**5], tie=None)  # zero floors
+    @example(m=1, frac=(1, 2), ns=[0, 3, 10**5], tie=3)  # 8 * (1/2)**3 is exactly 1
+    def test_floors(self, m, frac, ns, tie):
+        num, den = frac
+        if tie is not None:  # m * (num/den)**tie is the integer m * num**tie
+            m, ns = m * den**tie, ns + [tie]
+        ratio = Fraction(num, den)
+        assert floor_scaled_powers(m, num, den, ns) == [math.floor(m * ratio**n) for n in ns]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 10**40),
+        den=st.integers(1, 1000),
+        step=st.integers(1, 3),
+        strict=st.booleans(),
+        power=st.one_of(st.none(), st.integers(0, 10**5)),
+    )
+    @example(m=10**40, den=1000, step=1, strict=True, power=None)  # n near 92,000
+    @example(m=1, den=1, step=1, strict=False, power=10**5)  # (2/1)**n >= 2**100000
+    def test_least_exponent(self, m, den, step, strict, power):
+        num = den + step
+        if power is not None:  # ln m / ln(num/den) is exactly the integer power
+            num, den, m = step + 1, 1, (step + 1) ** power
+        ratio = Fraction(num, den)
+
+        def beyond(n):
+            return ratio**n > m if strict else ratio**n >= m
+
+        n = least_power_exponent(m, num, den, strict=strict)
+        assert beyond(n) and (n == 0 or not beyond(n - 1))
 
 
 class TestExactCheckIsAFallback:
@@ -237,10 +289,29 @@ class TestExactCheckIsAFallback:
         monkeypatch.setattr(_numeric, "_least_power_exact", counted)
         return calls
 
+    @pytest.fixture
+    def exact_powers(self, monkeypatch):
+        # every exact path checks the size of its powers first
+        calls = []
+        check = _numeric._check_power
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(_numeric, "_check_power", counted)
+        return calls
+
     def test_sweep_grid_never_needs_it(self, exact_calls):
         for k in range(10, 1001, 15):
             bounds.slj_bound(CAParams(6, k, 3))
         assert exact_calls == []
+
+    def test_two_stage_windows_never_need_it(self, exact_powers):
+        # 8,643 floors, none of them through the big-integer quotient
+        for k in range(10, 1001, 15):
+            bounds.two_stage_bound(CAParams(6, k, 3))
+        assert exact_powers == []
 
     @pytest.mark.parametrize("strict,expect", [(True, 4), (False, 3)])
     def test_exact_power_takes_it(self, exact_calls, strict, expect):
