@@ -93,9 +93,9 @@ def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> 
     """Smallest n >= 0 with (num/den)**n > m (or >= m when not strict).
 
     Requires num > den >= 1.  With L(n) the estimate of ln(m * (den/num)**n)
-    and g the guard, 1e-9 of one step ln(num/den), the guess
+    and e = err(n) plus a guard of 1e-9 of one step ln(num/den), the guess
     n = floor(ln m / ln(num/den)) + 1 is the answer to both comparisons when
-    L(n) < -(err(n) + g) and L(n-1) > err(n-1) + g: m * (den/num)**n then
+    L(n) < -e and L(n-1) > e (err grows with n): m * (den/num)**n then
     crosses 1 strictly between n - 1 and n.  Otherwise the exact integer
     inequality num**n ? m * den**n decides, stepping from the guess.
     """
@@ -108,8 +108,9 @@ def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> 
         raise ValueError("ratio too close to 1 for 50-digit logarithms")
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        n, g = math.floor(ln_m / -step) + 1, _GUARD * -step
-        if ln_m + n * step < -(err(n) + g) and ln_m + (n - 1) * step > err(n - 1) + g:
+        n = math.floor(ln_m / -step) + 1
+        e = err(n) - _GUARD * step
+        if ln_m + n * step < -e and ln_m + (n - 1) * step > e:
             return n
     return _least_power_exact(m, num, den, n, strict)
 
@@ -135,14 +136,14 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
     """[floor(m * (num/den)**n) for n in ns], exactly, for m >= 0 and
     0 < num < den.
 
-    Each n costs a multiply-add on the shared estimate L of
-    ln(m * (num/den)**n) and, unless L + err(n) < 0 makes the floor 0, one
-    50-digit exp.  That exp is within a factor exp(+-3/4 err(n)) and
-    1 +- _ULP / 2 of the exact value, so within 2 * (err(n) + _ULP) of its
-    own size while err(n) <= 0.65; from err(n) = 1/2 on that bound is at
-    least the exp itself, so the exact quotient decides.  The exp's integer
-    part is trusted only when its fractional part is clear of this bound
-    and of the 1e-9 guard.
+    err grows with n, so e = err(max(ns)) bounds every estimate L of
+    ln(m * (num/den)**n) here.  Each n costs a multiply-add and, unless
+    L + e < 0 makes the floor 0, one 50-digit exp.  That exp is within a
+    factor exp(+-3/4 e) and 1 +- _ULP / 2 of the exact value, so within
+    2 * (e + _ULP) of its own size while e <= 0.65; from e = 1/2 on that
+    bound is at least the exp itself, so the exact quotient decides.  The
+    exp's integer part is trusted only when its fractional part is clear
+    of this bound and of the 1e-9 guard.
     """
     ns = list(ns)
     if any(n < 0 for n in ns):
@@ -153,14 +154,16 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
     out = []
     with localcontext() as ctx:
         ctx.prec = PRECISION
+        bound = err(max(ns, default=0))
+        rel = 2 * (bound + _ULP)
         for n in ns:
-            log_e, bound = ln_m + n * step, err(n)
+            log_e = ln_m + n * step
             if log_e + bound < 0:
                 out.append(0)
                 continue
             est = log_e.exp()
             frac = est - int(est)
-            guard = max(_GUARD, 2 * est * (bound + _ULP))
+            guard = max(_GUARD, est * rel)
             if guard < frac < 1 - guard:
                 out.append(int(est))
             else:
