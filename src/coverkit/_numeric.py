@@ -155,17 +155,17 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
     with localcontext() as ctx:
         ctx.prec = PRECISION
         bound = err(max(ns, default=0))
-        rel = 2 * (bound + _ULP)
+        rel, below = 2 * (bound + _ULP), -bound
         for n in ns:
             log_e = ln_m + n * step
-            if log_e + bound < 0:
+            if log_e < below:  # log_e + bound < 0, without aligning the digits
                 out.append(0)
                 continue
             est = log_e.exp()
-            frac = est - int(est)
+            whole = int(est)
             guard = max(_GUARD, est * rel)
-            if guard < frac < 1 - guard:
-                out.append(int(est))
+            if guard < est - whole < 1 - guard:
+                out.append(whole)
             else:
                 _check_power(den, n)
                 out.append((m * num**n) // den**n)
