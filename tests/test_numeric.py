@@ -279,18 +279,6 @@ class TestAgainstExactArithmetic:
 class TestExactCheckIsAFallback:
     @pytest.fixture
     def exact_calls(self, monkeypatch):
-        calls = []
-        exact = _numeric._least_power_exact
-
-        def counted(*args):
-            calls.append(args)
-            return exact(*args)
-
-        monkeypatch.setattr(_numeric, "_least_power_exact", counted)
-        return calls
-
-    @pytest.fixture
-    def exact_powers(self, monkeypatch):
         # every exact path checks the size of its powers first
         calls = []
         check = _numeric._check_power
@@ -307,11 +295,11 @@ class TestExactCheckIsAFallback:
             bounds.slj_bound(CAParams(6, k, 3))
         assert exact_calls == []
 
-    def test_two_stage_windows_never_need_it(self, exact_powers):
+    def test_two_stage_windows_never_need_it(self, exact_calls):
         # 8,643 floors, none of them through the big-integer quotient
         for k in range(10, 1001, 15):
             bounds.two_stage_bound(CAParams(6, k, 3))
-        assert exact_powers == []
+        assert exact_calls == []
 
     @pytest.mark.parametrize("strict,expect", [(True, 4), (False, 3)])
     def test_exact_power_takes_it(self, exact_calls, strict, expect):
