@@ -12,25 +12,15 @@ import csv
 import json
 import os
 import sys
-import time
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
 from . import bounds
 from .arrayfile import ArrayFormatError, read_array, write_array
-from .construct import (
-    _CONFIG_CHOICES,
-    DEFAULT_SEED,
-    BuildConfig,
-    BuildLog,
-    density_build,
-    moser_tardos_build,
-    pgl_build,
-    two_stage_build,
-)
+from .construct import _CONFIG_CHOICES, DEFAULT_SEED, STRATEGIES, BuildConfig
 from .core import CAParams, SymbolArray
 from .errors import BudgetExceededError, ResourceLimitError, UnsupportedParameterError
-from .groups import make_cyclic, make_frobenius
 from .verify import full_check
 
 EXIT_OK = 0
@@ -124,65 +114,25 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _density_strategy(
-    params: CAParams, config: BuildConfig
-) -> tuple[SymbolArray, BuildLog]:
-    t0 = time.perf_counter()
-    array = density_build(SymbolArray.empty(params))
-    log = BuildLog(
-        strategy="density",
-        stage2_rows=array.n_rows,
-        total_rows=array.n_rows,
-        elapsed={"density": time.perf_counter() - t0},
-    )
-    return array, log
-
-
-# strategy name -> (params, config) -> (array, log)
-BUILD_STRATEGIES = {
-    "two_stage": two_stage_build,
-    "mt_cyclic": lambda p, c: moser_tardos_build(p, make_cyclic(p.v), c),
-    "mt_frobenius": lambda p, c: moser_tardos_build(p, make_frobenius(p.v), c),
-    "pgl": pgl_build,
-    "density": _density_strategy,
-}
-
-# BuildConfig field -> the build flag that sets it (--seed sets the seed)
+# BuildConfig field -> the build flag that sets it, in help order (--seed sets
+# the seed, which every strategy reads)
 CONFIG_FLAGS = {
-    "n_override": "--n-override",
     "max_stage1_attempts": "--attempts",
-    "second_stage": "--second-stage",
     "resample_step_cap": "--resample-cap",
+    "n_override": "--n-override",
+    "second_stage": "--second-stage",
     "dependence_estimate": "--dependence",
-}
-_ORBIT_FIELDS = ("n_override", "resample_step_cap", "dependence_estimate")
-# strategy -> the BuildConfig fields it reads besides the seed; pgl reads the
-# two-stage ones too when its pair rows come from two_stage_build
-STRATEGY_FIELDS = {
-    "two_stage": ("n_override", "max_stage1_attempts", "second_stage"),
-    "mt_cyclic": _ORBIT_FIELDS,
-    "mt_frobenius": _ORBIT_FIELDS,
-    "pgl": tuple(CONFIG_FLAGS),
-    "density": (),
 }
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    config = BuildConfig(
-        seed=seed,
-        max_stage1_attempts=args.attempts,
-        resample_step_cap=args.resample_cap,
-        dependence_estimate=args.dependence,
-        second_stage=args.second_stage,
-        n_override=args.n_override,
-    )
+    config = BuildConfig(**{f.name: getattr(args, f.name) for f in fields(BuildConfig)})
     default = BuildConfig()
     unread = [
         flag
         for name, flag in CONFIG_FLAGS.items()
-        if name not in STRATEGY_FIELDS[args.strategy]
+        if name not in STRATEGIES[args.strategy].reads
         and getattr(config, name) != getattr(default, name)
     ]
     if unread:
@@ -193,12 +143,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if out.is_dir() or not os.access(out if out.exists() else out.parent, os.W_OK):
         raise OSError(f"cannot write {args.out}")
-    array, log = BUILD_STRATEGIES[args.strategy](params, config)
+    array, log = STRATEGIES[args.strategy].build(params, config)
+    # verify first, so that a verifier over the memory cap leaves no file
+    report = full_check(array)
 
     write_array(args.out, array)
     for line in log.summary_lines():
         print(line)
-    report = full_check(array)
     if not log.success:
         print(f"build failed: {log.failure_reason}", file=sys.stderr)
         return EXIT_VERIFY
@@ -303,28 +254,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="construct and verify an array")
     add_params(p_build)
-    p_build.add_argument(
-        "--strategy",
-        choices=tuple(BUILD_STRATEGIES),
-        default="two_stage",
-    )
+    p_build.add_argument("--strategy", choices=tuple(STRATEGIES), default="two_stage")
     p_build.add_argument(
         "--seed",
         type=_seed_value,
-        default=None,
+        default=DEFAULT_SEED,
         help=f"integer, or 'random' (default: fixed {DEFAULT_SEED})",
     )
     p_build.add_argument("--out", required=True, help="output array file")
-    config = BuildConfig()
-    p_build.add_argument("--attempts", type=int, default=config.max_stage1_attempts)
-    p_build.add_argument("--resample-cap", type=int, default=config.resample_step_cap)
-    p_build.add_argument("--n-override", type=int, default=config.n_override)
-    p_build.add_argument(
-        "--second-stage", choices=_CONFIG_CHOICES["second_stage"], default=config.second_stage
-    )
-    p_build.add_argument(
-        "--dependence", choices=DEPENDENCE_CHOICES, default=config.dependence_estimate
-    )
+    default = BuildConfig()
+    for name, flag in CONFIG_FLAGS.items():
+        choices = _CONFIG_CHOICES.get(name)
+        p_build.add_argument(
+            flag,
+            dest=name,
+            default=getattr(default, name),
+            choices=choices,
+            type=None if choices else int,
+            # the metavar argparse derives from the flag, not from dest
+            metavar=None if choices else flag[2:].replace("-", "_").upper(),
+        )
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="verify an array file")

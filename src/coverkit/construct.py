@@ -19,8 +19,13 @@ Two builders realize the bound families constructively:
 array; it is also the ``density_greedy`` second stage of the two-stage
 builder.
 
-Every builder is deterministic given (params, config): the seed fully
-drives all random draws.  All coverage questions - the uncovered scan,
+``STRATEGIES`` is the one table of ``build --strategy`` choices: each
+name's builder, which returns the array and its ``BuildLog``, and the
+``BuildConfig`` fields it reads besides the seed.  Every builder is
+deterministic given (params, config): the seed fully drives all random
+draws.  Every row table a builder allocates (stage-1 rows, the leftover
+listing, stage-2 patch rows, developed and pair rows) is checked against
+the memory cap first.  All coverage questions - the uncovered scan,
 the density state and the resampling scan - go through one kernel,
 ``_coverage_tables``, which streams one column t-set at a time with a
 single v**t-sized (or orbit-count-sized) table in flight.  The uncovered
@@ -36,8 +41,9 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,6 +63,7 @@ from .groups import (
     develop,
     enumerate_orbits,
     make_cyclic,
+    make_frobenius,
     make_pgl,
 )
 
@@ -71,6 +78,7 @@ __all__ = [
     "density_build",
     "moser_tardos_build",
     "pgl_build",
+    "STRATEGIES",
 ]
 
 DEFAULT_SEED = 1729
@@ -113,10 +121,7 @@ _CONFIG_CHOICES = {
 @dataclass
 class BuildLog:
     """What a builder did: row accounting, attempts, resamples, timings.
-
-    total_rows always satisfies
-    stage1_rows * group_order + short_orbit_rows + stage2_rows.
-    """
+    Each phase is timed by ``timed``, under its name in ``elapsed``."""
 
     strategy: str
     stage1_rows: int = 0
@@ -126,11 +131,20 @@ class BuildLog:
     stage2_rows: int = 0
     short_orbit_rows: int = 0
     group_order: int = 1
-    total_rows: int = 0
     success: bool = True
     failure_reason: str | None = None
     elapsed: dict[str, float] = field(default_factory=dict)
     resample_witness: list[tuple[int, int]] = field(default_factory=list)
+
+    @property
+    def total_rows(self) -> int:
+        return self.stage1_rows * self.group_order + self.short_orbit_rows + self.stage2_rows
+
+    @contextmanager
+    def timed(self, phase: str) -> Iterator[None]:
+        start = time.perf_counter()
+        yield
+        self.elapsed[phase] = time.perf_counter() - start
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -153,9 +167,14 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in seed."""
     if n < 0:
         raise ValueError("row count must be nonnegative")
-    rng = np.random.default_rng(seed)
-    cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
-    return SymbolArray(params, cells)
+    return SymbolArray(params, _random_rows(np.random.default_rng(seed), params, n, "random rows"))
+
+
+def _random_rows(rng: np.random.Generator, params: CAParams, n: int, what: str) -> np.ndarray:
+    """n x k cells i.i.d. uniform on 0..v-1, checked against the memory cap
+    before they are drawn."""
+    limits.check_table_bytes(n * params.k, np.dtype(CELL_DTYPE).itemsize, what)
+    return rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
 
 
 def _place_values(params: CAParams) -> np.ndarray:
@@ -196,7 +215,9 @@ def _uncovered_scan(
     """One kernel pass: the exact uncovered count and, if that count is at
     most ``keep``, the uncovered interactions as rows (columns..., tuple
     rank) in rank order.  Past ``keep`` the listing is empty (t+1 columns,
-    no rows) and only the count goes on."""
+    no rows) and only the count goes on.  The listing's largest size is
+    checked against the memory cap before the pass."""
+    limits.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
     vt = params.tuple_count
     count = 0
     found = [np.empty((0, params.t + 1), dtype=np.int64)]
@@ -231,38 +252,35 @@ def two_stage_build(
     rng = np.random.default_rng(config.seed)
     log = BuildLog(strategy="two_stage", stage1_rows=n)
 
-    t0 = time.perf_counter()
-    best = None
-    for attempt in range(1, config.max_stage1_attempts + 1):
-        cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
-        u, leftovers = _uncovered_scan(params, cells, keep=target)
-        if best is None or u < best[1]:
-            best = cells, u, leftovers
-        if u <= target:
-            break
-    else:
-        log.success = False
-        log.failure_reason = (
-            f"stage 1 missed target {target} in {config.max_stage1_attempts} attempts"
-        )
-    best_cells, best_uncovered, leftovers = best
-    log.stage1_attempts = attempt
-    log.uncovered_after_stage1 = best_uncovered
-    log.elapsed["stage1"] = time.perf_counter() - t0
+    with log.timed("stage1"):
+        best = None
+        for attempt in range(1, config.max_stage1_attempts + 1):
+            cells = _random_rows(rng, params, n, "stage-1 rows")
+            u, leftovers = _uncovered_scan(params, cells, keep=target)
+            if best is None or u < best[1]:
+                best = cells, u, leftovers
+            if u <= target:
+                break
+        else:
+            log.success = False
+            log.failure_reason = (
+                f"stage 1 missed target {target} in {config.max_stage1_attempts} attempts"
+            )
+        best_cells, best_uncovered, leftovers = best
+        log.stage1_attempts = attempt
+        log.uncovered_after_stage1 = best_uncovered
 
-    t1 = time.perf_counter()
-    if config.second_stage == "density_greedy":
-        result = density_build(SymbolArray(params, best_cells))
-    else:
-        if best_uncovered > target:  # missed: list the best attempt's leftovers
-            leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
-        cols, ranks = leftovers[:, :-1], leftovers[:, -1:]
-        patches = rng.integers(0, params.v, size=(len(ranks), params.k), dtype=CELL_DTYPE)
-        patches[np.arange(len(ranks))[:, None], cols] = ranks // _place_values(params) % params.v
-        result = SymbolArray(params, np.vstack([best_cells, patches]))
-    log.stage2_rows = result.n_rows - n
-    log.total_rows = result.n_rows
-    log.elapsed["stage2"] = time.perf_counter() - t1
+    with log.timed("stage2"):
+        if config.second_stage == "density_greedy":
+            result = density_build(SymbolArray(params, best_cells))
+        else:
+            if best_uncovered > target:  # missed: list the best attempt's leftovers
+                leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
+            cols, ranks = leftovers[:, :-1], leftovers[:, -1:]
+            patches = _random_rows(rng, params, len(ranks), "stage-2 patch rows")
+            patches[np.arange(len(ranks))[:, None], cols] = ranks // _place_values(params) % params.v
+            result = SymbolArray(params, np.vstack([best_cells, patches]))
+        log.stage2_rows = result.n_rows - n
     return result, log
 
 
@@ -355,6 +373,16 @@ def density_build(array: SymbolArray) -> SymbolArray:
     return SymbolArray(array.params, np.vstack([array.cells, *rows]))
 
 
+def _density_only(params: CAParams, config: BuildConfig) -> tuple[SymbolArray, BuildLog]:
+    """The ``density`` strategy: greedy density rows from the empty array.
+    It draws nothing, so it reads no config, not even the seed."""
+    log = BuildLog(strategy="density")
+    with log.timed("density"):
+        array = density_build(SymbolArray.empty(params))
+    log.stage2_rows = array.n_rows
+    return array, log
+
+
 def _resample_full_orbits(
     params: CAParams,
     table: OrbitTable,
@@ -370,7 +398,7 @@ def _resample_full_orbits(
 
     Orbit coverage is decided from the OrbitTable alone: per column set, a
     boolean table indexed by orbit id (memory O(v**t + n*k))."""
-    cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
+    cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
         return cells
@@ -448,25 +476,19 @@ def _orbit_build(
         )
     table = enumerate_orbits(action, params.t)
 
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
-    log.elapsed["resample"] = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    pieces = [develop(SymbolArray(params, cells), action).cells]
-    log.elapsed["develop"] = time.perf_counter() - t1
+    with log.timed("resample"):
+        rng = np.random.default_rng(seed)
+        cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
+    with log.timed("develop"):
+        pieces = [develop(SymbolArray(params, cells), action).cells]
     if ell == 3:
-        t2 = time.perf_counter()
-        pieces.append(_pair_rows(params, replace(config, seed=pair_seed), log))
-        log.stage2_rows = len(pieces[-1])
-        log.elapsed["pairs"] = time.perf_counter() - t2
+        with log.timed("pairs"):
+            pieces.append(_pair_rows(params, replace(config, seed=pair_seed), log))
+            log.stage2_rows = len(pieces[-1])
     if ell >= 2:
         pieces.append(constant_rows(params).cells)
         log.short_orbit_rows = params.v
-    result = SymbolArray(params, np.vstack(pieces))
-    log.total_rows = result.n_rows
-    return result, log
+    return SymbolArray(params, np.vstack(pieces)), log
 
 
 def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog) -> np.ndarray:
@@ -488,8 +510,34 @@ def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog) -> np.ndarr
     if not blog.success:
         log.success = False
         log.failure_reason = f"binary stage: {blog.failure_reason}"
+    limits.check_table_bytes(
+        math.comb(params.v, 2) * binary.cells.size, binary.cells.itemsize, "pair rows")
     return np.vstack([
         np.where(binary.cells == 0, a, b).astype(CELL_DTYPE)
         for a in range(params.v)
         for b in range(a + 1, params.v)
     ])
+
+
+class Strategy(NamedTuple):
+    """A ``build --strategy`` choice: its builder and the BuildConfig fields
+    it reads besides the seed."""
+
+    build: Callable[[CAParams, BuildConfig], tuple[SymbolArray, BuildLog]]
+    reads: tuple[str, ...]
+
+
+_TWO_STAGE_FIELDS = ("n_override", "max_stage1_attempts", "second_stage")
+_ORBIT_FIELDS = ("n_override", "resample_step_cap", "dependence_estimate")
+
+# strategy name -> Strategy; pgl reads the two-stage fields too, for the pair
+# rows it takes from two_stage_build
+STRATEGIES = {
+    "two_stage": Strategy(two_stage_build, _TWO_STAGE_FIELDS),
+    "mt_cyclic": Strategy(
+        lambda p, c: moser_tardos_build(p, make_cyclic(p.v), c), _ORBIT_FIELDS),
+    "mt_frobenius": Strategy(
+        lambda p, c: moser_tardos_build(p, make_frobenius(p.v), c), _ORBIT_FIELDS),
+    "pgl": Strategy(pgl_build, _TWO_STAGE_FIELDS + _ORBIT_FIELDS[1:]),
+    "density": Strategy(_density_only, ()),
+}

@@ -326,6 +326,7 @@ def develop(array: SymbolArray, action: GroupAction) -> SymbolArray:
             f"action degree {action.degree} does not match v={array.params.v}"
         )
     perms = np.array(action.elements, dtype=np.int32)
+    limits.check_table_bytes(len(perms) * array.cells.size, perms.itemsize, "developed rows")
     images = perms[:, array.cells]  # (order, n, k)
     stacked = images.transpose(1, 0, 2).reshape(-1, array.params.k)
     return SymbolArray(array.params, stacked)

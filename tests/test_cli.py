@@ -1,7 +1,10 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import csv
 import hashlib
+import inspect
+import itertools
 import json
 import math
 import os
@@ -13,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from coverkit import cli
+from coverkit import cli, construct
+from coverkit.arrayfile import read_array
 from coverkit.cli import BOUND_METHODS, main
 from coverkit.construct import BuildConfig, pgl_build
 
@@ -186,6 +190,22 @@ class TestBuildAndVerify:
         )
         assert code == 2 and "n_override must be nonnegative, got -1" in err
 
+    def test_verifies_before_it_writes(self, tmp_path, capsys, monkeypatch):
+        # exits 0 and 1 write the array; a verifier over the memory cap
+        # (exit 3) leaves no file and prints no build log
+        out_file = tmp_path / "a.txt"
+        failing = ["--strategy", "pgl", "--n-override", "0", "--resample-cap", "0"]
+        for flags, want in [([], 0), (failing, 1)]:
+            code, _, _ = run(["build", "-t", "3", "-k", "6", "-v", "4", *flags,
+                              "--out", str(out_file)], capsys)
+            assert code == want and read_array(out_file).n_rows > 0
+            out_file.unlink()
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        code, out, err = run(["build", "-t", "4", "-k", "10", "-v", "5", "--n-override", "14000",
+                              "--out", str(out_file)], capsys)
+        assert (code, out) == (3, "") and "verifier AND block needs 1095000 bytes" in err
+        assert not out_file.exists()
+
     def test_pgl_t2_v3_needs_no_resampling(self, tmp_path, capsys):
         # order 6 = v(v-1) at v=3: the two-symbol orbits have full length,
         # but the pair arrays cover them and nothing is left to resample
@@ -213,8 +233,8 @@ class TestBuildAndVerify:
         # every flag off its default under pgl, which reads them all; a
         # BuildConfig field no flag reaches keeps its default and fails here
         seen = []
-        monkeypatch.setitem(cli.BUILD_STRATEGIES, "pgl",
-                            lambda p, c: seen.append(c) or pgl_build(p, c))
+        monkeypatch.setitem(construct.STRATEGIES, "pgl", construct.STRATEGIES["pgl"]._replace(
+            build=lambda p, c: seen.append(c) or pgl_build(p, c)))
         code, _, _ = run(
             ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", "pgl",
              "--out", str(tmp_path / "a.txt"),
@@ -255,6 +275,23 @@ class TestBuildAndVerify:
         code, _, err = run(["verify", str(f)], capsys)
         assert code == 2
         assert "line 2" in err
+
+
+class TestLayering:
+    def test_imports_no_builder_and_no_groups(self):
+        # the strategy table lives in construct: cli takes it and BuildConfig
+        # from there, never a builder function, BuildLog or a symbol group
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        modules = [n.module or "" for n in froms]
+        modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        names = [a.name for n in froms for a in n.names]
+        assert not any("groups" in m for m in modules + names)
+        assert "construct" not in names  # the module would reach every builder
+        taken = [a.name for n in froms if n.module == "construct" for a in n.names]
+        assert "STRATEGIES" in taken
+        for name in taken:
+            assert name != "BuildLog" and not inspect.isfunction(getattr(construct, name)), name
 
 
 class TestSweepCommand:
@@ -384,21 +421,41 @@ BAD_INPUTS = [
     pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--strategy", "density",
                   "--n-override", "3", "--second-stage", "density_greedy", "--attempts", "1",
                   "--out", "/no/such/dir/x.ca"],
-                 2, "density strategy does not read --n-override, --attempts, --second-stage",
+                 2, "density strategy does not read --attempts, --n-override, --second-stage",
                  id="build-unread-flags"),
     pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4", "--n", "1:3",
                   "--out", "/no/such/dir/x.csv"],
                  2, "--n is read only by two_stage_curve", id="sweep-n-without-curve"),
+    # about 1.1 PiB of stage-1 rows, refused before they are drawn
+    pytest.param(["build", "-t", "3", "-k", "30", "-v", "3", "--n-override", "10000000000000",
+                  "--out", "{tmp}/x.ca"],
+                 3, "stage-1 rows needs", id="build-stage1-rows"),
+    pytest.param(["build", "-t", "3", "-k", "20", "-v", "3", "--strategy", "mt_cyclic",
+                  "--n-override", "10000000000000", "--out", "{tmp}/x.ca"],
+                 3, "stage-1 rows needs", id="build-orbit-stage1-rows"),
+    # no stage-1 rows: the target, and so the listing, is every one of
+    # C(30,3) * 4**3 = 259840 interactions
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "3", "-k", "30", "-v", "4",
+                  "--n-override", "0", "--out", "{tmp}/x.ca"],
+                 3, "uncovered listing needs", id="build-leftover-listing"),
+    # the build fits under the cap, its verifier does not
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "4", "-k", "10", "-v", "5",
+                  "--n-override", "14000", "--out", "{tmp}/x.ca"],
+                 3, "verifier AND block needs", id="build-verifier-over-cap"),
 ]
 
 
 class TestErrorExits:
     @pytest.mark.parametrize("argv, code, message", BAD_INPUTS)
-    def test_documented_code_and_no_traceback(self, argv, code, message):
+    def test_documented_code_and_no_traceback(self, tmp_path, argv, code, message):
+        # leading NAME=value items set the environment, as in a shell;
+        # {tmp} is a fresh directory that must stay empty
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        env = dict(a.split("=", 1) for a in itertools.takewhile(lambda a: "=" in a, argv))
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "coverkit.cli", *argv],
-            env=dict(os.environ, PYTHONPATH=path),
+            [sys.executable, "-m", "coverkit.cli", *argv[len(env):]],
+            env=dict(os.environ, PYTHONPATH=path, **env),
             capture_output=True,
             text=True,
             timeout=60,
@@ -406,7 +463,7 @@ class TestErrorExits:
         assert result.returncode == code, result.stderr
         assert result.stderr.startswith("error:") and message in result.stderr
         assert "Traceback" not in result.stderr
-        assert result.stdout == ""
+        assert result.stdout == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("strategy, flags", [
         ("two_stage", ["--resample-cap", "5"]),
@@ -427,7 +484,8 @@ class TestErrorExits:
 
     def test_unwritable_out_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.BUILD_STRATEGIES, "two_stage", lambda p, c: calls.append(p))
+        monkeypatch.setitem(construct.STRATEGIES, "two_stage", construct.STRATEGIES["two_stage"]._replace(
+            build=lambda p, c: calls.append(p)))
         for out in (tmp_path / "no" / "a.txt", tmp_path):
             code, _, err = run(
                 ["build", "-t", "2", "-k", "4", "-v", "2", "--out", str(out)], capsys)

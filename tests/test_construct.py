@@ -7,6 +7,7 @@ density_row and density_build; verify.full_check decides end-to-end
 soundness.
 """
 
+import dataclasses
 from itertools import combinations, product
 from math import comb
 
@@ -561,3 +562,72 @@ class TestSizeDiscipline:
                 assert log.success
                 assert arr.n_rows <= cap
                 assert full_check(arr).is_covering
+
+
+# an off-default value for every BuildConfig field besides the seed
+OFF_DEFAULT = {
+    "max_stage1_attempts": 1,
+    "resample_step_cap": 0,
+    "dependence_estimate": "improved",
+    "second_stage": "density_greedy",
+    "n_override": 4,
+}
+# (strategy, a field it reads) -> (shape, seed, value) at which that value
+# changes the array or the log.  pgl reads the two-stage fields through its
+# pair rows: at (3,6,3) they come from two_stage_build.
+WITNESSES = {
+    ("two_stage", "n_override"): ((2, 4, 3), 1, 4),
+    ("two_stage", "max_stage1_attempts"): ((2, 4, 3), 3, 1),
+    ("two_stage", "second_stage"): ((2, 4, 3), 1, "density_greedy"),
+    ("mt_cyclic", "n_override"): ((2, 4, 3), 1, 4),
+    ("mt_cyclic", "resample_step_cap"): ((2, 6, 4), 3, 0),
+    ("mt_cyclic", "dependence_estimate"): ((2, 4, 3), 1, "improved"),
+    ("mt_frobenius", "n_override"): ((2, 4, 3), 1, 4),
+    ("mt_frobenius", "resample_step_cap"): ((2, 4, 3), 1, 0),
+    ("mt_frobenius", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
+    ("pgl", "n_override"): ((2, 4, 3), 1, 4),
+    ("pgl", "max_stage1_attempts"): ((3, 6, 3), 1, 1),
+    ("pgl", "second_stage"): ((3, 6, 3), 1, "density_greedy"),
+    ("pgl", "resample_step_cap"): ((3, 6, 4), 1, 0),
+    ("pgl", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
+}
+
+
+def _build_fingerprint(strategy, shape, config):
+    """The array's cells and the whole log but the phase times."""
+    array, log = construct.STRATEGIES[strategy].build(CAParams(*shape), config)
+    record = dataclasses.asdict(log)
+    record["elapsed"] = list(record["elapsed"])
+    return array.cells.tobytes(), record
+
+
+class TestStrategyTable:
+    """construct.STRATEGIES names the fields each strategy reads: checked
+    against what the builders do, not against a second list."""
+
+    def test_every_read_field_has_one_witness(self):
+        names = {f.name for f in dataclasses.fields(BuildConfig)} - {"seed"}
+        assert set(OFF_DEFAULT) == names
+        read = {(s, f) for s, entry in construct.STRATEGIES.items() for f in entry.reads}
+        assert set(WITNESSES) == read
+
+    @pytest.mark.parametrize("strategy, name", sorted(WITNESSES))
+    def test_read_field_changes_the_build(self, strategy, name):
+        shape, seed, value = WITNESSES[strategy, name]
+        config = BuildConfig(seed=seed)
+        assert value != getattr(config, name)
+        assert _build_fingerprint(strategy, shape, config) != _build_fingerprint(
+            strategy, shape, dataclasses.replace(config, **{name: value}))
+        if strategy == "pgl" and name in ("max_stage1_attempts", "second_stage"):
+            binary = CAParams(shape[0], shape[1], 2)
+            assert not bounds.cyclic_lll_bound(binary).value < bounds.two_stage_bound(binary).value
+
+    @pytest.mark.parametrize("strategy", tuple(construct.STRATEGIES))
+    def test_unread_field_changes_nothing(self, strategy):
+        reads = construct.STRATEGIES[strategy].reads
+        for shape, seed in [((2, 4, 3), 1), ((3, 6, 3), 2), ((2, 6, 4), 3)]:
+            base = _build_fingerprint(strategy, shape, BuildConfig(seed=seed))
+            for name, value in OFF_DEFAULT.items():
+                if name not in reads:
+                    config = BuildConfig(seed=seed, **{name: value})
+                    assert _build_fingerprint(strategy, shape, config) == base, (shape, name)

@@ -12,14 +12,14 @@ from coverkit.verify import full_check
 
 class TestMemoryCap:
     def test_count_uncovered_respects_cap(self, monkeypatch):
+        arr = random_array(CAParams(2, 4, 2), 3, seed=1)  # drawn under the default cap
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
-        arr = random_array(CAParams(2, 4, 2), 3, seed=1)
         with pytest.raises(ResourceLimitError, match="cap"):
             count_uncovered(arr)
 
     def test_full_check_respects_cap(self, monkeypatch):
+        arr = random_array(CAParams(2, 4, 2), 3, seed=1)  # drawn under the default cap
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
-        arr = random_array(CAParams(2, 4, 2), 3, seed=1)
         with pytest.raises(ResourceLimitError):
             full_check(arr)
 

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coverkit import bounds, construct, verify
-from coverkit.cli import BUILD_STRATEGIES
 from coverkit.construct import (
+    STRATEGIES,
     BuildConfig,
     count_uncovered,
     moser_tardos_build,
@@ -173,11 +173,11 @@ class TestFaultInjection:
     PARAMS = CAParams(3, 6, 3)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("strategy", tuple(BUILD_STRATEGIES))
+    @pytest.mark.parametrize("strategy", tuple(STRATEGIES))
     def test_broken_interaction_is_reported(self, strategy, seed):
         p = self.PARAMS
         # density takes no seed; the seed still picks the fault
-        array, log = BUILD_STRATEGIES[strategy](p, BuildConfig(seed=seed))
+        array, log = STRATEGIES[strategy].build(p, BuildConfig(seed=seed))
         assert log.success
         assert full_check(array) == reference_full_check(array) == CoverageReport(True, 0, None)
 
