@@ -127,6 +127,11 @@ CONFIG_FLAGS = {
 
 def cmd_build(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
+    drawn = args.seed == "random"
+    if drawn:
+        import secrets  # here, not at the top: it adds about 5 ms to every start
+
+        args.seed = secrets.randbits(63)
     config = BuildConfig(**{f.name: getattr(args, f.name) for f in fields(BuildConfig)})
     default = BuildConfig()
     unread = [
@@ -148,6 +153,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     report = full_check(array)
 
     write_array(args.out, array)
+    if drawn:  # the one line that reproduces the run
+        print(f"seed {config.seed}")
     for line in log.summary_lines():
         print(line)
     if not log.success:
@@ -294,12 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed_value(text: str) -> int:
-    if text == "random":
-        import secrets
-
-        return secrets.randbits(63)
-    return int(text)
+def _seed_value(text: str) -> int | str:
+    """An integer seed, or "random", which ``cmd_build`` draws and prints."""
+    return text if text == "random" else int(text)
 
 
 def main(argv: list[str] | None = None) -> int:

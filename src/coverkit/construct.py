@@ -27,8 +27,10 @@ draws.  Every row table a builder allocates (stage-1 rows, the leftover
 listing, stage-2 patch rows, developed and pair rows) is checked against
 the memory cap first.  All coverage questions - the uncovered scan,
 the density state and the resampling scan - go through one kernel,
-``_coverage_tables``, which streams one column t-set at a time with a
-single v**t-sized (or orbit-count-sized) table in flight.  The uncovered
+``_coverage_tables``.  It yields the column t-sets in colex order, one
+block per last column, ranks every row's tuples from prefix ranks that
+the sets share, and keeps what is in flight within a fixed working budget
+under the memory cap.  The uncovered
 scan counts and lists in one pass: the exact count, and the uncovered
 interactions in rank order while that count stays within a cap (the
 stage-1 target).  The density state is the one table of all
@@ -50,12 +52,7 @@ import numpy as np
 from . import bounds, limits
 from .errors import ResourceLimitError
 from ._numeric import floor_scaled_power
-from .core import (
-    CAParams,
-    CELL_DTYPE,
-    SymbolArray,
-    colex_combinations,
-)
+from .core import CAParams, CELL_DTYPE, SymbolArray
 from .groups import (
     GroupAction,
     OrbitTable,
@@ -182,31 +179,118 @@ def _place_values(params: CAParams) -> np.ndarray:
     return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
 
 
+# The coverage kernel's working budget, or the memory cap when that is
+# lower.  The prefix-rank levels of one row chunk take up to half of it,
+# one block's seen table and sets a quarter and the rank buffer 1/128,
+# which keeps it in cache.
+_WORKING_BYTES = 32 << 20
+
+
+def _colex_unrank(lo: int, hi: int, binomials: np.ndarray) -> np.ndarray:
+    """``core.colex_unrank`` of the ranks lo..hi-1, one subset per row.
+    binomials[i - 1, c] is C(c, i), capped at any bound above the ranks."""
+    ranks = np.arange(lo, hi)
+    sets = np.empty((len(ranks), len(binomials)), dtype=np.intp)
+    for i in range(len(binomials), 0, -1):  # the largest c with C(c, i) <= rank
+        sets[:, i - 1] = np.searchsorted(binomials[i - 1], ranks, side="right") - 1
+        ranks -= binomials[i - 1, sets[:, i - 1]]
+    return sets
+
+
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
     orbits: OrbitTable | None = None,
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """The coverage kernel: yield (cols, seen) for every column t-set in
-    colex order.  seen[i] is True iff some row's symbol tuple on cols has
-    rank i or, given ``orbits``, lies in orbit i.  Both resource caps are
-    checked before the first table is allocated, and one table is in
-    flight at a time.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The coverage kernel: yield (sets, seen) blocks that together hold
+    every column t-set once, in colex order.  ``sets`` is the block's
+    b x t column sets; seen[j, i] is True iff some row's symbol tuple on
+    sets[j] has rank i or, given ``orbits``, lies in orbit i.
+
+    The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
+    in colex order plus c, so each c is one block, cut in parts only when
+    it is over a quarter of the working budget.  A tuple's rank is its
+    prefix's rank times v plus its symbol in column c.  The prefix ranks
+    are kept as levels: the l-prefixes ending at column e are the
+    (l-1)-prefixes before e times v plus column e, so each level is filled
+    in as c grows and nothing is gathered.  Level l holds only the
+    l-prefixes that some (t-1)-prefix extends.  A block's ranks are taken
+    in place, a few prefixes at a time, and scattered into one flat table.
+
+    When the levels of all rows do not fit the budget, the rows go in
+    chunks whose tables are ORed, and only the last chunk's levels are
+    kept; when one row's do not, the top level holds only the prefixes of
+    the current block.  So a scan within the budget (every bench shape)
+    fills each level once.  The column-set cap and every table (the
+    levels, the seen table, the block's sets, the rank buffer) are checked
+    before the first is allocated.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
     """
+    t, k, v = params.t, params.k, params.v
+    n = len(cells)
     slots = params.tuple_count if orbits is None else orbits.n_orbits
-    limits.check_table_bytes(slots, 1, "coverage mask")
-    limits.check_column_sets(params.k, params.t, "coverage scan")
-    weights = _place_values(params)
-    for cols in colex_combinations(params.k, params.t):
-        ranks = cells[:, cols].astype(np.int64) @ weights
-        if orbits is not None:
-            ranks = orbits.orbit_id_of[ranks]
-        seen = np.zeros(slots, dtype=bool)
-        seen[ranks] = True
-        yield cols, seen
+    limits.check_column_sets(k, t, "coverage scan")
+    dtype = np.min_scalar_type(v ** (t - 1) - 1)
+    width = math.comb(k - 1, t - 1)  # (t-1)-prefixes: the top level
+    lower = [math.comb(k - t + l, l) for l in range(2, t - 1)]  # levels 2..t-2
+    per_row = 1 + k + sum(lower)  # entries below the top: the empty prefix, the columns, lower
+    budget = min(_WORKING_BYTES, limits.memory_cap_bytes())
+    entries = budget // 2 // dtype.itemsize  # level entries within the budget
+    chunk = max(1, min(n, entries // (per_row + width), budget // 1024))
+    span = max(1, min(width, entries // chunk - per_row))  # top-level prefixes held
+    group = max(1, min(span, budget // 4 // (slots + 8 * t)))
+    sub = max(1, min(group, budget // 128 // (8 * chunk)))
+    limits.check_table_bytes(chunk * (per_row + span), dtype.itemsize, "coverage prefix levels")
+    limits.check_table_bytes(group * slots, 1, "coverage mask")
+    limits.check_table_bytes(group * t, 8, "coverage column sets")
+    limits.check_table_bytes(sub * chunk, 8, "coverage rank buffer")
+    binomials = np.array([[min(math.comb(c, i), width) for c in range(k)] for i in range(1, t)])
+    buffer = np.empty((sub, chunk), dtype=np.intp)
+    offsets = np.arange(sub, dtype=np.intp)[:, None] * slots
+    held = None  # the row chunk whose levels are kept
+    for c in range(t - 1, k):
+        count = math.comb(c, t - 1)
+        for lo in range(0, count, group):
+            hi = min(lo + group, count)
+            seen = np.zeros((hi - lo) * slots, dtype=bool)
+            for start in range(0, n, chunk):
+                if held != start:  # level 0 is the empty prefix, level 1 the columns
+                    rows = cells[start : start + chunk]
+                    levels = [np.zeros((1, len(rows)), dtype=dtype),
+                              np.ascontiguousarray(rows.T, dtype=dtype)]
+                    levels += [np.empty((size, len(rows)), dtype=dtype) for size in lower]
+                    top = np.empty((span, len(rows)), dtype=dtype)
+                    held, filled, first, end = start, 0, 0, 0  # top holds first..end-1
+                for e in range(filled, c):  # the lower l-prefixes ending at e
+                    for l in range(max(2, e + t + 1 - k), t - 1):
+                        a, b = math.comb(e, l), math.comb(e + 1, l)
+                        np.multiply(levels[l - 1][: b - a], v, out=levels[l][a:b])
+                        levels[l][a:b] += levels[1][e]
+                filled = c
+                if lo < first or hi - first > span:
+                    first = end = lo
+                while end < hi:  # the top-level prefixes ending at e, up to hi
+                    e = int(np.searchsorted(binomials[t - 2], end, side="right")) - 1
+                    a, b = math.comb(e, t - 1), min(math.comb(e + 1, t - 1), hi)
+                    part = top[end - first : b - first]
+                    np.multiply(levels[t - 2][end - a : b - a], v, out=part)
+                    part += levels[1][e]
+                    end = b
+                column = levels[1][c]
+                for a in range(lo, hi, sub):
+                    b = min(a + sub, hi)
+                    ranks = buffer[: b - a, : len(column)]
+                    np.multiply(top[a - first : b - first], v, out=ranks, dtype=np.intp)
+                    ranks += column
+                    if orbits is not None:
+                        np.take(orbits.orbit_id_of, ranks, out=ranks)
+                    ranks += offsets[: b - a] + (a - lo) * slots
+                    seen[ranks] = True
+            sets = np.empty((hi - lo, t), dtype=np.intp)
+            sets[:, :-1], sets[:, -1] = _colex_unrank(lo, hi, binomials), c
+            yield sets, seen.reshape(hi - lo, slots)
 
 
 def _uncovered_scan(
@@ -218,20 +302,20 @@ def _uncovered_scan(
     no rows) and only the count goes on.  The listing's largest size is
     checked against the memory cap before the pass."""
     limits.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
-    vt = params.tuple_count
     count = 0
     found = [np.empty((0, params.t + 1), dtype=np.int64)]
-    for cols, seen in _coverage_tables(params, cells):
-        missing = vt - int(np.count_nonzero(seen))
+    for sets, seen in _coverage_tables(params, cells):
+        missing = seen.size - int(np.count_nonzero(seen))
         count += missing
         if missing and count <= keep:
-            found.append(np.column_stack([np.tile(cols, (missing, 1)), np.flatnonzero(~seen)]))
+            which, ranks = np.nonzero(~seen)
+            found.append(np.column_stack([sets[which], ranks]))
     return count, np.vstack(found if count <= keep else found[:1], dtype=np.int64)
 
 
 def count_uncovered(array: SymbolArray) -> int:
-    """Exact number of uncovered interactions, streamed one column t-set at
-    a time (one v**t table in flight, never a global interaction list)."""
+    """Exact number of uncovered interactions, streamed block by block
+    through the kernel (never a global interaction list)."""
     return _uncovered_scan(array.params, array.cells, keep=0)[0]
 
 
@@ -308,9 +392,11 @@ class _DensityState:
         self.params = params
         self.sets = np.empty((m, t), dtype=np.intp)
         self.uncovered = np.empty((m, params.tuple_count), dtype=bool)
-        for i, (cols, seen) in enumerate(_coverage_tables(params, cells)):
-            self.sets[i] = cols
-            np.logical_not(seen, out=self.uncovered[i])
+        at = 0
+        for sets, seen in _coverage_tables(params, cells):
+            self.sets[at : at + len(sets)] = sets
+            np.logical_not(seen, out=self.uncovered[at : at + len(sets)])
+            at += len(sets)
         self.remaining = int(np.count_nonzero(self.uncovered))
         self._weights = _place_values(params)
         self.holders: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -396,18 +482,21 @@ def _resample_full_orbits(
     the bound's events) is covered on every column t-set.  Returns the
     array; sets failure flags on the log if the resample cap is hit.
 
-    Orbit coverage is decided from the OrbitTable alone: per column set, a
-    boolean table indexed by orbit id (memory O(v**t + n*k))."""
+    Orbit coverage is decided from the OrbitTable alone: per block of
+    column sets, a boolean table indexed by orbit id.  The first offender
+    is the block's first set whose table misses a full orbit."""
     cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
         return cells
     while True:
-        scan = enumerate(_coverage_tables(params, cells, orbits=table))
-        offending = next(
-            ((pos, cols) for pos, (cols, seen) in scan if not seen[full_ids].all()),
-            None,
-        )
+        offending, pos = None, 0
+        for sets, seen in _coverage_tables(params, cells, orbits=table):
+            missed = np.flatnonzero(~seen[:, full_ids].all(axis=1))
+            if missed.size:
+                offending = pos + int(missed[0]), sets[missed[0]]
+                break
+            pos += len(sets)
         if offending is None:
             return cells
         if log.resample_count >= cap:

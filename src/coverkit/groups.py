@@ -327,9 +327,9 @@ def develop(array: SymbolArray, action: GroupAction) -> SymbolArray:
         )
     perms = np.array(action.elements, dtype=np.int32)
     limits.check_table_bytes(len(perms) * array.cells.size, perms.itemsize, "developed rows")
-    images = perms[:, array.cells]  # (order, n, k)
-    stacked = images.transpose(1, 0, 2).reshape(-1, array.params.k)
-    return SymbolArray(array.params, stacked)
+    # (n, order, k) in one allocation: row i's image under element g
+    images = perms[np.arange(len(perms))[None, :, None], array.cells[:, None, :]]
+    return SymbolArray(array.params, images.reshape(-1, array.params.k))
 
 
 def constant_rows(params: CAParams) -> SymbolArray:

@@ -143,6 +143,17 @@ class TestBuildAndVerify:
         assert run(argv + [str(f2)], capsys)[0] == 0
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_random_seed_is_printed_and_reproduces(self, tmp_path, capsys):
+        f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        argv = ["build", "-t", "2", "-k", "4", "-v", "3", "--seed"]
+        code, out, _ = run(argv + ["random", "--out", str(f1)], capsys)
+        seeds = [line.split()[1] for line in out.splitlines() if line.startswith("seed ")]
+        assert code == 0 and len(seeds) == 1
+        code, again, _ = run(argv + [seeds[0], "--out", str(f2)], capsys)
+        assert code == 0 and f1.read_bytes() == f2.read_bytes()
+        # a fixed seed prints the build log alone
+        assert not any(line.startswith("seed ") for line in again.splitlines())
+
     def test_mt_frobenius_structure(self, tmp_path, capsys):
         out_file = tmp_path / "ca.txt"
         code, out, _ = run(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -241,6 +242,23 @@ class TestDevelop:
         arr = SymbolArray.from_rows(p, [(0, 1, 2)])
         with pytest.raises(ValueError):
             develop(arr, make_cyclic(4))
+
+    def test_develops_in_one_allocation(self):
+        # the images are built once, in their final (row, element) order, and
+        # SymbolArray copies them once: no transposed copy in between
+        p = CAParams(3, 40, 8)
+        arr = SymbolArray(p, np.random.default_rng(1).integers(0, 8, size=(200, 40)))
+        action = make_pgl(8)
+        tracemalloc.start()
+        try:
+            out = develop(arr, action)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.n_rows == 200 * action.order
+        assert peak <= 2.1 * out.cells.nbytes
+        perms = np.array(action.elements)
+        assert np.array_equal(out.cells[5 * action.order + 7], perms[7][arr.cells[5]])
 
     def test_orbit_representative_development_is_covering(self):
         # one row per full orbit at t=k=2 over the affine group on 3 symbols,

@@ -1,9 +1,18 @@
 """Resource cap behavior: configured limits turn into ResourceLimitError."""
 
+import math
+
 import pytest
 
-from coverkit import limits
-from coverkit.construct import count_uncovered, density_build, moser_tardos_build, random_array
+from coverkit import bounds, limits
+from coverkit.construct import (
+    BuildConfig,
+    count_uncovered,
+    density_build,
+    moser_tardos_build,
+    random_array,
+    two_stage_build,
+)
 from coverkit.core import CAParams, Interaction, SymbolArray
 from coverkit.errors import ResourceLimitError
 from coverkit.groups import enumerate_orbits, finite_field, make_cyclic, make_frobenius, make_pgl
@@ -38,9 +47,23 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         assert full_check(arr) == uncapped
 
+    def test_builder_scans_chunk_under_a_small_cap(self, monkeypatch):
+        # at (4,20,3) two-stage draws 672 rows, whose top prefix ranks alone
+        # (672 * C(19,3) * 4 bytes) are over 1 MiB: under that cap the
+        # scans take the rows in chunks and give the same count and array
+        p = CAParams(4, 20, 3)
+        n = bounds.two_stage_bound(p).stage1_rows
+        assert n * math.comb(p.k - 1, p.t - 1) * 4 > 1 << 20
+        arr = random_array(p, n, seed=5)
+        config = BuildConfig(seed=5)
+        uncapped = count_uncovered(arr), two_stage_build(p, config)[0]
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        assert (count_uncovered(arr), two_stage_build(p, config)[0]) == uncapped
+
     def test_density_state_is_checked_before_allocation(self, monkeypatch):
-        # the kernel's own table is 64 bytes; the density mask is
-        # C(60,3) * 4**3 = 34220 * 64 bytes, about 2.2 MB
+        # the kernel's largest table here, the C(59,2) x 2 prefix sets, is
+        # 27 KB; the density mask is C(60,3) * 4**3 = 34220 * 64 bytes,
+        # about 2.2 MB
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         with pytest.raises(ResourceLimitError, match="density coverage mask"):
             density_build(SymbolArray.empty(CAParams(3, 60, 4)))

@@ -154,7 +154,8 @@ class TestAgainstReference:
         modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         assert not any("construct" in m for m in modules)
-        # no rank-and-scatter: the builder kernel ranks tuples with `cells @ weights`
+        # no dot-product ranking (`cells @ weights`) either, as in the
+        # reference oracle of the builder kernel, which ranks column prefixes
         assert not any(isinstance(n, ast.MatMult) for n in ast.walk(tree))
 
     def test_below_exhaustive_can_never_covers(self):
