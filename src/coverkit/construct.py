@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin, get_type_hints
@@ -211,19 +212,21 @@ def _coverage_tables(
     in colex order plus c, so each c is one block, cut in parts only when
     it is over a quarter of the working budget.  A tuple's rank is its
     prefix's rank times v plus its symbol in column c.  The prefix ranks
-    are kept as levels: the l-prefixes ending at column e are the
-    (l-1)-prefixes before e times v plus column e, so each level is filled
-    in as c grows and nothing is gathered.  Level l holds only the
+    are kept as levels: level 0 is the empty prefix, level 1 the columns,
+    and the l-prefixes ending at column e are the (l-1)-prefixes before e
+    times v plus column e, so nothing is gathered.  Level l holds only the
     l-prefixes that some (t-1)-prefix extends.  A block's ranks are taken
     in place, a few prefixes at a time, and scattered into one flat table.
 
-    When the levels of all rows do not fit the budget, the rows go in
-    chunks whose tables are ORed, and only the last chunk's levels are
-    kept; when one row's do not, the top level holds only the prefixes of
-    the current block.  So a scan within the budget (every bench shape)
-    fills each level once.  The column-set cap and every table (the
-    levels, the seen table, the block's sets, the rank buffer) are checked
-    before the first is allocated.
+    Each level from 2 up is a window over its prefixes, filled from the
+    level below as far as the level above asks.  When the levels of all
+    rows do not fit the budget, the rows go in chunks whose tables are
+    ORed, and only the last chunk's levels are kept; when one row's do
+    not, the higher levels hold only part of their prefixes each and are
+    filled again as the scan moves on.  So a scan within the budget (every
+    bench shape) fills each level once.  The column-set cap and every
+    table (the levels, the seen table, the block's sets, the rank buffer)
+    are checked before the first is allocated.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -233,22 +236,44 @@ def _coverage_tables(
     slots = params.tuple_count if orbits is None else orbits.n_orbits
     limits.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
-    width = math.comb(k - 1, t - 1)  # (t-1)-prefixes: the top level
-    lower = [math.comb(k - t + l, l) for l in range(2, t - 1)]  # levels 2..t-2
-    per_row = 1 + k + sum(lower)  # entries below the top: the empty prefix, the columns, lower
+    sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # full levels 0..t-1
     budget = min(_WORKING_BYTES, limits.memory_cap_bytes())
     entries = budget // 2 // dtype.itemsize  # level entries within the budget
-    chunk = max(1, min(n, entries // (per_row + width), budget // 1024))
-    span = max(1, min(width, entries // chunk - per_row))  # top-level prefixes held
-    group = max(1, min(span, budget // 4 // (slots + 8 * t)))
-    sub = max(1, min(group, budget // 128 // (8 * chunk)))
-    limits.check_table_bytes(chunk * (per_row + span), dtype.itemsize, "coverage prefix levels")
+    chunk = max(1, min(n, entries // sum(sizes), budget // 1024))
+    spans = sizes[:2]  # levels 0 and 1 are whole; the rest share what is left, lowest first
+    for l in range(2, t):
+        spans.append(max(1, min(sizes[l], (entries // chunk - sum(spans)) // (t - l))))
+    width = math.comb(k - 1, t - 1)  # (t-1)-prefixes: the top level
+    group = max(1, min(width, budget // 4 // (slots + 8 * t)))
+    sub = max(1, min(group, spans[t - 1], budget // 128 // (8 * chunk)))
+    limits.check_table_bytes(chunk * sum(spans), dtype.itemsize, "coverage prefix levels")
     limits.check_table_bytes(group * slots, 1, "coverage mask")
     limits.check_table_bytes(group * t, 8, "coverage column sets")
     limits.check_table_bytes(sub * chunk, 8, "coverage rank buffer")
-    binomials = np.array([[min(math.comb(c, i), width) for c in range(k)] for i in range(1, t)])
+    table = [[min(math.comb(c, i), width) for c in range(k)] for i in range(1, t)]
+    binomials = np.array(table)
+    store = [np.zeros((1, chunk), dtype=dtype)]  # level 0: the empty prefix
+    store += [np.empty((span, chunk), dtype=dtype) for span in spans[1:]]
     buffer = np.empty((sub, chunk), dtype=np.intp)
     offsets = np.arange(sub, dtype=np.intp)[:, None] * slots
+
+    def fill(l: int, lo: int, hi: int) -> None:
+        """Make level l hold the prefixes of rank lo..hi-1 (at most its
+        span); it holds first[l]..end[l]-1 and restarts at lo when those
+        cannot be extended to hi."""
+        if lo < first[l] or lo > end[l] or hi - first[l] > spans[l]:
+            first[l] = end[l] = lo
+        while end[l] < hi:  # the l-prefixes ending at e, no more than level l-1 holds
+            e = bisect_right(table[l - 1], end[l]) - 1
+            a = table[l - 1][e]
+            b = min(math.comb(e + 1, l), hi, end[l] + spans[l - 1])
+            fill(l - 1, end[l] - a, b - a)
+            part = levels[l][end[l] - first[l] : b - first[l]]
+            below = end[l] - a - first[l - 1]
+            np.multiply(levels[l - 1][below : below + b - end[l]], v, out=part)
+            part += levels[1][e]
+            end[l] = b
+
     held = None  # the row chunk whose levels are kept
     for c in range(t - 1, k):
         count = math.comb(c, t - 1)
@@ -256,33 +281,18 @@ def _coverage_tables(
             hi = min(lo + group, count)
             seen = np.zeros((hi - lo) * slots, dtype=bool)
             for start in range(0, n, chunk):
-                if held != start:  # level 0 is the empty prefix, level 1 the columns
+                if held != start:
                     rows = cells[start : start + chunk]
-                    levels = [np.zeros((1, len(rows)), dtype=dtype),
-                              np.ascontiguousarray(rows.T, dtype=dtype)]
-                    levels += [np.empty((size, len(rows)), dtype=dtype) for size in lower]
-                    top = np.empty((span, len(rows)), dtype=dtype)
-                    held, filled, first, end = start, 0, 0, 0  # top holds first..end-1
-                for e in range(filled, c):  # the lower l-prefixes ending at e
-                    for l in range(max(2, e + t + 1 - k), t - 1):
-                        a, b = math.comb(e, l), math.comb(e + 1, l)
-                        np.multiply(levels[l - 1][: b - a], v, out=levels[l][a:b])
-                        levels[l][a:b] += levels[1][e]
-                filled = c
-                if lo < first or hi - first > span:
-                    first = end = lo
-                while end < hi:  # the top-level prefixes ending at e, up to hi
-                    e = int(np.searchsorted(binomials[t - 2], end, side="right")) - 1
-                    a, b = math.comb(e, t - 1), min(math.comb(e + 1, t - 1), hi)
-                    part = top[end - first : b - first]
-                    np.multiply(levels[t - 2][end - a : b - a], v, out=part)
-                    part += levels[1][e]
-                    end = b
+                    levels = [level[:, : len(rows)] for level in store]
+                    levels[1][...] = rows.T
+                    held, first, end = start, [0] * t, spans[:2] + [0] * (t - 2)
                 column = levels[1][c]
                 for a in range(lo, hi, sub):
                     b = min(a + sub, hi)
+                    fill(t - 1, a, min(hi, a + spans[t - 1]))  # as much of the block as it holds
                     ranks = buffer[: b - a, : len(column)]
-                    np.multiply(top[a - first : b - first], v, out=ranks, dtype=np.intp)
+                    top = a - first[t - 1]
+                    np.multiply(levels[t - 1][top : top + b - a], v, out=ranks, dtype=np.intp)
                     ranks += column
                     if orbits is not None:
                         np.take(orbits.orbit_id_of, ranks, out=ranks)

@@ -7,11 +7,12 @@ and it is kept here, as ``full_check``'s row loop is kept in
 test_verify, to check the block kernel on many inputs: its blocks, and
 through the kernel's consumers the uncovered count and listing, the
 density mask and the resampling scan's first offender.  Each check also
-runs under working budgets small enough to split the rows into chunks
-and a column's block into several.  CAParams has t >= 2, so t runs from 2
-to k.
+runs under working budgets small enough to split the rows into chunks, a
+column's block into several and a level's prefixes into windows.
+CAParams has t >= 2, so t runs from 2 to k.
 """
 
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -91,6 +92,24 @@ class TestBlocks:
     @example((CAParams(2, 2, 2), np.zeros((0, 2), np.int32), None, 1))
     @example((CAParams(5, 5, 2), np.ones((3, 5), np.int32), None, 64))
     @example((CAParams(3, 7, 4), random_array(CAParams(3, 7, 4), 60, 1).cells.copy(), None, 1))
+    # (3,9,3) under 8192 bytes: whole column blocks (at most C(8,2) sets of
+    # 27 seen bytes) but a rank buffer of 8 rows, so 40 rows go in 5 chunks
+    # and 200 rows in 50 under 4096 bytes
+    @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 40, 2).cells.copy(), None, 8192))
+    @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 200, 3).cells.copy(), None, 4096))
+    # one row's levels take 1 + 20 + C(18,2) + C(19,3) = 1143 bytes at
+    # (4,20,2) and 1 + 12 + 28 + 84 + C(10,4) + C(11,5) = 797 bytes at
+    # (6,12,2), over the 512 that a 1024-byte budget gives them: the top
+    # level, and at (6,12,2) level 4 too, hold part of their prefixes.
+    # With one row, one chunk keeps its levels for the whole scan, so the
+    # windows move on, as they do at (5,7,3) under 1 byte (one prefix each)
+    @example((CAParams(4, 20, 2), random_array(CAParams(4, 20, 2), 10, 4).cells.copy(), None, 1024))
+    @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 10, 5).cells.copy(), None, 1024))
+    @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 1, 5).cells.copy(), None, 1024))
+    @example((CAParams(5, 7, 3), random_array(CAParams(5, 7, 3), 1, 6).cells.copy(), None, 1))
+    # t = 2 at v = 256: uint8 levels, whose top level is the columns
+    @example((CAParams(2, 3, 256), random_array(CAParams(2, 3, 256), 300, 6).cells.copy(), None,
+              construct._WORKING_BYTES))
     def test_blocks_match_reference(self, scan):
         params, cells, orbits, budget = scan
         sets, seen = kernel_tables(params, cells, orbits, budget)
@@ -98,43 +117,38 @@ class TestBlocks:
         assert np.array_equal(sets, ref_sets)
         assert np.array_equal(seen, ref_seen)
 
-    def test_small_budgets_split_blocks_and_rows(self, monkeypatch):
-        # (3,9,3) with 40 rows: a 1-byte budget takes one set and one row at
-        # a time; 8192 bytes hold each column's whole block (at most C(8,2)
-        # sets, of 27 seen bytes and 3 columns each) but a rank buffer of 8
-        # rows, so the rows go in 5 chunks
+    def test_small_budgets_cut_blocks(self):
+        # (3,9,3): a 1-byte budget takes one set at a time, 8192 bytes one
+        # whole column's block
         p = CAParams(3, 9, 3)
         cells = random_array(p, 40, seed=2).cells.copy()
-        ref_sets, ref_seen = reference_tables(p, cells)
         for budget, blocks in ((1, comb(9, 3)), (8192, p.k - p.t + 1)):
-            monkeypatch.setattr(construct, "_WORKING_BYTES", budget)
-            got = list(construct._coverage_tables(p, cells))
+            got = with_budget(budget, lambda: list(construct._coverage_tables(p, cells)))
             assert len(got) == blocks
-            assert np.array_equal(np.vstack([s for s, _ in got]), ref_sets)
-            assert np.array_equal(np.vstack([s for _, s in got]), ref_seen)
 
-    def test_a_small_cap_splits_like_a_small_budget(self, monkeypatch):
-        # the working budget is never above the memory cap: 4096 bytes
-        # here, so 200 rows go in 50 chunks
-        p = CAParams(3, 9, 3)
-        cells = random_array(p, 200, seed=3).cells.copy()
-        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 4096)
-        sets, seen = kernel_tables(p, cells, None, construct._WORKING_BYTES)
-        ref_sets, ref_seen = reference_tables(p, cells)
+    @pytest.mark.parametrize("shape, rows, env, budget", [
+        # at (10,30,2) one row's full levels take about 14.3M entries, far
+        # over a 1 MiB cap: every level from 6 up holds part of its prefixes
+        ((10, 30, 2), 50, {"COVERKIT_MEMORY_CAP_MIB": "1"}, construct._WORKING_BYTES),
+        # at (4,2044,2) a 4096-byte budget leaves one row 3 level entries
+        # past its columns: level 2 holds one prefix and the top level two,
+        # so a sub-block has two prefixes, each filled from its own level-2
+        # prefix (C(2044,4) sets are over the default column-set cap)
+        ((4, 2044, 2), 1, {"COVERKIT_MAX_COLUMN_SETS": str(10**12)}, 4096),
+    ])
+    def test_large_shapes_start_under_small_budgets(self, monkeypatch, shape, rows, env, budget):
+        # scanned in full these take hours, so only the first 3003 sets are
+        # compared with the oracle's
+        p = CAParams(*shape)
+        cells = random_array(p, rows, seed=7).cells.copy()
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(construct, "_WORKING_BYTES", budget)
+        blocks = construct._coverage_tables(p, cells)
+        sets, seen = zip(*islice((pair for block in blocks for pair in zip(*block)), 3003))
+        ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))
         assert np.array_equal(sets, ref_sets) and np.array_equal(seen, ref_seen)
 
-
-    def test_a_row_of_levels_over_the_cap_still_scans(self, monkeypatch):
-        # at (4,20,2) one row's levels take 1 + 20 + C(18,2) + C(19,3) =
-        # 1143 bytes, over a 1024-byte cap that the 16-byte seen table of
-        # one set fits: the top level then holds only part of each column's
-        # prefixes and is filled again from the level below
-        p = CAParams(4, 20, 2)
-        cells = random_array(p, 10, seed=4).cells.copy()
-        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 1024)
-        sets, seen = kernel_tables(p, cells, None, construct._WORKING_BYTES)
-        ref_sets, ref_seen = reference_tables(p, cells)
-        assert np.array_equal(sets, ref_sets) and np.array_equal(seen, ref_seen)
 
 class TestConsumers:
     @settings(max_examples=80, deadline=None, database=None)
@@ -180,4 +194,3 @@ class TestConsumers:
             assert log.failure_reason == f"resample cap 0 reached at scan position {missed[0]}"
         else:
             assert log.success and log.resample_count == 0
-

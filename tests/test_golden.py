@@ -9,7 +9,9 @@ from an incremental coverage state; any later change that alters an array
 for a given seed fails here.  The one deliberate move: pgl-3-8-3-s3 was
 re-pinned when the resampler stopped treating PGL's two-symbol orbits at
 v = 3 (full length, since the group order is v(v-1)) as full orbits; it
-went from 1 resample to 0 at the same 243 rows.
+went from 1 resample to 0 at the same 243 rows.  The byte-alphabet case
+two_stage-2-3-256-s1 was taken from the per-set kernel, before the block
+kernel replaced it.
 """
 
 import hashlib
@@ -59,6 +61,7 @@ CASES = {
     "two_stage-density-3-6-2-s2": _two_stage(3, 6, 2, seed=2, second_stage="density_greedy"),
     "two_stage-density-2-5-4-s3": _two_stage(2, 5, 4, seed=3, second_stage="density_greedy"),
     "two_stage-density-3-8-3-s1": _two_stage(3, 8, 3, seed=1, second_stage="density_greedy"),
+    "two_stage-2-3-256-s1": _two_stage(2, 3, 256, seed=1),
     "two_stage-3-8-3-s4-n40-missed": _two_stage(
         3, 8, 3, seed=4, n_override=40, max_stage1_attempts=2),
     "mt_cyclic-3-10-3-s1": _mt(make_cyclic, 3, 10, 3, seed=1),
@@ -113,6 +116,8 @@ GOLDEN = {
         "90a647b8daf1531009e9d4d08e609d02fba9d610c9b3c66b4cfee2b70bda133c"),
     "pgl-3-8-4-s2": (472, 0, None,
         "9fb9bcadbb29df053af429be816b1a1a2fbde43378a681af55e92a39434c6add"),
+    "two_stage-2-3-256-s1": (137454, 0, None,
+        "e3d86b1fe0e6df828ffe0fd34e563579ca28c214bd6fbc8e9b65a07d29a57b5d"),
     "two_stage-2-12-4-s3": (79, 0, None,
         "1de04c5d8828ada508bd7fe9234b85941d80ff062e3e92f2a75e8e9b98a7928a"),
     "two_stage-3-8-3-s1": (118, 0, None,
