@@ -198,6 +198,51 @@ def _colex_unrank(lo: int, hi: int, binomials: np.ndarray) -> np.ndarray:
     return sets
 
 
+class _PrefixLevels:
+    """The prefix ranks of one row chunk, as levels: level 0 is the empty
+    prefix, level 1 the columns, and level l >= 2 a window over the
+    l-prefixes of colex rank first[l]..end[l]-1, at most spans[l] of them
+    (one column of each level array per row).  The l-prefixes ending at
+    column e are the (l-1)-prefixes before e times v plus column e, so a
+    level is filled from the one below, as far as the one above asks, and
+    nothing is gathered.  table[l - 1][e] is C(e, l), capped at the number
+    of top-level prefixes."""
+
+    def __init__(self, spans: list[int], chunk: int, dtype: np.dtype,
+                 table: list[list[int]], v: int) -> None:
+        self.spans, self.table, self.v = spans, table, v
+        self.store = [np.zeros((1, chunk), dtype=dtype)]
+        self.store += [np.empty((span, chunk), dtype=dtype) for span in spans[1:]]
+
+    def load(self, rows: np.ndarray) -> None:
+        """Start on a new row chunk: every window empty."""
+        self.levels = [level[:, : len(rows)] for level in self.store]
+        self.levels[1][...] = rows.T
+        self.first = [0] * len(self.spans)
+        self.end = self.spans[:2] + [0] * (len(self.spans) - 2)
+
+    def ranks(self, l: int, lo: int, hi: int) -> np.ndarray:
+        """Level l's prefixes of rank lo..hi-1, which it must hold."""
+        return self.levels[l][lo - self.first[l] : hi - self.first[l]]
+
+    def fill(self, l: int, lo: int, hi: int) -> None:
+        """Make level l hold the prefixes of rank lo..hi-1 (at most its
+        span), extending its window or, when that cannot reach hi,
+        restarting it at lo."""
+        first, end, spans = self.first, self.end, self.spans
+        if lo < first[l] or lo > end[l] or hi - first[l] > spans[l]:
+            first[l] = end[l] = lo
+        while end[l] < hi:  # the l-prefixes ending at e, no more than level l-1 holds
+            e = bisect_right(self.table[l - 1], end[l]) - 1
+            a = self.table[l - 1][e]
+            b = min(math.comb(e + 1, l), hi, end[l] + spans[l - 1])
+            self.fill(l - 1, end[l] - a, b - a)
+            part = self.ranks(l, end[l], b)
+            np.multiply(self.ranks(l - 1, end[l] - a, b - a), self.v, out=part)
+            part += self.levels[1][e]
+            end[l] = b
+
+
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
@@ -212,21 +257,18 @@ def _coverage_tables(
     in colex order plus c, so each c is one block, cut in parts only when
     it is over a quarter of the working budget.  A tuple's rank is its
     prefix's rank times v plus its symbol in column c.  The prefix ranks
-    are kept as levels: level 0 is the empty prefix, level 1 the columns,
-    and the l-prefixes ending at column e are the (l-1)-prefixes before e
-    times v plus column e, so nothing is gathered.  Level l holds only the
-    l-prefixes that some (t-1)-prefix extends.  A block's ranks are taken
-    in place, a few prefixes at a time, and scattered into one flat table.
+    are ``_PrefixLevels``; level l holds only the l-prefixes that some
+    (t-1)-prefix extends.  A block's ranks are taken in place, a few
+    prefixes at a time, and scattered into one flat table.
 
-    Each level from 2 up is a window over its prefixes, filled from the
-    level below as far as the level above asks.  When the levels of all
-    rows do not fit the budget, the rows go in chunks whose tables are
-    ORed, and only the last chunk's levels are kept; when one row's do
-    not, the higher levels hold only part of their prefixes each and are
-    filled again as the scan moves on.  So a scan within the budget (every
-    bench shape) fills each level once.  The column-set cap and every
-    table (the levels, the seen table, the block's sets, the rank buffer)
-    are checked before the first is allocated.
+    When the levels of all rows do not fit the budget, the rows go in
+    chunks whose tables are ORed, and only the last chunk's levels are
+    kept; when one row's do not, the levels from 2 up share what is left,
+    lowest first, each holding part of its prefixes and filled again as
+    the scan moves on.  So a scan within the budget (every bench shape)
+    fills each level once.  The column-set cap and every table (the
+    levels, the seen table, the block's sets, the rank buffer) are checked
+    before the first is allocated.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -236,11 +278,11 @@ def _coverage_tables(
     slots = params.tuple_count if orbits is None else orbits.n_orbits
     limits.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
-    sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # full levels 0..t-1
+    sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # whole levels 0..t-1
     budget = min(_WORKING_BYTES, limits.memory_cap_bytes())
     entries = budget // 2 // dtype.itemsize  # level entries within the budget
     chunk = max(1, min(n, entries // sum(sizes), budget // 1024))
-    spans = sizes[:2]  # levels 0 and 1 are whole; the rest share what is left, lowest first
+    spans = sizes[:2]
     for l in range(2, t):
         spans.append(max(1, min(sizes[l], (entries // chunk - sum(spans)) // (t - l))))
     width = math.comb(k - 1, t - 1)  # (t-1)-prefixes: the top level
@@ -252,28 +294,9 @@ def _coverage_tables(
     limits.check_table_bytes(sub * chunk, 8, "coverage rank buffer")
     table = [[min(math.comb(c, i), width) for c in range(k)] for i in range(1, t)]
     binomials = np.array(table)
-    store = [np.zeros((1, chunk), dtype=dtype)]  # level 0: the empty prefix
-    store += [np.empty((span, chunk), dtype=dtype) for span in spans[1:]]
+    prefixes = _PrefixLevels(spans, chunk, dtype, table, v)
     buffer = np.empty((sub, chunk), dtype=np.intp)
     offsets = np.arange(sub, dtype=np.intp)[:, None] * slots
-
-    def fill(l: int, lo: int, hi: int) -> None:
-        """Make level l hold the prefixes of rank lo..hi-1 (at most its
-        span); it holds first[l]..end[l]-1 and restarts at lo when those
-        cannot be extended to hi."""
-        if lo < first[l] or lo > end[l] or hi - first[l] > spans[l]:
-            first[l] = end[l] = lo
-        while end[l] < hi:  # the l-prefixes ending at e, no more than level l-1 holds
-            e = bisect_right(table[l - 1], end[l]) - 1
-            a = table[l - 1][e]
-            b = min(math.comb(e + 1, l), hi, end[l] + spans[l - 1])
-            fill(l - 1, end[l] - a, b - a)
-            part = levels[l][end[l] - first[l] : b - first[l]]
-            below = end[l] - a - first[l - 1]
-            np.multiply(levels[l - 1][below : below + b - end[l]], v, out=part)
-            part += levels[1][e]
-            end[l] = b
-
     held = None  # the row chunk whose levels are kept
     for c in range(t - 1, k):
         count = math.comb(c, t - 1)
@@ -282,17 +305,14 @@ def _coverage_tables(
             seen = np.zeros((hi - lo) * slots, dtype=bool)
             for start in range(0, n, chunk):
                 if held != start:
-                    rows = cells[start : start + chunk]
-                    levels = [level[:, : len(rows)] for level in store]
-                    levels[1][...] = rows.T
-                    held, first, end = start, [0] * t, spans[:2] + [0] * (t - 2)
-                column = levels[1][c]
+                    held = start
+                    prefixes.load(cells[start : start + chunk])
+                column = prefixes.levels[1][c]
                 for a in range(lo, hi, sub):
                     b = min(a + sub, hi)
-                    fill(t - 1, a, min(hi, a + spans[t - 1]))  # as much of the block as it holds
+                    prefixes.fill(t - 1, a, min(hi, a + spans[t - 1]))  # as much of the block as fits
                     ranks = buffer[: b - a, : len(column)]
-                    top = a - first[t - 1]
-                    np.multiply(levels[t - 1][top : top + b - a], v, out=ranks, dtype=np.intp)
+                    np.multiply(prefixes.ranks(t - 1, a, b), v, out=ranks, dtype=np.intp)
                     ranks += column
                     if orbits is not None:
                         np.take(orbits.orbit_id_of, ranks, out=ranks)
