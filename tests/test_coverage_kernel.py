@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import construct, limits
+from coverkit import construct
 from coverkit.construct import BuildLog, random_array
 from coverkit.core import CAParams, colex_combinations
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl, make_trivial
