@@ -5,15 +5,41 @@ space-separated integers in 0..v-1.  Lines starting with ``#`` are
 comments and ignored anywhere.  Files end with a trailing newline.
 The format is deliberately trivial to parse from any language and
 diff-friendly.
+
+``write_array`` writes one layout, and ``read_array`` parses a file in
+that layout in numpy:
+
+* the header ``CA N t k v`` is the first line;
+* after it come only ASCII digits, single spaces and ``\\n`` line ends;
+* there are exactly N lines, each of k tokens, each line ended by ``\\n``;
+* no token is wider than the digits of v - 1, and v - 1 has at most nine.
+
+Any other file goes to the per-line parser, which reads comments, blank
+lines, CR line ends, tabs, runs of spaces, long tokens and the rest.  So
+does any file in the layout whose cells are out of range, so every error
+message and line number comes from that one parser.  Both functions
+handle the rows in chunks of a fixed text budget.
 """
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
 from .core import CAParams, CELL_DTYPE, SymbolArray
 
 __all__ = ["ArrayFormatError", "read_array", "write_array"]
+
+_CELL_MAX = int(np.iinfo(CELL_DTYPE).max)
+_TEXT_BUDGET = 1 << 18  # bytes of row text formatted or parsed at a time
+_LAYOUT_WIDTH = 9  # widest token the layout parser takes: int32 cannot wrap
+
+# byte classes of the layout: digits 0, space 1, anything else 2
+_SPACE = 1
+_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = 0
+_BYTE_CLASS[ord(" ")] = _SPACE
 
 
 class ArrayFormatError(ValueError):
@@ -24,19 +50,107 @@ class ArrayFormatError(ValueError):
         self.lineno = lineno
 
 
+def _chunk_rows(k: int, width: int) -> int:
+    """Rows per chunk: k cells of `width` digits and a separator each."""
+    return max(1, _TEXT_BUDGET // (k * (width + 1)))
+
+
 def write_array(path: str, array: SymbolArray) -> None:
     p = array.params
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"CA {array.n_rows} {p.t} {p.k} {p.v}\n")
-        for row in array.cells:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+    # a cell has the digits of v - 1 with its leading zeros masked; no
+    # int32 cell has more than the digits of the int32 maximum
+    width = len(str(min(p.v - 1, _CELL_MAX)))
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=CELL_DTYPE)
+    leading = powers.copy()
+    leading[-1] = 0  # the units digit is always written
+    separators = np.full(p.k, ord(" "), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    step = _chunk_rows(p.k, width)
+    with open(path, "wb") as fh:
+        fh.write(f"CA {array.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
+        for lo in range(0, array.n_rows, step):
+            cells = array.cells[lo : lo + step, :, None]
+            text = np.empty(cells.shape[:2] + (width + 1,), dtype=np.uint8)
+            text[..., :width] = cells // powers % 10 + ord("0")
+            text[..., width] = separators
+            keep = np.ones(text.shape, dtype=bool)
+            keep[..., :width] = cells >= leading
+            fh.write(text[keep].tobytes())
 
 
 def read_array(path: str) -> SymbolArray:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    array = _read_layout(data)
+    return array if array is not None else _read_lines(data)
+
+
+def _read_layout(data: bytes) -> SymbolArray | None:
+    """The array of a file in write_array's layout, or None for any other file."""
+    end = data.find(b"\n")
+    fields = data[:end].split(b" ")
+    if end < 0 or len(fields) != 5 or fields[0] != b"CA":
+        return None
+    if not all(f.isdigit() for f in fields[1:]):
+        return None
+    n, t, k, v = (int(f) for f in fields[1:])
+    width = len(str(v - 1))
+    if k < 1 or v < 2 or width > _LAYOUT_WIDTH:
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    # n and k are only trusted once the file has room for their cells
+    if not 2 * n * k <= body.size <= n * k * (width + 1):
+        return None
+    if data.count(b"\n", end + 1) != n or not data.endswith(b"\n"):
+        return None
+    cells = np.empty((n, k), dtype=CELL_DTYPE)
+    step = _chunk_rows(k, width)
+    start = 0
+    for lo in range(0, n, step):
+        rows = cells[lo : lo + step]
+        # `rows` lines of at most k * (width + 1) bytes each
+        window = body[start : start + rows.size * (width + 1)]
+        ends = np.flatnonzero(window == ord("\n"))
+        if ends.size < len(rows):
+            return None  # some line is longer than the layout allows
+        stop = int(ends[len(rows) - 1]) + 1
+        if not _parse_rows(window[:stop], width, v, rows):
+            return None
+        start += stop
+    return SymbolArray(CAParams(t, k, v), cells)
+
+
+def _parse_rows(text: np.ndarray, width: int, v: int, out: np.ndarray) -> bool:
+    """Parse whole lines of the layout into `out`; False if they are not in it."""
+    byte_class = _BYTE_CLASS[text]
+    seps = np.flatnonzero(byte_class)
+    if seps.size != out.size:
+        return False
+    # k - 1 spaces on each row; the text's one newline per row ends them
+    if (byte_class[seps].reshape(out.shape)[:, :-1] != _SPACE).any():
+        return False
+    token_width = np.diff(seps, prepend=-1) - 1
+    if token_width.min() < 1 or token_width.max() > width:
+        return False
+    digits = text.astype(CELL_DTYPE) - ord("0")
+    value = np.zeros(seps.size, dtype=CELL_DTYPE)
+    place = 1
+    for back in range(1, width + 1):  # the digit `back` places before a separator
+        at = np.maximum(seps - back, 0)
+        value += np.where(token_width >= back, digits[at], 0) * place
+        place *= 10
+    if value.max() >= v:
+        return False
+    out[...] = value.reshape(out.shape)
+    return True
+
+
+def _read_lines(data: bytes) -> SymbolArray:
+    """The per-line parser: any file the format allows, and every error."""
     header: tuple[int, int, int, int] | None = None
     header_line = 1
     rows: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -62,6 +176,10 @@ def read_array(path: str) -> SymbolArray:
             if any(x < 0 or x >= header[3] for x in row):
                 raise ArrayFormatError(
                     lineno, f"cell out of range 0..{header[3] - 1}"
+                )
+            if any(x > _CELL_MAX for x in row):
+                raise ArrayFormatError(
+                    lineno, f"cell above {_CELL_MAX}, the largest symbol an array holds"
                 )
             rows.append(row)
     if header is None:

@@ -11,8 +11,11 @@ A t-way interaction is covered iff the AND of its t row sets is nonempty.
 In colex order the t-sets sharing a suffix ``(c2, ..., ct)`` are
 contiguous and ordered by the first column, so each suffix's ``v**(t-1)``
 row sets are ANDed once and then with every first column ``c1 < c2`` at
-once. The test suite holds a plain row loop, one bitmap per column t-set,
-as the reference oracle for it.
+once, in blocks of first columns that fit the memory cap. When one first
+column's ``v**t`` row sets do not fit, its blocks hold as many of its
+symbols as fit, so a byte alphabet is checked too. The test suite holds a
+plain row loop, one bitmap per column t-set, as the reference oracle for
+it.
 
 ``orbit_check`` is a plain row loop filling one orbit bitmap per column
 t-set.
@@ -89,10 +92,16 @@ def full_check(array: SymbolArray) -> CoverageReport:
     limits.check_column_sets(k, t, "full_check")
     words = (array.n_rows + 63) // 64
     limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets")
-    # first columns per AND block: as many v**t-row-set slabs as fit the cap
+    # first columns per AND block: as many v**t-row-set slabs as fit the
+    # cap; when one slab does not, one first column and as many of its
+    # symbols (v**(t-1) row sets each) as fit
     slab = vt * 8 * words
-    chunk = max(1, limits.memory_cap_bytes() // slab) if slab else k
-    limits.check_table_bytes(min(chunk, k - 1) * vt, 8 * words, "verifier AND block")
+    cap = limits.memory_cap_bytes()
+    chunk = max(1, cap // slab) if slab else k
+    symbols = v if slab <= cap else max(1, cap // (slab // v))
+    limits.check_table_bytes(
+        min(chunk, k - 1) * symbols * (vt // v), 8 * words, "verifier AND block"
+    )
     bits = _row_bitsets(array.cells, v, words)
 
     uncovered = 0
@@ -104,16 +113,17 @@ def full_check(array: SymbolArray) -> CoverageReport:
         rows = bits[c2]
         for c in suffix[1:]:
             rows = (rows[:, None, :] & bits[c]).reshape(rows.shape[0] * v, words)
-        for lo in range(0, c2, chunk):
-            block = bits[lo : min(lo + chunk, c2), :, None, :] & rows
+        for lo, s in product(range(0, c2, chunk), range(0, v, symbols)):
+            block = bits[lo : min(lo + chunk, c2), s : s + symbols, None, :] & rows
             # (first column, tuple rank): colex-set order, then rank order
-            covered = block.any(axis=-1).reshape(-1)
+            covered = block.any(axis=-1).reshape(block.shape[0], -1)
             missing = covered.size - int(np.count_nonzero(covered))
             if missing == 0:
                 continue
             uncovered += missing
             if first is None:
-                c1, rank = divmod(int(covered.argmin()), vt)
+                c1, rank = divmod(int(covered.argmin()), covered.shape[1])
+                rank += s * (vt // v)
                 first = Interaction((lo + c1,) + suffix, symbols_unrank(rank, t, v))
     return CoverageReport(uncovered == 0, uncovered, first)
 

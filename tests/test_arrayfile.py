@@ -1,10 +1,28 @@
-"""Round-trip and error-path tests for the array text format."""
+"""Round-trip and error-path tests for the array text format.
 
+``reference_write_array`` is the writer as a plain row loop, the oracle for
+the bytes ``write_array`` writes.  The per-line parser
+``arrayfile._read_lines`` is the oracle for what ``read_array`` gives on
+any file: the same array, or the same exception and message.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from coverkit import arrayfile
 from coverkit.arrayfile import ArrayFormatError, read_array, write_array
 from coverkit.construct import random_array
-from coverkit.core import CAParams
+from coverkit.core import CAParams, SymbolArray
+
+
+def reference_write_array(path, array):
+    p = array.params
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"CA {array.n_rows} {p.t} {p.k} {p.v}\n")
+        for row in array.cells:
+            fh.write(" ".join(str(int(x)) for x in row) + "\n")
 
 
 class TestRoundTrip:
@@ -76,3 +94,164 @@ class TestErrors:
         path.write_text("# nothing here\n")
         with pytest.raises(ArrayFormatError):
             read_array(str(path))
+
+    def test_cell_past_int32_names_its_line(self, tmp_path):
+        # in range for v, but no int32 cell holds it
+        path = tmp_path / "a.txt"
+        path.write_text("CA 1 2 2 5000000000\n0 4999999999\n")
+        with pytest.raises(ArrayFormatError) as exc:
+            read_array(str(path))
+        assert str(exc.value) == "line 2: cell above 2147483647, the largest symbol an array holds"
+
+
+@st.composite
+def arrays(draw):
+    """Arrays with t, k and v up to 300, so cells of one to three digits."""
+    t = draw(st.integers(2, 300))
+    p = CAParams(t, draw(st.integers(t, 300)), draw(st.integers(2, 300)))
+    n = draw(st.integers(0, 12))
+    return random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def outcome(read, source):
+    """What a reader gives: the array, or the exception's type and message."""
+    try:
+        return read(source)
+    except Exception as exc:  # noqa: BLE001 - every exception is compared
+        return type(exc), str(exc)
+
+
+def _cell_spans(body: bytes) -> list[tuple[int, int]]:
+    """(start, end) of every token in the body."""
+    spans, start = [], None
+    for i, b in enumerate(body + b"\n"):
+        if chr(b).isdigit() and start is None:
+            start = i
+        elif not chr(b).isdigit() and start is not None:
+            spans.append((start, i))
+            start = None
+    return spans
+
+
+# each takes the header line, the body and a random generator, and gives a
+# file that write_array would not write
+def _at_line(body, rng, text):
+    lines = body.split(b"\n")
+    i = int(rng.integers(len(lines)))
+    return b"\n".join(lines[:i] + [text] + lines[i:])
+
+
+def _at_cell(body, rng, text):
+    spans = _cell_spans(body)
+    if not spans:
+        return body + text(b"0") + b"\n"
+    start, end = spans[int(rng.integers(len(spans)))]
+    return body[:start] + text(body[start:end]) + body[end:]
+
+
+def _at_space(body, rng, text):
+    spaces = [i for i, b in enumerate(body) if b == ord(" ")]
+    if not spaces:
+        return body + text
+    i = spaces[int(rng.integers(len(spaces)))]
+    return body[:i] + text + body[i + 1 :]
+
+
+def _swap_line_end(body, rng):
+    # one line end and one space trade places: the same tokens, rows of other lengths
+    ends = [i for i, b in enumerate(body) if b == ord("\n")]
+    spaces = [i for i, b in enumerate(body) if b == ord(" ")]
+    if not ends or not spaces:
+        return body + b"0 0\n"
+    i, j = ends[int(rng.integers(len(ends)))], spaces[int(rng.integers(len(spaces)))]
+    swapped = bytearray(body)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return bytes(swapped)
+
+
+def _header(header, change):
+    fields = header.split(b" ")
+    return b" ".join(change(fields))
+
+
+MUTATIONS = {
+    "comment": lambda h, b, rng: h + _at_line(b, rng, b"# made by hand"),
+    "comment-first": lambda h, b, rng: b"# made by hand\n" + h + b,
+    "blank-line": lambda h, b, rng: h + _at_line(b, rng, b""),
+    "crlf": lambda h, b, rng: (h + b).replace(b"\n", b"\r\n"),
+    "cr": lambda h, b, rng: (h + b).replace(b"\n", b"\r"),
+    "tab": lambda h, b, rng: h + _at_space(b, rng, b"\t"),
+    "double-space": lambda h, b, rng: h + _at_space(b, rng, b"  "),
+    "trailing-space": lambda h, b, rng: h + b.replace(b"\n", b" \n", 1),
+    "leading-zero": lambda h, b, rng: h + _at_cell(b, rng, lambda c: b"0" + c),
+    "zeros-30-digits": lambda h, b, rng: h + _at_cell(b, rng, lambda c: c.rjust(30, b"0")),
+    "token-30-digits": lambda h, b, rng: h + _at_cell(b, rng, lambda c: b"9" * 30),
+    "negative": lambda h, b, rng: h + _at_cell(b, rng, lambda c: b"-" + c),
+    "plus": lambda h, b, rng: h + _at_cell(b, rng, lambda c: b"+" + c),
+    "letter": lambda h, b, rng: h + _at_cell(b, rng, lambda c: c + b"x"),
+    "dropped-cell": lambda h, b, rng: h + _at_cell(b, rng, lambda c: b""),
+    "wide-token": lambda h, b, rng: h + _at_cell(b, rng, lambda c: c + b"000"),
+    "moved-line-end": lambda h, b, rng: h + _swap_line_end(b, rng),
+    "too-big": lambda h, b, rng: h + _at_cell(b, rng, lambda c: str(int(c) + 300).encode()),
+    "non-ascii": lambda h, b, rng: h + _at_cell(b, rng, lambda c: c + "\u00e9".encode()),
+    "no-final-newline": lambda h, b, rng: (h + b)[:-1],
+    "unended-last-line": lambda h, b, rng: h + b + b"0",
+    "empty": lambda h, b, rng: b"",
+    "short-header": lambda h, b, rng: _header(h, lambda f: f[:-1]) + b"\n" + b,
+    "more-rows": lambda h, b, rng: _header(h, lambda f: [f[0], b"%d" % (int(f[1]) + 1), *f[2:]]) + b,
+    "fewer-rows": lambda h, b, rng: _header(h, lambda f: [f[0], b"%d" % (int(f[1]) - 1), *f[2:]]) + b,
+    "more-columns": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"%d" % (int(f[3]) + 1), f[4]]) + b,
+    "fewer-columns": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"%d" % (int(f[3]) - 1), f[4]]) + b,
+    "smaller-v": lambda h, b, rng: _header(h, lambda f: [*f[:4], b"%d\n" % max(0, int(f[4]) - 5)]) + b,
+    "huge-v": lambda h, b, rng: _header(h, lambda f: [*f[:4], b"%d\n" % 10**12]) + b,
+    "huge-k": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"9" * 12, f[4]]) + b,
+    "huge-n": lambda h, b, rng: _header(h, lambda f: [f[0], b"9" * 12, *f[2:]]) + b,
+    "wrong-tag": lambda h, b, rng: h.replace(b"CA", b"CB") + b,
+}
+
+
+# text budgets: one row per chunk, a few rows, and the default
+BUDGETS = st.sampled_from([1, 64, arrayfile._TEXT_BUDGET])
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(arrays(), BUDGETS)
+    @example(SymbolArray.empty(CAParams(2, 2, 2)), arrayfile._TEXT_BUDGET)
+    @example(SymbolArray(CAParams(2, 3, 10**9), [[0, 9, 10**8], [999_999_999, 10, 1]]), 1)
+    @example(SymbolArray(CAParams(2, 3, 5 * 10**9), [[0, 2**31 - 1, 10**9], [9, 10, 1]]), 1)
+    @example(SymbolArray(CAParams(2, 2, 10**30), [[0, 2**31 - 1], [10**9 - 1, 10]]), 1)
+    @example(random_array(CAParams(3, 40, 4), 5000, seed=2), arrayfile._TEXT_BUDGET)
+    def test_writes_the_reference_bytes_and_reads_them_back(self, tmp_path_factory, arr, budget):
+        tmp = tmp_path_factory.mktemp("files")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arrayfile, "_TEXT_BUDGET", budget)
+            write_array(tmp / "a.ca", arr)
+            data = (tmp / "a.ca").read_bytes()
+            fast = arrayfile._read_layout(data)
+        reference_write_array(tmp / "b.ca", arr)
+        assert data == (tmp / "b.ca").read_bytes()
+        assert read_array(tmp / "a.ca") == arr == arrayfile._read_lines(data)
+        # the layout parser takes every written file with v - 1 below 10**9
+        assert fast == (arr if arr.params.v <= 10**9 else None)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(arrays(), BUDGETS, st.sampled_from(sorted(MUTATIONS)), st.integers(0, 2**32 - 1))
+    @example(random_array(CAParams(2, 3, 11), 5, seed=3), 1, "leading-zero", 1)
+    @example(random_array(CAParams(2, 3, 2), 4, seed=3), 1, "zeros-30-digits", 1)
+    @example(random_array(CAParams(2, 3, 2), 4, seed=3), 1, "negative", 1)
+    @example(random_array(CAParams(2, 3, 2), 4, seed=3), 1, "huge-k", 1)
+    # the widened cell is on a full-width line: past the chunk's window
+    @example(SymbolArray(CAParams(2, 3, 11), [[10] * 3] * 3 + [[0] * 3] * 3), 1, "wide-token", 1)
+    def test_every_other_file_reads_as_the_line_parser_reads_it(
+        self, tmp_path_factory, arr, budget, mutation, seed
+    ):
+        tmp = tmp_path_factory.mktemp("files")
+        reference_write_array(tmp / "a.ca", arr)
+        header, _, body = (tmp / "a.ca").read_bytes().partition(b"\n")
+        data = MUTATIONS[mutation](header + b"\n", body, np.random.default_rng(seed))
+        (tmp / "m.ca").write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arrayfile, "_TEXT_BUDGET", budget)
+            read = outcome(read_array, tmp / "m.ca")
+        assert read == outcome(arrayfile._read_lines, data)

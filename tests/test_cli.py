@@ -211,11 +211,22 @@ class TestBuildAndVerify:
                               "--out", str(out_file)], capsys)
             assert code == want and read_array(out_file).n_rows > 0
             out_file.unlink()
+        # one symbol's 5**4 row sets over 14000-odd rows are over 1 MiB
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
-        code, out, err = run(["build", "-t", "4", "-k", "10", "-v", "5", "--n-override", "14000",
+        code, out, err = run(["build", "-t", "5", "-k", "6", "-v", "5", "--n-override", "14000",
                               "--out", str(out_file)], capsys)
-        assert (code, out) == (3, "") and "verifier AND block needs 1095000 bytes" in err
+        assert (code, out) == (3, "") and "verifier AND block needs 1110000 bytes" in err
         assert not out_file.exists()
+
+    def test_byte_alphabet_builds_and_verifies(self, tmp_path, capsys, monkeypatch):
+        # one first column's 256**2 row sets over 137k rows are 1.1 GB: the
+        # verifier ANDs a few of its symbols at a time
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "16")
+        out_file = tmp_path / "a.ca"
+        code, out, _ = run(["build", "-t", "2", "-k", "3", "-v", "256", "--out", str(out_file)], capsys)
+        assert code == 0 and "verified covering array" in out
+        code, out, _ = run(["verify", str(out_file)], capsys)
+        assert (code, out) == (0, "OK: covers all 196608 interactions\n")
 
     def test_pgl_t2_v3_needs_no_resampling(self, tmp_path, capsys):
         # order 6 = v(v-1) at v=3: the two-symbol orbits have full length,
@@ -449,10 +460,14 @@ BAD_INPUTS = [
     pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "3", "-k", "30", "-v", "4",
                   "--n-override", "0", "--out", "{tmp}/x.ca"],
                  3, "uncovered listing needs", id="build-leftover-listing"),
-    # the build fits under the cap, its verifier does not
-    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "4", "-k", "10", "-v", "5",
+    # the build fits under the cap, its verifier does not, even one
+    # symbol of one first column at a time
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "5", "-k", "6", "-v", "5",
                   "--n-override", "14000", "--out", "{tmp}/x.ca"],
                  3, "verifier AND block needs", id="build-verifier-over-cap"),
+    # in 0..v-1, but past the int32 cells of an array
+    pytest.param(["verify", "{data}/cell_past_int32.ca"],
+                 2, "line 2: cell above 2147483647", id="verify-cell-past-int32"),
 ]
 
 
@@ -460,8 +475,8 @@ class TestErrorExits:
     @pytest.mark.parametrize("argv, code, message", BAD_INPUTS)
     def test_documented_code_and_no_traceback(self, tmp_path, argv, code, message):
         # leading NAME=value items set the environment, as in a shell;
-        # {tmp} is a fresh directory that must stay empty
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        # {tmp} is a fresh directory that must stay empty, {data} tests/data
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("{data}", str(DATA)) for a in argv]
         env = dict(a.split("=", 1) for a in itertools.takewhile(lambda a: "=" in a, argv))
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         result = subprocess.run(

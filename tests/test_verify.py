@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds, construct, verify
+from coverkit import bounds, construct, limits, verify
 from coverkit.construct import (
     STRATEGIES,
     BuildConfig,
@@ -131,6 +131,20 @@ def verifier_arrays(draw):
     return random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
 
 
+@st.composite
+def symbol_split_cases(draw):
+    """(array, cap in bytes): the row bitsets and one symbol's v**(t-1) row
+    sets fit the cap, one first column's v**t row sets do not, so
+    full_check splits its AND blocks by the first column's symbol."""
+    t = draw(st.integers(2, 4))
+    v = draw(st.integers(3 if t == 2 else 2, 4))
+    p = CAParams(t, draw(st.integers(t, min(7, v ** (t - 1) - 1))), v)
+    arr = random_array(p, draw(st.integers(1, 3 * p.tuple_count)), seed=draw(st.integers(0, 2**32 - 1)))
+    word_bytes = 8 * ((arr.n_rows + 63) // 64)
+    least = max(p.k * v, v ** (t - 1)) * word_bytes
+    return arr, draw(st.integers(least, p.tuple_count * word_bytes - 1))
+
+
 class TestAgainstReference:
     """full_check against the row-loop oracle, core.covers and exhaustive_can."""
 
@@ -148,6 +162,19 @@ class TestAgainstReference:
         rejected = [i for i in every if not covers(arr, i)]
         assert report.uncovered_count == len(rejected)
         assert report.first_witness == (rejected[0] if rejected else None)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(symbol_split_cases())
+    @example(  # every pair but (3, 3): the witness lies in the last symbol block
+        (SymbolArray.from_rows(CAParams(2, 2, 4), list(product(range(4), repeat=2))[:-1]), 64)
+    )
+    @example((random_array(CAParams(2, 3, 256), 100, seed=2), 3 * 256 * 8 * 2))
+    def test_symbol_split_under_a_small_cap(self, case):
+        arr, cap = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "memory_cap_bytes", lambda: cap)
+            report = full_check(arr)
+        assert report == reference_full_check(arr)
 
     def test_shares_nothing_with_the_builder_kernel(self):
         tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
