@@ -32,7 +32,7 @@ from .core import CAParams, CELL_DTYPE, SymbolArray
 __all__ = ["ArrayFormatError", "read_array", "write_array"]
 
 _CELL_MAX = int(np.iinfo(CELL_DTYPE).max)
-_TEXT_BUDGET = 1 << 18  # bytes of row text formatted or parsed at a time
+_TEXT_BUDGET = 1 << 14  # bytes of row text formatted or parsed at a time
 _LAYOUT_WIDTH = 9  # widest token the layout parser takes: int32 cannot wrap
 
 # byte classes of the layout: digits 0, space 1, anything else 2
@@ -63,19 +63,21 @@ def write_array(path: str, array: SymbolArray) -> None:
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=CELL_DTYPE)
     leading = powers.copy()
     leading[-1] = 0  # the units digit is always written
-    separators = np.full(p.k, ord(" "), dtype=np.uint8)
-    separators[-1] = ord("\n")
     step = _chunk_rows(p.k, width)
     with open(path, "wb") as fh:
         fh.write(f"CA {array.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
         for lo in range(0, array.n_rows, step):
             cells = array.cells[lo : lo + step, :, None]
             text = np.empty(cells.shape[:2] + (width + 1,), dtype=np.uint8)
-            text[..., :width] = cells // powers % 10 + ord("0")
-            text[..., width] = separators
-            keep = np.ones(text.shape, dtype=bool)
-            keep[..., :width] = cells >= leading
-            fh.write(text[keep].tobytes())
+            digits = cells // powers
+            np.remainder(digits, 10, out=digits)
+            np.add(digits, ord("0"), out=text[..., :width], casting="unsafe")
+            text[..., width] = ord(" ")
+            text[:, -1, width] = ord("\n")
+            keep = np.empty(text.shape, dtype=bool)
+            np.greater_equal(cells, leading, out=keep[..., :width])
+            keep[..., width] = True
+            fh.write(text[keep])
 
 
 def read_array(path: str) -> SymbolArray:
@@ -97,9 +99,10 @@ def _read_layout(data: bytes) -> SymbolArray | None:
     width = len(str(v - 1))
     if k < 1 or v < 2 or width > _LAYOUT_WIDTH:
         return None
-    body = np.frombuffer(data, dtype=np.uint8, offset=end + 1)
+    # from the header's line end on: every chunk starts at a line end
+    text = np.frombuffer(data, dtype=np.uint8, offset=end)
     # n and k are only trusted once the file has room for their cells
-    if not 2 * n * k <= body.size <= n * k * (width + 1):
+    if not 2 * n * k < text.size <= n * k * (width + 1) + 1:
         return None
     if data.count(b"\n", end + 1) != n or not data.endswith(b"\n"):
         return None
@@ -109,40 +112,49 @@ def _read_layout(data: bytes) -> SymbolArray | None:
     for lo in range(0, n, step):
         rows = cells[lo : lo + step]
         # `rows` lines of at most k * (width + 1) bytes each
-        window = body[start : start + rows.size * (width + 1)]
-        ends = np.flatnonzero(window == ord("\n"))
+        window = text[start : start + 1 + rows.size * (width + 1)]
+        ends = np.flatnonzero(window[1:] == ord("\n"))
         if ends.size < len(rows):
             return None  # some line is longer than the layout allows
         stop = int(ends[len(rows) - 1]) + 1
-        if not _parse_rows(window[:stop], width, v, rows):
+        if not _parse_rows(window[: stop + 1], width, v, rows):
             return None
         start += stop
     return SymbolArray(CAParams(t, k, v), cells)
 
 
 def _parse_rows(text: np.ndarray, width: int, v: int, out: np.ndarray) -> bool:
-    """Parse whole lines of the layout into `out`; False if they are not in it."""
-    byte_class = _BYTE_CLASS[text]
+    """Parse the whole lines after text[0], a line end, into `out`; False
+    if they are not in the layout."""
+    byte_class = _BYTE_CLASS[text[1:]]
     seps = np.flatnonzero(byte_class)
     if seps.size != out.size:
         return False
     # k - 1 spaces on each row; the text's one newline per row ends them
     if (byte_class[seps].reshape(out.shape)[:, :-1] != _SPACE).any():
         return False
-    token_width = np.diff(seps, prepend=-1) - 1
-    if token_width.min() < 1 or token_width.max() > width:
-        return False
-    digits = text.astype(CELL_DTYPE) - ord("0")
-    value = np.zeros(seps.size, dtype=CELL_DTYPE)
-    place = 1
-    for back in range(1, width + 1):  # the digit `back` places before a separator
-        at = np.maximum(seps - back, 0)
-        value += np.where(token_width >= back, digits[at], 0) * place
-        place *= 10
-    if value.max() >= v:
-        return False
-    out[...] = value.reshape(out.shape)
-    return True
+    seps += 1
+    # a token is the run of digits before its separator: `run` holds while
+    # the byte `back` places before the separator is still in it
+    run = np.ones(seps.size, dtype=bool)
+    value = out.reshape(-1)  # a view: `out` is whole rows of the cells
+    value.fill(0)
+    term = np.empty(seps.size, dtype=CELL_DTYPE)
+    digit = np.empty(seps.size, dtype=np.uint8)
+    at = np.empty_like(seps)
+    for back in range(1, width + 2):
+        np.subtract(seps, back, out=at)
+        np.take(text, at, out=digit, mode="clip")  # below 0: text[0], a line end
+        digit -= ord("0")
+        run &= digit <= 9
+        if back == 1 and not run.all():
+            return False  # an empty token
+        if back <= width:
+            np.multiply(digit, run, out=term)
+            term *= 10 ** (back - 1)
+            value += term
+    # no token wider than v - 1, and no cell out of range
+    return not run.any() and value.max() < v
 
 
 def _read_lines(data: bytes) -> SymbolArray:

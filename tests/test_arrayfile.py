@@ -219,6 +219,7 @@ class TestAgainstReference:
     @given(arrays(), BUDGETS)
     @example(SymbolArray.empty(CAParams(2, 2, 2)), arrayfile._TEXT_BUDGET)
     @example(SymbolArray(CAParams(2, 3, 10**9), [[0, 9, 10**8], [999_999_999, 10, 1]]), 1)
+    @example(SymbolArray(CAParams(2, 2, 10**9), [[5, 7]]), 1)  # text shorter than a token may be
     @example(SymbolArray(CAParams(2, 3, 5 * 10**9), [[0, 2**31 - 1, 10**9], [9, 10, 1]]), 1)
     @example(SymbolArray(CAParams(2, 2, 10**30), [[0, 2**31 - 1], [10**9 - 1, 10]]), 1)
     @example(random_array(CAParams(3, 40, 4), 5000, seed=2), arrayfile._TEXT_BUDGET)
