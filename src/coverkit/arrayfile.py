@@ -126,14 +126,13 @@ def _read_layout(data: bytes) -> SymbolArray | None:
 def _parse_rows(text: np.ndarray, width: int, v: int, out: np.ndarray) -> bool:
     """Parse the whole lines after text[0], a line end, into `out`; False
     if they are not in the layout."""
-    byte_class = _BYTE_CLASS[text[1:]]
-    seps = np.flatnonzero(byte_class)
+    byte_class = _BYTE_CLASS[text]
+    seps = np.flatnonzero(byte_class)[1:]  # the separators after text[0]
     if seps.size != out.size:
         return False
     # k - 1 spaces on each row; the text's one newline per row ends them
     if (byte_class[seps].reshape(out.shape)[:, :-1] != _SPACE).any():
         return False
-    seps += 1
     # a token is the run of digits before its separator: `run` holds while
     # the byte `back` places before the separator is still in it
     run = np.ones(seps.size, dtype=bool)
@@ -176,6 +175,7 @@ def _read_lines(data: bytes) -> SymbolArray:
                 except ValueError:
                     raise ArrayFormatError(lineno, f"non-integer header field in {line!r}")
                 header, header_line = (n, t, k, v), lineno
+                top = min(v, _CELL_MAX + 1)  # the first symbol refused
                 continue
             try:
                 row = [int(x) for x in line.split()]
@@ -185,13 +185,13 @@ def _read_lines(data: bytes) -> SymbolArray:
                 raise ArrayFormatError(
                     lineno, f"row has {len(row)} cells, expected k={header[2]}"
                 )
-            if any(x < 0 or x >= header[3] for x in row):
+            if any(x < 0 or x >= top for x in row):
+                if all(0 <= x < header[3] for x in row):
+                    raise ArrayFormatError(
+                        lineno, f"cell above {_CELL_MAX}, the largest symbol an array holds"
+                    )
                 raise ArrayFormatError(
                     lineno, f"cell out of range 0..{header[3] - 1}"
-                )
-            if any(x > _CELL_MAX for x in row):
-                raise ArrayFormatError(
-                    lineno, f"cell above {_CELL_MAX}, the largest symbol an array holds"
                 )
             rows.append(row)
     if header is None:

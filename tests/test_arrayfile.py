@@ -117,7 +117,7 @@ def outcome(read, source):
     """What a reader gives: the array, or the exception's type and message."""
     try:
         return read(source)
-    except Exception as exc:  # noqa: BLE001 - every exception is compared
+    except Exception as exc:  # every exception is compared
         return type(exc), str(exc)
 
 
@@ -133,8 +133,6 @@ def _cell_spans(body: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-# each takes the header line, the body and a random generator, and gives a
-# file that write_array would not write
 def _at_line(body, rng, text):
     lines = body.split(b"\n")
     i = int(rng.integers(len(lines)))
@@ -169,11 +167,17 @@ def _swap_line_end(body, rng):
     return bytes(swapped)
 
 
-def _header(header, change):
-    fields = header.split(b" ")
-    return b" ".join(change(fields))
+def _header_field(i, change):
+    """A mutation that sets header field i (1 for N, ..., 4 for v) to change(field)."""
+    def mutate(header, body, rng):
+        fields = header.rstrip(b"\n").split(b" ")
+        fields[i] = b"%d" % change(int(fields[i]))
+        return b" ".join(fields) + b"\n" + body
+    return mutate
 
 
+# each takes the header line, the body and a random generator, and gives a
+# file that write_array would not write
 MUTATIONS = {
     "comment": lambda h, b, rng: h + _at_line(b, rng, b"# made by hand"),
     "comment-first": lambda h, b, rng: b"# made by hand\n" + h + b,
@@ -197,15 +201,15 @@ MUTATIONS = {
     "no-final-newline": lambda h, b, rng: (h + b)[:-1],
     "unended-last-line": lambda h, b, rng: h + b + b"0",
     "empty": lambda h, b, rng: b"",
-    "short-header": lambda h, b, rng: _header(h, lambda f: f[:-1]) + b"\n" + b,
-    "more-rows": lambda h, b, rng: _header(h, lambda f: [f[0], b"%d" % (int(f[1]) + 1), *f[2:]]) + b,
-    "fewer-rows": lambda h, b, rng: _header(h, lambda f: [f[0], b"%d" % (int(f[1]) - 1), *f[2:]]) + b,
-    "more-columns": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"%d" % (int(f[3]) + 1), f[4]]) + b,
-    "fewer-columns": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"%d" % (int(f[3]) - 1), f[4]]) + b,
-    "smaller-v": lambda h, b, rng: _header(h, lambda f: [*f[:4], b"%d\n" % max(0, int(f[4]) - 5)]) + b,
-    "huge-v": lambda h, b, rng: _header(h, lambda f: [*f[:4], b"%d\n" % 10**12]) + b,
-    "huge-k": lambda h, b, rng: _header(h, lambda f: [*f[:3], b"9" * 12, f[4]]) + b,
-    "huge-n": lambda h, b, rng: _header(h, lambda f: [f[0], b"9" * 12, *f[2:]]) + b,
+    "short-header": lambda h, b, rng: h.rsplit(b" ", 1)[0] + b"\n" + b,
+    "more-rows": _header_field(1, lambda n: n + 1),
+    "fewer-rows": _header_field(1, lambda n: n - 1),
+    "huge-n": _header_field(1, lambda n: 10**12 - 1),
+    "more-columns": _header_field(3, lambda k: k + 1),
+    "fewer-columns": _header_field(3, lambda k: k - 1),
+    "huge-k": _header_field(3, lambda k: 10**12 - 1),
+    "smaller-v": _header_field(4, lambda v: max(0, v - 5)),
+    "huge-v": _header_field(4, lambda v: 10**12),
     "wrong-tag": lambda h, b, rng: h.replace(b"CA", b"CB") + b,
 }
 

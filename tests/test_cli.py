@@ -223,7 +223,8 @@ class TestBuildAndVerify:
         # verifier ANDs a few of its symbols at a time
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "16")
         out_file = tmp_path / "a.ca"
-        code, out, _ = run(["build", "-t", "2", "-k", "3", "-v", "256", "--out", str(out_file)], capsys)
+        code, out, _ = run(["build", "-t", "2", "-k", "3", "-v", "256", "--out", str(out_file)],
+                           capsys)
         assert code == 0 and "verified covering array" in out
         code, out, _ = run(["verify", str(out_file)], capsys)
         assert (code, out) == (0, "OK: covers all 196608 interactions\n")

@@ -139,7 +139,8 @@ def symbol_split_cases(draw):
     t = draw(st.integers(2, 4))
     v = draw(st.integers(3 if t == 2 else 2, 4))
     p = CAParams(t, draw(st.integers(t, min(7, v ** (t - 1) - 1))), v)
-    arr = random_array(p, draw(st.integers(1, 3 * p.tuple_count)), seed=draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3 * p.tuple_count))
+    arr = random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
     word_bytes = 8 * ((arr.n_rows + 63) // 64)
     least = max(p.k * v, v ** (t - 1)) * word_bytes
     return arr, draw(st.integers(least, p.tuple_count * word_bytes - 1))
