@@ -27,11 +27,10 @@ import io
 
 import numpy as np
 
-from .core import CAParams, CELL_DTYPE, SymbolArray
+from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray
 
 __all__ = ["ArrayFormatError", "read_array", "write_array"]
 
-_CELL_MAX = int(np.iinfo(CELL_DTYPE).max)
 _TEXT_BUDGET = 1 << 14  # bytes of row text formatted or parsed at a time
 _LAYOUT_WIDTH = 9  # widest token the layout parser takes: int32 cannot wrap
 
@@ -59,7 +58,7 @@ def write_array(path: str, array: SymbolArray) -> None:
     p = array.params
     # a cell has the digits of v - 1 with its leading zeros masked; no
     # int32 cell has more than the digits of the int32 maximum
-    width = len(str(min(p.v - 1, _CELL_MAX)))
+    width = len(str(min(p.v - 1, CELL_MAX)))
     powers = 10 ** np.arange(width - 1, -1, -1, dtype=CELL_DTYPE)
     leading = powers.copy()
     leading[-1] = 0  # the units digit is always written
@@ -175,7 +174,7 @@ def _read_lines(data: bytes) -> SymbolArray:
                 except ValueError:
                     raise ArrayFormatError(lineno, f"non-integer header field in {line!r}")
                 header, header_line = (n, t, k, v), lineno
-                top = min(v, _CELL_MAX + 1)  # the first symbol refused
+                top = min(v, CELL_MAX + 1)  # the first symbol refused
                 continue
             try:
                 row = [int(x) for x in line.split()]
@@ -188,7 +187,7 @@ def _read_lines(data: bytes) -> SymbolArray:
             if any(x < 0 or x >= top for x in row):
                 if all(0 <= x < header[3] for x in row):
                     raise ArrayFormatError(
-                        lineno, f"cell above {_CELL_MAX}, the largest symbol an array holds"
+                        lineno, f"cell above {CELL_MAX}, the largest symbol an array holds"
                     )
                 raise ArrayFormatError(
                     lineno, f"cell out of range 0..{header[3] - 1}"

@@ -29,14 +29,13 @@ the memory cap first.  All coverage questions - the uncovered scan,
 the density state and the resampling scan - go through one kernel,
 ``_coverage_tables``.  It yields the column t-sets in colex order, one
 block per last column, ranks every row's tuples from prefix ranks that
-the sets share, and keeps what is in flight within a fixed working budget
-under the memory cap.  The uncovered
-scan counts and lists in one pass: the exact count, and the uncovered
-interactions in rank order while that count stays within a cap (the
-stage-1 target).  The density state is the one table of all
-C(k,t) * v**t interactions: a mask of the uncovered ones, built by one
-kernel pass, updated as each row is added, and checked against the
-memory cap before it is allocated.
+the sets share, and keeps what is in flight within the working budget
+of ``limits``.  The uncovered scan counts and lists in one pass: the
+exact count, and the uncovered interactions in rank order while that
+count stays within a cap (the stage-1 target).  The density state is the
+one table of all C(k,t) * v**t interactions: a mask of the uncovered
+ones, built by one kernel pass, updated as each row is added, and
+checked against the memory cap before it is allocated.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import numpy as np
 from . import bounds, limits
 from .errors import ResourceLimitError
 from ._numeric import floor_scaled_power
-from .core import CAParams, CELL_DTYPE, SymbolArray
+from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray
 from .groups import (
     GroupAction,
     OrbitTable,
@@ -170,7 +169,9 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
 
 def _random_rows(rng: np.random.Generator, params: CAParams, n: int, what: str) -> np.ndarray:
     """n x k cells i.i.d. uniform on 0..v-1, checked against the memory cap
-    before they are drawn."""
+    and the largest symbol an array holds before they are drawn."""
+    if params.v - 1 > CELL_MAX:
+        raise ValueError(f"v={params.v}: symbols past {CELL_MAX}, the largest symbol an array holds")
     limits.check_table_bytes(n * params.k, np.dtype(CELL_DTYPE).itemsize, what)
     return rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
 
@@ -178,13 +179,6 @@ def _random_rows(rng: np.random.Generator, params: CAParams, n: int, what: str) 
 def _place_values(params: CAParams) -> np.ndarray:
     """v**(t-1), ..., v, 1: the base-v place values that rank a symbol tuple."""
     return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
-
-
-# The coverage kernel's working budget, or the memory cap when that is
-# lower.  The prefix-rank levels of one row chunk take up to half of it,
-# one block's seen table and sets a quarter and the rank buffer 1/128,
-# which keeps it in cache.
-_WORKING_BYTES = 32 << 20
 
 
 def _colex_unrank(lo: int, hi: int, binomials: np.ndarray) -> np.ndarray:
@@ -253,13 +247,16 @@ def _coverage_tables(
     b x t column sets; seen[j, i] is True iff some row's symbol tuple on
     sets[j] has rank i or, given ``orbits``, lies in orbit i.
 
-    The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
-    in colex order plus c, so each c is one block, cut in parts only when
-    it is over a quarter of the working budget.  A tuple's rank is its
-    prefix's rank times v plus its symbol in column c.  The prefix ranks
-    are ``_PrefixLevels``; level l holds only the l-prefixes that some
-    (t-1)-prefix extends.  A block's ranks are taken in place, a few
-    prefixes at a time, and scattered into one flat table.
+    Of the working budget, ``limits.working_bytes()``, the prefix levels
+    of one row chunk take up to half, one block's seen table and sets a
+    quarter, and the rank buffer 1/128, which keeps it in cache.  The
+    t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes in
+    colex order plus c, so each c is one block, cut in parts only when it
+    is over that quarter.  A tuple's rank is its prefix's rank times v plus
+    its symbol in column c.  The prefix ranks are ``_PrefixLevels``; level
+    l holds only the l-prefixes that some (t-1)-prefix extends.  A block's
+    ranks are taken in place, a few prefixes at a time, and scattered into
+    one flat table.
 
     When the levels of all rows do not fit the budget, the rows go in
     chunks whose tables are ORed, and only the last chunk's levels are
@@ -279,7 +276,7 @@ def _coverage_tables(
     limits.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
     sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # whole levels 0..t-1
-    budget = min(_WORKING_BYTES, limits.memory_cap_bytes())
+    budget = limits.working_bytes()
     entries = budget // 2 // dtype.itemsize  # level entries within the budget
     chunk = max(1, min(n, entries // sum(sizes), budget // 1024))
     spans = sizes[:2]

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CELL_DTYPE = np.int32
+CELL_MAX = int(np.iinfo(CELL_DTYPE).max)  # the largest symbol an array holds
 
 
 @dataclass(frozen=True)

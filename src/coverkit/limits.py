@@ -4,7 +4,8 @@ Both caps can be configured through the environment:
 
 * ``COVERKIT_MEMORY_CAP_MIB``    - cap on any single coverage table
   (default 256 MiB).  Operations that need a table of v**t entries check
-  their estimated footprint against this before allocating.
+  their estimated footprint against this before allocating.  Blocked
+  scans work within ``working_bytes()``: 32 MiB, or this cap when lower.
 * ``COVERKIT_MAX_COLUMN_SETS``   - cap on the number of column t-sets an
   operation may stream over (default 50 million).
 
@@ -19,6 +20,7 @@ from .errors import ResourceLimitError
 
 _DEFAULT_MEMORY_CAP_MIB = 256
 _DEFAULT_COLUMN_SET_CAP = 50_000_000
+_WORKING_BYTES = 32 << 20
 
 
 def _env_count(name: str, default: int) -> int:
@@ -37,6 +39,11 @@ def _env_count(name: str, default: int) -> int:
 
 def memory_cap_bytes() -> int:
     return _env_count("COVERKIT_MEMORY_CAP_MIB", _DEFAULT_MEMORY_CAP_MIB) * (1 << 20)
+
+
+def working_bytes() -> int:
+    """The working budget of blocked scans: 32 MiB, or the memory cap when lower."""
+    return min(_WORKING_BYTES, memory_cap_bytes())
 
 
 def column_set_cap() -> int:

@@ -10,12 +10,12 @@ set of rows holding symbol ``s`` in column ``c``, packed 64 rows to a word.
 A t-way interaction is covered iff the AND of its t row sets is nonempty.
 In colex order the t-sets sharing a suffix ``(c2, ..., ct)`` are
 contiguous and ordered by the first column, so each suffix's ``v**(t-1)``
-row sets are ANDed once and then with every first column ``c1 < c2`` at
-once, in blocks of first columns that fit the memory cap. When one first
-column's ``v**t`` row sets do not fit, its blocks hold as many of its
-symbols as fit, so a byte alphabet is checked too. The test suite holds a
-plain row loop, one bitmap per column t-set, as the reference oracle for
-it.
+row sets are ANDed once. ``bits[:c2]`` flattened, the ``(first column,
+symbol)`` row sets in t-set then rank order, is ANDed with them in one
+flat run of blocks, each as many row sets as ``limits.working_bytes()``
+holds (at least one, so a byte alphabet is checked too), written into
+one buffer. The test suite holds a plain row loop, one bitmap per column
+t-set, as the reference oracle for it.
 
 ``orbit_check`` is a plain row loop filling one orbit bitmap per column
 t-set.
@@ -88,21 +88,17 @@ def full_check(array: SymbolArray) -> CoverageReport:
     """Count the uncovered interactions and find the first in rank order."""
     params = array.params
     t, k, v = params.t, params.k, params.v
-    vt = params.tuple_count
     limits.check_column_sets(k, t, "full_check")
     words = (array.n_rows + 63) // 64
     limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets")
-    # first columns per AND block: as many v**t-row-set slabs as fit the
-    # cap; when one slab does not, one first column and as many of its
-    # symbols (v**(t-1) row sets each) as fit
-    slab = vt * 8 * words
-    cap = limits.memory_cap_bytes()
-    chunk = max(1, cap // slab) if slab else k
-    symbols = v if slab <= cap else max(1, cap // (slab // v))
-    limits.check_table_bytes(
-        min(chunk, k - 1) * symbols * (vt // v), 8 * words, "verifier AND block"
-    )
+    # (first column, symbol) row sets per AND block, each ANDed with a
+    # suffix's v**(t-1): as many as fit the working budget, at least one
+    tail = v ** (t - 1)
+    limits.check_table_bytes(tail, 8 * words, "verifier AND block")
+    per = max(1, limits.working_bytes() // (tail * 8 * words)) if words else k * v
     bits = _row_bitsets(array.cells, v, words)
+    flat = bits.reshape(k * v, words)
+    block = np.empty((min(per, (k - 1) * v), tail, words), dtype=np.uint64)
 
     uncovered = 0
     first: Interaction | None = None
@@ -113,18 +109,18 @@ def full_check(array: SymbolArray) -> CoverageReport:
         rows = bits[c2]
         for c in suffix[1:]:
             rows = (rows[:, None, :] & bits[c]).reshape(rows.shape[0] * v, words)
-        for lo, s in product(range(0, c2, chunk), range(0, v, symbols)):
-            block = bits[lo : min(lo + chunk, c2), s : s + symbols, None, :] & rows
-            # (first column, tuple rank): colex-set order, then rank order
-            covered = block.any(axis=-1).reshape(block.shape[0], -1)
+        for lo in range(0, c2 * v, per):
+            hi = min(lo + per, c2 * v)
+            # (first column, symbol, suffix rank): colex-set order, then rank order
+            anded = np.bitwise_and(flat[lo:hi, None, :], rows, out=block[: hi - lo])
+            covered = np.bitwise_or.reduce(anded, axis=-1)
             missing = covered.size - int(np.count_nonzero(covered))
             if missing == 0:
                 continue
             uncovered += missing
             if first is None:
-                c1, rank = divmod(int(covered.argmin()), covered.shape[1])
-                rank += s * (vt // v)
-                first = Interaction((lo + c1,) + suffix, symbols_unrank(rank, t, v))
+                c1, rank = divmod(lo * tail + int(covered.argmin()), v * tail)
+                first = Interaction((c1,) + suffix, symbols_unrank(rank, t, v))
     return CoverageReport(uncovered == 0, uncovered, first)
 
 

@@ -466,6 +466,11 @@ BAD_INPUTS = [
     pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "5", "-k", "6", "-v", "5",
                   "--n-override", "14000", "--out", "{tmp}/x.ca"],
                  3, "verifier AND block needs", id="build-verifier-over-cap"),
+    # symbols past the int32 cells of an array, refused before rows are drawn
+    pytest.param(["build", "-t", "2", "-k", "3", "-v", "5000000000", "--n-override", "20",
+                  "--out", "{tmp}/x.ca"],
+                 2, "symbols past 2147483647, the largest symbol an array holds",
+                 id="build-symbols-past-int32"),
     # in 0..v-1, but past the int32 cells of an array
     pytest.param(["verify", "{data}/cell_past_int32.ca"],
                  2, "line 2: cell above 2147483647", id="verify-cell-past-int32"),

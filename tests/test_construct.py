@@ -136,6 +136,12 @@ class TestRandomArray:
         assert random_array(p, 20, seed=42) == random_array(p, 20, seed=42)
         assert random_array(p, 20, seed=42) != random_array(p, 20, seed=43)
 
+    def test_symbols_past_int32_are_refused(self):
+        # an array's cells are int32: v = 2**31 is the largest alphabet
+        with pytest.raises(ValueError, match="symbols past 2147483647, the largest symbol an array holds"):
+            random_array(CAParams(2, 3, 5 * 10**9), 20, seed=1)
+        assert random_array(CAParams(2, 3, 2**31), 20, seed=1).cells.min() >= 0
+
     def test_symbol_frequencies_uniform(self):
         # chi-square over 10^5 cells within 5 sigma
         p = CAParams(2, 100, 4)

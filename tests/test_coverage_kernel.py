@@ -20,14 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import construct
+from coverkit import construct, limits
 from coverkit.construct import BuildLog, random_array
 from coverkit.core import CAParams, colex_combinations
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl, make_trivial
 
 # working budgets in bytes: one row and one set at a time, a few of each,
 # and the default
-BUDGETS = (1, 64, 700, 4096, construct._WORKING_BYTES)
+BUDGETS = (1, 64, 700, 4096, limits._WORKING_BYTES)
 ACTIONS = {"cyclic": make_cyclic, "frobenius": make_frobenius, "pgl": make_pgl,
            "trivial": make_trivial}
 
@@ -72,7 +72,7 @@ def kernel_tables(params, cells, orbits, budget):
     """The kernel's blocks under a working budget, each checked to lie in
     one column's block, then stacked."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_WORKING_BYTES", budget)
+        mp.setattr(limits, "_WORKING_BYTES", budget)
         blocks = list(construct._coverage_tables(params, cells, orbits))
     for sets, seen in blocks:
         assert sets.dtype == np.intp and seen.dtype == bool
@@ -82,7 +82,7 @@ def kernel_tables(params, cells, orbits, budget):
 
 def with_budget(budget, fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(construct, "_WORKING_BYTES", budget)
+        mp.setattr(limits, "_WORKING_BYTES", budget)
         return fn(*args)
 
 
@@ -109,7 +109,7 @@ class TestBlocks:
     @example((CAParams(5, 7, 3), random_array(CAParams(5, 7, 3), 1, 6).cells.copy(), None, 1))
     # t = 2 at v = 256: uint8 levels, whose top level is the columns
     @example((CAParams(2, 3, 256), random_array(CAParams(2, 3, 256), 300, 6).cells.copy(), None,
-              construct._WORKING_BYTES))
+              limits._WORKING_BYTES))
     def test_blocks_match_reference(self, scan):
         params, cells, orbits, budget = scan
         sets, seen = kernel_tables(params, cells, orbits, budget)
@@ -129,7 +129,7 @@ class TestBlocks:
     @pytest.mark.parametrize("shape, rows, env, budget", [
         # at (10,30,2) one row's full levels take about 14.3M entries, far
         # over a 1 MiB cap: every level from 6 up holds part of its prefixes
-        ((10, 30, 2), 50, {"COVERKIT_MEMORY_CAP_MIB": "1"}, construct._WORKING_BYTES),
+        ((10, 30, 2), 50, {"COVERKIT_MEMORY_CAP_MIB": "1"}, limits._WORKING_BYTES),
         # at (4,2044,2) a 4096-byte budget leaves one row 3 level entries
         # past its columns: level 2 holds one prefix and the top level two,
         # so a sub-block has two prefixes, each filled from its own level-2
@@ -143,7 +143,7 @@ class TestBlocks:
         cells = random_array(p, rows, seed=7).cells.copy()
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        monkeypatch.setattr(construct, "_WORKING_BYTES", budget)
+        monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
         blocks = construct._coverage_tables(p, cells)
         sets, seen = zip(*islice((pair for block in blocks for pair in zip(*block)), 3003))
         ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))
@@ -178,7 +178,7 @@ class TestConsumers:
     @given(scans(orbits=True), st.integers(0, 2**32 - 1))
     # 7 rows at seed 8: the first offender is set 13, in the 5-set block of c = 5
     @example((CAParams(2, 7, 3), np.zeros((7, 7), np.int32), enumerate_orbits(make_cyclic(3), 2),
-              construct._WORKING_BYTES), 8)
+              limits._WORKING_BYTES), 8)
     def test_first_offender(self, scan, seed):
         # one scan under a zero resample cap: the failure names the first
         # set, in colex order, missing one of the full orbits

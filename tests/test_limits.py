@@ -1,6 +1,7 @@
 """Resource cap behavior: configured limits turn into ResourceLimitError."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -46,6 +47,20 @@ class TestMemoryCap:
         assert uncapped.first_witness == target
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         assert full_check(arr) == uncapped
+
+    def test_full_check_peak_stays_near_the_working_budget(self, monkeypatch):
+        # 8000 rows of (2,3,256): a first column's 256 row sets, each ANDed
+        # with a suffix's 256, are 64 MiB; the blocks that hold them, and
+        # the reductions of the blocks, stay within the working budget
+        monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
+        arr = random_array(CAParams(2, 3, 256), 8000, seed=1)
+        tracemalloc.start()
+        try:
+            full_check(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * limits.working_bytes()
 
     def test_builder_scans_chunk_under_a_small_cap(self, monkeypatch):
         # at (4,20,3) two-stage draws 672 rows, whose top prefix ranks alone
@@ -95,6 +110,19 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "64")
         arr = random_array(CAParams(2, 4, 2), 3, seed=1)
         assert count_uncovered(arr) == full_check(arr).uncovered_count
+
+
+class TestWorkingBudget:
+    @pytest.mark.parametrize("mib, want", [
+        (None, 32 << 20), ("0", 0), ("1", 1 << 20), ("31", 31 << 20),
+        ("32", 32 << 20), ("33", 32 << 20), ("256", 32 << 20),
+    ])
+    def test_is_32_mib_or_the_cap(self, monkeypatch, mib, want):
+        if mib is None:
+            monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
+        else:
+            monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", mib)
+        assert limits.working_bytes() == want == min(32 << 20, limits.memory_cap_bytes())
 
 
 class TestColumnSetCap:

@@ -133,17 +133,26 @@ def verifier_arrays(draw):
 
 @st.composite
 def symbol_split_cases(draw):
-    """(array, cap in bytes): the row bitsets and one symbol's v**(t-1) row
-    sets fit the cap, one first column's v**t row sets do not, so
-    full_check splits its AND blocks by the first column's symbol."""
+    """(array, cap in bytes, working budget in bytes): the row bitsets and
+    one symbol's v**(t-1) row sets fit the cap.  Either the cap is below
+    one first column's v**t row sets, under the default budget, or the cap
+    is the default and the budget holds a number of row sets that is not
+    a multiple of v, at most all of them.  Either way AND blocks start
+    mid-column."""
     t = draw(st.integers(2, 4))
     v = draw(st.integers(3 if t == 2 else 2, 4))
     p = CAParams(t, draw(st.integers(t, min(7, v ** (t - 1) - 1))), v)
     n = draw(st.integers(1, 3 * p.tuple_count))
     arr = random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
     word_bytes = 8 * ((arr.n_rows + 63) // 64)
-    least = max(p.k * v, v ** (t - 1)) * word_bytes
-    return arr, draw(st.integers(least, p.tuple_count * word_bytes - 1))
+    if draw(st.booleans()):
+        least = max(p.k * v, v ** (t - 1)) * word_bytes
+        cap = draw(st.integers(least, p.tuple_count * word_bytes - 1))
+        return arr, cap, limits._WORKING_BYTES
+    per = draw(st.integers(1, (p.k - 1) * v).filter(lambda per: per % v))
+    row_sets = v ** (t - 1) * word_bytes  # one row set ANDed with a suffix's
+    budget = per * row_sets + draw(st.integers(0, row_sets - 1))
+    return arr, limits.memory_cap_bytes(), budget
 
 
 class TestAgainstReference:
@@ -167,13 +176,20 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None, database=None)
     @given(symbol_split_cases())
     @example(  # every pair but (3, 3): the witness lies in the last symbol block
-        (SymbolArray.from_rows(CAParams(2, 2, 4), list(product(range(4), repeat=2))[:-1]), 64)
+        (SymbolArray.from_rows(CAParams(2, 2, 4), list(product(range(4), repeat=2))[:-1]), 64,
+         limits._WORKING_BYTES)
     )
-    @example((random_array(CAParams(2, 3, 256), 100, seed=2), 3 * 256 * 8 * 2))
+    @example((random_array(CAParams(2, 3, 256), 100, seed=2), 3 * 256 * 8 * 2,
+              limits._WORKING_BYTES))
+    # blocks of 5 and 7 row sets at v = 3 and 4: each block after the
+    # first starts mid-column, some span two columns
+    @example((random_array(CAParams(3, 7, 3), 40, seed=3), 256 << 20, 5 * 9 * 8))
+    @example((random_array(CAParams(4, 6, 4), 500, seed=4), 256 << 20, 7 * 64 * 64 + 63))
     def test_symbol_split_under_a_small_cap(self, case):
-        arr, cap = case
+        arr, cap, budget = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limits, "memory_cap_bytes", lambda: cap)
+            mp.setattr(limits, "_WORKING_BYTES", budget)
             report = full_check(arr)
         assert report == reference_full_check(arr)
 
