@@ -50,8 +50,8 @@ class TestMemoryCap:
 
     def test_full_check_peak_stays_near_the_working_budget(self, monkeypatch):
         # 8000 rows of (2,3,256): a first column's 256 row sets, each ANDed
-        # with a suffix's 256, are 64 MiB; the blocks that hold them, and
-        # the reductions of the blocks, stay within the working budget
+        # with a suffix's 256, are 64 MiB, and full_check holds them one
+        # working budget's worth at a time
         monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
         arr = random_array(CAParams(2, 3, 256), 8000, seed=1)
         tracemalloc.start()
@@ -122,7 +122,7 @@ class TestWorkingBudget:
             monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
         else:
             monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", mib)
-        assert limits.working_bytes() == want == min(32 << 20, limits.memory_cap_bytes())
+        assert limits.working_bytes() == want
 
 
 class TestColumnSetCap:
