@@ -7,8 +7,11 @@ estimate, ``_log_estimate``: ln m and ln(num/den) at 50 digits, and a
 proven bound err(n) on the error of ln m + n * ln(num/den) evaluated from
 them.  The estimate decides only where it is clear of err(n) plus a 1e-9
 guard (of one step for the exponent, of one unit for a floor), and a
-floor is 0 as soon as estimate + err(n) < 0.  Elsewhere the exact
-integers decide, once the memory cap has passed the powers they build.
+floor is 0 as soon as estimate + err(n) < 0.  A run of consecutive n
+takes one 50-digit exp and then one multiplication by num/den per n.
+Elsewhere the exact integers decide, once the memory cap has passed the
+powers they build.  The 50-digit log of each integer is computed once
+(``_ln``, a bounded memo) and read by every helper here.
 
 ``least_n_for_log_threshold`` - smallest n with n*step past a threshold,
 both already in the log domain as 50-digit Decimals - serves thresholds
@@ -16,6 +19,7 @@ containing the transcendental factor e, where exact equality is
 impossible and 50 digits decide the comparison outright.
 """
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -31,20 +35,27 @@ _GUARD = Decimal("1e-9")
 _ULP = Decimal(10) ** (1 - PRECISION)
 
 
-def dec_ln(x: int | Fraction) -> Decimal:
-    """Natural log of an exact positive integer or fraction, to 50 digits."""
+@functools.lru_cache(maxsize=256)
+def _ln(x: int) -> Decimal:
+    """ln x of an exact positive integer, to 50 digits.  Decimal's ln is
+    correctly rounded, so a remembered value is the one a new call gives."""
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        if isinstance(x, Fraction):
-            return Decimal(x.numerator).ln() - Decimal(x.denominator).ln()
         return Decimal(x).ln()
+
+
+def dec_ln(x: int | Fraction) -> Decimal:
+    """Natural log of an exact positive integer or fraction, to 50 digits."""
+    if isinstance(x, Fraction):
+        return ln_ratio(x.numerator, x.denominator)
+    return _ln(x)
 
 
 def ln_ratio(num: int, den: int) -> Decimal:
     """ln(num/den) for exact integers, to 50 digits."""
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        return Decimal(num).ln() - Decimal(den).ln()
+        return _ln(num) - _ln(den)
 
 
 def least_n_for_log_threshold(threshold: Decimal, step: Decimal, *, strict: bool) -> int:
@@ -77,7 +88,7 @@ def _log_estimate(
     """
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        ln_m, ln_num, ln_den = Decimal(m).ln(), Decimal(num).ln(), Decimal(den).ln()
+        ln_m, ln_num, ln_den = _ln(m), _ln(num), _ln(den)
         step = ln_num - ln_den
         at_zero = 2 * _ULP * ln_m
         per_n = _ULP * (ln_num + ln_den + 3 * abs(step))
@@ -138,11 +149,18 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
 
     err grows with n, so e = err(max(ns)) bounds every estimate L of
     ln(m * (num/den)**n) here.  Each n costs a multiply-add and, unless
-    L + e < 0 makes the floor 0, one 50-digit exp.  That exp is within a
-    factor exp(+-3/4 e) and 1 +- _ULP / 2 of the exact value, so within
-    2 * (e + _ULP) of its own size while e <= 0.65; from e = 1/2 on that
-    bound is at least the exp itself, so the exact quotient decides.  The
-    exp's integer part is trusted only when its fractional part is clear
+    L + e < 0 makes the floor 0, one 50-digit value of m * (num/den)**n:
+    the exp of L or, when n is the previous n + 1 and that floor was not
+    0, the previous value times the ratio num/den.  An exp is within a
+    factor exp(+-3/4 e) and 1 +- _ULP / 2 of the exact value.  The ratio
+    and each product are correctly rounded, so each adds a factor within
+    1 +- _ULP / 2, and the value j products after an exp is within a factor
+    exp(+-x) of the exact value, x = 3/4 e + (j + 1/2) * _ULP up to a
+    factor 1 + _ULP on the second term.  While e < 1/2 (and j < 10**48),
+    x < 1/2 and exp(x) - 1 <= 2x, so that value is within
+    2 * (e + _ULP + j * _ULP) of its own size; from e = 1/2 on that bound
+    is at least the value itself, so the exact quotient decides.  A
+    value's integer part is trusted only when its fractional part is clear
     of this bound and of the 1e-9 guard.
     """
     ns = list(ns)
@@ -156,14 +174,21 @@ def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[i
         ctx.prec = PRECISION
         bound = err(max(ns, default=0))
         rel, below = 2 * (bound + _ULP), -bound
+        ratio = Decimal(num) / Decimal(den)
+        chain = -1  # the n whose value is the last value times the ratio
         for n in ns:
             log_e = ln_m + n * step
             if log_e < below:  # log_e + bound < 0, without aligning the digits
                 out.append(0)
+                chain = -1
                 continue
-            est = log_e.exp()
+            if n == chain:
+                est, slack = est * ratio, slack + 2 * _ULP
+            else:
+                est, slack = log_e.exp(), rel
+            chain = n + 1
             whole = int(est)
-            guard = max(_GUARD, est * rel)
+            guard = max(_GUARD, est * slack)
             if guard < est - whole < 1 - guard:
                 out.append(whole)
             else:

@@ -6,8 +6,9 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   the smallest N with C(k,t) * v**t * (1 - 1/v**t)**N < 1.
 * ``discrete_slj_bound``   - row-at-a-time refinement: repeatedly take the
   integer floor of the expected leftover count until it reaches zero.  The
-  step count is the bound; the full trace of counts and per-step deficits
-  is returned alongside.
+  step count is the bound, counted in one pass that keeps no counts; the
+  trace returned alongside rebuilds the counts and per-step deficits when
+  they are read.
 * ``two_stage_bound``      - alteration: minimize over n the total
   n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), a random partial array plus
   one patch row per surviving uncovered interaction.
@@ -37,12 +38,12 @@ truncated to machine floats except in report fields documented as floats.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Literal, Sequence
 
 from . import _numeric as num
@@ -91,16 +92,22 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class DiscreteSljTrace:
-    """Exact leftover counts r(0..N) of the row-at-a-time recurrence, and
-    its per-step deficits derived from them on access.  deficits[i] =
-    y*r(i) - r(i+1) as an exact rational, where y = 1 - 1/v**t."""
+    """The row-at-a-time recurrence from r(0) = start: its step count N,
+    and on access its exact leftover counts r(0..N), rebuilt from start
+    once and checked against the memory cap first, and the per-step
+    deficits derived from them.  deficits[i] = y*r(i) - r(i+1) as an exact
+    rational, where y = 1 - 1/v**t."""
 
-    counts: tuple[int, ...]
+    start: int
     tuple_count: int
+    steps: int
 
-    @property
-    def steps(self) -> int:
-        return len(self.counts) - 1
+    @functools.cached_property
+    def counts(self) -> tuple[int, ...]:
+        # each count is held by the list the tuple is built from and the tuple
+        entry = 2 * 8 + sys.getsizeof(self.start)
+        limits.check_table_bytes(self.steps + 1, entry, "discrete recurrence trace")
+        return (self.start, *_leftover_recurrence(self.start, self.tuple_count))
 
     @property
     def deficits(self) -> tuple[Fraction, ...]:
@@ -145,38 +152,57 @@ def discrete_slj_bound(
 
     The second branch reflects that after the first row, a best row always
     covers strictly more than the expected number of new interactions.  The
-    bound is the step count N with r(N) = 0.  Exact integer arithmetic;
-    ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
-    The trace is checked against the memory cap before it is built, at the
-    length ``discrete_slj_estimate`` gives, which is below the step count.
+    bound is the step count N with r(N) = 0.  Exact integer arithmetic in
+    one pass that keeps no counts (``_leftover_steps``, which refuses a
+    recurrence too long for the column-set cap before its first step); the
+    trace rebuilds the counts only when they are read.  ``max_steps``
+    guards runtime and raises ResourceLimitError if exceeded.
     """
     vt = params.tuple_count
-    counts = [params.interaction_space_size]
+    start = params.interaction_space_size
     estimate = discrete_slj_estimate(params)
-    length = math.ceil(estimate)
-    if max_steps is not None:
-        length = min(length, max_steps)
-    # each count is held by the list, the interior slice and the trace tuple
-    entry = 3 * 8 + sys.getsizeof(counts[0])
-    limits.check_table_bytes(length, entry, "discrete recurrence trace")
-    steps = _leftover_recurrence(counts[0], vt)
-    if max_steps is None:
-        counts.extend(steps)
-    else:
-        counts.extend(islice(steps, max(max_steps, 0)))
-        if counts[-1] > 0:
-            raise ResourceLimitError(
-                f"discrete recurrence exceeded {max_steps} steps at r={counts[-1]}"
-            )
+    limit = sys.maxsize if max_steps is None else max(max_steps, 0)
+    steps, top, r = _leftover_steps(start, vt, limit)
+    if r > 0:
+        raise ResourceLimitError(f"discrete recurrence exceeded {max_steps} steps at r={r}")
     # interior steps 1..N-2 have deficit (v**t - r % v**t) / v**t
-    interior = counts[1:-2]
-    deficit_min = (vt - max(r % vt for r in interior)) / vt if interior else None
+    deficit_min = (vt - top) / vt if top >= 0 else None
     report = BoundReport(
         method="discrete_slj",
-        value=len(counts) - 1,
+        value=steps,
         notes={"estimate": estimate, "deficit_min": deficit_min},
     )
-    return report, DiscreteSljTrace(tuple(counts), vt)
+    return report, DiscreteSljTrace(start, vt, steps)
+
+
+def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int, int, int]:
+    """(N, top, r) for the leftover recurrence from r(0) = start, run for
+    at most ``limit`` steps: N the steps taken, r = r(N), which is 0 unless
+    the limit stopped it, and top the largest r(i) % vt over the interior
+    steps 1 <= i <= N-2, those whose next count is above 0 (-1 if none).
+
+    The steps are those of ``_leftover_recurrence``, in one pass that keeps
+    no counts.  Once top is vt - 1, which no remainder passes, the pass
+    stops taking remainders.  Each step leaves r + vt at least y = 1 - 1/vt
+    times what it was, so the pass takes at least
+    ln(start/vt + 1) / ln(1/y) steps (``discrete_slj_estimate`` from
+    start = C(k,t) * vt); when that is over the column-set cap, or the limit
+    when lower, it raises ResourceLimitError before the first step.
+    """
+    least = (math.log(start + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
+    limits.check_steps(min(math.ceil(least), limit), "discrete recurrence trace")
+    r, n, top = start, 0, -1
+    if r > 0 and limit > 0:
+        r, n = r - -(-r // vt), 1
+    while r and n < limit and top < vt - 1:
+        q, rem = divmod(r, vt)
+        r, n = r - q - 1, n + 1
+        if r and rem > top:
+            top = rem
+    while r and n < limit:
+        r -= r // vt + 1
+        n += 1
+    return n, top, r
 
 
 def _leftover_recurrence(start: int, vt: int) -> Iterator[int]:
@@ -496,7 +522,7 @@ def conditional_lll_two_stage_bound(
     if second_stage == "one_row_each":
         stage2 = e2
     elif second_stage == "discrete_slj":
-        stage2 = sum(1 for _ in _leftover_recurrence(e2, vt))
+        stage2 = _leftover_steps(e2, vt)[0]
     else:
         raise ValueError(f"unknown second stage {second_stage!r}")
 

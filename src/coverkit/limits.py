@@ -7,7 +7,8 @@ Both caps can be configured through the environment:
   their estimated footprint against this before allocating.  Blocked
   scans work within ``working_bytes()``: 32 MiB, or this cap when lower.
 * ``COVERKIT_MAX_COLUMN_SETS``   - cap on the number of column t-sets an
-  operation may stream over (default 50 million).
+  operation may stream over, and on the steps of a recurrence that keeps
+  no table (default 50 million).
 
 Each value must be a nonnegative integer; anything else raises a
 ValueError naming the variable.
@@ -69,3 +70,10 @@ def check_column_sets(k: int, t: int, what: str) -> None:
         raise ResourceLimitError(
             f"{what} would stream {total} column sets, above the cap of {cap}"
         )
+
+
+def check_steps(n_steps: int, what: str) -> None:
+    """Raise ResourceLimitError if a loop of n_steps is over the column-set cap."""
+    cap = column_set_cap()
+    if n_steps > cap:
+        raise ResourceLimitError(f"{what} would take {n_steps} steps, above the cap of {cap}")

@@ -6,7 +6,8 @@ formulations than its rank-and-scatter kernel, so a bug on one side shows
 as a disagreement that the test suite's cross-checks catch.
 
 ``full_check`` is the standard column-bitset check. ``bits[c, s]`` is the
-set of rows holding symbol ``s`` in column ``c``, packed 64 rows to a word.
+set of rows holding symbol ``s`` in column ``c``, packed 64 rows to a word
+from chunks of rows whose bools fit ``limits.working_bytes()``.
 A t-way interaction is covered iff the AND of its t row sets is nonempty.
 In colex order the t-sets sharing a suffix ``(c2, ..., ct)`` are
 contiguous and ordered by the first column, so each suffix's ``v**(t-1)``
@@ -75,12 +76,21 @@ def _tuple_index(row: tuple[int, ...], cols: tuple[int, ...], v: int) -> int:
 
 
 def _row_bitsets(cells: np.ndarray, v: int, words: int) -> np.ndarray:
-    """bits[c, s]: the rows holding symbol s in column c, as uint64 words."""
+    """bits[c, s]: the rows holding symbol s in column c, as uint64 words.
+
+    A column is packed in chunks of rows, a multiple of 8 so each chunk
+    fills whole bytes, whose v x rows bool table fits the working budget.
+    """
     n, k = cells.shape
     packed = np.zeros((k, v, 8 * words), dtype=np.uint8)
     symbols = np.arange(v)[:, None]
+    step = max(8, limits.working_bytes() // v // 8 * 8)
     for c in range(k):
-        packed[c, :, : (n + 7) // 8] = np.packbits(cells[:, c] == symbols, axis=-1)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # no name holds the bool table, so it is freed before the next
+            chunk = np.packbits(cells[lo:hi, c] == symbols, axis=-1)
+            packed[c, :, lo // 8 : (hi + 7) // 8] = chunk
     return packed.view(np.uint64)
 
 

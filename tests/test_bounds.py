@@ -159,6 +159,41 @@ class TestDiscreteSlj:
             reference_leftover_counts(start, vt)[1:]
         )
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000), limit=st.integers(0, 60))
+    @example(start=0, vt=4, limit=0)
+    @example(start=24, vt=4, limit=60)
+    @example(start=10**7, vt=2, limit=60)  # top is vt - 1 at the second step
+    @example(start=10**7, vt=3000, limit=60)  # the limit stops it mid-pass
+    def test_fused_pass_matches_the_counts(self, start, vt, limit):
+        ref = reference_leftover_counts(start, vt)
+        top = max((r % vt for r in ref[1:-2]), default=-1)
+        assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top, 0)
+        n, _, r = bounds._leftover_steps(start, vt, limit)
+        assert n == min(limit, len(ref) - 1) and r == ref[n]
+
+    def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
+        # 268,091 steps: the counts take about 14 MiB, the value none of it
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "4")
+        rep, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
+        assert rep.value == trace.steps == 268091
+        with pytest.raises(ResourceLimitError, match="discrete recurrence trace needs"):
+            trace.counts
+        monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB")
+        assert len(trace.counts) == 268092 and trace.counts[-1] == 0
+
+    def test_length_over_the_step_cap_is_refused_first(self, monkeypatch):
+        p = CAParams(2, 12, 3)
+        length = math.ceil(bounds.discrete_slj_estimate(p))
+        monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", str(length))
+        assert bounds.discrete_slj_bound(p)[0].value > length
+        monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", str(length - 1))
+        with pytest.raises(ResourceLimitError) as exc:
+            bounds.discrete_slj_bound(p)
+        assert str(exc.value) == (
+            f"discrete recurrence trace would take {length} steps, above the cap of {length - 1}"
+        )
+
     @pytest.mark.parametrize("t,k,v", [(2, 12, 3), (3, 9, 2), (6, 54, 3)])
     def test_step_cap_boundary(self, t, k, v):
         p = CAParams(t, k, v)
@@ -435,6 +470,8 @@ class TestConditional:
             dens = bounds.conditional_lll_two_stage_bound(p, "discrete_slj")
             assert dens.value <= one.value
             assert dens.stage1_rows == one.stage1_rows
+            e2 = dens.notes["expected_leftover_floor"]
+            assert dens.notes["stage2_rows"] == len(reference_leftover_counts(e2, 729)) - 1
 
     def test_second_term_roughly_linear(self):
         p1 = bounds.conditional_lll_two_stage_bound(CAParams(6, 300, 3))

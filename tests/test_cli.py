@@ -362,6 +362,35 @@ class TestSweepCommand:
             "4013a61c68743f08e92ffa8201c499ca1b6ed788d455f93460f10fcc1ba16e15"
         )
 
+    def test_two_stage_curve_csv_pinned_at_4_120_4(self, tmp_path, capsys):
+        # n = 3550..4574 around the minimum, each floor after the first
+        # chained from the one before
+        out_csv = tmp_path / "curve.csv"
+        code, out, _ = run(
+            ["sweep", "-t", "4", "-v", "4", "--k", "120",
+             "--methods", "two_stage_curve", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0 and "wrote 1025 rows" in out
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "a64fccad709763bb313a130a60a1a8b0f48f8f92dba16048c4269e22586890f9"
+        )
+
+    def test_bench_sweep_csv_pinned(self, tmp_path, capsys):
+        # the benchmark's sweep call, nine methods over 67 k, byte for byte
+        out_csv = tmp_path / "sweep.csv"
+        methods = ("slj,discrete_slj,two_stage,gss,cyclic,frobenius,pgl,"
+                   "conditional_lll,conditional_lll_density")
+        code, out, _ = run(
+            ["sweep", "-t", "6", "-v", "3", "--k", "10:1000:15",
+             "--methods", methods, "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0 and "wrote 67 rows" in out
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+            "325dcdd7b8054a50daac9ba1f82104d60c0c59abf733fc438b892ca064af6776"
+        )
+
     @pytest.mark.parametrize(
         "v, methods", [(2, "slj,nope"), (6, "slj,frobenius")], ids=["unknown", "unsupported"]
     )
@@ -434,6 +463,10 @@ BAD_INPUTS = [
     # about 1.1e9 recurrence steps
     pytest.param(["bounds", "-t", "8", "-k", "100", "-v", "9", "--methods", "discrete_slj"],
                  3, "discrete recurrence trace", id="discrete-slj-trace"),
+    # the second stage runs the same recurrence from about 3.8e8, over 3.6e8 steps
+    pytest.param(["bounds", "-t", "10", "-k", "20", "-v", "9", "--methods",
+                  "conditional_lll_density"],
+                 3, "discrete recurrence trace would take", id="conditional-discrete-stage"),
     # the exponent guess near 1e29 is not certified, and the exact check
     # would build 50**16 to that power
     pytest.param(["bounds", "-t", "16", "-k", "17", "-v", "50", "--methods", "slj"],

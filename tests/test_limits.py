@@ -62,6 +62,21 @@ class TestMemoryCap:
             tracemalloc.stop()
         assert peak <= 3 * limits.working_bytes()
 
+    def test_full_check_bitsets_pack_under_the_cap(self, monkeypatch):
+        # 137,454 rows of (2,3,256), as the golden array: the bitsets are
+        # 12.6 MiB and one column's 256 x 137,454 bool table 33.6 MiB; each
+        # column is packed in row chunks of one working budget
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "16")
+        arr = random_array(CAParams(2, 3, 256), 137454, seed=1)
+        bitsets = 3 * 256 * 8 * ((arr.n_rows + 63) // 64)
+        tracemalloc.start()
+        try:
+            full_check(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bitsets + 3 * limits.working_bytes() // 2
+
     def test_builder_scans_chunk_under_a_small_cap(self, monkeypatch):
         # at (4,20,3) two-stage draws 672 rows, whose top prefix ranks alone
         # (672 * C(19,3) * 4 bytes) are over 1 MiB: under that cap the

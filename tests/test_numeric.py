@@ -153,6 +153,58 @@ class TestFloorScaledPowers:
             floor_scaled_powers(5, 1, 2, [3, -1])
 
 
+@st.composite
+def exponent_runs(draw):
+    """A list of n: consecutive, with gaps, descending or with repeats."""
+    moves = draw(st.sampled_from([[1], [1, 2, 3, 7], [-1], [0, 1], [-3, 0, 1, 2]]))
+    ns = [draw(st.integers(0, 400))]
+    for move in draw(st.lists(st.sampled_from(moves), max_size=40)):
+        ns.append(max(ns[-1] + move, 0))
+    return ns
+
+
+class TestChainedFloors:
+    """Consecutive n take one exp and then one multiplication each; every
+    other n, and every n after a zero floor, takes a fresh exp."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(m=st.integers(0, 10**80), frac=proper_fractions(), ns=exponent_runs())
+    @example(m=10**60, frac=(728, 729), ns=list(range(0, 400)))
+    def test_runs_match_exact_floor(self, m, frac, ns):
+        num, den = frac
+        assert floor_scaled_powers(m, num, den, ns) == [
+            exact_floor(m, num, den, n) for n in ns
+        ]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(near_integer_cases())
+    @example((5 * 10**12 + 1, 1, 10, 12))  # 5 + 1e-12 reached by 5 products
+    @example((697363996128588383383374009608639543587219, 6, 7, 47))
+    def test_near_integer_values_mid_chain(self, case):
+        m, num, den, n = case
+        ns = range(max(n - 5, 0), n + 5)
+        assert floor_scaled_powers(m, num, den, ns) == [
+            exact_floor(m, num, den, j) for j in ns
+        ]
+
+    def test_exact_fallback_mid_chain(self, monkeypatch):
+        # m * (1/2)**n is w * 2**(40-n) + 2**-n for w odd: within the guard
+        # of an integer up to n = 40, then half-integers and quarters
+        calls = []
+        check = _numeric._check_power
+        monkeypatch.setattr(_numeric, "_check_power", lambda *a: calls.append(a) or check(*a))
+        m, ns = (10**6 + 1) * 2**40 + 1, range(38, 46)
+        assert floor_scaled_powers(m, 1, 2, ns) == [exact_floor(m, 1, 2, n) for n in ns]
+        assert calls == [(2, 38), (2, 39), (2, 40)]
+
+    def test_zero_floors_restart_the_chain(self):
+        # 180 * (3/4)**n is 1.01 at n = 18 and 0.76 at n = 19
+        m, ns = 180, [*range(14, 23), *range(10, 16), 30, 18, 19, 17, 18]
+        floors = floor_scaled_powers(m, 3, 4, ns)
+        assert floors == [exact_floor(m, 3, 4, n) for n in ns]
+        assert floors[4:9] == [1, 0, 0, 0, 0]
+
+
 def exponent_holds(m, num, den, n, strict):
     lhs, rhs = num**n, m * den**n
     return lhs > rhs if strict else lhs >= rhs
@@ -325,6 +377,20 @@ class TestLogThreshold:
     def test_ln_ratio_sign(self):
         assert ln_ratio(729, 728) > 0
         assert float(ln_ratio(729, 728)) == pytest.approx(math.log(729 / 728), rel=1e-12)
+
+
+class TestLnMemo:
+    def test_matches_a_fresh_50_digit_ln(self):
+        ctx = Context(prec=_numeric.PRECISION)
+        for x in (1, 2, 728, 729, 18828003285, 10**60 + 1, 3**200):
+            assert _numeric._ln(x) == ctx.ln(x)
+            assert dec_ln(Fraction(x, x + 1)) == ctx.subtract(ctx.ln(x), ctx.ln(x + 1))
+
+    def test_stays_bounded(self):
+        for x in range(1, 2000):
+            _numeric._ln(x)
+        info = _numeric._ln.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
 
 
 class TestPrimePower:

@@ -185,6 +185,8 @@ class TestAgainstReference:
     # first starts mid-column, some span two columns
     @example((random_array(CAParams(3, 7, 3), 40, seed=3), 256 << 20, 5 * 9 * 8))
     @example((random_array(CAParams(4, 6, 4), 500, seed=4), 256 << 20, 7 * 64 * 64 + 63))
+    # a budget of 8 rows of bools per symbol: each column packed in 13 chunks
+    @example((random_array(CAParams(3, 5, 3), 100, seed=5), 256 << 20, 3 * 8))
     def test_symbol_split_under_a_small_cap(self, case):
         arr, cap, budget = case
         with pytest.MonkeyPatch.context() as mp:
@@ -192,6 +194,26 @@ class TestAgainstReference:
             mp.setattr(limits, "_WORKING_BYTES", budget)
             report = full_check(arr)
         assert report == reference_full_check(arr)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        n=st.integers(0, 300),
+        k=st.integers(1, 4),
+        v=st.integers(2, 20),
+        budget=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_bitsets_packed_in_chunks(self, n, k, v, budget, seed):
+        # against one packbits call over each whole column
+        cells = np.random.default_rng(seed).integers(0, v, size=(n, k), dtype=np.int32)
+        words = (n + 63) // 64
+        whole = np.zeros((k, v, 8 * words), dtype=np.uint8)
+        for c in range(k):
+            whole[c, :, : (n + 7) // 8] = np.packbits(cells[:, c] == np.arange(v)[:, None], axis=-1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_WORKING_BYTES", budget)
+            bits = verify._row_bitsets(cells, v, words)
+        assert np.array_equal(bits, whole.view(np.uint64))
 
     def test_shares_nothing_with_the_builder_kernel(self):
         tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
