@@ -7,8 +7,8 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
 * ``discrete_slj_bound``   - row-at-a-time refinement: repeatedly take the
   integer floor of the expected leftover count until it reaches zero.  The
   step count is the bound, counted in one pass that keeps no counts; the
-  trace returned alongside rebuilds the counts and per-step deficits when
-  they are read.
+  trace returned alongside builds the counts and per-step deficits once,
+  when they are first read.
 * ``two_stage_bound``      - alteration: minimize over n the total
   n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), a random partial array plus
   one patch row per surviving uncovered interaction.
@@ -93,29 +93,34 @@ class BoundReport:
 @dataclass(frozen=True)
 class DiscreteSljTrace:
     """The row-at-a-time recurrence from r(0) = start: its step count N,
-    and on access its exact leftover counts r(0..N), rebuilt from start
-    once and checked against the memory cap first, and the per-step
-    deficits derived from them.  deficits[i] = y*r(i) - r(i+1) as an exact
-    rational, where y = 1 - 1/v**t."""
+    and on access its exact leftover counts r(0..N) and the per-step
+    deficits derived from them, each built once and checked against the
+    memory cap first.  deficits[i] = y*r(i) - r(i+1) as an exact rational,
+    where y = 1 - 1/v**t."""
 
     start: int
     tuple_count: int
     steps: int
 
+    def _count_bytes(self) -> int:
+        # each count is held by the list the tuple is built from and the tuple
+        return 2 * 8 + sys.getsizeof(self.start)
+
     @functools.cached_property
     def counts(self) -> tuple[int, ...]:
-        # each count is held by the list the tuple is built from and the tuple
-        entry = 2 * 8 + sys.getsizeof(self.start)
-        limits.check_table_bytes(self.steps + 1, entry, "discrete recurrence trace")
+        limits.check_table_bytes(self.steps + 1, self._count_bytes(), "discrete recurrence trace")
         return (self.start, *_leftover_recurrence(self.start, self.tuple_count))
 
-    @property
+    @functools.cached_property
     def deficits(self) -> tuple[Fraction, ...]:
+        # a Fraction, its numerator and denominator (both at most v**t), the
+        # tuple's slot with room for its growth, and the counts it reads
         vt = self.tuple_count
-        return tuple(
-            Fraction(r * (vt - 1), vt) - nxt
-            for r, nxt in zip(self.counts, self.counts[1:])
-        )
+        entry = sys.getsizeof(Fraction(1, 2)) + 2 * sys.getsizeof(vt) + 3 * 8
+        limits.check_table_bytes(
+            self.steps, entry + self._count_bytes(), "discrete recurrence deficits")
+        counts = self.counts
+        return tuple(Fraction(r * (vt - 1), vt) - nxt for r, nxt in zip(counts, counts[1:]))
 
 
 def slj_bound(params: CAParams) -> BoundReport:

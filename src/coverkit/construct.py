@@ -3,10 +3,11 @@
 Two builders realize the bound families constructively:
 
 * ``two_stage_build``    - draw random arrays of the optimal stage-1 size
-  until the uncovered count is within target, then patch each surviving
-  uncovered interaction with one dedicated row (or greedy density rows).
-  The scan that accepts an attempt also lists its leftovers, so stage 2
-  patches from that listing without a second pass.
+  until the uncovered count is within target, then patch the surviving
+  uncovered interactions: one row each, or by first-fit colouring, which
+  puts each into the first patch row that agrees with it.  The scan that
+  accepts an attempt also lists its leftovers, so stage 2 patches from
+  that listing without a second pass.
 * ``moser_tardos_build`` - the orbit builder for the cyclic, Frobenius
   and PGL actions (``pgl_build`` for short): maintain a random n x k
   array and, scanning column t-sets in a fixed order, resample the
@@ -16,23 +17,23 @@ Two builders realize the bound families constructively:
   covering array mapped onto every symbol pair.
 
 ``density_build`` adds greedy density rows (Bryce & Colbourn) to any
-array; it is also the ``density_greedy`` second stage of the two-stage
-builder.
+array; it is the ``density`` strategy from the empty array.
 
 ``STRATEGIES`` is the one table of ``build --strategy`` choices: each
 name's builder, which returns the array and its ``BuildLog``, and the
 ``BuildConfig`` fields it reads besides the seed.  Every builder is
 deterministic given (params, config): the seed fully drives all random
 draws.  Every row table a builder allocates (stage-1 rows, the leftover
-listing, stage-2 patch rows, developed and pair rows) is checked against
-the memory cap first.  All coverage questions - the uncovered scan,
-the density state and the resampling scan - go through one kernel,
-``_coverage_tables``.  It yields the column t-sets in colex order, one
-block per last column, ranks every row's tuples from prefix ranks that
-the sets share, and keeps what is in flight within the working budget
-of ``limits``.  The uncovered scan counts and lists in one pass: the
-exact count, and the uncovered interactions in rank order while that
-count stays within a cap (the stage-1 target).  The density state is the
+listing, the colour classes, stage-2 patch rows, developed and pair
+rows) is checked against the memory cap first.  All coverage questions -
+the uncovered scan, the density state and the resampling scan - go
+through one kernel, ``_coverage_tables``.  It yields the column t-sets in
+colex order, one block per last column, ranks every row's tuples from
+prefix ranks that the sets share, and keeps what is in flight within the
+working budget of ``limits``.  The uncovered scan counts and lists in one
+pass: the exact count, and the uncovered interactions in rank order
+while that count stays within a cap (the stage-1 target), so a two-stage
+build never holds a table of all interactions.  The density state is the
 one table of all C(k,t) * v**t interactions: a mask of the uncovered
 ones, built by one kernel pass, updated as each row is added, and
 checked against the memory cap before it is allocated.
@@ -89,7 +90,7 @@ class BuildConfig:
     max_stage1_attempts: int = 1000
     resample_step_cap: int = 10_000
     dependence_estimate: bounds.Dependence = "simple"
-    second_stage: Literal["one_row_each", "density_greedy"] = "one_row_each"
+    second_stage: Literal["one_row_each", "colour"] = "one_row_each"
     n_override: int | None = None
 
     def __post_init__(self) -> None:
@@ -350,9 +351,12 @@ def two_stage_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
     """Random stage-1 array of the optimal size, retried until its uncovered
-    count meets the target, then one patch row per uncovered interaction
-    (cells outside the interaction filled uniformly at random) or greedy
-    density rows, per config."""
+    count meets the target, then one patch step: each leftover, in the
+    listing's rank order, is given a patch row, all patch rows are drawn
+    uniformly at random at once, and each leftover's symbols are written
+    into its row.  ``one_row_each`` gives leftover i row i; ``colour``
+    gives it the first row whose fixed cells agree with it, else a new one
+    (``_first_fit_rows``)."""
     config = config or BuildConfig()
     if config.n_override is not None:
         n = config.n_override
@@ -382,17 +386,39 @@ def two_stage_build(
         log.uncovered_after_stage1 = best_uncovered
 
     with log.timed("stage2"):
-        if config.second_stage == "density_greedy":
-            result = density_build(SymbolArray(params, best_cells))
+        if best_uncovered > target:  # missed: list the best attempt's leftovers
+            leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
+        cols = leftovers[:, :-1]
+        symbols = leftovers[:, -1:] // _place_values(params) % params.v
+        if config.second_stage == "colour":
+            rows = _first_fit_rows(params, cols, symbols)
         else:
-            if best_uncovered > target:  # missed: list the best attempt's leftovers
-                leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
-            cols, ranks = leftovers[:, :-1], leftovers[:, -1:]
-            patches = _random_rows(rng, params, len(ranks), "stage-2 patch rows")
-            patches[np.arange(len(ranks))[:, None], cols] = ranks // _place_values(params) % params.v
-            result = SymbolArray(params, np.vstack([best_cells, patches]))
-        log.stage2_rows = result.n_rows - n
-    return result, log
+            rows = np.arange(len(cols))
+        patches = _random_rows(rng, params, int(rows.max(initial=-1)) + 1, "stage-2 patch rows")
+        patches[rows[:, None], cols] = symbols
+        log.stage2_rows = len(patches)
+    return SymbolArray(params, np.vstack([best_cells, patches])), log
+
+
+def _first_fit_rows(params: CAParams, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """Greedy first-fit colouring of the leftovers (Sarkar & Colbourn,
+    "Two-stage algorithms for covering array construction"): the patch row
+    of each leftover in turn, the first open row whose fixed cells agree
+    with it on its t columns, else a new row.  One vectorised test per
+    leftover checks it against every open row; the table of fixed cells
+    (-1 where free) is checked against the memory cap first."""
+    limits.check_table_bytes(
+        len(cols) * params.k, np.dtype(CELL_DTYPE).itemsize, "stage-2 colour classes")
+    fixed = np.full((len(cols), params.k), -1, dtype=CELL_DTYPE)
+    rows = np.empty(len(cols), dtype=np.intp)
+    opened = 0
+    for i, (c, s) in enumerate(zip(cols, symbols)):
+        held = fixed[:opened, c]
+        agree = np.flatnonzero(((held == s) | (held < 0)).all(axis=1))
+        rows[i] = agree[0] if agree.size else opened
+        opened += not agree.size
+        fixed[rows[i], c] = s
+    return rows
 
 
 class _DensityState:

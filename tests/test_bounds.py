@@ -6,6 +6,7 @@ regression values carry the arithmetic that produced them.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,24 @@ class TestDiscreteSlj:
             trace.counts
         monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB")
         assert len(trace.counts) == 268092 and trace.counts[-1] == 0
+
+    def test_deficits_are_checked_first_and_built_once(self, monkeypatch):
+        # at (6,50,5) the deficits peaked at 41.8 MiB, unchecked and rebuilt
+        # on every read
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "24")
+        _, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
+        with pytest.raises(ResourceLimitError, match="discrete recurrence deficits needs"):
+            trace.deficits
+        # 38,882 steps: counts and deficits peak near 6 MiB, checked at 6.5 MiB
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "7")
+        _, trace = bounds.discrete_slj_bound(CAParams(5, 30, 5))
+        tracemalloc.start()
+        try:
+            deficits = trace.deficits
+            assert tracemalloc.get_traced_memory()[1] <= 7 << 20
+        finally:
+            tracemalloc.stop()
+        assert len(deficits) == trace.steps and trace.deficits is deficits
 
     def test_length_over_the_step_cap_is_refused_first(self, monkeypatch):
         p = CAParams(2, 12, 3)

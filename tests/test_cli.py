@@ -229,6 +229,17 @@ class TestBuildAndVerify:
         code, out, _ = run(["verify", str(out_file)], capsys)
         assert (code, out) == (0, "OK: covers all 196608 interactions\n")
 
+    def test_colour_second_stage_builds_under_a_small_cap(self, tmp_path, capsys, monkeypatch):
+        # one row per leftover gives 342 rows here; colouring holds no
+        # table of all C(100,3) * 3**3 interactions, so it fits in 4 MiB
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "4")
+        out_file = tmp_path / "a.ca"
+        code, out, err = run(["build", "-t", "3", "-k", "100", "-v", "3",
+                              "--second-stage", "colour", "--out", str(out_file)], capsys)
+        rows = read_array(out_file).n_rows
+        assert code == 0 and f"verified covering array with {rows} rows" in out, err
+        assert rows < 342
+
     def test_pgl_t2_v3_needs_no_resampling(self, tmp_path, capsys):
         # order 6 = v(v-1) at v=3: the two-symbol orbits have full length,
         # but the pair arrays cover them and nothing is left to resample
@@ -262,7 +273,7 @@ class TestBuildAndVerify:
             ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", "pgl",
              "--out", str(tmp_path / "a.txt"),
              "--seed", "5", "--attempts", "7", "--resample-cap", "9", "--n-override", "6",
-             "--second-stage", "density_greedy", "--dependence", "improved"],
+             "--second-stage", "colour", "--dependence", "improved"],
             capsys,
         )
         assert code == 0
@@ -475,7 +486,7 @@ BAD_INPUTS = [
     pytest.param(["bounds", "-t", "20", "-k", "30", "-v", "9", "--methods", "two_stage"],
                  3, "two-stage search window", id="two-stage-window"),
     pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--strategy", "density",
-                  "--n-override", "3", "--second-stage", "density_greedy", "--attempts", "1",
+                  "--n-override", "3", "--second-stage", "colour", "--attempts", "1",
                   "--out", "/no/such/dir/x.ca"],
                  2, "density strategy does not read --attempts, --n-override, --second-stage",
                  id="build-unread-flags"),
@@ -533,7 +544,7 @@ class TestErrorExits:
     @pytest.mark.parametrize("strategy, flags", [
         ("two_stage", ["--resample-cap", "5"]),
         ("mt_cyclic", ["--attempts", "5"]),
-        ("mt_frobenius", ["--second-stage", "density_greedy"]),
+        ("mt_frobenius", ["--second-stage", "colour"]),
         ("two_stage", ["--dependence", "improved"]),
     ])
     def test_unread_build_flag_is_named(self, tmp_path, capsys, strategy, flags):

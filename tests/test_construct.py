@@ -109,10 +109,28 @@ def density_arrays(draw, max_interactions=None):
     return random_array(CAParams(t, k, v), n, seed=draw(st.integers(0, 2**32 - 1)))
 
 
+def reference_first_fit(cols: np.ndarray, symbols: np.ndarray) -> list[int]:
+    """First-fit colouring one cell at a time: each interaction joins the
+    first row (a column -> symbol dict) it agrees with, else a new row."""
+    rows: list[dict] = []
+    chosen = []
+    for c, s in zip(cols.tolist(), symbols.tolist()):
+        fixed = dict(zip(c, s))
+        for r, row in enumerate(rows):
+            if all(row.get(col, sym) == sym for col, sym in fixed.items()):
+                break
+        else:
+            r = len(rows)
+            rows.append({})
+        rows[r].update(fixed)
+        chosen.append(r)
+    return chosen
+
+
 class TestBuildConfig:
     def test_misspelt_second_stage_rejected(self):
         # "density" once fell through to one patch row per leftover
-        with pytest.raises(ValueError, match="second_stage must be one of one_row_each, density_greedy"):
+        with pytest.raises(ValueError, match="second_stage must be one of one_row_each, colour"):
             BuildConfig(seed=1, second_stage="density")
 
     def test_unknown_dependence_estimate_rejected(self):
@@ -285,11 +303,35 @@ class TestTwoStageBuild:
         assert log.total_rows == arr.n_rows
         assert log.total_rows == log.stage1_rows * log.group_order + log.short_orbit_rows + log.stage2_rows
 
-    def test_density_second_stage(self):
+    def test_colour_second_stage(self):
         p = CAParams(2, 5, 2)
-        arr, log = two_stage_build(p, BuildConfig(seed=3, second_stage="density_greedy"))
+        arr, log = two_stage_build(p, BuildConfig(seed=3, second_stage="colour"))
         assert full_check(arr).is_covering
         assert log.stage2_rows == arr.n_rows - log.stage1_rows
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_colour_shares_stage1_and_uses_no_more_rows(self, data):
+        t = data.draw(st.integers(2, 4))
+        p = CAParams(t, data.draw(st.integers(t, 8)), data.draw(st.integers(2, 4)))
+        config = BuildConfig(
+            seed=data.draw(st.integers(0, 2**32 - 1)),
+            n_override=data.draw(st.none() | st.integers(0, 2 * p.tuple_count)),
+            max_stage1_attempts=data.draw(st.integers(1, 3)),
+        )
+        each, each_log = two_stage_build(p, config)
+        colour, colour_log = two_stage_build(p, dataclasses.replace(config, second_stage="colour"))
+        for name in ("stage1_rows", "stage1_attempts", "uncovered_after_stage1", "success"):
+            assert getattr(colour_log, name) == getattr(each_log, name), name
+        n = each_log.stage1_rows
+        assert np.array_equal(colour.cells[:n], each.cells[:n])
+        assert colour_log.stage2_rows <= each_log.stage2_rows == each_log.uncovered_after_stage1
+        assert full_check(colour).is_covering
+        leftovers = construct._uncovered_scan(p, each.cells[:n], keep=p.interaction_space_size)[1]
+        symbols = leftovers[:, -1:] // construct._place_values(p) % p.v
+        rows = construct._first_fit_rows(p, leftovers[:, :-1], symbols)
+        assert rows.tolist() == reference_first_fit(leftovers[:, :-1], symbols)
+        assert colour_log.stage2_rows == len(set(rows.tolist()))
 
     def test_degenerate_zero_row_stage1(self):
         # at (2,2,2) the objective is minimized at n=0: the whole array is
@@ -551,8 +593,11 @@ class TestSizeDiscipline:
             (CAParams(2, 6, 3), "pgl"),
         ]
         for p, strategy in cases:
-            for seed in range(5):
-                config = BuildConfig(seed=seed)
+            # a strategy that reads the second stage is built under each choice
+            reads = "second_stage" in construct.STRATEGIES[strategy].reads
+            stages = construct._CONFIG_CHOICES["second_stage"] if reads else ("one_row_each",)
+            for second_stage, seed in product(stages, range(5)):
+                config = BuildConfig(seed=seed, second_stage=second_stage)
                 if strategy == "two_stage":
                     arr, log = two_stage_build(p, config)
                     cap = bounds.two_stage_bound(p).value
@@ -575,7 +620,7 @@ OFF_DEFAULT = {
     "max_stage1_attempts": 1,
     "resample_step_cap": 0,
     "dependence_estimate": "improved",
-    "second_stage": "density_greedy",
+    "second_stage": "colour",
     "n_override": 4,
 }
 # (strategy, a field it reads) -> (shape, seed, value) at which that value
@@ -584,7 +629,7 @@ OFF_DEFAULT = {
 WITNESSES = {
     ("two_stage", "n_override"): ((2, 4, 3), 1, 4),
     ("two_stage", "max_stage1_attempts"): ((2, 4, 3), 3, 1),
-    ("two_stage", "second_stage"): ((2, 4, 3), 1, "density_greedy"),
+    ("two_stage", "second_stage"): ((2, 4, 3), 1, "colour"),
     ("mt_cyclic", "n_override"): ((2, 4, 3), 1, 4),
     ("mt_cyclic", "resample_step_cap"): ((2, 6, 4), 3, 0),
     ("mt_cyclic", "dependence_estimate"): ((2, 4, 3), 1, "improved"),
@@ -593,7 +638,7 @@ WITNESSES = {
     ("mt_frobenius", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
     ("pgl", "n_override"): ((2, 4, 3), 1, 4),
     ("pgl", "max_stage1_attempts"): ((3, 6, 3), 1, 1),
-    ("pgl", "second_stage"): ((3, 6, 3), 1, "density_greedy"),
+    ("pgl", "second_stage"): ((3, 6, 3), 1, "colour"),
     ("pgl", "resample_step_cap"): ((3, 6, 4), 1, 0),
     ("pgl", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
 }
