@@ -103,8 +103,9 @@ class DiscreteSljTrace:
     steps: int
 
     def _count_bytes(self) -> int:
-        # each count is held by the list the tuple is built from and the tuple
-        return 2 * 8 + sys.getsizeof(self.start)
+        # each count is held by the list the tuple is built from, with room
+        # for its growth, and the tuple
+        return 3 * 8 + sys.getsizeof(self.start)
 
     @functools.cached_property
     def counts(self) -> tuple[int, ...]:

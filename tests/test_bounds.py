@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds
+from coverkit import bounds, limits
 from coverkit.core import CAParams
 from coverkit.errors import ResourceLimitError, UnsupportedParameterError
 
@@ -182,6 +182,19 @@ class TestDiscreteSlj:
             trace.counts
         monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB")
         assert len(trace.counts) == 268092 and trace.counts[-1] == 0
+
+    def test_counts_stay_within_their_check(self, monkeypatch):
+        # the list they are built from grows past one slot per count: the
+        # peak was 13.03 MB against a check of 12.87 MB
+        _, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
+        need = (trace.steps + 1) * trace._count_bytes()
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: need)
+        tracemalloc.start()
+        try:
+            trace.counts
+            assert tracemalloc.get_traced_memory()[1] <= need
+        finally:
+            tracemalloc.stop()
 
     def test_deficits_are_checked_first_and_built_once(self, monkeypatch):
         # at (6,50,5) the deficits peaked at 41.8 MiB, unchecked and rebuilt

@@ -3,8 +3,8 @@
 Oracles: a naive per-interaction coverage counter (independent of both
 production code paths) cross-checks count_uncovered; a per-column rescan
 (the density algorithm without its coverage state) cross-checks
-density_row and density_build; verify.full_check decides end-to-end
-soundness.
+density_row and density_build; a dict-per-row first fit cross-checks the
+colour second stage; verify.full_check decides end-to-end soundness.
 """
 
 import dataclasses
