@@ -110,8 +110,8 @@ def density_arrays(draw, max_interactions=None):
 
 
 def reference_first_fit(cols: np.ndarray, symbols: np.ndarray) -> list[int]:
-    """First-fit colouring one cell at a time: each interaction joins the
-    first row (a column -> symbol dict) it agrees with, else a new row."""
+    """First-fit colouring in plain Python: each interaction joins the first
+    row (a column -> symbol dict) it agrees with, else a new row."""
     rows: list[dict] = []
     chosen = []
     for c, s in zip(cols.tolist(), symbols.tolist()):
