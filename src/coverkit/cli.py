@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -306,9 +307,17 @@ def _seed_value(text: str) -> int | str:
     return text if text == "random" else int(text)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call.  Reusing it is
+    safe: it holds only constants (the strategy names, the BuildConfig
+    defaults and choices), every parse returns a fresh Namespace, and the
+    environment caps are read when a command runs, not here."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UnsupportedParameterError, ArrayFormatError, ValueError, OSError) as exc:

@@ -27,16 +27,21 @@ draws.  Every row table a builder allocates (stage-1 rows, the leftover
 listing, the colour classes, stage-2 patch rows, developed and pair
 rows) is checked against the memory cap first.  All coverage questions -
 the uncovered scan, the density state and the resampling scan - go
-through one kernel, ``_coverage_tables``.  It yields the column t-sets in
-colex order, one block per last column, ranks every row's tuples from
+through one kernel, ``_coverage_tables``.  It yields the column t-sets
+in colex order, one block per last column, ranks every row's tuples from
 prefix ranks that the sets share, and keeps what is in flight within the
-working budget of ``limits``.  The uncovered scan counts and lists in one
-pass: the exact count, and the uncovered interactions in rank order
-while that count stays within a cap (the stage-1 target), so a two-stage
-build never holds a table of all interactions.  The density state is the
-one table of all C(k,t) * v**t interactions: a mask of the uncovered
-ones, built by one kernel pass, updated as each row is added, and
-checked against the memory cap before it is allocated.
+working budget of ``limits``.  A block holds a rank range of prefixes,
+its last column and its seen table, not its sets: each consumer unranks
+only the sets it reads.  The resampling scan unranks one set per
+resample, the uncovered scan the sets of its listing, and the density
+state, the one consumer that reads them all, every block whole.  The
+uncovered scan counts and lists in one pass: the exact count, and the
+uncovered interactions in rank order while that count stays within a cap
+(the stage-1 target), so a two-stage build never holds a table of all
+interactions.  The density state is the one table of all C(k,t) * v**t
+interactions: a mask of the uncovered ones, built by one kernel pass,
+updated as each row is added, and checked against the memory cap before
+it is allocated.
 """
 
 from __future__ import annotations
@@ -182,15 +187,35 @@ def _place_values(params: CAParams) -> np.ndarray:
     return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
 
 
-def _colex_unrank(lo: int, hi: int, binomials: np.ndarray) -> np.ndarray:
-    """``core.colex_unrank`` of the ranks lo..hi-1, one subset per row.
+def _colex_unrank(ranks: np.ndarray, binomials: np.ndarray) -> np.ndarray:
+    """``core.colex_unrank`` of each rank, one subset per row.
     binomials[i - 1, c] is C(c, i), capped at any bound above the ranks."""
-    ranks = np.arange(lo, hi)
+    ranks = np.array(ranks, dtype=np.intp)  # a copy: it is reduced in place
     sets = np.empty((len(ranks), len(binomials)), dtype=np.intp)
     for i in range(len(binomials), 0, -1):  # the largest c with C(c, i) <= rank
         sets[:, i - 1] = np.searchsorted(binomials[i - 1], ranks, side="right") - 1
         ranks -= binomials[i - 1, sets[:, i - 1]]
     return sets
+
+
+class _Block(NamedTuple):
+    """One block of the coverage kernel: the column t-sets whose last
+    column is ``c`` and whose (t-1)-prefixes have colex rank lo, lo+1, ...,
+    one per row of their seen table.  The sets are not held; ``sets``
+    unranks the rows a consumer reads."""
+
+    lo: int
+    c: int
+    seen: np.ndarray
+    binomials: np.ndarray  # the kernel's table for ``_colex_unrank``
+
+    def sets(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """The column sets of the given rows (all of them by default), as
+        an intp array of one set per row."""
+        prefixes = self.lo + (np.arange(len(self.seen)) if rows is None else np.asarray(rows))
+        sets = np.empty((len(prefixes), len(self.binomials) + 1), dtype=np.intp)
+        sets[:, :-1], sets[:, -1] = _colex_unrank(prefixes, self.binomials), self.c
+        return sets
 
 
 class _PrefixLevels:
@@ -242,22 +267,26 @@ def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
     orbits: OrbitTable | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The coverage kernel: yield (sets, seen) blocks that together hold
-    every column t-set once, in colex order.  ``sets`` is the block's
-    b x t column sets; seen[j, i] is True iff some row's symbol tuple on
-    sets[j] has rank i or, given ``orbits``, lies in orbit i.
+) -> Iterator[_Block]:
+    """The coverage kernel: yield ``_Block``s that together hold every
+    column t-set once, in colex order.  A block is a rank range of
+    (t-1)-prefixes, its last column c and its seen table: seen[j, i] is
+    True iff some row's symbol tuple on the block's j-th set has rank i
+    or, given ``orbits``, lies in orbit i.  The kernel unranks no set.
+    Each consumer unranks what it reads: the resampling scan its first
+    offender, the uncovered scan the sets of its listing while it keeps
+    one, and only the density state every set of every block.
 
     Of the working budget, ``limits.working_bytes()``, the prefix levels
-    of one row chunk take up to half, one block's seen table and sets a
-    quarter, and the rank buffer 1/128, which keeps it in cache.  The
-    t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes in
-    colex order plus c, so each c is one block, cut in parts only when it
-    is over that quarter.  A tuple's rank is its prefix's rank times v plus
-    its symbol in column c.  The prefix ranks are ``_PrefixLevels``; level
-    l holds only the l-prefixes that some (t-1)-prefix extends.  A block's
-    ranks are taken in place, a few prefixes at a time, and scattered into
-    one flat table.
+    of one row chunk take up to half, one block's seen table and its sets,
+    when a consumer unranks them all, a quarter, and the rank buffer
+    1/128, which keeps it in cache.  The t-sets ending at column c are the
+    first C(c, t-1) (t-1)-prefixes in colex order plus c, so each c is one
+    block, cut in parts only when it is over that quarter.  A tuple's rank
+    is its prefix's rank times v plus its symbol in column c.  The prefix
+    ranks are ``_PrefixLevels``; level l holds only the l-prefixes that
+    some (t-1)-prefix extends.  A block's ranks are taken in place, a few
+    prefixes at a time, and scattered into one flat table.
 
     When the levels of all rows do not fit the budget, the rows go in
     chunks whose tables are ORed, and only the last chunk's levels are
@@ -316,9 +345,7 @@ def _coverage_tables(
                         np.take(orbits.orbit_id_of, ranks, out=ranks)
                     ranks += offsets[: b - a] + (a - lo) * slots
                     seen[ranks] = True
-            sets = np.empty((hi - lo, t), dtype=np.intp)
-            sets[:, :-1], sets[:, -1] = _colex_unrank(lo, hi, binomials), c
-            yield sets, seen.reshape(hi - lo, slots)
+            yield _Block(lo, c, seen.reshape(hi - lo, slots), binomials)
 
 
 def _uncovered_scan(
@@ -332,12 +359,12 @@ def _uncovered_scan(
     limits.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
     count = 0
     found = [np.empty((0, params.t + 1), dtype=np.int64)]
-    for sets, seen in _coverage_tables(params, cells):
-        missing = seen.size - int(np.count_nonzero(seen))
+    for block in _coverage_tables(params, cells):
+        missing = block.seen.size - int(np.count_nonzero(block.seen))
         count += missing
         if missing and count <= keep:
-            which, ranks = np.nonzero(~seen)
-            found.append(np.column_stack([sets[which], ranks]))
+            which, ranks = np.nonzero(~block.seen)
+            found.append(np.column_stack([block.sets(which), ranks]))
     return count, np.vstack(found if count <= keep else found[:1], dtype=np.int64)
 
 
@@ -446,10 +473,11 @@ class _DensityState:
         self.sets = np.empty((m, t), dtype=np.intp)
         self.uncovered = np.empty((m, params.tuple_count), dtype=bool)
         at = 0
-        for sets, seen in _coverage_tables(params, cells):
-            self.sets[at : at + len(sets)] = sets
-            np.logical_not(seen, out=self.uncovered[at : at + len(sets)])
-            at += len(sets)
+        for block in _coverage_tables(params, cells):  # every set of every block
+            b = len(block.seen)
+            self.sets[at : at + b] = block.sets()
+            np.logical_not(block.seen, out=self.uncovered[at : at + b])
+            at += b
         self.remaining = int(np.count_nonzero(self.uncovered))
         self._weights = _place_values(params)
         self.holders: list[list[np.ndarray]] = [[] for _ in range(k)]
@@ -537,29 +565,27 @@ def _resample_full_orbits(
 
     Orbit coverage is decided from the OrbitTable alone: per block of
     column sets, a boolean table indexed by orbit id.  The first offender
-    is the block's first set whose table misses a full orbit."""
+    is the block's first set whose table misses a full orbit; its colex
+    position is C(c, t) plus its prefix rank, and only it is unranked, and
+    only when it is resampled."""
     cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
         return cells
     while True:
-        offending, pos = None, 0
-        for sets, seen in _coverage_tables(params, cells, orbits=table):
-            missed = np.flatnonzero(~seen[:, full_ids].all(axis=1))
+        for block in _coverage_tables(params, cells, orbits=table):
+            missed = np.flatnonzero(~block.seen[:, full_ids].all(axis=1))
             if missed.size:
-                offending = pos + int(missed[0]), sets[missed[0]]
                 break
-            pos += len(sets)
-        if offending is None:
+        else:
             return cells
+        row = int(missed[0])
+        pos = math.comb(block.c, params.t) + block.lo + row
         if log.resample_count >= cap:
             log.success = False
-            log.failure_reason = (
-                f"resample cap {cap} reached at scan position {offending[0]}"
-            )
+            log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
-        pos, cols = offending
-        for c in cols:
+        for c in block.sets([row])[0]:
             cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
         log.resample_count += 1
         log.resample_witness.append((pos, log.resample_count))

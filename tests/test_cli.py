@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -309,6 +310,74 @@ class TestBuildAndVerify:
         code, _, err = run(["verify", str(f)], capsys)
         assert code == 2
         assert "line 2" in err
+
+
+class TestParserReuse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The parsers ``main`` builds from here on, counted through
+        ``build_parser``; the cache starts and ends empty."""
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        yield built
+        cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_one_parser_per_process_leaks_no_state(self, built, tmp_path, monkeypatch, capsys):
+        # each command in one process against the same command in a fresh
+        # one: stdout, exit code and file bytes (and a usage error's
+        # message).  Relative --out paths keep the two stdouts comparable,
+        # and the build log's phase timings are masked.
+        here, fresh = tmp_path / "here", tmp_path / "fresh"
+        here.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(here)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+        def in_fresh_process(argv):
+            result = subprocess.run(
+                [sys.executable, "-m", "coverkit.cli", *argv], cwd=fresh,
+                env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+            return result.returncode, result.stdout, result.stderr
+
+        def in_this_process(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        def untimed(out):
+            return re.sub(r"(?m)^(elapsed \S+ +)[0-9.]+s$", r"\1*", out)
+
+        build = ["build", "-t", "2", "-k", "5", "-v", "3"]
+        commands = [
+            ["bounds", "-t", "3", "-k", "8", "-v", "3", "--json"],
+            build + ["--seed", "random", "--out", "drawn.ca"],
+            build + ["--out", "default.ca"],
+            build + ["--strategy", "nope", "--out", "none.ca"],
+            ["verify", "default.ca"],
+        ]
+        for argv in commands:
+            code, out, err = in_this_process(argv)
+            if "random" in argv:
+                # the fresh process is given the seed this one drew
+                seed, out = out.split("\n", 1)
+                assert seed.startswith("seed ")
+                argv = [seed.split()[1] if a == "random" else a for a in argv]
+            fresh_code, fresh_out, fresh_err = in_fresh_process(argv)
+            assert (code, untimed(out)) == (fresh_code, untimed(fresh_out)), argv
+            if code == 2:
+                assert err == fresh_err and "invalid choice: 'nope'" in err
+        for name in ("drawn.ca", "default.ca"):
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert not (here / "none.ca").exists() and not (fresh / "none.ca").exists()
+        assert len(built) == 1
 
 
 class TestLayering:

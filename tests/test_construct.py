@@ -8,6 +8,7 @@ colour second stage; verify.full_check decides end-to-end soundness.
 """
 
 import dataclasses
+import hashlib
 from itertools import combinations, product
 from math import comb
 
@@ -458,6 +459,29 @@ class TestMoserTardos:
         assert not log.success
         assert log.resample_count == 5
         assert "cap" in log.failure_reason
+
+    def test_resampling_unranks_one_set_per_resample(self, monkeypatch):
+        # the kernel yields rank ranges, and the scan unranks only the
+        # offender it resamples: a block-wide unrank would count thousands
+        # of sets here.  The array is the one the builder made when every
+        # block's sets were unranked (same digest input as test_golden).
+        p = CAParams(3, 16, 4)
+        unranked = []
+        unrank = construct._colex_unrank
+
+        def counted(ranks, binomials):
+            unranked.append(len(ranks))
+            return unrank(ranks, binomials)
+
+        monkeypatch.setattr(construct, "_colex_unrank", counted)
+        n = bounds.frobenius_lll_bound(p).stage1_rows * 3 // 4
+        arr, log = moser_tardos_build(p, make_frobenius(4), BuildConfig(seed=1, n_override=n))
+        assert log.success and log.resample_count > 0
+        assert sum(unranked) <= log.resample_count
+        h = hashlib.sha256(f"CA {arr.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
+        h.update(np.ascontiguousarray(arr.cells, dtype=np.uint8).tobytes())
+        assert (n, arr.n_rows, log.resample_count, h.hexdigest()) == (
+            30, 364, 26, "970f7877b7e6ed9aae019b78f4dfac51491e52d450da5f8e4215d6ac3526d84e")
 
     def test_pgl_action_matches_pgl_build(self):
         for p in (CAParams(2, 4, 4), CAParams(3, 5, 4), CAParams(2, 6, 3)):

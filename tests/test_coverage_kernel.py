@@ -4,11 +4,12 @@
 t-set at a time, each row's tuple ranked by a dot product with the place
 values and scattered into a fresh table.  It is slow and plainly right,
 and it is kept here, as ``full_check``'s row loop is kept in
-test_verify, to check the block kernel on many inputs: its blocks, and
-through the kernel's consumers the uncovered count and listing, the
-density mask and the resampling scan's first offender.  Each check also
-runs under working budgets small enough to split the rows into chunks, a
-column's block into several and a level's prefixes into windows.
+test_verify, to check the block kernel on many inputs: its blocks, the
+column sets a block unranks on demand, and through the kernel's
+consumers the uncovered count and listing, the density mask and the
+resampling scan's first offender.  Each check also runs under working
+budgets small enough to split the rows into chunks, a column's block
+into several and a level's prefixes into windows.
 CAParams has t >= 2, so t runs from 2 to k.
 """
 
@@ -73,7 +74,8 @@ def kernel_tables(params, cells, orbits, budget):
     one column's block, then stacked."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = list(construct._coverage_tables(params, cells, orbits))
+        blocks = [(block.sets(), block.seen)
+                  for block in construct._coverage_tables(params, cells, orbits)]
     for sets, seen in blocks:
         assert sets.dtype == np.intp and seen.dtype == bool
         assert len(sets) == len(seen) > 0 and len(set(sets[:, -1])) == 1
@@ -117,6 +119,23 @@ class TestBlocks:
         assert np.array_equal(sets, ref_sets)
         assert np.array_equal(seen, ref_seen)
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.one_of(scans(), scans(orbits=True)), st.data())
+    def test_unranked_rows_match_reference(self, scan, data):
+        # a block unranks any rows asked for, repeated or out of order, to
+        # the oracle's sets at those positions
+        params, cells, orbits, budget = scan
+        ref_sets, _ = reference_tables(params, cells, orbits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_WORKING_BYTES", budget)
+            for block in construct._coverage_tables(params, cells, orbits):
+                rows = np.array(data.draw(st.lists(st.integers(0, len(block.seen) - 1))),
+                                dtype=np.intp)
+                start = comb(block.c, params.t) + block.lo
+                sets = block.sets(rows)
+                assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
+                assert np.array_equal(sets, ref_sets[start + rows])
+
     def test_small_budgets_cut_blocks(self):
         # (3,9,3): a 1-byte budget takes one set at a time, 8192 bytes one
         # whole column's block
@@ -145,7 +164,8 @@ class TestBlocks:
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
         blocks = construct._coverage_tables(p, cells)
-        sets, seen = zip(*islice((pair for block in blocks for pair in zip(*block)), 3003))
+        pairs = (pair for block in blocks for pair in zip(block.sets(), block.seen))
+        sets, seen = zip(*islice(pairs, 3003))
         ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))
         assert np.array_equal(sets, ref_sets) and np.array_equal(seen, ref_seen)
 
