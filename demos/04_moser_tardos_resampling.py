@@ -6,7 +6,7 @@ in a fixed order.  Whenever an orbit of tuples with at least l distinct
 symbols (l = 2 for the Frobenius group) is uncovered on a set, it redraws
 those t columns entirely and restarts the scan.  At the row
 count the local lemma prescribes, the expected number of redraws is small;
-the witness trace below records each one.
+the witness trace below names the column set of each (the last 16 at most).
 """
 
 from coverkit import CAParams, bounds
@@ -31,7 +31,7 @@ def main() -> None:
     for seed in range(6):
         array, log = moser_tardos_build(p, action, BuildConfig(seed=seed))
         ok = full_check(array).is_covering
-        trace = ", ".join(f"set#{pos}" for pos, _ in log.resample_witness) or "none"
+        trace = ", ".join(f"set#{pos}" for pos in log.resample_witness) or "none"
         print(
             f"seed {seed}: {log.resample_count} resamples ({trace}); "
             f"{array.n_rows} rows, covering={ok}"

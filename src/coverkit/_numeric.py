@@ -22,7 +22,6 @@ impossible and 50 digits decide the comparison outright.
 import functools
 import math
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import limits
@@ -44,10 +43,8 @@ def _ln(x: int) -> Decimal:
         return Decimal(x).ln()
 
 
-def dec_ln(x: int | Fraction) -> Decimal:
-    """Natural log of an exact positive integer or fraction, to 50 digits."""
-    if isinstance(x, Fraction):
-        return ln_ratio(x.numerator, x.denominator)
+def dec_ln(x: int) -> Decimal:
+    """Natural log of an exact positive integer, to 50 digits."""
     return _ln(x)
 
 

@@ -6,9 +6,9 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   the smallest N with C(k,t) * v**t * (1 - 1/v**t)**N < 1.
 * ``discrete_slj_bound``   - row-at-a-time refinement: repeatedly take the
   integer floor of the expected leftover count until it reaches zero.  The
-  step count is the bound, counted in one pass that keeps no counts; the
-  trace returned alongside builds the counts and per-step deficits once,
-  when they are first read.
+  step count is the bound, counted in one pass that keeps no counts and
+  also finds the least interior deficit, which the trace returned
+  alongside carries.
 * ``two_stage_bound``      - alteration: minimize over n the total
   n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), a random partial array plus
   one patch row per surviving uncovered interaction.
@@ -20,9 +20,9 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   outcome.  The group variants count orbits instead of tuples and pay a
   factor of the group order (plus short-orbit patch rows) on the way back.
   All four, the conditional bound's first stage and
-  ``asymptotic_coefficient`` read one orbit census per action (events per
-  column set, the chance a row hits one, the group order) and share one
-  solver.
+  ``asymptotic_coefficient`` read one orbit census (events per column set,
+  the chance a row hits one, the group order), computed for every action
+  from its degree of sharp transitivity, and share one solver.
 * ``conditional_lll_two_stage_bound`` - a local lemma first stage that
   covers one designated interaction per column set, followed by patching;
   the leftover count after stage one is estimated under the distribution
@@ -38,13 +38,12 @@ truncated to machine floats except in report fields documented as floats.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 from . import _numeric as num
 from . import limits
@@ -92,36 +91,15 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class DiscreteSljTrace:
-    """The row-at-a-time recurrence from r(0) = start: its step count N,
-    and on access its exact leftover counts r(0..N) and the per-step
-    deficits derived from them, each built once and checked against the
-    memory cap first.  deficits[i] = y*r(i) - r(i+1) as an exact rational,
-    where y = 1 - 1/v**t."""
+    """The row-at-a-time recurrence from r(0) = start: its step count N and
+    its least interior deficit, the least y*r(i) - r(i+1) over the steps
+    1 <= i <= N-2 as an exact rational (None when there is none), where
+    y = 1 - 1/v**t."""
 
     start: int
     tuple_count: int
     steps: int
-
-    def _count_bytes(self) -> int:
-        # each count is held by the list the tuple is built from, with room
-        # for its growth, and the tuple
-        return 3 * 8 + sys.getsizeof(self.start)
-
-    @functools.cached_property
-    def counts(self) -> tuple[int, ...]:
-        limits.check_table_bytes(self.steps + 1, self._count_bytes(), "discrete recurrence trace")
-        return (self.start, *_leftover_recurrence(self.start, self.tuple_count))
-
-    @functools.cached_property
-    def deficits(self) -> tuple[Fraction, ...]:
-        # a Fraction, its numerator and denominator (both at most v**t), the
-        # tuple's slot with room for its growth, and the counts it reads
-        vt = self.tuple_count
-        entry = sys.getsizeof(Fraction(1, 2)) + 2 * sys.getsizeof(vt) + 3 * 8
-        limits.check_table_bytes(
-            self.steps, entry + self._count_bytes(), "discrete recurrence deficits")
-        counts = self.counts
-        return tuple(Fraction(r * (vt - 1), vt) - nxt for r, nxt in zip(counts, counts[1:]))
+    least_deficit: Fraction | None
 
 
 def slj_bound(params: CAParams) -> BoundReport:
@@ -161,8 +139,8 @@ def discrete_slj_bound(
     bound is the step count N with r(N) = 0.  Exact integer arithmetic in
     one pass that keeps no counts (``_leftover_steps``, which refuses a
     recurrence too long for the column-set cap before its first step); the
-    trace rebuilds the counts only when they are read.  ``max_steps``
-    guards runtime and raises ResourceLimitError if exceeded.
+    same pass finds the least interior deficit the trace carries.
+    ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
     """
     vt = params.tuple_count
     start = params.interaction_space_size
@@ -178,7 +156,8 @@ def discrete_slj_bound(
         value=steps,
         notes={"estimate": estimate, "deficit_min": deficit_min},
     )
-    return report, DiscreteSljTrace(start, vt, steps)
+    least = Fraction(vt - top, vt) if top >= 0 else None
+    return report, DiscreteSljTrace(start, vt, steps, least)
 
 
 def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int, int, int]:
@@ -187,13 +166,15 @@ def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int,
     the limit stopped it, and top the largest r(i) % vt over the interior
     steps 1 <= i <= N-2, those whose next count is above 0 (-1 if none).
 
-    The steps are those of ``_leftover_recurrence``, in one pass that keeps
-    no counts.  Once top is vt - 1, which no remainder passes, the pass
-    stops taking remainders.  Each step leaves r + vt at least y = 1 - 1/vt
-    times what it was, so the pass takes at least
-    ln(start/vt + 1) / ln(1/y) steps (``discrete_slj_estimate`` from
-    start = C(k,t) * vt); when that is over the column-set cap, or the limit
-    when lower, it raises ResourceLimitError before the first step.
+    Both branches of the recurrence after the first step come to
+    r - (r // vt + 1): when vt divides r that is y*r - 1, and otherwise it
+    is r - ceil(r / vt).  The pass keeps no counts.  Once top is vt - 1,
+    which no remainder passes, it stops taking remainders.  Each step
+    leaves r + vt at least y = 1 - 1/vt times what it was, so the pass
+    takes at least ln(start/vt + 1) / ln(1/y) steps
+    (``discrete_slj_estimate`` from start = C(k,t) * vt); when that is over
+    the column-set cap, or the limit when lower, it raises
+    ResourceLimitError before the first step.
     """
     least = (math.log(start + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
     limits.check_steps(min(math.ceil(least), limit), "discrete recurrence trace")
@@ -209,21 +190,6 @@ def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int,
         r -= r // vt + 1
         n += 1
     return n, top, r
-
-
-def _leftover_recurrence(start: int, vt: int) -> Iterator[int]:
-    """r(1), r(2), ..., 0 of the leftover recurrence from r(0) = start.
-
-    Both branches after the first step come to r - (r // vt + 1): when vt
-    divides r that is y*r - 1, and otherwise it is r - ceil(r / vt).
-    """
-    r = start
-    if r > 0:
-        r -= -(-r // vt)
-        yield r
-    while r > 0:
-        r -= r // vt + 1
-        yield r
 
 
 def discrete_slj_estimate(params: CAParams) -> float:
@@ -297,32 +263,42 @@ def _two_stage_analytic_value(params: CAParams) -> float:
             + math.log(lnx) + 1) / lnx
 
 
+# symbol action -> (l, which alphabets it acts on, the error otherwise).
+# Each action is sharply l-transitive, so it moves every tuple with at
+# least l distinct symbols freely; "gss" is the trivial action, with l = 0.
+_ACTIONS: dict[str, tuple[int, Callable[[int], bool], str]] = {
+    "gss": (0, lambda v: True, ""),
+    "cyclic": (1, lambda v: True, ""),
+    "frobenius": (2, lambda v: num.is_prime_power(v) is not None,
+                  "frobenius action requires a prime-power alphabet, got v={v}"),
+    "pgl": (3, lambda v: v >= 3 and num.is_prime_power(v - 1) is not None,
+            "pgl action requires v >= 3 with v-1 a prime power, got v={v}"),
+}
+
+
 def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
     """What a symbol action costs the local lemma: (events, base, hit, order).
 
     Each column t-set has ``events`` bad events (orbits of symbol t-tuples
     developed in full), a random row hits a given one with probability
     hit/base, and developing the array multiplies its rows by ``order``.
+    A sharply l-transitive action has order v!/(v-l)!, and its full orbits
+    are those of the tuples with at least l distinct symbols: all v**t
+    tuples but the C(v, j) * surj(t, j) with j < l distinct symbols, where
+    surj(t, j) counts the maps of t positions onto j symbols.
     """
-    base = v ** (t - 1)
-    if kind == "gss":
-        return v**t, v**t, 1, 1
-    if kind == "cyclic":
-        return base, base, 1, v
-    if kind == "frobenius":
-        if num.is_prime_power(v) is None:
-            raise UnsupportedParameterError(
-                f"frobenius action requires a prime-power alphabet, got v={v}"
-            )
-        return (base - 1) // (v - 1), base, v - 1, v * (v - 1)
-    if kind == "pgl":
-        if v < 3 or num.is_prime_power(v - 1) is None:
-            raise UnsupportedParameterError(
-                f"pgl action requires v >= 3 with v-1 a prime power, got v={v}"
-            )
-        full = pgl_orbit_counts(t, v)["full_orbits"]
-        return full, base, (v - 1) * (v - 2), v * (v - 1) * (v - 2)
-    raise ValueError(f"unknown method {kind!r}; expected one of {COEFFICIENT_METHODS}")
+    if kind not in _ACTIONS:
+        raise ValueError(f"unknown method {kind!r}; expected one of {COEFFICIENT_METHODS}")
+    ell, acts_on, refusal = _ACTIONS[kind]
+    if not acts_on(v):
+        raise UnsupportedParameterError(refusal.format(v=v))
+    order = math.perm(v, ell)
+    short = sum(
+        math.comb(v, j) * sum((-1) ** i * math.comb(j, i) * (j - i) ** t for i in range(j + 1))
+        for j in range(ell)
+    )
+    g = math.gcd(order, v)
+    return (v**t - short) // order, v**t // g, order // g, order
 
 
 def _lll_solve(
@@ -433,21 +409,6 @@ def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> 
     )
 
 
-def pgl_orbit_counts(t: int, v: int) -> dict:
-    """Orbit census of symbol t-tuples under the sharply 3-transitive
-    fractional-linear action: constants (length v), two-symbol tuples
-    (length v(v-1)), and r full orbits of length v(v-1)(v-2)."""
-    numer = v ** (t - 1) - (v - 1) * (2 ** (t - 1) - 1) - 1
-    denom = (v - 1) * (v - 2)
-    if numer % denom:
-        raise ArithmeticError(f"full-orbit count is not integral for t={t}, v={v}")
-    return {
-        "full_orbits": numer // denom,
-        "two_symbol_orbits": 2 ** (t - 1) - 1,
-        "constant_orbits": 1,
-    }
-
-
 def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
     """Local lemma bound under the sharply 3-transitive fractional-linear
     action on v = q+1 symbols, q a prime power.
@@ -469,7 +430,7 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
         stage1_rows=n,
         notes={
             "full_orbit_count": r,
-            "two_symbol_orbit_count": pgl_orbit_counts(t, v)["two_symbol_orbits"],
+            "two_symbol_orbit_count": 2 ** (t - 1) - 1,
             "group_order": order,
             "full_stage_addend": full_part,
             "pair_addend": pair_part,

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin, get_type_hints
@@ -77,7 +78,6 @@ __all__ = [
     "random_array",
     "count_uncovered",
     "two_stage_build",
-    "density_row",
     "density_build",
     "moser_tardos_build",
     "pgl_build",
@@ -124,7 +124,9 @@ _CONFIG_CHOICES = {
 @dataclass
 class BuildLog:
     """What a builder did: row accounting, attempts, resamples, timings.
-    Each phase is timed by ``timed``, under its name in ``elapsed``."""
+    Each phase is timed by ``timed``, under its name in ``elapsed``.
+    ``resample_witness`` holds the scan positions of the column sets the
+    last 16 resamples redrew, oldest first; ``resample_count`` counts all."""
 
     strategy: str
     stage1_rows: int = 0
@@ -137,7 +139,7 @@ class BuildLog:
     success: bool = True
     failure_reason: str | None = None
     elapsed: dict[str, float] = field(default_factory=dict)
-    resample_witness: list[tuple[int, int]] = field(default_factory=list)
+    resample_witness: deque[int] = field(default_factory=lambda: deque(maxlen=16))
 
     @property
     def total_rows(self) -> int:
@@ -514,23 +516,12 @@ class _DensityState:
         self.uncovered[every, ranks] = False
 
 
-def density_row(array: SymbolArray) -> np.ndarray | None:
-    """One greedy row of the density algorithm (Bryce & Colbourn): fix cells
-    left to right, each chosen to minimize the conditional expected number
-    of interactions left uncovered.
-
-    Scoring is exact integer arithmetic: an uncovered interaction matching
-    the fixed prefix contributes v**(fixed positions) to its symbol's score,
-    i.e. the coverage probability scaled by v**t.  Ties break toward the
-    smaller symbol.  Returns None when the array already covers everything.
-    """
-    state = _DensityState(array.params, array.cells)
-    return state.choose_row() if state.remaining else None
-
-
 def density_build(array: SymbolArray) -> SymbolArray:
-    """Append greedy density rows until the array covers everything.  The
-    coverage state is built once and updated per row."""
+    """Append greedy density rows (Bryce & Colbourn) until the array covers
+    everything.  Each row fixes its cells left to right, each chosen to
+    minimize the conditional expected number of interactions left
+    uncovered, in exact integer arithmetic (``_DensityState.choose_row``).
+    The coverage state is built once and updated per row."""
     state = _DensityState(array.params, array.cells)
     rows = []
     while state.remaining:
@@ -588,7 +579,7 @@ def _resample_full_orbits(
         for c in block.sets([row])[0]:
             cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
         log.resample_count += 1
-        log.resample_witness.append((pos, log.resample_count))
+        log.resample_witness.append(pos)
 
 
 # action kind -> the LLL bound whose stage-1 row count its builder draws

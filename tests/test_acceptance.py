@@ -15,6 +15,7 @@ import math
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,17 @@ from coverkit.construct import (
 from coverkit.core import CAParams
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl
 from coverkit.verify import exhaustive_can, full_check
+
+
+def _leftover_counts(start: int, vt: int) -> list[int]:
+    """r(0..N) of the leftover recurrence in its two-branch form, with
+    y = 1 - 1/v**t: floor(y*r) on the first step and whenever v**t does not
+    divide r, y*r - 1 on the other steps."""
+    counts = [start]
+    while counts[-1] > 0:
+        r = counts[-1]
+        counts.append(r * (vt - 1) // vt - (len(counts) > 1 and r % vt == 0))
+    return counts
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -63,11 +75,14 @@ def test_criterion_2_discrete_slj_sandwich():
                 c = math.comb(k, t)
                 vt = p.tuple_count
                 lower_ok = vt**n > (c + 1) * (vt - 1) ** n
-                eps = min(trace.deficits[1 : n - 1])
+                eps = trace.least_deficit
+                ref = _leftover_counts(p.interaction_space_size, vt)
+                eps_ok = eps == min(Fraction(r * (vt - 1), vt) - nxt
+                                    for r, nxt in zip(ref[1 : n - 1], ref[2:n]))
                 a, b = eps.numerator, eps.denominator
                 upper_ok = a * vt**n <= (b * c + a) * (vt - 1) ** n
-                if not (lower_ok and upper_ok):
-                    violations.append((t, v, k, lower_ok, upper_ok))
+                if not (lower_ok and upper_ok and eps_ok):
+                    violations.append((t, v, k, lower_ok, upper_ok, eps_ok))
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 10.0
     _report(
@@ -103,12 +118,12 @@ def test_criterion_3_orbit_census():
             if v >= 3 and v - 1 in (2, 3, 4):
                 table = enumerate_orbits(make_pgl(v), t)
                 counts = Counter(table.lengths)
-                census = bounds.pgl_orbit_counts(t, v)
-                if counts[v * (v - 1) * (v - 2)] != census["full_orbits"] and not (
+                full = (v ** (t - 1) - (v - 1) * (2 ** (t - 1) - 1) - 1) // ((v - 1) * (v - 2))
+                if counts[v * (v - 1) * (v - 2)] != full and not (
                     v == 3  # v(v-1)(v-2) = 6 = v(v-1) when v=3: lengths collide
                 ):
                     problems.append(("pgl-full", t, v, dict(counts)))
-                if v > 3 and counts[v * (v - 1)] != census["two_symbol_orbits"]:
+                if v > 3 and counts[v * (v - 1)] != 2 ** (t - 1) - 1:
                     problems.append(("pgl-two", t, v, dict(counts)))
                 if sum(table.lengths) != v**t:
                     problems.append(("pgl-sum", t, v))

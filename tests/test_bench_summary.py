@@ -13,9 +13,11 @@ END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["
 
 
 def write_records(checkout: Path, workload: str, values: dict[int, dict[str, float]], *,
-                  seconds: float = 30.0, outputs: dict[int, str] | None = None) -> None:
+                  seconds: float = 30.0, outputs: dict[int, str] | None = None,
+                  matches: dict[int, bool | None] | None = None) -> None:
     """One untraced record per seed; metrics missing from values read 1.0,
-    and a seed's output digest is its own unless outputs names another."""
+    a seed's output digest is its own unless outputs names another, and it
+    matches its reference digest unless matches says otherwise."""
     out = checkout / "perfbench" / "_out"
     out.mkdir(parents=True, exist_ok=True)
     for seed, given in values.items():
@@ -28,7 +30,7 @@ def write_records(checkout: Path, workload: str, values: dict[int, dict[str, flo
             "git_sha": None,
             "source_sha256": f"src-{checkout.name}",
             "cpu_count": 2,
-            "matches_reference": True,
+            "matches_reference": (matches or {}).get(seed, True),
             "metrics": {
                 m["name"]: {"value": given.get(m["name"], 1.0), "unit": m["unit"]}
                 for m in END_TO_END
@@ -117,3 +119,16 @@ def test_pairs_run_at_different_seconds_exit_nonzero(tmp_path):
     assert "workload two-stage seed 1" in done.stderr
     assert "20.0" in done.stderr and "30.0" in done.stderr
     assert not (tmp_path / "bench.json").exists()
+
+
+def test_seeds_without_a_reference_are_counted_not_judged(tmp_path):
+    # perfbench/run.py writes null for a seed past its reference digests
+    write_records(tmp_path / "parent", "two-stage", {1: {}, 11: {}}, matches={11: None})
+    write_records(tmp_path / "change", "two-stage", {1: {}, 11: {}, 12: {}},
+                  matches={1: False, 11: None, 12: None})
+    done = summarise(tmp_path)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((tmp_path / "bench.json").read_text(encoding="ascii"))
+    parent, change = summary["parent"], summary["change"]
+    assert (parent["all_match_digests"], parent["without_reference"]) == (True, 1)
+    assert (change["all_match_digests"], change["without_reference"]) == (False, 1)

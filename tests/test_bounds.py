@@ -6,14 +6,13 @@ regression values carry the arithmetic that produced them.
 """
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds, limits
+from coverkit import bounds
 from coverkit.core import CAParams
 from coverkit.errors import ResourceLimitError, UnsupportedParameterError
 
@@ -36,6 +35,15 @@ def reference_leftover_counts(start, vt):
             nxt -= 1
         counts.append(nxt)
         first = False
+    return counts
+
+
+def leftover_counts(start, vt):
+    """r(0..N) as ``_leftover_steps`` takes them: r(i) is where the pass
+    stops when limited to i steps."""
+    counts = [start]
+    while counts[-1] > 0:
+        counts.append(bounds._leftover_steps(start, vt, len(counts))[2])
     return counts
 
 
@@ -81,25 +89,34 @@ class TestSljBound:
 class TestDiscreteSlj:
     def test_tiny_trace(self):
         rep, trace = bounds.discrete_slj_bound(CAParams(2, 2, 2))
-        assert trace.counts == (4, 3, 2, 1, 0)
-        assert rep.value == 4
+        assert leftover_counts(trace.start, trace.tuple_count) == [4, 3, 2, 1, 0]
+        assert rep.value == trace.steps == 4
+        # interior deficits: 3/4 * 3 - 2 = 1/4 and 3/4 * 2 - 1 = 1/2
+        assert trace.least_deficit == Fraction(1, 4)
 
     def test_first_deficit_zero(self):
         _, trace = bounds.discrete_slj_bound(CAParams(3, 6, 2))
-        assert trace.deficits[0] == 0
+        vt = trace.tuple_count
+        r0, r1 = leftover_counts(trace.start, vt)[:2]
+        assert Fraction(r0 * (vt - 1), vt) - r1 == 0
 
     def test_deficits_in_unit_interval(self):
         _, trace = bounds.discrete_slj_bound(CAParams(2, 12, 3))
-        assert all(0 <= d <= 1 for d in trace.deficits)
+        vt = trace.tuple_count
+        counts = leftover_counts(trace.start, vt)
+        assert all(0 <= Fraction(r * (vt - 1), vt) - nxt <= 1
+                   for r, nxt in zip(counts, counts[1:]))
+        assert 0 < trace.least_deficit <= 1
 
     def test_counts_strictly_decreasing(self):
         _, trace = bounds.discrete_slj_bound(CAParams(2, 12, 3))
-        assert all(a > b for a, b in zip(trace.counts, trace.counts[1:]))
+        counts = leftover_counts(trace.start, trace.tuple_count)
+        assert all(a > b for a, b in zip(counts, counts[1:]))
 
     def test_exact_divisor_step_subtracts_one(self):
         # r=4 with v^t=4 after the first row: next is y*r - 1 = 2
         _, trace = bounds.discrete_slj_bound(CAParams(2, 4, 2))
-        counts = trace.counts
+        counts = leftover_counts(trace.start, trace.tuple_count)
         assert counts[0] == 24
         for i in range(1, len(counts) - 1):
             r = counts[i]
@@ -121,7 +138,10 @@ class TestDiscreteSlj:
             c = math.comb(k, t)
             vt = p.tuple_count
             assert vt**n > (c + 1) * (vt - 1) ** n  # lower, strict
-            eps = min(trace.deficits[1 : n - 1])
+            eps = trace.least_deficit
+            ref = reference_leftover_counts(p.interaction_space_size, vt)
+            assert eps == min(Fraction(r * (vt - 1), vt) - nxt
+                              for r, nxt in zip(ref[1 : n - 1], ref[2:n]))
             a, b = eps.numerator, eps.denominator
             assert a * vt**n <= (b * c + a) * (vt - 1) ** n  # upper
 
@@ -144,21 +164,12 @@ class TestDiscreteSlj:
         vt = p.tuple_count
         ref = reference_leftover_counts(p.interaction_space_size, vt)
         rep, trace = bounds.discrete_slj_bound(p)
-        assert list(trace.counts) == ref
-        assert rep.value == len(ref) - 1
+        assert (trace.start, trace.tuple_count) == (ref[0], vt)
+        assert rep.value == trace.steps == len(ref) - 1
         deficits = [Fraction(r * (vt - 1), vt) - nxt for r, nxt in zip(ref, ref[1:])]
-        assert list(trace.deficits) == deficits
+        assert trace.least_deficit == min(deficits[1:-1], default=None)
         interior = [r * (vt - 1) - nxt * vt for r, nxt in zip(ref[1:-2], ref[2:-1])]
         assert rep.notes["deficit_min"] == (min(interior) / vt if interior else None)
-
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000))
-    @example(start=0, vt=4)
-    @example(start=24, vt=4)
-    def test_recurrence_matches_two_branch_form(self, start, vt):
-        assert list(bounds._leftover_recurrence(start, vt)) == (
-            reference_leftover_counts(start, vt)[1:]
-        )
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000), limit=st.integers(0, 60))
@@ -174,45 +185,12 @@ class TestDiscreteSlj:
         assert n == min(limit, len(ref) - 1) and r == ref[n]
 
     def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
-        # 268,091 steps: the counts take about 14 MiB, the value none of it
+        # 268,091 steps: their counts would take about 14 MiB, the value and
+        # the least deficit none of it
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "4")
         rep, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
         assert rep.value == trace.steps == 268091
-        with pytest.raises(ResourceLimitError, match="discrete recurrence trace needs"):
-            trace.counts
-        monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB")
-        assert len(trace.counts) == 268092 and trace.counts[-1] == 0
-
-    def test_counts_stay_within_their_check(self, monkeypatch):
-        # the list they are built from grows past one slot per count: the
-        # peak was 13.03 MB against a check of 12.87 MB
-        _, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
-        need = (trace.steps + 1) * trace._count_bytes()
-        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: need)
-        tracemalloc.start()
-        try:
-            trace.counts
-            assert tracemalloc.get_traced_memory()[1] <= need
-        finally:
-            tracemalloc.stop()
-
-    def test_deficits_are_checked_first_and_built_once(self, monkeypatch):
-        # at (6,50,5) the deficits peaked at 41.8 MiB, unchecked and rebuilt
-        # on every read
-        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "24")
-        _, trace = bounds.discrete_slj_bound(CAParams(6, 50, 5))
-        with pytest.raises(ResourceLimitError, match="discrete recurrence deficits needs"):
-            trace.deficits
-        # 38,882 steps: counts and deficits peak near 6 MiB, checked at 6.5 MiB
-        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "7")
-        _, trace = bounds.discrete_slj_bound(CAParams(5, 30, 5))
-        tracemalloc.start()
-        try:
-            deficits = trace.deficits
-            assert tracemalloc.get_traced_memory()[1] <= 7 << 20
-        finally:
-            tracemalloc.stop()
-        assert len(deficits) == trace.steps and trace.deficits is deficits
+        assert float(trace.least_deficit) == rep.notes["deficit_min"]
 
     def test_length_over_the_step_cap_is_refused_first(self, monkeypatch):
         p = CAParams(2, 12, 3)
@@ -437,20 +415,23 @@ class TestFrobenius:
 class TestPgl:
     def test_full_orbit_count_formula(self):
         # (25 - 4*3 - 1) / (4*3) = 1
-        assert bounds.pgl_orbit_counts(3, 5)["full_orbits"] == 1
-        assert bounds.pgl_orbit_counts(2, 5)["full_orbits"] == 0
-        assert bounds.pgl_orbit_counts(3, 5)["two_symbol_orbits"] == 3
+        notes = bounds.pgl_lll_bound(CAParams(3, 8, 5)).notes
+        assert notes["full_orbit_count"] == 1
+        assert notes["two_symbol_orbit_count"] == 3
+        assert bounds.pgl_lll_bound(CAParams(2, 8, 5)).notes["full_orbit_count"] == 0
 
     def test_orbit_size_accounting(self):
-        for t in (2, 3, 4):
-            for v in (3, 4, 5):
-                census = bounds.pgl_orbit_counts(t, v)
-                total = (
-                    v
-                    + v * (v - 1) * census["two_symbol_orbits"]
-                    + v * (v - 1) * (v - 2) * census["full_orbits"]
-                )
-                assert total == v**t
+        # constants, 2**(t-1) - 1 two-symbol orbits of length v(v-1) and
+        # the full orbits of length v(v-1)(v-2) partition the v**t tuples
+        from coverkit._numeric import is_prime_power
+
+        for t in range(2, 10):
+            for v in (v for v in range(3, 40) if is_prime_power(v - 1)):
+                base, two = v ** (t - 1), 2 ** (t - 1) - 1
+                full = (base - (v - 1) * two - 1) // ((v - 1) * (v - 2))
+                census = bounds._orbit_census("pgl", t, v)
+                assert census == (full, base, (v - 1) * (v - 2), v * (v - 1) * (v - 2))
+                assert v + v * (v - 1) * two + v * (v - 1) * (v - 2) * full == v**t
 
     def test_parameter_validation(self):
         with pytest.raises(UnsupportedParameterError):
@@ -485,13 +466,13 @@ class TestPgl:
     def test_coefficient_at_t2_is_the_pair_term_alone(self, v):
         # at t = 2 no tuple has three distinct symbols, so there are no full
         # orbits and the bound grows only through its binary pair stage
-        assert bounds.pgl_orbit_counts(2, v)["full_orbits"] == 0
         coef = bounds.asymptotic_coefficient("pgl", 2, v)
         assert coef == pytest.approx(
             math.comb(v, 2) * bounds.asymptotic_coefficient("cyclic", 2, 2), rel=1e-12
         )
-        lo, hi = (bounds.pgl_lll_bound(CAParams(2, k, v)).value for k in (10**6, 10**12))
-        assert (hi - lo) / math.log(10**6) == pytest.approx(coef, rel=0.01)
+        lo, hi = (bounds.pgl_lll_bound(CAParams(2, k, v)) for k in (10**6, 10**12))
+        assert lo.notes["full_orbit_count"] == hi.notes["full_orbit_count"] == 0
+        assert (hi.value - lo.value) / math.log(10**6) == pytest.approx(coef, rel=0.01)
 
 
 class TestConditional:
@@ -620,7 +601,7 @@ class TestCrossBoundProperties:
             if v in (2, 3, 4, 5, 7, 8, 9):
                 yield "frobenius", (b - 1) // (v - 1), 1 - (v - 1) / b, True
             if v in (3, 4, 5, 6, 8, 9, 10):
-                full = bounds.pgl_orbit_counts(t, v)["full_orbits"]
+                full = (b - (v - 1) * (2 ** (t - 1) - 1) - 1) // ((v - 1) * (v - 2))
                 yield "pgl", full, 1 - (v - 1) * (v - 2) / b, True
 
         for t, k, v in self.GRID + [(3, 20, 4), (4, 30, 5), (5, 12, 9)]:

@@ -2,8 +2,8 @@
 
 Oracles: a naive per-interaction coverage counter (independent of both
 production code paths) cross-checks count_uncovered; a per-column rescan
-(the density algorithm without its coverage state) cross-checks
-density_row and density_build; a dict-per-row first fit cross-checks the
+(the density algorithm without its coverage state) cross-checks each row
+density_build appends; a dict-per-row first fit cross-checks the
 colour second stage; verify.full_check decides end-to-end soundness.
 """
 
@@ -22,7 +22,6 @@ from coverkit.construct import (
     BuildConfig,
     count_uncovered,
     density_build,
-    density_row,
     moser_tardos_build,
     pgl_build,
     random_array,
@@ -67,7 +66,8 @@ def _uncovered_ranks(array: SymbolArray, cols: tuple[int, ...]) -> np.ndarray:
 
 
 def reference_density_row(array: SymbolArray) -> np.ndarray | None:
-    """The reference oracle for density_row: for each column j, rescan every
+    """The next row density_build appends, or None when the array covers
+    everything: for each column j, rescan every
     column t-set holding j and score its uncovered tuples one at a time."""
     params = array.params
     t, k, v = params.t, params.k, params.v
@@ -349,29 +349,25 @@ class TestDensityRow:
     def test_complete_array_gives_none(self):
         p = CAParams(2, 2, 2)
         arr = SymbolArray.from_rows(p, list(product(range(2), repeat=2)))
-        assert density_row(arr) is None
+        assert reference_density_row(arr) is None
+        assert density_build(arr) == arr
 
     def test_single_leftover_is_covered(self):
         # all rows but one of the factorial: the greedy row must supply it
         p = CAParams(2, 2, 3)
         rows = [r for r in product(range(3), repeat=2) if r != (2, 1)]
         arr = SymbolArray.from_rows(p, rows)
-        row = density_row(arr)
-        assert tuple(row) == (2, 1)
+        built = density_build(arr)
+        assert built.n_rows == arr.n_rows + 1 and tuple(built.cells[-1]) == (2, 1)
 
     def test_uncovered_shrinks_by_expectation_factor(self):
         p = CAParams(2, 6, 2)
-        arr = SymbolArray.empty(p)
-        prev = count_uncovered(arr)
+        built = density_build(SymbolArray.empty(p))
         vt = p.tuple_count
-        while True:
-            row = density_row(arr)
-            if row is None:
-                break
-            arr = SymbolArray(p, np.vstack([arr.cells, row[None, :]]))
-            cur = count_uncovered(arr)
-            assert cur * vt <= prev * (vt - 1)
-            prev = cur
+        counts = [count_uncovered(SymbolArray(p, built.cells[:n]))
+                  for n in range(built.n_rows + 1)]
+        assert counts[-1] == 0
+        assert all(cur * vt <= prev * (vt - 1) for prev, cur in zip(counts, counts[1:]))
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(density_arrays())
@@ -379,10 +375,11 @@ class TestDensityRow:
     @example(random_array(CAParams(4, 4, 3), 20, seed=1))
     @example(random_array(CAParams(4, 8, 4), 3 * 4**4, seed=2))
     def test_row_matches_reference(self, arr):
-        row, ref = density_row(arr), reference_density_row(arr)
+        built, ref = density_build(arr), reference_density_row(arr)
         if ref is None:
-            assert row is None
+            assert built == arr
         else:
+            row = built.cells[arr.n_rows]
             assert row.dtype == ref.dtype and np.array_equal(row, ref)
 
     @settings(max_examples=30, deadline=None, database=None)
@@ -514,11 +511,20 @@ class TestMoserTardos:
         assert checked >= 5
 
     def test_witness_positions_recorded(self):
+        # three binary rows never cover every orbit on all 15 column pairs, so
+        # the run resamples up to its cap of 40; a run capped at j resamples
+        # takes the same first j, so its last witness is the j-th position
         p = CAParams(2, 6, 2)
-        config = BuildConfig(seed=0, n_override=4, resample_step_cap=500)
+        config = BuildConfig(seed=0, n_override=3, resample_step_cap=40)
         arr, log = moser_tardos_build(p, make_cyclic(2), config)
-        assert len(log.resample_witness) == log.resample_count
-        assert all(count == i + 1 for i, (_, count) in enumerate(log.resample_witness))
+        assert not log.success and log.resample_count == 40
+        positions = [
+            moser_tardos_build(p, make_cyclic(2), dataclasses.replace(config, resample_step_cap=j))
+            [1].resample_witness[-1]
+            for j in range(log.resample_count - 15, log.resample_count + 1)
+        ]
+        assert list(log.resample_witness) == positions
+        assert all(type(pos) is int and 0 <= pos < comb(6, 2) for pos in positions)
 
 
 class TestPglBuild:

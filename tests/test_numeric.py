@@ -384,7 +384,7 @@ class TestLnMemo:
         ctx = Context(prec=_numeric.PRECISION)
         for x in (1, 2, 728, 729, 18828003285, 10**60 + 1, 3**200):
             assert _numeric._ln(x) == ctx.ln(x)
-            assert dec_ln(Fraction(x, x + 1)) == ctx.subtract(ctx.ln(x), ctx.ln(x + 1))
+            assert ln_ratio(x, x + 1) == ctx.subtract(ctx.ln(x), ctx.ln(x + 1))
 
     def test_stays_bounded(self):
         for x in range(1, 2000):

@@ -14,7 +14,10 @@ wrote the same output (``outputs_identical``, by ``output_sha256``).  A
 pair whose two runs used different ``--seconds`` is an error: the tool
 exits nonzero naming the first such pair.  The seeds, and for each side
 the git SHA and SHA-256 of the ``src/coverkit`` sources that the records
-carry and ``os.cpu_count()`` of its runs, are recorded alongside.  A record
+carry and ``os.cpu_count()`` of its runs, are recorded alongside, with
+``all_match_digests``: whether every record that has a reference digest
+(``perfbench/digests.json``) matched it, and ``without_reference``: how
+many records have none (a seed past the reference set).  A record
 has a git SHA only when its checkout has a ``.git`` (``git clone``); for an
 uncommitted change it is null and the source digest identifies the code.
 """
@@ -49,11 +52,16 @@ def spread(values: list[float]) -> dict:
 
 
 def side(records: dict) -> dict:
+    # a seed without a reference digest has matches_reference null: it is
+    # counted, not judged
+    checked = [r["matches_reference"] for r in records.values()
+               if r["matches_reference"] is not None]
     return {
         "git_sha": next(iter(records.values()))["git_sha"],
         "source_sha256": sorted({r["source_sha256"] for r in records.values()}),
         "cpu_count": sorted({r["cpu_count"] for r in records.values()}),
-        "all_match_digests": all(r["matches_reference"] for r in records.values()),
+        "all_match_digests": all(checked),
+        "without_reference": len(records) - len(checked),
     }
 
 
