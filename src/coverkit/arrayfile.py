@@ -6,19 +6,18 @@ comments and ignored anywhere.  Files end with a trailing newline.
 The format is deliberately trivial to parse from any language and
 diff-friendly.
 
-``write_array`` writes one layout, and ``read_array`` parses a file in
-that layout in numpy:
+``write_array`` writes the cells in chunks of a fixed text budget.
+``read_array`` reads a plain file with numpy's ``loadtxt``:
 
-* the header ``CA N t k v`` is the first line;
-* after it come only ASCII digits, single spaces and ``\\n`` line ends;
-* there are exactly N lines, each of k tokens, each line ended by ``\\n``;
-* no token is wider than the digits of v - 1, and v - 1 has at most nine.
+* the header ``CA N t k v`` is the first line, with single spaces;
+* after it come only ASCII digits, spaces and ``\\n`` or ``\\r\\n`` line
+  ends, and at least one digit;
+* loadtxt reads N rows of k cells from it, each cell below v.
 
 Any other file goes to the per-line parser, which reads comments, blank
-lines, CR line ends, tabs, runs of spaces, long tokens and the rest.  So
-does any file in the layout whose cells are out of range, so every error
-message and line number comes from that one parser.  Both functions
-handle the rows in chunks of a fixed text budget.
+lines, lone CR line ends, tabs, runs of spaces, signs and the rest.  So
+does a plain file whose shape or cells are wrong, so every error message
+and line number comes from that one parser.
 """
 
 from __future__ import annotations
@@ -31,14 +30,7 @@ from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray
 
 __all__ = ["ArrayFormatError", "read_array", "write_array"]
 
-_TEXT_BUDGET = 1 << 14  # bytes of row text formatted or parsed at a time
-_LAYOUT_WIDTH = 9  # widest token the layout parser takes: int32 cannot wrap
-
-# byte classes of the layout: digits 0, space 1, anything else 2
-_SPACE = 1
-_BYTE_CLASS = np.full(256, 2, dtype=np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = 0
-_BYTE_CLASS[ord(" ")] = _SPACE
+_TEXT_BUDGET = 1 << 14  # bytes of row text formatted at a time
 
 
 class ArrayFormatError(ValueError):
@@ -82,77 +74,31 @@ def write_array(path: str, array: SymbolArray) -> None:
 def read_array(path: str) -> SymbolArray:
     with open(path, "rb") as fh:
         data = fh.read()
-    array = _read_layout(data)
+    array = _read_plain(data)
     return array if array is not None else _read_lines(data)
 
 
-def _read_layout(data: bytes) -> SymbolArray | None:
-    """The array of a file in write_array's layout, or None for any other file."""
-    end = data.find(b"\n")
-    fields = data[:end].split(b" ")
-    if end < 0 or len(fields) != 5 or fields[0] != b"CA":
+def _read_plain(data: bytes) -> SymbolArray | None:
+    """The array of a plain file, or None for any other file: the header
+    ``CA N t k v`` on the first line, then a non-blank body of digits,
+    spaces and line ends that loadtxt reads as N rows of k cells below v."""
+    head, _, body = data.partition(b"\n")
+    fields = head.rstrip(b"\r").split(b" ")
+    if len(fields) != 5 or fields[0] != b"CA" or not all(f.isdigit() for f in fields[1:]):
         return None
-    if not all(f.isdigit() for f in fields[1:]):
+    # loadtxt warns on a blank body and, under numpy 1.x, on float-like cells
+    if body.translate(None, b"0123456789 \r\n") or not body.strip():
         return None
     n, t, k, v = (int(f) for f in fields[1:])
-    width = len(str(v - 1))
-    if k < 1 or v < 2 or width > _LAYOUT_WIDTH:
+    try:
+        cells = np.loadtxt(
+            io.BytesIO(body), dtype=CELL_DTYPE, delimiter=" ", comments=None, ndmin=2
+        )
+    except (ValueError, OverflowError):
         return None
-    # from the header's line end on: every chunk starts at a line end
-    text = np.frombuffer(data, dtype=np.uint8, offset=end)
-    # n and k are only trusted once the file has room for their cells
-    if not 2 * n * k < text.size <= n * k * (width + 1) + 1:
+    if cells.shape != (n, k) or int(cells.max()) >= v:
         return None
-    if data.count(b"\n", end + 1) != n or not data.endswith(b"\n"):
-        return None
-    cells = np.empty((n, k), dtype=CELL_DTYPE)
-    step = _chunk_rows(k, width)
-    start = 0
-    for lo in range(0, n, step):
-        rows = cells[lo : lo + step]
-        # `rows` lines of at most k * (width + 1) bytes each
-        window = text[start : start + 1 + rows.size * (width + 1)]
-        ends = np.flatnonzero(window[1:] == ord("\n"))
-        if ends.size < len(rows):
-            return None  # some line is longer than the layout allows
-        stop = int(ends[len(rows) - 1]) + 1
-        if not _parse_rows(window[: stop + 1], width, v, rows):
-            return None
-        start += stop
     return SymbolArray(CAParams(t, k, v), cells)
-
-
-def _parse_rows(text: np.ndarray, width: int, v: int, out: np.ndarray) -> bool:
-    """Parse the whole lines after text[0], a line end, into `out`; False
-    if they are not in the layout."""
-    byte_class = _BYTE_CLASS[text]
-    seps = np.flatnonzero(byte_class)[1:]  # the separators after text[0]
-    if seps.size != out.size:
-        return False
-    # k - 1 spaces on each row; the text's one newline per row ends them
-    if (byte_class[seps].reshape(out.shape)[:, :-1] != _SPACE).any():
-        return False
-    # a token is the run of digits before its separator: `run` holds while
-    # the byte `back` places before the separator is still in it
-    run = np.ones(seps.size, dtype=bool)
-    value = out.reshape(-1)  # a view: `out` is whole rows of the cells
-    value.fill(0)
-    term = np.empty(seps.size, dtype=CELL_DTYPE)
-    digit = np.empty(seps.size, dtype=np.uint8)
-    at = np.empty_like(seps)
-    for back in range(1, width + 2):
-        np.subtract(seps, back, out=at)
-        np.take(text, at, out=digit, mode="clip")  # below 0: text[0], a line end
-        digit -= ord("0")
-        run &= digit <= 9
-        if back == 1 and not run.all():
-            return False  # an empty token
-        if back <= width:
-            np.multiply(digit, run, out=term)
-            term *= 10 ** (back - 1)
-            value += term
-    # no token wider than v - 1, and no cell out of range
-    return not run.any() and value.max() < v
 
 
 def _read_lines(data: bytes) -> SymbolArray:

@@ -78,12 +78,19 @@ BOUND_RECORDS = {
     "katona": lambda p, d: _katona_record(p),
 }
 BOUND_METHODS = tuple(BOUND_RECORDS)
+DEPENDENCE_METHODS = ("gss", "cyclic", "frobenius", "pgl")  # those that read --dependence
 
 
-def _methods(text: str) -> list[str]:
-    methods = [m.strip() for m in text.split(",") if m.strip()]
+def _methods(args: argparse.Namespace) -> list[str]:
+    """The requested methods; --dependence off its default must be read by one."""
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UnsupportedParameterError(f"no method given; choose from {', '.join(BOUND_METHODS)}")
+    if args.dependence != "simple" and not set(methods) & set(DEPENDENCE_METHODS):
+        raise UnsupportedParameterError(
+            f"--dependence is read only by {', '.join(DEPENDENCE_METHODS)},"
+            f" not by {', '.join(methods)}"
+        )
     return methods
 
 
@@ -97,7 +104,7 @@ def _method_record(method: str, params: CAParams, dependence: str) -> dict:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
-    methods = _methods(args.methods)
+    methods = _methods(args)
     records = [_method_record(m, params, args.dependence) for m in methods]
     if args.json:
         doc = {"t": args.t, "k": args.k, "v": args.v, "results": records}
@@ -199,7 +206,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    methods = _methods(args.methods)
+    methods = _methods(args)
     ks = _parse_range(args.k)
     if args.n is not None and "two_stage_curve" not in methods:
         raise UnsupportedParameterError("--n is read only by two_stage_curve")

@@ -552,7 +552,8 @@ def _resample_full_orbits(
     """Core resampling loop: an n x k random array, rescanned from the start
     after each resample, until every full orbit (``table.full_orbit_ids``,
     the bound's events) is covered on every column t-set.  Returns the
-    array; sets failure flags on the log if the resample cap is hit.
+    array; sets failure flags on the log if the resample cap is hit, or at
+    once if there are fewer rows than full orbits.
 
     Orbit coverage is decided from the OrbitTable alone: per block of
     column sets, a boolean table indexed by orbit id.  The first offender
@@ -562,6 +563,11 @@ def _resample_full_orbits(
     cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
+        return cells
+    if n < full_ids.size:  # a row hits one orbit per column set
+        log.success = False
+        log.failure_reason = (
+            f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
     while True:
         for block in _coverage_tables(params, cells, orbits=table):

@@ -30,6 +30,7 @@ images under a group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -157,10 +158,7 @@ class GroupAction:
         if ell > 0:
             base = tuple(range(ell))
             images = {tuple(perm[x] for x in base) for perm in self.elements}
-            expected = 1
-            for i in range(ell):
-                expected *= v - i
-            if len(images) != len(self.elements) or len(self.elements) != expected:
+            if len(images) != len(self.elements) or len(self.elements) != math.perm(v, ell):
                 raise ValueError(
                     f"action is not sharply {ell}-transitive on {v} symbols"
                 )

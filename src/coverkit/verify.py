@@ -41,6 +41,7 @@ from .core import (
     Interaction,
     SymbolArray,
     colex_combinations,
+    symbols_rank,
     symbols_unrank,
 )
 from .errors import BudgetExceededError
@@ -66,13 +67,6 @@ class CoverageReport:
 class OrbitCoverageReport:
     all_covered: bool
     first_uncovered: tuple[ColumnSet, int] | None
-
-
-def _tuple_index(row: tuple[int, ...], cols: tuple[int, ...], v: int) -> int:
-    idx = 0
-    for c in cols:
-        idx = idx * v + row[c]
-    return idx
 
 
 def _row_bitsets(cells: np.ndarray, v: int, words: int) -> np.ndarray:
@@ -152,7 +146,7 @@ def orbit_check(
     for cols in colex_combinations(params.k, t):
         seen = bytearray(table.n_orbits)
         for row in rows:
-            seen[int(table.orbit_id_of[_tuple_index(row, cols, v)])] = 1
+            seen[int(table.orbit_id_of[symbols_rank([row[c] for c in cols], v)])] = 1
         for oid in required:
             if not seen[oid]:
                 return OrbitCoverageReport(False, (ColumnSet(cols), oid))
@@ -187,7 +181,7 @@ def exhaustive_can(
     for row in all_rows:
         mask = 0
         for i, cols in enumerate(subsets):
-            mask |= 1 << (i * vt + _tuple_index(row, cols, v))
+            mask |= 1 << (i * vt + symbols_rank([row[c] for c in cols], v))
         row_masks.append(mask)
     target = (1 << (len(subsets) * vt)) - 1
     per_row_gain = len(subsets)

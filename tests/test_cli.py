@@ -192,8 +192,9 @@ class TestBuildAndVerify:
             capsys,
         )
         assert code == 1
-        assert "success            False (resample cap 10000 reached at scan position 0)" in out
-        assert err.startswith("build failed: resample cap")
+        reason = "fewer stage-1 rows (0) than full orbits of a column set (1)"
+        assert f"success            False ({reason})" in out
+        assert err == f"build failed: {reason}\n"
         # a negative row count is a usage error, as for the other strategies
         code, _, err = run(
             ["build", "-t", "2", "-k", "4", "-v", "4", "--strategy", "pgl",
@@ -201,6 +202,21 @@ class TestBuildAndVerify:
             capsys,
         )
         assert code == 2 and "n_override must be nonnegative, got -1" in err
+
+    @pytest.mark.parametrize("argv, n, events", [
+        (["-t", "3", "-k", "12", "-v", "4", "--strategy", "mt_frobenius", "--n-override", "1"],
+         1, 5),
+        (["-t", "3", "-k", "3", "-v", "3", "--strategy", "mt_cyclic", "--n-override", "0"],
+         0, 9),
+    ])
+    def test_rows_fewer_than_full_orbits_fail_before_resampling(
+        self, tmp_path, capsys, argv, n, events
+    ):
+        # n rows hit at most n orbits on a column set: no resample can help
+        code, out, err = run(["build", *argv, "--out", str(tmp_path / "a.ca")], capsys)
+        assert code == 1 and "resamples          0\n" in out
+        assert err == (f"build failed: fewer stage-1 rows ({n}) than full orbits"
+                       f" of a column set ({events})\n")
 
     def test_verifies_before_it_writes(self, tmp_path, capsys, monkeypatch):
         # exits 0 and 1 write the array; a verifier over the memory cap
@@ -559,6 +575,14 @@ BAD_INPUTS = [
                   "--out", "/no/such/dir/x.ca"],
                  2, "density strategy does not read --attempts, --n-override, --second-stage",
                  id="build-unread-flags"),
+    pytest.param(["bounds", "-t", "2", "-k", "3", "-v", "2", "--methods", "slj",
+                  "--dependence", "improved"],
+                 2, "--dependence is read only by gss, cyclic, frobenius, pgl, not by slj",
+                 id="bounds-unread-dependence"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4:6", "--methods", "slj,two_stage",
+                  "--dependence", "improved", "--out", "{tmp}/x.csv"],
+                 2, "--dependence is read only by gss, cyclic, frobenius, pgl,"
+                 " not by slj, two_stage", id="sweep-unread-dependence"),
     pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4", "--n", "1:3",
                   "--out", "/no/such/dir/x.csv"],
                  2, "--n is read only by two_stage_curve", id="sweep-n-without-curve"),

@@ -561,13 +561,13 @@ class TestPglBuild:
                 present.add(int(table.orbit_id_of[rank]))
             assert all(oid in present for oid in nonfull), cols
 
-    def test_zero_rows_with_full_orbits_fail_at_resample_cap(self):
-        # t=3, v=4 has one full orbit; no row can cover it
+    def test_zero_rows_with_full_orbits_fail_without_resampling(self):
+        # t=3, v=4 has one full orbit; no row can cover it, so none is drawn again
         p = CAParams(3, 6, 4)
         arr, log = pgl_build(p, BuildConfig(seed=5, n_override=0, resample_step_cap=3))
         assert not log.success
-        assert log.failure_reason == "resample cap 3 reached at scan position 0"
-        assert log.resample_count == 3 and log.stage1_rows == 0
+        assert log.failure_reason == "fewer stage-1 rows (0) than full orbits of a column set (1)"
+        assert log.resample_count == 0 and log.stage1_rows == 0
         assert not full_check(arr).is_covering
 
     def test_mt_cyclic_pair_strategy(self):

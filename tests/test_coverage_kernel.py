@@ -201,7 +201,8 @@ class TestConsumers:
               limits._WORKING_BYTES), 8)
     def test_first_offender(self, scan, seed):
         # one scan under a zero resample cap: the failure names the first
-        # set, in colex order, missing one of the full orbits
+        # set, in colex order, missing one of the full orbits; with fewer
+        # rows than full orbits there is no scan
         params, cells, orbits, budget = scan
         log = BuildLog(strategy="test")
         rng = np.random.default_rng(seed)
@@ -210,7 +211,10 @@ class TestConsumers:
         full = list(orbits.full_orbit_ids)
         _, ref_seen = reference_tables(params, drawn, orbits)
         missed = np.flatnonzero(~ref_seen[:, full].all(axis=1)) if full else []
-        if len(missed):
+        if len(cells) < len(full):
+            assert not log.success and log.failure_reason == (
+                f"fewer stage-1 rows ({len(cells)}) than full orbits of a column set ({len(full)})")
+        elif len(missed):
             assert log.failure_reason == f"resample cap 0 reached at scan position {missed[0]}"
         else:
             assert log.success and log.resample_count == 0

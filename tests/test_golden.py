@@ -8,7 +8,7 @@ one kernel, and the k >= 8 density cases before density rows were chosen
 from an incremental coverage state; any later change that alters an array
 for a given seed fails here.  The byte-alphabet case
 two_stage-2-3-256-s1 was taken from the per-set kernel, before the block
-kernel replaced it.  Two deliberate moves:
+kernel replaced it.  Three deliberate moves:
 
 * pgl-3-8-3-s3 was re-pinned when the resampler stopped treating PGL's
   two-symbol orbits at v = 3 (full length, since the group order is
@@ -19,6 +19,10 @@ kernel replaced it.  Two deliberate moves:
   density rows as two-stage's other second stage.  At (3,6,2), seed 2,
   colouring happens to give the same two patch rows, so that digest is
   unchanged.
+* mt_cyclic-3-8-3-s1-capped went from 4 to 9 stage-1 rows when the orbit
+  builder began to fail at once, without resampling, on fewer rows than
+  the 9 full orbits of a column set; at 9 rows it still stops at its cap
+  of 3 resamples.
 """
 
 import hashlib
@@ -75,7 +79,7 @@ CASES = {
     "mt_cyclic-3-10-3-s2-n45": _mt(make_cyclic, 3, 10, 3, seed=2, n_override=45),
     "mt_cyclic-2-8-4-s3-n11": _mt(make_cyclic, 2, 8, 4, seed=3, n_override=11),
     "mt_cyclic-3-8-3-s1-capped": _mt(
-        make_cyclic, 3, 8, 3, seed=1, n_override=4, resample_step_cap=3),
+        make_cyclic, 3, 8, 3, seed=1, n_override=9, resample_step_cap=3),
     "mt_frobenius-3-8-4-s1": _mt(make_frobenius, 3, 8, 4, seed=1),
     "mt_frobenius-3-8-4-s2-n19": _mt(make_frobenius, 3, 8, 4, seed=2, n_override=19),
     "mt_frobenius-3-10-3-s3-n18": _mt(make_frobenius, 3, 10, 3, seed=3, n_override=18),
@@ -107,8 +111,8 @@ GOLDEN = {
         "6247a3d5899cc348280891a6d128fa49ded650f2de97fcf8d487f24671890e5f"),
     "mt_cyclic-3-10-3-s2-n45": (135, 10, None,
         "500d22d9e1955a02d46bc7ac499fd7099027105bb46bc08edd7e44855661b5b3"),
-    "mt_cyclic-3-8-3-s1-capped": (12, 3, "resample cap 3 reached at scan position 0",
-        "53e97b09b3d14cbe898a6c50ef1c25447888282dd9a195cb71ad9bdd26f8b4a0"),
+    "mt_cyclic-3-8-3-s1-capped": (27, 3, "resample cap 3 reached at scan position 0",
+        "0f25c6d63b89a7993e63cef5e383e32a984677adc15ce284efdfc1b3d3e97680"),
     "mt_frobenius-3-10-3-s3-n18": (111, 39, None,
         "42e141c941e2e47ce0735c78cd209233f85f593707291cc084a45da98ef8a59d"),
     "mt_frobenius-3-8-4-s1": (412, 0, None,

@@ -375,7 +375,7 @@ class TestBuilderScansAgainstTrustedBase:
     @given(
         small_params(),
         st.sampled_from([make_cyclic, make_frobenius]),
-        st.integers(1, 6),
+        st.integers(1, 20),  # up to past the 16 full orbits of cyclic (3, v=4)
         st.integers(0, 2**32 - 1),
     )
     def test_resample_scan_position_matches_orbit_check(self, p, make_action, n, seed):
@@ -384,8 +384,11 @@ class TestBuilderScansAgainstTrustedBase:
         arr, log = moser_tardos_build(p, action, config)
         # the developed stage-1 rows only, as the resampling scan saw them
         developed = SymbolArray(p, arr.cells[: n * log.group_order])
-        report = orbit_check(developed, enumerate_orbits(action, p.t), full_only=True)
-        if log.success:
+        table = enumerate_orbits(action, p.t)
+        report = orbit_check(developed, table, full_only=True)
+        if n < len(table.full_orbit_ids):  # failed before any scan
+            assert not report.all_covered and log.failure_reason.startswith("fewer stage-1 rows")
+        elif log.success:
             assert report.all_covered
         else:
             position = int(log.failure_reason.rsplit(" ", 1)[1])
