@@ -86,10 +86,14 @@ def _read_plain(data: bytes) -> SymbolArray | None:
     fields = head.rstrip(b"\r").split(b" ")
     if len(fields) != 5 or fields[0] != b"CA" or not all(f.isdigit() for f in fields[1:]):
         return None
+    n, t, k, v = (int(f) for f in fields[1:])
+    try:
+        params = CAParams(t, k, v)
+    except ValueError:  # the line parser refuses the header at once
+        return None
     # loadtxt warns on a blank body and, under numpy 1.x, on float-like cells
     if body.translate(None, b"0123456789 \r\n") or not body.strip():
         return None
-    n, t, k, v = (int(f) for f in fields[1:])
     try:
         cells = np.loadtxt(
             io.BytesIO(body), dtype=CELL_DTYPE, delimiter=" ", comments=None, ndmin=2
@@ -98,7 +102,7 @@ def _read_plain(data: bytes) -> SymbolArray | None:
         return None
     if cells.shape != (n, k) or int(cells.max()) >= v:
         return None
-    return SymbolArray(CAParams(t, k, v), cells)
+    return SymbolArray(params, cells)
 
 
 def _read_lines(data: bytes) -> SymbolArray:
@@ -119,6 +123,10 @@ def _read_lines(data: bytes) -> SymbolArray:
                     n, t, k, v = (int(x) for x in parts[1:])
                 except ValueError:
                     raise ArrayFormatError(lineno, f"non-integer header field in {line!r}")
+                try:
+                    params = CAParams(t, k, v)
+                except ValueError as exc:
+                    raise ArrayFormatError(lineno, str(exc)) from None
                 header, header_line = (n, t, k, v), lineno
                 top = min(v, CELL_MAX + 1)  # the first symbol refused
                 continue
@@ -141,11 +149,10 @@ def _read_lines(data: bytes) -> SymbolArray:
             rows.append(row)
     if header is None:
         raise ArrayFormatError(1, "missing header line 'CA N t k v'")
-    n, t, k, v = header
+    n, k = header[0], header[2]
     if len(rows) != n:
         raise ArrayFormatError(
             header_line, f"header declares {n} rows but file has {len(rows)}"
         )
-    params = CAParams(t, k, v)
     cells = np.array(rows, dtype=CELL_DTYPE).reshape((-1, k))
     return SymbolArray(params, cells)

@@ -39,9 +39,11 @@ uncovered scan counts and lists in one pass: the exact count, and the
 uncovered interactions in rank order while that count stays within a cap
 (the stage-1 target), so a two-stage build never holds a table of all
 interactions.  The density state is the one table of all C(k,t) * v**t
-interactions: a mask of the uncovered ones, built by one kernel pass,
-updated as each row is added, and checked against the memory cap before
-it is allocated.
+interactions: a mask of the uncovered ones and its prefix counts (per
+set, the uncovered tuples by their first l symbols), built by one kernel
+pass, updated as each row is added, and checked against the memory cap
+before it is allocated.  A density row takes one gather per column, into
+the counts below the prefix each set holding the column has so far.
 """
 
 from __future__ import annotations
@@ -452,42 +454,69 @@ def _first_fit_rows(params: CAParams, cols: np.ndarray, symbols: np.ndarray) -> 
 
 class _DensityState:
     """The coverage state of the density algorithm: the C(k,t) x v**t mask
-    of uncovered interactions, built by one pass of the coverage kernel and
-    then updated one added row at a time, never rescanned.
+    of uncovered interactions and its prefix counts, built by one pass of
+    the coverage kernel and then updated one added row at a time, never
+    rescanned.
 
-    ``sets`` is the m x t column-set matrix in colex order (m = C(k,t)),
-    ``uncovered[i, r]`` is True iff the tuple of rank r on ``sets[i]`` is
-    in no row yet, and ``holders[j][p]`` lists the sets holding column j
-    at position p.  Both tables and the exact-integer score range are
-    checked before anything is allocated.
+    ``sets`` is the m x t column-set matrix in colex order (m = C(k,t)).
+    ``levels[l - 1][i, r]``, for l = 1..t, counts the uncovered tuples on
+    ``sets[i]`` whose first l symbols have rank r.  Level t is the mask
+    itself: ``uncovered[i, r]`` is True iff the tuple of rank r on
+    ``sets[i]`` is in no row yet.  The levels are one flat table,
+    ``counts``, level after level, in the smallest unsigned dtype that
+    holds v**(t-1): about v/(v-1) times the mask.  Each level's entries go
+    set by set, so a prefix's entry at flat index x - m (or set i's empty
+    prefix, x = i) has the entries of its v extensions at x*v .. x*v + v-1,
+    row x of ``counts`` viewed as v columns: a set's running index x moves
+    one level down with one multiply-add, whatever its level.
+    ``_held[j]`` lists the sets holding column j and ``_weights[j]`` their
+    v**(p+1), p the column's position in each.  The mask, the whole count
+    table, the column index (the set matrix, ``_held``, ``_weights`` and
+    the running indices) and the exact-integer score range are checked
+    before anything is allocated.
     """
 
     def __init__(self, params: CAParams, cells: np.ndarray) -> None:
         t, k, v = params.t, params.k, params.v
         m = math.comb(k, t)
-        limits.check_table_bytes(m, params.tuple_count, "density coverage mask")
-        limits.check_table_bytes(2 * m * t, np.dtype(np.intp).itemsize, "density column index")
+        dtype = np.min_scalar_type(v ** (t - 1))
+        sizes = [m * v**l for l in range(1, t + 1)]  # levels 1..t
+        limits.check_table_bytes(sizes[-1], dtype.itemsize, "density coverage mask")
+        limits.check_table_bytes(sum(sizes), dtype.itemsize, "density count table")
+        limits.check_table_bytes(3 * m * t + m, np.dtype(np.intp).itemsize, "density column index")
         if m * v ** (2 * t) >= 2**63:
             raise ResourceLimitError(
                 f"density scores for {params} could exceed the int64 range"
             )
         self.params = params
         self.sets = np.empty((m, t), dtype=np.intp)
-        self.uncovered = np.empty((m, params.tuple_count), dtype=bool)
+        self.counts = np.empty(sum(sizes), dtype=dtype)
+        starts = np.cumsum([0] + sizes)
+        self.levels = [self.counts[a:b].reshape(m, -1) for a, b in zip(starts, starts[1:])]
         at = 0
         for block in _coverage_tables(params, cells):  # every set of every block
             b = len(block.seen)
             self.sets[at : at + b] = block.sets()
-            np.logical_not(block.seen, out=self.uncovered[at : at + b])
+            self.levels[-1][at : at + b] = ~block.seen
             at += b
-        self.remaining = int(np.count_nonzero(self.uncovered))
-        self._weights = _place_values(params)
-        self.holders: list[list[np.ndarray]] = [[] for _ in range(k)]
-        for p in range(t):
-            order = np.argsort(self.sets[:, p], kind="stable")
-            ends = np.searchsorted(self.sets[order, p], np.arange(k + 1))
-            for j in range(k):
-                self.holders[j].append(order[ends[j] : ends[j + 1]])
+        for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
+            self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
+        self.remaining = int(np.count_nonzero(self.levels[-1]))
+        self._places = _place_values(params)  # v**(t-l) for l = 1..t: a level's rank divisor
+        self._starts = starts[:-1, None]
+        order = np.argsort(self.sets, axis=None, kind="stable")  # by column, then set
+        cuts = np.searchsorted(self.sets.ravel()[order], np.arange(k + 1))
+        held = order // t
+        order %= t  # each set's position of the column, then its weight
+        order += 1
+        np.power(v, order, out=order)
+        self._held = [held[a:b] for a, b in zip(cuts, cuts[1:])]
+        self._weights = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    @property
+    def uncovered(self) -> np.ndarray:
+        """The m x v**t mask of uncovered tuples, as a bool copy of level t."""
+        return self.levels[-1] != 0
 
     def choose_row(self) -> np.ndarray:
         """Fix cells left to right, each maximizing its exact score.
@@ -495,25 +524,30 @@ class _DensityState:
         A set holding column j at position p adds v**(p+1) to symbol s for
         each uncovered tuple with s at p that matches the cells already
         fixed at positions 0..p-1: the tuple's coverage probability scaled
-        by v**t.  Ties go to the smaller symbol.
+        by v**t.  That count is the level p+1 entry below the set's running
+        index, so a column takes one gather over the sets holding it.  Ties
+        go to the smaller symbol.
         """
-        t, k, v = self.params.t, self.params.k, self.params.v
-        row = np.zeros(k, dtype=CELL_DTYPE)
-        for j in range(k):
-            scores = np.zeros(v, dtype=np.int64)
-            for p, held in enumerate(self.holders[j]):
-                prefix = row[self.sets[held, :p]] @ self._weights[t - p :]
-                blocks = self.uncovered.reshape(-1, v**p, v, v ** (t - p - 1))[held, prefix]
-                scores += v ** (p + 1) * blocks.sum(axis=(0, 2), dtype=np.int64)
-            row[j] = np.argmax(scores)
+        m, v = len(self.sets), self.params.v
+        children = self.counts.reshape(-1, v)  # row x: the entries below index x
+        index = np.arange(m, dtype=np.int64)  # level 0
+        row = np.empty(self.params.k, dtype=CELL_DTYPE)
+        for j, (held, weights) in enumerate(zip(self._held, self._weights)):
+            at = index[held]
+            row[j] = s = weights.dot(children.take(at, axis=0)).argmax()
+            index[held] = at * v + (s + m)
         return row
 
     def add_row(self, row: np.ndarray) -> None:
-        """Mark the new row's C(k,t) tuples covered."""
-        every = np.arange(len(self.sets))
-        ranks = row[self.sets] @ self._weights
-        self.remaining -= int(np.count_nonzero(self.uncovered[every, ranks]))
-        self.uncovered[every, ranks] = False
+        """Mark the new row's C(k,t) tuples covered: each newly covered one
+        leaves the mask and takes one off its prefix's count at every
+        level, in one subtract (the indices are distinct)."""
+        m, vt = len(self.sets), self.params.tuple_count
+        ranks = row[self.sets] @ self._places
+        new = np.flatnonzero(self.levels[-1][np.arange(m), ranks])
+        self.remaining -= len(new)
+        places = self._places[:, None]
+        self.counts[self._starts + new * (vt // places) + ranks[new] // places] -= 1
 
 
 def density_build(array: SymbolArray) -> SymbolArray:

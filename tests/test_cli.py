@@ -611,6 +611,11 @@ BAD_INPUTS = [
     # in 0..v-1, but past the int32 cells of an array
     pytest.param(["verify", "{data}/cell_past_int32.ca"],
                  2, "line 2: cell above 2147483647", id="verify-cell-past-int32"),
+    # headers that CAParams refuses, named where they are parsed
+    pytest.param(["verify", "{data}/strength_zero.ca"],
+                 2, "line 1: strength t must be at least 2, got 0", id="verify-header-t-zero"),
+    pytest.param(["verify", "{data}/fewer_columns_than_t.ca"],
+                 2, "line 1: need k >= t, got k=2, t=3", id="verify-header-k-below-t"),
 ]
 
 

@@ -6,10 +6,11 @@ values and scattered into a fresh table.  It is slow and plainly right,
 and it is kept here, as ``full_check``'s row loop is kept in
 test_verify, to check the block kernel on many inputs: its blocks, the
 column sets a block unranks on demand, and through the kernel's
-consumers the uncovered count and listing, the density mask and the
-resampling scan's first offender.  Each check also runs under working
-budgets small enough to split the rows into chunks, a column's block
-into several and a level's prefixes into windows.
+consumers the uncovered count and listing, the density mask and its
+prefix counts as rows are added, and the resampling scan's first
+offender.  Each check also runs under working budgets small enough to
+split the rows into chunks, a column's block into several and a level's
+prefixes into windows.
 CAParams has t >= 2, so t runs from 2 to k.
 """
 
@@ -193,6 +194,26 @@ class TestConsumers:
         assert np.array_equal(state.sets, ref_sets)
         assert np.array_equal(state.uncovered, ~ref_seen)
         assert state.remaining == int(np.count_nonzero(~ref_seen))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(scans(), st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_density_counts_follow_added_rows(self, scan, seed, added):
+        # after random rows are added, the mask is the oracle's for the
+        # cells with those rows, each count level is the mask summed over
+        # its suffix symbols, and the remaining count is the mask's
+        params, cells, _, budget = scan
+        t, v = params.t, params.v
+        state = with_budget(budget, construct._DensityState, params, cells)
+        rows = random_array(params, added, seed).cells
+        for row in rows:
+            state.add_row(row)
+        _, ref_seen = reference_tables(params, np.vstack([cells, rows]))
+        mask = state.levels[-1]
+        assert np.array_equal(mask, ~ref_seen)
+        for l in range(1, t):
+            sums = mask.reshape(len(mask), v**l, v ** (t - l)).sum(axis=2)
+            assert np.array_equal(state.levels[l - 1], sums)
+        assert state.remaining == int(np.count_nonzero(mask))
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(scans(orbits=True), st.integers(0, 2**32 - 1))

@@ -93,10 +93,26 @@ class TestMemoryCap:
     def test_density_state_is_checked_before_allocation(self, monkeypatch):
         # the kernel's largest table here, the C(59,2) x 2 prefix sets, is
         # 27 KB; the density mask is C(60,3) * 4**3 = 34220 * 64 bytes,
-        # about 2.2 MB
+        # about 2.2 MB, and the count table that holds it as its last level
+        # 34220 * (4 + 16 + 64) bytes; the mask is checked first
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         with pytest.raises(ResourceLimitError, match="density coverage mask"):
             density_build(SymbolArray.empty(CAParams(3, 60, 4)))
+
+    def test_density_count_table_is_checked_before_allocation(self, monkeypatch):
+        # at (3,20,6) the mask, C(20,3) * 6**3 = 246,240 bytes, and the
+        # column index, 1140 * (3 * 3 + 1) * 8 = 91,200 bytes, fit under
+        # 270,000; the count table, with its prefix levels 1140 * (6 + 36)
+        # bytes more, does not, and nothing near its size is allocated
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 270_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="density count table"):
+                density_build(SymbolArray.empty(CAParams(3, 20, 6)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
 
     def test_density_scores_never_wrap(self, monkeypatch):
         # with the memory cap lifted, the mask for (2,2,2**16) would fit,
