@@ -484,7 +484,7 @@ class _DensityState:
         limits.check_table_bytes(sizes[-1], dtype.itemsize, "density coverage mask")
         limits.check_table_bytes(sum(sizes), dtype.itemsize, "density count table")
         limits.check_table_bytes(3 * m * t + m, np.dtype(np.intp).itemsize, "density column index")
-        if m * v ** (2 * t) >= 2**63:
+        if m * v ** (2 * t) >= 2**63:  # so counts are at most uint32, and scores int64
             raise ResourceLimitError(
                 f"density scores for {params} could exceed the int64 range"
             )
