@@ -149,7 +149,6 @@ def _read_lines(data: bytes) -> SymbolArray:
             rows.append(row)
     if header is None:
         raise ArrayFormatError(1, "missing header line 'CA N t k v'")
-    n, k = header[0], header[2]
     if len(rows) != n:
         raise ArrayFormatError(
             header_line, f"header declares {n} rows but file has {len(rows)}"
