@@ -89,19 +89,13 @@ class TestErrors:
         assert exc.value.lineno == 3
         assert str(exc.value) == "line 3: header declares 3 rows but file has 2"
 
-    @pytest.mark.parametrize("text, message", [
-        ("CA 1 0 1 1\n0\n", "line 1: strength t must be at least 2, got 0"),
-        ("CA 1 3 2 3\n0 1\n", "line 1: need k >= t, got k=2, t=3"),
+    def test_bad_parameters_name_the_header_line(self, tmp_path):
         # refused at its header, before the bad row below it is read
-        ("# made by hand\nCA 2 2 3 1\n0 0 0\nx\n",
-         "line 2: alphabet size v must be at least 2, got 1"),
-    ])
-    def test_bad_parameters_name_the_header_line(self, tmp_path, text, message):
         path = tmp_path / "a.txt"
-        path.write_text(text)
+        path.write_text("# made by hand\nCA 2 2 3 1\n0 0 0\nx\n")
         with pytest.raises(ArrayFormatError) as exc:
             read_array(str(path))
-        assert str(exc.value) == message
+        assert str(exc.value) == "line 2: alphabet size v must be at least 2, got 1"
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "a.txt"
