@@ -6,9 +6,10 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   the smallest N with C(k,t) * v**t * (1 - 1/v**t)**N < 1.
 * ``discrete_slj_bound``   - row-at-a-time refinement: repeatedly take the
   integer floor of the expected leftover count until it reaches zero.  The
-  step count is the bound, counted in one pass that keeps no counts and
-  also finds the least interior deficit, which the trace returned
-  alongside carries.
+  step count is the bound.  A pass walks the recurrence until it has found
+  the least interior deficit, which the trace returned alongside carries,
+  and reads the rest of the count from a table of the recurrence's
+  thresholds kept per v**t and shared by every call with that v**t.
 * ``two_stage_bound``      - alteration: minimize over n the total
   n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), a random partial array plus
   one patch row per surviving uncovered interaction.
@@ -38,6 +39,8 @@ truncated to machine floats except in report fields documented as floats.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -136,10 +139,11 @@ def discrete_slj_bound(
 
     The second branch reflects that after the first row, a best row always
     covers strictly more than the expected number of new interactions.  The
-    bound is the step count N with r(N) = 0.  Exact integer arithmetic in
-    one pass that keeps no counts (``_leftover_steps``, which refuses a
-    recurrence too long for the column-set cap before its first step); the
-    same pass finds the least interior deficit the trace carries.
+    bound is the step count N with r(N) = 0, in exact integer arithmetic
+    (``_leftover_steps``, which refuses a recurrence too long for the
+    column-set cap before its first step): it walks the steps that find the
+    least interior deficit the trace carries, and looks the rest of the
+    count up in the thresholds shared by every call with this v**t.
     ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
     """
     vt = params.tuple_count
@@ -168,16 +172,13 @@ def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int,
 
     Both branches of the recurrence after the first step come to
     r - (r // vt + 1): when vt divides r that is y*r - 1, and otherwise it
-    is r - ceil(r / vt).  The pass keeps no counts.  Once top is vt - 1,
-    which no remainder passes, it stops taking remainders.  Each step
-    leaves r + vt at least y = 1 - 1/vt times what it was, so the pass
-    takes at least ln(start/vt + 1) / ln(1/y) steps
-    (``discrete_slj_estimate`` from start = C(k,t) * vt); when that is over
-    the column-set cap, or the limit when lower, it raises
-    ResourceLimitError before the first step.
+    is r - ceil(r / vt).  The pass takes remainders until top is vt - 1,
+    which no remainder passes, and counts the steps left from there with
+    ``_steps_left``.  It walks on only when the limit stops it before
+    zero, to find r(limit).  Refused before the first step as
+    ``_check_length`` says.
     """
-    least = (math.log(start + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
-    limits.check_steps(min(math.ceil(least), limit), "discrete recurrence trace")
+    _check_length(start, vt, limit)
     r, n, top = start, 0, -1
     if r > 0 and limit > 0:
         r, n = r - -(-r // vt), 1
@@ -186,10 +187,100 @@ def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int,
         r, n = r - q - 1, n + 1
         if r and rem > top:
             top = rem
+    # past the lower bound on the steps left, the limit surely stops the pass
+    if r and n < limit and n + _least_steps(r, vt) <= limit:
+        left = _steps_left(r, vt)
+        if n + left <= limit:
+            return n + left, top, 0
     while r and n < limit:
         r -= r // vt + 1
         n += 1
     return n, top, r
+
+
+def _leftover_count(start: int, vt: int) -> int:
+    """N alone, the steps of the leftover recurrence from r(0) = start to
+    0: the first step, then ``_steps_left``.  Refused as ``_check_length``
+    says."""
+    _check_length(start, vt, sys.maxsize)
+    return 1 + _steps_left(start - -(-start // vt), vt) if start else 0
+
+
+def _least_steps(r: int, vt: int) -> float:
+    """A lower bound on the steps from r to 0: each step leaves r + vt at
+    least y = 1 - 1/vt times what it was, so there are at least
+    ln(r/vt + 1) / ln(1/y) of them."""
+    return (math.log(r + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
+
+
+def _check_length(start: int, vt: int, limit: int) -> None:
+    """Raise ResourceLimitError before the first step when the recurrence
+    from start, at least ``discrete_slj_estimate`` steps from
+    start = C(k,t) * vt, or the limit when lower, is over the column-set
+    cap."""
+    limits.check_steps(min(math.ceil(_least_steps(start, vt)), limit), "discrete recurrence trace")
+
+
+# one threshold of the leftover recurrence in this many is kept
+_MARK_EVERY = 64
+
+
+def _steps_left(r: int, vt: int) -> int:
+    """The steps of the leftover recurrence from r(i) = r, i >= 1, to 0.
+
+    With u = r + 1, a step r -> r - (r // vt + 1) is u -> floor(u*(vt-1)/vt),
+    a nondecreasing map, and r = 0 is u = 1.  So the steps left are the
+    number of j >= 1 with L_j <= u, where L_0 = 1 and
+    L_{j+1} = L_j + ceil(L_j / (vt-1)) is the least u that takes j+1
+    steps.  L depends on vt alone; ``_Thresholds`` keeps every 64th of it,
+    and a call bisects those and takes at most 63 steps of L.
+    """
+    u, q = r + 1, vt - 1
+    table = _thresholds(vt)
+    marks = table.marks
+    if marks[-1] <= u:
+        marks = table.grow(u)
+    i = bisect.bisect_right(marks, u) - 1
+    j, nxt = i * _MARK_EVERY, marks[i] - -marks[i] // q
+    while nxt <= u:
+        j, nxt = j + 1, nxt - -nxt // q
+    return j
+
+
+class _Thresholds:
+    """L_0, L_64, L_128, ... of the leftover recurrence for one v**t (see
+    ``_steps_left``), as far as the largest u asked for.  ``marks`` is
+    never changed in place: ``grow`` extends a copy and publishes it in one
+    assignment, so a reader, concurrent or not, sees a whole table."""
+
+    def __init__(self, vt: int) -> None:
+        self.vt = vt
+        self.marks = [1]
+
+    def grow(self, u: int) -> list[int]:
+        """The marks extended until the last is above u, once the memory
+        cap has passed them.  At most min(u - 1, ln u / ln(vt/(vt-1)))
+        thresholds past L_0 are <= u, since L_{j+1} >= L_j * vt/(vt-1), and
+        the first mark above u is at most 2**64 * u, since L_{j+1} <= 2 * L_j."""
+        marks, q = self.marks, self.vt - 1
+        most = min(u - 1, math.log(u) / _log_ratio_float(self.vt, q))
+        entries = int(most) // _MARK_EVERY + 3
+        limits.check_table_bytes(
+            entries, 8 + sys.getsizeof(u << 64), "discrete recurrence threshold table"
+        )
+        grown, x = list(marks), marks[-1]
+        while x <= u:
+            for _ in range(_MARK_EVERY):
+                x -= -x // q
+            grown.append(x)
+        self.marks = grown
+        return grown
+
+
+@functools.lru_cache(maxsize=32)
+def _thresholds(vt: int) -> _Thresholds:
+    """The threshold table of v**t, one per v**t for the last 32 asked for."""
+    return _Thresholds(vt)
 
 
 def discrete_slj_estimate(params: CAParams) -> float:
@@ -457,9 +548,11 @@ def conditional_lll_two_stage_bound(
         E2 = e * C(k,t) * (v**t - 1) * (1 - 1/v**t)**n1.
 
     With ``one_row_each`` the bound is n1 + floor(E2).  With
-    ``discrete_slj`` the second stage is priced by running the leftover
-    recurrence of ``discrete_slj_bound`` from floor(E2) down to zero, which
-    brings the growth in k back to logarithmic.
+    ``discrete_slj`` the second stage is priced by the step count of the
+    leftover recurrence of ``discrete_slj_bound`` from floor(E2) down to
+    zero, which brings the growth in k back to logarithmic.  Only the count
+    is read: its first step is taken, and the rest is looked up in the
+    thresholds shared by every call with this v**t (``_leftover_count``).
 
     The coarser closed form floor(k * e**t * (v**t - 1)/t**2 * (1-1/t)**(t-1))
     obtained by bounding the binomials is reported in the notes for
@@ -489,7 +582,7 @@ def conditional_lll_two_stage_bound(
     if second_stage == "one_row_each":
         stage2 = e2
     elif second_stage == "discrete_slj":
-        stage2 = _leftover_steps(e2, vt)[0]
+        stage2 = _leftover_count(e2, vt)
     else:
         raise ValueError(f"unknown second stage {second_stage!r}")
 

@@ -195,14 +195,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    parts = text.split(":")
+    """The integers of lo:hi[:step] (step 1 by default), or one integer;
+    anything else raises ValueError("bad range ...")."""
+    try:
+        parts = [int(part) for part in text.split(":")]
+    except ValueError:
+        parts = []
     if len(parts) == 1:
-        return [int(parts[0])]
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
-    if step < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
-    return list(range(lo, hi + 1, step))
+        return parts
+    if len(parts) in (2, 3):
+        lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+        if step >= 1 and hi >= lo:
+            return list(range(lo, hi + 1, step))
+    raise ValueError(f"bad range {text!r}")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

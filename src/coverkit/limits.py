@@ -7,8 +7,9 @@ Both caps can be configured through the environment:
   their estimated footprint against this before allocating.  Blocked
   scans work within ``working_bytes()``: 32 MiB, or this cap when lower.
 * ``COVERKIT_MAX_COLUMN_SETS``   - cap on the number of column t-sets an
-  operation may stream over, and on the steps of a recurrence that keeps
-  no table (default 50 million).
+  operation may stream over, and on the length of the discrete SLJ
+  recurrence, whether its steps are walked or read from its threshold
+  table (default 50 million).
 
 Each value must be a nonnegative integer; anything else raises a
 ValueError naming the variable.

@@ -6,13 +6,14 @@ regression values carry the arithmetic that produced them.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds
+from coverkit import bounds, limits
 from coverkit.core import CAParams
 from coverkit.errors import ResourceLimitError, UnsupportedParameterError
 
@@ -183,6 +184,53 @@ class TestDiscreteSlj:
         assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top, 0)
         n, _, r = bounds._leftover_steps(start, vt, limit)
         assert n == min(limit, len(ref) - 1) and r == ref[n]
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(calls=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 9, 27, 64, 729]),
+                  st.one_of(st.none(), st.integers(0, 60))),
+        min_size=1, max_size=6,
+    ))
+    @example(calls=[(10**6, 729, None), (5, 729, None), (10**5, 729, None)])
+    @example(calls=[(10**6, 4, 3), (10**6, 4, None), (10**6, 9, 40), (10**3, 4, None)])
+    @example(calls=[(4, 4, None), (24, 4, 60)])  # v**t divides r(0): the first step is floor(y*r)
+    def test_shared_thresholds_match_the_counts_in_any_order(self, calls):
+        # from empty tables, in the drawn order (limits included), then
+        # again by descending start on the tables those calls left
+        bounds._thresholds.cache_clear()
+        refs = {(start, vt): reference_leftover_counts(start, vt) for start, vt, _ in calls}
+        for start, vt, limit in calls:
+            ref = refs[start, vt]
+            if limit is None:
+                top = max((r % vt for r in ref[1:-2]), default=-1)
+                assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top, 0)
+            else:
+                n, _, r = bounds._leftover_steps(start, vt, limit)
+                assert n == min(limit, len(ref) - 1) and r == ref[n]
+        for start, vt, _ in sorted(calls, key=lambda call: call[0], reverse=True):
+            ref = refs[start, vt]
+            assert bounds._leftover_count(start, vt) == len(ref) - 1
+            # one step short of zero: the pass reads the table, then walks
+            n, _, r = bounds._leftover_steps(start, vt, max(len(ref) - 2, 0))
+            assert (n, r) == (max(len(ref) - 2, 0), ref[n])
+
+    def test_threshold_table_is_checked_before_it_grows(self, monkeypatch):
+        bounds._thresholds.cache_clear()
+        assert bounds._leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
+        table = bounds._thresholds(729)
+        held = table.marks
+        whole = list(held)
+        assert bounds._leftover_count(10**6, 729) == len(reference_leftover_counts(10**6, 729)) - 1
+        # growing published a longer copy; a reader holding the old one sees it whole
+        marks = table.marks
+        assert held == whole and len(marks) > len(held) and marks[: len(held)] == held
+        # room for the table as it stands, not for the marks up to C(1000,6) * 729
+        room = len(marks) * (8 + sys.getsizeof(marks[-1]))
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: room)
+        assert bounds._leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
+        with pytest.raises(ResourceLimitError, match="discrete recurrence threshold table needs"):
+            bounds.discrete_slj_bound(CAParams(6, 1000, 3))
+        assert table.marks is marks and bounds._thresholds(729) is table
 
     def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
         # 268,091 steps: their counts would take about 14 MiB, the value and

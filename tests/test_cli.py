@@ -586,6 +586,17 @@ BAD_INPUTS = [
     pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "4", "--n", "1:3",
                   "--out", "/no/such/dir/x.csv"],
                  2, "--n is read only by two_stage_curve", id="sweep-n-without-curve"),
+    # a range is lo:hi[:step] or one integer, each field an integer
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "10:14:2:9", "--out", "{tmp}/x.csv"],
+                 2, "bad range '10:14:2:9'", id="sweep-k-extra-field"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "10:", "--out", "{tmp}/x.csv"],
+                 2, "bad range '10:'", id="sweep-k-empty-field"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "5", "--methods", "two_stage_curve",
+                  "--n", "1:3:1:1", "--out", "{tmp}/x.csv"],
+                 2, "bad range '1:3:1:1'", id="sweep-n-extra-field"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "5", "--methods", "two_stage_curve",
+                  "--n", "1:", "--out", "{tmp}/x.csv"],
+                 2, "bad range '1:'", id="sweep-n-empty-field"),
     # about 1.1 PiB of stage-1 rows, refused before they are drawn
     pytest.param(["build", "-t", "3", "-k", "30", "-v", "3", "--n-override", "10000000000000",
                   "--out", "{tmp}/x.ca"],
