@@ -241,9 +241,9 @@ def _steps_left(r: int, vt: int) -> int:
     if marks[-1] <= u:
         marks = table.grow(u)
     i = bisect.bisect_right(marks, u) - 1
-    j, nxt = i * _MARK_EVERY, marks[i] - -marks[i] // q
+    j, nxt = i * _MARK_EVERY, marks[i] + -(-marks[i] // q)
     while nxt <= u:
-        j, nxt = j + 1, nxt - -nxt // q
+        j, nxt = j + 1, nxt + -(-nxt // q)
     return j
 
 
@@ -271,7 +271,7 @@ class _Thresholds:
         grown, x = list(marks), marks[-1]
         while x <= u:
             for _ in range(_MARK_EVERY):
-                x -= -x // q
+                x += -(-x // q)
             grown.append(x)
         self.marks = grown
         return grown

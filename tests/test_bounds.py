@@ -7,6 +7,7 @@ regression values carry the arithmetic that produced them.
 
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,38 @@ class TestDiscreteSlj:
         with pytest.raises(ResourceLimitError, match="discrete recurrence threshold table needs"):
             bounds.discrete_slj_bound(CAParams(6, 1000, 3))
         assert table.marks is marks and bounds._thresholds(729) is table
+
+    def test_threads_growing_one_table_agree_with_the_counts(self):
+        # ascending starts grow the table on nearly every call; a lost
+        # update may publish a shorter table, never a wrong one
+        starts = [3**e + d for e in range(4, 13) for d in range(2)]
+        want = {s: len(reference_leftover_counts(s, 729)) - 1 for s in starts}
+        orders = [starts, starts[::-1], starts[::2] + starts[1::2]] * 3
+        got = [None] * len(orders)
+        together = threading.Barrier(len(orders))
+
+        def count(i):
+            together.wait(timeout=60)
+            got[i] = [bounds._leftover_count(s, 729) for s in orders[i]]
+
+        bounds._thresholds.cache_clear()
+        threads = [threading.Thread(target=count, args=(i,)) for i in range(len(orders))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want[s] for s in order] for order in orders]
+        mark = 1
+        for kept in bounds._thresholds(729).marks:
+            assert kept == mark
+            for _ in range(64):
+                mark += -(-mark // 728)
 
     def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
         # 268,091 steps: their counts would take about 14 MiB, the value and
