@@ -29,10 +29,15 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   the leftover count after stage one is estimated under the distribution
   conditioned on the first stage succeeding.
 
-All "smallest n satisfying an inequality" computations are solved in
-50-digit arithmetic.  When the inequality is purely rational, that result
-decides only if it clears a proven error bound, and the exact integer
-comparison decides otherwise (see ``_numeric``).  Counts such as
+Every "smallest n satisfying an inequality" and every floor of
+M * y**n is answered by ``_numeric`` in three tiers, each deciding only
+where it clears a proven bound on its own error: binary64 first, with a
+1e-9 guard; 50 digits where the float is in doubt; then the exact
+integers for a rational inequality, and for one with the factor e (which
+never ties) the 50-digit comparison, or as many digits as the
+conditional bound's leftover floor has.  No value here builds a Decimal;
+only the notes that print 50-digit values, ``analytic_optimum_n`` and
+``loose_linear_leftover``, take 50-digit logs.  Counts such as
 C(k,t) * v**t are exact integers throughout; nothing is ever silently
 truncated to machine floats except in report fields documented as floats.
 """
@@ -58,6 +63,7 @@ __all__ = [
     "DiscreteSljTrace",
     "slj_bound",
     "discrete_slj_bound",
+    "discrete_slj_count",
     "discrete_slj_estimate",
     "two_stage_bound",
     "two_stage_objective",
@@ -162,6 +168,14 @@ def discrete_slj_bound(
     )
     least = Fraction(vt - top, vt) if top >= 0 else None
     return report, DiscreteSljTrace(start, vt, steps, least)
+
+
+def discrete_slj_count(params: CAParams) -> int:
+    """The value of ``discrete_slj_bound`` alone: the first step of the
+    leftover recurrence, then the steps left read from the thresholds
+    shared by every call with this v**t, with no walk to the least deficit.
+    Refused as ``discrete_slj_bound`` is without ``max_steps``."""
+    return _leftover_count(params.interaction_space_size, params.tuple_count)
 
 
 def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int, int, int]:
@@ -418,10 +432,7 @@ def _lll_solve(
         raise ValueError(f"unknown dependence estimate {dependence!r}")
     n, p = 0, 0.0
     if weight:
-        threshold = 1 + num.dec_ln(weight * factor)
-        n = num.least_n_for_log_threshold(
-            threshold, num.ln_ratio(base, base - hit), strict=order > 1
-        )
+        n = num.least_power_past_e(weight * factor, base, base - hit, strict=order > 1)
         p = math.exp(math.log(weight) - n * _log_ratio_float(base, base - hit))
     return n, census, {
         "p": p,
@@ -558,20 +569,19 @@ def conditional_lll_two_stage_bound(
     obtained by bounding the binomials is reported in the notes for
     reference; it badly overestimates the leftovers and is not used.
 
-    E2 is only evaluated while ln E2 < 200 (E2 below about 7e86).  At
-    ln E2 >= 200 the bound raises ResourceLimitError("conditional leftover
-    estimate overflows"); at t=6, v=3 that happens near k = 3.58e85.
+    floor(E2) is exact: where a float cannot place it, it is evaluated
+    with 50 digits more than it has.  E2 is only evaluated while ln E2 < 200
+    (E2 below about 7e86).  At ln E2 >= 200 the bound raises
+    ResourceLimitError("conditional leftover estimate overflows"); at
+    t=6, v=3 that happens near k = 3.58e85.
     """
     t, k, v = params.t, params.k, params.v
     vt = params.tuple_count
     # the plain local lemma solve with one designated event per column set
     n1, _, _ = _lll_solve(params, "gss", weight=1)
-    lnx = num.ln_ratio(vt, vt - 1)
-
+    e2 = num.floor_e_scaled_power(math.comb(k, t) * (vt - 1), vt - 1, vt, n1, log_below=200)
     with localcontext() as ctx:
         ctx.prec = num.PRECISION
-        log_e2 = 1 + num.dec_ln(math.comb(k, t) * (vt - 1)) - n1 * lnx
-        e2 = int(log_e2.exp()) if log_e2 < 200 else None
         loose = int(
             (Decimal(t) + num.dec_ln(k * (vt - 1)) - num.dec_ln(t * t)
              + (t - 1) * (num.dec_ln(t - 1) - num.dec_ln(t))).exp()

@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args
 
-from . import bounds
+from . import bounds, limits
 from .arrayfile import ArrayFormatError, read_array, write_array
 from .construct import _CONFIG_CHOICES, DEFAULT_SEED, STRATEGIES, BuildConfig
 from .core import CAParams, SymbolArray
@@ -194,9 +194,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, flag: str, entry_bytes: int) -> list[int]:
     """The integers of lo:hi[:step] (step 1 by default), or one integer;
-    anything else raises ValueError("bad range ...")."""
+    anything else raises ValueError("bad range ...").  A range whose
+    entries, at ``entry_bytes`` each, would pass the memory cap raises
+    ResourceLimitError before its list is built."""
     try:
         parts = [int(part) for part in text.split(":")]
     except ValueError:
@@ -206,13 +208,27 @@ def _parse_range(text: str) -> list[int]:
     if len(parts) in (2, 3):
         lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
         if step >= 1 and hi >= lo:
+            length = (hi - lo) // step + 1
+            limits.check_table_bytes(length, entry_bytes, f"{flag} range {text!r}")
             return list(range(lo, hi + 1, step))
     raise ValueError(f"bad range {text!r}")
 
 
+def _method_value(method: str, params: CAParams, dependence: str) -> int | float:
+    """The value of one method's record.  A sweep writes no notes, so its
+    discrete_slj value is the recurrence length counted from the shared
+    thresholds alone (``bounds.discrete_slj_count``): the walk to the least
+    deficit that ``discrete_slj_bound`` makes feeds only its notes."""
+    if method == "discrete_slj":
+        return bounds.discrete_slj_count(params)
+    return _method_record(method, params, dependence)["value"]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _methods(args)
-    ks = _parse_range(args.k)
+    # a row is a list (56 bytes) of k and one value per method, each an int
+    # of about 32 bytes in a slot of 8, and ks holds k once more
+    ks = _parse_range(args.k, "--k", 96 + 40 * len(methods))
     if args.n is not None and "two_stage_curve" not in methods:
         raise UnsupportedParameterError("--n is read only by two_stage_curve")
 
@@ -227,7 +243,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rep = bounds.two_stage_bound(params)
         center = rep.stage1_rows
         if args.n is not None:
-            ns = _parse_range(args.n)
+            # ns, the floors and the objectives, ints up to C(k,t) * v**t,
+            # and the float pass's arrays
+            entry = 64 + 3 * (8 + sys.getsizeof(params.interaction_space_size))
+            ns = _parse_range(args.n, "--n", entry)
         else:
             ns = list(range(max(0, center - 512), center + 513))
         # every value first, so a bad n leaves no file behind
@@ -243,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for k in ks:
         params = CAParams(args.t, k, args.v)
-        values = [_method_record(m, params, args.dependence)["value"] for m in methods]
+        values = [_method_value(m, params, args.dependence) for m in methods]
         rows.append([k] + values)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

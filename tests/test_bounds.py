@@ -8,6 +8,7 @@ regression values carry the arithmetic that produced them.
 import math
 import sys
 import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,12 @@ class TestDiscreteSlj:
     def test_step_cap(self):
         with pytest.raises(ResourceLimitError):
             bounds.discrete_slj_bound(CAParams(2, 12, 3), max_steps=5)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(small_params())
+    @example(CAParams(6, 54, 3))
+    def test_count_alone_is_the_bound_value(self, p):
+        assert bounds.discrete_slj_count(p) == bounds.discrete_slj_bound(p)[0].value
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(small_params())
@@ -581,6 +588,20 @@ class TestConditional:
         assert abs(rep.notes["loose_linear_leftover"] - loose) <= 1
         assert rep.notes["expected_leftover_floor"] < rep.notes["loose_linear_leftover"]
 
+
+    @pytest.mark.parametrize("k", [10**49, 10**55, 10**70])
+    def test_leftover_floor_past_fifty_digits(self, k):
+        # E2 has 51, 57 and 72 digits; a 150-digit evaluation gives each
+        # of them, and n1 solves its inequality
+        rep = bounds.conditional_lll_two_stage_bound(CAParams(6, k, 3))
+        n1 = rep.stage1_rows
+        with localcontext() as ctx:
+            ctx.prec = 150
+            y, e = Decimal(728) / 729, ctx.exp(1)
+            e2 = int(e * math.comb(k, 6) * 728 * y**n1)
+            assert e * 6 * math.comb(k, 5) * y**n1 <= 1 < e * 6 * math.comb(k, 5) * y ** (n1 - 1)
+        assert rep.notes["expected_leftover_floor"] == e2 and len(str(e2)) > 50
+        assert rep.value == n1 + e2
 
     # k at which log E2 sits about 0.01 below and above 200 at t=6, v=3
     K_BELOW_OVERFLOW = 354 * 10**83

@@ -17,10 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from coverkit import cli, construct
+from coverkit import bounds, cli, construct
 from coverkit.arrayfile import read_array
 from coverkit.cli import BOUND_METHODS, main
 from coverkit.construct import BuildConfig, pgl_build
+from coverkit.core import CAParams
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -487,6 +488,18 @@ class TestSweepCommand:
             "325dcdd7b8054a50daac9ba1f82104d60c0c59abf733fc438b892ca064af6776"
         )
 
+    def test_discrete_slj_column_is_the_bound_value(self, tmp_path, capsys):
+        # the column is counted without the walk to the least deficit
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(["sweep", "-t", "3", "-v", "4", "--k", "3:200:7",
+                          "--methods", "discrete_slj", "--out", str(out_csv)], capsys)
+        assert code == 0
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["discrete_slj"]) for r in rows] == [
+            bounds.discrete_slj_bound(CAParams(3, int(r["k"]), 4))[0].value for r in rows
+        ]
+
     @pytest.mark.parametrize(
         "v, methods", [(2, "slj,nope"), (6, "slj,frobenius")], ids=["unknown", "unsupported"]
     )
@@ -597,6 +610,21 @@ BAD_INPUTS = [
     pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "5", "--methods", "two_stage_curve",
                   "--n", "1:", "--out", "{tmp}/x.csv"],
                  2, "bad range '1:'", id="sweep-n-empty-field"),
+    # ranges refused before their lists are built: past sys.maxsize entries,
+    # and past a 1 MiB cap (136 bytes a row, and 172 an n, so about 13 and
+    # 17 MB)
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "1:10000000000000000000",
+                  "--out", "{tmp}/x.csv"],
+                 3, "--k range '1:10000000000000000000' needs", id="sweep-k-past-maxsize"),
+    pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "5", "--methods", "two_stage_curve",
+                  "--n", "0:100000000000000000000", "--out", "{tmp}/x.csv"],
+                 3, "--n range '0:100000000000000000000' needs", id="sweep-n-past-maxsize"),
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "sweep", "-t", "2", "-v", "2", "--k", "2:100000",
+                  "--methods", "slj", "--out", "{tmp}/x.csv"],
+                 3, "--k range '2:100000' needs", id="sweep-k-over-cap"),
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "sweep", "-t", "2", "-v", "2", "--k", "5",
+                  "--methods", "two_stage_curve", "--n", "0:100000", "--out", "{tmp}/x.csv"],
+                 3, "--n range '0:100000' needs", id="sweep-n-over-cap"),
     # about 1.1 PiB of stage-1 rows, refused before they are drawn
     pytest.param(["build", "-t", "3", "-k", "30", "-v", "3", "--n-override", "10000000000000",
                   "--out", "{tmp}/x.ca"],

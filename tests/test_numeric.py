@@ -1,22 +1,25 @@
 """Tests for the high-precision numeric helpers."""
 
 import math
-from decimal import Context, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import _numeric, bounds
+from coverkit import _numeric, bounds, cli
 from coverkit.core import CAParams
 from coverkit._numeric import (
     dec_ln,
+    floor_e_scaled_power,
     floor_scaled_power,
     floor_scaled_powers,
     is_prime_power,
     least_n_for_log_threshold,
     least_power_exponent,
+    least_power_past_e,
     ln_ratio,
 )
 
@@ -358,6 +361,244 @@ class TestExactCheckIsAFallback:
         # ln 8 / ln 2 = 3 exactly: 50 digits cannot tell > from >=
         assert least_power_exponent(8, 2, 1, strict=strict) == expect
         assert len(exact_calls) == 1
+
+
+def with_float_tier_off(f, *args, **kwargs):
+    """f(*args, **kwargs) with the float tier off: no float estimate clears
+    an infinite guard, so the 50-digit and exact tiers decide everything."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_numeric, "_FLOAT_GUARD", math.inf)
+        return f(*args, **kwargs)
+
+
+def exact_e_floor(m, num, den, n):
+    """floor(e * m * (num/den)**n) at 60 digits past its integer part."""
+    with localcontext() as ctx:
+        ctx.prec = 60 + len(str(m * num**n // den**n)) + 1
+        return int(ctx.exp(1) * m * num**n / den**n)
+
+
+@st.composite
+def floor_near_ties(draw):
+    """(m, num, den, n) with m * (num/den)**n = W * num**n + d * (num/den)**n
+    an integer or within 1e-12 of one: m = W * den**n + d, with n large
+    enough that 2 * (num/den)**n <= 1e-12."""
+    num, den = draw(proper_fractions(max_den=20))
+    n = math.ceil(math.log(2e12) / math.log(den / num)) + draw(st.integers(0, 10))
+    d = draw(st.sampled_from([0, 1, 2, -1, -2]))
+    return draw(st.integers(1, 10**6)) * den**n + d, num, den, n
+
+
+@st.composite
+def exponent_near_ties(draw):
+    """(m, num, den) with ln m within 1e-12 of j * ln(num/den) for an
+    integer j: m = floor((num/den)**j) + s with (num/den)**j >= 2e12."""
+    den = draw(st.integers(1, 20))
+    num = den + draw(st.integers(1, 20))
+    j = math.ceil(math.log(2e12) / math.log(num / den)) + draw(st.integers(0, 10))
+    return num**j // den**j + draw(st.sampled_from([-1, 0, 1])), num, den
+
+
+@st.composite
+def e_threshold_near_ties(draw):
+    """(w, num, den) with 1 + ln w within 1e-12 of j * ln(num/den) for an
+    integer j: w = floor((num/den)**j / e) + s with (num/den)**j >= 1e13."""
+    den = draw(st.integers(1, 20))
+    num = den + draw(st.integers(1, 20))
+    j = math.ceil(math.log(1e13) / math.log(num / den)) + draw(st.integers(0, 10))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        w = int(ctx.divide(num**j, den**j) / ctx.exp(1))
+    return w + draw(st.sampled_from([0, 1])), num, den
+
+
+@st.composite
+def e_floor_near_ties(draw):
+    """(m, num, den, n) with e * m * (num/den)**n within 1e-12 of an integer
+    K: m is K / (e * (num/den)**n) rounded, with e * (num/den)**n <= 2e-12."""
+    num, den = draw(proper_fractions(max_den=20))
+    n = math.ceil(math.log(1.4e12) / math.log(den / num)) + draw(st.integers(0, 10))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = round(draw(st.integers(1, 10**6)) * ctx.divide(den**n, num**n) / ctx.exp(1))
+    return max(m, 1), num, den, n
+
+
+def beyond_e_times(w, num, den, n, strict):
+    """(num/den)**n > e * w (>= when not strict), by logs at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        lhs, rhs = n * (ctx.ln(num) - ctx.ln(den)), 1 + ctx.ln(w)
+    return lhs > rhs if strict else lhs >= rhs
+
+
+class TestFloatTier:
+    """Each decider gives what it gives with the float tier off, on random
+    inputs, and on built near-ties, which the float tier must leave to the
+    tiers after it."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 10**400),
+        den=st.one_of(st.integers(1, 10**4), st.integers(1, 10**45)),
+        step=st.integers(1, 3),
+        n=st.one_of(st.integers(0, 10**5), st.integers(0, 2**53)),
+        c=st.sampled_from([0, 1]),
+    )
+    @example(m=18828003285, den=728, step=1, n=12402, c=0)
+    @example(m=2**1100 + 1, den=1, step=1, n=0, c=1)  # m split by frexp
+    def test_error_bound_covers_the_float_error(self, m, den, step, n, c):
+        # the float sum, and the log of its exp, are within tau(n) / 2 of
+        # c + ln m + n * ln(num/den), for ratios on both sides of 1
+        ctx = Context(prec=80)
+        for a, b in ((den + step, den), (den, den + step)):
+            at_zero, log_step, tau = _numeric._float_log_estimate(m, a, b, c)
+            log = at_zero + np.array([n], dtype=np.float64) * log_step
+            exact = ctx.add(c + ctx.ln(m), ctx.multiply(n, ctx.subtract(ctx.ln(a), ctx.ln(b))))
+            assert abs(ctx.subtract(Decimal(log[0]), exact)) <= Decimal(tau(n)) / 2
+            if -700 < log[0] < 700:
+                value = Decimal(np.exp(log)[0])
+                assert abs(ctx.subtract(ctx.ln(value), exact)) <= Decimal(tau(n)) / 2
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        m=st.integers(1, 10**40),
+        den=st.integers(1, 1000),
+        step=st.integers(1, 80),
+        strict=st.booleans(),
+    )
+    @example(m=18828003285 * 729, den=728, step=1, strict=True)  # slj at (6,54,3)
+    def test_least_power_exponent(self, m, den, step, strict):
+        num = den + step
+        n = least_power_exponent(m, num, den, strict=strict)
+        assert n == with_float_tier_off(least_power_exponent, m, num, den, strict=strict)
+        assert exponent_holds(m, num, den, n, strict)
+        assert n == 0 or not exponent_holds(m, num, den, n - 1, strict)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=exponent_near_ties(), strict=st.booleans())
+    @example(case=(2**41, 2, 1), strict=True)  # ln m / ln 2 is exactly 41
+    def test_least_power_exponent_near_ties(self, case, strict):
+        m, num, den = case
+        assert _numeric._float_least_exponent(m, num, den, 0) is None
+        n = least_power_exponent(m, num, den, strict=strict)
+        assert n == with_float_tier_off(least_power_exponent, m, num, den, strict=strict)
+        assert exponent_holds(m, num, den, n, strict)
+        assert not exponent_holds(m, num, den, n - 1, strict)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        w=st.integers(1, 10**40),
+        den=st.integers(1, 1000),
+        step=st.integers(1, 80),
+        strict=st.booleans(),
+    )
+    @example(w=729 * 6 * math.comb(54, 5), den=728, step=1, strict=False)  # gss at (6,54,3)
+    def test_least_power_past_e(self, w, den, step, strict):
+        num = den + step
+        n = least_power_past_e(w, num, den, strict=strict)
+        assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
+        assert beyond_e_times(w, num, den, n, strict)
+        assert n == 0 or not beyond_e_times(w, num, den, n - 1, strict)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=e_threshold_near_ties(), strict=st.booleans())
+    def test_least_power_past_e_near_ties(self, case, strict):
+        w, num, den = case
+        assert _numeric._float_least_exponent(w, num, den, 1) is None
+        n = least_power_past_e(w, num, den, strict=strict)
+        assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
+        assert beyond_e_times(w, num, den, n, strict)
+        assert not beyond_e_times(w, num, den, n - 1, strict)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        m=st.integers(0, 10**80),
+        frac=proper_fractions(),
+        ns=st.lists(st.integers(0, 2000), max_size=20),
+    )
+    @example(m=18828003285, frac=(728, 729), ns=list(range(12300, 12500)))
+    def test_floor_scaled_powers(self, m, frac, ns):
+        num, den = frac
+        floors = floor_scaled_powers(m, num, den, ns)
+        assert floors == with_float_tier_off(floor_scaled_powers, m, num, den, ns)
+        assert floors == [exact_floor(m, num, den, n) for n in ns]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(floor_near_ties())
+    @example((10**6 * 10**12 + 1, 1, 10, 12))  # 10**6 + 1e-12
+    def test_floor_scaled_powers_near_ties(self, case):
+        m, num, den, n = case
+        ns = [n, n + 1, n]
+        assert _numeric._float_floors(m, num, den, [n]) == [None]
+        floors = floor_scaled_powers(m, num, den, ns)
+        assert floors == with_float_tier_off(floor_scaled_powers, m, num, den, ns)
+        assert floors == [exact_floor(m, num, den, j) for j in ns]
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(m=st.integers(1, 10**40), frac=proper_fractions(), n=st.integers(0, 3000))
+    @example(m=math.comb(54, 6) * 728, frac=(728, 729), n=11000)
+    def test_floor_e_scaled_power(self, m, frac, n):
+        num, den = frac
+        floor = floor_e_scaled_power(m, num, den, n, log_below=200)
+        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n, log_below=200)
+        assert floor == exact_e_floor(m, num, den, n)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(e_floor_near_ties())
+    def test_floor_e_scaled_power_near_ties(self, case):
+        m, num, den, n = case
+        calls = []
+        exact = _numeric._floor_e_exact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_numeric, "_floor_e_exact", lambda *a: calls.append(a) or exact(*a))
+            floor = floor_e_scaled_power(m, num, den, n, log_below=200)
+        assert len(calls) == 1
+        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n, log_below=200)
+        assert floor == exact_e_floor(m, num, den, n)
+
+    def test_log_cap(self):
+        # ln(e * m) is 200 - 1e-12 and 200 + 1e-12 at these m, too close for
+        # floats: the 50-digit log decides, as before the float tier
+        with localcontext() as ctx:
+            ctx.prec = 60
+            at = ctx.exp(199)
+        below, above = int(at * (1 - Decimal("1e-12"))), int(at * (1 + Decimal("1e-12")))
+        assert floor_e_scaled_power(below, 1, 2, 0, log_below=200) == exact_e_floor(below, 1, 2, 0)
+        assert floor_e_scaled_power(above, 1, 2, 0, log_below=200) is None
+        assert floor_e_scaled_power(10**90, 1, 2, 0, log_below=200) is None
+
+
+class TestFiftyDigitsIsAFallback:
+    """The bench grid takes every bound value from the float tier: no
+    50-digit estimate, threshold, leftover floor or exp, and 50-digit logs
+    only for the two notes that print 50-digit values."""
+
+    METHODS = ("slj,discrete_slj,two_stage,gss,cyclic,frobenius,pgl,"
+               "conditional_lll,conditional_lll_density")
+    KS = range(10, 1001, 15)
+
+    @pytest.mark.parametrize("guard", [_numeric._FLOAT_GUARD, math.inf], ids=["on", "off"])
+    def test_bench_grid(self, tmp_path, capsys, monkeypatch, guard):
+        logs, tiers = [], []
+        ln = _numeric._ln
+        monkeypatch.setattr(_numeric, "_ln", lambda x: logs.append(x) or ln(x))
+        for name in ("_log_estimate", "least_n_for_log_threshold", "_floor_e_exact"):
+            monkeypatch.setattr(_numeric, name, lambda *a, real=getattr(_numeric, name), name=name,
+                                **kw: tiers.append(name) or real(*a, **kw))
+        monkeypatch.setattr(_numeric, "_FLOAT_GUARD", guard)
+        argv = ["sweep", "-t", "6", "-v", "3", "--k", "10:1000:15", "--methods", self.METHODS,
+                "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        # analytic_optimum_n reads ln 729 - ln 728, and loose_linear_leftover
+        # ln(728 k), ln 36, ln 5 and ln 6
+        notes = {729, 728, 36, 5, 6} | {728 * k for k in self.KS}
+        if guard == math.inf:  # the counters see the 50-digit tiers when they run
+            assert {"_log_estimate", "least_n_for_log_threshold"} <= set(tiers)
+            assert not set(logs) <= notes
+        else:
+            assert tiers == []
+            assert set(logs) <= notes
 
 
 class TestLogThreshold:
