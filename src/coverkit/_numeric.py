@@ -26,9 +26,11 @@ tier gives the value the next would give.
    and floors past about 1e9, whose fractional part a float cannot place
    within the guard.
 2. **50 digits** (``_log_estimate``).  The same estimate from 50-digit
-   logs, with a proven bound err(n).  The 50-digit log of each integer is
-   computed once (``_ln``, a bounded memo).  A run of consecutive n takes
-   one 50-digit exp and then one multiplication by num/den per n.
+   logs, with a proven bound err(n); ``least_power_exponent`` tries once
+   more with 50 digits plus twice those of its guess before the next
+   tier.  The 50-digit log of each integer is computed once (``_ln``, a
+   bounded memo).  A run of consecutive n takes one 50-digit exp and then
+   one multiplication by num/den per n.
 3. **Exact.**  For the rational questions, the exact integers decide, once
    the memory cap has passed the powers they build.  The questions with
    the factor e never tie, as e times a rational is irrational: the
@@ -166,24 +168,28 @@ def _float_floors(m: int, num: int, den: int, ns: list[int]) -> list[int | None]
 
 
 def _log_estimate(
-    m: int, num: int, den: int
+    m: int, num: int, den: int, prec: int = PRECISION
 ) -> tuple[Decimal, Decimal, Callable[[int], Decimal]]:
-    """ln m and step = ln num - ln den at 50 digits, for integers m, num,
-    den >= 1, and err(n): a bound on how far ln m + n * step, evaluated at
-    50 digits, is from ln(m * (num/den)**n), for every n >= 0.
+    """ln m and step = ln num - ln den at ``prec`` digits (50 unless given),
+    for integers m, num, den >= 1, and err(n): a bound on how far
+    ln m + n * step, evaluated at those digits, is from
+    ln(m * (num/den)**n), for every n >= 0.
 
-    ln m, ln num, ln den, the step, n * step and the sum each err by at
-    most _ULP / 2 of their computed size, and the sum is at most
-    |ln m| + n|step| up to a factor 1 + 2 * _ULP.  So the total error is at
-    most _ULP/2 * (3 ln m + n * (ln num + ln den + 4|step|)), which is at
-    most 3/4 of err(n) = _ULP * (2 ln m + n * (ln num + ln den + 3|step|)).
+    With ulp = 10**(1 - prec), ln m, ln num, ln den, the step, n * step and
+    the sum each err by at most ulp / 2 of their computed size, and the sum
+    is at most |ln m| + n|step| up to a factor 1 + 2 * ulp.  So the total
+    error is at most ulp/2 * (3 ln m + n * (ln num + ln den + 4|step|)),
+    which is at most 3/4 of err(n) = ulp * (2 ln m + n * (ln num + ln den +
+    3|step|)).  The 50-digit logs are read from the ``_ln`` memo.
     """
+    ulp = Decimal(10) ** (1 - prec)
     with localcontext() as ctx:
-        ctx.prec = PRECISION
-        ln_m, ln_num, ln_den = _ln(m), _ln(num), _ln(den)
+        ctx.prec = prec
+        ln = _ln if prec == PRECISION else (lambda x: Decimal(x).ln())
+        ln_m, ln_num, ln_den = ln(m), ln(num), ln(den)
         step = ln_num - ln_den
-        at_zero = 2 * _ULP * ln_m
-        per_n = _ULP * (ln_num + ln_den + 3 * abs(step))
+        at_zero = 2 * ulp * ln_m
+        per_n = ulp * (ln_num + ln_den + 3 * abs(step))
     return ln_m, step, lambda n: at_zero + n * per_n
 
 
@@ -200,8 +206,12 @@ def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> 
     e = err(n) plus a guard of 1e-9 of one step ln(num/den), the guess
     n = floor(ln m / ln(num/den)) + 1 is the answer to both comparisons when
     L(n) < -e and L(n-1) > e (err grows with n): m * (den/num)**n then
-    crosses 1 strictly between n - 1 and n.  Otherwise the exact integer
-    inequality num**n ? m * den**n decides, stepping from the guess.
+    crosses 1 strictly between n - 1 and n.  Where 50 digits leave it in
+    doubt, the same test is made once more with 50 digits plus twice as many
+    as the guess has: err(n) grows as n times the unit of the last digit
+    while the step shrinks about as 1/n, so 50 digits alone cannot decide
+    past guesses of about 1e24.  Otherwise the exact integer inequality
+    num**n ? m * den**n decides, stepping from the last guess.
     """
     if num <= den:
         raise ValueError("ratio must exceed 1")
@@ -210,16 +220,20 @@ def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> 
     n = _float_least_exponent(m, num, den, 0)
     if n is not None:
         return n
-    ln_m, step, err = _log_estimate(m, den, num)
-    if step == 0:
-        raise ValueError("ratio too close to 1 for 50-digit logarithms")
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        n = math.floor(ln_m / -step) + 1
-        e = err(n) - _GUARD * step
-        if ln_m + n * step < -e and ln_m + (n - 1) * step > e:
-            return n
-    return _least_power_exact(m, num, den, n, strict)
+    prec = PRECISION
+    while True:
+        ln_m, step, err = _log_estimate(m, den, num, prec)
+        if step == 0:
+            raise ValueError("ratio too close to 1 for 50-digit logarithms")
+        with localcontext() as ctx:
+            ctx.prec = prec
+            n = math.floor(ln_m / -step) + 1
+            e = err(n) - _GUARD * step
+            if ln_m + n * step < -e and ln_m + (n - 1) * step > e:
+                return n
+        if prec > PRECISION:
+            return _least_power_exact(m, num, den, n, strict)
+        prec = PRECISION + 2 * len(str(n))
 
 
 def _least_power_exact(m: int, num: int, den: int, n: int, strict: bool) -> int:

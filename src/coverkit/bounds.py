@@ -35,11 +35,16 @@ where it clears a proven bound on its own error: binary64 first, with a
 1e-9 guard; 50 digits where the float is in doubt; then the exact
 integers for a rational inequality, and for one with the factor e (which
 never ties) the 50-digit comparison, or as many digits as the
-conditional bound's leftover floor has.  No value here builds a Decimal;
-only the notes that print 50-digit values, ``analytic_optimum_n`` and
-``loose_linear_leftover``, take 50-digit logs.  Counts such as
-C(k,t) * v**t are exact integers throughout; nothing is ever silently
-truncated to machine floats except in report fields documented as floats.
+conditional bound's leftover floor has.  The two-stage search window is
+placed the same way: floor(n*) and its radius in binary64 where they clear
+a proven error bound and the guard, else at 50 digits.  No value here
+builds a Decimal where the floats are clear.  The two notes that print
+50-digit values, ``analytic_optimum_n`` and ``loose_linear_leftover``, are
+computed only when read (``BoundReport.notes``), so a caller that reads
+only ``value``, as ``coverkit sweep`` does, takes no 50-digit log.  Counts
+such as C(k,t) * v**t are exact integers throughout; nothing is ever
+silently truncated to machine floats except in report fields documented as
+floats.
 """
 
 from __future__ import annotations
@@ -83,12 +88,59 @@ SecondStage = Literal["one_row_each", "discrete_slj"]
 COEFFICIENT_METHODS = ("slj", "gss", "cyclic", "frobenius", "pgl")
 
 
+class _Later(functools.partial):
+    """A note's value, computed by a call the first time the note is read
+    (``_Notes``)."""
+
+
+class _Notes(dict):
+    """A report's notes, where a value given as a ``_Later`` is computed the
+    first time it is read and kept in its place.  Reads by key, ``get``,
+    ``items``, ``values``, ``copy``, comparison, repr, copying or pickling
+    all see the computed values; a note never read is never computed."""
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if isinstance(value, _Later):
+            value = value()
+            super().__setitem__(key, value)
+        return value
+
+    def __iter__(self):
+        # with its own __iter__, a dict subclass is copied by dict(notes)
+        # and {**notes} through keys() and __getitem__, not its raw values
+        return super().__iter__()
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def copy(self) -> dict:
+        return {key: self[key] for key in self}
+
+    def items(self):
+        return self.copy().items()
+
+    def values(self):
+        return self.copy().values()
+
+    def __eq__(self, other) -> bool:
+        return self.copy() == other
+
+    def __ne__(self, other) -> bool:
+        return self.copy() != other
+
+    def __repr__(self) -> str:
+        return repr(self.copy())
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """A named bound value plus the intermediate quantities behind it."""
+    """A named bound value plus the intermediate quantities behind it.  The
+    bounds below leave their 50-digit notes to be computed when first read
+    (``_Notes``)."""
 
     method: str
-    value: int
+    value: int | float
     stage1_rows: int | None = None
     expected_leftover: float | None = None
     notes: dict = field(default_factory=dict)
@@ -326,17 +378,13 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     Because the floor makes the objective jagged, integer minimizers can sit
     as far as about sqrt(2/ln x) from n*, so the window radius scales with
     sqrt(3/ln x) (never below 64).  The smallest minimizing n is reported.
+    The window is placed in binary64 where the floats are clear
+    (``_search_window``); the note ``analytic_optimum_n``, n* to 50
+    digits, is computed when read.
     """
     vt = params.tuple_count
     total = params.interaction_space_size
-    with localcontext() as ctx:
-        ctx.prec = num.PRECISION
-        lnx = num.ln_ratio(vt, vt - 1)
-        scaled = Decimal(total) * lnx
-        nstar = float(scaled.ln() / lnx) if scaled > 1 else 0.0
-    radius = max(64, math.isqrt(math.ceil(3 / float(lnx))) + 8)
-    lo = max(0, math.floor(nstar) - radius)
-    hi = math.floor(nstar) + radius
+    lo, hi = _search_window(total, vt)
     entry = 3 * (8 + sys.getsizeof(total))  # ns, floors, objectives: ints <= total
     limits.check_table_bytes(hi - lo + 1, entry, "two-stage search window")
 
@@ -351,12 +399,73 @@ def two_stage_bound(params: CAParams) -> BoundReport:
         value=best_val,
         stage1_rows=best_n,
         expected_leftover=float(leftover),
-        notes={
-            "analytic_optimum_n": nstar,
-            "analytic_value": analytic,
-            "search_window": (lo, hi),
-        },
+        notes=_Notes(
+            analytic_optimum_n=_Later(_optimum_n, total, vt),
+            analytic_value=analytic,
+            search_window=(lo, hi),
+        ),
     )
+
+
+def _search_window(total: int, vt: int) -> tuple[int, int]:
+    """(lo, hi), the two-stage window: floor(n*) plus or minus the radius
+    max(64, isqrt(ceil(3 / ln x)) + 8), as the 50-digit n* and ln x rounded
+    to floats give them.  Each of floor(n*) and ceil(3 / ln x) is taken
+    from ``_float_window`` where it decides, else at 50 digits."""
+    centre, span = _float_window(total, vt)
+    if centre is None:
+        centre = math.floor(_optimum_n(total, vt))
+    if span is None:
+        span = math.ceil(3 / float(num.ln_ratio(vt, vt - 1)))
+    radius = max(64, math.isqrt(span) + 8)
+    return max(0, centre - radius), centre + radius
+
+
+def _float_window(total: int, vt: int) -> tuple[int | None, int | None]:
+    """floor(n*) and ceil(3 / ln x) as ``_search_window`` reads them, each
+    where binary64 decides it, else None.
+
+    With ln M and L = ln x from ``_numeric._float_log_estimate`` (errors at
+    most 8u ln M + 8u and 9.5u L, u = 2**-53, under its 4-ulp assumption),
+    n* = (ln M + ln L) / L in floats errs by at most 10u (ln M + |ln L| + 2)
+    / L + 11u n*, within half of tau = 2**-48 ((ln M + |ln L| + 2) / L + n*
+    + 1).  The 50-digit n* is far closer to the exact one, and rounding it
+    to a float moves it by at most u n*, both inside the half of tau to
+    spare.  So with the guard of 1e-9 (of one step of n) on top, floor(n*)
+    is 0 where n* + tau + guard < 1 (the 50-digit n* is then below 1, or 0
+    when M ln x <= 1), and floor(n*) where the fractional part of n* clears
+    tau + guard.  3 / L errs by at most 12u of itself against 3 over the
+    50-digit L in floats, so its ceil is decided where its fractional part
+    clears 2**-48 of it plus the guard."""
+    estimate = num._float_log_estimate(total, vt, vt - 1)
+    if estimate is None:
+        return None, None
+    ln_m, lnx, _ = estimate
+    guard, err = num._FLOAT_GUARD, num._FLOAT_ERR
+    ln_lnx = math.log(lnx)
+    nstar = (ln_m + ln_lnx) / lnx
+    slack = err * ((ln_m + abs(ln_lnx) + 2) / lnx + abs(nstar) + 1) + guard
+    centre = span = None
+    frac = nstar - math.floor(nstar)
+    if nstar + slack < 1:
+        centre = 0
+    elif slack < frac < 1 - slack:
+        centre = math.floor(nstar)
+    width = 3 / lnx
+    slack = err * width + guard
+    if slack < width - math.floor(width) < 1 - slack:
+        span = math.floor(width) + 1
+    return centre, span
+
+
+def _optimum_n(total: int, vt: int) -> float:
+    """n* = ln(M * ln x) / ln x (0 where M ln x <= 1) at 50 digits, as a
+    float, with M = total and x = vt / (vt - 1)."""
+    with localcontext() as ctx:
+        ctx.prec = num.PRECISION
+        lnx = num.ln_ratio(vt, vt - 1)
+        scaled = Decimal(total) * lnx
+        return float(scaled.ln() / lnx) if scaled > 1 else 0.0
 
 
 def _two_stage_analytic_value(params: CAParams) -> float:
@@ -381,6 +490,7 @@ _ACTIONS: dict[str, tuple[int, Callable[[int], bool], str]] = {
 }
 
 
+@functools.lru_cache(maxsize=64)
 def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
     """What a symbol action costs the local lemma: (events, base, hit, order).
 
@@ -390,7 +500,9 @@ def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
     A sharply l-transitive action has order v!/(v-l)!, and its full orbits
     are those of the tuples with at least l distinct symbols: all v**t
     tuples but the C(v, j) * surj(t, j) with j < l distinct symbols, where
-    surj(t, j) counts the maps of t positions onto j symbols.
+    surj(t, j) counts the maps of t positions onto j symbols.  Remembered
+    for the last 64 (kind, t, v) asked for; a refusal is raised again on
+    every call, as nothing is remembered for it.
     """
     if kind not in _ACTIONS:
         raise ValueError(f"unknown method {kind!r}; expected one of {COEFFICIENT_METHODS}")
@@ -567,7 +679,8 @@ def conditional_lll_two_stage_bound(
 
     The coarser closed form floor(k * e**t * (v**t - 1)/t**2 * (1-1/t)**(t-1))
     obtained by bounding the binomials is reported in the notes for
-    reference; it badly overestimates the leftovers and is not used.
+    reference, computed at 50 digits when read; it badly overestimates the
+    leftovers and is not used.
 
     floor(E2) is exact: where a float cannot place it, it is evaluated
     with 50 digits more than it has.  E2 is only evaluated while ln E2 < 200
@@ -580,12 +693,6 @@ def conditional_lll_two_stage_bound(
     # the plain local lemma solve with one designated event per column set
     n1, _, _ = _lll_solve(params, "gss", weight=1)
     e2 = num.floor_e_scaled_power(math.comb(k, t) * (vt - 1), vt - 1, vt, n1, log_below=200)
-    with localcontext() as ctx:
-        ctx.prec = num.PRECISION
-        loose = int(
-            (Decimal(t) + num.dec_ln(k * (vt - 1)) - num.dec_ln(t * t)
-             + (t - 1) * (num.dec_ln(t - 1) - num.dec_ln(t))).exp()
-        )
     if e2 is None:
         raise ResourceLimitError("conditional leftover estimate overflows")
 
@@ -601,14 +708,24 @@ def conditional_lll_two_stage_bound(
         value=n1 + stage2,
         stage1_rows=n1,
         expected_leftover=float(e2),
-        notes={
-            "second_stage": second_stage,
-            "stage2_rows": stage2,
-            "expected_leftover_floor": e2,
-            "loose_linear_leftover": loose,
-            "inequality": "n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1",
-        },
+        notes=_Notes(
+            second_stage=second_stage,
+            stage2_rows=stage2,
+            expected_leftover_floor=e2,
+            loose_linear_leftover=_Later(_loose_linear_leftover, t, k, vt),
+            inequality="n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1",
+        ),
     )
+
+
+def _loose_linear_leftover(t: int, k: int, vt: int) -> int:
+    """floor(k * e**t * (vt - 1)/t**2 * (1-1/t)**(t-1)) at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = num.PRECISION
+        return int(
+            (Decimal(t) + num.dec_ln(k * (vt - 1)) - num.dec_ln(t * t)
+             + (t - 1) * (num.dec_ln(t - 1) - num.dec_ln(t))).exp()
+        )
 
 
 def asymptotic_coefficient(method: str, t: int, v: int) -> float:

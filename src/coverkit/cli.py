@@ -32,52 +32,49 @@ DEPENDENCE_CHOICES = get_args(bounds.Dependence)
 
 
 def _report_record(rep: bounds.BoundReport) -> dict:
-    return {
+    """The JSON record of one report; dslj_estimate's and katona's have
+    never had an expected_leftover key."""
+    record = {
         "method": rep.method,
         "value": rep.value,
         "stage1_rows": rep.stage1_rows,
         "expected_leftover": rep.expected_leftover,
         "notes": rep.notes,
     }
+    if rep.method in ("dslj_estimate", "katona"):
+        del record["expected_leftover"]
+    return record
 
 
-def _katona_record(params: CAParams) -> dict:
+def _katona_report(params: CAParams) -> bounds.BoundReport:
     if params.t != 2 or params.v != 2:
         raise UnsupportedParameterError(
             "katona gives exact CAN(2,k,2) and requires t=2, v=2"
         )
-    return {
-        "method": "katona",
-        "value": bounds.katona_kleitman_exact(params.k),
-        "stage1_rows": None,
-        "notes": {"exact": True},
-    }
+    return bounds.BoundReport(
+        method="katona", value=bounds.katona_kleitman_exact(params.k), notes={"exact": True}
+    )
 
 
-# method name -> (params, dependence) -> JSON record; shared by bounds and sweep
-BOUND_RECORDS = {
-    "slj": lambda p, d: _report_record(bounds.slj_bound(p)),
-    "discrete_slj": lambda p, d: _report_record(bounds.discrete_slj_bound(p)[0]),
-    "dslj_estimate": lambda p, d: {
-        "method": "dslj_estimate",
-        "value": bounds.discrete_slj_estimate(p),
-        "stage1_rows": None,
-        "notes": {},
-    },
-    "two_stage": lambda p, d: _report_record(bounds.two_stage_bound(p)),
-    "gss": lambda p, d: _report_record(bounds.gss_lll_bound(p, d)),
-    "cyclic": lambda p, d: _report_record(bounds.cyclic_lll_bound(p, d)),
-    "frobenius": lambda p, d: _report_record(bounds.frobenius_lll_bound(p, d)),
-    "pgl": lambda p, d: _report_record(bounds.pgl_lll_bound(p, d)),
-    "conditional_lll": lambda p, d: _report_record(
-        bounds.conditional_lll_two_stage_bound(p, "one_row_each")
+# method name -> (params, dependence) -> BoundReport; shared by bounds and sweep
+BOUND_REPORTS = {
+    "slj": lambda p, d: bounds.slj_bound(p),
+    "discrete_slj": lambda p, d: bounds.discrete_slj_bound(p)[0],
+    "dslj_estimate": lambda p, d: bounds.BoundReport(
+        method="dslj_estimate", value=bounds.discrete_slj_estimate(p)
     ),
-    "conditional_lll_density": lambda p, d: _report_record(
-        bounds.conditional_lll_two_stage_bound(p, "discrete_slj")
+    "two_stage": lambda p, d: bounds.two_stage_bound(p),
+    "gss": bounds.gss_lll_bound,
+    "cyclic": bounds.cyclic_lll_bound,
+    "frobenius": bounds.frobenius_lll_bound,
+    "pgl": bounds.pgl_lll_bound,
+    "conditional_lll": lambda p, d: bounds.conditional_lll_two_stage_bound(p, "one_row_each"),
+    "conditional_lll_density": lambda p, d: bounds.conditional_lll_two_stage_bound(
+        p, "discrete_slj"
     ),
-    "katona": lambda p, d: _katona_record(p),
+    "katona": lambda p, d: _katona_report(p),
 }
-BOUND_METHODS = tuple(BOUND_RECORDS)
+BOUND_METHODS = tuple(BOUND_REPORTS)
 DEPENDENCE_METHODS = ("gss", "cyclic", "frobenius", "pgl")  # those that read --dependence
 
 
@@ -94,18 +91,18 @@ def _methods(args: argparse.Namespace) -> list[str]:
     return methods
 
 
-def _method_record(method: str, params: CAParams, dependence: str) -> dict:
-    if method not in BOUND_RECORDS:
+def _method_report(method: str, params: CAParams, dependence: str) -> bounds.BoundReport:
+    if method not in BOUND_REPORTS:
         raise UnsupportedParameterError(
             f"unknown method {method!r}; choose from {', '.join(BOUND_METHODS)}"
         )
-    return BOUND_RECORDS[method](params, dependence)
+    return BOUND_REPORTS[method](params, dependence)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
     methods = _methods(args)
-    records = [_method_record(m, params, args.dependence) for m in methods]
+    records = [_report_record(_method_report(m, params, args.dependence)) for m in methods]
     if args.json:
         doc = {"t": args.t, "k": args.k, "v": args.v, "results": records}
         print(json.dumps(doc, indent=2, sort_keys=True, default=str))
@@ -215,13 +212,15 @@ def _parse_range(text: str, flag: str, entry_bytes: int) -> list[int]:
 
 
 def _method_value(method: str, params: CAParams, dependence: str) -> int | float:
-    """The value of one method's record.  A sweep writes no notes, so its
-    discrete_slj value is the recurrence length counted from the shared
-    thresholds alone (``bounds.discrete_slj_count``): the walk to the least
-    deficit that ``discrete_slj_bound`` makes feeds only its notes."""
+    """The value of one method's report.  A sweep writes no notes, so it
+    reads ``value`` alone: the notes that print 50-digit values, which are
+    computed only when read, are never computed, and its discrete_slj value
+    is the recurrence length counted from the shared thresholds alone
+    (``bounds.discrete_slj_count``), as the walk to the least deficit that
+    ``discrete_slj_bound`` makes feeds only its notes."""
     if method == "discrete_slj":
         return bounds.discrete_slj_count(params)
-    return _method_record(method, params, dependence)["value"]
+    return _method_report(method, params, dependence).value
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -74,6 +74,20 @@ def test_medians_of_paired_seeds(summary):
     assert summary["change"]["source_sha256"] == ["src-change"]
 
 
+def test_prints_one_line_per_workload_and_metric(tmp_path):
+    write_records(tmp_path / "parent", "bound-sweep", {1: {"bounds_s": 0.04}, 2: {"bounds_s": 0.05}})
+    write_records(tmp_path / "parent", "two-stage", {1: {"rows": 0.0}})
+    write_records(tmp_path / "change", "bound-sweep", {1: {"bounds_s": 0.03}, 2: {"bounds_s": 0.05}})
+    write_records(tmp_path / "change", "two-stage", {1: {"rows": 0.0}})
+    done = summarise(tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 * len(END_TO_END)
+    assert "bound-sweep bounds_s: parent 0.045 change 0.04 ratio 0.889 w/t/l 1/1/0" in lines
+    assert "two-stage rows: parent 0 change 0 ratio - w/t/l 0/1/0" in lines
+    assert "bound-sweep wall_s: parent 1 change 1 ratio 1.000 w/t/l 0/2/0" in lines
+
+
 def test_wins_follow_the_better_direction(summary):
     metrics = summary["workloads"]["two-stage"]["metrics"]
     lower, higher = metrics["build_s"], metrics["ok_share"]

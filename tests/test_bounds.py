@@ -405,6 +405,75 @@ class TestTwoStage:
             assert rep.value <= math.ceil(rep.notes["analytic_value"])
 
 
+def fifty_digit_window(p):
+    """The two-stage window as 50 digits place it: floor(n*) plus or minus
+    max(64, isqrt(ceil(3 / ln x)) + 8), with n* = ln(M ln x) / ln x (0
+    where M ln x <= 1) and ln x rounded to a float."""
+    vt = p.tuple_count
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lnx = Decimal(vt).ln() - Decimal(vt - 1).ln()
+        scaled = p.interaction_space_size * lnx
+        nstar = float(scaled.ln() / lnx) if scaled > 1 else 0.0
+    radius = max(64, math.isqrt(math.ceil(3 / float(lnx))) + 8)
+    return max(0, math.floor(nstar) - radius), math.floor(nstar) + radius
+
+
+def with_float_tier_off(f, *args):
+    """f(*args) with no float estimate clearing the guard."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds.num, "_FLOAT_GUARD", math.inf)
+        return f(*args)
+
+
+class TestFloatWindow:
+    """The two-stage window is placed in binary64 where the floats are
+    clear, and gives what the 50-digit centre gives."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(small_params(max_t=5, max_k=10**6, max_v=6))
+    @example(CAParams(6, 54, 3))
+    @example(CAParams(2, 2, 2))  # M ln x <= 1: n* is 0
+    def test_matches_the_fifty_digit_centre(self, p):
+        rep = bounds.two_stage_bound(p)
+        assert rep.notes["search_window"] == fifty_digit_window(p)
+        slow = with_float_tier_off(bounds.two_stage_bound, p)
+        assert (rep.value, rep.stage1_rows, rep.notes["search_window"]) == (
+            slow.value, slow.stage1_rows, slow.notes["search_window"])
+
+    def test_guard_forces_the_fallback(self, monkeypatch):
+        calls = []
+        optimum = bounds._optimum_n
+        monkeypatch.setattr(bounds, "_optimum_n", lambda *a: calls.append(a) or optimum(*a))
+        p = CAParams(6, 54, 3)
+        total, vt = p.interaction_space_size, p.tuple_count
+        assert bounds._float_window(total, vt) == (12433, 2186)
+        fast = bounds.two_stage_bound(p)
+        assert calls == []  # the note is not read yet
+        monkeypatch.setattr(bounds.num, "_FLOAT_GUARD", math.inf)
+        assert bounds._float_window(total, vt) == (None, None)
+        slow = bounds.two_stage_bound(p)
+        assert calls == [(total, vt)]
+        assert slow.notes["search_window"] == fast.notes["search_window"] == (12369, 12497)
+        assert slow.value == fast.value and slow.stage1_rows == fast.stage1_rows
+
+
+class TestOrbitCensusMemo:
+    def test_remembered_per_action(self):
+        bounds._orbit_census.cache_clear()
+        first = bounds._orbit_census("frobenius", 6, 3)
+        assert bounds._orbit_census("frobenius", 6, 3) is first
+        assert bounds._orbit_census.cache_info().hits == 1
+        assert bounds._orbit_census("cyclic", 6, 3) != first
+
+    def test_a_refusal_is_not_remembered(self):
+        for _ in range(2):
+            with pytest.raises(UnsupportedParameterError, match="prime-power"):
+                bounds.frobenius_lll_bound(CAParams(6, 54, 6))
+        with pytest.raises(ValueError, match="unknown method"):
+            bounds._orbit_census("nope", 6, 3)
+
+
 class TestGss:
     def test_coefficient_ratio_to_slj(self):
         for t in range(2, 7):

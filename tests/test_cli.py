@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from dataclasses import fields
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,39 @@ class TestBoundsCommand:
         assert code == 3
         assert out == ""
         assert "conditional leftover estimate overflows" in err
+
+    @pytest.mark.parametrize("t, k, v", [(10, 12, 200), (16, 17, 50)])
+    def test_slj_past_vt_1e22(self, capsys, t, k, v):
+        # guesses near 6e24 and 1e29: 50 digits leave them in doubt, the
+        # exact powers are far over the memory cap, and the retry at 50
+        # plus twice the guess's digits decides
+        code, out, _ = run(["bounds", "-t", str(t), "-k", str(k), "-v", str(v),
+                            "--methods", "slj", "--json"], capsys)
+        assert code == 0
+        vt = v**t
+        with localcontext() as ctx:
+            ctx.prec = 200
+            q = Decimal(math.comb(k, t) * vt).ln() / (Decimal(vt).ln() - Decimal(vt - 1).ln())
+        assert json.loads(out)["results"][0]["value"] == math.floor(q) + 1
+
+    @pytest.mark.parametrize("method, note", [
+        ("two_stage", "analytic_optimum_n"),
+        ("conditional_lll", "loose_linear_leftover"),
+        ("conditional_lll_density", "loose_linear_leftover"),
+    ])
+    def test_lazy_note_is_what_json_prints(self, capsys, method, note):
+        params = CAParams(6, 54, 3)
+        rep = cli.BOUND_REPORTS[method](params, "simple")
+        assert isinstance(dict.__getitem__(rep.notes, note), bounds._Later)  # not yet computed
+        read = rep.notes[note]
+        assert dict.__getitem__(rep.notes, note) == read  # computed once, then kept
+        _, out, _ = run(["bounds", "-t", "6", "-k", "54", "-v", "3", "--methods", method,
+                         "--json"], capsys)
+        printed = json.loads(out)["results"][0]["notes"]
+        assert read == printed[note]
+        fresh = cli.BOUND_REPORTS[method](params, "simple")
+        assert json.loads(json.dumps(fresh.notes, default=str)) == printed
+        assert fresh == rep and repr(fresh) == repr(rep)
 
 
 class TestBuildAndVerify:
@@ -576,10 +610,6 @@ BAD_INPUTS = [
     pytest.param(["bounds", "-t", "10", "-k", "20", "-v", "9", "--methods",
                   "conditional_lll_density"],
                  3, "discrete recurrence trace would take", id="conditional-discrete-stage"),
-    # the exponent guess near 1e29 is not certified, and the exact check
-    # would build 50**16 to that power
-    pytest.param(["bounds", "-t", "16", "-k", "17", "-v", "50", "--methods", "slj"],
-                 3, "exact power", id="slj-exact-power"),
     # a search window of radius about 6e9
     pytest.param(["bounds", "-t", "20", "-k", "30", "-v", "9", "--methods", "two_stage"],
                  3, "two-stage search window", id="two-stage-window"),

@@ -570,9 +570,10 @@ class TestFloatTier:
 
 
 class TestFiftyDigitsIsAFallback:
-    """The bench grid takes every bound value from the float tier: no
-    50-digit estimate, threshold, leftover floor or exp, and 50-digit logs
-    only for the two notes that print 50-digit values."""
+    """The bench grid takes every bound value, and the two-stage search
+    windows, from the float tier: no 50-digit log, estimate, threshold,
+    leftover floor or exp.  The notes that print 50-digit values are
+    computed only when read, and a sweep reads none."""
 
     METHODS = ("slj,discrete_slj,two_stage,gss,cyclic,frobenius,pgl,"
                "conditional_lll,conditional_lll_density")
@@ -590,15 +591,53 @@ class TestFiftyDigitsIsAFallback:
         argv = ["sweep", "-t", "6", "-v", "3", "--k", "10:1000:15", "--methods", self.METHODS,
                 "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
-        # analytic_optimum_n reads ln 729 - ln 728, and loose_linear_leftover
-        # ln(728 k), ln 36, ln 5 and ln 6
-        notes = {729, 728, 36, 5, 6} | {728 * k for k in self.KS}
         if guard == math.inf:  # the counters see the 50-digit tiers when they run
             assert {"_log_estimate", "least_n_for_log_threshold"} <= set(tiers)
-            assert not set(logs) <= notes
+            # the windows are placed at 50 digits, from ln 729 - ln 728, but
+            # loose_linear_leftover's ln(728 k) is still never taken
+            assert {729, 728} <= set(logs)
+            assert not {728 * k for k in self.KS} & set(logs)
         else:
             assert tiers == []
-            assert set(logs) <= notes
+            assert logs == []
+
+
+class TestLeastPowerRetry:
+    """Where 50 digits leave the least exponent in doubt, one retry at 50
+    plus twice the guess's digits decides it before the exact tier.  Here
+    the first precision is lowered to 6 digits, so that the retry is needed
+    at guesses the exact check can still confirm."""
+
+    @pytest.fixture
+    def six_digits(self, monkeypatch):
+        precs = []
+        estimate = _numeric._log_estimate
+
+        def counted(m, num, den, prec=_numeric.PRECISION):
+            precs.append(prec)
+            return estimate(m, num, den, prec)
+
+        def no_exact(*args):
+            raise AssertionError("the exact tier was reached")
+
+        monkeypatch.setattr(_numeric, "PRECISION", 6)
+        monkeypatch.setattr(_numeric, "_FLOAT_GUARD", math.inf)
+        monkeypatch.setattr(_numeric, "_log_estimate", counted)
+        monkeypatch.setattr(_numeric, "_least_power_exact", no_exact)
+        _numeric._ln.cache_clear()  # the memo must not keep 6-digit logs
+        yield precs
+        _numeric._ln.cache_clear()
+
+    @pytest.mark.parametrize("t, k, v", [(6, 54, 3), (6, 1000, 3), (4, 30, 5), (3, 10, 7)])
+    def test_retry_decides(self, six_digits, t, k, v):
+        # at 6 digits err(n) is over a step of ln(v^t/(v^t-1)); at 6 + 2d,
+        # with d the guess's digits, far below one
+        vt = v**t
+        m = math.comb(k, t) * vt
+        n = least_power_exponent(m, vt, vt - 1, strict=True)
+        assert six_digits == [6, 6 + 2 * len(str(n))]
+        assert exponent_holds(m, vt, vt - 1, n, True)
+        assert not exponent_holds(m, vt, vt - 1, n - 1, True)
 
 
 class TestLogThreshold:

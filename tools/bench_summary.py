@@ -20,6 +20,10 @@ carry and ``os.cpu_count()`` of its runs, are recorded alongside, with
 many records have none (a seed past the reference set).  A record
 has a git SHA only when its checkout has a ``.git`` (``git clone``); for an
 uncommitted change it is null and the source digest identifies the code.
+
+While it writes the file, the tool prints one line per workload and
+metric: the parent and change medians, their ratio (change over parent,
+"-" when the parent median is 0) and the wins/ties/losses of the change.
 """
 
 import argparse
@@ -124,6 +128,16 @@ def main() -> None:
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(summary, indent=1) + "\n", encoding="ascii")
+    for wl, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            print(summary_line(wl, name, m))
+
+
+def summary_line(workload: str, name: str, m: dict) -> str:
+    before, after = m["parent"]["median"], m["change"]["median"]
+    ratio = f"{after / before:.3f}" if before else "-"
+    return (f"{workload} {name}: parent {before:.6g} change {after:.6g} ratio {ratio} "
+            f"w/t/l {m['wins']}/{m['ties']}/{m['losses']}")
 
 
 if __name__ == "__main__":
