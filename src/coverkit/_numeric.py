@@ -1,43 +1,47 @@
-"""Numeric helpers behind the bound computations, in three tiers.
+"""Numeric helpers behind the bound computations, on one ladder of tiers.
 
-Every bound reduces to one of four questions about integers m, w, num,
-den and n: the least n with (num/den)**n past m (``least_power_exponent``)
-or past e*w (``least_power_past_e``, the local lemma thresholds), floor(m *
-(num/den)**n) over many n (``floor_scaled_powers``, one-n form
-``floor_scaled_power``) and floor(e * m * (num/den)**n)
-(``floor_e_scaled_power``, the conditional bound's leftover).  Each is
-answered by the first of three tiers that can decide it; a tier decides
-only where its estimate clears a proven bound on its own error, so every
-tier gives the value the next would give.
+Every bound reduces to a question about integers m, num, den, n and c in
+{0, 1}, c being the power of e: the least n with (num/den)**n past
+e**c * m (``least_power_exponent`` for c = 0, ``least_power_past_e`` for
+the local lemma thresholds), or floor(e**c * m * (num/den)**n)
+(``floor_scaled_powers`` over many n, ``floor_scaled_power`` for one,
+``floor_e_scaled_power`` for the conditional bound's leftover).  The
+two-stage search window, floor(n*) and ceil(3 / ln x) for
+n* = ln(m ln x) / ln x (``optimum_window``), is read from the same
+estimates.  Each is answered by one ladder (Ziv's strategy): estimate
+c + ln m + n * ln(num/den), compare it against a proven bound on the
+estimate's own error, and add digits until the estimate decides.  A rung
+decides only where it clears its bound, so each gives the value the next
+would give.
 
-1. **binary64** (``_float_log_estimate``).  ln m + n * ln(num/den) in
-   floats, with a bound tau(n) on its error.  It decides where it clears
-   tau(n) plus a guard of 1e-9 (of one step for an exponent, relative to
-   the value for a floor), and ``floor_scaled_powers`` makes one numpy
-   pass over all its n.  The bound rests on IEEE arithmetic (+, -, *, /
-   and int-to-float conversion correctly rounded, u = 2**-53) and on one
-   assumption: math.log, math.log1p and numpy's exp each err by at most 4
-   ulp (8u of their result); they measure under 1 ulp on x86-64 Linux
-   with numpy 2.4.  Under it, tau(n) = 2**-48 * (c + ln m + n|step| + 1)
-   bounds the error of c + ln m + n * step (c is 1 for the factor e), exp
-   included, with a factor 2 to spare (``_float_log_estimate`` has the
-   sum).  On the bench shapes tau(n) is below 1e-12, so the guard is over
-   a thousand times the error.  The next tier gets only values near a tie
-   and floors past about 1e9, whose fractional part a float cannot place
-   within the guard.
-2. **50 digits** (``_log_estimate``).  The same estimate from 50-digit
-   logs, with a proven bound err(n); ``least_power_exponent`` tries once
-   more with 50 digits plus twice those of its guess before the next
-   tier.  The 50-digit log of each integer is computed once (``_ln``, a
-   bounded memo).  A run of consecutive n takes one 50-digit exp and then
-   one multiplication by num/den per n.
-3. **Exact.**  For the rational questions, the exact integers decide, once
-   the memory cap has passed the powers they build.  The questions with
-   the factor e never tie, as e times a rational is irrational: the
-   threshold is compared at 50 digits outright
-   (``least_n_for_log_threshold``), and the floor of e * m * (num/den)**n
-   is evaluated with as many more digits as it has, more until its
-   fractional part clears the error (Ziv's strategy).
+1. **binary64** (``_float_log_estimate``), with a bound tau(n) on the
+   error.  It decides where it clears tau(n) plus a guard of 1e-9 (of one
+   step for an exponent, relative to the value for a floor), and
+   ``floor_scaled_powers`` makes one numpy pass over all its n.  The bound
+   rests on IEEE arithmetic (+, -, *, / and int-to-float conversion
+   correctly rounded, u = 2**-53) and on one assumption: math.log,
+   math.log1p and numpy's exp each err by at most 4 ulp (8u of their
+   result); they measure under 1 ulp on x86-64 Linux with numpy 2.4.
+   Under it, tau(n) = 2**-48 * (c + ln m + n|step| + 1) bounds the error of
+   c + ln m + n * step, exp included, with a factor 2 to spare
+   (``_float_log_estimate`` has the sum).  On the bench shapes tau(n) is
+   below 1e-12, so the guard is over a thousand times the error.  The next
+   rung gets only values near a tie and floors past about 1e9, whose
+   fractional part a float cannot place within the guard.
+2. **50 digits** (``_log_estimate``), with a proven bound err(n) plus the
+   same guard.  The 50-digit log of each integer is computed once
+   (``_ln``, a bounded memo).  A run of consecutive n takes one 50-digit
+   exp and then one multiplication by num/den per n.
+3. **More digits**, with err(n) alone: a guard would keep a near tie
+   undecided at any precision.  A least exponent is tried at 50 plus twice
+   the digits of its guess, as err(n) grows as n times the unit of the
+   last digit while the step shrinks about as 1/n, so that 50 digits
+   cannot decide past guesses of about 1e24.  The floor with the factor e
+   starts at 50 digits more than it has.
+4. **Exact.**  The rational questions (c = 0) are decided by the exact
+   integers, once the memory cap has passed the powers they build.  The
+   questions with the factor e never tie, as e times a rational is
+   irrational: their digits are doubled until the estimate decides.
 """
 
 import functools
@@ -59,6 +63,7 @@ _ULP = Decimal(10) ** (1 - PRECISION)
 # tier off) and the factor of its error bound tau(n)
 _FLOAT_GUARD = 1e-9
 _FLOAT_ERR = 2.0**-48
+_TOO_CLOSE = "ratio too close to 1 for 50-digit logarithms"
 
 
 @functools.lru_cache(maxsize=256)
@@ -75,26 +80,12 @@ def dec_ln(x: int) -> Decimal:
     return _ln(x)
 
 
-def ln_ratio(num: int, den: int) -> Decimal:
-    """ln(num/den) for exact integers, to 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        return _ln(num) - _ln(den)
-
-
-def least_n_for_log_threshold(threshold: Decimal, step: Decimal, *, strict: bool) -> int:
-    """Smallest integer n >= 0 with n*step > threshold (or >= when not strict).
-
-    ``step`` must be positive.  Thresholds at or below zero yield 0 (or 1 for
-    a strict comparison against exactly zero).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        q = threshold / step
-    n = math.floor(q) + 1 if strict else math.ceil(q)
-    return max(n, 0)
+def _floor_if_clear(value, slack):
+    """floor(value), for a float or Decimal value >= 0 known to within
+    slack, where its fractional part clears slack on both sides, else
+    None."""
+    whole = math.floor(value)
+    return whole if slack < value - whole < 1 - slack else None
 
 
 def _float_log_estimate(
@@ -125,22 +116,169 @@ def _float_log_estimate(
     return at_zero, step, lambda n: _FLOAT_ERR * (at_zero + n * abs(step) + 1)
 
 
-def _float_least_exponent(m: int, num: int, den: int, c: int) -> int | None:
-    """The least n >= 0 with (num/den)**n past e**c * m, for num > den, as
-    both comparisons give it, when floats decide it, else None.  With L(n)
-    the float estimate of c + ln m - n ln(num/den) and e = tau(n) plus 1e-9
-    of one step, the guess n = floor(q) + 1 for the float quotient q is the
-    answer when L(n) < -e and L(n-1) > e: the exact value crosses 0
-    strictly between n - 1 and n."""
-    estimate = _float_log_estimate(m, den, num, c)
-    if estimate is None:
-        return None
-    at_zero, step, tau = estimate
+def _log_estimate(
+    m: int, num: int, den: int, prec: int = PRECISION, c: int = 0
+) -> tuple[Decimal, Decimal, Callable[[int], Decimal]]:
+    """c + ln m and step = ln num - ln den at ``prec`` digits (50 unless
+    given), for integers m, num, den >= 1 and c in {0, 1}, and err(n): a
+    bound on how far c + ln m + n * step, evaluated at those digits, is from
+    c + ln(m * (num/den)**n), for every n >= 0.
+
+    With ulp = 10**(1 - prec), ln m, c + ln m, ln num, ln den, the step,
+    n * step and the sum each err by at most ulp / 2 of their computed size,
+    and the sum is at most c + ln m + n|step| up to a factor 1 + 2 * ulp.
+    So the total error is at most ulp/2 * (3(c + ln m) + n * (ln num +
+    ln den + 4|step|)), which is at most 3/4 of err(n) = ulp * (2(c + ln m)
+    + n * (ln num + ln den + 3|step|)).  The 50-digit logs are read from
+    the ``_ln`` memo.
+    """
+    ulp = Decimal(10) ** (1 - prec)
+    with localcontext() as ctx:
+        ctx.prec = prec
+        ln = _ln if prec == PRECISION else (lambda x: Decimal(x).ln())
+        at_zero, ln_num, ln_den = c + ln(m), ln(num), ln(den)
+        step = ln_num - ln_den
+        err_at_zero = 2 * ulp * at_zero
+        per_n = ulp * (ln_num + ln_den + 3 * abs(step))
+    return at_zero, step, lambda n: err_at_zero + n * per_n
+
+
+def _check_power(base: int, n: int) -> None:
+    """Raise ResourceLimitError before base**n would pass the memory cap."""
+    limits.check_table_bytes(n, -(-base.bit_length() // 8), f"the exact power {base}**{n}")
+
+
+def _crossing(at_zero, step, bound, guard) -> tuple[int, bool]:
+    """The guess n = floor(at_zero / -step) + 1 for the least n >= 0 with
+    L(n) = at_zero + n * step < 0, step < 0, from an estimate of L whose
+    error ``bound`` gives, and whether it is sure: L(n) < -e and
+    L(n-1) > e for e = bound(n) plus ``guard`` of one step, as bound grows
+    with n.  The exact L then crosses 0 strictly between n - 1 and n."""
     n = math.floor(at_zero / -step) + 1
-    e = tau(n) - _FLOAT_GUARD * step
-    if at_zero + n * step < -e and at_zero + (n - 1) * step > e:
-        return n
-    return None
+    e = bound(n) - guard * step
+    return n, at_zero + n * step < -e and at_zero + (n - 1) * step > e
+
+
+def _least_exponent(m: int, num: int, den: int, c: int, strict: bool) -> int:
+    """The least n >= 0 with (num/den)**n > e**c * m (>= when not strict),
+    for integers m, num > den >= 1 and c in {0, 1}.
+
+    Each rung estimates L(n) = c + ln m - n ln(num/den) and decides where
+    ``_crossing`` is sure of its guess; the answer is then the same for
+    both comparisons.  The rungs are floats with tau(n) plus the 1e-9
+    guard, 50 digits with err(n) plus the guard, then 50 plus twice the
+    guess's digits with err(n) alone, and last, for c = 0, the exact
+    integer inequality num**n ? m * den**n, stepping from the last guess,
+    or, for c = 1, twice the digits again until the estimate is sure.
+    """
+    if num <= den:
+        raise ValueError("ratio must exceed 1")
+    if m < 1:
+        return 0
+    estimate = _float_log_estimate(m, den, num, c)
+    if estimate is not None:
+        n, sure = _crossing(*estimate, _FLOAT_GUARD)
+        if sure:
+            return n
+    prec, guard = PRECISION, _GUARD
+    while True:
+        at_zero, step, err = _log_estimate(m, den, num, prec, c)
+        if step == 0:
+            raise ValueError(_TOO_CLOSE)
+        with localcontext() as ctx:
+            ctx.prec = prec
+            n, sure = _crossing(at_zero, step, err, guard)
+        if sure:
+            return n
+        if prec == PRECISION:
+            prec, guard = PRECISION + 2 * len(str(n)), 0
+        elif c == 0:
+            return _least_power_exact(m, num, den, n, strict)
+        else:
+            prec *= 2
+
+
+def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> int:
+    """Smallest n >= 0 with (num/den)**n > m (or >= m when not strict), for
+    num > den >= 1, from the ladder of ``_least_exponent``."""
+    return _least_exponent(m, num, den, 0, strict)
+
+
+def _least_power_exact(m: int, num: int, den: int, n: int, strict: bool) -> int:
+    """Smallest n >= 0 with num**n > m * den**n (>= when not strict), found
+    from the candidate n by exact integer steps: the powers are built once,
+    then moved by one multiplication or division per step."""
+    _check_power(num, n)
+    lhs, rhs = num**n, m * den**n
+
+    def holds(a: int, b: int) -> bool:
+        return a > b if strict else a >= b
+
+    while not holds(lhs, rhs):
+        n, lhs, rhs = n + 1, lhs * num, rhs * den
+    while n > 0 and holds(lhs // num, rhs // den):
+        n, lhs, rhs = n - 1, lhs // num, rhs // den
+    return n
+
+
+def least_power_past_e(w: int, num: int, den: int, *, strict: bool) -> int:
+    """Smallest n >= 0 with (num/den)**n > e * w (>= when not strict), for
+    integers w >= 1 and num > den >= 1, from the ladder of
+    ``_least_exponent``.  e * w is irrational, so the two comparisons
+    agree."""
+    return _least_exponent(w, num, den, 1, strict)
+
+
+def optimum_exponent(m: int, num: int, den: int) -> float:
+    """n* = ln(m ln x) / ln x at 50 digits, as a float, for x = num/den > 1
+    (0 where m ln x <= 1): the real n >= 0 where n + m * x**-n is least."""
+    with localcontext() as ctx:
+        ctx.prec = PRECISION
+        lnx = _ln(num) - _ln(den)
+        scaled = Decimal(m) * lnx
+        return float(scaled.ln() / lnx) if scaled > 1 else 0.0
+
+
+def optimum_window(m: int, num: int, den: int) -> tuple[int, int]:
+    """(floor(n*), ceil(3 / ln x)) for x = num/den > 1 and n* as
+    ``optimum_exponent`` gives it, and ln x to 50 digits rounded to a
+    float; ValueError where 50 digits cannot tell x from 1.  Each is
+    decided in binary64 where it clears a proven error bound and the guard,
+    else at 50 digits.
+
+    With ln m and L = ln x from ``_float_log_estimate`` (errors at most
+    8u ln m + 8u and 9.5u L), n* = (ln m + ln L) / L in floats errs by at
+    most 10u (ln m + |ln L| + 2) / L + 11u n*, within half of tau =
+    2**-48 ((ln m + |ln L| + 2) / L + n* + 1).  The 50-digit n* is far
+    closer to the exact one, and rounding it to a float moves it by at most
+    u n*, both inside the half of tau to spare.  So with the guard of 1e-9
+    (of one step of n) on top, floor(n*) is 0 where n* + tau + guard < 1
+    (the 50-digit n* is then below 1, or 0 when m ln x <= 1), and the
+    float's integer part where its fractional part clears tau + guard.
+    3 / L errs by at most 12u of itself against 3 over the 50-digit L in
+    floats, so its ceil is decided where its fractional part clears 2**-48
+    of it plus the guard."""
+    centre = span = None
+    estimate = _float_log_estimate(m, num, den)
+    if estimate is not None:
+        ln_m, lnx, _ = estimate
+        ln_lnx = math.log(lnx)
+        nstar = (ln_m + ln_lnx) / lnx
+        slack = _FLOAT_ERR * ((ln_m + abs(ln_lnx) + 2) / lnx + abs(nstar) + 1) + _FLOAT_GUARD
+        centre = 0 if nstar + slack < 1 else _floor_if_clear(nstar, slack)
+        width = 3 / lnx
+        whole = _floor_if_clear(width, _FLOAT_ERR * width + _FLOAT_GUARD)
+        span = None if whole is None else whole + 1
+    if span is None:
+        with localcontext() as ctx:
+            ctx.prec = PRECISION
+            lnx = _ln(num) - _ln(den)
+        if lnx == 0:
+            raise ValueError(_TOO_CLOSE)
+        span = math.ceil(3 / float(lnx))
+    if centre is None:
+        centre = math.floor(optimum_exponent(m, num, den))
+    return centre, span
 
 
 def _float_floors(m: int, num: int, den: int, ns: list[int]) -> list[int | None]:
@@ -165,106 +303,6 @@ def _float_floors(m: int, num: int, den: int, ns: list[int]) -> list[int | None]
     zero = log < -(err + _FLOAT_GUARD)
     floors = np.where(zero, 0.0, np.where(sure, whole, -1.0)).astype(np.int64).tolist()
     return [None if f < 0 else f for f in floors]
-
-
-def _log_estimate(
-    m: int, num: int, den: int, prec: int = PRECISION
-) -> tuple[Decimal, Decimal, Callable[[int], Decimal]]:
-    """ln m and step = ln num - ln den at ``prec`` digits (50 unless given),
-    for integers m, num, den >= 1, and err(n): a bound on how far
-    ln m + n * step, evaluated at those digits, is from
-    ln(m * (num/den)**n), for every n >= 0.
-
-    With ulp = 10**(1 - prec), ln m, ln num, ln den, the step, n * step and
-    the sum each err by at most ulp / 2 of their computed size, and the sum
-    is at most |ln m| + n|step| up to a factor 1 + 2 * ulp.  So the total
-    error is at most ulp/2 * (3 ln m + n * (ln num + ln den + 4|step|)),
-    which is at most 3/4 of err(n) = ulp * (2 ln m + n * (ln num + ln den +
-    3|step|)).  The 50-digit logs are read from the ``_ln`` memo.
-    """
-    ulp = Decimal(10) ** (1 - prec)
-    with localcontext() as ctx:
-        ctx.prec = prec
-        ln = _ln if prec == PRECISION else (lambda x: Decimal(x).ln())
-        ln_m, ln_num, ln_den = ln(m), ln(num), ln(den)
-        step = ln_num - ln_den
-        at_zero = 2 * ulp * ln_m
-        per_n = ulp * (ln_num + ln_den + 3 * abs(step))
-    return ln_m, step, lambda n: at_zero + n * per_n
-
-
-def _check_power(base: int, n: int) -> None:
-    """Raise ResourceLimitError before base**n would pass the memory cap."""
-    limits.check_table_bytes(n, -(-base.bit_length() // 8), f"the exact power {base}**{n}")
-
-
-def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> int:
-    """Smallest n >= 0 with (num/den)**n > m (or >= m when not strict).
-
-    Requires num > den >= 1.  Floats decide first (``_float_least_exponent``).
-    Then, with L(n) the 50-digit estimate of ln(m * (den/num)**n) and
-    e = err(n) plus a guard of 1e-9 of one step ln(num/den), the guess
-    n = floor(ln m / ln(num/den)) + 1 is the answer to both comparisons when
-    L(n) < -e and L(n-1) > e (err grows with n): m * (den/num)**n then
-    crosses 1 strictly between n - 1 and n.  Where 50 digits leave it in
-    doubt, the same test is made once more with 50 digits plus twice as many
-    as the guess has: err(n) grows as n times the unit of the last digit
-    while the step shrinks about as 1/n, so 50 digits alone cannot decide
-    past guesses of about 1e24.  Otherwise the exact integer inequality
-    num**n ? m * den**n decides, stepping from the last guess.
-    """
-    if num <= den:
-        raise ValueError("ratio must exceed 1")
-    if m < 1:
-        return 0
-    n = _float_least_exponent(m, num, den, 0)
-    if n is not None:
-        return n
-    prec = PRECISION
-    while True:
-        ln_m, step, err = _log_estimate(m, den, num, prec)
-        if step == 0:
-            raise ValueError("ratio too close to 1 for 50-digit logarithms")
-        with localcontext() as ctx:
-            ctx.prec = prec
-            n = math.floor(ln_m / -step) + 1
-            e = err(n) - _GUARD * step
-            if ln_m + n * step < -e and ln_m + (n - 1) * step > e:
-                return n
-        if prec > PRECISION:
-            return _least_power_exact(m, num, den, n, strict)
-        prec = PRECISION + 2 * len(str(n))
-
-
-def _least_power_exact(m: int, num: int, den: int, n: int, strict: bool) -> int:
-    """Smallest n >= 0 with num**n > m * den**n (>= when not strict), found
-    from the candidate n by exact integer steps: the powers are built once,
-    then moved by one multiplication or division per step."""
-    _check_power(num, n)
-    lhs, rhs = num**n, m * den**n
-
-    def holds(a: int, b: int) -> bool:
-        return a > b if strict else a >= b
-
-    while not holds(lhs, rhs):
-        n, lhs, rhs = n + 1, lhs * num, rhs * den
-    while n > 0 and holds(lhs // num, rhs // den):
-        n, lhs, rhs = n - 1, lhs // num, rhs // den
-    return n
-
-
-def least_power_past_e(w: int, num: int, den: int, *, strict: bool) -> int:
-    """Smallest n >= 0 with (num/den)**n > e * w (>= when not strict), for
-    integers w >= 1 and num > den >= 1.  e * w is irrational, so the two
-    comparisons agree.  Floats decide first (``_float_least_exponent``),
-    then the 50-digit comparison of n * ln(num/den) with 1 + ln w."""
-    n = _float_least_exponent(w, num, den, 1)
-    if n is not None:
-        return n
-    with localcontext() as ctx:
-        ctx.prec = PRECISION
-        threshold = 1 + _ln(w)
-    return least_n_for_log_threshold(threshold, ln_ratio(num, den), strict=strict)
 
 
 def floor_scaled_powers(m: int, num: int, den: int, ns: Iterable[int]) -> list[int]:
@@ -322,13 +360,11 @@ def _floor_chain(m: int, num: int, den: int, ns: list[int]) -> list[int]:
             else:
                 est, slack = log_e.exp(), rel
             chain = n + 1
-            whole = int(est)
-            guard = max(_GUARD, est * slack)
-            if guard < est - whole < 1 - guard:
-                out.append(whole)
-            else:
+            whole = _floor_if_clear(est, max(_GUARD, est * slack))
+            if whole is None:
                 _check_power(den, n)
-                out.append((m * num**n) // den**n)
+                whole = (m * num**n) // den**n
+            out.append(whole)
     return out
 
 
@@ -351,41 +387,34 @@ def floor_e_scaled_power(m: int, num: int, den: int, n: int, *, log_below: int) 
         log, err = at_zero + n * step, tau(n)
         if log + err + _FLOAT_GUARD < log_below:
             value = math.exp(log)
-            whole, slack = math.floor(value), value * (2 * err + _FLOAT_GUARD)
-            if slack < value - whole < 1 - slack:
-                return whole
-            return _floor_e_exact(m, num, den, n, log)
+            whole = _floor_if_clear(value, value * (2 * err + _FLOAT_GUARD))
+            return _floor_e_exact(m, num, den, n, log) if whole is None else whole
+    at_zero, step, _ = _log_estimate(m, num, den, PRECISION, 1)
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        log = 1 + _ln(m) - n * ln_ratio(den, num)
+        log = at_zero + n * step
     return None if log >= log_below else _floor_e_exact(m, num, den, n, float(log))
 
 
 def _floor_e_exact(m: int, num: int, den: int, n: int, log: float) -> int:
     """floor(e * m * (num/den)**n), with log about the log of the value.
 
-    At precision p, with ulp = 10**(1-p), ln m, ln num, ln den, their
-    differences, sums and product with n each err by at most ulp/2 of
-    their size, so the log errs by at most err = ulp * (2 + 2 ln m +
-    n(ln num + ln den + 3|step|) + |log|), and its exp, rounded once more,
-    is within 2 (err + ulp) of its own size while err <= 1.  The floor is
-    its integer part where the fractional part clears that; p starts at 50
-    plus the value's digits and doubles until it does, which it must, as
+    At precision p, with ulp = 10**(1-p), the log from ``_log_estimate``
+    errs by at most 3/4 of err(n), and its exp, rounded once more, is within
+    2 (err(n) + ulp) of its own size while err(n) <= 1/4; past that, this
+    slack is at least the value and decides nothing.  The floor is the
+    value's integer part where the fractional part clears that; p starts at
+    50 plus the value's digits and doubles until it does, which it must, as
     the value is irrational."""
     prec = PRECISION + max(0, math.ceil(log / math.log(10)))
     while True:
+        at_zero, step, err = _log_estimate(m, num, den, prec, 1)
         with localcontext() as ctx:
             ctx.prec = prec
-            ulp = Decimal(10) ** (1 - prec)
-            ln_m, ln_num, ln_den = (Decimal(x).ln() for x in (m, num, den))
-            step = ln_num - ln_den
-            log_v = 1 + ln_m + n * step
-            err = ulp * (2 + 2 * ln_m + n * (ln_num + ln_den + 3 * abs(step)) + abs(log_v))
-            value = log_v.exp()
-            whole = int(value)
-            slack = 2 * value * (err + ulp)
-            if slack < value - whole < 1 - slack:
-                return whole
+            value = (at_zero + n * step).exp()
+            whole = _floor_if_clear(value, 2 * value * (err(n) + Decimal(10) ** (1 - prec)))
+        if whole is not None:
+            return whole
         prec *= 2
 
 

@@ -29,16 +29,13 @@ Five families of bounds are implemented, all returning a ``BoundReport``:
   the leftover count after stage one is estimated under the distribution
   conditioned on the first stage succeeding.
 
-Every "smallest n satisfying an inequality" and every floor of
-M * y**n is answered by ``_numeric`` in three tiers, each deciding only
-where it clears a proven bound on its own error: binary64 first, with a
-1e-9 guard; 50 digits where the float is in doubt; then the exact
-integers for a rational inequality, and for one with the factor e (which
-never ties) the 50-digit comparison, or as many digits as the
-conditional bound's leftover floor has.  The two-stage search window is
-placed the same way: floor(n*) and its radius in binary64 where they clear
-a proven error bound and the guard, else at 50 digits.  No value here
-builds a Decimal where the floats are clear.  The two notes that print
+Every "smallest n satisfying an inequality", every floor of M * y**n and
+the two-stage search window's centre and radius are answered by
+``_numeric`` on one ladder: an estimate of the log, compared against a
+proven bound on its own error, with more digits until it decides
+(binary64 with a 1e-9 guard, then 50 digits, then more digits, then the
+exact integers where the inequality is rational).  No value here builds a
+Decimal where the floats are clear.  The two notes that print
 50-digit values, ``analytic_optimum_n`` and ``loose_linear_leftover``, are
 computed only when read (``BoundReport.notes``), so a caller that reads
 only ``value``, as ``coverkit sweep`` does, takes no 50-digit log.  Counts
@@ -185,9 +182,7 @@ def _log_ratio_float(numer: int, denom: int) -> float:
     return math.log1p((numer - denom) / denom)
 
 
-def discrete_slj_bound(
-    params: CAParams, *, max_steps: int | None = None
-) -> tuple[BoundReport, DiscreteSljTrace]:
+def discrete_slj_bound(params: CAParams) -> tuple[BoundReport, DiscreteSljTrace]:
     """Run the row-at-a-time leftover recurrence down to zero.
 
     r(0) = C(k,t)*v**t and, with y = 1 - 1/v**t,
@@ -202,15 +197,11 @@ def discrete_slj_bound(
     column-set cap before its first step): it walks the steps that find the
     least interior deficit the trace carries, and looks the rest of the
     count up in the thresholds shared by every call with this v**t.
-    ``max_steps`` guards runtime and raises ResourceLimitError if exceeded.
     """
     vt = params.tuple_count
     start = params.interaction_space_size
     estimate = discrete_slj_estimate(params)
-    limit = sys.maxsize if max_steps is None else max(max_steps, 0)
-    steps, top, r = _leftover_steps(start, vt, limit)
-    if r > 0:
-        raise ResourceLimitError(f"discrete recurrence exceeded {max_steps} steps at r={r}")
+    steps, top = _leftover_steps(start, vt)
     # interior steps 1..N-2 have deficit (v**t - r % v**t) / v**t
     deficit_min = (vt - top) / vt if top >= 0 else None
     report = BoundReport(
@@ -226,49 +217,39 @@ def discrete_slj_count(params: CAParams) -> int:
     """The value of ``discrete_slj_bound`` alone: the first step of the
     leftover recurrence, then the steps left read from the thresholds
     shared by every call with this v**t, with no walk to the least deficit.
-    Refused as ``discrete_slj_bound`` is without ``max_steps``."""
+    Refused as ``discrete_slj_bound`` is."""
     return _leftover_count(params.interaction_space_size, params.tuple_count)
 
 
-def _leftover_steps(start: int, vt: int, limit: int = sys.maxsize) -> tuple[int, int, int]:
-    """(N, top, r) for the leftover recurrence from r(0) = start, run for
-    at most ``limit`` steps: N the steps taken, r = r(N), which is 0 unless
-    the limit stopped it, and top the largest r(i) % vt over the interior
-    steps 1 <= i <= N-2, those whose next count is above 0 (-1 if none).
+def _leftover_steps(start: int, vt: int) -> tuple[int, int]:
+    """(N, top) for the leftover recurrence from r(0) = start to 0: N its
+    steps, and top the largest r(i) % vt over the interior steps
+    1 <= i <= N-2, those whose next count is above 0 (-1 if none).
 
     Both branches of the recurrence after the first step come to
     r - (r // vt + 1): when vt divides r that is y*r - 1, and otherwise it
     is r - ceil(r / vt).  The pass takes remainders until top is vt - 1,
     which no remainder passes, and counts the steps left from there with
-    ``_steps_left``.  It walks on only when the limit stops it before
-    zero, to find r(limit).  Refused before the first step as
-    ``_check_length`` says.
+    ``_steps_left``.  Refused before the first step as ``_check_length``
+    says.
     """
-    _check_length(start, vt, limit)
+    _check_length(start, vt)
     r, n, top = start, 0, -1
-    if r > 0 and limit > 0:
+    if r > 0:
         r, n = r - -(-r // vt), 1
-    while r and n < limit and top < vt - 1:
+    while r and top < vt - 1:
         q, rem = divmod(r, vt)
         r, n = r - q - 1, n + 1
         if r and rem > top:
             top = rem
-    # past the lower bound on the steps left, the limit surely stops the pass
-    if r and n < limit and n + _least_steps(r, vt) <= limit:
-        left = _steps_left(r, vt)
-        if n + left <= limit:
-            return n + left, top, 0
-    while r and n < limit:
-        r -= r // vt + 1
-        n += 1
-    return n, top, r
+    return n + (_steps_left(r, vt) if r else 0), top
 
 
 def _leftover_count(start: int, vt: int) -> int:
     """N alone, the steps of the leftover recurrence from r(0) = start to
     0: the first step, then ``_steps_left``.  Refused as ``_check_length``
     says."""
-    _check_length(start, vt, sys.maxsize)
+    _check_length(start, vt)
     return 1 + _steps_left(start - -(-start // vt), vt) if start else 0
 
 
@@ -279,12 +260,11 @@ def _least_steps(r: int, vt: int) -> float:
     return (math.log(r + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
 
 
-def _check_length(start: int, vt: int, limit: int) -> None:
+def _check_length(start: int, vt: int) -> None:
     """Raise ResourceLimitError before the first step when the recurrence
     from start, at least ``discrete_slj_estimate`` steps from
-    start = C(k,t) * vt, or the limit when lower, is over the column-set
-    cap."""
-    limits.check_steps(min(math.ceil(_least_steps(start, vt)), limit), "discrete recurrence trace")
+    start = C(k,t) * vt, is over the column-set cap."""
+    limits.check_steps(math.ceil(_least_steps(start, vt)), "discrete recurrence trace")
 
 
 # one threshold of the leftover recurrence in this many is kept
@@ -378,13 +358,14 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     Because the floor makes the objective jagged, integer minimizers can sit
     as far as about sqrt(2/ln x) from n*, so the window radius scales with
     sqrt(3/ln x) (never below 64).  The smallest minimizing n is reported.
-    The window is placed in binary64 where the floats are clear
-    (``_search_window``); the note ``analytic_optimum_n``, n* to 50
-    digits, is computed when read.
+    floor(n*) and ceil(3/ln x) come from ``_numeric.optimum_window``; the
+    note ``analytic_optimum_n``, n* to 50 digits, is computed when read.
     """
     vt = params.tuple_count
     total = params.interaction_space_size
-    lo, hi = _search_window(total, vt)
+    centre, span = num.optimum_window(total, vt, vt - 1)
+    radius = max(64, math.isqrt(span) + 8)
+    lo, hi = max(0, centre - radius), centre + radius
     entry = 3 * (8 + sys.getsizeof(total))  # ns, floors, objectives: ints <= total
     limits.check_table_bytes(hi - lo + 1, entry, "two-stage search window")
 
@@ -400,72 +381,11 @@ def two_stage_bound(params: CAParams) -> BoundReport:
         stage1_rows=best_n,
         expected_leftover=float(leftover),
         notes=_Notes(
-            analytic_optimum_n=_Later(_optimum_n, total, vt),
+            analytic_optimum_n=_Later(num.optimum_exponent, total, vt, vt - 1),
             analytic_value=analytic,
             search_window=(lo, hi),
         ),
     )
-
-
-def _search_window(total: int, vt: int) -> tuple[int, int]:
-    """(lo, hi), the two-stage window: floor(n*) plus or minus the radius
-    max(64, isqrt(ceil(3 / ln x)) + 8), as the 50-digit n* and ln x rounded
-    to floats give them.  Each of floor(n*) and ceil(3 / ln x) is taken
-    from ``_float_window`` where it decides, else at 50 digits."""
-    centre, span = _float_window(total, vt)
-    if centre is None:
-        centre = math.floor(_optimum_n(total, vt))
-    if span is None:
-        span = math.ceil(3 / float(num.ln_ratio(vt, vt - 1)))
-    radius = max(64, math.isqrt(span) + 8)
-    return max(0, centre - radius), centre + radius
-
-
-def _float_window(total: int, vt: int) -> tuple[int | None, int | None]:
-    """floor(n*) and ceil(3 / ln x) as ``_search_window`` reads them, each
-    where binary64 decides it, else None.
-
-    With ln M and L = ln x from ``_numeric._float_log_estimate`` (errors at
-    most 8u ln M + 8u and 9.5u L, u = 2**-53, under its 4-ulp assumption),
-    n* = (ln M + ln L) / L in floats errs by at most 10u (ln M + |ln L| + 2)
-    / L + 11u n*, within half of tau = 2**-48 ((ln M + |ln L| + 2) / L + n*
-    + 1).  The 50-digit n* is far closer to the exact one, and rounding it
-    to a float moves it by at most u n*, both inside the half of tau to
-    spare.  So with the guard of 1e-9 (of one step of n) on top, floor(n*)
-    is 0 where n* + tau + guard < 1 (the 50-digit n* is then below 1, or 0
-    when M ln x <= 1), and floor(n*) where the fractional part of n* clears
-    tau + guard.  3 / L errs by at most 12u of itself against 3 over the
-    50-digit L in floats, so its ceil is decided where its fractional part
-    clears 2**-48 of it plus the guard."""
-    estimate = num._float_log_estimate(total, vt, vt - 1)
-    if estimate is None:
-        return None, None
-    ln_m, lnx, _ = estimate
-    guard, err = num._FLOAT_GUARD, num._FLOAT_ERR
-    ln_lnx = math.log(lnx)
-    nstar = (ln_m + ln_lnx) / lnx
-    slack = err * ((ln_m + abs(ln_lnx) + 2) / lnx + abs(nstar) + 1) + guard
-    centre = span = None
-    frac = nstar - math.floor(nstar)
-    if nstar + slack < 1:
-        centre = 0
-    elif slack < frac < 1 - slack:
-        centre = math.floor(nstar)
-    width = 3 / lnx
-    slack = err * width + guard
-    if slack < width - math.floor(width) < 1 - slack:
-        span = math.floor(width) + 1
-    return centre, span
-
-
-def _optimum_n(total: int, vt: int) -> float:
-    """n* = ln(M * ln x) / ln x (0 where M ln x <= 1) at 50 digits, as a
-    float, with M = total and x = vt / (vt - 1)."""
-    with localcontext() as ctx:
-        ctx.prec = num.PRECISION
-        lnx = num.ln_ratio(vt, vt - 1)
-        scaled = Decimal(total) * lnx
-        return float(scaled.ln() / lnx) if scaled > 1 else 0.0
 
 
 def _two_stage_analytic_value(params: CAParams) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds, limits
+from coverkit import _numeric, bounds, limits
 from coverkit.core import CAParams
 from coverkit.errors import ResourceLimitError, UnsupportedParameterError
 
@@ -38,15 +38,6 @@ def reference_leftover_counts(start, vt):
             nxt -= 1
         counts.append(nxt)
         first = False
-    return counts
-
-
-def leftover_counts(start, vt):
-    """r(0..N) as ``_leftover_steps`` takes them: r(i) is where the pass
-    stops when limited to i steps."""
-    counts = [start]
-    while counts[-1] > 0:
-        counts.append(bounds._leftover_steps(start, vt, len(counts))[2])
     return counts
 
 
@@ -92,7 +83,7 @@ class TestSljBound:
 class TestDiscreteSlj:
     def test_tiny_trace(self):
         rep, trace = bounds.discrete_slj_bound(CAParams(2, 2, 2))
-        assert leftover_counts(trace.start, trace.tuple_count) == [4, 3, 2, 1, 0]
+        assert reference_leftover_counts(trace.start, trace.tuple_count) == [4, 3, 2, 1, 0]
         assert rep.value == trace.steps == 4
         # interior deficits: 3/4 * 3 - 2 = 1/4 and 3/4 * 2 - 1 = 1/2
         assert trace.least_deficit == Fraction(1, 4)
@@ -100,26 +91,26 @@ class TestDiscreteSlj:
     def test_first_deficit_zero(self):
         _, trace = bounds.discrete_slj_bound(CAParams(3, 6, 2))
         vt = trace.tuple_count
-        r0, r1 = leftover_counts(trace.start, vt)[:2]
+        r0, r1 = reference_leftover_counts(trace.start, vt)[:2]
         assert Fraction(r0 * (vt - 1), vt) - r1 == 0
 
     def test_deficits_in_unit_interval(self):
         _, trace = bounds.discrete_slj_bound(CAParams(2, 12, 3))
         vt = trace.tuple_count
-        counts = leftover_counts(trace.start, vt)
+        counts = reference_leftover_counts(trace.start, vt)
         assert all(0 <= Fraction(r * (vt - 1), vt) - nxt <= 1
                    for r, nxt in zip(counts, counts[1:]))
         assert 0 < trace.least_deficit <= 1
 
     def test_counts_strictly_decreasing(self):
         _, trace = bounds.discrete_slj_bound(CAParams(2, 12, 3))
-        counts = leftover_counts(trace.start, trace.tuple_count)
+        counts = reference_leftover_counts(trace.start, trace.tuple_count)
         assert all(a > b for a, b in zip(counts, counts[1:]))
 
     def test_exact_divisor_step_subtracts_one(self):
         # r=4 with v^t=4 after the first row: next is y*r - 1 = 2
         _, trace = bounds.discrete_slj_bound(CAParams(2, 4, 2))
-        counts = leftover_counts(trace.start, trace.tuple_count)
+        counts = reference_leftover_counts(trace.start, trace.tuple_count)
         assert counts[0] == 24
         for i in range(1, len(counts) - 1):
             r = counts[i]
@@ -154,10 +145,6 @@ class TestDiscreteSlj:
         assert rep.value == 12853
         assert rep.value > bounds.discrete_slj_estimate(p)
 
-    def test_step_cap(self):
-        with pytest.raises(ResourceLimitError):
-            bounds.discrete_slj_bound(CAParams(2, 12, 3), max_steps=5)
-
     @settings(max_examples=100, deadline=None, database=None)
     @given(small_params())
     @example(CAParams(6, 54, 3))
@@ -181,46 +168,35 @@ class TestDiscreteSlj:
         assert rep.notes["deficit_min"] == (min(interior) / vt if interior else None)
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000), limit=st.integers(0, 60))
-    @example(start=0, vt=4, limit=0)
-    @example(start=24, vt=4, limit=60)
-    @example(start=10**7, vt=2, limit=60)  # top is vt - 1 at the second step
-    @example(start=10**7, vt=3000, limit=60)  # the limit stops it mid-pass
-    def test_fused_pass_matches_the_counts(self, start, vt, limit):
+    @given(start=st.integers(0, 10**7), vt=st.integers(2, 3000))
+    @example(start=0, vt=4)
+    @example(start=24, vt=4)
+    @example(start=10**7, vt=2)  # top is vt - 1 at the second step
+    @example(start=10**7, vt=3000)
+    def test_fused_pass_matches_the_counts(self, start, vt):
         ref = reference_leftover_counts(start, vt)
         top = max((r % vt for r in ref[1:-2]), default=-1)
-        assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top, 0)
-        n, _, r = bounds._leftover_steps(start, vt, limit)
-        assert n == min(limit, len(ref) - 1) and r == ref[n]
+        assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top)
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(calls=st.lists(
-        st.tuples(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 9, 27, 64, 729]),
-                  st.one_of(st.none(), st.integers(0, 60))),
+        st.tuples(st.integers(0, 10**6), st.sampled_from([2, 3, 4, 9, 27, 64, 729])),
         min_size=1, max_size=6,
     ))
-    @example(calls=[(10**6, 729, None), (5, 729, None), (10**5, 729, None)])
-    @example(calls=[(10**6, 4, 3), (10**6, 4, None), (10**6, 9, 40), (10**3, 4, None)])
-    @example(calls=[(4, 4, None), (24, 4, 60)])  # v**t divides r(0): the first step is floor(y*r)
+    @example(calls=[(10**6, 729), (5, 729), (10**5, 729)])
+    @example(calls=[(10**6, 4), (10**6, 9), (10**3, 4)])
+    @example(calls=[(4, 4), (24, 4)])  # v**t divides r(0): the first step is floor(y*r)
     def test_shared_thresholds_match_the_counts_in_any_order(self, calls):
-        # from empty tables, in the drawn order (limits included), then
-        # again by descending start on the tables those calls left
+        # from empty tables, in the drawn order, then again by descending
+        # start on the tables those calls left
         bounds._thresholds.cache_clear()
-        refs = {(start, vt): reference_leftover_counts(start, vt) for start, vt, _ in calls}
-        for start, vt, limit in calls:
+        refs = {call: reference_leftover_counts(*call) for call in calls}
+        for start, vt in calls:
             ref = refs[start, vt]
-            if limit is None:
-                top = max((r % vt for r in ref[1:-2]), default=-1)
-                assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top, 0)
-            else:
-                n, _, r = bounds._leftover_steps(start, vt, limit)
-                assert n == min(limit, len(ref) - 1) and r == ref[n]
-        for start, vt, _ in sorted(calls, key=lambda call: call[0], reverse=True):
-            ref = refs[start, vt]
-            assert bounds._leftover_count(start, vt) == len(ref) - 1
-            # one step short of zero: the pass reads the table, then walks
-            n, _, r = bounds._leftover_steps(start, vt, max(len(ref) - 2, 0))
-            assert (n, r) == (max(len(ref) - 2, 0), ref[n])
+            top = max((r % vt for r in ref[1:-2]), default=-1)
+            assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top)
+        for start, vt in sorted(calls, reverse=True):
+            assert bounds._leftover_count(start, vt) == len(refs[start, vt]) - 1
 
     def test_threshold_table_is_checked_before_it_grows(self, monkeypatch):
         bounds._thresholds.cache_clear()
@@ -291,20 +267,6 @@ class TestDiscreteSlj:
         assert str(exc.value) == (
             f"discrete recurrence trace would take {length} steps, above the cap of {length - 1}"
         )
-
-    @pytest.mark.parametrize("t,k,v", [(2, 12, 3), (3, 9, 2), (6, 54, 3)])
-    def test_step_cap_boundary(self, t, k, v):
-        p = CAParams(t, k, v)
-        counts = reference_leftover_counts(p.interaction_space_size, p.tuple_count)
-        steps = len(counts) - 1
-        rep, _ = bounds.discrete_slj_bound(p, max_steps=steps)
-        assert rep.value == steps
-        for cap in (steps - 1, 0):
-            with pytest.raises(ResourceLimitError) as exc:
-                bounds.discrete_slj_bound(p, max_steps=cap)
-            assert str(exc.value) == (
-                f"discrete recurrence exceeded {cap} steps at r={counts[cap]}"
-            )
 
 
 class TestDiscreteSljEstimate:
@@ -422,7 +384,7 @@ def fifty_digit_window(p):
 def with_float_tier_off(f, *args):
     """f(*args) with no float estimate clearing the guard."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds.num, "_FLOAT_GUARD", math.inf)
+        mp.setattr(_numeric, "_FLOAT_GUARD", math.inf)
         return f(*args)
 
 
@@ -442,18 +404,20 @@ class TestFloatWindow:
             slow.value, slow.stage1_rows, slow.notes["search_window"])
 
     def test_guard_forces_the_fallback(self, monkeypatch):
-        calls = []
-        optimum = bounds._optimum_n
-        monkeypatch.setattr(bounds, "_optimum_n", lambda *a: calls.append(a) or optimum(*a))
+        calls, logs = [], []
+        optimum, ln = _numeric.optimum_exponent, _numeric._ln
+        monkeypatch.setattr(_numeric, "optimum_exponent", lambda *a: calls.append(a) or optimum(*a))
+        monkeypatch.setattr(_numeric, "_ln", lambda x: logs.append(x) or ln(x))
         p = CAParams(6, 54, 3)
         total, vt = p.interaction_space_size, p.tuple_count
-        assert bounds._float_window(total, vt) == (12433, 2186)
+        assert _numeric.optimum_window(total, vt, vt - 1) == (12433, 2186)
         fast = bounds.two_stage_bound(p)
-        assert calls == []  # the note is not read yet
-        monkeypatch.setattr(bounds.num, "_FLOAT_GUARD", math.inf)
-        assert bounds._float_window(total, vt) == (None, None)
+        assert calls == [] and logs == []  # floats place it; the note is not read yet
+        monkeypatch.setattr(_numeric, "_FLOAT_GUARD", math.inf)
+        assert _numeric.optimum_window(total, vt, vt - 1) == (12433, 2186)
+        assert calls == [(total, vt, vt - 1)] and {vt, vt - 1} <= set(logs)
         slow = bounds.two_stage_bound(p)
-        assert calls == [(total, vt)]
+        assert calls == [(total, vt, vt - 1)] * 2
         assert slow.notes["search_window"] == fast.notes["search_window"] == (12369, 12497)
         assert slow.value == fast.value and slow.stage1_rows == fast.stage1_rows
 

@@ -138,6 +138,21 @@ class TestBoundsCommand:
             q = Decimal(math.comb(k, t) * vt).ln() / (Decimal(vt).ln() - Decimal(vt - 1).ln())
         assert json.loads(out)["results"][0]["value"] == math.floor(q) + 1
 
+    @pytest.mark.parametrize("method", BOUND_METHODS)
+    def test_ratio_too_close_to_one_is_refused(self, capsys, method):
+        # ln(v^t) - ln(v^t - 1) is 0 at 50 digits: every bound refuses with
+        # one error line; the float estimate dslj_estimate needs no ladder
+        code, out, err = run(["bounds", "-t", "30", "-k", "40", "-v", "100", "--methods",
+                              method], capsys)
+        if method == "dslj_estimate":
+            assert code == 0 and err == ""
+            return
+        assert code in (2, 3) and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if method in ("slj", "two_stage", "gss", "cyclic", "conditional_lll",
+                      "conditional_lll_density"):
+            assert err == "error: ratio too close to 1 for 50-digit logarithms\n"
+
     @pytest.mark.parametrize("method, note", [
         ("two_stage", "analytic_optimum_n"),
         ("conditional_lll", "loose_linear_leftover"),

@@ -1,5 +1,7 @@
 """Tests for the high-precision numeric helpers."""
 
+import contextlib
+import itertools
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -12,15 +14,12 @@ from hypothesis import strategies as st
 from coverkit import _numeric, bounds, cli
 from coverkit.core import CAParams
 from coverkit._numeric import (
-    dec_ln,
     floor_e_scaled_power,
     floor_scaled_power,
     floor_scaled_powers,
     is_prime_power,
-    least_n_for_log_threshold,
     least_power_exponent,
     least_power_past_e,
-    ln_ratio,
 )
 
 
@@ -424,6 +423,13 @@ def e_floor_near_ties(draw):
     return max(m, 1), num, den, n
 
 
+def float_rung_is_sure(m, num, den, c):
+    """Whether the float rung of the least-exponent ladder decides the
+    least n with (num/den)**n past e**c * m."""
+    estimate = _numeric._float_log_estimate(m, den, num, c)
+    return estimate is not None and _numeric._crossing(*estimate, _numeric._FLOAT_GUARD)[1]
+
+
 def beyond_e_times(w, num, den, n, strict):
     """(num/den)**n > e * w (>= when not strict), by logs at 80 digits."""
     with localcontext() as ctx:
@@ -480,7 +486,7 @@ class TestFloatTier:
     @example(case=(2**41, 2, 1), strict=True)  # ln m / ln 2 is exactly 41
     def test_least_power_exponent_near_ties(self, case, strict):
         m, num, den = case
-        assert _numeric._float_least_exponent(m, num, den, 0) is None
+        assert not float_rung_is_sure(m, num, den, 0)
         n = least_power_exponent(m, num, den, strict=strict)
         assert n == with_float_tier_off(least_power_exponent, m, num, den, strict=strict)
         assert exponent_holds(m, num, den, n, strict)
@@ -505,7 +511,7 @@ class TestFloatTier:
     @given(case=e_threshold_near_ties(), strict=st.booleans())
     def test_least_power_past_e_near_ties(self, case, strict):
         w, num, den = case
-        assert _numeric._float_least_exponent(w, num, den, 1) is None
+        assert not float_rung_is_sure(w, num, den, 1)
         n = least_power_past_e(w, num, den, strict=strict)
         assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
         assert beyond_e_times(w, num, den, n, strict)
@@ -584,15 +590,21 @@ class TestFiftyDigitsIsAFallback:
         logs, tiers = [], []
         ln = _numeric._ln
         monkeypatch.setattr(_numeric, "_ln", lambda x: logs.append(x) or ln(x))
-        for name in ("_log_estimate", "least_n_for_log_threshold", "_floor_e_exact"):
-            monkeypatch.setattr(_numeric, name, lambda *a, real=getattr(_numeric, name), name=name,
-                                **kw: tiers.append(name) or real(*a, **kw))
+        estimate, exact = _numeric._log_estimate, _numeric._floor_e_exact
+
+        def counted(m, num, den, prec=_numeric.PRECISION, c=0):
+            tiers.append(("_log_estimate", c))  # with its power of e
+            return estimate(m, num, den, prec, c)
+
+        monkeypatch.setattr(_numeric, "_log_estimate", counted)
+        monkeypatch.setattr(_numeric, "_floor_e_exact",
+                            lambda *a: tiers.append(("_floor_e_exact",)) or exact(*a))
         monkeypatch.setattr(_numeric, "_FLOAT_GUARD", guard)
         argv = ["sweep", "-t", "6", "-v", "3", "--k", "10:1000:15", "--methods", self.METHODS,
                 "--out", str(tmp_path / "s.csv")]
         assert cli.main(argv) == 0
         if guard == math.inf:  # the counters see the 50-digit tiers when they run
-            assert {"_log_estimate", "least_n_for_log_threshold"} <= set(tiers)
+            assert {("_log_estimate", 0), ("_log_estimate", 1)} <= set(tiers)
             # the windows are placed at 50 digits, from ln 729 - ln 728, but
             # loose_linear_leftover's ln(728 k) is still never taken
             assert {729, 728} <= set(logs)
@@ -602,31 +614,45 @@ class TestFiftyDigitsIsAFallback:
             assert logs == []
 
 
+@contextlib.contextmanager
+def six_digit_ladder():
+    """The least-exponent ladder with its first decimal rung at 6 digits
+    and the float tier off, so that the later rungs are needed at guesses
+    the exact check can still confirm.  Yields the precisions its decimal
+    rungs run at; the exact tier, or a rung past 1000 digits, fails."""
+    precs = []
+    estimate = _numeric._log_estimate
+
+    def counted(m, num, den, prec=_numeric.PRECISION, c=0):
+        if prec > 1000:
+            raise AssertionError("no decision at 1000 digits")
+        precs.append(prec)
+        return estimate(m, num, den, prec, c)
+
+    def no_exact(*args):
+        raise AssertionError("the exact tier was reached")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_numeric, "PRECISION", 6)
+        mp.setattr(_numeric, "_FLOAT_GUARD", math.inf)
+        mp.setattr(_numeric, "_log_estimate", counted)
+        mp.setattr(_numeric, "_least_power_exact", no_exact)
+        _numeric._ln.cache_clear()  # the memo must not keep 6-digit logs
+        try:
+            yield precs
+        finally:
+            _numeric._ln.cache_clear()
+
+
+@pytest.fixture
+def six_digits():
+    with six_digit_ladder() as precs:
+        yield precs
+
+
 class TestLeastPowerRetry:
     """Where 50 digits leave the least exponent in doubt, one retry at 50
-    plus twice the guess's digits decides it before the exact tier.  Here
-    the first precision is lowered to 6 digits, so that the retry is needed
-    at guesses the exact check can still confirm."""
-
-    @pytest.fixture
-    def six_digits(self, monkeypatch):
-        precs = []
-        estimate = _numeric._log_estimate
-
-        def counted(m, num, den, prec=_numeric.PRECISION):
-            precs.append(prec)
-            return estimate(m, num, den, prec)
-
-        def no_exact(*args):
-            raise AssertionError("the exact tier was reached")
-
-        monkeypatch.setattr(_numeric, "PRECISION", 6)
-        monkeypatch.setattr(_numeric, "_FLOAT_GUARD", math.inf)
-        monkeypatch.setattr(_numeric, "_log_estimate", counted)
-        monkeypatch.setattr(_numeric, "_least_power_exact", no_exact)
-        _numeric._ln.cache_clear()  # the memo must not keep 6-digit logs
-        yield precs
-        _numeric._ln.cache_clear()
+    plus twice the guess's digits decides it before the exact tier."""
 
     @pytest.mark.parametrize("t, k, v", [(6, 54, 3), (6, 1000, 3), (4, 30, 5), (3, 10, 7)])
     def test_retry_decides(self, six_digits, t, k, v):
@@ -640,23 +666,54 @@ class TestLeastPowerRetry:
         assert not exponent_holds(m, vt, vt - 1, n - 1, True)
 
 
+class TestLeastPowerPastEDoubling:
+    """For the factor e, which never ties, the ladder doubles the digits
+    past 50 plus twice the guess's digits, on err(n) alone: a guard of
+    1e-9 of one step would leave these built near-ties undecided at every
+    precision."""
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(case=e_threshold_near_ties(), strict=st.booleans())
+    def test_near_ties_decide_past_the_retry(self, case, strict):
+        w, num, den = case
+        with six_digit_ladder() as precs:
+            n = least_power_past_e(w, num, den, strict=strict)
+        assert beyond_e_times(w, num, den, n, strict)
+        assert not beyond_e_times(w, num, den, n - 1, strict)
+        # 6 digits, 6 plus twice the guess's digits, then doubled
+        assert precs[0] == 6 and precs[1] - 6 in (2, 4, 6) and len(precs) >= 3
+        assert all(b == 2 * a for a, b in zip(precs[1:], precs[2:]))
+
+
 class TestLogThreshold:
+    """The least n with n * ln(num/den) past the threshold c + ln m, on the
+    ladder that decides both least exponents."""
+
     def test_plain_threshold(self):
-        # ln(10)/ln(2) = 3.32: first n with n*ln2 > ln10 is 4, with >= also 4
-        assert least_n_for_log_threshold(dec_ln(10), dec_ln(2), strict=True) == 4
-        assert least_n_for_log_threshold(dec_ln(10), dec_ln(2), strict=False) == 4
+        # ln(10)/ln(2) = 3.32: first n with n*ln2 > ln10 is 4, with >= also 4;
+        # 1 + ln 10 = ln 27.18..., first passed by 2**5
+        for strict in (True, False):
+            assert _numeric._least_exponent(10, 2, 1, 0, strict) == 4
+            assert _numeric._least_exponent(10, 2, 1, 1, strict) == 5
 
     def test_result_brackets_threshold(self):
         for m in (3, 10, 1000, 18828003285):
-            n = least_n_for_log_threshold(dec_ln(m), dec_ln(2), strict=True)
+            n = _numeric._least_exponent(m, 2, 1, 0, True)
             assert 2**n > m >= 2 ** (n - 1)
+            n = _numeric._least_exponent(m, 2, 1, 1, True)
+            assert beyond_e_times(m, 2, 1, n, True) and not beyond_e_times(m, 2, 1, n - 1, True)
 
     def test_negative_threshold(self):
-        assert least_n_for_log_threshold(-dec_ln(2), dec_ln(2), strict=True) == 0
+        # m = 0: the threshold ln m is -inf, passed at n = 0
+        for c, strict in itertools.product((0, 1), (True, False)):
+            assert _numeric._least_exponent(0, 2, 1, c, strict) == 0
 
     def test_ln_ratio_sign(self):
-        assert ln_ratio(729, 728) > 0
-        assert float(ln_ratio(729, 728)) == pytest.approx(math.log(729 / 728), rel=1e-12)
+        # the step ln(num/den) the thresholds are measured in, both ways round
+        for num, den in ((729, 728), (728, 729)):
+            step = _numeric._log_estimate(1, num, den)[1]
+            assert (step > 0) == (num > den)
+            assert float(step) == pytest.approx(math.log(num / den), rel=1e-12)
 
 
 class TestLnMemo:
@@ -664,7 +721,6 @@ class TestLnMemo:
         ctx = Context(prec=_numeric.PRECISION)
         for x in (1, 2, 728, 729, 18828003285, 10**60 + 1, 3**200):
             assert _numeric._ln(x) == ctx.ln(x)
-            assert ln_ratio(x, x + 1) == ctx.subtract(ctx.ln(x), ctx.ln(x + 1))
 
     def test_stays_bounded(self):
         for x in range(1, 2000):
