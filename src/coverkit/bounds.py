@@ -1,15 +1,15 @@
 """Upper bounds on the minimum covering array size CAN(t, k, v).
 
-Five families of bounds are implemented, all returning a ``BoundReport``:
+Six families of bounds are implemented, all returning a ``BoundReport``;
+``METHODS`` names each way the command line asks for one:
 
 * ``slj_bound``            - expectation argument on a fully random array:
   the smallest N with C(k,t) * v**t * (1 - 1/v**t)**N < 1.
 * ``discrete_slj_bound``   - row-at-a-time refinement: repeatedly take the
   integer floor of the expected leftover count until it reaches zero.  The
-  step count is the bound.  A pass walks the recurrence until it has found
-  the least interior deficit, which the trace returned alongside carries,
-  and reads the rest of the count from a table of the recurrence's
-  thresholds kept per v**t and shared by every call with that v**t.
+  step count is the bound, read after the first step from a table of the
+  recurrence's thresholds kept per v**t and shared by every call with that
+  v**t.  The walk to the least interior deficit runs only when it is read.
 * ``two_stage_bound``      - alteration: minimize over n the total
   n + floor(C(k,t) * v**t * (1 - 1/v**t)**n), a random partial array plus
   one patch row per surviving uncovered interaction.
@@ -65,7 +65,6 @@ __all__ = [
     "DiscreteSljTrace",
     "slj_bound",
     "discrete_slj_bound",
-    "discrete_slj_count",
     "discrete_slj_estimate",
     "two_stage_bound",
     "two_stage_objective",
@@ -82,7 +81,7 @@ __all__ = [
 Dependence = Literal["simple", "improved"]
 SecondStage = Literal["one_row_each", "discrete_slj"]
 
-COEFFICIENT_METHODS = ("slj", "gss", "cyclic", "frobenius", "pgl")
+_FLOAT_TOO_CLOSE = "ratio too close to 1 for binary64 logarithms"
 
 
 class _Later(functools.partial):
@@ -149,15 +148,22 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class DiscreteSljTrace:
-    """The row-at-a-time recurrence from r(0) = start: its step count N and
-    its least interior deficit, the least y*r(i) - r(i+1) over the steps
-    1 <= i <= N-2 as an exact rational (None when there is none), where
-    y = 1 - 1/v**t."""
+    """The row-at-a-time recurrence from r(0) = start with v**t =
+    tuple_count: its step count N and, walked when first read and then
+    kept, its least interior deficit."""
 
     start: int
     tuple_count: int
     steps: int
-    least_deficit: Fraction | None
+
+    @functools.cached_property
+    def least_deficit(self) -> Fraction | None:
+        """The least y*r(i) - r(i+1) over the steps 1 <= i <= N-2, exact
+        (None when there is none), with y = 1 - 1/v**t: (v**t - top) / v**t
+        for the largest remainder top that ``_leftover_top`` walks to."""
+        vt = self.tuple_count
+        top = _leftover_top(self.start, vt)
+        return Fraction(vt - top, vt) if top >= 0 else None
 
 
 def slj_bound(params: CAParams) -> BoundReport:
@@ -182,6 +188,16 @@ def _log_ratio_float(numer: int, denom: int) -> float:
     return math.log1p((numer - denom) / denom)
 
 
+def _over_log_ratio(x: float, numer: int, denom: int) -> float:
+    """x / ln(numer/denom) for x >= 0 and numer > denom, or ValueError where
+    that passes the floats, as where ln(numer/denom) rounds to 0 (numer past
+    about 1e308): decided before dividing by a rounded zero."""
+    ratio = _log_ratio_float(numer, denom)
+    if not x < ratio * sys.float_info.max:
+        raise ValueError(_FLOAT_TOO_CLOSE)
+    return x / ratio
+
+
 def discrete_slj_bound(params: CAParams) -> tuple[BoundReport, DiscreteSljTrace]:
     """Run the row-at-a-time leftover recurrence down to zero.
 
@@ -192,79 +208,70 @@ def discrete_slj_bound(params: CAParams) -> tuple[BoundReport, DiscreteSljTrace]
 
     The second branch reflects that after the first row, a best row always
     covers strictly more than the expected number of new interactions.  The
-    bound is the step count N with r(N) = 0, in exact integer arithmetic
-    (``_leftover_steps``, which refuses a recurrence too long for the
-    column-set cap before its first step): it walks the steps that find the
-    least interior deficit the trace carries, and looks the rest of the
-    count up in the thresholds shared by every call with this v**t.
+    bound is the step count N with r(N) = 0, in exact integer arithmetic:
+    the first step, then the steps left read from the thresholds shared by
+    every call with this v**t (``_leftover_count``, which refuses a
+    recurrence too long for the column-set cap before its first step).  The
+    walk to the least interior deficit runs only when the trace's
+    ``least_deficit`` or the note ``deficit_min`` is first read, so a caller
+    that reads only ``value``, as ``coverkit sweep`` does, never walks.
     """
     vt = params.tuple_count
     start = params.interaction_space_size
-    estimate = discrete_slj_estimate(params)
-    steps, top = _leftover_steps(start, vt)
-    # interior steps 1..N-2 have deficit (v**t - r % v**t) / v**t
-    deficit_min = (vt - top) / vt if top >= 0 else None
+    trace = DiscreteSljTrace(start, vt, _leftover_count(start, vt))
     report = BoundReport(
         method="discrete_slj",
-        value=steps,
-        notes={"estimate": estimate, "deficit_min": deficit_min},
+        value=trace.steps,
+        notes=_Notes(
+            estimate=discrete_slj_estimate(params), deficit_min=_Later(_deficit_min, trace)
+        ),
     )
-    least = Fraction(vt - top, vt) if top >= 0 else None
-    return report, DiscreteSljTrace(start, vt, steps, least)
+    return report, trace
 
 
-def discrete_slj_count(params: CAParams) -> int:
-    """The value of ``discrete_slj_bound`` alone: the first step of the
-    leftover recurrence, then the steps left read from the thresholds
-    shared by every call with this v**t, with no walk to the least deficit.
-    Refused as ``discrete_slj_bound`` is."""
-    return _leftover_count(params.interaction_space_size, params.tuple_count)
+def _deficit_min(trace: DiscreteSljTrace) -> float | None:
+    least = trace.least_deficit  # correctly rounded by float()
+    return None if least is None else float(least)
 
 
-def _leftover_steps(start: int, vt: int) -> tuple[int, int]:
-    """(N, top) for the leftover recurrence from r(0) = start to 0: N its
-    steps, and top the largest r(i) % vt over the interior steps
-    1 <= i <= N-2, those whose next count is above 0 (-1 if none).
+def _leftover_top(start: int, vt: int) -> int:
+    """The largest r(i) % vt over the interior steps 1 <= i <= N-2 of the
+    leftover recurrence from r(0) = start, those whose next count is above
+    0 (-1 if none).
 
     Both branches of the recurrence after the first step come to
     r - (r // vt + 1): when vt divides r that is y*r - 1, and otherwise it
-    is r - ceil(r / vt).  The pass takes remainders until top is vt - 1,
-    which no remainder passes, and counts the steps left from there with
-    ``_steps_left``.  Refused before the first step as ``_check_length``
-    says.
+    is r - ceil(r / vt).  The walk, no longer than the recurrence
+    ``_leftover_count`` let through the cap, stops once top is vt - 1.
     """
-    _check_length(start, vt)
-    r, n, top = start, 0, -1
-    if r > 0:
-        r, n = r - -(-r // vt), 1
+    r, top = start - -(-start // vt), -1
     while r and top < vt - 1:
         q, rem = divmod(r, vt)
-        r, n = r - q - 1, n + 1
+        r -= q + 1
         if r and rem > top:
             top = rem
-    return n + (_steps_left(r, vt) if r else 0), top
+    return top
 
 
 def _leftover_count(start: int, vt: int) -> int:
     """N alone, the steps of the leftover recurrence from r(0) = start to
-    0: the first step, then ``_steps_left``.  Refused as ``_check_length``
-    says."""
-    _check_length(start, vt)
+    0: the first step, then ``_steps_left``.  Raises ResourceLimitError
+    before the first step when the recurrence, at least ``_least_steps``
+    long, is over the column-set cap."""
+    limits.check_steps(_least_steps(start, vt), "discrete recurrence trace")
     return 1 + _steps_left(start - -(-start // vt), vt) if start else 0
 
 
-def _least_steps(r: int, vt: int) -> float:
+def _least_steps(r: int, vt: int) -> int:
     """A lower bound on the steps from r to 0: each step leaves r + vt at
     least y = 1 - 1/vt times what it was, so there are at least
-    ln(r/vt + 1) / ln(1/y) of them."""
-    return (math.log(r + vt) - math.log(vt)) / _log_ratio_float(vt, vt - 1)
-
-
-def _check_length(start: int, vt: int) -> None:
-    """Raise ResourceLimitError before the first step when the recurrence
-    from start, at least ``discrete_slj_estimate`` steps from
-    start = C(k,t) * vt, is over the column-set cap."""
-    limits.check_steps(math.ceil(_least_steps(start, vt)), "discrete recurrence trace")
+    ln(r/vt + 1) / ln(1/y) of them; past the floats, (vt - 1) * ln(r/vt + 1)
+    of them, as ln(1/y) <= 1/(vt - 1)."""
+    log = math.log(r + vt) - math.log(vt)
+    try:
+        return math.ceil(_over_log_ratio(log, vt, vt - 1))
+    except ValueError:
+        return math.floor((vt - 1) * Fraction(log))
 
 
 # one threshold of the leftover recurrence in this many is kept
@@ -309,7 +316,7 @@ class _Thresholds:
         thresholds past L_0 are <= u, since L_{j+1} >= L_j * vt/(vt-1), and
         the first mark above u is at most 2**64 * u, since L_{j+1} <= 2 * L_j."""
         marks, q = self.marks, self.vt - 1
-        most = min(u - 1, math.log(u) / _log_ratio_float(self.vt, q))
+        most = min(u - 1, _over_log_ratio(math.log(u), self.vt, q))
         entries = int(most) // _MARK_EVERY + 3
         limits.check_table_bytes(
             entries, 8 + sys.getsizeof(u << 64), "discrete recurrence threshold table"
@@ -331,9 +338,9 @@ def _thresholds(vt: int) -> _Thresholds:
 
 def discrete_slj_estimate(params: CAParams) -> float:
     """log(C(k,t) + 1) / log(v**t / (v**t - 1)), a sharp underestimate of the
-    discrete recurrence length."""
+    discrete recurrence length (ValueError past the floats)."""
     vt = params.tuple_count
-    return math.log(math.comb(params.k, params.t) + 1) / _log_ratio_float(vt, vt - 1)
+    return _over_log_ratio(math.log(math.comb(params.k, params.t) + 1), vt, vt - 1)
 
 
 def two_stage_objective(params: CAParams, n: int) -> int:
@@ -408,6 +415,9 @@ _ACTIONS: dict[str, tuple[int, Callable[[int], bool], str]] = {
     "pgl": (3, lambda v: v >= 3 and num.is_prime_power(v - 1) is not None,
             "pgl action requires v >= 3 with v-1 a prime power, got v={v}"),
 }
+# the local lemma bounds, one per action, read the dependence estimate
+DEPENDENCE_METHODS = tuple(_ACTIONS)
+COEFFICIENT_METHODS = ("slj", *_ACTIONS)
 
 
 @functools.lru_cache(maxsize=64)
@@ -654,14 +664,14 @@ def asymptotic_coefficient(method: str, t: int, v: int) -> float:
     A local lemma bound grows as order*(t-1)*log k / log(base/(base-hit))
     with the action's orbit census, with no such term when the census has
     no events; pgl adds C(v,2) binary cyclic bounds for its two-symbol
-    orbits.
+    orbits.  A coefficient past the floats raises ValueError.
     """
     if t < 2 or v < 2:
         raise ValueError("need t >= 2 and v >= 2")
     if method == "slj":
-        return t / _log_ratio_float(v**t, v**t - 1)
+        return _over_log_ratio(t, v**t, v**t - 1)
     events, base, hit, order = _orbit_census(method, t, v)
-    coef = order * (t - 1) / _log_ratio_float(base, base - hit) if events else 0.0
+    coef = _over_log_ratio(order * (t - 1), base, base - hit) if events else 0.0
     if method == "pgl":
         coef += math.comb(v, 2) * asymptotic_coefficient("cyclic", t, 2)
     return coef
@@ -675,3 +685,31 @@ def katona_kleitman_exact(k: int) -> int:
     while k > math.comb(n - 1, (n + 1) // 2):
         n += 1
     return n
+
+
+def _katona_report(params: CAParams) -> BoundReport:
+    if params.t != 2 or params.v != 2:
+        raise UnsupportedParameterError("katona gives exact CAN(2,k,2) and requires t=2, v=2")
+    return BoundReport(
+        method="katona", value=katona_kleitman_exact(params.k), notes={"exact": True}
+    )
+
+
+# method name -> (params, dependence) -> BoundReport, for `coverkit bounds`
+# and `sweep`.  Each entry looks its function up by name when called, so a
+# wrapper put on this module's functions sees every call.
+METHODS: dict[str, Callable[[CAParams, Dependence], BoundReport]] = {
+    "slj": lambda p, d: slj_bound(p),
+    "discrete_slj": lambda p, d: discrete_slj_bound(p)[0],
+    "dslj_estimate": lambda p, d: BoundReport(
+        method="dslj_estimate", value=discrete_slj_estimate(p)
+    ),
+    "two_stage": lambda p, d: two_stage_bound(p),
+    "gss": lambda p, d: gss_lll_bound(p, d),
+    "cyclic": lambda p, d: cyclic_lll_bound(p, d),
+    "frobenius": lambda p, d: frobenius_lll_bound(p, d),
+    "pgl": lambda p, d: pgl_lll_bound(p, d),
+    "conditional_lll": lambda p, d: conditional_lll_two_stage_bound(p, "one_row_each"),
+    "conditional_lll_density": lambda p, d: conditional_lll_two_stage_bound(p, "discrete_slj"),
+    "katona": lambda p, d: _katona_report(p),
+}

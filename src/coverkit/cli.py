@@ -46,57 +46,27 @@ def _report_record(rep: bounds.BoundReport) -> dict:
     return record
 
 
-def _katona_report(params: CAParams) -> bounds.BoundReport:
-    if params.t != 2 or params.v != 2:
-        raise UnsupportedParameterError(
-            "katona gives exact CAN(2,k,2) and requires t=2, v=2"
-        )
-    return bounds.BoundReport(
-        method="katona", value=bounds.katona_kleitman_exact(params.k), notes={"exact": True}
-    )
-
-
-# method name -> (params, dependence) -> BoundReport; shared by bounds and sweep
-BOUND_REPORTS = {
-    "slj": lambda p, d: bounds.slj_bound(p),
-    "discrete_slj": lambda p, d: bounds.discrete_slj_bound(p)[0],
-    "dslj_estimate": lambda p, d: bounds.BoundReport(
-        method="dslj_estimate", value=bounds.discrete_slj_estimate(p)
-    ),
-    "two_stage": lambda p, d: bounds.two_stage_bound(p),
-    "gss": bounds.gss_lll_bound,
-    "cyclic": bounds.cyclic_lll_bound,
-    "frobenius": bounds.frobenius_lll_bound,
-    "pgl": bounds.pgl_lll_bound,
-    "conditional_lll": lambda p, d: bounds.conditional_lll_two_stage_bound(p, "one_row_each"),
-    "conditional_lll_density": lambda p, d: bounds.conditional_lll_two_stage_bound(
-        p, "discrete_slj"
-    ),
-    "katona": lambda p, d: _katona_report(p),
-}
-BOUND_METHODS = tuple(BOUND_REPORTS)
-DEPENDENCE_METHODS = ("gss", "cyclic", "frobenius", "pgl")  # those that read --dependence
-
-
 def _methods(args: argparse.Namespace) -> list[str]:
     """The requested methods; --dependence off its default must be read by one."""
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
-        raise UnsupportedParameterError(f"no method given; choose from {', '.join(BOUND_METHODS)}")
-    if args.dependence != "simple" and not set(methods) & set(DEPENDENCE_METHODS):
         raise UnsupportedParameterError(
-            f"--dependence is read only by {', '.join(DEPENDENCE_METHODS)},"
+            f"no method given; choose from {', '.join(bounds.METHODS)}"
+        )
+    if args.dependence != "simple" and not set(methods) & set(bounds.DEPENDENCE_METHODS):
+        raise UnsupportedParameterError(
+            f"--dependence is read only by {', '.join(bounds.DEPENDENCE_METHODS)},"
             f" not by {', '.join(methods)}"
         )
     return methods
 
 
 def _method_report(method: str, params: CAParams, dependence: str) -> bounds.BoundReport:
-    if method not in BOUND_REPORTS:
+    if method not in bounds.METHODS:
         raise UnsupportedParameterError(
-            f"unknown method {method!r}; choose from {', '.join(BOUND_METHODS)}"
+            f"unknown method {method!r}; choose from {', '.join(bounds.METHODS)}"
         )
-    return BOUND_REPORTS[method](params, dependence)
+    return bounds.METHODS[method](params, dependence)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -211,18 +181,6 @@ def _parse_range(text: str, flag: str, entry_bytes: int) -> list[int]:
     raise ValueError(f"bad range {text!r}")
 
 
-def _method_value(method: str, params: CAParams, dependence: str) -> int | float:
-    """The value of one method's report.  A sweep writes no notes, so it
-    reads ``value`` alone: the notes that print 50-digit values, which are
-    computed only when read, are never computed, and its discrete_slj value
-    is the recurrence length counted from the shared thresholds alone
-    (``bounds.discrete_slj_count``), as the walk to the least deficit that
-    ``discrete_slj_bound`` makes feeds only its notes."""
-    if method == "discrete_slj":
-        return bounds.discrete_slj_count(params)
-    return _method_report(method, params, dependence).value
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _methods(args)
     # a row is a list (56 bytes) of k and one value per method, each an int
@@ -257,11 +215,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"wrote {len(ns)} rows -> {args.out}")
         return EXIT_OK
 
-    # every value first, so a bad method or k leaves no file behind
+    # every value first, so a bad method or k leaves no file behind; a sweep
+    # reads only values, so no note computed on read (the discrete SLJ walk
+    # to its least deficit, the 50-digit notes) is ever computed
     rows = []
     for k in ks:
         params = CAParams(args.t, k, args.v)
-        values = [_method_value(m, params, args.dependence) for m in methods]
+        values = [_method_report(m, params, args.dependence).value for m in methods]
         rows.append([k] + values)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

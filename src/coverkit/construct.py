@@ -622,20 +622,13 @@ def _resample_full_orbits(
         log.resample_witness.append(pos)
 
 
-# action kind -> the LLL bound whose stage-1 row count its builder draws
-_ACTION_BOUNDS = {
-    "cyclic": bounds.cyclic_lll_bound,
-    "frobenius": bounds.frobenius_lll_bound,
-    "pgl": bounds.pgl_lll_bound,
-}
-
-
 def _stage1_rows_for_action(
     params: CAParams, action: GroupAction, config: BuildConfig
 ) -> int:
+    """The stage-1 rows of the local lemma bound under the action's kind."""
     if config.n_override is not None:
         return config.n_override
-    return _ACTION_BOUNDS[action.kind](params, config.dependence_estimate).stage1_rows
+    return bounds.METHODS[action.kind](params, config.dependence_estimate).stage1_rows
 
 
 def moser_tardos_build(
@@ -660,7 +653,8 @@ def _orbit_build(
     group, then cover the short orbits of a sharply l-transitive action: v
     constant rows when l >= 2 and, when l = 3, the pair rows, drawn from a
     seed stream of their own."""
-    if action.kind not in _ACTION_BOUNDS:
+    # each local lemma bound under a group action has a builder; "gss" has no group
+    if action.kind not in bounds.DEPENDENCE_METHODS or action.kind == "gss":
         raise ValueError(f"no orbit builder for action kind {action.kind!r}")
     if action.degree != params.v:
         raise ValueError(f"action degree {action.degree} does not match v={params.v}")

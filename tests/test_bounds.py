@@ -148,8 +148,16 @@ class TestDiscreteSlj:
     @settings(max_examples=100, deadline=None, database=None)
     @given(small_params())
     @example(CAParams(6, 54, 3))
-    def test_count_alone_is_the_bound_value(self, p):
-        assert bounds.discrete_slj_count(p) == bounds.discrete_slj_bound(p)[0].value
+    def test_value_alone_never_walks(self, p):
+        # reading the value, as a sweep does, leaves the walk to the least
+        # deficit undone; the first read of either walks once, then it is kept
+        rep, trace = bounds.discrete_slj_bound(p)
+        assert rep.value == trace.steps
+        assert "least_deficit" not in vars(trace)
+        assert isinstance(dict.__getitem__(rep.notes, "deficit_min"), bounds._Later)
+        least = trace.least_deficit
+        assert vars(trace)["least_deficit"] is least
+        assert rep.notes["deficit_min"] == (None if least is None else float(least))
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(small_params())
@@ -173,10 +181,11 @@ class TestDiscreteSlj:
     @example(start=24, vt=4)
     @example(start=10**7, vt=2)  # top is vt - 1 at the second step
     @example(start=10**7, vt=3000)
-    def test_fused_pass_matches_the_counts(self, start, vt):
+    def test_walk_finds_the_largest_interior_remainder(self, start, vt):
         ref = reference_leftover_counts(start, vt)
         top = max((r % vt for r in ref[1:-2]), default=-1)
-        assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top)
+        assert bounds._leftover_top(start, vt) == top
+        assert bounds._leftover_count(start, vt) == len(ref) - 1
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(calls=st.lists(
@@ -194,7 +203,8 @@ class TestDiscreteSlj:
         for start, vt in calls:
             ref = refs[start, vt]
             top = max((r % vt for r in ref[1:-2]), default=-1)
-            assert bounds._leftover_steps(start, vt) == (len(ref) - 1, top)
+            assert bounds._leftover_count(start, vt) == len(ref) - 1
+            assert bounds._leftover_top(start, vt) == top
         for start, vt in sorted(calls, reverse=True):
             assert bounds._leftover_count(start, vt) == len(refs[start, vt]) - 1
 
@@ -267,6 +277,46 @@ class TestDiscreteSlj:
         assert str(exc.value) == (
             f"discrete recurrence trace would take {length} steps, above the cap of {length - 1}"
         )
+
+
+class TestPastTheFloats:
+    """Past v**t of about 1e308, ln(v**t / (v**t - 1)) rounds to 0 in
+    binary64: nothing divides by it."""
+
+    P = CAParams(200, 201, 100)
+
+    def test_recurrence_is_refused_by_its_length(self):
+        # at least (v^t - 1) * ln(C(201,200) + 1) = (v^t - 1) * ln 202 steps
+        vt = self.P.tuple_count
+        steps = bounds._least_steps(self.P.interaction_space_size, vt)
+        assert (vt - 1) * 5308 // 1000 <= steps <= (vt - 1) * 5309 // 1000
+        with pytest.raises(ResourceLimitError, match=f"would take {steps} steps"):
+            bounds.discrete_slj_bound(self.P)
+
+    def test_estimate_and_coefficients_are_refused(self):
+        with pytest.raises(ValueError, match="too close to 1 for binary64"):
+            bounds.discrete_slj_estimate(self.P)
+        for method in ("slj", "gss", "cyclic"):
+            with pytest.raises(ValueError, match="too close to 1 for binary64"):
+                bounds.asymptotic_coefficient(method, 200, 100)
+
+
+class TestMethodTable:
+    def test_dependence_is_read_exactly_by_the_dependence_methods(self):
+        # every method answers at one of these shapes or more; a report
+        # changes with --dependence exactly when its method is listed
+        answered = set()
+        for t, k, v in [(2, 2, 2), (2, 10, 2), (3, 8, 3), (3, 10, 4), (6, 54, 3), (4, 30, 5)]:
+            p = CAParams(t, k, v)
+            for name, report in bounds.METHODS.items():
+                try:
+                    simple = report(p, "simple")
+                except UnsupportedParameterError:
+                    continue
+                answered.add(name)
+                changed = report(p, "improved") != simple
+                assert changed == (name in bounds.DEPENDENCE_METHODS), (name, p)
+        assert answered == set(bounds.METHODS)
 
 
 class TestDiscreteSljEstimate:

@@ -20,7 +20,7 @@ import pytest
 
 from coverkit import bounds, cli, construct
 from coverkit.arrayfile import read_array
-from coverkit.cli import BOUND_METHODS, main
+from coverkit.cli import main
 from coverkit.construct import BuildConfig, pgl_build
 from coverkit.core import CAParams
 
@@ -105,7 +105,7 @@ class TestBoundsCommand:
             pinned.update(case["argv"][case["argv"].index("--methods") + 1].split(","))
         golden = json.loads((DATA / "bounds_golden.json").read_text())
         pinned.update(rec["method"] for rec in golden["results"])
-        assert pinned == set(BOUND_METHODS)
+        assert pinned == set(bounds.METHODS)
 
     def test_json_schema_stable_across_runs(self, capsys):
         argv = ["bounds", "-t", "2", "-k", "6", "-v", "3", "--methods", "slj", "--json"]
@@ -138,7 +138,7 @@ class TestBoundsCommand:
             q = Decimal(math.comb(k, t) * vt).ln() / (Decimal(vt).ln() - Decimal(vt - 1).ln())
         assert json.loads(out)["results"][0]["value"] == math.floor(q) + 1
 
-    @pytest.mark.parametrize("method", BOUND_METHODS)
+    @pytest.mark.parametrize("method", bounds.METHODS)
     def test_ratio_too_close_to_one_is_refused(self, capsys, method):
         # ln(v^t) - ln(v^t - 1) is 0 at 50 digits: every bound refuses with
         # one error line; the float estimate dslj_estimate needs no ladder
@@ -154,13 +154,14 @@ class TestBoundsCommand:
             assert err == "error: ratio too close to 1 for 50-digit logarithms\n"
 
     @pytest.mark.parametrize("method, note", [
+        ("discrete_slj", "deficit_min"),
         ("two_stage", "analytic_optimum_n"),
         ("conditional_lll", "loose_linear_leftover"),
         ("conditional_lll_density", "loose_linear_leftover"),
     ])
     def test_lazy_note_is_what_json_prints(self, capsys, method, note):
         params = CAParams(6, 54, 3)
-        rep = cli.BOUND_REPORTS[method](params, "simple")
+        rep = bounds.METHODS[method](params, "simple")
         assert isinstance(dict.__getitem__(rep.notes, note), bounds._Later)  # not yet computed
         read = rep.notes[note]
         assert dict.__getitem__(rep.notes, note) == read  # computed once, then kept
@@ -168,7 +169,7 @@ class TestBoundsCommand:
                          "--json"], capsys)
         printed = json.loads(out)["results"][0]["notes"]
         assert read == printed[note]
-        fresh = cli.BOUND_REPORTS[method](params, "simple")
+        fresh = bounds.METHODS[method](params, "simple")
         assert json.loads(json.dumps(fresh.notes, default=str)) == printed
         assert fresh == rep and repr(fresh) == repr(rep)
 
@@ -537,8 +538,12 @@ class TestSweepCommand:
             "325dcdd7b8054a50daac9ba1f82104d60c0c59abf733fc438b892ca064af6776"
         )
 
-    def test_discrete_slj_column_is_the_bound_value(self, tmp_path, capsys):
+    def test_discrete_slj_column_is_the_bound_value(self, tmp_path, capsys, monkeypatch):
         # the column is counted without the walk to the least deficit
+        def walk(start, vt):
+            raise AssertionError("the least deficit was walked to")
+
+        monkeypatch.setattr(bounds, "_leftover_top", walk)
         out_csv = tmp_path / "sweep.csv"
         code, _, _ = run(["sweep", "-t", "3", "-v", "4", "--k", "3:200:7",
                           "--methods", "discrete_slj", "--out", str(out_csv)], capsys)
@@ -621,6 +626,16 @@ BAD_INPUTS = [
     # about 1.1e9 recurrence steps
     pytest.param(["bounds", "-t", "8", "-k", "100", "-v", "9", "--methods", "discrete_slj"],
                  3, "discrete recurrence trace", id="discrete-slj-trace"),
+    # past v^t of about 1e308, where ln(v^t/(v^t-1)) rounds to 0 in binary64:
+    # at least (v^t - 1) * ln(C(k,t) + 1) steps, and no float estimate
+    pytest.param(["bounds", "-t", "200", "-k", "201", "-v", "100", "--methods", "discrete_slj"],
+                 3, "discrete recurrence trace would take", id="discrete-slj-past-floats"),
+    pytest.param(["sweep", "-t", "200", "-v", "100", "--k", "201", "--methods", "discrete_slj",
+                  "--out", "{tmp}/x.csv"],
+                 3, "discrete recurrence trace would take", id="sweep-discrete-slj-past-floats"),
+    pytest.param(["bounds", "-t", "200", "-k", "201", "-v", "100", "--methods", "dslj_estimate"],
+                 2, "ratio too close to 1 for binary64 logarithms",
+                 id="dslj-estimate-past-floats"),
     # the second stage runs the same recurrence from about 3.8e8, over 3.6e8 steps
     pytest.param(["bounds", "-t", "10", "-k", "20", "-v", "9", "--methods",
                   "conditional_lll_density"],

@@ -490,8 +490,11 @@ class TestMoserTardos:
                 l2.strategy, l2.resample_count, l2.total_rows)
 
     def test_trivial_action_is_rejected(self):
-        with pytest.raises(ValueError, match="action kind 'trivial'"):
-            moser_tardos_build(CAParams(2, 4, 3), make_trivial(3), BuildConfig(n_override=5))
+        # as is any kind without an orbit builder, a bound method's name included
+        for kind in ("trivial", "gss", "slj", "two_stage"):
+            action = dataclasses.replace(make_trivial(3), kind=kind)
+            with pytest.raises(ValueError, match=f"action kind '{kind}'"):
+                moser_tardos_build(CAParams(2, 4, 3), action, BuildConfig(n_override=5))
 
     @pytest.mark.parametrize("kind", ["cyclic", "frobenius", "pgl"])
     def test_resample_targets_are_the_census_events(self, kind):

@@ -512,8 +512,12 @@ class TestFloatTier:
     def test_least_power_past_e_near_ties(self, case, strict):
         w, num, den = case
         assert not float_rung_is_sure(w, num, den, 1)
-        n = least_power_past_e(w, num, den, strict=strict)
-        assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
+        # the digits double until the estimate decides: a rung that never
+        # decides fails at 1000 digits rather than hanging
+        with pytest.MonkeyPatch.context() as mp:
+            digit_stop(mp)
+            n = least_power_past_e(w, num, den, strict=strict)
+            assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
         assert beyond_e_times(w, num, den, n, strict)
         assert not beyond_e_times(w, num, den, n - 1, strict)
 
@@ -614,12 +618,11 @@ class TestFiftyDigitsIsAFallback:
             assert logs == []
 
 
-@contextlib.contextmanager
-def six_digit_ladder():
-    """The least-exponent ladder with its first decimal rung at 6 digits
-    and the float tier off, so that the later rungs are needed at guesses
-    the exact check can still confirm.  Yields the precisions its decimal
-    rungs run at; the exact tier, or a rung past 1000 digits, fails."""
+def digit_stop(mp):
+    """Make a decimal rung of the ladder past 1000 digits fail, through the
+    monkeypatch mp, so that a ladder that never decides fails in seconds
+    instead of doubling its digits without end.  Returns the list of the
+    precisions its decimal rungs run at."""
     precs = []
     estimate = _numeric._log_estimate
 
@@ -629,13 +632,24 @@ def six_digit_ladder():
         precs.append(prec)
         return estimate(m, num, den, prec, c)
 
+    mp.setattr(_numeric, "_log_estimate", counted)
+    return precs
+
+
+@contextlib.contextmanager
+def six_digit_ladder():
+    """The least-exponent ladder with its first decimal rung at 6 digits
+    and the float tier off, so that the later rungs are needed at guesses
+    the exact check can still confirm.  Yields the precisions its decimal
+    rungs run at; the exact tier, or a rung past 1000 digits, fails."""
+
     def no_exact(*args):
         raise AssertionError("the exact tier was reached")
 
     with pytest.MonkeyPatch.context() as mp:
+        precs = digit_stop(mp)
         mp.setattr(_numeric, "PRECISION", 6)
         mp.setattr(_numeric, "_FLOAT_GUARD", math.inf)
-        mp.setattr(_numeric, "_log_estimate", counted)
         mp.setattr(_numeric, "_least_power_exact", no_exact)
         _numeric._ln.cache_clear()  # the memo must not keep 6-digit logs
         try:
