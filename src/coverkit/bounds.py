@@ -69,6 +69,7 @@ __all__ = [
     "two_stage_bound",
     "two_stage_objective",
     "two_stage_objectives",
+    "two_stage_entry_bytes",
     "gss_lll_bound",
     "cyclic_lll_bound",
     "frobenius_lll_bound",
@@ -357,6 +358,14 @@ def two_stage_objectives(params: CAParams, ns: Sequence[int]) -> list[int]:
     return [n + f for n, f in zip(ns, floors)]
 
 
+def two_stage_entry_bytes(params: CAParams) -> int:
+    """The memory price per n of ``two_stage_objectives`` at its peak, with
+    the caller's list of ns: three list slots and ints (n, floor, objective)
+    sized as C(k,t) * v**t, and 24 bytes for the float pass beyond them.
+    Measured with tracemalloc in tests/test_limits.py."""
+    return 24 + 3 * (8 + sys.getsizeof(params.interaction_space_size))
+
+
 def two_stage_bound(params: CAParams) -> BoundReport:
     """Minimize the two-stage objective over the stage-1 row count n.
 
@@ -373,8 +382,7 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     centre, span = num.optimum_window(total, vt, vt - 1)
     radius = max(64, math.isqrt(span) + 8)
     lo, hi = max(0, centre - radius), centre + radius
-    entry = 3 * (8 + sys.getsizeof(total))  # ns, floors, objectives: ints <= total
-    limits.check_table_bytes(hi - lo + 1, entry, "two-stage search window")
+    limits.check_table_bytes(hi - lo + 1, two_stage_entry_bytes(params), "two-stage search window")
 
     values = two_stage_objectives(params, range(lo, hi + 1))
     best_val = min(values)

@@ -197,14 +197,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if len(ks) != 1:
             raise UnsupportedParameterError("two_stage_curve needs a single k")
         params = CAParams(args.t, ks[0], args.v)
-        rep = bounds.two_stage_bound(params)
-        center = rep.stage1_rows
         if args.n is not None:
-            # ns, the floors and the objectives, ints up to C(k,t) * v**t,
-            # and the float pass's arrays
-            entry = 64 + 3 * (8 + sys.getsizeof(params.interaction_space_size))
-            ns = _parse_range(args.n, "--n", entry)
-        else:
+            ns = _parse_range(args.n, "--n", bounds.two_stage_entry_bytes(params))
+        else:  # 1025 n around the bound's minimizer
+            center = bounds.two_stage_bound(params).stage1_rows
             ns = list(range(max(0, center - 512), center + 513))
         # every value first, so a bad n leaves no file behind
         values = bounds.two_stage_objectives(params, ns)

@@ -23,22 +23,24 @@ exactly when the modulus is irreducible.  Distributivity is then checked on
 every triple.  The projective point at infinity is the extra symbol q, i.e.
 the last one.
 
-``enumerate_orbits`` tabulates the orbit partition of all v**t symbol
-tuples; ``develop`` replaces every row of an array by its full set of
-images under a group.
+Each action is one read-only int32 table ``perms``, row g holding element
+g's images, identity first, and priced against the memory cap before it is
+built.  ``enumerate_orbits`` tabulates the orbit partition of all v**t
+symbol tuples, one gather per orbit; ``develop`` replaces every row of an
+array by its images under every element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations
 
 import numpy as np
 
 from . import _numeric as num
 from . import limits
-from .core import CAParams, SymbolArray, symbols_rank, symbols_unrank
+from .core import CAParams, SymbolArray, symbols_unrank
 from .errors import UnsupportedParameterError
 
 __all__ = [
@@ -60,8 +62,8 @@ __all__ = [
 class FiniteField:
     """GF(p**m) on the integer codes 0..q-1 described in the module docstring.
 
-    ``add_table`` and ``mul_table`` are read-only q x q arrays; every
-    operation is a lookup in them.
+    ``add_table`` and ``mul_table`` are read-only q x q arrays: entry
+    [a, b] is a + b, respectively a * b.
     """
 
     p: int
@@ -70,26 +72,6 @@ class FiniteField:
     q: int
     add_table: np.ndarray = field(repr=False)
     mul_table: np.ndarray = field(repr=False)
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.add_table[a].argmin())  # row a holds 0 at column -a
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int((self.mul_table[a] == 1).argmax())
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
 
 def finite_field(q: int) -> FiniteField:
@@ -129,85 +111,88 @@ def _mul_digits(digits: np.ndarray, tail: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("ai,ibk->abk", digits, np.stack(powers_times_b)) % p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupAction:
-    """A permutation group on the symbols, stored as explicit permutations.
+    """A permutation group on the symbols: row g of the int32 table ``perms``
+    (order x v) holds element g's images.  The table is made read-only, in
+    place if it is already C-contiguous int32 and in a copy otherwise.
 
-    ``sharp_transitivity`` is the degree l for which the action is sharply
-    l-transitive (0 for the trivial test-only action).  Construction checks
-    that the identity is present and that the action is regular on one
-    ordered l-tuple of distinct symbols, which together with closure pins
-    down sharp l-transitivity; ``validate`` reruns both exhaustively.
+    ``sharp_transitivity`` is the l for which the action is sharply
+    l-transitive (0 for the trivial action).  Construction checks that the
+    rows are distinct permutations, one the identity, and that the action is
+    regular on (0, ..., l-1); with closure that is sharp l-transitivity.
+    ``validate`` checks closure and every l-tuple exhaustively.
     """
 
     kind: str
     degree: int
-    elements: tuple[tuple[int, ...], ...]
+    perms: np.ndarray = field(repr=False)
     sharp_transitivity: int
 
     def __post_init__(self) -> None:
-        v = self.degree
-        for perm in self.elements:
-            if len(perm) != v or sorted(perm) != list(range(v)):
-                raise ValueError(f"not a permutation of 0..{v - 1}: {perm}")
-        if tuple(range(v)) not in self.elements:
+        v, ell = self.degree, self.sharp_transitivity
+        perms = np.ascontiguousarray(self.perms, dtype=np.int32)
+        perms.setflags(write=False)
+        object.__setattr__(self, "perms", perms)
+        if perms.ndim != 2 or perms.shape[1] != v:
+            raise ValueError(f"not a permutation of 0..{v - 1}: a table of shape {perms.shape}")
+        bad = (np.sort(perms, axis=1) != np.arange(v)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"not a permutation of 0..{v - 1}: {tuple(perms[bad].tolist()[0])}")
+        if not (perms == np.arange(v)).all(axis=1).any():
             raise ValueError("identity element missing")
-        if len(set(self.elements)) != len(self.elements):
+        if _distinct_rows(perms) != len(perms):
             raise ValueError("duplicate group elements")
-        ell = self.sharp_transitivity
-        if ell > 0:
-            base = tuple(range(ell))
-            images = {tuple(perm[x] for x in base) for perm in self.elements}
-            if len(images) != len(self.elements) or len(self.elements) != math.perm(v, ell):
-                raise ValueError(
-                    f"action is not sharply {ell}-transitive on {v} symbols"
-                )
+        images = np.unique(perms[:, :ell] @ v ** np.arange(ell))  # of (0, ..., l-1)
+        if ell and (len(images) != len(perms) or len(perms) != math.perm(v, ell)):
+            raise ValueError(f"action is not sharply {ell}-transitive on {v} symbols")
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
 
     def validate(self) -> None:
         """Exhaustive closure and sharp transitivity checks (small v only)."""
-        members = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                composed = tuple(a[b[x]] for x in range(self.degree))
-                if composed not in members:
-                    raise ValueError("group is not closed under composition")
-        ell = self.sharp_transitivity
-        if ell == 0:
-            return
-        tuples = [
-            tup
-            for tup in product(range(self.degree), repeat=ell)
-            if len(set(tup)) == ell
-        ]
-        for src in tuples:
-            images = [tuple(perm[x] for x in src) for perm in self.elements]
-            if sorted(images) != sorted(tuples):
-                raise ValueError(
-                    f"not sharply {ell}-transitive: source {src} misses targets"
-                )
+        perms, v, ell = self.perms, self.degree, self.sharp_transitivity
+        limits.check_table_bytes(len(perms) ** 2 * v, 2 * perms.itemsize, "closure check")
+        # a after b over all pairs holds every element; no more iff closed
+        if _distinct_rows(perms[:, perms].reshape(-1, v)) != len(perms):
+            raise ValueError("group is not closed under composition")
+        sources = np.array(list(permutations(range(v), ell)), dtype=np.intp, ndmin=2)
+        places = v ** np.arange(ell - 1, -1, -1)
+        # column j: source j's image ranks, each l-tuple's once if sharp
+        reached = np.sort(perms[:, sources] @ places, axis=0)
+        misses = (reached != (sources @ places)[:, None]).any(axis=0)
+        if misses.any():
+            src = tuple(sources[misses.argmax()].tolist())
+            raise ValueError(f"not sharply {ell}-transitive: source {src} misses targets")
+
+
+def _distinct_rows(table: np.ndarray) -> int:
+    """The number of distinct rows of a C-contiguous 2-d table."""
+    return len(np.unique(table.view(f"V{table.shape[1] * table.itemsize}")))
+
+
+# Bytes per entry of a permutation table, its temporaries and its checks
+_PERM_BYTES = 24
 
 
 def make_cyclic(v: int) -> GroupAction:
-    """The v translations x -> x + c (mod v)."""
+    """The v translations x -> x + c (mod v), in c order."""
     if v < 2:
         raise ValueError("need at least two symbols")
-    elements = tuple(tuple((x + c) % v for x in range(v)) for c in range(v))
-    return GroupAction("cyclic", v, elements, 1)
+    limits.check_table_bytes(v * v, _PERM_BYTES, f"cyclic group table on {v} symbols")
+    shifts = np.arange(v, dtype=np.int32)
+    return GroupAction("cyclic", v, np.add.outer(shifts, shifts) % v, 1)
 
 
 def make_frobenius(v: int) -> GroupAction:
     """The v(v-1) affine maps x -> a*x + b over GF(v), a != 0, in (a, b)
     order, so the identity (a = 1, b = 0) comes first."""
     fld = finite_field(v)  # raises UnsupportedParameterError if not a prime power
-    # the images as an array, as lists and as tuples
-    limits.check_table_bytes(v**3, 3 * 8, f"Frobenius group on {v} symbols")
+    limits.check_table_bytes(v**3, _PERM_BYTES, f"Frobenius group table on {v} symbols")
     images = fld.add_table[fld.mul_table[1:, None, :], np.arange(v)[:, None]]
-    elements = tuple(map(tuple, images.reshape(-1, v).tolist()))
-    return GroupAction("frobenius", v, elements, 2)
+    return GroupAction("frobenius", v, images.reshape(-1, v), 2)
 
 
 def make_pgl(v: int) -> GroupAction:
@@ -223,15 +208,14 @@ def make_pgl(v: int) -> GroupAction:
         raise UnsupportedParameterError("pgl needs at least three symbols")
     q = v - 1
     if num.is_prime_power(q) is None:
-        raise UnsupportedParameterError(
-            f"pgl requires v-1 to be a prime power, got v-1={q}"
-        )
+        raise UnsupportedParameterError(f"pgl requires v-1 to be a prime power, got v-1={q}")
     fld = finite_field(q)
     add, mul = fld.add_table, fld.mul_table
     neg = add.argmin(axis=1)  # row a of add holds 0 at column -a
     inv = (mul == 1).argmax(axis=1)  # inv[0] = 0 is never read
     # 2q^3 candidates (a is 0 or 1 after normalizing), each with v images
-    limits.check_table_bytes(2 * q**3 * (v + 4), 8, f"PGL(2, {q}) images")
+    # and three int64 temporaries per image while the images are built
+    limits.check_table_bytes(2 * q**3 * (v + 4), 24, f"PGL(2, {q}) images")
     a, b, c, d = np.indices((2, q, q, q)).reshape(4, -1)
     keep = (add[mul[a, d], neg[mul[b, c]]] != 0) & ((a == 1) | (b == 1))
     a, b, c, d = (coef[keep, None] for coef in (a, b, c, d))
@@ -239,10 +223,9 @@ def make_pgl(v: int) -> GroupAction:
     den = add[mul[c, x], d]
     finite = np.where(den == 0, q, mul[add[mul[a, x], b], inv[den]])
     infinite = np.where(c != 0, mul[a, inv[c]], q)
-    identity = tuple(range(v))
-    elements = sorted(map(tuple, np.hstack([finite, infinite]).tolist()),
-                      key=lambda perm: perm != identity)
-    return GroupAction("pgl", v, tuple(elements), 3)
+    images = np.hstack([finite, infinite])
+    identity = (images == np.arange(v)).all(axis=1)
+    return GroupAction("pgl", v, images[np.argsort(~identity, kind="stable")], 3)
 
 
 def make_trivial(v: int) -> GroupAction:
@@ -250,7 +233,8 @@ def make_trivial(v: int) -> GroupAction:
     coverage checking.  Test affordance, not one of the bound families."""
     if v < 1:
         raise ValueError("need at least one symbol")
-    return GroupAction("trivial", v, (tuple(range(v)),), 0)
+    limits.check_table_bytes(v, _PERM_BYTES, f"trivial group table on {v} symbols")
+    return GroupAction("trivial", v, np.arange(v, dtype=np.int32)[None, :], 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,38 +263,27 @@ class OrbitTable:
         ell = self.action.sharp_transitivity
         return tuple(i for i, rep in enumerate(self.representatives) if len(set(rep)) >= ell)
 
-    def length_of(self, representative: tuple[int, ...]) -> int:
-        rank = symbols_rank(representative, self.action.degree)
-        return self.lengths[int(self.orbit_id_of[rank])]
-
 
 def enumerate_orbits(action: GroupAction, t: int) -> OrbitTable:
     """Tabulate the orbit partition of symbol t-tuples under the action.
 
     Tuples are visited in rank (= lexicographic) order, so the first member
-    seen in each orbit is its lexicographically least one.
+    seen in each orbit is its lexicographically least one.  Each new orbit
+    is one gather: the ranks of its first member's images under every element.
     """
     v = action.degree
     total = v**t
     limits.check_table_bytes(total, 8, "orbit table")
     orbit_id = np.full(total, -1, dtype=np.int64)
+    places = v ** np.arange(t - 1, -1, -1)  # base-v rank, first symbol most significant
     reps: list[tuple[int, ...]] = []
-    lengths: list[int] = []
     for rank in range(total):
-        if orbit_id[rank] >= 0:
-            continue
-        oid = len(reps)
-        tup = symbols_unrank(rank, t, v)
-        members = set()
-        for perm in action.elements:
-            image = tuple(perm[s] for s in tup)
-            members.add(symbols_rank(image, v))
-        for r in members:
-            orbit_id[r] = oid
-        reps.append(tup)
-        lengths.append(len(members))
+        if orbit_id[rank] < 0:
+            reps.append(symbols_unrank(rank, t, v))
+            orbit_id[action.perms[:, reps[-1]] @ places] = len(reps) - 1
     orbit_id.setflags(write=False)
-    return OrbitTable(t, action, tuple(reps), tuple(lengths), orbit_id)
+    lengths = tuple(np.bincount(orbit_id).tolist())
+    return OrbitTable(t, action, tuple(reps), lengths, orbit_id)
 
 
 def develop(array: SymbolArray, action: GroupAction) -> SymbolArray:
@@ -320,13 +293,10 @@ def develop(array: SymbolArray, action: GroupAction) -> SymbolArray:
     one per group element in element order.
     """
     if action.degree != array.params.v:
-        raise ValueError(
-            f"action degree {action.degree} does not match v={array.params.v}"
-        )
-    perms = np.array(action.elements, dtype=np.int32)
-    limits.check_table_bytes(len(perms) * array.cells.size, perms.itemsize, "developed rows")
+        raise ValueError(f"action degree {action.degree} does not match v={array.params.v}")
+    limits.check_table_bytes(action.order * array.cells.size, 4, "developed rows")  # int32
     # (n, order, k) in one allocation: row i's image under element g
-    images = perms[np.arange(len(perms))[None, :, None], array.cells[:, None, :]]
+    images = action.perms[np.arange(action.order)[None, :, None], array.cells[:, None, :]]
     return SymbolArray(array.params, images.reshape(-1, array.params.k))
 
 

@@ -12,11 +12,13 @@ Both caps can be configured through the environment:
   table (default 50 million).
 
 Each value must be a nonnegative integer; anything else raises a
-ValueError naming the variable.
+ValueError naming the variable.  A refusal names each count in full up to
+15 digits, and past that to six digits and a power of ten.
 """
 
 import math
 import os
+from decimal import Decimal
 
 from .errors import ResourceLimitError
 
@@ -52,14 +54,20 @@ def column_set_cap() -> int:
     return _env_count("COVERKIT_MAX_COLUMN_SETS", _DEFAULT_COLUMN_SET_CAP)
 
 
+def _count(n: int) -> str:
+    """n in full up to 15 digits, else like 5.30827e+399.  Decimal holds n
+    exactly, past the floats and past the digits str() converts."""
+    return str(n) if n < 10**15 else f"{Decimal(n):.5e}"
+
+
 def check_table_bytes(n_entries: int, bytes_per_entry: int, what: str) -> None:
     """Raise ResourceLimitError if a table would exceed the memory cap."""
     need = n_entries * bytes_per_entry
     cap = memory_cap_bytes()
     if need > cap:
         raise ResourceLimitError(
-            f"{what} needs {need} bytes for {n_entries} entries, "
-            f"above the configured cap of {cap} bytes"
+            f"{what} needs {_count(need)} bytes for {_count(n_entries)} entries, "
+            f"above the configured cap of {_count(cap)} bytes"
         )
 
 
@@ -69,7 +77,7 @@ def check_column_sets(k: int, t: int, what: str) -> None:
     cap = column_set_cap()
     if total > cap:
         raise ResourceLimitError(
-            f"{what} would stream {total} column sets, above the cap of {cap}"
+            f"{what} would stream {_count(total)} column sets, above the cap of {_count(cap)}"
         )
 
 
@@ -77,4 +85,5 @@ def check_steps(n_steps: int, what: str) -> None:
     """Raise ResourceLimitError if a loop of n_steps is over the column-set cap."""
     cap = column_set_cap()
     if n_steps > cap:
-        raise ResourceLimitError(f"{what} would take {n_steps} steps, above the cap of {cap}")
+        raise ResourceLimitError(
+            f"{what} would take {_count(n_steps)} steps, above the cap of {_count(cap)}")

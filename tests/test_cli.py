@@ -633,6 +633,10 @@ BAD_INPUTS = [
     pytest.param(["sweep", "-t", "200", "-v", "100", "--k", "201", "--methods", "discrete_slj",
                   "--out", "{tmp}/x.csv"],
                  3, "discrete recurrence trace would take", id="sweep-discrete-slj-past-floats"),
+    # past 4300 digits, more than str() converts: the count goes through Decimal
+    pytest.param(["bounds", "-t", "3000", "-k", "3001", "-v", "100", "--methods", "discrete_slj"],
+                 3, "discrete recurrence trace would take 8.00703e+6000 steps",
+                 id="discrete-slj-past-str-digits"),
     pytest.param(["bounds", "-t", "200", "-k", "201", "-v", "100", "--methods", "dslj_estimate"],
                  2, "ratio too close to 1 for binary64 logarithms",
                  id="dslj-estimate-past-floats"),
@@ -671,8 +675,8 @@ BAD_INPUTS = [
                   "--n", "1:", "--out", "{tmp}/x.csv"],
                  2, "bad range '1:'", id="sweep-n-empty-field"),
     # ranges refused before their lists are built: past sys.maxsize entries,
-    # and past a 1 MiB cap (136 bytes a row, and 172 an n, so about 13 and
-    # 17 MB)
+    # and past a 1 MiB cap (136 bytes a row, and 132 an n, so about 13 MB
+    # each)
     pytest.param(["sweep", "-t", "2", "-v", "2", "--k", "1:10000000000000000000",
                   "--out", "{tmp}/x.csv"],
                  3, "--k range '1:10000000000000000000' needs", id="sweep-k-past-maxsize"),
@@ -702,6 +706,10 @@ BAD_INPUTS = [
     pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "5", "-k", "6", "-v", "5",
                   "--n-override", "14000", "--out", "{tmp}/x.ca"],
                  3, "verifier AND block needs", id="build-verifier-over-cap"),
+    # the cyclic group's 30000 x 30000 table, refused before it is built
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=64", "build", "-t", "2", "-k", "3", "-v", "30000",
+                  "--strategy", "mt_cyclic", "--out", "{tmp}/x.ca"],
+                 3, "cyclic group table on 30000 symbols needs", id="build-cyclic-group-table"),
     # symbols past the int32 cells of an array, refused before rows are drawn
     pytest.param(["build", "-t", "2", "-k", "3", "-v", "5000000000", "--n-override", "20",
                   "--out", "{tmp}/x.ca"],
@@ -737,6 +745,15 @@ class TestErrorExits:
         assert result.stderr.startswith("error:") and message in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == "" and list(tmp_path.iterdir()) == []
+
+    def test_long_counts_print_as_six_digits_and_a_power_of_ten(self, capsys):
+        # the step count has 401 digits; printed whole, the line was 479 bytes
+        code, out, err = run(["bounds", "-t", "200", "-k", "201", "-v", "100",
+                              "--methods", "discrete_slj"], capsys)
+        assert code == 3 and out == ""
+        assert err == ("error: discrete recurrence trace would take 5.30827e+400 steps,"
+                       " above the cap of 50000000\n")
+        assert len(err) == 90
 
     @pytest.mark.parametrize("strategy, flags", [
         ("two_stage", ["--resample-cap", "5"]),

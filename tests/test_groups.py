@@ -13,6 +13,7 @@ import pytest
 from coverkit.core import CAParams, Interaction, SymbolArray, covers
 from coverkit.errors import UnsupportedParameterError
 from coverkit.groups import (
+    GroupAction,
     constant_rows,
     develop,
     enumerate_orbits,
@@ -31,18 +32,24 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _elements(action) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``perms`` as tuples, in element order."""
+    return tuple(map(tuple, action.perms.tolist()))
+
+
 class TestFiniteField:
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
     def test_inverses_everywhere(self, q):
+        # every nonzero row of the multiplication table holds 1 exactly once
         fld = finite_field(q)
-        for a in range(1, q):
-            assert fld.mul(a, fld.inv(a)) == 1
+        assert ((fld.mul_table[1:] == 1).sum(axis=1) == 1).all()
 
     @pytest.mark.parametrize("q", [4, 8, 9])
     def test_full_distributivity(self, q):
         fld = finite_field(q)
+        add, mul = fld.add_table, fld.mul_table
         for a, b, c in product(range(q), repeat=3):
-            assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+            assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
 
     def test_gf4_modulus_is_lowest(self):
         # x^2 + x + 1 is the only irreducible quadratic over GF(2)
@@ -58,9 +65,13 @@ class TestFiniteField:
 
     def test_prime_field_is_arithmetic_mod_p(self):
         fld = finite_field(7)
-        for a, b in product(range(7), repeat=2):
-            assert fld.add(a, b) == (a + b) % 7
-            assert fld.mul(a, b) == (a * b) % 7
+        codes = np.arange(7)
+        assert np.array_equal(fld.add_table, np.add.outer(codes, codes) % 7)
+        assert np.array_equal(fld.mul_table, np.multiply.outer(codes, codes) % 7)
+
+    def test_tables_are_read_only(self):
+        fld = finite_field(4)
+        assert not fld.add_table.flags.writeable and not fld.mul_table.flags.writeable
 
     def test_rejects_non_prime_power(self):
         with pytest.raises(UnsupportedParameterError):
@@ -70,19 +81,73 @@ class TestFiniteField:
     def test_tables_match_pinned_digests(self, q):
         # every prime power q <= 49: the same modulus, so the same numbering
         fld = finite_field(q)
-        pairs = list(product(range(q), repeat=2))
-        assert _sha256(bytes(fld.add(a, b) for a, b in pairs)) == DIGESTS["add"][str(q)]
-        assert _sha256(bytes(fld.mul(a, b) for a, b in pairs)) == DIGESTS["mul"][str(q)]
+        assert _sha256(bytes(fld.add_table.ravel().tolist())) == DIGESTS["add"][str(q)]
+        assert _sha256(bytes(fld.mul_table.ravel().tolist())) == DIGESTS["mul"][str(q)]
+
+
+# two commuting transpositions on four symbols: a closed group of order 4
+# that moves 0 only to 1, so not transitive
+KLEIN_ON_PAIRS = [(0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2)]
+
+
+class TestGroupActionChecks:
+    """Each refusal of construction and of ``validate``, on hand-made tables."""
+
+    @pytest.mark.parametrize("rows, degree, message", [
+        ([(0, 1, 2), (0, 0, 1)], 3, r"not a permutation of 0\.\.2: \(0, 0, 1\)"),
+        ([(0, 1, 2), (1, 2, 3)], 3, r"not a permutation of 0\.\.2: \(1, 2, 3\)"),
+        ([(0, 1)], 3, r"not a permutation of 0\.\.2: a table of shape \(1, 2\)"),
+        ([(1, 2, 0), (2, 0, 1)], 3, "identity element missing"),
+        ([(0, 1, 2), (1, 2, 0), (1, 2, 0)], 3, "duplicate group elements"),
+        (KLEIN_ON_PAIRS, 4, "action is not sharply 1-transitive on 4 symbols"),
+        ([(0, 1, 2), (1, 2, 0)], 3, "action is not sharply 1-transitive on 3 symbols"),
+    ])
+    def test_construction_refusals(self, rows, degree, message):
+        with pytest.raises(ValueError, match=message):
+            GroupAction("hand-made", degree, rows, 1)
+
+    def test_not_closed(self):
+        # regular on the symbol 0, but (1 2 0) after itself is (2 0 1)
+        action = GroupAction("hand-made", 3, [(0, 1, 2), (1, 2, 0), (2, 1, 0)], 1)
+        with pytest.raises(ValueError, match="group is not closed under composition"):
+            action.validate()
+
+    def test_source_misses_targets(self):
+        # validate does not lean on construction: a closed table swapped in
+        # after it is caught at the first source it does not carry everywhere
+        action = make_cyclic(4)
+        object.__setattr__(action, "perms", np.array(KLEIN_ON_PAIRS, dtype=np.int32))
+        with pytest.raises(ValueError, match=r"not sharply 1-transitive: source \(0,\) misses"):
+            action.validate()
+
+    def test_trivial_action_validates(self):
+        make_trivial(4).validate()
+
+    def test_table_is_read_only_int32_and_identity_first(self):
+        for action in (make_cyclic(5), make_frobenius(5), make_pgl(5), make_trivial(5)):
+            assert action.perms.dtype == np.int32 and not action.perms.flags.writeable
+            assert action.perms[0].tolist() == list(range(5))
+
+    def test_an_int32_table_is_frozen_in_place_and_any_other_copied(self):
+        table = np.array([(0, 1), (1, 0)], dtype=np.int32)
+        assert GroupAction("hand-made", 2, table, 1).perms is table
+        assert not table.flags.writeable
+        wide = np.array([(0, 1), (1, 0)], dtype=np.int64)
+        assert GroupAction("hand-made", 2, wide, 1).perms.dtype == np.int32
+        assert wide.flags.writeable
+
+    def test_actions_compare_by_identity(self):
+        assert make_cyclic(3) != make_cyclic(3)
 
 
 class TestCyclic:
     def test_v2_is_identity_and_swap(self):
         action = make_cyclic(2)
-        assert set(action.elements) == {(0, 1), (1, 0)}
+        assert _elements(action) == ((0, 1), (1, 0))
 
     def test_v3_elements_are_cycle_powers(self):
         action = make_cyclic(3)
-        assert set(action.elements) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+        assert _elements(action) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def test_sharply_transitive_v5_exhaustive(self):
         make_cyclic(5).validate()
@@ -98,7 +163,7 @@ class TestFrobenius:
 
         action = make_frobenius(3)
         assert action.order == 6
-        assert set(action.elements) == set(permutations(range(3)))
+        assert set(_elements(action)) == set(permutations(range(3)))
         action.validate()
 
     def test_v4_order(self):
@@ -116,7 +181,7 @@ class TestFrobenius:
     @pytest.mark.parametrize("v", sorted(map(int, DIGESTS["frobenius"])))
     def test_elements_match_pinned_digests(self, v):
         # element order fixes develop's row order, so it is pinned too
-        elements = make_frobenius(v).elements
+        elements = _elements(make_frobenius(v))
         assert _sha256(repr(elements).encode()) == DIGESTS["frobenius"][str(v)]
 
 
@@ -126,7 +191,7 @@ class TestPgl:
         assert action.order == 6
         from itertools import permutations
 
-        assert set(action.elements) == set(permutations(range(3)))
+        assert set(_elements(action)) == set(permutations(range(3)))
 
     def test_v4_sharply_3_transitive_exhaustive(self):
         action = make_pgl(4)
@@ -150,7 +215,7 @@ class TestPgl:
 
     @pytest.mark.parametrize("v", sorted(map(int, DIGESTS["pgl"])))
     def test_elements_match_pinned_digests(self, v):
-        elements = make_pgl(v).elements
+        elements = _elements(make_pgl(v))
         assert _sha256(repr(elements).encode()) == DIGESTS["pgl"][str(v)]
 
 
@@ -199,11 +264,29 @@ class TestOrbitTables:
     def test_representatives_are_lex_least(self):
         table = enumerate_orbits(make_frobenius(3), 2)
         for oid, rep in enumerate(table.representatives):
-            members = [
-                tuple(perm[s] for s in rep) for perm in table.action.elements
-            ]
-            assert rep == min(set(members))
-            assert table.length_of(rep) == table.lengths[oid]
+            members = {tuple(perm[s] for s in rep) for perm in _elements(table.action)}
+            assert rep == min(members)
+            assert table.lengths[oid] == len(members)
+
+    @pytest.mark.parametrize("make, v, t", [
+        (make_cyclic, 4, 3), (make_frobenius, 4, 3), (make_frobenius, 5, 2),
+        (make_pgl, 5, 3), (make_pgl, 4, 4), (make_trivial, 3, 2),
+    ])
+    def test_matches_a_loop_over_elements(self, make, v, t):
+        # the reference: each tuple in lexicographic order not yet placed
+        # starts an orbit of its images under every element, one at a time
+        action = make(v)
+        table = enumerate_orbits(action, t)
+        perms = _elements(action)
+        orbit_of, reps, lengths = {}, [], []
+        for tup in product(range(v), repeat=t):
+            if tup not in orbit_of:
+                members = {tuple(perm[s] for s in tup) for perm in perms}
+                orbit_of.update(dict.fromkeys(members, len(reps)))
+                reps.append(tup)
+                lengths.append(len(members))
+        assert table.representatives == tuple(reps) and table.lengths == tuple(lengths)
+        assert table.orbit_id_of.tolist() == [orbit_of[tup] for tup in product(range(v), repeat=t)]
 
     def test_sharp_transitivity_forces_full_orbits(self):
         # any tuple with l distinct symbols has a full-length orbit
@@ -257,7 +340,7 @@ class TestDevelop:
             tracemalloc.stop()
         assert out.n_rows == 200 * action.order
         assert peak <= 2.1 * out.cells.nbytes
-        perms = np.array(action.elements)
+        perms = action.perms
         assert np.array_equal(out.cells[5 * action.order + 7], perms[7][arr.cells[5]])
 
     def test_orbit_representative_development_is_covering(self):
@@ -290,7 +373,7 @@ class TestDevelop:
                                 inter = Interaction(cols, syms)
                                 orbit_hit = any(
                                     covers(arr, Interaction(cols, tuple(perm[s] for s in syms)))
-                                    for perm in action.elements
+                                    for perm in _elements(action)
                                 )
                                 assert covers(dev, inter) == orbit_hit
 

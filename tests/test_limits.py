@@ -1,11 +1,12 @@
 """Resource cap behavior: configured limits turn into ResourceLimitError."""
 
 import math
+import re
 import tracemalloc
 
 import pytest
 
-from coverkit import bounds, limits
+from coverkit import bounds, cli, limits
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
@@ -16,7 +17,14 @@ from coverkit.construct import (
 )
 from coverkit.core import CAParams, Interaction, SymbolArray
 from coverkit.errors import ResourceLimitError
-from coverkit.groups import enumerate_orbits, finite_field, make_cyclic, make_frobenius, make_pgl
+from coverkit.groups import (
+    enumerate_orbits,
+    finite_field,
+    make_cyclic,
+    make_frobenius,
+    make_pgl,
+    make_trivial,
+)
 from coverkit.verify import full_check
 
 
@@ -126,11 +134,33 @@ class TestMemoryCap:
         (600, lambda: finite_field(4), r"GF\(4\) distributivity"),  # tables need 512 bytes
         (1200, lambda: make_frobenius(4), "Frobenius group"),  # GF(4) needs 1088
         (2000, lambda: make_pgl(5), r"PGL\(2, 4\) images"),
+        (200, lambda: make_cyclic(3), "cyclic group table on 3 symbols"),  # 9 entries
+        (20, lambda: make_trivial(3), "trivial group table on 3 symbols"),
     ])
     def test_field_and_group_tables_are_checked_first(self, monkeypatch, cap, build, what):
         monkeypatch.setattr(limits, "memory_cap_bytes", lambda: cap)
         with pytest.raises(ResourceLimitError, match=what):
             build()
+
+    @pytest.mark.parametrize("make, v", [(make_cyclic, 1000), (make_frobenius, 64),
+                                         (make_pgl, 17), (make_trivial, 100_000)])
+    def test_group_table_price_covers_its_peak(self, monkeypatch, make, v):
+        # the largest price a make_* checks covers everything it allocates
+        prices = []
+        check = limits.check_table_bytes
+
+        def record(n_entries, bytes_per_entry, what):
+            prices.append(n_entries * bytes_per_entry)
+            check(n_entries, bytes_per_entry, what)
+
+        monkeypatch.setattr(limits, "check_table_bytes", record)
+        tracemalloc.start()
+        try:
+            make(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(prices)
 
     def test_orbit_table_respects_cap(self, monkeypatch):
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "0")
@@ -141,6 +171,61 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "64")
         arr = random_array(CAParams(2, 4, 2), 3, seed=1)
         assert count_uncovered(arr) == full_check(arr).uncovered_count
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTwoStagePrice:
+    """``bounds.two_stage_entry_bytes`` is the one per-n price of the
+    two-stage objectives, and it covers the peak of both of its callers
+    where the objectives dominate the memory."""
+
+    def test_covers_the_search_window(self):
+        p = CAParams(8, 10, 12)  # a window of 71,847 n, about 121 bytes each
+        lo, hi = bounds.two_stage_bound(p).notes["search_window"]
+        peak = _peak(lambda: bounds.two_stage_bound(p))
+        assert peak <= (hi - lo + 1) * bounds.two_stage_entry_bytes(p)
+
+    def test_covers_a_sweep_over_n(self, tmp_path, capsys):
+        # 200,001 n from 0, about 125 bytes each
+        argv = ["sweep", "-t", "3", "-v", "3", "--k", "100", "--methods", "two_stage_curve",
+                "--n", "0:200000", "--out", str(tmp_path / "curve.csv")]
+        peak = _peak(lambda: cli.main(argv))
+        capsys.readouterr()
+        assert peak <= 200_001 * bounds.two_stage_entry_bytes(CAParams(3, 100, 3))
+
+    def test_both_callers_refuse_the_same_count(self, monkeypatch, tmp_path, capsys):
+        # (10,12,10): a window of 346,427 n at 144 bytes, about 47.6 MiB
+        p = CAParams(10, 12, 10)
+        assert 346_427 * bounds.two_stage_entry_bytes(p) == 49_885_488
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 49_885_487)
+        with pytest.raises(ResourceLimitError, match="two-stage search window"):
+            bounds.two_stage_bound(p)
+        argv = ["sweep", "-t", "10", "-v", "10", "--k", "12", "--methods", "two_stage_curve",
+                "--n", "1:346427", "--out", str(tmp_path / "curve.csv")]
+        assert cli.main(argv) == 3
+        assert "--n range '1:346427' needs 49885488 bytes" in capsys.readouterr().err
+
+
+class TestRefusalCounts:
+    @pytest.mark.parametrize("count, text", [
+        (999_999_999_999_999, "999999999999999"),
+        (10**15, "1.00000e+15"),
+        (123_456_789_012_345_678, "1.23457e+17"),
+        (10**5000 + 1, "1.00000e+5000"),  # past the 4300 digits str() converts
+    ], ids=["15-digits", "16-digits", "18-digits", "5001-digits"])
+    def test_fifteen_digits_in_full_and_then_six(self, monkeypatch, count, text):
+        monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", "0")
+        message = re.escape(f"would take {text} steps, above the cap of 0")
+        with pytest.raises(ResourceLimitError, match=message + "$"):
+            limits.check_steps(count, "walk")
 
 
 class TestWorkingBudget:
