@@ -70,6 +70,7 @@ __all__ = [
     "two_stage_objective",
     "two_stage_objectives",
     "two_stage_entry_bytes",
+    "TWO_STAGE_CALL_BYTES",
     "gss_lll_bound",
     "cyclic_lll_bound",
     "frobenius_lll_bound",
@@ -358,12 +359,19 @@ def two_stage_objectives(params: CAParams, ns: Sequence[int]) -> list[int]:
     return [n + f for n, f in zip(ns, floors)]
 
 
+# what a ``two_stage_objectives`` call holds whatever its length: the float
+# pass's scalars and, under ``sweep --n``, the output file's buffer
+TWO_STAGE_CALL_BYTES = 1 << 18
+
+
 def two_stage_entry_bytes(params: CAParams) -> int:
-    """The memory price per n of ``two_stage_objectives`` at its peak, with
-    the caller's list of ns: three list slots and ints (n, floor, objective)
-    sized as C(k,t) * v**t, and 24 bytes for the float pass beyond them.
-    Measured with tracemalloc in tests/test_limits.py."""
-    return 24 + 3 * (8 + sys.getsizeof(params.interaction_space_size))
+    """The memory price per n of ``two_stage_objectives`` at its peak, in
+    its float pass, with the caller's list of ns: two list slots and ints
+    (n and its floor) sized as C(k,t) * v**t, and twelve 8-byte entries of
+    the float pass beyond them (its float64 arrays, their int64 copy and
+    the lists made from it).  ``TWO_STAGE_CALL_BYTES`` is priced once per
+    call on top.  Measured with tracemalloc in tests/test_limits.py."""
+    return 96 + 2 * (8 + sys.getsizeof(params.interaction_space_size))
 
 
 def two_stage_bound(params: CAParams) -> BoundReport:
@@ -382,7 +390,8 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     centre, span = num.optimum_window(total, vt, vt - 1)
     radius = max(64, math.isqrt(span) + 8)
     lo, hi = max(0, centre - radius), centre + radius
-    limits.check_table_bytes(hi - lo + 1, two_stage_entry_bytes(params), "two-stage search window")
+    limits.check_table_bytes(hi - lo + 1, two_stage_entry_bytes(params), "two-stage search window",
+                             fixed=TWO_STAGE_CALL_BYTES)
 
     values = two_stage_objectives(params, range(lo, hi + 1))
     best_val = min(values)

@@ -161,11 +161,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VERIFY
 
 
-def _parse_range(text: str, flag: str, entry_bytes: int) -> list[int]:
+def _parse_range(text: str, flag: str, entry_bytes: int, fixed: int = 0) -> list[int]:
     """The integers of lo:hi[:step] (step 1 by default), or one integer;
     anything else raises ValueError("bad range ...").  A range whose
-    entries, at ``entry_bytes`` each, would pass the memory cap raises
-    ResourceLimitError before its list is built."""
+    entries, at ``entry_bytes`` each, and ``fixed`` bytes beside them
+    would pass the memory cap raises ResourceLimitError before its list is
+    built."""
     try:
         parts = [int(part) for part in text.split(":")]
     except ValueError:
@@ -176,7 +177,7 @@ def _parse_range(text: str, flag: str, entry_bytes: int) -> list[int]:
         lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
         if step >= 1 and hi >= lo:
             length = (hi - lo) // step + 1
-            limits.check_table_bytes(length, entry_bytes, f"{flag} range {text!r}")
+            limits.check_table_bytes(length, entry_bytes, f"{flag} range {text!r}", fixed)
             return list(range(lo, hi + 1, step))
     raise ValueError(f"bad range {text!r}")
 
@@ -198,7 +199,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise UnsupportedParameterError("two_stage_curve needs a single k")
         params = CAParams(args.t, ks[0], args.v)
         if args.n is not None:
-            ns = _parse_range(args.n, "--n", bounds.two_stage_entry_bytes(params))
+            ns = _parse_range(args.n, "--n", bounds.two_stage_entry_bytes(params),
+                              bounds.TWO_STAGE_CALL_BYTES)
         else:  # 1025 n around the bound's minimizer
             center = bounds.two_stage_bound(params).stage1_rows
             ns = list(range(max(0, center - 512), center + 513))

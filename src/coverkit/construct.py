@@ -28,13 +28,17 @@ listing, the colour classes, stage-2 patch rows, developed and pair
 rows) is checked against the memory cap first.  All coverage questions -
 the uncovered scan, the density state and the resampling scan - go
 through one kernel, ``_coverage_tables``.  It yields the column t-sets
-in colex order, one block per last column, ranks every row's tuples from
-prefix ranks that the sets share, and keeps what is in flight within the
-working budget of ``limits``.  A block holds a rank range of prefixes,
-its last column and its seen table, not its sets: each consumer unranks
+in colex order, in blocks of consecutive set ranks: whole last columns
+while they fit its rank buffer, and a larger column alone.  It ranks
+every row's tuples from prefix ranks that the sets share, a block's in
+one gather from the prefixes and one from the columns, and keeps what is
+in flight within the working budget of ``limits``.  A block holds its
+first set rank and its seen table, not its sets: each consumer unranks
 only the sets it reads.  The resampling scan unranks one set per
-resample, the uncovered scan the sets of its listing, and the density
-state, the one consumer that reads them all, every block whole.  The
+resample and starts each rescan at the first set ending at the lowest
+column it resampled, the uncovered scan unranks the sets of its listing,
+and the density state, the one consumer that reads them all, every
+block whole.  The
 uncovered scan counts and lists in one pass: the exact count, and the
 uncovered interactions in rank order while that count stays within a cap
 (the stage-1 target), so a two-stage build never holds a table of all
@@ -48,6 +52,7 @@ the counts below the prefix each set holding the column has so far.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from bisect import bisect_right
@@ -202,39 +207,51 @@ def _colex_unrank(ranks: np.ndarray, binomials: np.ndarray) -> np.ndarray:
     return sets
 
 
+@functools.lru_cache(maxsize=64)
+def _binomials(t: int, k: int) -> np.ndarray:
+    """The kernel's colex table, read-only and shared by the scans of a
+    shape: binomials[i - 1, c] is C(c, i) for i = 1..t and c < k, capped at
+    C(k, t), above every set rank."""
+    total = math.comb(k, t)
+    table = np.array([[min(math.comb(c, i), total) for c in range(k)] for i in range(1, t + 1)])
+    table.setflags(write=False)
+    return table
+
+
 class _Block(NamedTuple):
-    """One block of the coverage kernel: the column t-sets whose last
-    column is ``c`` and whose (t-1)-prefixes have colex rank lo, lo+1, ...,
-    one per row of their seen table.  The sets are not held; ``sets``
-    unranks the rows a consumer reads."""
+    """One block of the coverage kernel: the column t-sets of colex rank
+    lo, lo+1, ..., one per row of their seen table.  The sets are not held;
+    ``sets`` unranks the rows a consumer reads."""
 
     lo: int
-    c: int
     seen: np.ndarray
     binomials: np.ndarray  # the kernel's table for ``_colex_unrank``
 
     def sets(self, rows: np.ndarray | None = None) -> np.ndarray:
         """The column sets of the given rows (all of them by default), as
         an intp array of one set per row."""
-        prefixes = self.lo + (np.arange(len(self.seen)) if rows is None else np.asarray(rows))
-        sets = np.empty((len(prefixes), len(self.binomials) + 1), dtype=np.intp)
-        sets[:, :-1], sets[:, -1] = _colex_unrank(prefixes, self.binomials), self.c
-        return sets
+        rows = np.arange(len(self.seen)) if rows is None else np.asarray(rows, dtype=np.intp)
+        return _colex_unrank(self.lo + rows, self.binomials)
 
 
 class _PrefixLevels:
     """The prefix ranks of one row chunk, as levels: level 0 is the empty
     prefix, level 1 the columns, and level l >= 2 a window over the
     l-prefixes of colex rank first[l]..end[l]-1, at most spans[l] of them
-    (one column of each level array per row).  The l-prefixes ending at
-    column e are the (l-1)-prefixes before e times v plus column e, so a
-    level is filled from the one below, as far as the one above asks, and
-    nothing is gathered.  table[l - 1][e] is C(e, l), capped at the number
-    of top-level prefixes."""
+    and below sizes[l], the l-prefixes that some (t-1)-prefix extends (one
+    column of each level array per row).  The l-prefix of rank r, or the
+    t-set at l = t, ends at the largest column e with C(e, l) <= r, and its
+    parent, the rest of it, is the (l-1)-prefix of rank r - C(e, l): one
+    vectorised colex split gives both for a range of ranks.  A prefix's
+    rank is its parent's times v plus its symbol in column e, so a range
+    takes one gather from the level below and one from the columns.
+    ``binomials`` is the kernel's ``_binomials`` and ``table`` its list
+    form."""
 
-    def __init__(self, spans: list[int], chunk: int, dtype: np.dtype,
-                 table: list[list[int]], v: int) -> None:
-        self.spans, self.table, self.v = spans, table, v
+    def __init__(self, sizes: list[int], spans: list[int], chunk: int, dtype: np.dtype,
+                 binomials: np.ndarray, v: int) -> None:
+        self.sizes, self.spans, self.v = sizes, spans, v
+        self.binomials, self.table = binomials, binomials.tolist()
         self.store = [np.zeros((1, chunk), dtype=dtype)]
         self.store += [np.empty((span, chunk), dtype=dtype) for span in spans[1:]]
 
@@ -245,61 +262,130 @@ class _PrefixLevels:
         self.first = [0] * len(self.spans)
         self.end = self.spans[:2] + [0] * (len(self.spans) - 2)
 
-    def ranks(self, l: int, lo: int, hi: int) -> np.ndarray:
-        """Level l's prefixes of rank lo..hi-1, which it must hold."""
-        return self.levels[l][lo - self.first[l] : hi - self.first[l]]
+    def parents(self, l: int, lo: int, hi: int) -> tuple[int, int]:
+        """The rank range of the parents of the l-prefixes lo..hi-1: part
+        of one column's, or from 0 when they end at more than one column."""
+        row = self.table[l - 1]
+        e, f = bisect_right(row, lo) - 1, bisect_right(row, hi - 1) - 1
+        if e == f:
+            return lo - row[e], hi - row[e]
+        return 0, max(math.comb(f - 1, l - 1), hi - row[f])
+
+    def split(self, l: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The parents' ranks and the last columns of the l-prefixes
+        lo..hi-1 (the t-sets at l = t)."""
+        row = self.binomials[l - 1]
+        ranks = np.arange(lo, hi)
+        last = row[1:].searchsorted(ranks, side="right")  # row[0] = C(0, l) = 0
+        ranks -= row[last]
+        return ranks, last
+
+    def rank(self, l: int, parents: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
+        """Write the ranks of the l-prefixes with these parents and last
+        columns into out, one row each, in its dtype: one gather from level
+        l-1, which must hold the parents, and one from the columns."""
+        below = self.levels[l - 1][parents - self.first[l - 1]]
+        np.multiply(below, self.v, out=out, dtype=out.dtype)
+        out += self.levels[1][last]
 
     def fill(self, l: int, lo: int, hi: int) -> None:
         """Make level l hold the prefixes of rank lo..hi-1 (at most its
         span), extending its window or, when that cannot reach hi,
-        restarting it at lo."""
+        restarting it at lo.  A window that grows at least doubles, within
+        its span and its level, so a scan extends it a few times, not once
+        per block.  Each gather takes as many prefixes as level l-1's
+        window holds the parents of: all of them when it holds its whole
+        level, else up to the first column or the first prefix whose
+        parent would not fit."""
         first, end, spans = self.first, self.end, self.spans
         if lo < first[l] or lo > end[l] or hi - first[l] > spans[l]:
             first[l] = end[l] = lo
-        while end[l] < hi:  # the l-prefixes ending at e, no more than level l-1 holds
-            e = bisect_right(self.table[l - 1], end[l]) - 1
-            a = self.table[l - 1][e]
-            b = min(math.comb(e + 1, l), hi, end[l] + spans[l - 1])
-            self.fill(l - 1, end[l] - a, b - a)
-            part = self.ranks(l, end[l], b)
-            np.multiply(self.ranks(l - 1, end[l] - a, b - a), self.v, out=part)
-            part += self.levels[1][e]
+        elif hi > end[l]:
+            hi = max(hi, min(2 * end[l] - first[l], first[l] + spans[l], self.sizes[l]))
+        row, span = self.table[l - 1], spans[l - 1]
+        while end[l] < hi:
+            e = bisect_right(row, end[l]) - 1  # the last column of prefix end[l]
+            whole = bisect_right(self.table[l - 2], span) - 1  # the last whose parents fit
+            if e <= whole:
+                b = min(hi, math.comb(whole + 1, l) + span)
+            else:
+                b = min(hi, math.comb(e + 1, l), end[l] + span)
+            self.fill(l - 1, *self.parents(l, end[l], b))
+            part = self.levels[l][end[l] - first[l] : b - first[l]]
+            self.rank(l, *self.split(l, end[l], b), part)
             end[l] = b
+
+
+def _block_ranges(
+    t: int, k: int, column: int, sub: int, span: int, group: int
+) -> Iterator[tuple[int, int, int]]:
+    """The kernel's blocks from C(column, t), the first set ending at
+    ``column``, as (lo, hi, step): set ranks lo..hi-1, ranked ``step`` sets
+    at a time.  A block holds whole consecutive last columns while they fit
+    ``sub`` sets, the rank buffer, and the top level's window of ``span``
+    prefixes holds each column's; it is ranked whole.  A column of more is
+    a block alone, cut in parts of ``group`` sets, and ranked at most
+    ``sub`` and ``span`` sets at a time."""
+    step = min(sub, span)
+    lo = hi = math.comb(column, t)
+    for c in range(column, k):
+        count = math.comb(c, t - 1)
+        if hi > lo and (hi - lo + count > sub or count > step):
+            yield lo, hi, sub
+            lo = hi
+        if count > step:
+            for a in range(hi, hi + count, group):
+                yield a, min(a + group, hi + count), step
+            lo = hi + count
+        hi += count
+    if hi > lo:
+        yield lo, hi, sub
 
 
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
     orbits: OrbitTable | None = None,
+    column: int = 0,
 ) -> Iterator[_Block]:
     """The coverage kernel: yield ``_Block``s that together hold every
-    column t-set once, in colex order.  A block is a rank range of
-    (t-1)-prefixes, its last column c and its seen table: seen[j, i] is
-    True iff some row's symbol tuple on the block's j-th set has rank i
-    or, given ``orbits``, lies in orbit i.  The kernel unranks no set.
-    Each consumer unranks what it reads: the resampling scan its first
-    offender, the uncovered scan the sets of its listing while it keeps
-    one, and only the density state every set of every block.
+    column t-set once, in colex order, from C(column, t) on: the first set
+    ending at ``column``, the very first by default.  A block is a range of
+    set ranks and its seen table: seen[j, i] is True iff some row's symbol
+    tuple on the block's j-th set has rank i or, given ``orbits``, lies in
+    orbit i.  The kernel unranks no set.  Each consumer unranks what it
+    reads: the resampling scan its first offender, the uncovered scan the
+    sets of its listing while it keeps one, and only the density state
+    every set of every block.
 
     Of the working budget, ``limits.working_bytes()``, the prefix levels
-    of one row chunk take up to half, one block's seen table and its sets,
-    when a consumer unranks them all, a quarter, and the rank buffer
-    1/128, which keeps it in cache.  The t-sets ending at column c are the
-    first C(c, t-1) (t-1)-prefixes in colex order plus c, so each c is one
-    block, cut in parts only when it is over that quarter.  A tuple's rank
-    is its prefix's rank times v plus its symbol in column c.  The prefix
-    ranks are ``_PrefixLevels``; level l holds only the l-prefixes that
-    some (t-1)-prefix extends.  A block's ranks are taken in place, a few
-    prefixes at a time, and scattered into one flat table.
+    of one row chunk take up to half; one block's seen table, its sets
+    when a consumer unranks them all, its colex split and the offsets of
+    its sets in the table a quarter; and the rank buffer of ``sub`` sets
+    1/128, which keeps it in cache, with their tuple ranks in a dtype that
+    holds v**t beside it.  The t-sets ending at column c are the
+    first C(c, t-1) (t-1)-prefixes in colex order plus c.  A block holds
+    whole consecutive last columns while they fit the rank buffer, and is
+    ranked whole; a larger column is a block alone, cut in parts when it
+    is over that quarter, and ranked up to ``sub`` sets at a time.  A
+    tuple's rank is its prefix's rank times v plus its symbol in its last
+    column, so a block's ranks take one gather from the top prefix level
+    and one from the columns, and are scattered into one flat table.  The
+    prefix ranks are ``_PrefixLevels``.  Each level is filled as far as
+    the blocks ask, one gather from the level below at a time, and at
+    least doubles when it grows.
 
     When the levels of all rows do not fit the budget, the rows go in
     chunks whose tables are ORed, and only the last chunk's levels are
     kept; when one row's do not, the levels from 2 up share what is left,
     lowest first, each holding part of its prefixes and filled again as
-    the scan moves on.  So a scan within the budget (every bench shape)
-    fills each level once.  The column-set cap and every table (the
-    levels, the seen table, the block's sets, the rank buffer) are checked
-    before the first is allocated.
+    the scan moves on.  A level then fills up to the first column, or the
+    first prefix, whose parent its lower window cannot hold, and a column
+    whose prefixes the top window cannot hold is ranked a window at a
+    time.  A scan within the budget (every bench shape) keeps one chunk
+    and fills each level in a few gathers.  The column-set cap and every
+    table (the levels, the seen table, the block's sets, split and
+    offsets, the rank buffers) are checked before the first is allocated.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -316,40 +402,42 @@ def _coverage_tables(
     spans = sizes[:2]
     for l in range(2, t):
         spans.append(max(1, min(sizes[l], (entries // chunk - sum(spans)) // (t - l))))
-    width = math.comb(k - 1, t - 1)  # (t-1)-prefixes: the top level
-    group = max(1, min(width, budget // 4 // (slots + 8 * t)))
-    sub = max(1, min(group, spans[t - 1], budget // 128 // (8 * chunk)))
+    group = max(1, min(math.comb(k, t), budget // 4 // (slots + 8 * (t + 3))))
+    sub = max(1, min(group, budget // 128 // (8 * chunk)))
     limits.check_table_bytes(chunk * sum(spans), dtype.itemsize, "coverage prefix levels")
     limits.check_table_bytes(group * slots, 1, "coverage mask")
-    limits.check_table_bytes(group * t, 8, "coverage column sets")
-    limits.check_table_bytes(sub * chunk, 8, "coverage rank buffer")
-    table = [[min(math.comb(c, i), width) for c in range(k)] for i in range(1, t)]
-    binomials = np.array(table)
-    prefixes = _PrefixLevels(spans, chunk, dtype, table, v)
+    limits.check_table_bytes(group * (t + 3), 8, "coverage column sets")
+    tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
+    limits.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
+    binomials = _binomials(t, k)
+    prefixes = _PrefixLevels(sizes, spans, chunk, dtype, binomials, v)
     buffer = np.empty((sub, chunk), dtype=np.intp)
-    offsets = np.arange(sub, dtype=np.intp)[:, None] * slots
+    tuple_buffer = np.empty((sub, chunk), dtype=tuples)
+    offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place in a block
     held = None  # the row chunk whose levels are kept
-    for c in range(t - 1, k):
-        count = math.comb(c, t - 1)
-        for lo in range(0, count, group):
-            hi = min(lo + group, count)
-            seen = np.zeros((hi - lo) * slots, dtype=bool)
-            for start in range(0, n, chunk):
-                if held != start:
-                    held = start
-                    prefixes.load(cells[start : start + chunk])
-                column = prefixes.levels[1][c]
-                for a in range(lo, hi, sub):
-                    b = min(a + sub, hi)
-                    prefixes.fill(t - 1, a, min(hi, a + spans[t - 1]))  # as much of the block as fits
-                    ranks = buffer[: b - a, : len(column)]
-                    np.multiply(prefixes.ranks(t - 1, a, b), v, out=ranks, dtype=np.intp)
-                    ranks += column
-                    if orbits is not None:
-                        np.take(orbits.orbit_id_of, ranks, out=ranks)
-                    ranks += offsets[: b - a] + (a - lo) * slots
-                    seen[ranks] = True
-            yield _Block(lo, c, seen.reshape(hi - lo, slots), binomials)
+    for lo, hi, step in _block_ranges(t, k, column, sub, spans[t - 1], group):
+        seen = np.zeros((hi - lo) * slots, dtype=bool)
+        parents, last = prefixes.split(t, lo, hi)
+        for start in range(0, n, chunk):
+            if held != start:
+                held = start
+                prefixes.load(cells[start : start + chunk])
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                first, end = prefixes.parents(t, a, hi)  # as much of the block as fits
+                prefixes.fill(t - 1, first, min(end, first + spans[t - 1]))
+                ranks = buffer[: b - a, : min(chunk, n - start)]
+                tuple_ranks = tuple_buffer[: b - a, : ranks.shape[1]]
+                prefixes.rank(t, parents[a - lo : b - lo], last[a - lo : b - lo], tuple_ranks)
+                if orbits is None:
+                    np.add(tuple_ranks, offsets[a - lo : b - lo], out=ranks)
+                else:
+                    # every rank is below v**t, so "clip" clips none; it
+                    # writes straight to out, where "raise" buffers it
+                    np.take(orbits.orbit_id_of, tuple_ranks, out=ranks, mode="clip")
+                    ranks += offsets[a - lo : b - lo]
+                seen[ranks] = True
+        yield _Block(lo, seen.reshape(hi - lo, slots), binomials)
 
 
 def _uncovered_scan(
@@ -583,17 +671,20 @@ def _resample_full_orbits(
     cap: int,
     log: BuildLog,
 ) -> np.ndarray:
-    """Core resampling loop: an n x k random array, rescanned from the start
-    after each resample, until every full orbit (``table.full_orbit_ids``,
-    the bound's events) is covered on every column t-set.  Returns the
-    array; sets failure flags on the log if the resample cap is hit, or at
-    once if there are fewer rows than full orbits.
+    """Core resampling loop: an n x k random array, rescanned after each
+    resample, until every full orbit (``table.full_orbit_ids``, the bound's
+    events) is covered on every column t-set.  Returns the array; sets
+    failure flags on the log if the resample cap is hit, or at once if
+    there are fewer rows than full orbits.
 
     Orbit coverage is decided from the OrbitTable alone: per block of
     column sets, a boolean table indexed by orbit id.  The first offender
     is the block's first set whose table misses a full orbit; its colex
-    position is C(c, t) plus its prefix rank, and only it is unranked, and
-    only when it is resampled."""
+    position is the block's first rank plus its row, and only it is
+    unranked, and only when it is resampled.  A rescan starts at C(a, t),
+    a the lowest column just resampled: every set before it holds no
+    resampled column and came before the offender, so it is still hit,
+    and the first offender is the one a scan from the start would find."""
     cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
@@ -603,21 +694,24 @@ def _resample_full_orbits(
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
+    column = 0  # every set ending before this column is hit
     while True:
-        for block in _coverage_tables(params, cells, orbits=table):
-            missed = np.flatnonzero(~block.seen[:, full_ids].all(axis=1))
-            if missed.size:
+        for block in _coverage_tables(params, cells, table, column):
+            hit = block.seen[:, full_ids].all(axis=1)
+            if not hit.all():
                 break
         else:
             return cells
-        row = int(missed[0])
-        pos = math.comb(block.c, params.t) + block.lo + row
+        row = int(hit.argmin())  # the first set missing a full orbit
+        pos = block.lo + row
         if log.resample_count >= cap:
             log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
-        for c in block.sets([row])[0]:
+        columns = block.sets([row])[0]
+        for c in columns:
             cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
+        column = int(columns[0])
         log.resample_count += 1
         log.resample_witness.append(pos)
 

@@ -60,9 +60,10 @@ def _count(n: int) -> str:
     return str(n) if n < 10**15 else f"{Decimal(n):.5e}"
 
 
-def check_table_bytes(n_entries: int, bytes_per_entry: int, what: str) -> None:
-    """Raise ResourceLimitError if a table would exceed the memory cap."""
-    need = n_entries * bytes_per_entry
+def check_table_bytes(n_entries: int, bytes_per_entry: int, what: str, fixed: int = 0) -> None:
+    """Raise ResourceLimitError if a table, and ``fixed`` bytes beside its
+    entries, would exceed the memory cap."""
+    need = n_entries * bytes_per_entry + fixed
     cap = memory_cap_bytes()
     if need > cap:
         raise ResourceLimitError(

@@ -8,9 +8,11 @@ test_verify, to check the block kernel on many inputs: its blocks, the
 column sets a block unranks on demand, and through the kernel's
 consumers the uncovered count and listing, the density mask and its
 prefix counts as rows are added, and the resampling scan's first
-offender.  Each check also runs under working budgets small enough to
+offender and, against a loop that rescans from the first set, its
+restarts.  Each check also runs under working budgets small enough to
 split the rows into chunks, a column's block into several and a level's
-prefixes into windows.
+prefixes into windows, and under the default, whose blocks merge whole
+columns.
 CAParams has t >= 2, so t runs from 2 to k.
 """
 
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from coverkit import construct, limits
 from coverkit.construct import BuildLog, random_array
-from coverkit.core import CAParams, colex_combinations
+from coverkit.core import CELL_DTYPE, CAParams, colex_combinations
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl, make_trivial
 
 # working budgets in bytes: one row and one set at a time, a few of each,
@@ -45,6 +47,34 @@ def reference_coverage_tables(params, cells, orbits=None):
         seen = np.zeros(slots, dtype=bool)
         seen[ranks] = True
         yield cols, seen
+
+
+def reference_resample(params, orbits, n, rng, cap, log):
+    """``_resample_full_orbits`` as a plain loop: draw the rows, then, after
+    each resample, rescan through the oracle from the first set."""
+    cells = rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
+    full = list(orbits.full_orbit_ids)
+    if not full:
+        return cells
+    if n < len(full):
+        log.success = False
+        log.failure_reason = (
+            f"fewer stage-1 rows ({n}) than full orbits of a column set ({len(full)})")
+        return cells
+    while True:
+        for pos, (cols, seen) in enumerate(reference_coverage_tables(params, cells, orbits)):
+            if not seen[full].all():
+                break
+        else:
+            return cells
+        if log.resample_count >= cap:
+            log.success = False
+            log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
+            return cells
+        for c in cols:
+            cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
+        log.resample_count += 1
+        log.resample_witness.append(pos)
 
 
 def reference_tables(params, cells, orbits=None):
@@ -70,17 +100,49 @@ def scans(draw, orbits=False):
     return params, cells, table, draw(st.sampled_from(BUDGETS))
 
 
+@st.composite
+def resamplings(draw):
+    """(params, orbit table, rows, working budget) under the orbit builders'
+    actions: t <= 4, k <= 8, v <= 4, and from one row per full orbit of a
+    column set to twice that."""
+    shapes = [(t, k, v) for t in range(2, 5) for k in range(t, 9) for v in range(2, 5)
+              if comb(k, t) * v**t <= 4000]
+    t, k, v = draw(st.sampled_from(shapes))
+    kinds = ["cyclic", "frobenius"] + (["pgl"] if v in (3, 4) else [])
+    table = enumerate_orbits(ACTIONS[draw(st.sampled_from(kinds))](v), t)
+    full = len(table.full_orbit_ids)
+    n = draw(st.integers(full, 2 * full))
+    return CAParams(t, k, v), table, n, draw(st.sampled_from(BUDGETS))
+
+
+def assert_block_ranges(params, blocks, start=0):
+    """Blocks are consecutive set-rank ranges that cover start..C(k,t)-1
+    once, and a block spans columns only as whole columns: then it starts
+    at the first set ending at its first column and ends after the last
+    set ending at its last."""
+    at = start
+    for block in blocks:
+        sets = block.sets()
+        assert block.lo == at and len(sets) == len(block.seen) > 0
+        first, last = sets[0, -1], sets[-1, -1]
+        if first != last:
+            assert block.lo == comb(first, params.t)
+            assert block.lo + len(sets) == comb(last + 1, params.t)
+        at += len(sets)
+    assert at == comb(params.k, params.t)
+
+
 def kernel_tables(params, cells, orbits, budget):
-    """The kernel's blocks under a working budget, each checked to lie in
-    one column's block, then stacked."""
+    """The kernel's blocks under a working budget, checked to be set-rank
+    ranges as ``assert_block_ranges`` says, then stacked."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = [(block.sets(), block.seen)
-                  for block in construct._coverage_tables(params, cells, orbits)]
-    for sets, seen in blocks:
-        assert sets.dtype == np.intp and seen.dtype == bool
-        assert len(sets) == len(seen) > 0 and len(set(sets[:, -1])) == 1
-    return np.vstack([sets for sets, _ in blocks]), np.vstack([seen for _, seen in blocks])
+        blocks = list(construct._coverage_tables(params, cells, orbits))
+    assert_block_ranges(params, blocks)
+    for block in blocks:
+        assert block.sets().dtype == np.intp and block.seen.dtype == bool
+    return (np.vstack([block.sets() for block in blocks]),
+            np.vstack([block.seen for block in blocks]))
 
 
 def with_budget(budget, fn, *args):
@@ -95,9 +157,9 @@ class TestBlocks:
     @example((CAParams(2, 2, 2), np.zeros((0, 2), np.int32), None, 1))
     @example((CAParams(5, 5, 2), np.ones((3, 5), np.int32), None, 64))
     @example((CAParams(3, 7, 4), random_array(CAParams(3, 7, 4), 60, 1).cells.copy(), None, 1))
-    # (3,9,3) under 8192 bytes: whole column blocks (at most C(8,2) sets of
-    # 27 seen bytes) but a rank buffer of 8 rows, so 40 rows go in 5 chunks
-    # and 200 rows in 50 under 4096 bytes
+    # (3,9,3) under 8192 bytes: a rank buffer of one set, so one column per
+    # block, the last cut in parts of 27 sets and 1, and row chunks of 8, so
+    # 40 rows go in 5 chunks, and 200 rows in 50 under 4096 bytes
     @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 40, 2).cells.copy(), None, 8192))
     @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 200, 3).cells.copy(), None, 4096))
     # one row's levels take 1 + 20 + C(18,2) + C(19,3) = 1143 bytes at
@@ -110,6 +172,16 @@ class TestBlocks:
     @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 10, 5).cells.copy(), None, 1024))
     @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 1, 5).cells.copy(), None, 1024))
     @example((CAParams(5, 7, 3), random_array(CAParams(5, 7, 3), 1, 6).cells.copy(), None, 1))
+    # merged blocks meet row chunks and a windowed top level at (4,26,2),
+    # whose levels take 1 + 26 + C(24,2) + C(25,3) = 2603 bytes a row: under
+    # 15618 bytes, chunks of 3 rows and a rank buffer of 5 sets, so the first
+    # block holds columns 3 and 4 (1 + 4 sets) in each of 4 chunks; under
+    # 5120 bytes, chunks of 1 row, the same first block, and a top level of
+    # 2257 of its 2300 prefixes
+    @example((CAParams(4, 26, 2), random_array(CAParams(4, 26, 2), 10, 8).cells.copy(), None,
+              15618))
+    @example((CAParams(4, 26, 2), random_array(CAParams(4, 26, 2), 3, 9).cells.copy(),
+              enumerate_orbits(make_cyclic(2), 4), 5120))
     # t = 2 at v = 256: uint8 levels, whose top level is the columns
     @example((CAParams(2, 3, 256), random_array(CAParams(2, 3, 256), 300, 6).cells.copy(), None,
               limits._WORKING_BYTES))
@@ -132,19 +204,40 @@ class TestBlocks:
             for block in construct._coverage_tables(params, cells, orbits):
                 rows = np.array(data.draw(st.lists(st.integers(0, len(block.seen) - 1))),
                                 dtype=np.intp)
-                start = comb(block.c, params.t) + block.lo
                 sets = block.sets(rows)
                 assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
-                assert np.array_equal(sets, ref_sets[start + rows])
+                assert np.array_equal(sets, ref_sets[block.lo + rows])
 
     def test_small_budgets_cut_blocks(self):
-        # (3,9,3): a 1-byte budget takes one set at a time, 8192 bytes one
-        # whole column's block
+        # (3,9,3), 40 rows: a 1-byte budget takes one set at a time; 8192
+        # bytes a rank buffer of one set, so a block per column, the last
+        # (28 sets) cut in parts of 27 and 1; the default budget buffers 819
+        # sets, so all C(9,3) sets are one block
         p = CAParams(3, 9, 3)
         cells = random_array(p, 40, seed=2).cells.copy()
-        for budget, blocks in ((1, comb(9, 3)), (8192, p.k - p.t + 1)):
+        for budget, sizes in ((1, [1] * comb(9, 3)), (8192, [1, 3, 6, 10, 15, 21, 27, 1]),
+                              (limits._WORKING_BYTES, [comb(9, 3)])):
             got = with_budget(budget, lambda: list(construct._coverage_tables(p, cells)))
-            assert len(got) == blocks
+            assert_block_ranges(p, got)
+            assert [len(block.seen) for block in got] == sizes
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.one_of(scans(), scans(orbits=True)), st.data())
+    def test_scan_from_a_column(self, scan, data):
+        # a scan from column a yields the oracle's sets from C(a, t) on
+        params, cells, orbits, budget = scan
+        column = data.draw(st.integers(0, params.k - 1))
+        start = comb(column, params.t)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "_WORKING_BYTES", budget)
+            blocks = list(construct._coverage_tables(params, cells, orbits, column))
+        assert_block_ranges(params, blocks, start)
+        ref_sets, ref_seen = reference_tables(params, cells, orbits)
+        if blocks:
+            assert np.array_equal(np.vstack([block.sets() for block in blocks]), ref_sets[start:])
+            assert np.array_equal(np.vstack([block.seen for block in blocks]), ref_seen[start:])
+        else:
+            assert start == len(ref_sets)
 
     @pytest.mark.parametrize("shape, rows, env, budget", [
         # at (10,30,2) one row's full levels take about 14.3M entries, far
@@ -217,7 +310,8 @@ class TestConsumers:
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(scans(orbits=True), st.integers(0, 2**32 - 1))
-    # 7 rows at seed 8: the first offender is set 13, in the 5-set block of c = 5
+    # 7 rows at seed 8: the first offender is set 13, inside the one block
+    # of all 21 sets
     @example((CAParams(2, 7, 3), np.zeros((7, 7), np.int32), enumerate_orbits(make_cyclic(3), 2),
               limits._WORKING_BYTES), 8)
     def test_first_offender(self, scan, seed):
@@ -239,3 +333,22 @@ class TestConsumers:
             assert log.failure_reason == f"resample cap 0 reached at scan position {missed[0]}"
         else:
             assert log.success and log.resample_count == 0
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(resamplings(), st.integers(0, 2**32 - 1), st.integers(0, 30))
+    # two binary rows on (2,3,2) under the cyclic action: a rescan from the
+    # second resampled column on would pass over a set holding the first
+    @example((CAParams(2, 3, 2), enumerate_orbits(make_cyclic(2), 2), 2, 1), 2, 2)
+    def test_restart_matches_rescans_from_the_start(self, case, seed, cap):
+        # each rescan starts at C(a, t), a the lowest resampled column; a
+        # loop that rescans every set from the first through the oracle
+        # draws the same cells, resamples the same sets and fails the same way
+        params, orbits, n, budget = case
+        log, ref_log = BuildLog(strategy="test"), BuildLog(strategy="test")
+        cells = with_budget(budget, construct._resample_full_orbits,
+                            params, orbits, n, np.random.default_rng(seed), cap, log)
+        ref_cells = reference_resample(params, orbits, n, np.random.default_rng(seed), cap, ref_log)
+        assert np.array_equal(cells, ref_cells)
+        outcome = (log.success, log.failure_reason, log.resample_count, list(log.resample_witness))
+        assert outcome == (ref_log.success, ref_log.failure_reason, ref_log.resample_count,
+                           list(ref_log.resample_witness))

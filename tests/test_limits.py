@@ -184,34 +184,57 @@ def _peak(fn) -> int:
 
 class TestTwoStagePrice:
     """``bounds.two_stage_entry_bytes`` is the one per-n price of the
-    two-stage objectives, and it covers the peak of both of its callers
-    where the objectives dominate the memory."""
+    two-stage objectives, with ``bounds.TWO_STAGE_CALL_BYTES`` once per
+    call, and it covers the peak of both of its callers."""
+
+    @staticmethod
+    def price(params, count):
+        return bounds.TWO_STAGE_CALL_BYTES + count * bounds.two_stage_entry_bytes(params)
 
     def test_covers_the_search_window(self):
         p = CAParams(8, 10, 12)  # a window of 71,847 n, about 121 bytes each
         lo, hi = bounds.two_stage_bound(p).notes["search_window"]
         peak = _peak(lambda: bounds.two_stage_bound(p))
-        assert peak <= (hi - lo + 1) * bounds.two_stage_entry_bytes(p)
+        assert peak <= self.price(p, hi - lo + 1)
+
+    def test_covers_a_small_window(self):
+        # (7,10,9): 7,591 n at about 147 bytes each, nearly every floor an
+        # int object of its own; the per-n price alone was 132
+        p = CAParams(7, 10, 9)
+        lo, hi = bounds.two_stage_bound(p).notes["search_window"]
+        assert hi - lo + 1 == 7591
+        peak = _peak(lambda: bounds.two_stage_bound(p))
+        assert peak <= self.price(p, hi - lo + 1)
+
+    def sweep_peak(self, tmp_path, capsys, shape, n):
+        t, k, v = shape
+        argv = ["sweep", "-t", str(t), "-v", str(v), "--k", str(k), "--methods",
+                "two_stage_curve", "--n", n, "--out", str(tmp_path / "curve.csv")]
+        peak = _peak(lambda: cli.main(argv))
+        capsys.readouterr()
+        return peak
 
     def test_covers_a_sweep_over_n(self, tmp_path, capsys):
         # 200,001 n from 0, about 125 bytes each
-        argv = ["sweep", "-t", "3", "-v", "3", "--k", "100", "--methods", "two_stage_curve",
-                "--n", "0:200000", "--out", str(tmp_path / "curve.csv")]
-        peak = _peak(lambda: cli.main(argv))
-        capsys.readouterr()
-        assert peak <= 200_001 * bounds.two_stage_entry_bytes(CAParams(3, 100, 3))
+        peak = self.sweep_peak(tmp_path, capsys, (3, 100, 3), "0:200000")
+        assert peak <= self.price(CAParams(3, 100, 3), 200_001)
+
+    def test_covers_a_small_sweep_over_n(self, tmp_path, capsys):
+        # the (7,10,9) window: about 155 bytes each, the output file's buffer included
+        peak = self.sweep_peak(tmp_path, capsys, (7, 10, 9), "22894627:22902217")
+        assert peak <= self.price(CAParams(7, 10, 9), 7591)
 
     def test_both_callers_refuse_the_same_count(self, monkeypatch, tmp_path, capsys):
-        # (10,12,10): a window of 346,427 n at 144 bytes, about 47.6 MiB
+        # (10,12,10): a window of 346,427 n at 176 bytes and 256 KiB, about 58.4 MiB
         p = CAParams(10, 12, 10)
-        assert 346_427 * bounds.two_stage_entry_bytes(p) == 49_885_488
-        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 49_885_487)
+        assert self.price(p, 346_427) == 61_233_296
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: 61_233_295)
         with pytest.raises(ResourceLimitError, match="two-stage search window"):
             bounds.two_stage_bound(p)
         argv = ["sweep", "-t", "10", "-v", "10", "--k", "12", "--methods", "two_stage_curve",
                 "--n", "1:346427", "--out", str(tmp_path / "curve.csv")]
         assert cli.main(argv) == 3
-        assert "--n range '1:346427' needs 49885488 bytes" in capsys.readouterr().err
+        assert "--n range '1:346427' needs 61233296 bytes" in capsys.readouterr().err
 
 
 class TestRefusalCounts:
