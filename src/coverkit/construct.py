@@ -207,6 +207,16 @@ def _colex_unrank(ranks: np.ndarray, binomials: np.ndarray) -> np.ndarray:
     return sets
 
 
+def _colex_unrank_one(rank: int, table: list[list[int]]) -> list[int]:
+    """``_colex_unrank`` of one rank, by a bisect walk over ``table``, the
+    rows of ``_binomials`` as lists: no numpy call."""
+    columns = [0] * len(table)
+    for i in range(len(table) - 1, -1, -1):  # the largest c with C(c, i + 1) <= rank
+        columns[i] = bisect_right(table[i], rank) - 1
+        rank -= table[i][columns[i]]
+    return columns
+
+
 @functools.lru_cache(maxsize=64)
 def _binomials(t: int, k: int) -> np.ndarray:
     """The kernel's colex table, read-only and shared by the scans of a
@@ -385,7 +395,8 @@ def _coverage_tables(
     time.  A scan within the budget (every bench shape) keeps one chunk
     and fills each level in a few gathers.  The column-set cap and every
     table (the levels, the seen table, the block's sets, split and
-    offsets, the rank buffers) are checked before the first is allocated.
+    offsets, the rank buffers) are checked before the first is allocated,
+    against one reading of the memory cap per scan.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -396,7 +407,8 @@ def _coverage_tables(
     limits.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
     sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # whole levels 0..t-1
-    budget = limits.working_bytes()
+    cap = limits.memory_cap_bytes()  # read once; every table below is priced against it
+    budget = limits.working_bytes(cap)
     entries = budget // 2 // dtype.itemsize  # level entries within the budget
     chunk = max(1, min(n, entries // sum(sizes), budget // 1024))
     spans = sizes[:2]
@@ -404,11 +416,11 @@ def _coverage_tables(
         spans.append(max(1, min(sizes[l], (entries // chunk - sum(spans)) // (t - l))))
     group = max(1, min(math.comb(k, t), budget // 4 // (slots + 8 * (t + 3))))
     sub = max(1, min(group, budget // 128 // (8 * chunk)))
-    limits.check_table_bytes(chunk * sum(spans), dtype.itemsize, "coverage prefix levels")
-    limits.check_table_bytes(group * slots, 1, "coverage mask")
-    limits.check_table_bytes(group * (t + 3), 8, "coverage column sets")
+    limits.check_table_bytes(chunk * sum(spans), dtype.itemsize, "coverage prefix levels", cap=cap)
+    limits.check_table_bytes(group * slots, 1, "coverage mask", cap=cap)
+    limits.check_table_bytes(group * (t + 3), 8, "coverage column sets", cap=cap)
     tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
-    limits.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
+    limits.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer", cap=cap)
     binomials = _binomials(t, k)
     prefixes = _PrefixLevels(sizes, spans, chunk, dtype, binomials, v)
     buffer = np.empty((sub, chunk), dtype=np.intp)
@@ -681,10 +693,11 @@ def _resample_full_orbits(
     column sets, a boolean table indexed by orbit id.  The first offender
     is the block's first set whose table misses a full orbit; its colex
     position is the block's first rank plus its row, and only it is
-    unranked, and only when it is resampled.  A rescan starts at C(a, t),
-    a the lowest column just resampled: every set before it holds no
-    resampled column and came before the offender, so it is still hit,
-    and the first offender is the one a scan from the start would find."""
+    unranked, and only when it is resampled, by a scalar bisect walk
+    (``_colex_unrank_one``).  A rescan starts at C(a, t), a the lowest
+    column just resampled: every set before it holds no resampled column
+    and came before the offender, so it is still hit, and the first
+    offender is the one a scan from the start would find."""
     cells = _random_rows(rng, params, n, "stage-1 rows")
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
@@ -694,6 +707,7 @@ def _resample_full_orbits(
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
+    binomials = _binomials(params.t, params.k).tolist()  # unranks the offenders
     column = 0  # every set ending before this column is hit
     while True:
         for block in _coverage_tables(params, cells, table, column):
@@ -708,10 +722,10 @@ def _resample_full_orbits(
             log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
-        columns = block.sets([row])[0]
+        columns = _colex_unrank_one(pos, binomials)
         for c in columns:
             cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
-        column = int(columns[0])
+        column = columns[0]
         log.resample_count += 1
         log.resample_witness.append(pos)
 

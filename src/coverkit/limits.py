@@ -11,6 +11,10 @@ Both caps can be configured through the environment:
   recurrence, whether its steps are walked or read from its threshold
   table (default 50 million).
 
+Nothing is cached: each call reads the environment afresh.  A coverage
+scan and ``full_check`` read the memory cap once each and pass that value
+(``cap``) to every table they price.
+
 Each value must be a nonnegative integer; anything else raises a
 ValueError naming the variable.  A refusal names each count in full up to
 15 digits, and past that to six digits and a power of ten.
@@ -45,9 +49,10 @@ def memory_cap_bytes() -> int:
     return _env_count("COVERKIT_MEMORY_CAP_MIB", _DEFAULT_MEMORY_CAP_MIB) * (1 << 20)
 
 
-def working_bytes() -> int:
-    """The working budget of blocked scans: 32 MiB, or the memory cap when lower."""
-    return min(_WORKING_BYTES, memory_cap_bytes())
+def working_bytes(cap: int | None = None) -> int:
+    """The working budget of blocked scans: 32 MiB, or the memory cap when
+    lower.  A scan that has read the cap passes it as ``cap``."""
+    return min(_WORKING_BYTES, memory_cap_bytes() if cap is None else cap)
 
 
 def column_set_cap() -> int:
@@ -60,11 +65,15 @@ def _count(n: int) -> str:
     return str(n) if n < 10**15 else f"{Decimal(n):.5e}"
 
 
-def check_table_bytes(n_entries: int, bytes_per_entry: int, what: str, fixed: int = 0) -> None:
+def check_table_bytes(
+    n_entries: int, bytes_per_entry: int, what: str, fixed: int = 0, cap: int | None = None
+) -> None:
     """Raise ResourceLimitError if a table, and ``fixed`` bytes beside its
-    entries, would exceed the memory cap."""
+    entries, would exceed the memory cap: ``cap``, when a scan has read it
+    once for all its tables, else the configured one."""
     need = n_entries * bytes_per_entry + fixed
-    cap = memory_cap_bytes()
+    if cap is None:
+        cap = memory_cap_bytes()
     if need > cap:
         raise ResourceLimitError(
             f"{what} needs {_count(need)} bytes for {_count(n_entries)} entries, "

@@ -5,18 +5,35 @@ They share no coverage-counting code with ``construct`` and use other
 formulations than its rank-and-scatter kernel, so a bug on one side shows
 as a disagreement that the test suite's cross-checks catch.
 
-``full_check`` is the standard column-bitset check. ``bits[c, s]`` is the
-set of rows holding symbol ``s`` in column ``c``, packed 64 rows to a word
-from chunks of rows whose bools fit ``limits.working_bytes()``.
-A t-way interaction is covered iff the AND of its t row sets is nonempty.
-In colex order the t-sets sharing a suffix ``(c2, ..., ct)`` are
-contiguous and ordered by the first column, so each suffix's ``v**(t-1)``
-row sets are ANDed once. ``bits[:c2]`` flattened, the ``(first column,
-symbol)`` row sets in t-set then rank order, is ANDed with them in one
-flat run of blocks, each as many row sets as ``limits.working_bytes()``
-holds (at least one, so a byte alphabet is checked too), written into
-one buffer. The test suite holds a plain row loop, one bitmap per column
-t-set, as the reference oracle for it.
+``full_check`` is the standard column-bitset check, word-major.
+``bits[w, c, s]`` is word ``w`` of the set of rows holding symbol ``s``
+in column ``c``, 64 rows to a uint64 word, packed from chunks of rows
+whose bools fit ``limits.working_bytes()``.  A t-way interaction is
+covered iff the AND of its t row sets is nonempty.  The check goes over
+groups of t-sets.  For t >= 3 a group is one middle ``(c2, ..., c_{t-1})``
+in colex order, with every first column below it and every last column
+above it; for t = 2 the middle is empty and a group is one last column
+c2, with every first column below it.  For a group the check builds the
+middle's ``v**(t-2)`` row sets, its tuple in rank order; ANDs them in one
+call with the row sets of every last column, the middle innermost; ANDs
+that with the ``(first column, symbol)`` row sets below c2, one
+contiguous slice of each word's row; ORs the block over the word axis and
+counts its zeros.
+
+Every block and buffer is a 1/32 share of the working budget (1 MiB by
+default), priced with ``limits.check_table_bytes`` before it is made and
+reused by every group.  A block over the share is cut on the word axis
+first, down to ``_WORDS`` words whose ORs are accumulated with ``|=``,
+then on the first-column row sets, then on the word axis down to one
+word; the last-column row sets, the long inner axis, are cut only when
+one word's block over all of them is over the share.  Groups are not
+visited in colex order, so the first witness is the least (colex set
+rank, tuple rank) over the misses of the blocks that have any.  The check
+runs with ufunc buffers of ``_BUFSIZE`` elements: under numpy's default
+of 8192, an AND that broadcasts an operand over an inner axis shorter
+than a third of the buffer is copied through it first, about 3x slower.
+The test suite holds a plain row loop, one bitmap per column t-set, as
+the reference oracle for it.
 
 ``orbit_check`` is a plain row loop filling one orbit bitmap per column
 t-set.
@@ -29,6 +46,8 @@ exact minimum array size or proves none exists within a row limit.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,11 +60,16 @@ from .core import (
     Interaction,
     SymbolArray,
     colex_combinations,
+    colex_rank,
     symbols_rank,
     symbols_unrank,
 )
 from .errors import BudgetExceededError
 from .groups import OrbitTable
+
+_SHARE = 32  # each of full_check's blocks and buffers: 1/32 of the working budget
+_WORDS = 8  # words per AND block that full_check keeps before it cuts the first columns
+_BUFSIZE = 256  # ufunc buffer elements while full_check runs
 
 __all__ = [
     "CoverageReport",
@@ -69,63 +93,148 @@ class OrbitCoverageReport:
     first_uncovered: tuple[ColumnSet, int] | None
 
 
-def _row_bitsets(cells: np.ndarray, v: int, words: int) -> np.ndarray:
-    """bits[c, s]: the rows holding symbol s in column c, as uint64 words.
+def _row_bitsets(cells: np.ndarray, v: int, words: int, budget: int) -> np.ndarray:
+    """bits[w, c, s]: word w of the set of rows holding symbol s in column
+    c, word-major, 64 rows to a uint64 word.
 
-    A column is packed in chunks of rows, a multiple of 8 so each chunk
-    fills whole bytes, whose v x rows bool table fits the working budget.
+    A column is packed in chunks of rows, a multiple of 64 so each chunk
+    fills whole words, whose v x rows bool table fits ``budget`` bytes
+    (at least 64 rows).
     """
     n, k = cells.shape
-    packed = np.zeros((k, v, 8 * words), dtype=np.uint8)
-    symbols = np.arange(v)[:, None]
-    step = max(8, limits.working_bytes() // v // 8 * 8)
+    bits = np.zeros((words, k, v), dtype=np.uint64)
+    symbols = np.arange(v, dtype=cells.dtype)[:, None]  # no cast, so no ufunc buffer
+    step = max(64, budget // v // 64 * 64)
+    table = np.empty((v, min(step, 64 * words)), dtype=bool)  # a chunk's bools, whole words
     for c in range(k):
         for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            # no name holds the bool table, so it is freed before the next
-            chunk = np.packbits(cells[lo:hi, c] == symbols, axis=-1)
-            packed[c, :, lo // 8 : (hi + 7) // 8] = chunk
-    return packed.view(np.uint64)
+            rows = min(step, n - lo)
+            np.equal(cells[lo : lo + rows, c], symbols, out=table[:, :rows])
+            table[:, rows:] = False  # a column's last chunk: its last word's padding
+            chunk = np.packbits(table[:, : -(-rows // 64) * 64], axis=-1).view(np.uint64)
+            bits[lo // 64 : lo // 64 + chunk.shape[1], c] = chunk.T
+    return bits
+
+
+def _groups(k: int, t: int) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
+    """full_check's groups as (c2, middle, lo, hi): the t-sets whose first
+    column lies below c2, whose middle columns (c2, ..., c_{t-1}) are
+    ``middle`` and whose last column is one of lo..hi-1.  For t >= 3 a
+    group is a middle, in colex order, with every last column above it;
+    for t = 2 the middle is empty and a group is one last column c2."""
+    if t == 2:
+        for c in range(1, k):
+            yield c, (), c, c + 1
+        return
+    for middle in colex_combinations(k, t - 2):
+        if 0 < middle[0] and middle[-1] < k - 1:
+            yield middle[0], middle, middle[-1] + 1, k
+
+
+def _buffer(entries: int, what: str, cap: int) -> np.ndarray:
+    """A flat uint64 buffer, priced against the memory cap before it is made."""
+    limits.check_table_bytes(entries, 8, what, cap=cap)
+    return np.empty(entries, dtype=np.uint64)
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """The first prod(shape) entries of a flat buffer, in that shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _block_steps(
+    n_first: int, n_last: int, width: int, words: int, budget: int
+) -> tuple[int, int, int]:
+    """(first, last, words) per AND block of a group of ``n_first`` first
+    and ``n_last`` last row sets, each last one ANDed with ``width`` middle
+    row sets, in blocks of at most ``budget`` entries (at least ``width``).
+    The word axis is cut first, to ``_WORDS`` words, then the first row
+    sets, then the word axis to one word, and the last row sets, the long
+    inner axis, only when one word's block over all of them is over the
+    budget."""
+    last = min(n_last, budget // width)
+    first = min(n_first, max(1, budget // (min(max(words, 1), _WORDS) * last * width)))
+    return first, last, max(1, min(words, budget // (first * last * width)))
 
 
 def full_check(array: SymbolArray) -> CoverageReport:
     """Count the uncovered interactions and find the first in rank order."""
+    bufsize = np.setbufsize(_BUFSIZE)
+    try:
+        return _full_check(array)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _full_check(array: SymbolArray) -> CoverageReport:
     params = array.params
     t, k, v = params.t, params.k, params.v
+    cap = limits.memory_cap_bytes()  # read once; every table below is priced against it
     limits.check_column_sets(k, t, "full_check")
     words = (array.n_rows + 63) // 64
-    limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets")
-    # (first column, symbol) row sets per AND block, each ANDed with a
-    # suffix's v**(t-1): as many as fit the working budget, at least one
-    tail = v ** (t - 1)
-    limits.check_table_bytes(tail, 8 * words, "verifier AND block")
-    per = max(1, limits.working_bytes() // (tail * 8 * words)) if words else k * v
-    bits = _row_bitsets(array.cells, v, words)
-    flat = bits.reshape(k * v, words)
-    block = np.empty((min(per, (k - 1) * v), tail, words), dtype=np.uint64)
+    limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets", cap=cap)
+    width = v ** (t - 2)  # the row sets of one middle
+    # the entries of one AND block, at least one middle's row sets
+    budget = max(width, limits.working_bytes(cap) // _SHARE // 8)
+    block = _buffer(budget, "verifier AND block", cap)
+    covered = _buffer(budget, "verifier coverage words", cap)
+    more = _buffer(budget, "verifier coverage words", cap)
+    lasts = _buffer(budget, "verifier last-column row sets", cap)
+    middles = _buffer(2 * budget, "verifier middle row sets", cap)
+    bits = _row_bitsets(array.cells, v, words, limits.working_bytes(cap))
+    flat = bits.reshape(words, k * v)
+    every = np.broadcast_to(~np.uint64(0), (words, 1))  # the empty middle's one row set
 
     uncovered = 0
-    first: Interaction | None = None
-    for suffix in colex_combinations(k, t - 1):
-        c2 = suffix[0]
-        if c2 == 0:
-            continue  # no first column below it
-        rows = bits[c2]
-        for c in suffix[1:]:
-            rows = (rows[:, None, :] & bits[c]).reshape(rows.shape[0] * v, words)
-        for lo in range(0, c2 * v, per):
-            hi = min(lo + per, c2 * v)
-            # (first column, symbol, suffix rank): colex-set order, then rank order
-            anded = np.bitwise_and(flat[lo:hi, None, :], rows, out=block[: hi - lo])
-            covered = np.bitwise_or.reduce(anded, axis=-1)
-            missing = covered.size - int(np.count_nonzero(covered))
-            if missing == 0:
-                continue
-            uncovered += missing
-            if first is None:
-                c1, rank = divmod(lo * tail + int(covered.argmin()), v * tail)
-                first = Interaction((c1,) + suffix, symbols_unrank(rank, t, v))
-    return CoverageReport(uncovered == 0, uncovered, first)
+    first: tuple[tuple[int, int], Interaction] | None = None
+    for c2, middle, lo, hi in _groups(k, t):
+        # the (column, symbol) row sets: 0..f_hi-1 of the first columns,
+        # l_lo..l_hi-1 of the last
+        f_hi, l_lo, l_hi = c2 * v, lo * v, hi * v
+        f_step, l_step, w_step = _block_steps(f_hi, l_hi - l_lo, width, words, budget)
+        for l0 in range(l_lo, l_hi, l_step):
+            ls = min(l_step, l_hi - l0)
+            for f0 in range(0, f_hi, f_step):
+                fs = min(f_step, f_hi - f0)
+                acc = _view(covered, fs, ls * width)
+                for w0 in range(0, max(words, 1), w_step):
+                    rows = flat[w0 : w0 + w_step]
+                    ws = len(rows)
+                    # the middle's row sets, its tuple in rank order: each
+                    # column, from the last, is ANDed in as the new leading
+                    # symbol, so the inner axis is the longer operand
+                    mid = rows[:, middle[-1] * v : (middle[-1] + 1) * v] if middle else every[:ws]
+                    for i, c in enumerate(reversed(middle[:-1])):
+                        out = _view(middles[(i % 2) * budget :], ws, v, mid.shape[1])
+                        np.bitwise_and(rows[:, c * v : (c + 1) * v, None], mid[:, None, :], out=out)
+                        mid = out.reshape(ws, v * out.shape[2])
+                    # (last column, symbol, middle tuple), middle innermost
+                    last = _view(lasts, ws, 1, ls * width)
+                    np.bitwise_and(rows[:, l0 : l0 + ls, None], mid[:, None, :],
+                                   out=last.reshape(ws, ls, width))
+                    # and (first column, symbol) outermost
+                    anded = _view(block, ws, fs, ls * width)
+                    np.bitwise_and(rows[:, f0 : f0 + fs, None], last, out=anded)
+                    if w0 == 0:
+                        np.bitwise_or.reduce(anded, axis=0, out=acc)
+                    else:  # accumulate the word chunks
+                        acc |= np.bitwise_or.reduce(anded, axis=0, out=_view(more, *acc.shape))
+                missing = acc.size - int(np.count_nonzero(acc))
+                if missing == 0:
+                    continue
+                uncovered += missing
+                # the least (set rank, tuple rank): by last column, first
+                # column, then the tuple's symbols (first, middle, last)
+                at_first, at_last, m = np.nonzero(acc.reshape(fs, ls, width) == 0)
+                c1, s1 = np.divmod(at_first + f0, v)
+                ct, st = np.divmod(at_last + l0, v)
+                i = np.lexsort((st, m, s1, c1, ct))[0]
+                columns = (int(c1[i]),) + middle + (int(ct[i]),)
+                symbols = (int(s1[i]),) + symbols_unrank(int(m[i]), t - 2, v) + (int(st[i]),)
+                key = (colex_rank(columns), symbols_rank(symbols, v))
+                if first is None or key < first[0]:
+                    first = key, Interaction(columns, symbols)
+    return CoverageReport(uncovered == 0, uncovered, None if first is None else first[1])
 
 
 def orbit_check(

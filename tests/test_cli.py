@@ -279,16 +279,17 @@ class TestBuildAndVerify:
                               "--out", str(out_file)], capsys)
             assert code == want and read_array(out_file).n_rows > 0
             out_file.unlink()
-        # one symbol's 5**4 row sets over 14000-odd rows are over 1 MiB
-        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
-        code, out, err = run(["build", "-t", "5", "-k", "6", "-v", "5", "--n-override", "14000",
+        # two-stage (2,3,256), about 137,000 rows, fits under 4 MiB as
+        # cells (1.6 MB), not as the verifier's 3 * 256 row bitsets (13.2 MB)
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "4")
+        code, out, err = run(["build", "-t", "2", "-k", "3", "-v", "256",
                               "--out", str(out_file)], capsys)
-        assert (code, out) == (3, "") and "verifier AND block needs 1110000 bytes" in err
+        assert (code, out) == (3, "") and "verifier row bitsets needs 13197312 bytes" in err
         assert not out_file.exists()
 
     def test_byte_alphabet_builds_and_verifies(self, tmp_path, capsys, monkeypatch):
         # one first column's 256**2 row sets over 137k rows are 1.1 GB: the
-        # verifier ANDs a few of its symbols at a time
+        # verifier ANDs them a few words and symbols at a time
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "16")
         out_file = tmp_path / "a.ca"
         code, out, _ = run(["build", "-t", "2", "-k", "3", "-v", "256", "--out", str(out_file)],
@@ -701,11 +702,10 @@ BAD_INPUTS = [
     pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "3", "-k", "30", "-v", "4",
                   "--n-override", "0", "--out", "{tmp}/x.ca"],
                  3, "uncovered listing needs", id="build-leftover-listing"),
-    # the build fits under the cap, its verifier does not, even one
-    # symbol of one first column at a time
-    pytest.param(["COVERKIT_MEMORY_CAP_MIB=1", "build", "-t", "5", "-k", "6", "-v", "5",
-                  "--n-override", "14000", "--out", "{tmp}/x.ca"],
-                 3, "verifier AND block needs", id="build-verifier-over-cap"),
+    # the build fits under the cap, its verifier's row bitsets do not
+    pytest.param(["COVERKIT_MEMORY_CAP_MIB=4", "build", "-t", "2", "-k", "3", "-v", "256",
+                  "--out", "{tmp}/x.ca"],
+                 3, "verifier row bitsets needs", id="build-verifier-over-cap"),
     # the cyclic group's 30000 x 30000 table, refused before it is built
     pytest.param(["COVERKIT_MEMORY_CAP_MIB=64", "build", "-t", "2", "-k", "3", "-v", "30000",
                   "--strategy", "mt_cyclic", "--out", "{tmp}/x.ca"],

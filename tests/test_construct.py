@@ -459,22 +459,28 @@ class TestMoserTardos:
 
     def test_resampling_unranks_one_set_per_resample(self, monkeypatch):
         # the kernel yields rank ranges, and the scan unranks only the
-        # offender it resamples: a block-wide unrank would count thousands
-        # of sets here.  The array is the one the builder made when every
-        # block's sets were unranked (same digest input as test_golden).
+        # offender it resamples, by the scalar walk: a block-wide unrank
+        # would count thousands of sets here.  The array is the one the
+        # builder made when every block's sets were unranked (same digest
+        # input as test_golden).
         p = CAParams(3, 16, 4)
         unranked = []
-        unrank = construct._colex_unrank
+        unrank, unrank_one = construct._colex_unrank, construct._colex_unrank_one
 
         def counted(ranks, binomials):
             unranked.append(len(ranks))
             return unrank(ranks, binomials)
 
+        def counted_one(rank, table):
+            unranked.append(1)
+            return unrank_one(rank, table)
+
         monkeypatch.setattr(construct, "_colex_unrank", counted)
+        monkeypatch.setattr(construct, "_colex_unrank_one", counted_one)
         n = bounds.frobenius_lll_bound(p).stage1_rows * 3 // 4
         arr, log = moser_tardos_build(p, make_frobenius(4), BuildConfig(seed=1, n_override=n))
         assert log.success and log.resample_count > 0
-        assert sum(unranked) <= log.resample_count
+        assert unranked == [1] * log.resample_count
         h = hashlib.sha256(f"CA {arr.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
         h.update(np.ascontiguousarray(arr.cells, dtype=np.uint8).tobytes())
         assert (n, arr.n_rows, log.resample_count, h.hexdigest()) == (

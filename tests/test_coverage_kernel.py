@@ -207,12 +207,20 @@ class TestBlocks:
                 sets = block.sets(rows)
                 assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
                 assert np.array_equal(sets, ref_sets[block.lo + rows])
+                # and the resampler's scalar walk, one rank at a time
+                table = construct._binomials(params.t, params.k).tolist()
+                for row in rows:
+                    one = construct._colex_unrank_one(block.lo + int(row), table)
+                    assert one == ref_sets[block.lo + row].tolist()
 
-    def test_small_budgets_cut_blocks(self):
+    def test_small_budgets_cut_blocks(self, monkeypatch):
         # (3,9,3), 40 rows: a 1-byte budget takes one set at a time; 8192
         # bytes a rank buffer of one set, so a block per column, the last
         # (28 sets) cut in parts of 27 and 1; the default budget buffers 819
-        # sets, so all C(9,3) sets are one block
+        # sets, so all C(9,3) sets are one block.  The memory cap is the
+        # default one, whatever the environment says
+        default_cap = limits._DEFAULT_MEMORY_CAP_MIB << 20
+        monkeypatch.setattr(limits, "memory_cap_bytes", lambda: default_cap)
         p = CAParams(3, 9, 3)
         cells = random_array(p, 40, seed=2).cells.copy()
         for budget, sizes in ((1, [1] * comb(9, 3)), (8192, [1, 3, 6, 10, 15, 21, 27, 1]),

@@ -50,7 +50,7 @@ class TestMemoryCap:
         cells[hits, 15] = 0
         arr = SymbolArray(p, cells)
         block = (p.k - 1) * p.tuple_count * 8 * ((arr.n_rows + 63) // 64)
-        assert block > 1 << 20  # one AND block over every first column is above the cap
+        assert block > 1 << 20  # every first column's row sets, ANDed at once, are over the cap
         uncapped = full_check(arr)
         assert uncapped.first_witness == target
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
@@ -58,8 +58,8 @@ class TestMemoryCap:
 
     def test_full_check_peak_stays_near_the_working_budget(self, monkeypatch):
         # 8000 rows of (2,3,256): a first column's 256 row sets, each ANDed
-        # with a suffix's 256, are 64 MiB, and full_check holds them one
-        # working budget's worth at a time
+        # with a last column's 256, are 64 MiB, and full_check holds them
+        # a few words and row sets at a time
         monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
         arr = random_array(CAParams(2, 3, 256), 8000, seed=1)
         tracemalloc.start()

@@ -15,6 +15,7 @@ from coverkit.construct import (
     count_uncovered,
     moser_tardos_build,
     random_array,
+    two_stage_build,
 )
 from coverkit.core import (
     CAParams,
@@ -136,9 +137,9 @@ def symbol_split_cases(draw):
     """(array, cap in bytes, working budget in bytes): the row bitsets and
     one symbol's v**(t-1) row sets fit the cap.  Either the cap is below
     one first column's v**t row sets, under the default budget, or the cap
-    is the default and the budget holds a number of row sets that is not
-    a multiple of v, at most all of them.  Either way AND blocks start
-    mid-column."""
+    is the default and the budget holds a number of first row sets, each
+    ANDed with v**(t-1) others, that is not a multiple of v, at most
+    (k-1) v of them."""
     t = draw(st.integers(2, 4))
     v = draw(st.integers(3 if t == 2 else 2, 4))
     p = CAParams(t, draw(st.integers(t, min(7, v ** (t - 1) - 1))), v)
@@ -150,9 +151,63 @@ def symbol_split_cases(draw):
         cap = draw(st.integers(least, p.tuple_count * word_bytes - 1))
         return arr, cap, limits._WORKING_BYTES
     per = draw(st.integers(1, (p.k - 1) * v).filter(lambda per: per % v))
-    row_sets = v ** (t - 1) * word_bytes  # one row set ANDed with a suffix's
+    row_sets = v ** (t - 1) * word_bytes  # one row set ANDed with v**(t-1) others
     budget = per * row_sets + draw(st.integers(0, row_sets - 1))
     return arr, limits.memory_cap_bytes(), budget
+
+
+@st.composite
+def block_cut_cases(draw):
+    """(array, working budget in bytes, cut, group): full_check's blocks,
+    1/_SHARE of the budget, are cut in ``group`` on the named axis.
+    "words" cuts the word axis (past _WORDS words, so the array has more
+    than 64 * _WORDS rows) and keeps the group's first and last row sets
+    whole; "first" cuts its first columns' row sets and keeps its last
+    ones whole; "last" cuts its last columns' row sets."""
+    t = draw(st.integers(2, 4))
+    p = CAParams(t, draw(st.integers(t, 7)), draw(st.integers(2, 4)))
+    cut = draw(st.sampled_from(("words", "first", "last")))
+    least = 64 * verify._WORDS + 1 if cut == "words" else 0
+    n = draw(st.integers(least, least + 2 * p.tuple_count))
+    arr = random_array(p, n, seed=draw(st.integers(0, 2**32 - 1)))
+    group = draw(st.sampled_from(list(verify._groups(p.k, t))))
+    c2, _, lo, hi = group
+    width = p.v ** (t - 2)
+    line = (hi - lo) * p.v * width  # one first row set's block, one word
+    block = c2 * p.v * line  # every first row set's, one word
+    low, high = {"words": (verify._WORDS * block, (n + 63) // 64 * block - 1),
+                 "first": (line, block - 1), "last": (width, line - 1)}[cut]
+    entries = draw(st.integers(low, high))
+    budget = entries * 8 * verify._SHARE + draw(st.integers(0, 8 * verify._SHARE - 1))
+    return arr, budget, cut, group
+
+
+def blocks_cut(arr: SymbolArray, budget: int, group) -> set[str]:
+    """The axes full_check cuts in ``group``'s blocks under ``budget``."""
+    p = arr.params
+    c2, _, lo, hi = group
+    width, words = p.v ** (p.t - 2), (arr.n_rows + 63) // 64
+    n_first, n_last = c2 * p.v, (hi - lo) * p.v
+    entries = max(width, budget // verify._SHARE // 8)
+    steps = verify._block_steps(n_first, n_last, width, words, entries)
+    return {axis for axis, step, whole in zip(("first", "last", "words"), steps,
+                                             (n_first, n_last, words)) if step < whole}
+
+
+def later_group_witness_array(t: int) -> SymbolArray:
+    """Every binary row on t + 2 columns but those that hold two
+    interactions: the first in colex order, in a group full_check visits
+    later, and one in a group it visits earlier.  For t = 3 the groups are
+    the middles (c2,): (0,2,3) lies in c2 = 2, (0,1,4) in c2 = 1.  For
+    t = 4 they are (c2, c3) in colex order: (0,2,3,4) lies in (2,3),
+    (0,1,2,5) in (1,2)."""
+    p = CAParams(t, t + 2, 2)
+    rows = np.array(list(product(range(2), repeat=p.k)), dtype=np.int32)
+    holes = {3: [((0, 2, 3), (0, 0, 0)), ((0, 1, 4), (1, 1, 1))],
+             4: [((0, 2, 3, 4), (0, 0, 0, 0)), ((0, 1, 2, 5), (1, 1, 1, 1))]}[t]
+    for cols, symbols in holes:
+        rows = rows[~(rows[:, list(cols)] == symbols).all(axis=1)]
+    return SymbolArray(p, rows)
 
 
 class TestAgainstReference:
@@ -175,14 +230,14 @@ class TestAgainstReference:
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(symbol_split_cases())
-    @example(  # every pair but (3, 3): the witness lies in the last symbol block
+    @example(  # every pair but (3, 3): the witness is the last interaction
         (SymbolArray.from_rows(CAParams(2, 2, 4), list(product(range(4), repeat=2))[:-1]), 64,
          limits._WORKING_BYTES)
     )
     @example((random_array(CAParams(2, 3, 256), 100, seed=2), 3 * 256 * 8 * 2,
               limits._WORKING_BYTES))
-    # blocks of 5 and 7 row sets at v = 3 and 4: each block after the
-    # first starts mid-column, some span two columns
+    # budgets of 5 and 7 first row sets ANDed with v**(t-1) others, at
+    # v = 3 and 4: a part of one first column's
     @example((random_array(CAParams(3, 7, 3), 40, seed=3), 256 << 20, 5 * 9 * 8))
     @example((random_array(CAParams(4, 6, 4), 500, seed=4), 256 << 20, 7 * 64 * 64 + 63))
     # a budget of 8 rows of bools per symbol: each column packed in 13 chunks
@@ -196,6 +251,48 @@ class TestAgainstReference:
         assert report == reference_full_check(arr)
 
     @settings(max_examples=100, deadline=None, database=None)
+    @given(block_cut_cases())
+    # a byte alphabet over 3 words: the last columns' row sets cut, then
+    # the first columns'
+    @example((random_array(CAParams(2, 3, 256), 130, seed=2), 200 * 256, "last", (2, (), 2, 3)))
+    @example((random_array(CAParams(2, 3, 256), 130, seed=3), 2000 * 256, "first", (2, (), 2, 3)))
+    # t = k: one group, its blocks cut on the first row sets, or over 10
+    # words on the word axis
+    @example((random_array(CAParams(3, 3, 3), 40, seed=1), 20 * 256, "first", (1, (1,), 2, 3)))
+    @example((random_array(CAParams(4, 4, 2), 600, seed=4), 130 * 256, "words", (1, (1, 2), 3, 4)))
+    def test_block_cuts(self, case):
+        arr, budget, cut, group = case
+        assert cut in blocks_cut(arr, budget, group)
+        if cut != "last":
+            assert "last" not in blocks_cut(arr, budget, group)
+        if cut == "words":
+            assert "first" not in blocks_cut(arr, budget, group)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "memory_cap_bytes", lambda: limits._DEFAULT_MEMORY_CAP_MIB << 20)
+            mp.setattr(limits, "_WORKING_BYTES", budget)
+            report = full_check(arr)
+        assert report == reference_full_check(arr)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    @pytest.mark.parametrize("budget", [None, 9 * 8 * 32])  # default; every axis cut
+    def test_rows_at_word_edges(self, n, budget):
+        arr = random_array(CAParams(3, 5, 3), n, seed=n)
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is not None:
+                mp.setattr(limits, "_WORKING_BYTES", budget)
+            report = full_check(arr)
+        assert report == reference_full_check(arr)
+
+    @pytest.mark.parametrize("t", [3, 4])
+    def test_first_witness_lies_in_a_later_group(self, t):
+        # the groups are not visited in colex order: the least missing
+        # interaction wins, not the first one found
+        arr = later_group_witness_array(t)
+        report = full_check(arr)
+        assert report == reference_full_check(arr)
+        assert report.first_witness == Interaction((0,) + tuple(range(2, t + 1)), (0,) * t)
+
+    @settings(max_examples=100, deadline=None, database=None)
     @given(
         n=st.integers(0, 300),
         k=st.integers(1, 4),
@@ -204,16 +301,14 @@ class TestAgainstReference:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_row_bitsets_packed_in_chunks(self, n, k, v, budget, seed):
-        # against one packbits call over each whole column
+        # against one packbits call over each whole column, word-major
         cells = np.random.default_rng(seed).integers(0, v, size=(n, k), dtype=np.int32)
         words = (n + 63) // 64
         whole = np.zeros((k, v, 8 * words), dtype=np.uint8)
         for c in range(k):
             whole[c, :, : (n + 7) // 8] = np.packbits(cells[:, c] == np.arange(v)[:, None], axis=-1)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_WORKING_BYTES", budget)
-            bits = verify._row_bitsets(cells, v, words)
-        assert np.array_equal(bits, whole.view(np.uint64))
+        bits = verify._row_bitsets(cells, v, words, budget)
+        assert np.array_equal(bits, whole.view(np.uint64).transpose(2, 0, 1))
 
     def test_shares_nothing_with_the_builder_kernel(self):
         tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
@@ -394,3 +489,36 @@ class TestBuilderScansAgainstTrustedBase:
             position = int(log.failure_reason.rsplit(" ", 1)[1])
             assert report.first_uncovered is not None
             assert position == colex_rank(report.first_uncovered[0].columns)
+
+    def test_bench_shapes_agree_with_the_kernel(self):
+        # the benchmark's verified arrays, each intact, mutilated as its
+        # reject job does it (every row holding one fixed interaction on
+        # the first t columns removed) and so on the last t columns, whose
+        # removed rows leave sets before those uncovered too: full_check's
+        # count and first witness are the kernel scan's count and first
+        # listed row
+        arrays = [two_stage_build(CAParams(*shape), BuildConfig(seed=1))[0]
+                  for shape in ((3, 30, 3), (4, 16, 3), (6, 10, 3))]
+        for bound, make_action, shape, share in (
+            (bounds.cyclic_lll_bound, make_cyclic, (3, 20, 3), 0.85),
+            (bounds.frobenius_lll_bound, make_frobenius, (3, 16, 4), 0.75),
+        ):
+            p = CAParams(*shape)
+            config = BuildConfig(seed=1, n_override=int(share * bound(p).stage1_rows))
+            array, log = moser_tardos_build(p, make_action(p.v), config)
+            assert log.success
+            arrays.append(array)
+        for array in arrays:
+            p = array.params
+            symbols = np.arange(p.t) % p.v
+            first_t = (array.cells[:, : p.t] == symbols).all(axis=1)
+            last_t = (array.cells[:, -p.t :] == symbols).all(axis=1)
+            for arr in (array, SymbolArray(p, array.cells[~first_t]),
+                        SymbolArray(p, array.cells[~last_t])):
+                report = full_check(arr)
+                count, rows = construct._uncovered_scan(p, arr.cells, report.uncovered_count)
+                assert count == report.uncovered_count
+                first = None if count == 0 else Interaction(
+                    tuple(int(c) for c in rows[0, :-1]), symbols_unrank(int(rows[0, -1]), p.t, p.v))
+                assert report.first_witness == first
+                assert (count == 0) == (arr is array)
