@@ -29,25 +29,26 @@ rows) is checked against the memory cap first.  All coverage questions -
 the uncovered scan, the density state and the resampling scan - go
 through one kernel, ``_coverage_tables``.  It yields the column t-sets
 in colex order, in blocks of consecutive set ranks: whole last columns
-while they fit its rank buffer, and a larger column alone.  It ranks
-every row's tuples from prefix ranks that the sets share, a block's in
-one gather from the prefixes and one from the columns, and keeps what is
-in flight within the working budget of ``limits``.  A block holds its
-first set rank and its seen table, not its sets: each consumer unranks
-only the sets it reads.  The resampling scan unranks one set per
-resample and starts each rescan at the first set ending at the lowest
-column it resampled, the uncovered scan unranks the sets of its listing,
-and the density state, the one consumer that reads them all, every
-block whole.  The
-uncovered scan counts and lists in one pass: the exact count, and the
-uncovered interactions in rank order while that count stays within a cap
-(the stage-1 target), so a two-stage build never holds a table of all
-interactions.  The density state is the one table of all C(k,t) * v**t
-interactions: a mask of the uncovered ones and its prefix counts (per
-set, the uncovered tuples by their first l symbols), built by one kernel
-pass, updated as each row is added, and checked against the memory cap
-before it is allocated.  A density row takes one gather per column, into
-the counts below the prefix each set holding the column has so far.
+while they fit its rank buffer, and a larger column alone.  A tuple's
+rank is its (t-1)-prefix's rank times v plus its last symbol, so a
+block's ranks take one gather from a window of top prefix ranks, filled
+from the columns and shared by the blocks, and one from the columns; the
+kernel keeps what is in flight within the working budget of ``limits``.
+A block holds its first set rank and its seen table, not its sets: each
+consumer unranks only the sets it reads.  The resampling scan unranks
+one set per resample and starts each rescan at the first set ending at
+the lowest column it resampled, the uncovered scan unranks the sets of
+its listing, and the density state, the one consumer that reads them
+all, every block whole.  The uncovered scan counts and lists in one
+pass: the exact count, and the uncovered interactions in rank order
+while that count stays within a cap (the stage-1 target), so a two-stage
+build never holds a table of all interactions.  The density state is the
+one table of all C(k,t) * v**t interactions: a mask of the uncovered
+ones and its prefix counts (per set, the uncovered tuples by their first
+l symbols), built by one kernel pass, updated as each row is added, and
+checked against the memory cap before it is allocated.  A density row
+takes one gather per column, into the counts below the prefix each set
+holding the column has so far.
 """
 
 from __future__ import annotations
@@ -196,14 +197,17 @@ def _place_values(params: CAParams) -> np.ndarray:
     return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
 
 
-def _colex_unrank(ranks: np.ndarray, binomials: np.ndarray) -> np.ndarray:
-    """``core.colex_unrank`` of each rank, one subset per row.
+def _colex_unrank(
+        ranks: np.ndarray, binomials: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``core.colex_unrank`` of each rank, one subset per row of ``out`` (a
+    new intp array by default), reducing the ranks, a new array, in place.
     binomials[i - 1, c] is C(c, i), capped at any bound above the ranks."""
-    ranks = np.array(ranks, dtype=np.intp)  # a copy: it is reduced in place
-    sets = np.empty((len(ranks), len(binomials)), dtype=np.intp)
-    for i in range(len(binomials), 0, -1):  # the largest c with C(c, i) <= rank
-        sets[:, i - 1] = np.searchsorted(binomials[i - 1], ranks, side="right") - 1
+    ranks = np.asarray(ranks, dtype=np.intp)
+    sets = np.empty((len(ranks), len(binomials)), dtype=np.intp) if out is None else out
+    for i in range(len(binomials), 1, -1):  # the largest c with C(c, i) <= rank
+        sets[:, i - 1] = binomials[i - 1].searchsorted(ranks, side="right") - 1
         ranks -= binomials[i - 1, sets[:, i - 1]]
+    sets[:, 0] = ranks  # C(c, 1) = c
     return sets
 
 
@@ -244,86 +248,49 @@ class _Block(NamedTuple):
         return _colex_unrank(self.lo + rows, self.binomials)
 
 
-class _PrefixLevels:
-    """The prefix ranks of one row chunk, as levels: level 0 is the empty
-    prefix, level 1 the columns, and level l >= 2 a window over the
-    l-prefixes of colex rank first[l]..end[l]-1, at most spans[l] of them
-    and below sizes[l], the l-prefixes that some (t-1)-prefix extends (one
-    column of each level array per row).  The l-prefix of rank r, or the
-    t-set at l = t, ends at the largest column e with C(e, l) <= r, and its
-    parent, the rest of it, is the (l-1)-prefix of rank r - C(e, l): one
-    vectorised colex split gives both for a range of ranks.  A prefix's
-    rank is its parent's times v plus its symbol in column e, so a range
-    takes one gather from the level below and one from the columns.
-    ``binomials`` is the kernel's ``_binomials`` and ``table`` its list
-    form."""
+class _PrefixWindow:
+    """The top prefix ranks of one row chunk: ``columns[c]`` holds its
+    symbols in column c, and ``ranks`` the ranks of the (t-1)-prefixes of
+    colex rank first..end-1, at most ``span``, one row each.  A prefix's
+    rank is its symbols read in base v, first column first, so a range of
+    prefixes is filled from the columns alone: one colex unrank, then one
+    gather and t-2 multiply-adds in place, ``piece`` prefixes at a time.
+    The last piece's unrank is kept: a block's row chunks fill the same pieces."""
 
-    def __init__(self, sizes: list[int], spans: list[int], chunk: int, dtype: np.dtype,
-                 binomials: np.ndarray, v: int) -> None:
-        self.sizes, self.spans, self.v = sizes, spans, v
-        self.binomials, self.table = binomials, binomials.tolist()
-        self.store = [np.zeros((1, chunk), dtype=dtype)]
-        self.store += [np.empty((span, chunk), dtype=dtype) for span in spans[1:]]
+    def __init__(self, params: CAParams, chunk: int, span: int, piece: int, dtype: np.dtype):
+        self.k, self.v, self.span, self.piece = params.k, params.v, span, piece
+        self.binomials = _binomials(params.t, params.k)[:-1]  # C(c, i) for i < t
+        self.store = np.empty(chunk * (self.k + span), dtype=dtype)  # flat: each load contiguous
+        self.prefixes = np.empty((params.t - 1, piece), dtype=np.intp)
+        self.unranked = self.first = self.end = 0  # the kept piece's range, and the window's
 
     def load(self, rows: np.ndarray) -> None:
-        """Start on a new row chunk: every window empty."""
-        self.levels = [level[:, : len(rows)] for level in self.store]
-        self.levels[1][...] = rows.T
-        self.first = [0] * len(self.spans)
-        self.end = self.spans[:2] + [0] * (len(self.spans) - 2)
+        """Start on a new row chunk, its window empty at the same first."""
+        n, k = len(rows), self.k
+        self.columns = self.store[: k * n].reshape(k, n)
+        self.columns[...] = rows.T
+        self.ranks = self.store[k * n : (k + self.span) * n].reshape(self.span, n)
+        self.end = self.first
 
-    def parents(self, l: int, lo: int, hi: int) -> tuple[int, int]:
-        """The rank range of the parents of the l-prefixes lo..hi-1: part
-        of one column's, or from 0 when they end at more than one column."""
-        row = self.table[l - 1]
-        e, f = bisect_right(row, lo) - 1, bisect_right(row, hi - 1) - 1
-        if e == f:
-            return lo - row[e], hi - row[e]
-        return 0, max(math.comb(f - 1, l - 1), hi - row[f])
-
-    def split(self, l: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The parents' ranks and the last columns of the l-prefixes
-        lo..hi-1 (the t-sets at l = t)."""
-        row = self.binomials[l - 1]
-        ranks = np.arange(lo, hi)
-        last = row[1:].searchsorted(ranks, side="right")  # row[0] = C(0, l) = 0
-        ranks -= row[last]
-        return ranks, last
-
-    def rank(self, l: int, parents: np.ndarray, last: np.ndarray, out: np.ndarray) -> None:
-        """Write the ranks of the l-prefixes with these parents and last
-        columns into out, one row each, in its dtype: one gather from level
-        l-1, which must hold the parents, and one from the columns."""
-        below = self.levels[l - 1][parents - self.first[l - 1]]
-        np.multiply(below, self.v, out=out, dtype=out.dtype)
-        out += self.levels[1][last]
-
-    def fill(self, l: int, lo: int, hi: int) -> None:
-        """Make level l hold the prefixes of rank lo..hi-1 (at most its
-        span), extending its window or, when that cannot reach hi,
-        restarting it at lo.  A window that grows at least doubles, within
-        its span and its level, so a scan extends it a few times, not once
-        per block.  Each gather takes as many prefixes as level l-1's
-        window holds the parents of: all of them when it holds its whole
-        level, else up to the first column or the first prefix whose
-        parent would not fit."""
-        first, end, spans = self.first, self.end, self.spans
-        if lo < first[l] or lo > end[l] or hi - first[l] > spans[l]:
-            first[l] = end[l] = lo
-        elif hi > end[l]:
-            hi = max(hi, min(2 * end[l] - first[l], first[l] + spans[l], self.sizes[l]))
-        row, span = self.table[l - 1], spans[l - 1]
-        while end[l] < hi:
-            e = bisect_right(row, end[l]) - 1  # the last column of prefix end[l]
-            whole = bisect_right(self.table[l - 2], span) - 1  # the last whose parents fit
-            if e <= whole:
-                b = min(hi, math.comb(whole + 1, l) + span)
-            else:
-                b = min(hi, math.comb(e + 1, l), end[l] + span)
-            self.fill(l - 1, *self.parents(l, end[l], b))
-            part = self.levels[l][end[l] - first[l] : b - first[l]]
-            self.rank(l, *self.split(l, end[l], b), part)
-            end[l] = b
+    def hold(self, lo: int, hi: int, reach: int) -> None:
+        """Make the window hold the prefixes lo..hi-1, filled on toward
+        ``reach``, past the last prefix the chunk's next blocks read: it
+        extends from its end when that reaches hi, else starts again at lo."""
+        first, end = self.first, self.end
+        if lo < first or lo > end or hi > first + self.span:
+            first = end = self.first = lo
+        self.end = max(end, min(first + self.span, reach))
+        for a in range(end, self.end, self.piece):
+            b = min(a + self.piece, self.end)
+            prefixes = self.prefixes[:, : b - a]
+            if self.unranked != (a, b):
+                self.unranked = a, b
+                _colex_unrank(np.arange(a, b), self.binomials, out=prefixes.T)
+            out = self.ranks[a - first : b - first]
+            self.columns.take(prefixes[0], axis=0, out=out, mode="clip")
+            for c in prefixes[1:]:
+                out *= self.v
+                out += self.columns[c]
 
 
 def _block_ranges(
@@ -331,11 +298,10 @@ def _block_ranges(
 ) -> Iterator[tuple[int, int, int]]:
     """The kernel's blocks from C(column, t), the first set ending at
     ``column``, as (lo, hi, step): set ranks lo..hi-1, ranked ``step`` sets
-    at a time.  A block holds whole consecutive last columns while they fit
-    ``sub`` sets, the rank buffer, and the top level's window of ``span``
-    prefixes holds each column's; it is ranked whole.  A column of more is
-    a block alone, cut in parts of ``group`` sets, and ranked at most
-    ``sub`` and ``span`` sets at a time."""
+    at a time.  A block holds whole consecutive last columns while they
+    fit ``sub`` sets, the rank buffer, and ``span`` prefixes, the window;
+    it is ranked whole.  A column of more is a block alone, cut in parts
+    of ``group`` sets, and ranked at most ``sub`` and ``span`` at a time."""
     step = min(sub, span)
     lo = hi = math.comb(column, t)
     for c in range(column, k):
@@ -363,38 +329,32 @@ def _coverage_tables(
     ending at ``column``, the very first by default.  A block is a range of
     set ranks and its seen table: seen[j, i] is True iff some row's symbol
     tuple on the block's j-th set has rank i or, given ``orbits``, lies in
-    orbit i.  The kernel unranks no set.  Each consumer unranks what it
-    reads: the resampling scan its first offender, the uncovered scan the
-    sets of its listing while it keeps one, and only the density state
-    every set of every block.
+    orbit i.  The kernel unranks no set; each consumer unranks what it
+    reads.
 
-    Of the working budget, ``limits.working_bytes()``, the prefix levels
-    of one row chunk take up to half; one block's seen table, its sets
-    when a consumer unranks them all, its colex split and the offsets of
-    its sets in the table a quarter; and the rank buffer of ``sub`` sets
-    1/128, which keeps it in cache, with their tuple ranks in a dtype that
-    holds v**t beside it.  The t-sets ending at column c are the
-    first C(c, t-1) (t-1)-prefixes in colex order plus c.  A block holds
-    whole consecutive last columns while they fit the rank buffer, and is
-    ranked whole; a larger column is a block alone, cut in parts when it
-    is over that quarter, and ranked up to ``sub`` sets at a time.  A
-    tuple's rank is its prefix's rank times v plus its symbol in its last
-    column, so a block's ranks take one gather from the top prefix level
-    and one from the columns, and are scattered into one flat table.  The
-    prefix ranks are ``_PrefixLevels``.  Each level is filled as far as
-    the blocks ask, one gather from the level below at a time, and at
-    least doubles when it grows.
+    The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
+    in colex order plus c, and a tuple's rank is its prefix's rank times v
+    plus its symbol in c: a block's ranks take one gather from the window
+    of prefix ranks (``_PrefixWindow``) and one from the columns, scattered
+    into one flat table.  Of the working budget, ``limits.working_bytes()``,
+    a row chunk's columns and window take up to half; a window fill's
+    temporaries an eighth; a block's seen table, its sets when a consumer
+    unranks them all, its colex split and its sets' offsets a quarter; and
+    the rank buffer of ``sub`` sets and their tuple ranks (in a dtype that
+    holds v**t) 1/128, which keeps it in cache.  A block holds whole
+    consecutive last columns while they fit the rank buffer, and is ranked
+    whole; a larger column is a block alone, cut in parts when it is over
+    that quarter, and ranked up to ``sub`` sets at a time.
 
-    When the levels of all rows do not fit the budget, the rows go in
-    chunks whose tables are ORed, and only the last chunk's levels are
-    kept; when one row's do not, the levels from 2 up share what is left,
-    lowest first, each holding part of its prefixes and filled again as
-    the scan moves on.  A level then fills up to the first column, or the
-    first prefix, whose parent its lower window cannot hold, and a column
-    whose prefixes the top window cannot hold is ranked a window at a
-    time.  A scan within the budget (every bench shape) keeps one chunk
-    and fills each level in a few gathers.  The column-set cap and every
-    table (the levels, the seen table, the block's sets, split and
+    When the columns and all C(k-1, t-1) top prefixes of all rows do not
+    fit, the rows go in chunks whose tables are ORed, and a block fills
+    each chunk's window only as far as it reads; one chunk of all the rows
+    (every bench shape) keeps its window for the whole scan and fills it
+    once.  When one row's do not fit, the window holds part of the top
+    prefixes, starts again at a block's first prefix when it cannot reach
+    it, and ranks a column whose prefixes it cannot hold a window at a
+    time.  The column-set cap and every table (the columns and window, the
+    fill's temporaries, the seen table, the block's sets, split and
     offsets, the rank buffers) are checked before the first is allocated,
     against one reading of the memory cap per scan.
 
@@ -406,41 +366,46 @@ def _coverage_tables(
     slots = params.tuple_count if orbits is None else orbits.n_orbits
     limits.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
-    sizes = [1, k] + [math.comb(k - t + l, l) for l in range(2, t)]  # whole levels 0..t-1
+    size = math.comb(k - 1, t - 1)  # the top prefixes, those some t-set extends
     cap = limits.memory_cap_bytes()  # read once; every table below is priced against it
     budget = limits.working_bytes(cap)
-    entries = budget // 2 // dtype.itemsize  # level entries within the budget
-    chunk = max(1, min(n, entries // sum(sizes), budget // 1024))
-    spans = sizes[:2]
-    for l in range(2, t):
-        spans.append(max(1, min(sizes[l], (entries // chunk - sum(spans)) // (t - l))))
+    entries = budget // 2 // dtype.itemsize  # column and window entries within the budget
+    chunk = max(1, min(n, entries // (k + size), budget // 1024))
+    span = max(1, min(size, entries // chunk - k))
+    fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
+    piece = max(1, min(span, budget // 8 // fill))
     group = max(1, min(math.comb(k, t), budget // 4 // (slots + 8 * (t + 3))))
     sub = max(1, min(group, budget // 128 // (8 * chunk)))
-    limits.check_table_bytes(chunk * sum(spans), dtype.itemsize, "coverage prefix levels", cap=cap)
+    limits.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window", cap=cap)
+    limits.check_table_bytes(piece, fill, "coverage window fill", cap=cap)
     limits.check_table_bytes(group * slots, 1, "coverage mask", cap=cap)
     limits.check_table_bytes(group * (t + 3), 8, "coverage column sets", cap=cap)
     tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
     limits.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer", cap=cap)
     binomials = _binomials(t, k)
-    prefixes = _PrefixLevels(sizes, spans, chunk, dtype, binomials, v)
+    window = _PrefixWindow(params, chunk, span, piece, dtype)
     buffer = np.empty((sub, chunk), dtype=np.intp)
     tuple_buffer = np.empty((sub, chunk), dtype=tuples)
     offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place in a block
-    held = None  # the row chunk whose levels are kept
-    for lo, hi, step in _block_ranges(t, k, column, sub, spans[t - 1], group):
+    window.load(cells[:chunk])  # one chunk of all the rows is loaded once
+    for lo, hi, step in _block_ranges(t, k, column, sub, span, group):
         seen = np.zeros((hi - lo) * slots, dtype=bool)
-        parents, last = prefixes.split(t, lo, hi)
+        parents = np.arange(lo, hi)  # the colex split: each set's prefix and last column
+        last = binomials[t - 1, 1:].searchsorted(parents, side="right")  # C(0, t) = 0
+        parents -= binomials[t - 1, last]
+        reach = size if chunk >= n else parents[-1] + 1  # past the block's last prefix
         for start in range(0, n, chunk):
-            if held != start:
-                held = start
-                prefixes.load(cells[start : start + chunk])
+            if chunk < n:  # of several, each block loads each again
+                window.load(cells[start : start + chunk])
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
-                first, end = prefixes.parents(t, a, hi)  # as much of the block as fits
-                prefixes.fill(t - 1, first, min(end, first + spans[t - 1]))
-                ranks = buffer[: b - a, : min(chunk, n - start)]
+                # a step's prefixes run from its first set's to its last set's
+                window.hold(parents[a - lo], parents[b - 1 - lo] + 1, reach)
+                ranks = buffer[: b - a, : window.ranks.shape[1]]
                 tuple_ranks = tuple_buffer[: b - a, : ranks.shape[1]]
-                prefixes.rank(t, parents[a - lo : b - lo], last[a - lo : b - lo], tuple_ranks)
+                np.multiply(window.ranks[parents[a - lo : b - lo] - window.first], v,
+                            out=tuple_ranks, dtype=tuples)
+                tuple_ranks += window.columns[last[a - lo : b - lo]]
                 if orbits is None:
                     np.add(tuple_ranks, offsets[a - lo : b - lo], out=ranks)
                 else:

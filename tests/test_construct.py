@@ -460,16 +460,19 @@ class TestMoserTardos:
     def test_resampling_unranks_one_set_per_resample(self, monkeypatch):
         # the kernel yields rank ranges, and the scan unranks only the
         # offender it resamples, by the scalar walk: a block-wide unrank
-        # would count thousands of sets here.  The array is the one the
+        # would count thousands of sets here.  The kernel's own unranks are
+        # of (t-1)-prefixes, counted apart: the window of 30 rows holds all
+        # C(15, 2) = 105 top prefixes, so each scan, the first and one
+        # after each resample, fills it once.  The array is the one the
         # builder made when every block's sets were unranked (same digest
         # input as test_golden).
         p = CAParams(3, 16, 4)
-        unranked = []
+        unranked, filled = [], []
         unrank, unrank_one = construct._colex_unrank, construct._colex_unrank_one
 
-        def counted(ranks, binomials):
-            unranked.append(len(ranks))
-            return unrank(ranks, binomials)
+        def counted(ranks, binomials, out=None):
+            (unranked if len(binomials) == p.t else filled).append(len(ranks))
+            return unrank(ranks, binomials, out)
 
         def counted_one(rank, table):
             unranked.append(1)
@@ -481,6 +484,7 @@ class TestMoserTardos:
         arr, log = moser_tardos_build(p, make_frobenius(4), BuildConfig(seed=1, n_override=n))
         assert log.success and log.resample_count > 0
         assert unranked == [1] * log.resample_count
+        assert filled == [comb(15, 2)] * (log.resample_count + 1)
         h = hashlib.sha256(f"CA {arr.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
         h.update(np.ascontiguousarray(arr.cells, dtype=np.uint8).tobytes())
         assert (n, arr.n_rows, log.resample_count, h.hexdigest()) == (

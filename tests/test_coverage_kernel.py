@@ -10,9 +10,9 @@ consumers the uncovered count and listing, the density mask and its
 prefix counts as rows are added, and the resampling scan's first
 offender and, against a loop that rescans from the first set, its
 restarts.  Each check also runs under working budgets small enough to
-split the rows into chunks, a column's block into several and a level's
-prefixes into windows, and under the default, whose blocks merge whole
-columns.
+split the rows into chunks, a column's block into several and the top
+prefixes into a window over part of them, and under the default, whose
+blocks merge whole columns.
 CAParams has t >= 2, so t runs from 2 to k.
 """
 
@@ -151,46 +151,105 @@ def with_budget(budget, fn, *args):
         return fn(*args)
 
 
+def pinned(shape, rows, seed, budget, orbits=None):
+    """A pinned scan: ``rows`` random rows of ``shape`` drawn at ``seed``."""
+    params = CAParams(*shape)
+    return params, random_array(params, rows, seed).cells.copy(), orbits, budget
+
+
+# Pinned scans under small working budgets, each with the regime it is
+# there for: (row chunks, whether its window holds only part of the
+# C(k-1, t-1) top prefixes, whether the window moves on while one chunk is
+# held).  A row's columns and top prefixes take k + C(k-1, t-1) entries, a
+# byte each in every example, of the half of the budget they are given.
+REGIMES = [
+    # (3,9,3) under 8192 bytes: a rank buffer of one set, so one column per
+    # block, the last cut in parts of 27 sets and 1, and row chunks of 8, so
+    # 40 rows go in 5 chunks, and 200 rows in 50 under 4096 bytes; each
+    # chunk's window holds all C(8,2) = 28 top prefixes
+    (pinned((3, 9, 3), 40, 2, 8192), (5, False, False)),
+    (pinned((3, 9, 3), 200, 3, 4096), (50, False, False)),
+    # one row takes 20 + C(19,3) = 989 bytes at (4,20,2), over the 512 that
+    # a 1024-byte budget gives it: each of 10 one-row chunks has a window
+    # of 492 top prefixes, filled as far as its block reads
+    (pinned((4, 20, 2), 10, 4, 1024), (10, True, False)),
+    # 12 + C(11,5) = 474 bytes at (6,12,2) fit 512, but 10 rows do not: one
+    # row a chunk, each window whole and filled by 4 multiply-adds.  One
+    # row is one chunk, whose window is kept for the whole scan; under 512
+    # bytes it holds 244 of the 462 and moves on, as at (5,7,3) under 1
+    # byte (one prefix)
+    (pinned((6, 12, 2), 10, 5, 1024), (10, False, False)),
+    (pinned((6, 12, 2), 1, 5, 1024), (1, False, False)),
+    (pinned((6, 12, 2), 1, 5, 512), (1, True, True)),
+    (pinned((5, 7, 3), 1, 6, 1), (1, True, True)),
+    # merged blocks meet row chunks at (4,26,2), 26 + C(25,3) = 2326 bytes
+    # a row: under 15618 bytes, chunks of 3 rows and a rank buffer of 5
+    # sets, so the first block holds columns 3 and 4 (1 + 4 sets) in each
+    # of 4 chunks; under 5120 bytes, chunks of 1 row and the same first
+    # block.  At (4,28,2), 28 + C(27,3) = 2953 bytes a row, a 5120-byte
+    # budget leaves that block a window of 2532 of the 2925 top prefixes
+    (pinned((4, 26, 2), 10, 8, 15618), (4, False, False)),
+    (pinned((4, 26, 2), 3, 9, 5120, enumerate_orbits(make_cyclic(2), 4)), (3, False, False)),
+    (pinned((4, 28, 2), 3, 9, 5120, enumerate_orbits(make_cyclic(2), 4)), (3, True, False)),
+    # t = 2 at v = 256: uint8 ranks, whose top prefixes are columns 0 and 1
+    (pinned((2, 3, 256), 300, 6, limits._WORKING_BYTES), (1, False, False)),
+]
+
+
+def with_examples(scans):
+    """Run a hypothesis test on each of these scans too."""
+    def decorate(test):
+        for scan in scans:
+            test = example(scan)(test)
+        return test
+    return decorate
+
+
 class TestBlocks:
     @settings(max_examples=150, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)))
     @example((CAParams(2, 2, 2), np.zeros((0, 2), np.int32), None, 1))
     @example((CAParams(5, 5, 2), np.ones((3, 5), np.int32), None, 64))
-    @example((CAParams(3, 7, 4), random_array(CAParams(3, 7, 4), 60, 1).cells.copy(), None, 1))
-    # (3,9,3) under 8192 bytes: a rank buffer of one set, so one column per
-    # block, the last cut in parts of 27 sets and 1, and row chunks of 8, so
-    # 40 rows go in 5 chunks, and 200 rows in 50 under 4096 bytes
-    @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 40, 2).cells.copy(), None, 8192))
-    @example((CAParams(3, 9, 3), random_array(CAParams(3, 9, 3), 200, 3).cells.copy(), None, 4096))
-    # one row's levels take 1 + 20 + C(18,2) + C(19,3) = 1143 bytes at
-    # (4,20,2) and 1 + 12 + 28 + 84 + C(10,4) + C(11,5) = 797 bytes at
-    # (6,12,2), over the 512 that a 1024-byte budget gives them: the top
-    # level, and at (6,12,2) level 4 too, hold part of their prefixes.
-    # With one row, one chunk keeps its levels for the whole scan, so the
-    # windows move on, as they do at (5,7,3) under 1 byte (one prefix each)
-    @example((CAParams(4, 20, 2), random_array(CAParams(4, 20, 2), 10, 4).cells.copy(), None, 1024))
-    @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 10, 5).cells.copy(), None, 1024))
-    @example((CAParams(6, 12, 2), random_array(CAParams(6, 12, 2), 1, 5).cells.copy(), None, 1024))
-    @example((CAParams(5, 7, 3), random_array(CAParams(5, 7, 3), 1, 6).cells.copy(), None, 1))
-    # merged blocks meet row chunks and a windowed top level at (4,26,2),
-    # whose levels take 1 + 26 + C(24,2) + C(25,3) = 2603 bytes a row: under
-    # 15618 bytes, chunks of 3 rows and a rank buffer of 5 sets, so the first
-    # block holds columns 3 and 4 (1 + 4 sets) in each of 4 chunks; under
-    # 5120 bytes, chunks of 1 row, the same first block, and a top level of
-    # 2257 of its 2300 prefixes
-    @example((CAParams(4, 26, 2), random_array(CAParams(4, 26, 2), 10, 8).cells.copy(), None,
-              15618))
-    @example((CAParams(4, 26, 2), random_array(CAParams(4, 26, 2), 3, 9).cells.copy(),
-              enumerate_orbits(make_cyclic(2), 4), 5120))
-    # t = 2 at v = 256: uint8 levels, whose top level is the columns
-    @example((CAParams(2, 3, 256), random_array(CAParams(2, 3, 256), 300, 6).cells.copy(), None,
-              limits._WORKING_BYTES))
+    @example(pinned((3, 7, 4), 60, 1, 1))
+    @with_examples([scan for scan, _ in REGIMES])
     def test_blocks_match_reference(self, scan):
         params, cells, orbits, budget = scan
         sets, seen = kernel_tables(params, cells, orbits, budget)
         ref_sets, ref_seen = reference_tables(params, cells, orbits)
         assert np.array_equal(sets, ref_sets)
         assert np.array_equal(seen, ref_seen)
+
+    @pytest.mark.parametrize("scan, regime", REGIMES)
+    def test_examples_keep_their_regime(self, monkeypatch, scan, regime):
+        # so that no sizing change moves a pinned example out of the regime
+        # it is there for
+        params, cells, orbits, budget = scan
+        windows = []
+
+        class Watched(construct._PrefixWindow):
+            def __init__(self, params, chunk, span, *rest):
+                super().__init__(params, chunk, span, *rest)
+                self.chunk, self.loaded, self.moves = chunk, False, 0
+                windows.append(self)
+
+            def load(self, rows):
+                super().load(rows)
+                self.loaded = True
+
+            def hold(self, lo, hi, reach):
+                first = self.first
+                super().hold(lo, hi, reach)
+                self.moves += self.first != first and not self.loaded
+                self.loaded = False
+
+        monkeypatch.setattr(construct, "_PrefixWindow", Watched)
+        monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
+        for _ in construct._coverage_tables(params, cells, orbits):
+            pass
+        (window,) = windows
+        top = comb(params.k - 1, params.t - 1)
+        chunks = -(-len(cells) // window.chunk)
+        assert (chunks, window.span < top, window.moves > 0) == regime
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())
@@ -248,13 +307,14 @@ class TestBlocks:
             assert start == len(ref_sets)
 
     @pytest.mark.parametrize("shape, rows, env, budget", [
-        # at (10,30,2) one row's full levels take about 14.3M entries, far
-        # over a 1 MiB cap: every level from 6 up holds part of its prefixes
+        # at (10,30,2) one row's top prefixes are C(29,9), about 10.0M
+        # entries, far over a 1 MiB cap: each one-row chunk's window holds
+        # 262,114 of them (two bytes each)
         ((10, 30, 2), 50, {"COVERKIT_MEMORY_CAP_MIB": "1"}, limits._WORKING_BYTES),
-        # at (4,2044,2) a 4096-byte budget leaves one row 3 level entries
-        # past its columns: level 2 holds one prefix and the top level two,
-        # so a sub-block has two prefixes, each filled from its own level-2
-        # prefix (C(2044,4) sets are over the default column-set cap)
+        # at (4,2044,2) a 4096-byte budget leaves one row 4 window entries
+        # past its 2044 columns, so a sub-block has at most 4 prefixes, and
+        # the window starts again at each (C(2044,4) sets are over the
+        # default column-set cap)
         ((4, 2044, 2), 1, {"COVERKIT_MAX_COLUMN_SETS": str(10**12)}, 4096),
     ])
     def test_large_shapes_start_under_small_budgets(self, monkeypatch, shape, rows, env, budget):

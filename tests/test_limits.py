@@ -86,17 +86,27 @@ class TestMemoryCap:
         assert peak <= bitsets + 3 * limits.working_bytes() // 2
 
     def test_builder_scans_chunk_under_a_small_cap(self, monkeypatch):
-        # at (4,20,3) two-stage draws 672 rows, whose top prefix ranks alone
-        # (672 * C(19,3) * 4 bytes) are over 1 MiB: under that cap the
-        # scans take the rows in chunks and give the same count and array
+        # at (4,20,3) two-stage draws 672 rows, whose columns and top prefix
+        # ranks, a byte each, take 672 * (20 + C(19,3)) = 664,608 bytes, over
+        # the half of a 1 MiB working budget a scan gives them: under that
+        # cap the scans take the rows in chunks and give the same count and
+        # array, and a count scan's peak, its window fills' unrank and
+        # gather temporaries included, stays within the budget
         p = CAParams(4, 20, 3)
         n = bounds.two_stage_bound(p).stage1_rows
-        assert n * math.comb(p.k - 1, p.t - 1) * 4 > 1 << 20
+        assert n * (p.k + math.comb(p.k - 1, p.t - 1)) > (1 << 20) // 2
         arr = random_array(p, n, seed=5)
         config = BuildConfig(seed=5)
         uncapped = count_uncovered(arr), two_stage_build(p, config)[0]
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
-        assert (count_uncovered(arr), two_stage_build(p, config)[0]) == uncapped
+        tracemalloc.start()
+        try:
+            count = count_uncovered(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limits.working_bytes()
+        assert (count, two_stage_build(p, config)[0]) == uncapped
 
     def test_density_state_is_checked_before_allocation(self, monkeypatch):
         # the kernel's largest table here, the C(59,2) x 2 prefix sets, is

@@ -311,7 +311,8 @@ class TestAgainstReference:
         assert np.array_equal(bits, whole.view(np.uint64).transpose(2, 0, 1))
 
     def test_shares_nothing_with_the_builder_kernel(self):
-        tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
+        with open(verify.__file__, encoding="utf-8") as source:
+            tree = ast.parse(source.read())
         modules = [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
         modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
         assert not any("construct" in m for m in modules)
