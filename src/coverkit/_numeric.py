@@ -39,7 +39,9 @@ would give.
    cannot decide past guesses of about 1e24.  The floor with the factor e
    starts at 50 digits more than it has.
 4. **Exact.**  The rational questions (c = 0) are decided by the exact
-   integers, once the memory cap has passed the powers they build.  The
+   integers, once the memory cap has passed the powers they build.  This
+   tier, reached only where the wider estimates still tie, reads the caps
+   (``limits.Budget.from_env``) once for each power it builds.  The
    questions with the factor e never tie, as e times a rational is
    irrational: their digits are doubled until the estimate decides.
 """
@@ -145,7 +147,8 @@ def _log_estimate(
 
 def _check_power(base: int, n: int) -> None:
     """Raise ResourceLimitError before base**n would pass the memory cap."""
-    limits.check_table_bytes(n, -(-base.bit_length() // 8), f"the exact power {base}**{n}")
+    limits.Budget.from_env().check_table_bytes(
+        n, -(-base.bit_length() // 8), f"the exact power {base}**{n}")
 
 
 def _crossing(at_zero, step, bound, guard) -> tuple[int, bool]:

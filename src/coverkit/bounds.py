@@ -56,9 +56,9 @@ from fractions import Fraction
 from typing import Callable, Literal, Sequence
 
 from . import _numeric as num
-from . import limits
 from .core import CAParams
 from .errors import ResourceLimitError, UnsupportedParameterError
+from .limits import Budget
 
 __all__ = [
     "BoundReport",
@@ -220,7 +220,7 @@ def discrete_slj_bound(params: CAParams) -> tuple[BoundReport, DiscreteSljTrace]
     """
     vt = params.tuple_count
     start = params.interaction_space_size
-    trace = DiscreteSljTrace(start, vt, _leftover_count(start, vt))
+    trace = DiscreteSljTrace(start, vt, _leftover_count(start, vt, Budget.from_env()))
     report = BoundReport(
         method="discrete_slj",
         value=trace.steps,
@@ -255,13 +255,13 @@ def _leftover_top(start: int, vt: int) -> int:
     return top
 
 
-def _leftover_count(start: int, vt: int) -> int:
+def _leftover_count(start: int, vt: int, budget: Budget) -> int:
     """N alone, the steps of the leftover recurrence from r(0) = start to
     0: the first step, then ``_steps_left``.  Raises ResourceLimitError
     before the first step when the recurrence, at least ``_least_steps``
     long, is over the column-set cap."""
-    limits.check_steps(_least_steps(start, vt), "discrete recurrence trace")
-    return 1 + _steps_left(start - -(-start // vt), vt) if start else 0
+    budget.check_steps(_least_steps(start, vt), "discrete recurrence trace")
+    return 1 + _steps_left(start - -(-start // vt), vt, budget) if start else 0
 
 
 def _least_steps(r: int, vt: int) -> int:
@@ -280,7 +280,7 @@ def _least_steps(r: int, vt: int) -> int:
 _MARK_EVERY = 64
 
 
-def _steps_left(r: int, vt: int) -> int:
+def _steps_left(r: int, vt: int, budget: Budget) -> int:
     """The steps of the leftover recurrence from r(i) = r, i >= 1, to 0.
 
     With u = r + 1, a step r -> r - (r // vt + 1) is u -> floor(u*(vt-1)/vt),
@@ -294,7 +294,7 @@ def _steps_left(r: int, vt: int) -> int:
     table = _thresholds(vt)
     marks = table.marks
     if marks[-1] <= u:
-        marks = table.grow(u)
+        marks = table.grow(u, budget)
     i = bisect.bisect_right(marks, u) - 1
     j, nxt = i * _MARK_EVERY, marks[i] + -(-marks[i] // q)
     while nxt <= u:
@@ -312,7 +312,7 @@ class _Thresholds:
         self.vt = vt
         self.marks = [1]
 
-    def grow(self, u: int) -> list[int]:
+    def grow(self, u: int, budget: Budget) -> list[int]:
         """The marks extended until the last is above u, once the memory
         cap has passed them.  At most min(u - 1, ln u / ln(vt/(vt-1)))
         thresholds past L_0 are <= u, since L_{j+1} >= L_j * vt/(vt-1), and
@@ -320,7 +320,7 @@ class _Thresholds:
         marks, q = self.marks, self.vt - 1
         most = min(u - 1, _over_log_ratio(math.log(u), self.vt, q))
         entries = int(most) // _MARK_EVERY + 3
-        limits.check_table_bytes(
+        budget.check_table_bytes(
             entries, 8 + sys.getsizeof(u << 64), "discrete recurrence threshold table"
         )
         grown, x = list(marks), marks[-1]
@@ -390,8 +390,8 @@ def two_stage_bound(params: CAParams) -> BoundReport:
     centre, span = num.optimum_window(total, vt, vt - 1)
     radius = max(64, math.isqrt(span) + 8)
     lo, hi = max(0, centre - radius), centre + radius
-    limits.check_table_bytes(hi - lo + 1, two_stage_entry_bytes(params), "two-stage search window",
-                             fixed=TWO_STAGE_CALL_BYTES)
+    Budget.from_env().check_table_bytes(
+        hi - lo + 1, two_stage_entry_bytes(params), "two-stage search window", TWO_STAGE_CALL_BYTES)
 
     values = two_stage_objectives(params, range(lo, hi + 1))
     best_val = min(values)
@@ -646,7 +646,7 @@ def conditional_lll_two_stage_bound(
     if second_stage == "one_row_each":
         stage2 = e2
     elif second_stage == "discrete_slj":
-        stage2 = _leftover_count(e2, vt)
+        stage2 = _leftover_count(e2, vt, Budget.from_env())
     else:
         raise ValueError(f"unknown second stage {second_stage!r}")
 

@@ -177,7 +177,8 @@ def _parse_range(text: str, flag: str, entry_bytes: int, fixed: int = 0) -> list
         lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
         if step >= 1 and hi >= lo:
             length = (hi - lo) // step + 1
-            limits.check_table_bytes(length, entry_bytes, f"{flag} range {text!r}", fixed)
+            limits.Budget.from_env().check_table_bytes(
+                length, entry_bytes, f"{flag} range {text!r}", fixed)
             return list(range(lo, hi + 1, step))
     raise ValueError(f"bad range {text!r}")
 

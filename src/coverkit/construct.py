@@ -23,9 +23,13 @@ array; it is the ``density`` strategy from the empty array.
 name's builder, which returns the array and its ``BuildLog``, and the
 ``BuildConfig`` fields it reads besides the seed.  Every builder is
 deterministic given (params, config): the seed fully drives all random
-draws.  Every row table a builder allocates (stage-1 rows, the leftover
-listing, the colour classes, stage-2 patch rows, developed and pair
-rows) is checked against the memory cap first.  All coverage questions -
+draws.  Each builder, ``count_uncovered``, ``random_array`` and
+``density_build`` reads one ``limits.Budget`` when it is called and
+passes it to every helper that prices a table or runs in a loop, so its
+attempts, resamples and scans read nothing from the environment.  Every
+row table a builder allocates (stage-1 rows, the leftover listing, the
+colour classes, stage-2 patch rows, developed and pair rows) is checked
+against that budget's memory cap first.  All coverage questions -
 the uncovered scan, the density state and the resampling scan - go
 through one kernel, ``_coverage_tables``.  It yields the column t-sets
 in colex order, in blocks of consecutive set ranks: whole last columns
@@ -33,7 +37,7 @@ while they fit its rank buffer, and a larger column alone.  A tuple's
 rank is its (t-1)-prefix's rank times v plus its last symbol, so a
 block's ranks take one gather from a window of top prefix ranks, filled
 from the columns and shared by the blocks, and one from the columns; the
-kernel keeps what is in flight within the working budget of ``limits``.
+kernel keeps what is in flight within the budget's working bytes.
 A block holds its first set rank and its seen table, not its sets: each
 consumer unranks only the sets it reads.  The resampling scan unranks
 one set per resample and starts each rescan at the first set ending at
@@ -64,10 +68,11 @@ from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from . import bounds, limits
+from . import bounds
 from .errors import ResourceLimitError
 from ._numeric import floor_scaled_power
 from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray
+from .limits import Budget
 from .groups import (
     GroupAction,
     OrbitTable,
@@ -180,15 +185,18 @@ def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in seed."""
     if n < 0:
         raise ValueError("row count must be nonnegative")
-    return SymbolArray(params, _random_rows(np.random.default_rng(seed), params, n, "random rows"))
+    rng = np.random.default_rng(seed)
+    return SymbolArray(params, _random_rows(rng, params, n, "random rows", Budget.from_env()))
 
 
-def _random_rows(rng: np.random.Generator, params: CAParams, n: int, what: str) -> np.ndarray:
+def _random_rows(
+    rng: np.random.Generator, params: CAParams, n: int, what: str, budget: Budget
+) -> np.ndarray:
     """n x k cells i.i.d. uniform on 0..v-1, checked against the memory cap
     and the largest symbol an array holds before they are drawn."""
     if params.v - 1 > CELL_MAX:
         raise ValueError(f"v={params.v}: symbols past {CELL_MAX}, the largest symbol an array holds")
-    limits.check_table_bytes(n * params.k, np.dtype(CELL_DTYPE).itemsize, what)
+    budget.check_table_bytes(n * params.k, np.dtype(CELL_DTYPE).itemsize, what)
     return rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
 
 
@@ -321,6 +329,7 @@ def _block_ranges(
 def _coverage_tables(
     params: CAParams,
     cells: np.ndarray,
+    budget: Budget,
     orbits: OrbitTable | None = None,
     column: int = 0,
 ) -> Iterator[_Block]:
@@ -336,8 +345,8 @@ def _coverage_tables(
     in colex order plus c, and a tuple's rank is its prefix's rank times v
     plus its symbol in c: a block's ranks take one gather from the window
     of prefix ranks (``_PrefixWindow``) and one from the columns, scattered
-    into one flat table.  Of the working budget, ``limits.working_bytes()``,
-    a row chunk's columns and window take up to half; a window fill's
+    into one flat table.  Of the working budget, ``budget.working``, a
+    row chunk's columns and window take up to half; a window fill's
     temporaries an eighth; a block's seen table, its sets when a consumer
     unranks them all, its colex split and its sets' offsets a quarter; and
     the rank buffer of ``sub`` sets and their tuple ranks (in a dtype that
@@ -356,7 +365,7 @@ def _coverage_tables(
     time.  The column-set cap and every table (the columns and window, the
     fill's temporaries, the seen table, the block's sets, split and
     offsets, the rank buffers) are checked before the first is allocated,
-    against one reading of the memory cap per scan.
+    against the caller's ``budget``: a scan reads no cap of its own.
 
     Takes the raw cell matrix rather than a SymbolArray, whose buffer is
     frozen, so that the resampling loop can rewrite columns between scans.
@@ -364,24 +373,22 @@ def _coverage_tables(
     t, k, v = params.t, params.k, params.v
     n = len(cells)
     slots = params.tuple_count if orbits is None else orbits.n_orbits
-    limits.check_column_sets(k, t, "coverage scan")
+    budget.check_column_sets(k, t, "coverage scan")
     dtype = np.min_scalar_type(v ** (t - 1) - 1)
     size = math.comb(k - 1, t - 1)  # the top prefixes, those some t-set extends
-    cap = limits.memory_cap_bytes()  # read once; every table below is priced against it
-    budget = limits.working_bytes(cap)
-    entries = budget // 2 // dtype.itemsize  # column and window entries within the budget
-    chunk = max(1, min(n, entries // (k + size), budget // 1024))
+    entries = budget.working // 2 // dtype.itemsize  # column and window entries within the budget
+    chunk = max(1, min(n, entries // (k + size), budget.working // 1024))
     span = max(1, min(size, entries // chunk - k))
     fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
-    piece = max(1, min(span, budget // 8 // fill))
-    group = max(1, min(math.comb(k, t), budget // 4 // (slots + 8 * (t + 3))))
-    sub = max(1, min(group, budget // 128 // (8 * chunk)))
-    limits.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window", cap=cap)
-    limits.check_table_bytes(piece, fill, "coverage window fill", cap=cap)
-    limits.check_table_bytes(group * slots, 1, "coverage mask", cap=cap)
-    limits.check_table_bytes(group * (t + 3), 8, "coverage column sets", cap=cap)
+    piece = max(1, min(span, budget.working // 8 // fill))
+    group = max(1, min(math.comb(k, t), budget.working // 4 // (slots + 8 * (t + 3))))
+    sub = max(1, min(group, budget.working // 128 // (8 * chunk)))
+    budget.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window")
+    budget.check_table_bytes(piece, fill, "coverage window fill")
+    budget.check_table_bytes(group * slots, 1, "coverage mask")
+    budget.check_table_bytes(group * (t + 3), 8, "coverage column sets")
     tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
-    limits.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer", cap=cap)
+    budget.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
     binomials = _binomials(t, k)
     window = _PrefixWindow(params, chunk, span, piece, dtype)
     buffer = np.empty((sub, chunk), dtype=np.intp)
@@ -418,17 +425,17 @@ def _coverage_tables(
 
 
 def _uncovered_scan(
-    params: CAParams, cells: np.ndarray, keep: int
+    params: CAParams, cells: np.ndarray, keep: int, budget: Budget
 ) -> tuple[int, np.ndarray]:
     """One kernel pass: the exact uncovered count and, if that count is at
     most ``keep``, the uncovered interactions as rows (columns..., tuple
     rank) in rank order.  Past ``keep`` the listing is empty (t+1 columns,
     no rows) and only the count goes on.  The listing's largest size is
     checked against the memory cap before the pass."""
-    limits.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
+    budget.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
     count = 0
     found = [np.empty((0, params.t + 1), dtype=np.int64)]
-    for block in _coverage_tables(params, cells):
+    for block in _coverage_tables(params, cells, budget):
         missing = block.seen.size - int(np.count_nonzero(block.seen))
         count += missing
         if missing and count <= keep:
@@ -440,7 +447,7 @@ def _uncovered_scan(
 def count_uncovered(array: SymbolArray) -> int:
     """Exact number of uncovered interactions, streamed block by block
     through the kernel (never a global interaction list)."""
-    return _uncovered_scan(array.params, array.cells, keep=0)[0]
+    return _uncovered_scan(array.params, array.cells, 0, Budget.from_env())[0]
 
 
 def two_stage_build(
@@ -461,13 +468,14 @@ def two_stage_build(
     vt = params.tuple_count
     target = floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
     rng = np.random.default_rng(config.seed)
+    budget = Budget.from_env()
     log = BuildLog(strategy="two_stage", stage1_rows=n)
 
     with log.timed("stage1"):
         best = None
         for attempt in range(1, config.max_stage1_attempts + 1):
-            cells = _random_rows(rng, params, n, "stage-1 rows")
-            u, leftovers = _uncovered_scan(params, cells, keep=target)
+            cells = _random_rows(rng, params, n, "stage-1 rows", budget)
+            u, leftovers = _uncovered_scan(params, cells, target, budget)
             if best is None or u < best[1]:
                 best = cells, u, leftovers
             if u <= target:
@@ -483,27 +491,30 @@ def two_stage_build(
 
     with log.timed("stage2"):
         if best_uncovered > target:  # missed: list the best attempt's leftovers
-            leftovers = _uncovered_scan(params, best_cells, keep=best_uncovered)[1]
+            leftovers = _uncovered_scan(params, best_cells, best_uncovered, budget)[1]
         cols = leftovers[:, :-1]
         symbols = leftovers[:, -1:] // _place_values(params) % params.v
         if config.second_stage == "colour":
-            rows = _first_fit_rows(params, cols, symbols)
+            rows = _first_fit_rows(params, cols, symbols, budget)
         else:
             rows = np.arange(len(cols))
-        patches = _random_rows(rng, params, int(rows.max(initial=-1)) + 1, "stage-2 patch rows")
+        patches = _random_rows(
+            rng, params, int(rows.max(initial=-1)) + 1, "stage-2 patch rows", budget)
         patches[rows[:, None], cols] = symbols
         log.stage2_rows = len(patches)
     return SymbolArray(params, np.vstack([best_cells, patches])), log
 
 
-def _first_fit_rows(params: CAParams, cols: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+def _first_fit_rows(
+    params: CAParams, cols: np.ndarray, symbols: np.ndarray, budget: Budget
+) -> np.ndarray:
     """Greedy first-fit colouring of the leftovers (Sarkar & Colbourn,
     "Two-stage algorithms for covering array construction"): the patch row
     of each leftover in turn, the first open row whose fixed cells agree
     with it on its t columns, else a new row.  One vectorised test per
     leftover checks it against every open row; the table of fixed cells
     (-1 where free) is checked against the memory cap first."""
-    limits.check_table_bytes(
+    budget.check_table_bytes(
         len(cols) * params.k, np.dtype(CELL_DTYPE).itemsize, "stage-2 colour classes")
     fixed = np.full((len(cols), params.k), -1, dtype=CELL_DTYPE)
     rows = np.empty(len(cols), dtype=np.intp)
@@ -541,14 +552,14 @@ class _DensityState:
     before anything is allocated.
     """
 
-    def __init__(self, params: CAParams, cells: np.ndarray) -> None:
+    def __init__(self, params: CAParams, cells: np.ndarray, budget: Budget) -> None:
         t, k, v = params.t, params.k, params.v
         m = math.comb(k, t)
         dtype = np.min_scalar_type(v ** (t - 1))
         sizes = [m * v**l for l in range(1, t + 1)]  # levels 1..t
-        limits.check_table_bytes(sizes[-1], dtype.itemsize, "density coverage mask")
-        limits.check_table_bytes(sum(sizes), dtype.itemsize, "density count table")
-        limits.check_table_bytes(3 * m * t + m, np.dtype(np.intp).itemsize, "density column index")
+        budget.check_table_bytes(sizes[-1], dtype.itemsize, "density coverage mask")
+        budget.check_table_bytes(sum(sizes), dtype.itemsize, "density count table")
+        budget.check_table_bytes(3 * m * t + m, np.dtype(np.intp).itemsize, "density column index")
         if m * v ** (2 * t) >= 2**63:  # so counts are at most uint32, and scores int64
             raise ResourceLimitError(
                 f"density scores for {params} could exceed the int64 range"
@@ -559,7 +570,7 @@ class _DensityState:
         starts = np.cumsum([0] + sizes)
         self.levels = [self.counts[a:b].reshape(m, -1) for a, b in zip(starts, starts[1:])]
         at = 0
-        for block in _coverage_tables(params, cells):  # every set of every block
+        for block in _coverage_tables(params, cells, budget):  # every set of every block
             b = len(block.seen)
             self.sets[at : at + b] = block.sets()
             self.levels[-1][at : at + b] = ~block.seen
@@ -621,7 +632,7 @@ def density_build(array: SymbolArray) -> SymbolArray:
     minimize the conditional expected number of interactions left
     uncovered, in exact integer arithmetic (``_DensityState.choose_row``).
     The coverage state is built once and updated per row."""
-    state = _DensityState(array.params, array.cells)
+    state = _DensityState(array.params, array.cells, Budget.from_env())
     rows = []
     while state.remaining:
         row = state.choose_row()
@@ -647,6 +658,7 @@ def _resample_full_orbits(
     rng: np.random.Generator,
     cap: int,
     log: BuildLog,
+    budget: Budget,
 ) -> np.ndarray:
     """Core resampling loop: an n x k random array, rescanned after each
     resample, until every full orbit (``table.full_orbit_ids``, the bound's
@@ -663,7 +675,7 @@ def _resample_full_orbits(
     column just resampled: every set before it holds no resampled column
     and came before the offender, so it is still hit, and the first
     offender is the one a scan from the start would find."""
-    cells = _random_rows(rng, params, n, "stage-1 rows")
+    cells = _random_rows(rng, params, n, "stage-1 rows", budget)
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
         return cells
@@ -675,7 +687,7 @@ def _resample_full_orbits(
     binomials = _binomials(params.t, params.k).tolist()  # unranks the offenders
     column = 0  # every set ending before this column is hit
     while True:
-        for block in _coverage_tables(params, cells, table, column):
+        for block in _coverage_tables(params, cells, budget, table, column):
             hit = block.seen[:, full_ids].all(axis=1)
             if not hit.all():
                 break
@@ -709,18 +721,18 @@ def moser_tardos_build(
 ) -> tuple[SymbolArray, BuildLog]:
     """The orbit builder under any action with a bound: cyclic, Frobenius
     or PGL (the same arrays as ``pgl_build``)."""
-    return _orbit_build(params, action, config or BuildConfig())
+    return _orbit_build(params, action, config or BuildConfig(), Budget.from_env())
 
 
 def pgl_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
     """The orbit builder under the sharply 3-transitive PGL action."""
-    return _orbit_build(params, make_pgl(params.v), config or BuildConfig())
+    return _orbit_build(params, make_pgl(params.v), config or BuildConfig(), Budget.from_env())
 
 
 def _orbit_build(
-    params: CAParams, action: GroupAction, config: BuildConfig
+    params: CAParams, action: GroupAction, config: BuildConfig, budget: Budget
 ) -> tuple[SymbolArray, BuildLog]:
     """Resample n rows until every full orbit is hit, develop them over the
     group, then cover the short orbits of a sharply l-transitive action: v
@@ -744,12 +756,12 @@ def _orbit_build(
 
     with log.timed("resample"):
         rng = np.random.default_rng(seed)
-        cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log)
+        cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log, budget)
     with log.timed("develop"):
         pieces = [develop(SymbolArray(params, cells), action).cells]
     if ell == 3:
         with log.timed("pairs"):
-            pieces.append(_pair_rows(params, replace(config, seed=pair_seed), log))
+            pieces.append(_pair_rows(params, replace(config, seed=pair_seed), log, budget))
             log.stage2_rows = len(pieces[-1])
     if ell >= 2:
         pieces.append(constant_rows(params).cells)
@@ -757,7 +769,7 @@ def _orbit_build(
     return SymbolArray(params, np.vstack(pieces)), log
 
 
-def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog) -> np.ndarray:
+def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog, budget: Budget) -> np.ndarray:
     """One binary covering array mapped onto every symbol pair a < b: the
     two-symbol orbits.  It comes from the builder with the smaller bound at
     v = 2, the cyclic one only when strictly smaller.  That keeps a
@@ -768,15 +780,15 @@ def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog) -> np.ndarr
     two_stage = bounds.two_stage_bound(binary_params)
     cyclic = bounds.cyclic_lll_bound(binary_params, config.dependence_estimate)
     if cyclic.value < two_stage.value:
-        binary, blog = _orbit_build(
-            binary_params, make_cyclic(2), replace(config, n_override=cyclic.stage1_rows))
+        binary, blog = _orbit_build(binary_params, make_cyclic(2),
+                                    replace(config, n_override=cyclic.stage1_rows), budget)
     else:
         binary, blog = two_stage_build(
             binary_params, replace(config, n_override=two_stage.stage1_rows))
     if not blog.success:
         log.success = False
         log.failure_reason = f"binary stage: {blog.failure_reason}"
-    limits.check_table_bytes(
+    budget.check_table_bytes(
         math.comb(params.v, 2) * binary.cells.size, binary.cells.itemsize, "pair rows")
     return np.vstack([
         np.where(binary.cells == 0, a, b).astype(CELL_DTYPE)

@@ -39,8 +39,8 @@ from itertools import permutations
 import numpy as np
 
 from . import _numeric as num
-from . import limits
 from .core import CAParams, SymbolArray, symbols_unrank
+from .limits import Budget
 from .errors import UnsupportedParameterError
 
 __all__ = [
@@ -81,8 +81,9 @@ def finite_field(q: int) -> FiniteField:
     if pm is None:
         raise UnsupportedParameterError(f"{q} is not a prime power")
     p, m = pm
+    budget = Budget.from_env()
     # the two tables plus one q x q x m digit temporary
-    limits.check_table_bytes(q * q * (m + 2), 8, f"GF({q}) tables")
+    budget.check_table_bytes(q * q * (m + 2), 8, f"GF({q}) tables")
     powers = p ** np.arange(m)
     digits = np.arange(q)[:, None] // powers % p  # row i: base-p digits of i
     add = (digits[:, None] + digits) % p @ powers
@@ -92,7 +93,7 @@ def finite_field(q: int) -> FiniteField:
             break
     else:
         raise ArithmeticError(f"no modulus of degree {m} makes GF({q}) a field")
-    limits.check_table_bytes(q**3, 17, f"GF({q}) distributivity check")
+    budget.check_table_bytes(q**3, 17, f"GF({q}) distributivity check")
     if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
         raise ArithmeticError(f"a(b + c) != ab + ac for some triple in GF({q})")
     add.setflags(write=False)
@@ -154,7 +155,8 @@ class GroupAction:
     def validate(self) -> None:
         """Exhaustive closure and sharp transitivity checks (small v only)."""
         perms, v, ell = self.perms, self.degree, self.sharp_transitivity
-        limits.check_table_bytes(len(perms) ** 2 * v, 2 * perms.itemsize, "closure check")
+        Budget.from_env().check_table_bytes(
+            len(perms) ** 2 * v, 2 * perms.itemsize, "closure check")
         # a after b over all pairs holds every element; no more iff closed
         if _distinct_rows(perms[:, perms].reshape(-1, v)) != len(perms):
             raise ValueError("group is not closed under composition")
@@ -181,7 +183,7 @@ def make_cyclic(v: int) -> GroupAction:
     """The v translations x -> x + c (mod v), in c order."""
     if v < 2:
         raise ValueError("need at least two symbols")
-    limits.check_table_bytes(v * v, _PERM_BYTES, f"cyclic group table on {v} symbols")
+    Budget.from_env().check_table_bytes(v * v, _PERM_BYTES, f"cyclic group table on {v} symbols")
     shifts = np.arange(v, dtype=np.int32)
     return GroupAction("cyclic", v, np.add.outer(shifts, shifts) % v, 1)
 
@@ -190,7 +192,7 @@ def make_frobenius(v: int) -> GroupAction:
     """The v(v-1) affine maps x -> a*x + b over GF(v), a != 0, in (a, b)
     order, so the identity (a = 1, b = 0) comes first."""
     fld = finite_field(v)  # raises UnsupportedParameterError if not a prime power
-    limits.check_table_bytes(v**3, _PERM_BYTES, f"Frobenius group table on {v} symbols")
+    Budget.from_env().check_table_bytes(v**3, _PERM_BYTES, f"Frobenius group table on {v} symbols")
     images = fld.add_table[fld.mul_table[1:, None, :], np.arange(v)[:, None]]
     return GroupAction("frobenius", v, images.reshape(-1, v), 2)
 
@@ -215,7 +217,7 @@ def make_pgl(v: int) -> GroupAction:
     inv = (mul == 1).argmax(axis=1)  # inv[0] = 0 is never read
     # 2q^3 candidates (a is 0 or 1 after normalizing), each with v images
     # and three int64 temporaries per image while the images are built
-    limits.check_table_bytes(2 * q**3 * (v + 4), 24, f"PGL(2, {q}) images")
+    Budget.from_env().check_table_bytes(2 * q**3 * (v + 4), 24, f"PGL(2, {q}) images")
     a, b, c, d = np.indices((2, q, q, q)).reshape(4, -1)
     keep = (add[mul[a, d], neg[mul[b, c]]] != 0) & ((a == 1) | (b == 1))
     a, b, c, d = (coef[keep, None] for coef in (a, b, c, d))
@@ -233,7 +235,7 @@ def make_trivial(v: int) -> GroupAction:
     coverage checking.  Test affordance, not one of the bound families."""
     if v < 1:
         raise ValueError("need at least one symbol")
-    limits.check_table_bytes(v, _PERM_BYTES, f"trivial group table on {v} symbols")
+    Budget.from_env().check_table_bytes(v, _PERM_BYTES, f"trivial group table on {v} symbols")
     return GroupAction("trivial", v, np.arange(v, dtype=np.int32)[None, :], 0)
 
 
@@ -273,7 +275,7 @@ def enumerate_orbits(action: GroupAction, t: int) -> OrbitTable:
     """
     v = action.degree
     total = v**t
-    limits.check_table_bytes(total, 8, "orbit table")
+    Budget.from_env().check_table_bytes(total, 8, "orbit table")
     orbit_id = np.full(total, -1, dtype=np.int64)
     places = v ** np.arange(t - 1, -1, -1)  # base-v rank, first symbol most significant
     reps: list[tuple[int, ...]] = []
@@ -294,7 +296,8 @@ def develop(array: SymbolArray, action: GroupAction) -> SymbolArray:
     """
     if action.degree != array.params.v:
         raise ValueError(f"action degree {action.degree} does not match v={array.params.v}")
-    limits.check_table_bytes(action.order * array.cells.size, 4, "developed rows")  # int32
+    # int32 images
+    Budget.from_env().check_table_bytes(action.order * array.cells.size, 4, "developed rows")
     # (n, order, k) in one allocation: row i's image under element g
     images = action.perms[np.arange(action.order)[None, :, None], array.cells[:, None, :]]
     return SymbolArray(array.params, images.reshape(-1, array.params.k))

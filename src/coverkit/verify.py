@@ -8,7 +8,7 @@ as a disagreement that the test suite's cross-checks catch.
 ``full_check`` is the standard column-bitset check, word-major.
 ``bits[w, c, s]`` is word ``w`` of the set of rows holding symbol ``s``
 in column ``c``, 64 rows to a uint64 word, packed from chunks of rows
-whose bools fit ``limits.working_bytes()``.  A t-way interaction is
+whose bools fit ``Budget.working``.  A t-way interaction is
 covered iff the AND of its t row sets is nonempty.  The check goes over
 groups of t-sets.  For t >= 3 a group is one middle ``(c2, ..., c_{t-1})``
 in colex order, with every first column below it and every last column
@@ -20,8 +20,9 @@ that with the ``(first column, symbol)`` row sets below c2, one
 contiguous slice of each word's row; ORs the block over the word axis and
 counts its zeros.
 
-Every block and buffer is a 1/32 share of the working budget (1 MiB by
-default), priced with ``limits.check_table_bytes`` before it is made and
+``full_check`` reads one ``limits.Budget`` when it is called.  Every
+block and buffer is a 1/32 share of its working bytes (1 MiB by
+default), priced with ``Budget.check_table_bytes`` before it is made and
 reused by every group.  A block over the share is cut on the word axis
 first, down to ``_WORDS`` words whose ORs are accumulated with ``|=``,
 then on the first-column row sets, then on the word axis down to one
@@ -53,7 +54,6 @@ from itertools import product
 
 import numpy as np
 
-from . import limits
 from .core import (
     CAParams,
     ColumnSet,
@@ -66,6 +66,7 @@ from .core import (
 )
 from .errors import BudgetExceededError
 from .groups import OrbitTable
+from .limits import Budget
 
 _SHARE = 32  # each of full_check's blocks and buffers: 1/32 of the working budget
 _WORDS = 8  # words per AND block that full_check keeps before it cuts the first columns
@@ -131,9 +132,9 @@ def _groups(k: int, t: int) -> Iterator[tuple[int, tuple[int, ...], int, int]]:
             yield middle[0], middle, middle[-1] + 1, k
 
 
-def _buffer(entries: int, what: str, cap: int) -> np.ndarray:
+def _buffer(entries: int, what: str, budget: Budget) -> np.ndarray:
     """A flat uint64 buffer, priced against the memory cap before it is made."""
-    limits.check_table_bytes(entries, 8, what, cap=cap)
+    budget.check_table_bytes(entries, 8, what)
     return np.empty(entries, dtype=np.uint64)
 
 
@@ -161,27 +162,26 @@ def full_check(array: SymbolArray) -> CoverageReport:
     """Count the uncovered interactions and find the first in rank order."""
     bufsize = np.setbufsize(_BUFSIZE)
     try:
-        return _full_check(array)
+        return _full_check(array, Budget.from_env())
     finally:
         np.setbufsize(bufsize)
 
 
-def _full_check(array: SymbolArray) -> CoverageReport:
+def _full_check(array: SymbolArray, budget: Budget) -> CoverageReport:
     params = array.params
     t, k, v = params.t, params.k, params.v
-    cap = limits.memory_cap_bytes()  # read once; every table below is priced against it
-    limits.check_column_sets(k, t, "full_check")
+    budget.check_column_sets(k, t, "full_check")
     words = (array.n_rows + 63) // 64
-    limits.check_table_bytes(k * v, 8 * words, "verifier row bitsets", cap=cap)
+    budget.check_table_bytes(k * v, 8 * words, "verifier row bitsets")
     width = v ** (t - 2)  # the row sets of one middle
     # the entries of one AND block, at least one middle's row sets
-    budget = max(width, limits.working_bytes(cap) // _SHARE // 8)
-    block = _buffer(budget, "verifier AND block", cap)
-    covered = _buffer(budget, "verifier coverage words", cap)
-    more = _buffer(budget, "verifier coverage words", cap)
-    lasts = _buffer(budget, "verifier last-column row sets", cap)
-    middles = _buffer(2 * budget, "verifier middle row sets", cap)
-    bits = _row_bitsets(array.cells, v, words, limits.working_bytes(cap))
+    share = max(width, budget.working // _SHARE // 8)
+    block = _buffer(share, "verifier AND block", budget)
+    covered = _buffer(share, "verifier coverage words", budget)
+    more = _buffer(share, "verifier coverage words", budget)
+    lasts = _buffer(share, "verifier last-column row sets", budget)
+    middles = _buffer(2 * share, "verifier middle row sets", budget)
+    bits = _row_bitsets(array.cells, v, words, budget.working)
     flat = bits.reshape(words, k * v)
     every = np.broadcast_to(~np.uint64(0), (words, 1))  # the empty middle's one row set
 
@@ -191,7 +191,7 @@ def _full_check(array: SymbolArray) -> CoverageReport:
         # the (column, symbol) row sets: 0..f_hi-1 of the first columns,
         # l_lo..l_hi-1 of the last
         f_hi, l_lo, l_hi = c2 * v, lo * v, hi * v
-        f_step, l_step, w_step = _block_steps(f_hi, l_hi - l_lo, width, words, budget)
+        f_step, l_step, w_step = _block_steps(f_hi, l_hi - l_lo, width, words, share)
         for l0 in range(l_lo, l_hi, l_step):
             ls = min(l_step, l_hi - l0)
             for f0 in range(0, f_hi, f_step):
@@ -205,7 +205,7 @@ def _full_check(array: SymbolArray) -> CoverageReport:
                     # symbol, so the inner axis is the longer operand
                     mid = rows[:, middle[-1] * v : (middle[-1] + 1) * v] if middle else every[:ws]
                     for i, c in enumerate(reversed(middle[:-1])):
-                        out = _view(middles[(i % 2) * budget :], ws, v, mid.shape[1])
+                        out = _view(middles[(i % 2) * share :], ws, v, mid.shape[1])
                         np.bitwise_and(rows[:, c * v : (c + 1) * v, None], mid[:, None, :], out=out)
                         mid = out.reshape(ws, v * out.shape[2])
                     # (last column, symbol, middle tuple), middle innermost

@@ -26,6 +26,11 @@ def small_params(draw, max_t=4, max_k=30, max_v=5):
     return CAParams(t, draw(st.integers(t, max_k)), draw(st.integers(2, max_v)))
 
 
+def leftover_count(start, vt):
+    """``bounds._leftover_count`` under the caps the environment sets now."""
+    return bounds._leftover_count(start, vt, limits.Budget.from_env())
+
+
 def reference_leftover_counts(start, vt):
     """r(0..N) of the leftover recurrence in its two-branch form: floor(y*r)
     on the first step and whenever v**t does not divide r, y*r - 1 on the
@@ -185,7 +190,7 @@ class TestDiscreteSlj:
         ref = reference_leftover_counts(start, vt)
         top = max((r % vt for r in ref[1:-2]), default=-1)
         assert bounds._leftover_top(start, vt) == top
-        assert bounds._leftover_count(start, vt) == len(ref) - 1
+        assert leftover_count(start, vt) == len(ref) - 1
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(calls=st.lists(
@@ -203,25 +208,25 @@ class TestDiscreteSlj:
         for start, vt in calls:
             ref = refs[start, vt]
             top = max((r % vt for r in ref[1:-2]), default=-1)
-            assert bounds._leftover_count(start, vt) == len(ref) - 1
+            assert leftover_count(start, vt) == len(ref) - 1
             assert bounds._leftover_top(start, vt) == top
         for start, vt in sorted(calls, reverse=True):
-            assert bounds._leftover_count(start, vt) == len(refs[start, vt]) - 1
+            assert leftover_count(start, vt) == len(refs[start, vt]) - 1
 
     def test_threshold_table_is_checked_before_it_grows(self, monkeypatch):
         bounds._thresholds.cache_clear()
-        assert bounds._leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
+        assert leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
         table = bounds._thresholds(729)
         held = table.marks
         whole = list(held)
-        assert bounds._leftover_count(10**6, 729) == len(reference_leftover_counts(10**6, 729)) - 1
+        assert leftover_count(10**6, 729) == len(reference_leftover_counts(10**6, 729)) - 1
         # growing published a longer copy; a reader holding the old one sees it whole
         marks = table.marks
         assert held == whole and len(marks) > len(held) and marks[: len(held)] == held
         # room for the table as it stands, not for the marks up to C(1000,6) * 729
         room = len(marks) * (8 + sys.getsizeof(marks[-1]))
         monkeypatch.setattr(limits, "memory_cap_bytes", lambda: room)
-        assert bounds._leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
+        assert leftover_count(10**5, 729) == len(reference_leftover_counts(10**5, 729)) - 1
         with pytest.raises(ResourceLimitError, match="discrete recurrence threshold table needs"):
             bounds.discrete_slj_bound(CAParams(6, 1000, 3))
         assert table.marks is marks and bounds._thresholds(729) is table
@@ -237,7 +242,7 @@ class TestDiscreteSlj:
 
         def count(i):
             together.wait(timeout=60)
-            got[i] = [bounds._leftover_count(s, 729) for s in orders[i]]
+            got[i] = [leftover_count(s, 729) for s in orders[i]]
 
         bounds._thresholds.cache_clear()
         threads = [threading.Thread(target=count, args=(i,)) for i in range(len(orders))]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coverkit import bounds, construct
+from coverkit import bounds, construct, limits
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
@@ -206,7 +206,7 @@ def assert_patch_rows_follow_rank_order(arr: SymbolArray, log) -> None:
 def listed(array: SymbolArray, keep: int) -> tuple[int, list[Interaction]]:
     """The one-pass scan's count and listing, as Interactions."""
     p = array.params
-    count, rows = construct._uncovered_scan(p, array.cells, keep)
+    count, rows = construct._uncovered_scan(p, array.cells, keep, limits.Budget.from_env())
     assert rows.shape == (len(rows), p.t + 1)
     return count, [
         Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
@@ -328,9 +328,11 @@ class TestTwoStageBuild:
         assert np.array_equal(colour.cells[:n], each.cells[:n])
         assert colour_log.stage2_rows <= each_log.stage2_rows == each_log.uncovered_after_stage1
         assert full_check(colour).is_covering
-        leftovers = construct._uncovered_scan(p, each.cells[:n], keep=p.interaction_space_size)[1]
+        budget = limits.Budget.from_env()
+        leftovers = construct._uncovered_scan(
+            p, each.cells[:n], p.interaction_space_size, budget)[1]
         symbols = leftovers[:, -1:] // construct._place_values(p) % p.v
-        rows = construct._first_fit_rows(p, leftovers[:, :-1], symbols)
+        rows = construct._first_fit_rows(p, leftovers[:, :-1], symbols, budget)
         assert rows.tolist() == reference_first_fit(leftovers[:, :-1], symbols)
         assert colour_log.stage2_rows == len(set(rows.tolist()))
 

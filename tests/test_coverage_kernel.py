@@ -137,7 +137,7 @@ def kernel_tables(params, cells, orbits, budget):
     ranges as ``assert_block_ranges`` says, then stacked."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = list(construct._coverage_tables(params, cells, orbits))
+        blocks = list(construct._coverage_tables(params, cells, limits.Budget.from_env(), orbits))
     assert_block_ranges(params, blocks)
     for block in blocks:
         assert block.sets().dtype == np.intp and block.seen.dtype == bool
@@ -146,9 +146,10 @@ def kernel_tables(params, cells, orbits, budget):
 
 
 def with_budget(budget, fn, *args):
+    """fn(*args, b), b the Budget read under this working budget."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(limits, "_WORKING_BYTES", budget)
-        return fn(*args)
+        return fn(*args, limits.Budget.from_env())
 
 
 def pinned(shape, rows, seed, budget, orbits=None):
@@ -244,7 +245,7 @@ class TestBlocks:
 
         monkeypatch.setattr(construct, "_PrefixWindow", Watched)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
-        for _ in construct._coverage_tables(params, cells, orbits):
+        for _ in construct._coverage_tables(params, cells, limits.Budget.from_env(), orbits):
             pass
         (window,) = windows
         top = comb(params.k - 1, params.t - 1)
@@ -260,7 +261,8 @@ class TestBlocks:
         ref_sets, _ = reference_tables(params, cells, orbits)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limits, "_WORKING_BYTES", budget)
-            for block in construct._coverage_tables(params, cells, orbits):
+            for block in construct._coverage_tables(
+                    params, cells, limits.Budget.from_env(), orbits):
                 rows = np.array(data.draw(st.lists(st.integers(0, len(block.seen) - 1))),
                                 dtype=np.intp)
                 sets = block.sets(rows)
@@ -284,7 +286,7 @@ class TestBlocks:
         cells = random_array(p, 40, seed=2).cells.copy()
         for budget, sizes in ((1, [1] * comb(9, 3)), (8192, [1, 3, 6, 10, 15, 21, 27, 1]),
                               (limits._WORKING_BYTES, [comb(9, 3)])):
-            got = with_budget(budget, lambda: list(construct._coverage_tables(p, cells)))
+            got = with_budget(budget, lambda b: list(construct._coverage_tables(p, cells, b)))
             assert_block_ranges(p, got)
             assert [len(block.seen) for block in got] == sizes
 
@@ -297,7 +299,8 @@ class TestBlocks:
         start = comb(column, params.t)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limits, "_WORKING_BYTES", budget)
-            blocks = list(construct._coverage_tables(params, cells, orbits, column))
+            blocks = list(construct._coverage_tables(
+                params, cells, limits.Budget.from_env(), orbits, column))
         assert_block_ranges(params, blocks, start)
         ref_sets, ref_seen = reference_tables(params, cells, orbits)
         if blocks:
@@ -325,7 +328,7 @@ class TestBlocks:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = construct._coverage_tables(p, cells)
+        blocks = construct._coverage_tables(p, cells, limits.Budget.from_env())
         pairs = (pair for block in blocks for pair in zip(block.sets(), block.seen))
         sets, seen = zip(*islice(pairs, 3003))
         ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))

@@ -3,10 +3,13 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from coverkit import bounds, cli, limits
+from coverkit.arrayfile import write_array
 from coverkit.construct import (
     BuildConfig,
     count_uncovered,
@@ -68,7 +71,7 @@ class TestMemoryCap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * limits.working_bytes()
+        assert peak <= 3 * limits.Budget.from_env().working
 
     def test_full_check_bitsets_pack_under_the_cap(self, monkeypatch):
         # 137,454 rows of (2,3,256), as the golden array: the bitsets are
@@ -83,7 +86,7 @@ class TestMemoryCap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bitsets + 3 * limits.working_bytes() // 2
+        assert peak <= bitsets + 3 * limits.Budget.from_env().working // 2
 
     def test_builder_scans_chunk_under_a_small_cap(self, monkeypatch):
         # at (4,20,3) two-stage draws 672 rows, whose columns and top prefix
@@ -105,7 +108,7 @@ class TestMemoryCap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limits.working_bytes()
+        assert peak <= limits.Budget.from_env().working
         assert (count, two_stage_build(p, config)[0]) == uncapped
 
     def test_density_state_is_checked_before_allocation(self, monkeypatch):
@@ -157,13 +160,13 @@ class TestMemoryCap:
     def test_group_table_price_covers_its_peak(self, monkeypatch, make, v):
         # the largest price a make_* checks covers everything it allocates
         prices = []
-        check = limits.check_table_bytes
+        check = limits.Budget.check_table_bytes
 
-        def record(n_entries, bytes_per_entry, what):
+        def record(budget, n_entries, bytes_per_entry, what):
             prices.append(n_entries * bytes_per_entry)
-            check(n_entries, bytes_per_entry, what)
+            check(budget, n_entries, bytes_per_entry, what)
 
-        monkeypatch.setattr(limits, "check_table_bytes", record)
+        monkeypatch.setattr(limits.Budget, "check_table_bytes", record)
         tracemalloc.start()
         try:
             make(v)
@@ -258,7 +261,7 @@ class TestRefusalCounts:
         monkeypatch.setenv("COVERKIT_MAX_COLUMN_SETS", "0")
         message = re.escape(f"would take {text} steps, above the cap of 0")
         with pytest.raises(ResourceLimitError, match=message + "$"):
-            limits.check_steps(count, "walk")
+            limits.Budget.from_env().check_steps(count, "walk")
 
 
 class TestWorkingBudget:
@@ -271,7 +274,7 @@ class TestWorkingBudget:
             monkeypatch.delenv("COVERKIT_MEMORY_CAP_MIB", raising=False)
         else:
             monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", mib)
-        assert limits.working_bytes() == want
+        assert limits.Budget.from_env().working == want
 
 
 class TestColumnSetCap:
@@ -293,11 +296,19 @@ ENV_CAPS = {"COVERKIT_MEMORY_CAP_MIB": limits.memory_cap_bytes,
 
 class TestEnvValues:
     @pytest.mark.parametrize("name", sorted(ENV_CAPS))
-    @pytest.mark.parametrize("text", ["abc", "1.5", "-5", ""])
+    # int() accepts the last three (an underscore, a sign and an
+    # Arabic-Indic three); a cap is written in the ASCII digits alone
+    @pytest.mark.parametrize("text", ["abc", "1.5", "-5", "", "1_0", "+3", "\u0663"])
     def test_bad_value_names_the_variable(self, monkeypatch, name, text):
         monkeypatch.setenv(name, text)
         with pytest.raises(ValueError, match=f"{name} must be a nonnegative integer"):
             ENV_CAPS[name]()
+
+    @pytest.mark.parametrize("name", sorted(ENV_CAPS))
+    @pytest.mark.parametrize("text, want", [("007", 7), (" 3\n", 3)])
+    def test_digits_and_surrounding_space_are_read(self, monkeypatch, name, text, want):
+        monkeypatch.setenv(name, text)
+        assert ENV_CAPS[name]() == want * (1 << 20 if name == "COVERKIT_MEMORY_CAP_MIB" else 1)
 
     @pytest.mark.parametrize("name", sorted(ENV_CAPS))
     def test_zero_is_a_valid_cap(self, monkeypatch, name):
@@ -313,6 +324,55 @@ class TestEnvValues:
         monkeypatch.setenv(name, "1.5")
         assert main(["verify", str(f)]) == 2
         assert name in capsys.readouterr().err
+
+
+def env_reads(monkeypatch, fn):
+    """fn()'s result and the names of the caps it read from the environment,
+    in order."""
+    names = []
+    read = limits._env_count
+
+    def counted(name, default):
+        names.append(name)
+        return read(name, default)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(limits, "_env_count", counted)
+        return fn(), names
+
+
+class TestEnvReads:
+    """Each public call reads one Budget when it is called, so a build's
+    reads do not grow with its attempts, resamples or scans."""
+
+    def test_orbit_build_reads_do_not_grow_with_resamples(self, monkeypatch):
+        p, config = CAParams(3, 16, 4), BuildConfig(n_override=30)
+        runs = [env_reads(monkeypatch, lambda: moser_tardos_build(
+            p, make_frobenius(4), replace(config, seed=seed))) for seed in (0, 3)]
+        assert [log.resample_count for (_, log), _ in runs] == [54, 17]
+        assert runs[0][1] == runs[1][1]
+
+    def test_two_stage_reads_do_not_grow_with_attempts(self, monkeypatch):
+        p = CAParams(3, 30, 3)
+        runs = [env_reads(monkeypatch, lambda: two_stage_build(p, BuildConfig(seed=seed)))
+                for seed in (0, 1)]
+        assert [log.stage1_attempts for (_, log), _ in runs] == [3, 1]
+        assert runs[0][1] == runs[1][1]
+
+    def test_cli_verify_reads_each_cap_once(self, monkeypatch, tmp_path, capsys):
+        # 40 random rows leave one interaction uncovered, so the witness is
+        # reported too
+        path = tmp_path / "a.txt"
+        write_array(str(path), random_array(CAParams(3, 8, 2), 40, seed=1))
+        code, names = env_reads(monkeypatch, lambda: cli.main(["verify", str(path)]))
+        assert "1 uncovered" in capsys.readouterr().out
+        assert code == cli.EXIT_VERIFY and sorted(names) == sorted(ENV_CAPS)
+
+    def test_only_limits_reads_the_environment(self):
+        for path in sorted(Path(limits.__file__).parent.glob("*.py")):
+            with open(path, encoding="utf-8") as source:
+                text = source.read()
+            assert ("os.environ" in text) == (path.name == "limits.py"), path.name
 
 
 class TestCliResourceExit:

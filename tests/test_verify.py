@@ -448,7 +448,7 @@ class TestBuilderScansAgainstTrustedBase:
         every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
         rejected = [i for i in every if not covers(arr, i)]
         for keep in (len(rejected), p.interaction_space_size):
-            count, rows = construct._uncovered_scan(p, arr.cells, keep)
+            count, rows = construct._uncovered_scan(p, arr.cells, keep, limits.Budget.from_env())
             listing = [
                 Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
                 for r in rows
@@ -463,7 +463,7 @@ class TestBuilderScansAgainstTrustedBase:
         exact = full_check(arr).uncovered_count
         assert construct.count_uncovered(arr) == exact
         for keep in {max(exact - 1, 0), 0}:
-            count, rows = construct._uncovered_scan(p, arr.cells, keep)
+            count, rows = construct._uncovered_scan(p, arr.cells, keep, limits.Budget.from_env())
             assert count == exact
             assert rows.shape == (exact if exact <= keep else 0, p.t + 1)
 
@@ -517,7 +517,8 @@ class TestBuilderScansAgainstTrustedBase:
             for arr in (array, SymbolArray(p, array.cells[~first_t]),
                         SymbolArray(p, array.cells[~last_t])):
                 report = full_check(arr)
-                count, rows = construct._uncovered_scan(p, arr.cells, report.uncovered_count)
+                count, rows = construct._uncovered_scan(
+                    p, arr.cells, report.uncovered_count, limits.Budget.from_env())
                 assert count == report.uncovered_count
                 first = None if count == 0 else Interaction(
                     tuple(int(c) for c in rows[0, :-1]), symbols_unrank(int(rows[0, -1]), p.t, p.v))
