@@ -20,8 +20,9 @@ would give.
    ``floor_scaled_powers`` makes one numpy pass over all its n.  The bound
    rests on IEEE arithmetic (+, -, *, / and int-to-float conversion
    correctly rounded, u = 2**-53) and on one assumption: math.log,
-   math.log1p and numpy's exp each err by at most 4 ulp (8u of their
-   result); they measure under 1 ulp on x86-64 Linux with numpy 2.4.
+   math.log1p, math.exp (the conditional bound's leftover) and numpy's
+   exp each err by at most 4 ulp (8u of their result); they measure under
+   1 ulp on x86-64 Linux with numpy 2.4.
    Under it, tau(n) = 2**-48 * (c + ln m + n|step| + 1) bounds the error of
    c + ln m + n * step, exp included, with a factor 2 to spare
    (``_float_log_estimate`` has the sum).  On the bench shapes tau(n) is

@@ -205,28 +205,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:  # 1025 n around the bound's minimizer
             center = bounds.two_stage_bound(params).stage1_rows
             ns = list(range(max(0, center - 512), center + 513))
-        # every value first, so a bad n leaves no file behind
-        values = bounds.two_stage_objectives(params, ns)
-        with open(args.out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "objective"])
-            writer.writerows(zip(ns, values))
-        print(f"wrote {len(ns)} rows -> {args.out}")
-        return EXIT_OK
-
-    # every value first, so a bad method or k leaves no file behind; a sweep
-    # reads only values, so no note computed on read (the discrete SLJ walk
-    # to its least deficit, the 50-digit notes) is ever computed
-    rows = []
-    for k in ks:
-        params = CAParams(args.t, k, args.v)
-        values = [_method_report(m, params, args.dependence).value for m in methods]
-        rows.append([k] + values)
+        # every value first, so a bad n leaves no file behind; the rows pair
+        # them lazily, so the curve is held once
+        header = ["n", "objective"]
+        rows = zip(ns, bounds.two_stage_objectives(params, ns))
+        count = len(ns)
+    else:
+        # every value first, so a bad method or k leaves no file behind; a
+        # sweep reads only values, so no note computed on read (the discrete
+        # SLJ walk to its least deficit, the 50-digit notes) is ever computed
+        header = ["k"] + methods
+        rows = []
+        for k in ks:
+            params = CAParams(args.t, k, args.v)
+            rows.append([k] + [_method_report(m, params, args.dependence).value for m in methods])
+        count = len(ks)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k"] + methods)
+        writer.writerow(header)
         writer.writerows(rows)
-    print(f"wrote {len(ks)} rows -> {args.out}")
+    print(f"wrote {count} rows -> {args.out}")
     return EXIT_OK
 
 

@@ -450,6 +450,15 @@ def count_uncovered(array: SymbolArray) -> int:
     return _uncovered_scan(array.params, array.cells, 0, Budget.from_env())[0]
 
 
+def _stage1_rows(params: CAParams, method: str, config: BuildConfig) -> int:
+    """The override, else the stage-1 rows of the bound ``method`` names in
+    ``bounds.METHODS``: the two-stage minimizer, or the local lemma
+    threshold under an action's kind."""
+    if config.n_override is not None:
+        return config.n_override
+    return bounds.METHODS[method](params, config.dependence_estimate).stage1_rows
+
+
 def two_stage_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
@@ -461,10 +470,7 @@ def two_stage_build(
     gives it the first row whose fixed cells agree with it, else a new one
     (``_first_fit_rows``)."""
     config = config or BuildConfig()
-    if config.n_override is not None:
-        n = config.n_override
-    else:
-        n = bounds.two_stage_bound(params).stage1_rows
+    n = _stage1_rows(params, "two_stage", config)
     vt = params.tuple_count
     target = floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
     rng = np.random.default_rng(config.seed)
@@ -707,15 +713,6 @@ def _resample_full_orbits(
         log.resample_witness.append(pos)
 
 
-def _stage1_rows_for_action(
-    params: CAParams, action: GroupAction, config: BuildConfig
-) -> int:
-    """The stage-1 rows of the local lemma bound under the action's kind."""
-    if config.n_override is not None:
-        return config.n_override
-    return bounds.METHODS[action.kind](params, config.dependence_estimate).stage1_rows
-
-
 def moser_tardos_build(
     params: CAParams, action: GroupAction, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
@@ -744,7 +741,7 @@ def _orbit_build(
     if action.degree != params.v:
         raise ValueError(f"action degree {action.degree} does not match v={params.v}")
     ell = action.sharp_transitivity
-    n = _stage1_rows_for_action(params, action, config)
+    n = _stage1_rows(params, action.kind, config)
     strategy = "pgl" if ell == 3 else f"mt_{action.kind}"
     log = BuildLog(strategy=strategy, stage1_rows=n, group_order=action.order)
     seed = config.seed

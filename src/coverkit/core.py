@@ -150,31 +150,25 @@ class ColumnSet:
 
 @dataclass(frozen=True)
 class Interaction:
-    """Symbols assigned to a strictly increasing tuple of columns."""
+    """Symbols assigned to a strictly increasing tuple of columns, which
+    are checked as a ``ColumnSet`` once the two lengths agree."""
 
     columns: tuple[int, ...]
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(int(c) for c in self.columns)
+        cols = tuple(self.columns)
         syms = tuple(int(s) for s in self.symbols)
         if len(cols) != len(syms):
             raise ValueError("columns and symbols must have the same length")
-        if any(c < 0 for c in cols):
-            raise ValueError("column indices must be nonnegative")
-        if any(a >= b for a, b in zip(cols, cols[1:])):
-            raise ValueError(f"columns must be strictly increasing, got {cols}")
+        object.__setattr__(self, "columns", ColumnSet(cols).columns)
         if any(s < 0 for s in syms):
             raise ValueError("symbols must be nonnegative")
-        object.__setattr__(self, "columns", cols)
         object.__setattr__(self, "symbols", syms)
 
     def valid_for(self, params: CAParams) -> bool:
-        return (
-            len(self.columns) == params.t
-            and all(c < params.k for c in self.columns)
-            and all(s < params.v for s in self.symbols)
-        )
+        symbols_fit = all(s < params.v for s in self.symbols)
+        return symbols_fit and ColumnSet(self.columns).valid_for(params)
 
     def require_valid_for(self, params: CAParams) -> None:
         if not self.valid_for(params):

@@ -616,13 +616,22 @@ class TestStage1RowsForAction:
             (make_frobenius(4), bounds.frobenius_lll_bound),
             (make_pgl(4), bounds.pgl_lll_bound),
         ):
-            rows = construct._stage1_rows_for_action(p, action, config)
+            rows = construct._stage1_rows(p, action.kind, config)
             assert rows == bound(p, "improved").stage1_rows
 
     def test_override_comes_first(self):
         config = BuildConfig(n_override=7)
         for action in (make_cyclic(3), make_trivial(3)):
-            assert construct._stage1_rows_for_action(CAParams(2, 4, 3), action, config) == 7
+            assert construct._stage1_rows(CAParams(2, 4, 3), action.kind, config) == 7
+        assert construct._stage1_rows(CAParams(2, 4, 3), "two_stage", config) == 7
+
+    @pytest.mark.parametrize("dependence", ["simple", "improved"])
+    def test_two_stage_takes_its_minimizer(self, dependence):
+        p = CAParams(3, 6, 4)
+        config = BuildConfig(dependence_estimate=dependence)
+        rows = construct._stage1_rows(p, "two_stage", config)
+        assert rows == bounds.two_stage_bound(p).stage1_rows
+        assert two_stage_build(p, config)[1].stage1_rows == rows
 
 
 class TestSizeDiscipline:

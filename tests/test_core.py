@@ -89,6 +89,63 @@ class TestInteraction:
             ColumnSet((2, 2))
         assert ColumnSet((0, 3)).valid_for(CAParams(2, 4, 2))
 
+    @pytest.mark.parametrize(
+        "make",
+        [ColumnSet, lambda cols: Interaction(cols, (0,) * len(cols))],
+        ids=["ColumnSet", "Interaction"],
+    )
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            ((-1, 2), "column indices must be nonnegative"),
+            ((2, -1), "column indices must be nonnegative"),
+            ((1, 0), "columns must be strictly increasing, got (1, 0)"),
+            ((1, 1), "columns must be strictly increasing, got (1, 1)"),
+            # numpy integers are shown as the ints they were converted to
+            (np.array([3, 2]), "columns must be strictly increasing, got (3, 2)"),
+        ],
+    )
+    def test_column_messages(self, make, cols, message):
+        with pytest.raises(ValueError) as exc:
+            make(cols)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cols", [(0, 1), (-1, 2), (1, 0)])
+    def test_length_mismatch_is_reported_first(self, cols):
+        with pytest.raises(ValueError) as exc:
+            Interaction(cols, (0, 0, 0))
+        assert str(exc.value) == "columns and symbols must have the same length"
+
+    def test_symbols_are_checked_after_columns(self):
+        with pytest.raises(ValueError) as exc:
+            Interaction((1, 0), (-1, 0))
+        assert str(exc.value) == "columns must be strictly increasing, got (1, 0)"
+        with pytest.raises(ValueError) as exc:
+            Interaction((0, 1), (-1, 0))
+        assert str(exc.value) == "symbols must be nonnegative"
+
+    def test_valid_for(self):
+        p = CAParams(2, 4, 3)
+        assert Interaction((0, 3), (2, 0)).valid_for(p)
+        assert not Interaction((0, 1, 2), (0, 0, 0)).valid_for(p)  # wrong t
+        assert not Interaction((0,), (0,)).valid_for(p)
+        assert not Interaction((0, 4), (0, 0)).valid_for(p)  # a column >= k
+        assert not Interaction((0, 3), (0, 3)).valid_for(p)  # a symbol >= v
+        assert ColumnSet((0, 3)).valid_for(p)
+        assert not ColumnSet((0, 1, 2)).valid_for(p)
+        assert not ColumnSet((0,)).valid_for(p)
+        assert not ColumnSet((0, 4)).valid_for(p)
+
+    def test_require_valid_for_names_the_interaction(self):
+        p = CAParams(2, 4, 3)
+        Interaction((0, 3), (2, 0)).require_valid_for(p)
+        with pytest.raises(ValueError) as exc:
+            Interaction((0, 3), (0, 3)).require_valid_for(p)
+        assert str(exc.value) == (
+            "Interaction(columns=(0, 3), symbols=(0, 3)) is not a 2-way interaction "
+            "for CAParams(t=2, k=4, v=3)"
+        )
+
 
 class TestCovers:
     def test_diagonal_array(self):

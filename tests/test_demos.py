@@ -28,9 +28,10 @@ CSV_SHA256 = {
 def test_demo_exits_cleanly(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    # the demos write their CSVs to the working directory
+    # the demos write their CSVs to the working directory; -W error is the
+    # suite's own warning policy, so a warning a demo raises fails it
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

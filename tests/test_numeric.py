@@ -452,10 +452,13 @@ class TestFloatTier:
         c=st.sampled_from([0, 1]),
     )
     @example(m=18828003285, den=728, step=1, n=12402, c=0)
+    @example(m=18828003285, den=728, step=1, n=12402, c=1)
     @example(m=2**1100 + 1, den=1, step=1, n=0, c=1)  # m split by frexp
     def test_error_bound_covers_the_float_error(self, m, den, step, n, c):
-        # the float sum, and the log of its exp, are within tau(n) / 2 of
-        # c + ln m + n * ln(num/den), for ratios on both sides of 1
+        # the float sum, and the log of its exp (numpy's, which the floors
+        # over many n take, and math's, which the conditional bound's
+        # leftover takes), are within tau(n) / 2 of c + ln m + n * ln(num/den),
+        # for ratios on both sides of 1
         ctx = Context(prec=80)
         for a, b in ((den + step, den), (den, den + step)):
             at_zero, log_step, tau = _numeric._float_log_estimate(m, a, b, c)
@@ -463,8 +466,9 @@ class TestFloatTier:
             exact = ctx.add(c + ctx.ln(m), ctx.multiply(n, ctx.subtract(ctx.ln(a), ctx.ln(b))))
             assert abs(ctx.subtract(Decimal(log[0]), exact)) <= Decimal(tau(n)) / 2
             if -700 < log[0] < 700:
-                value = Decimal(np.exp(log)[0])
-                assert abs(ctx.subtract(ctx.ln(value), exact)) <= Decimal(tau(n)) / 2
+                for value in (np.exp(log)[0], math.exp(float(log[0]))):
+                    error = ctx.subtract(ctx.ln(Decimal(value)), exact)
+                    assert abs(error) <= Decimal(tau(n)) / 2
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
