@@ -38,13 +38,14 @@ rank is its (t-1)-prefix's rank times v plus its last symbol, so a
 block's ranks take one gather from a window of top prefix ranks, filled
 from the columns and shared by the blocks, and one from the columns; the
 kernel keeps what is in flight within the budget's working bytes.
-A block holds its first set rank and its seen table, not its sets: each
-consumer unranks only the sets it reads.  The resampling scan unranks
-one set per resample and starts each rescan at the first set ending at
-the lowest column it resampled, the uncovered scan unranks the sets of
-its listing, and the density state, the one consumer that reads them
-all, every block whole.  The uncovered scan counts and lists in one
-pass: the exact count, and the uncovered interactions in rank order
+A block is a pair (lo, seen): its first set's colex rank and its seen
+table, one row per set from lo on.  It holds no sets: each consumer
+unranks only the sets it reads.  The resampling scan unranks one set per
+resample and starts each rescan at the first set ending at the lowest
+column it resampled, the uncovered scan unranks the sets of its listing,
+and the density state, the one consumer that reads them all, unranks all
+C(k,t) at once before its pass.  The uncovered scan counts and lists in
+one pass: the exact count, and the uncovered interactions in rank order
 while that count stays within a cap (the stage-1 target), so a two-stage
 build never holds a table of all interactions.  The density state is the
 one table of all C(k,t) * v**t interactions: a mask of the uncovered
@@ -102,7 +103,9 @@ DEFAULT_SEED = 1729
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs shared by the builders.  The seed fully determines all draws."""
+    """Knobs shared by the builders.  The seed fully determines all draws.
+    The seed and the counts must be integers (numpy's too): any type with
+    ``__index__``, which ``operator.index`` takes; ``n_override`` may be None."""
 
     seed: int = DEFAULT_SEED
     max_stage1_attempts: int = 1000
@@ -112,9 +115,12 @@ class BuildConfig:
     n_override: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n_override"):
-            if (getattr(self, name) or 0) < 0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("seed", "n_override", "max_stage1_attempts", "resample_step_cap"):
+            value = getattr(self, name)
+            if not (value is None and name == "n_override" or hasattr(type(value), "__index__")):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if name in ("seed", "n_override") and (value or 0) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.max_stage1_attempts < 1:
             raise ValueError("need at least one stage-1 attempt")
         if self.resample_step_cap < 0:
@@ -182,9 +188,12 @@ class BuildLog:
 
 
 def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
-    """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in seed."""
+    """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in
+    seed, an integer as ``BuildConfig`` requires."""
     if n < 0:
         raise ValueError("row count must be nonnegative")
+    if not hasattr(type(seed), "__index__"):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     return SymbolArray(params, _random_rows(rng, params, n, "random rows", Budget.from_env()))
 
@@ -238,22 +247,6 @@ def _binomials(t: int, k: int) -> np.ndarray:
     table = np.array([[min(math.comb(c, i), total) for c in range(k)] for i in range(1, t + 1)])
     table.setflags(write=False)
     return table
-
-
-class _Block(NamedTuple):
-    """One block of the coverage kernel: the column t-sets of colex rank
-    lo, lo+1, ..., one per row of their seen table.  The sets are not held;
-    ``sets`` unranks the rows a consumer reads."""
-
-    lo: int
-    seen: np.ndarray
-    binomials: np.ndarray  # the kernel's table for ``_colex_unrank``
-
-    def sets(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """The column sets of the given rows (all of them by default), as
-        an intp array of one set per row."""
-        rows = np.arange(len(self.seen)) if rows is None else np.asarray(rows, dtype=np.intp)
-        return _colex_unrank(self.lo + rows, self.binomials)
 
 
 class _PrefixWindow:
@@ -332,14 +325,15 @@ def _coverage_tables(
     budget: Budget,
     orbits: OrbitTable | None = None,
     column: int = 0,
-) -> Iterator[_Block]:
-    """The coverage kernel: yield ``_Block``s that together hold every
-    column t-set once, in colex order, from C(column, t) on: the first set
-    ending at ``column``, the very first by default.  A block is a range of
-    set ranks and its seen table: seen[j, i] is True iff some row's symbol
-    tuple on the block's j-th set has rank i or, given ``orbits``, lies in
-    orbit i.  The kernel unranks no set; each consumer unranks what it
-    reads.
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The coverage kernel: yield blocks that together hold every column
+    t-set once, in colex order, from C(column, t) on: the first set ending
+    at ``column``, the very first by default.  A block is a pair (lo,
+    seen): the colex rank of its first set, and its seen table, one row
+    per set of rank lo, lo+1, ...: seen[j, i] is True iff some row's symbol
+    tuple on set lo + j has rank i or, given ``orbits``, lies in orbit i.
+    The kernel unranks no set: set lo + j is the colex unrank of lo + j,
+    and each consumer unranks only the sets it reads.
 
     The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
     in colex order plus c, and a tuple's rank is its prefix's rank times v
@@ -348,7 +342,7 @@ def _coverage_tables(
     into one flat table.  Of the working budget, ``budget.working``, a
     row chunk's columns and window take up to half; a window fill's
     temporaries an eighth; a block's seen table, its sets when a consumer
-    unranks them all, its colex split and its sets' offsets a quarter; and
+    unranks them, its colex split and its sets' offsets a quarter; and
     the rank buffer of ``sub`` sets and their tuple ranks (in a dtype that
     holds v**t) 1/128, which keeps it in cache.  A block holds whole
     consecutive last columns while they fit the rank buffer, and is ranked
@@ -421,7 +415,7 @@ def _coverage_tables(
                     np.take(orbits.orbit_id_of, tuple_ranks, out=ranks, mode="clip")
                     ranks += offsets[a - lo : b - lo]
                 seen[ranks] = True
-        yield _Block(lo, seen.reshape(hi - lo, slots), binomials)
+        yield lo, seen.reshape(hi - lo, slots)
 
 
 def _uncovered_scan(
@@ -435,12 +429,13 @@ def _uncovered_scan(
     budget.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
     count = 0
     found = [np.empty((0, params.t + 1), dtype=np.int64)]
-    for block in _coverage_tables(params, cells, budget):
-        missing = block.seen.size - int(np.count_nonzero(block.seen))
+    binomials = _binomials(params.t, params.k)
+    for lo, seen in _coverage_tables(params, cells, budget):
+        missing = seen.size - int(np.count_nonzero(seen))
         count += missing
         if missing and count <= keep:
-            which, ranks = np.nonzero(~block.seen)
-            found.append(np.column_stack([block.sets(which), ranks]))
+            which, ranks = np.nonzero(~seen)
+            found.append(np.column_stack([_colex_unrank(lo + which, binomials), ranks]))
     return count, np.vstack(found if count <= keep else found[:1], dtype=np.int64)
 
 
@@ -543,7 +538,7 @@ class _DensityState:
     ``sets`` is the m x t column-set matrix in colex order (m = C(k,t)).
     ``levels[l - 1][i, r]``, for l = 1..t, counts the uncovered tuples on
     ``sets[i]`` whose first l symbols have rank r.  Level t is the mask
-    itself: ``uncovered[i, r]`` is True iff the tuple of rank r on
+    itself: ``levels[-1][i, r]`` is nonzero iff the tuple of rank r on
     ``sets[i]`` is in no row yet.  The levels are one flat table,
     ``counts``, level after level, in the smallest unsigned dtype that
     holds v**(t-1): about v/(v-1) times the mask.  Each level's entries go
@@ -553,9 +548,9 @@ class _DensityState:
     one level down with one multiply-add, whatever its level.
     ``_held[j]`` lists the sets holding column j and ``_weights[j]`` their
     v**(p+1), p the column's position in each.  The mask, the whole count
-    table, the column index (the set matrix, ``_held``, ``_weights`` and
-    the running indices) and the exact-integer score range are checked
-    before anything is allocated.
+    table, the column index (the set matrix and its unrank's temporaries,
+    ``_held``, ``_weights`` and the running indices) and the exact-integer
+    score range are checked before anything is allocated.
     """
 
     def __init__(self, params: CAParams, cells: np.ndarray, budget: Budget) -> None:
@@ -571,16 +566,12 @@ class _DensityState:
                 f"density scores for {params} could exceed the int64 range"
             )
         self.params = params
-        self.sets = np.empty((m, t), dtype=np.intp)
+        self.sets = _colex_unrank(np.arange(m), _binomials(t, k))
         self.counts = np.empty(sum(sizes), dtype=dtype)
         starts = np.cumsum([0] + sizes)
         self.levels = [self.counts[a:b].reshape(m, -1) for a, b in zip(starts, starts[1:])]
-        at = 0
-        for block in _coverage_tables(params, cells, budget):  # every set of every block
-            b = len(block.seen)
-            self.sets[at : at + b] = block.sets()
-            self.levels[-1][at : at + b] = ~block.seen
-            at += b
+        for lo, seen in _coverage_tables(params, cells, budget):
+            self.levels[-1][lo : lo + len(seen)] = ~seen
         for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
             self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
         self.remaining = int(np.count_nonzero(self.levels[-1]))
@@ -594,11 +585,6 @@ class _DensityState:
         np.power(v, order, out=order)
         self._held = [held[a:b] for a, b in zip(cuts, cuts[1:])]
         self._weights = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-
-    @property
-    def uncovered(self) -> np.ndarray:
-        """The m x v**t mask of uncovered tuples, as a bool copy of level t."""
-        return self.levels[-1] != 0
 
     def choose_row(self) -> np.ndarray:
         """Fix cells left to right, each maximizing its exact score.
@@ -693,14 +679,13 @@ def _resample_full_orbits(
     binomials = _binomials(params.t, params.k).tolist()  # unranks the offenders
     column = 0  # every set ending before this column is hit
     while True:
-        for block in _coverage_tables(params, cells, budget, table, column):
-            hit = block.seen[:, full_ids].all(axis=1)
+        for lo, seen in _coverage_tables(params, cells, budget, table, column):
+            hit = seen[:, full_ids].all(axis=1)
             if not hit.all():
                 break
         else:
             return cells
-        row = int(hit.argmin())  # the first set missing a full orbit
-        pos = block.lo + row
+        pos = lo + int(hit.argmin())  # the first set missing a full orbit
         if log.resample_count >= cap:
             log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"

@@ -263,6 +263,25 @@ class TestDiscreteSlj:
             for _ in range(64):
                 mark += -(-mark // 728)
 
+    def test_every_read_of_the_notes_sees_the_computed_value(self):
+        # each read on a fresh report, whose deficit_min is not yet computed
+        p = CAParams(6, 54, 3)
+
+        def unread():
+            notes = bounds.discrete_slj_bound(p)[0].notes
+            assert isinstance(dict.__getitem__(notes, "deficit_min"), bounds._Later)
+            return notes
+
+        notes = unread()
+        want = {key: notes[key] for key in notes}
+        assert isinstance(want["deficit_min"], float)
+        assert dict(unread().items()) == want
+        assert list(unread().values()) == list(want.values())
+        assert unread().get("deficit_min") == want["deficit_min"]
+        assert unread().get("no such note") is None and unread().get("no such note", 0) == 0
+        assert not unread() != want
+        assert unread() != {**want, "deficit_min": None}
+
     def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
         # 268,091 steps: their counts would take about 14 MiB, the value and
         # the least deficit none of it

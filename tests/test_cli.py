@@ -723,6 +723,16 @@ BAD_INPUTS = [
                  2, "line 1: strength t must be at least 2, got 0", id="verify-header-t-zero"),
     pytest.param(["verify", "{data}/fewer_columns_than_t.ca"],
                  2, "line 1: need k >= t, got k=2, t=3", id="verify-header-k-below-t"),
+    pytest.param(["verify", "{data}/non_integer_header.ca"],
+                 2, "line 1: non-integer header field in 'CA 3 x 4 5'",
+                 id="verify-header-non-integer"),
+    # build settings that BuildConfig refuses, before anything is drawn
+    pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--attempts", "0",
+                  "--out", "{tmp}/x.ca"],
+                 2, "need at least one stage-1 attempt", id="build-no-attempts"),
+    pytest.param(["build", "-t", "2", "-k", "4", "-v", "2", "--strategy", "mt_cyclic",
+                  "--resample-cap", "-1", "--out", "{tmp}/x.ca"],
+                 2, "resample cap must be nonnegative", id="build-negative-resample-cap"),
 ]
 
 

@@ -144,6 +144,25 @@ class TestBuildConfig:
             for choice in choices:
                 assert getattr(BuildConfig(**{name: choice}), name) == choice
 
+    @pytest.mark.parametrize("name, value", [
+        # a seed of None would draw fresh entropy, so two builds would
+        # differ; the others would fail later, in numpy or range
+        ("seed", None), ("seed", 1.5), ("seed", "7"), ("max_stage1_attempts", 2.5),
+        ("max_stage1_attempts", None), ("resample_step_cap", 3.0), ("n_override", 2.0),
+    ])
+    def test_non_integers_are_refused(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            BuildConfig(**{name: value})
+
+    def test_numpy_integers_and_no_override_are_accepted(self):
+        config = BuildConfig(seed=np.int64(5), max_stage1_attempts=np.int32(3),
+                             resample_step_cap=np.uint8(0), n_override=np.int16(4))
+        assert (config.seed, config.max_stage1_attempts, config.n_override) == (5, 3, 4)
+        assert BuildConfig(n_override=None).n_override is None
+        p = CAParams(2, 5, 3)
+        assert two_stage_build(p, config)[0] == two_stage_build(p, BuildConfig(
+            seed=5, max_stage1_attempts=3, resample_step_cap=0, n_override=4))[0]
+
 
 class TestRandomArray:
     def test_empty(self):
@@ -154,6 +173,15 @@ class TestRandomArray:
         p = CAParams(2, 6, 3)
         assert random_array(p, 20, seed=42) == random_array(p, 20, seed=42)
         assert random_array(p, 20, seed=42) != random_array(p, 20, seed=43)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "42"])
+    def test_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {seed!r}$"):
+            random_array(CAParams(2, 6, 3), 20, seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        p = CAParams(2, 6, 3)
+        assert random_array(p, 20, np.int64(42)) == random_array(p, 20, 42)
 
     def test_symbols_past_int32_are_refused(self):
         # an array's cells are int32: v = 2**31 is the largest alphabet

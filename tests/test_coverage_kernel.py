@@ -5,7 +5,7 @@ t-set at a time, each row's tuple ranked by a dot product with the place
 values and scattered into a fresh table.  It is slow and plainly right,
 and it is kept here, as ``full_check``'s row loop is kept in
 test_verify, to check the block kernel on many inputs: its blocks, the
-column sets a block unranks on demand, and through the kernel's
+column sets a consumer unranks from a block, and through the kernel's
 consumers the uncovered count and listing, the density mask and its
 prefix counts as rows are added, and the resampling scan's first
 offender and, against a loop that rescans from the first set, its
@@ -115,19 +115,26 @@ def resamplings(draw):
     return CAParams(t, k, v), table, n, draw(st.sampled_from(BUDGETS))
 
 
+def block_sets(params, lo, seen, rows=None):
+    """The column sets of a block's rows (all of them by default), unranked
+    as the kernel's consumers unrank them."""
+    rows = np.arange(len(seen)) if rows is None else rows
+    return construct._colex_unrank(lo + rows, construct._binomials(params.t, params.k))
+
+
 def assert_block_ranges(params, blocks, start=0):
     """Blocks are consecutive set-rank ranges that cover start..C(k,t)-1
     once, and a block spans columns only as whole columns: then it starts
     at the first set ending at its first column and ends after the last
     set ending at its last."""
     at = start
-    for block in blocks:
-        sets = block.sets()
-        assert block.lo == at and len(sets) == len(block.seen) > 0
+    for lo, seen in blocks:
+        sets = block_sets(params, lo, seen)
+        assert lo == at and len(sets) == len(seen) > 0
         first, last = sets[0, -1], sets[-1, -1]
         if first != last:
-            assert block.lo == comb(first, params.t)
-            assert block.lo + len(sets) == comb(last + 1, params.t)
+            assert lo == comb(first, params.t)
+            assert lo + len(sets) == comb(last + 1, params.t)
         at += len(sets)
     assert at == comb(params.k, params.t)
 
@@ -139,10 +146,10 @@ def kernel_tables(params, cells, orbits, budget):
         mp.setattr(limits, "_WORKING_BYTES", budget)
         blocks = list(construct._coverage_tables(params, cells, limits.Budget.from_env(), orbits))
     assert_block_ranges(params, blocks)
-    for block in blocks:
-        assert block.sets().dtype == np.intp and block.seen.dtype == bool
-    return (np.vstack([block.sets() for block in blocks]),
-            np.vstack([block.seen for block in blocks]))
+    for lo, seen in blocks:
+        assert block_sets(params, lo, seen).dtype == np.intp and seen.dtype == bool
+    return (np.vstack([block_sets(params, lo, seen) for lo, seen in blocks]),
+            np.vstack([seen for _, seen in blocks]))
 
 
 def with_budget(budget, fn, *args):
@@ -255,24 +262,24 @@ class TestBlocks:
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())
     def test_unranked_rows_match_reference(self, scan, data):
-        # a block unranks any rows asked for, repeated or out of order, to
-        # the oracle's sets at those positions
+        # any rows of a block, repeated or out of order, unrank to the
+        # oracle's sets at those positions
         params, cells, orbits, budget = scan
         ref_sets, _ = reference_tables(params, cells, orbits)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(limits, "_WORKING_BYTES", budget)
-            for block in construct._coverage_tables(
+            for lo, seen in construct._coverage_tables(
                     params, cells, limits.Budget.from_env(), orbits):
-                rows = np.array(data.draw(st.lists(st.integers(0, len(block.seen) - 1))),
+                rows = np.array(data.draw(st.lists(st.integers(0, len(seen) - 1))),
                                 dtype=np.intp)
-                sets = block.sets(rows)
+                sets = block_sets(params, lo, seen, rows)
                 assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
-                assert np.array_equal(sets, ref_sets[block.lo + rows])
+                assert np.array_equal(sets, ref_sets[lo + rows])
                 # and the resampler's scalar walk, one rank at a time
                 table = construct._binomials(params.t, params.k).tolist()
                 for row in rows:
-                    one = construct._colex_unrank_one(block.lo + int(row), table)
-                    assert one == ref_sets[block.lo + row].tolist()
+                    one = construct._colex_unrank_one(lo + int(row), table)
+                    assert one == ref_sets[lo + row].tolist()
 
     def test_small_budgets_cut_blocks(self, monkeypatch):
         # (3,9,3), 40 rows: a 1-byte budget takes one set at a time; 8192
@@ -288,7 +295,7 @@ class TestBlocks:
                               (limits._WORKING_BYTES, [comb(9, 3)])):
             got = with_budget(budget, lambda b: list(construct._coverage_tables(p, cells, b)))
             assert_block_ranges(p, got)
-            assert [len(block.seen) for block in got] == sizes
+            assert [len(seen) for _, seen in got] == sizes
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())
@@ -304,8 +311,9 @@ class TestBlocks:
         assert_block_ranges(params, blocks, start)
         ref_sets, ref_seen = reference_tables(params, cells, orbits)
         if blocks:
-            assert np.array_equal(np.vstack([block.sets() for block in blocks]), ref_sets[start:])
-            assert np.array_equal(np.vstack([block.seen for block in blocks]), ref_seen[start:])
+            sets = [block_sets(params, lo, seen) for lo, seen in blocks]
+            assert np.array_equal(np.vstack(sets), ref_sets[start:])
+            assert np.array_equal(np.vstack([seen for _, seen in blocks]), ref_seen[start:])
         else:
             assert start == len(ref_sets)
 
@@ -329,7 +337,7 @@ class TestBlocks:
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
         blocks = construct._coverage_tables(p, cells, limits.Budget.from_env())
-        pairs = (pair for block in blocks for pair in zip(block.sets(), block.seen))
+        pairs = (pair for lo, seen in blocks for pair in zip(block_sets(p, lo, seen), seen))
         sets, seen = zip(*islice(pairs, 3003))
         ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))
         assert np.array_equal(sets, ref_sets) and np.array_equal(seen, ref_seen)
@@ -356,7 +364,7 @@ class TestConsumers:
         state = with_budget(budget, construct._DensityState, params, cells)
         ref_sets, ref_seen = reference_tables(params, cells)
         assert np.array_equal(state.sets, ref_sets)
-        assert np.array_equal(state.uncovered, ~ref_seen)
+        assert np.array_equal(state.levels[-1] != 0, ~ref_seen)
         assert state.remaining == int(np.count_nonzero(~ref_seen))
 
     @settings(max_examples=60, deadline=None, database=None)

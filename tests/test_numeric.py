@@ -668,6 +668,59 @@ def six_digits():
         yield precs
 
 
+def e_convergent_past(bound):
+    """The first denominator of a continued-fraction convergent of e
+    (e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...]) past bound: e * q is then within
+    1/q of an integer."""
+    q, q_prev = 1, 0
+    for a in itertools.chain.from_iterable((1, 2 * i, 1) for i in itertools.count(1)):
+        q, q_prev = a * q + q_prev, q
+        if q > bound:
+            return q
+
+
+class TestPastTheFloats:
+    """Where the float tier gives up or leaves its one value undecided, the
+    decimal and exact tiers give the exact floor."""
+
+    def test_step_below_float_resolution(self):
+        # ln(1 - 10**-210) is about -1e-210: below 1e-200 the quotient may
+        # have lost its digits, so no float estimate is made
+        vt = 10**210
+        m = 211 * vt
+        assert _numeric._float_log_estimate(m, vt - 1, vt) is None
+        ns = [0, 1, 2, 3]
+        assert floor_scaled_powers(m, vt - 1, vt, ns) == [m * (vt - 1)**n // vt**n for n in ns]
+
+    def test_quotient_below_the_float_range(self):
+        # 1 / 10**400 underflows to 0.0, whose log is no float
+        m, den = 7 * 10**400, 10**400
+        assert _numeric._float_log_estimate(m, 1, den) is None
+        assert floor_scaled_powers(m, 1, den, [0, 1, 2]) == [m, 7, 0]
+
+    def test_exponents_past_two_to_the_53(self):
+        # a float cannot hold every n past 2**53, so floats decide no floor
+        # of the window and the decimal tiers decide them all
+        ns = [0, 1, 2**53 + 1]
+        assert _numeric._float_floors(5, 1, 2, ns) == [None] * 3
+        assert floor_scaled_powers(5, 1, 2, [2**53 + 1]) == [0]
+        assert floor_scaled_powers(5, 1, 2, ns) == [5, 2, 0]
+
+    def test_e_floor_doubles_its_digits(self):
+        # e * q is within 1e-61 of an integer for this 62-digit q: neither
+        # floats nor 50 digits past its integer part clear that, so the
+        # decimal rungs run at 50 plus the 63 digits of e * q, then twice that
+        q = e_convergent_past(10**60)
+        assert len(str(q)) == 62
+        with pytest.MonkeyPatch.context() as mp:
+            precs = digit_stop(mp)
+            floor = floor_e_scaled_power(q, 1, 2, 0, log_below=200)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            assert floor == int(ctx.exp(1) * q)
+        assert precs == [113, 226]
+
+
 class TestLeastPowerRetry:
     """Where 50 digits leave the least exponent in doubt, one retry at 50
     plus twice the guess's digits decides it before the exact tier."""

@@ -425,6 +425,13 @@ class TestExhaustiveCan:
         assert exhaustive_can(CAParams(2, 2, 3), 9) == 9
         assert exhaustive_can(CAParams(3, 3, 2), 8) == 8
 
+    def test_ternary_pairs_need_nine_rows(self):
+        # CAN(2,3,3) = CAN(2,4,3) = 9, an orthogonal array: at v = 3 the
+        # search meets rows whose symbols skip one not yet seen in their
+        # column, which the symbol-order pruning passes over
+        assert exhaustive_can(CAParams(2, 3, 3), 9) == 9
+        assert exhaustive_can(CAParams(2, 4, 3), 9) == 9
+
     def test_none_when_limit_too_small(self):
         assert exhaustive_can(CAParams(2, 4, 2), 4) is None
 
