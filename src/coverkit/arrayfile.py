@@ -6,13 +6,21 @@ comments and ignored anywhere.  Files end with a trailing newline.
 The format is deliberately trivial to parse from any language and
 diff-friendly.
 
-``write_array`` writes the cells in chunks of a fixed text budget.
-``read_array`` reads a plain file with numpy's ``loadtxt``:
+``write_array`` writes the cells in chunks of a fixed text budget.  When
+v <= 10 every cell is one digit, and a chunk's text table is written as
+it is, with no place values and no leading zeros to mask.
 
-* the header ``CA N t k v`` is the first line, with single spaces;
-* after it come only ASCII digits, spaces and ``\\n`` or ``\\r\\n`` line
-  ends, and at least one digit;
-* loadtxt reads N rows of k cells from it, each cell below v.
+``read_array`` reads a plain file, whose first line is the header
+``CA N t k v`` with single spaces, by the first of two readers that
+takes it:
+
+* the one-digit layout that ``write_array`` writes when v <= 10 and
+  N >= 1: a body of exactly 2·N·k bytes, each cell one digit below v
+  followed by a space, or by ``\\n`` at a row's end, decoded from one
+  view of the bytes as uint16 pairs;
+* numpy's ``loadtxt``, for a body of only ASCII digits, spaces and
+  ``\\n`` or ``\\r\\n`` line ends, with at least one digit, from which
+  it reads N rows of k cells, each cell below v.
 
 Any other file goes to the per-line parser, which reads comments, blank
 lines, lone CR line ends, tabs, runs of spaces, signs and the rest.  So
@@ -60,15 +68,17 @@ def write_array(path: str, array: SymbolArray) -> None:
         for lo in range(0, array.n_rows, step):
             cells = array.cells[lo : lo + step, :, None]
             text = np.empty(cells.shape[:2] + (width + 1,), dtype=np.uint8)
-            digits = cells // powers
-            np.remainder(digits, 10, out=digits)
+            # a one-digit cell needs no place values and has no leading zeros
+            digits = cells // powers % 10 if width > 1 else cells
             np.add(digits, ord("0"), out=text[..., :width], casting="unsafe")
             text[..., width] = ord(" ")
             text[:, -1, width] = ord("\n")
-            keep = np.empty(text.shape, dtype=bool)
-            np.greater_equal(cells, leading, out=keep[..., :width])
-            keep[..., width] = True
-            fh.write(text[keep])
+            if width > 1:  # the leading zeros masked out
+                keep = np.empty(text.shape, dtype=bool)
+                np.greater_equal(cells, leading, out=keep[..., :width])
+                keep[..., width] = True
+                text = text[keep]
+            fh.write(text)
 
 
 def read_array(path: str) -> SymbolArray:
@@ -80,8 +90,9 @@ def read_array(path: str) -> SymbolArray:
 
 def _read_plain(data: bytes) -> SymbolArray | None:
     """The array of a plain file, or None for any other file: the header
-    ``CA N t k v`` on the first line, then a non-blank body of digits,
-    spaces and line ends that loadtxt reads as N rows of k cells below v."""
+    ``CA N t k v`` on the first line, then the one-digit layout, or a
+    non-blank body of digits, spaces and line ends that loadtxt reads as
+    N rows of k cells below v."""
     head, _, body = data.partition(b"\n")
     fields = head.rstrip(b"\r").split(b" ")
     if len(fields) != 5 or fields[0] != b"CA" or not all(f.isdigit() for f in fields[1:]):
@@ -91,6 +102,14 @@ def _read_plain(data: bytes) -> SymbolArray | None:
         params = CAParams(t, k, v)
     except ValueError:  # the line parser refuses the header at once
         return None
+    if v <= 10 and n and len(body) == 2 * n * k:
+        # write_array's layout of one-digit cells: each a digit and then a
+        # space, or "\n" at a row's end.  Read as little-endian uint16
+        # pairs, a cell's pair less that of "0" and its separator is the
+        # cell; any other pair wraps to v or more
+        cells = np.frombuffer(body, "<u2").reshape(n, k) - np.frombuffer(b"0 " * (k - 1) + b"0\n", "<u2")
+        if cells.max() < v:
+            return SymbolArray(params, cells)
     # loadtxt warns on a blank body and, under numpy 1.x, on float-like cells
     if body.translate(None, b"0123456789 \r\n") or not body.strip():
         return None

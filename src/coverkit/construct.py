@@ -189,11 +189,12 @@ class BuildLog:
 
 def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in
-    seed, an integer as ``BuildConfig`` requires."""
+    seed.  n and seed are integers, as ``BuildConfig`` requires."""
+    for name, value in (("n", n), ("seed", seed)):
+        if not hasattr(type(value), "__index__"):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if n < 0:
         raise ValueError("row count must be nonnegative")
-    if not hasattr(type(seed), "__index__"):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     return SymbolArray(params, _random_rows(rng, params, n, "random rows", Budget.from_env()))
 
@@ -428,15 +429,21 @@ def _uncovered_scan(
     checked against the memory cap before the pass."""
     budget.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
     count = 0
-    found = [np.empty((0, params.t + 1), dtype=np.int64)]
-    binomials = _binomials(params.t, params.k)
+    found = []  # (set rank, tuple rank) rows
     for lo, seen in _coverage_tables(params, cells, budget):
         missing = seen.size - int(np.count_nonzero(seen))
         count += missing
         if missing and count <= keep:
             which, ranks = np.nonzero(~seen)
-            found.append(np.column_stack([_colex_unrank(lo + which, binomials), ranks]))
-    return count, np.vstack(found if count <= keep else found[:1], dtype=np.int64)
+            found.append(np.column_stack([lo + which, ranks]))
+    if not count or count > keep:  # nothing listed
+        return count, np.empty((0, params.t + 1), dtype=np.int64)
+    found = np.vstack(found, dtype=np.int64)
+    # the set ranks are sorted: each set is unranked once, in one call for
+    # the scan, and repeated for its uncovered tuples
+    sets, counts = np.unique(found[:, 0], return_counts=True)
+    columns = np.repeat(_colex_unrank(sets, _binomials(params.t, params.k)), counts, axis=0)
+    return count, np.column_stack([columns, found[:, 1]])
 
 
 def count_uncovered(array: SymbolArray) -> int:

@@ -7,8 +7,9 @@ as a disagreement that the test suite's cross-checks catch.
 
 ``full_check`` is the standard column-bitset check, word-major.
 ``bits[w, c, s]`` is word ``w`` of the set of rows holding symbol ``s``
-in column ``c``, 64 rows to a uint64 word, packed from chunks of rows
-whose bools fit ``Budget.working``.  A t-way interaction is
+in column ``c``, 64 rows to a uint64 word, packed in chunks of rows
+that take every column in one ``packbits`` call and fit
+``Budget.working``.  A t-way interaction is
 covered iff the AND of its t row sets is nonempty.  The check goes over
 groups of t-sets.  For t >= 3 a group is one middle ``(c2, ..., c_{t-1})``
 in colex order, with every first column below it and every last column
@@ -98,22 +99,30 @@ def _row_bitsets(cells: np.ndarray, v: int, words: int, budget: int) -> np.ndarr
     """bits[w, c, s]: word w of the set of rows holding symbol s in column
     c, word-major, 64 rows to a uint64 word.
 
-    A column is packed in chunks of rows, a multiple of 64 so each chunk
-    fills whole words, whose v x rows bool table fits ``budget`` bytes
-    (at least 64 rows).
+    The columns are packed together in chunks of rows, a multiple of 64 so
+    each chunk fills whole words: one ``np.equal`` of the chunk's cells,
+    transposed, against every symbol, one ``np.packbits`` and one
+    transposed store.  A chunk's v x k x rows bools, priced at 5/4 bytes
+    each with their packed bits, fit ``budget`` bytes with at least 64
+    rows; the columns are cut only when 64 rows of all of them do not fit.
     """
     n, k = cells.shape
     bits = np.zeros((words, k, v), dtype=np.uint64)
-    symbols = np.arange(v, dtype=cells.dtype)[:, None]  # no cast, so no ufunc buffer
-    step = max(64, budget // v // 64 * 64)
-    table = np.empty((v, min(step, 64 * words)), dtype=bool)  # a chunk's bools, whole words
-    for c in range(k):
-        for lo in range(0, n, step):
-            rows = min(step, n - lo)
-            np.equal(cells[lo : lo + rows, c], symbols, out=table[:, :rows])
-            table[:, rows:] = False  # a column's last chunk: its last word's padding
-            chunk = np.packbits(table[:, : -(-rows // 64) * 64], axis=-1).view(np.uint64)
-            bits[lo // 64 : lo // 64 + chunk.shape[1], c] = chunk.T
+    # columns, then rows, per chunk, at 5/4 bytes a bool: its packed bit,
+    # and room for the few KiB of packbits' own iterators
+    cut = max(1, min(k, budget * 4 // (5 * 64 * v)))
+    step = max(64, budget * 4 // (5 * v * cut) // 64 * 64)
+    table = np.empty(v * cut * min(step, 64 * words), dtype=bool)
+    for c, lo in product(range(0, k, cut), range(0, n, step)):
+        rows = cells.T[c : c + cut, lo : lo + step]  # the chunk's cells, column-major
+        # a contiguous table, which packbits reads without a copy
+        part = _view(table, v, len(rows), -(-rows.shape[1] // 64) * 64)
+        # symbols of the cells' dtype: no cast, so no ufunc buffer
+        np.equal(rows, np.arange(v, dtype=rows.dtype)[:, None, None], out=part[..., : rows.shape[1]])
+        part[..., rows.shape[1] :] = False  # the last chunk: its last word's padding
+        # the packed words, bound to no name, so no chunk outlives its store
+        bits[lo // 64 : lo // 64 + part.shape[2] // 64, c : c + cut] = np.packbits(
+            part, axis=-1).view(np.uint64).transpose(2, 1, 0)
     return bits
 
 

@@ -6,6 +6,8 @@ the bytes ``write_array`` writes.  The per-line parser
 any file: the same array, or the same exception and message.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -246,6 +248,23 @@ def random_files(draw):
 BUDGETS = st.sampled_from([1, 64, arrayfile._TEXT_BUDGET])
 
 
+def _refuse(*args, **kwargs):
+    raise ValueError("loadtxt is not called here")
+
+
+def fast_path(data):
+    """What ``_read_plain`` gives with loadtxt refusing every body: the
+    array of its one-digit fast path, or None."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "loadtxt", _refuse)
+        return arrayfile._read_plain(data)
+
+
+def assert_fast_path_reads_as_the_line_parser(data):
+    array = fast_path(data)
+    assert array is None or array == arrayfile._read_lines(data)
+
+
 class TestAgainstReference:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=150, deadline=None, database=None)
@@ -256,6 +275,8 @@ class TestAgainstReference:
     @example(SymbolArray(CAParams(2, 3, 5 * 10**9), [[0, 2**31 - 1, 10**9], [9, 10, 1]]), 1)
     @example(SymbolArray(CAParams(2, 2, 10**30), [[0, 2**31 - 1], [10**9 - 1, 10]]), 1)
     @example(random_array(CAParams(3, 40, 4), 5000, seed=2), arrayfile._TEXT_BUDGET)
+    @example(SymbolArray(CAParams(2, 3, 10), [[9, 0, 9], [1, 9, 0]]), 1)  # the fast path's top digit
+    @example(SymbolArray(CAParams(2, 3, 11), [[9, 0, 9], [1, 9, 0]]), 64)  # one digit, but v = 11
     def test_writes_the_reference_bytes_and_reads_them_back(self, tmp_path_factory, arr, budget):
         tmp = tmp_path_factory.mktemp("files")
         with pytest.MonkeyPatch.context() as mp:
@@ -266,8 +287,10 @@ class TestAgainstReference:
         reference_write_array(tmp / "b.ca", arr)
         assert data == (tmp / "b.ca").read_bytes()
         assert read_array(tmp / "a.ca") == arr == arrayfile._read_lines(data)
-        # the plain reader takes every written file with a row
+        # the plain reader takes every written file with a row, and the
+        # fast path every one whose cells are one digit each
         assert fast == (arr if arr.n_rows else None)
+        assert fast_path(data) == (arr if arr.n_rows and arr.params.v <= 10 else None)
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=300, deadline=None, database=None)
@@ -277,6 +300,11 @@ class TestAgainstReference:
     @example(random_array(CAParams(2, 3, 2), 4, seed=3), "negative", 1)
     @example(random_array(CAParams(2, 3, 2), 4, seed=3), "huge-k", 1)
     @example(SymbolArray(CAParams(2, 3, 11), [[10] * 3] * 3 + [[0] * 3] * 3), "wide-token", 1)
+    # one-digit files at the fast path's edges: a line end and a space
+    # swapped (the same length), CRLF line ends, a header of 10**12 rows
+    @example(random_array(CAParams(2, 3, 3), 4, seed=3), "moved-line-end", 1)
+    @example(random_array(CAParams(2, 3, 3), 4, seed=3), "crlf", 1)
+    @example(random_array(CAParams(2, 3, 3), 4, seed=3), "huge-n", 1)
     def test_every_other_file_reads_as_the_line_parser_reads_it(
         self, tmp_path_factory, arr, mutation, seed
     ):
@@ -286,6 +314,7 @@ class TestAgainstReference:
         data = MUTATIONS[mutation](header + b"\n", body, np.random.default_rng(seed))
         (tmp / "m.ca").write_bytes(data)
         assert outcome(read_array, tmp / "m.ca") == outcome(arrayfile._read_lines, data)
+        assert_fast_path_reads_as_the_line_parser(data)
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=500, deadline=None, database=None)
@@ -297,7 +326,25 @@ class TestAgainstReference:
     @example(b"CA 1 2 2 3\n0 1\r2 0\n")  # a lone CR ends a line
     @example(b"CA 1 1 2 3\n02 1\n")
     @example(b"CA 1 2\r2 3\n0 1\n")  # the CR ends the header line
+    @example(b"CA 0 2 2 3\n")  # no rows: the fast path takes none
+    @example(b"CA 2 2 2 3\n0 1\n2\n0\n")  # the length of two rows, not their layout
+    @example(b"CA 2 2 2 3\n0 1\n/ 0\n")  # "/", a byte below "0", wraps past 9
     def test_random_bytes_read_as_the_line_parser_reads_them(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("files") / "r.ca"
         path.write_bytes(data)
         assert outcome(read_array, path) == outcome(arrayfile._read_lines, data)
+        assert_fast_path_reads_as_the_line_parser(data)
+
+
+def test_a_huge_row_count_allocates_nothing(tmp_path):
+    # the fast path compares the body's length before it views any cell
+    path = tmp_path / "a.ca"
+    path.write_bytes(b"CA 999999999999 2 3 2\n0 1 0\n1 0 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArrayFormatError, match="declares 999999999999 rows but file has 2"):
+            read_array(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

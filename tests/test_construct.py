@@ -179,6 +179,15 @@ class TestRandomArray:
         with pytest.raises(TypeError, match=f"^seed must be an integer, got {seed!r}$"):
             random_array(CAParams(2, 6, 3), 20, seed)
 
+    @pytest.mark.parametrize("n", [1.5, None, "3"])
+    def test_non_integer_row_count_is_refused(self, n):
+        with pytest.raises(TypeError, match=f"^n must be an integer, got {n!r}$"):
+            random_array(CAParams(2, 3, 2), n, 1)
+
+    def test_numpy_integer_row_count_is_accepted(self):
+        p = CAParams(2, 3, 2)
+        assert random_array(p, np.int64(3), 1) == random_array(p, 3, 1)
+
     def test_numpy_integer_seed_is_accepted(self):
         p = CAParams(2, 6, 3)
         assert random_array(p, 20, np.int64(42)) == random_array(p, 20, 42)

@@ -357,6 +357,24 @@ class TestConsumers:
             assert count == exact
             assert np.array_equal(rows, listing if exact <= keep else listing[:0])
 
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(scans())
+    def test_listing_matches_the_per_row_unrank(self, scan):
+        # each set is unranked once and repeated; the listing is byte for
+        # byte the one that unranks the set of every uncovered tuple
+        params, cells, _, budget = scan
+        keep = params.interaction_space_size
+        count, rows = with_budget(budget, construct._uncovered_scan, params, cells, keep)
+        listing = [np.empty((0, params.t + 1), dtype=np.int64)]
+        blocks = with_budget(budget, lambda *a: list(construct._coverage_tables(*a)), params, cells)
+        for lo, seen in blocks:
+            which, ranks = np.nonzero(~seen)
+            listing.append(np.column_stack([block_sets(params, lo, seen, which), ranks]))
+        expected = np.vstack(listing, dtype=np.int64)
+        assert count == len(expected)
+        assert (rows.dtype, rows.shape, rows.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes())
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(scans())
     def test_density_mask(self, scan):

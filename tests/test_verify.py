@@ -1,6 +1,7 @@
 """Tests for the independent verifier and the exhaustive search oracle."""
 
 import ast
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -295,9 +296,9 @@ class TestAgainstReference:
     @settings(max_examples=100, deadline=None, database=None)
     @given(
         n=st.integers(0, 300),
-        k=st.integers(1, 4),
+        k=st.integers(1, 12),
         v=st.integers(2, 20),
-        budget=st.integers(1, 3000),
+        budget=st.integers(1, 3000),  # below v * k * 64 bools the columns are cut
         seed=st.integers(0, 2**32 - 1),
     )
     def test_row_bitsets_packed_in_chunks(self, n, k, v, budget, seed):
@@ -309,6 +310,21 @@ class TestAgainstReference:
             whole[c, :, : (n + 7) // 8] = np.packbits(cells[:, c] == np.arange(v)[:, None], axis=-1)
         bits = verify._row_bitsets(cells, v, words, budget)
         assert np.array_equal(bits, whole.view(np.uint64).transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("n, k, v", [(20_000, 12, 5), (128, 8, 2000)])
+    def test_row_bitsets_peak_within_the_working_budget(self, monkeypatch, n, k, v):
+        # chunks of every column's rows, then a cut of 6 columns and 64
+        # rows: the bools and their packed bits, beside the bitsets returned
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        budget = limits.Budget.from_env().working
+        cells = np.random.default_rng(1).integers(0, v, size=(n, k), dtype=np.int32)
+        tracemalloc.start()
+        try:
+            bits = verify._row_bitsets(cells, v, (n + 63) // 64, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert budget // 2 < peak - bits.nbytes <= budget == 1 << 20
 
     def test_shares_nothing_with_the_builder_kernel(self):
         with open(verify.__file__, encoding="utf-8") as source:
