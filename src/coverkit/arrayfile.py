@@ -2,9 +2,10 @@
 
 Line 1 is the header ``CA <N> <t> <k> <v>``; then N lines of k
 space-separated integers in 0..v-1.  Lines starting with ``#`` are
-comments and ignored anywhere.  Files end with a trailing newline.
-The format is deliberately trivial to parse from any language and
-diff-friendly.
+comments, ignored anywhere, and may hold any bytes; a non-ASCII byte
+elsewhere is an ``ArrayFormatError`` that names its line.  Files end
+with a trailing newline.  The format is deliberately trivial to parse
+from any language and diff-friendly.
 
 ``write_array`` writes the cells in chunks of a fixed text budget.  When
 v <= 10 every cell is one digit, and a chunk's text table is written as
@@ -129,7 +130,9 @@ def _read_lines(data: bytes) -> SymbolArray:
     header: tuple[int, int, int, int] | None = None
     header_line = 1
     rows: list[list[int]] = []
-    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate: a comment may hold any
+    # bytes, and elsewhere no field that holds one parses
+    with io.TextIOWrapper(io.BytesIO(data), encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

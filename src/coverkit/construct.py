@@ -61,7 +61,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from bisect import bisect_right
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -71,8 +70,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ResourceLimitError
-from ._numeric import floor_scaled_power
-from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray
+from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray, colex_unrank, place_values
 from .limits import Budget
 from .groups import (
     GroupAction,
@@ -210,11 +208,6 @@ def _random_rows(
     return rng.integers(0, params.v, size=(n, params.k), dtype=CELL_DTYPE)
 
 
-def _place_values(params: CAParams) -> np.ndarray:
-    """v**(t-1), ..., v, 1: the base-v place values that rank a symbol tuple."""
-    return params.v ** np.arange(params.t - 1, -1, -1, dtype=np.int64)
-
-
 def _colex_unrank(
         ranks: np.ndarray, binomials: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``core.colex_unrank`` of each rank, one subset per row of ``out`` (a
@@ -227,16 +220,6 @@ def _colex_unrank(
         ranks -= binomials[i - 1, sets[:, i - 1]]
     sets[:, 0] = ranks  # C(c, 1) = c
     return sets
-
-
-def _colex_unrank_one(rank: int, table: list[list[int]]) -> list[int]:
-    """``_colex_unrank`` of one rank, by a bisect walk over ``table``, the
-    rows of ``_binomials`` as lists: no numpy call."""
-    columns = [0] * len(table)
-    for i in range(len(table) - 1, -1, -1):  # the largest c with C(c, i + 1) <= rank
-        columns[i] = bisect_right(table[i], rank) - 1
-        rank -= table[i][columns[i]]
-    return columns
 
 
 @functools.lru_cache(maxsize=64)
@@ -473,8 +456,7 @@ def two_stage_build(
     (``_first_fit_rows``)."""
     config = config or BuildConfig()
     n = _stage1_rows(params, "two_stage", config)
-    vt = params.tuple_count
-    target = floor_scaled_power(params.interaction_space_size, vt - 1, vt, n)
+    target = bounds.two_stage_objective(params, n) - n  # the leftovers the bound prices
     rng = np.random.default_rng(config.seed)
     budget = Budget.from_env()
     log = BuildLog(strategy="two_stage", stage1_rows=n)
@@ -501,7 +483,7 @@ def two_stage_build(
         if best_uncovered > target:  # missed: list the best attempt's leftovers
             leftovers = _uncovered_scan(params, best_cells, best_uncovered, budget)[1]
         cols = leftovers[:, :-1]
-        symbols = leftovers[:, -1:] // _place_values(params) % params.v
+        symbols = leftovers[:, -1:] // place_values(params.t, params.v) % params.v
         if config.second_stage == "colour":
             rows = _first_fit_rows(params, cols, symbols, budget)
         else:
@@ -582,7 +564,7 @@ class _DensityState:
         for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
             self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
         self.remaining = int(np.count_nonzero(self.levels[-1]))
-        self._places = _place_values(params)  # v**(t-l) for l = 1..t: a level's rank divisor
+        self._places = place_values(t, v)  # v**(t-l) for l = 1..t: a level's rank divisor
         self._starts = starts[:-1, None]
         order = np.argsort(self.sets, axis=None, kind="stable")  # by column, then set
         cuts = np.searchsorted(self.sets.ravel()[order], np.arange(k + 1))
@@ -669,11 +651,11 @@ def _resample_full_orbits(
     column sets, a boolean table indexed by orbit id.  The first offender
     is the block's first set whose table misses a full orbit; its colex
     position is the block's first rank plus its row, and only it is
-    unranked, and only when it is resampled, by a scalar bisect walk
-    (``_colex_unrank_one``).  A rescan starts at C(a, t), a the lowest
-    column just resampled: every set before it holds no resampled column
-    and came before the offender, so it is still hit, and the first
-    offender is the one a scan from the start would find."""
+    unranked, and only when it is resampled, by ``core.colex_unrank``.  A
+    rescan starts at C(a, t), a the lowest column just resampled: every set
+    before it holds no resampled column and came before the offender, so
+    it is still hit, and the first offender is the one a scan from the
+    start would find."""
     cells = _random_rows(rng, params, n, "stage-1 rows", budget)
     full_ids = np.array(table.full_orbit_ids, dtype=np.int64)
     if full_ids.size == 0:
@@ -683,7 +665,6 @@ def _resample_full_orbits(
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
-    binomials = _binomials(params.t, params.k).tolist()  # unranks the offenders
     column = 0  # every set ending before this column is hit
     while True:
         for lo, seen in _coverage_tables(params, cells, budget, table, column):
@@ -697,7 +678,7 @@ def _resample_full_orbits(
             log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
-        columns = _colex_unrank_one(pos, binomials)
+        columns = colex_unrank(pos, params.t)
         for c in columns:
             cells[:, c] = rng.integers(0, params.v, size=n, dtype=CELL_DTYPE)
         column = columns[0]

@@ -23,11 +23,19 @@ Conventions, fixed once and relied on everywhere:
 
 An interaction's dense rank is ``colex_rank(columns) * v**t + symbol rank``,
 a bijection onto {0, ..., C(k,t)*v**t - 1}.
+
+The rank and unrank helpers live here, once each: ``colex_rank`` and
+``colex_unrank`` for one column set, ``symbols_rank`` and
+``symbols_unrank`` for one symbol tuple, and ``place_values``, the
+base-v place values that rank symbol tuples a table at a time.  The
+builder's kernel keeps only a vectorised colex unrank of its own, over
+its table of binomials.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -46,6 +54,7 @@ __all__ = [
     "colex_combinations",
     "symbols_rank",
     "symbols_unrank",
+    "place_values",
 ]
 
 CELL_DTYPE = np.int32
@@ -86,24 +95,34 @@ class SymbolArray:
     """An n x k matrix of symbols in {0, ..., v-1}.
 
     The cell matrix is stored as a read-only int32 ndarray; instances are
-    immutable values and safe to share between threads.
+    immutable values and safe to share between threads.  The cells given
+    must be integers or booleans, and are range-checked as given, before
+    the int32 cast, so no cell is rounded or wrapped into range.
     """
 
     params: CAParams
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = np.ascontiguousarray(self.cells, dtype=CELL_DTYPE)
-        if cells is self.cells:
-            cells = cells.copy()  # own the cells: never freeze or alias the caller's buffer
+        cells = np.asarray(self.cells)
+        if cells.dtype.kind not in "biu":
+            raise TypeError(f"cells must be integers, got dtype {cells.dtype}")
         if cells.ndim != 2:
             raise ValueError(f"cells must be a 2-D array, got {cells.ndim}-D")
         if cells.shape[1] != self.params.k:
             raise ValueError(
                 f"rows have length {cells.shape[1]}, expected k={self.params.k}"
             )
-        if cells.size and (cells.min() < 0 or cells.max() >= self.params.v):
+        # Python ints: no comparison of numpy and Python integers, whose
+        # rules changed between numpy 1.x and 2.x
+        low, high = (int(cells.min()), int(cells.max())) if cells.size else (0, 0)
+        if low < 0 or high >= self.params.v:
             raise ValueError(f"cell values must lie in 0..{self.params.v - 1}")
+        if high > CELL_MAX:
+            raise ValueError(f"cell above {CELL_MAX}, the largest symbol an array holds")
+        cells = np.ascontiguousarray(cells, dtype=CELL_DTYPE)
+        if cells is self.cells:
+            cells = cells.copy()  # own the cells: never freeze or alias the caller's buffer
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -184,15 +203,18 @@ def colex_rank(columns: Sequence[int]) -> int:
 
 
 def colex_unrank(rank: int, t: int) -> tuple[int, ...]:
-    """Inverse of colex_rank for subsets of size t."""
+    """Inverse of colex_rank for subsets of size t.  Position i, from t
+    down, holds the largest c with C(c, i) at most the rank left: a bisect
+    over math.comb below the column found one position up, and at the top
+    below the first of t, 2t + 1, ... whose C(., t) passes the rank."""
     cols = [0] * t
-    r = rank
+    top = t
+    while t and math.comb(top, t) <= rank:
+        top = 2 * top + 1
     for i in range(t, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= r:
-            c += 1
-        cols[i - 1] = c
-        r -= math.comb(c, i)
+        top = bisect_right(range(top), rank, lo=i - 1, key=lambda c: math.comb(c, i)) - 1
+        cols[i - 1] = top
+        rank -= math.comb(top, i)
     return tuple(cols)
 
 
@@ -212,6 +234,12 @@ def symbols_rank(symbols: Sequence[int], v: int) -> int:
     for s in symbols:
         r = r * v + s
     return r
+
+
+def place_values(t: int, v: int) -> np.ndarray:
+    """v**(t-1), ..., v, 1 as int64: the base-v place values that rank a
+    symbol t-tuple, first position most significant."""
+    return v ** np.arange(t - 1, -1, -1, dtype=np.int64)
 
 
 def symbols_unrank(rank: int, t: int, v: int) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ from itertools import permutations
 import numpy as np
 
 from . import _numeric as num
-from .core import CAParams, SymbolArray, symbols_unrank
+from .core import CAParams, SymbolArray, place_values, symbols_unrank
 from .limits import Budget
 from .errors import UnsupportedParameterError
 
@@ -144,7 +144,7 @@ class GroupAction:
             raise ValueError("identity element missing")
         if _distinct_rows(perms) != len(perms):
             raise ValueError("duplicate group elements")
-        images = np.unique(perms[:, :ell] @ v ** np.arange(ell))  # of (0, ..., l-1)
+        images = np.unique(perms[:, :ell] @ place_values(ell, v))  # of (0, ..., l-1)
         if ell and (len(images) != len(perms) or len(perms) != math.perm(v, ell)):
             raise ValueError(f"action is not sharply {ell}-transitive on {v} symbols")
 
@@ -161,7 +161,7 @@ class GroupAction:
         if _distinct_rows(perms[:, perms].reshape(-1, v)) != len(perms):
             raise ValueError("group is not closed under composition")
         sources = np.array(list(permutations(range(v), ell)), dtype=np.intp, ndmin=2)
-        places = v ** np.arange(ell - 1, -1, -1)
+        places = place_values(ell, v)
         # column j: source j's image ranks, each l-tuple's once if sharp
         reached = np.sort(perms[:, sources] @ places, axis=0)
         misses = (reached != (sources @ places)[:, None]).any(axis=0)
@@ -277,7 +277,7 @@ def enumerate_orbits(action: GroupAction, t: int) -> OrbitTable:
     total = v**t
     Budget.from_env().check_table_bytes(total, 8, "orbit table")
     orbit_id = np.full(total, -1, dtype=np.int64)
-    places = v ** np.arange(t - 1, -1, -1)  # base-v rank, first symbol most significant
+    places = place_values(t, v)
     reps: list[tuple[int, ...]] = []
     for rank in range(total):
         if orbit_id[rank] < 0:

@@ -8,8 +8,7 @@ as a disagreement that the test suite's cross-checks catch.
 ``full_check`` is the standard column-bitset check, word-major.
 ``bits[w, c, s]`` is word ``w`` of the set of rows holding symbol ``s``
 in column ``c``, 64 rows to a uint64 word, packed in chunks of rows
-that take every column in one ``packbits`` call and fit
-``Budget.working``.  A t-way interaction is
+that take every column in one ``packbits`` call.  A t-way interaction is
 covered iff the AND of its t row sets is nonempty.  The check goes over
 groups of t-sets.  For t >= 3 a group is one middle ``(c2, ..., c_{t-1})``
 in colex order, with every first column below it and every last column
@@ -21,10 +20,12 @@ that with the ``(first column, symbol)`` row sets below c2, one
 contiguous slice of each word's row; ORs the block over the word axis and
 counts its zeros.
 
-``full_check`` reads one ``limits.Budget`` when it is called.  Every
-block and buffer is a 1/32 share of its working bytes (1 MiB by
+``full_check`` reads one ``limits.Budget`` when it is called, and
+beyond its row bitsets holds at most the budget's working bytes (32 MiB
+by default).  Every block and buffer is a 1/32 share of them (1 MiB by
 default), priced with ``Budget.check_table_bytes`` before it is made and
-reused by every group.  A block over the share is cut on the word axis
+reused by every group, and the bitsets are packed within what the six
+shares leave.  A block over the share is cut on the word axis
 first, down to ``_WORDS`` words whose ORs are accumulated with ``|=``,
 then on the first-column row sets, then on the word axis down to one
 word; the last-column row sets, the long inner axis, are cut only when
@@ -190,7 +191,9 @@ def _full_check(array: SymbolArray, budget: Budget) -> CoverageReport:
     more = _buffer(share, "verifier coverage words", budget)
     lasts = _buffer(share, "verifier last-column row sets", budget)
     middles = _buffer(2 * share, "verifier middle row sets", budget)
-    bits = _row_bitsets(array.cells, v, words, budget.working)
+    # the packing works within what the shares leave of the working budget
+    spent = sum(b.nbytes for b in (block, covered, more, lasts, middles))
+    bits = _row_bitsets(array.cells, v, words, max(0, budget.working - spent))
     flat = bits.reshape(words, k * v)
     every = np.broadcast_to(~np.uint64(0), (words, 1))  # the empty middle's one row set
 

@@ -46,6 +46,11 @@ class TestRoundTrip:
         arr = read_array(str(path))
         assert arr.cells.tolist() == [[0, 1], [1, 0]]
 
+    def test_comments_may_hold_any_bytes(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes("CA 1 2 2 2\n# café\n0 1\n".encode() + b"# \xff\x80\n")
+        assert read_array(str(path)).cells.tolist() == [[0, 1]]
+
     def test_empty_array_round_trip(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("CA 0 2 4 2\n")
@@ -64,6 +69,13 @@ class TestErrors:
         path.write_text("CA 2 2 2 2\n0 1\n1 x\n")
         with pytest.raises(ArrayFormatError, match="line 3"):
             read_array(str(path))
+
+    def test_non_ascii_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes("CA 1 2 2 2\n0 é\n".encode())
+        with pytest.raises(ArrayFormatError) as exc:
+            read_array(str(path))
+        assert str(exc.value) == "line 2: non-integer cell in '0 \\udcc3\\udca9'"
 
     def test_row_length_mismatch(self, tmp_path):
         path = tmp_path / "a.txt"

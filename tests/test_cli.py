@@ -718,6 +718,9 @@ BAD_INPUTS = [
     # in 0..v-1, but past the int32 cells of an array
     pytest.param(["verify", "{data}/cell_past_int32.ca"],
                  2, "line 2: cell above 2147483647", id="verify-cell-past-int32"),
+    # a non-ASCII byte outside a comment, named where it is parsed
+    pytest.param(["verify", "{data}/non_ascii_cell.ca"],
+                 2, "line 2: non-integer cell in '0 \\udcc3\\udca9'", id="verify-non-ascii-cell"),
     # headers that CAParams refuses, named where they are parsed
     pytest.param(["verify", "{data}/strength_zero.ca"],
                  2, "line 1: strength t must be at least 2, got 0", id="verify-header-t-zero"),

@@ -33,6 +33,7 @@ from coverkit.core import (
     SymbolArray,
     covers,
     interaction_unrank,
+    place_values,
     symbols_unrank,
 )
 from coverkit.errors import ResourceLimitError, UnsupportedParameterError
@@ -368,7 +369,7 @@ class TestTwoStageBuild:
         budget = limits.Budget.from_env()
         leftovers = construct._uncovered_scan(
             p, each.cells[:n], p.interaction_space_size, budget)[1]
-        symbols = leftovers[:, -1:] // construct._place_values(p) % p.v
+        symbols = leftovers[:, -1:] // place_values(p.t, p.v) % p.v
         rows = construct._first_fit_rows(p, leftovers[:, :-1], symbols, budget)
         assert rows.tolist() == reference_first_fit(leftovers[:, :-1], symbols)
         assert colour_log.stage2_rows == len(set(rows.tolist()))
@@ -498,7 +499,7 @@ class TestMoserTardos:
 
     def test_resampling_unranks_one_set_per_resample(self, monkeypatch):
         # the kernel yields rank ranges, and the scan unranks only the
-        # offender it resamples, by the scalar walk: a block-wide unrank
+        # offender it resamples, by core's scalar unrank: a block-wide unrank
         # would count thousands of sets here.  The kernel's own unranks are
         # of (t-1)-prefixes, counted apart: the window of 30 rows holds all
         # C(15, 2) = 105 top prefixes, so each scan, the first and one
@@ -507,18 +508,18 @@ class TestMoserTardos:
         # input as test_golden).
         p = CAParams(3, 16, 4)
         unranked, filled = [], []
-        unrank, unrank_one = construct._colex_unrank, construct._colex_unrank_one
+        unrank, unrank_one = construct._colex_unrank, construct.colex_unrank
 
         def counted(ranks, binomials, out=None):
             (unranked if len(binomials) == p.t else filled).append(len(ranks))
             return unrank(ranks, binomials, out)
 
-        def counted_one(rank, table):
+        def counted_one(rank, t):
             unranked.append(1)
-            return unrank_one(rank, table)
+            return unrank_one(rank, t)
 
         monkeypatch.setattr(construct, "_colex_unrank", counted)
-        monkeypatch.setattr(construct, "_colex_unrank_one", counted_one)
+        monkeypatch.setattr(construct, "colex_unrank", counted_one)
         n = bounds.frobenius_lll_bound(p).stage1_rows * 3 // 4
         arr, log = moser_tardos_build(p, make_frobenius(4), BuildConfig(seed=1, n_override=n))
         assert log.success and log.resample_count > 0

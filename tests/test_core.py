@@ -67,6 +67,34 @@ class TestSymbolArray:
         with pytest.raises(ValueError):
             SymbolArray(CAParams(2, 3, 2), np.zeros((2, 2), dtype=np.int32))
 
+    def test_rejects_float_cells(self):
+        # cast, 0.7 and 1.2 would truncate to the valid cells 0 and 1
+        with pytest.raises(TypeError, match="cells must be integers, got dtype float64"):
+            SymbolArray(CAParams(2, 2, 3), np.array([[0.7, 1.2]]))
+
+    @pytest.mark.parametrize("cell, dtype", [
+        (2**32 + 5, np.int64),  # cast, it wraps to the valid cell 5
+        (2**64 - 1, np.uint64),  # cast, it wraps to -1
+        (2**31, np.int64),  # one past the int32 maximum
+    ])
+    def test_rejects_cells_past_int32(self, cell, dtype):
+        with pytest.raises(ValueError, match="cell above 2147483647, the largest symbol an array"):
+            SymbolArray(CAParams(2, 2, 2**64), np.array([[cell, 0]], dtype=dtype))
+
+    def test_rejects_a_negative_cell_that_would_wrap_into_range(self):
+        with pytest.raises(ValueError, match="0..2"):
+            SymbolArray(CAParams(2, 2, 3), np.array([[1 - 2**32, 0]], dtype=np.int64))
+
+    @pytest.mark.parametrize("cells", [
+        np.array([[True, False]]),
+        np.array([[2**31 - 1, 0]], dtype=np.int64),
+        np.array([[2**31 - 1, 0]], dtype=np.uint64),
+        np.array([[255, 0]], dtype=np.uint8),
+    ])
+    def test_accepts_integer_and_bool_cells_in_range(self, cells):
+        arr = SymbolArray(CAParams(2, 2, 2**40), cells)
+        assert arr.cells.dtype == np.int32 and arr.cells.tolist() == cells.astype(int).tolist()
+
     def test_equality(self):
         p = CAParams(2, 2, 2)
         assert SymbolArray.from_rows(p, [(0, 1)]) == SymbolArray.from_rows(p, [(0, 1)])
@@ -221,3 +249,14 @@ class TestRanking:
             for r, cols in enumerate(colex_combinations(7, t)):
                 assert colex_rank(cols) == r
                 assert colex_unrank(r, t) == cols
+
+    @pytest.mark.parametrize("cols", [
+        (999_999,), (0, 999_999), (997, 998, 999), (0, 1, 2, 3, 4, 5, 6, 10**6),
+        (5, 17, 40_000, 2**40), tuple(range(10**5, 10**5 + 12)),
+    ])
+    def test_colex_unrank_inverse_at_large_columns(self, cols):
+        # the rank left at each position bounds a bisect below the column
+        # one position up, so these take a few dozen comb calls each
+        rank = colex_rank(cols)
+        assert colex_unrank(rank, len(cols)) == cols
+        assert colex_rank(colex_unrank(rank - 1, len(cols))) == rank - 1

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from coverkit import construct, limits
 from coverkit.construct import BuildLog, random_array
-from coverkit.core import CELL_DTYPE, CAParams, colex_combinations
+from coverkit.core import CELL_DTYPE, CAParams, colex_combinations, colex_unrank
 from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl, make_trivial
 
 # working budgets in bytes: one row and one set at a time, a few of each,
@@ -275,11 +275,10 @@ class TestBlocks:
                 sets = block_sets(params, lo, seen, rows)
                 assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
                 assert np.array_equal(sets, ref_sets[lo + rows])
-                # and the resampler's scalar walk, one rank at a time
-                table = construct._binomials(params.t, params.k).tolist()
+                # and the resampler's scalar unrank, one rank at a time
                 for row in rows:
-                    one = construct._colex_unrank_one(lo + int(row), table)
-                    assert one == ref_sets[lo + row].tolist()
+                    one = colex_unrank(lo + int(row), params.t)
+                    assert list(one) == ref_sets[lo + row].tolist()
 
     def test_small_budgets_cut_blocks(self, monkeypatch):
         # (3,9,3), 40 rows: a 1-byte budget takes one set at a time; 8192

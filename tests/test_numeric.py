@@ -286,6 +286,33 @@ class TestPowerQuotientErrorBound:
             least_power_exponent(5, 10**60 + 1, 10**60)
 
 
+class TestOptimumWindowSpan:
+    """optimum_window's span, ceil(3 / ln x), at near-ties.  Each num/den is
+    a continued-fraction convergent of e**(3/N), so 3 / ln(num/den) lies
+    within 1e-12 of the integer N, closer than binary64 places it.  At
+    widths past about 10**7 binary64's own error exceeds the 1e-9 guard, so
+    the float slack must scale with the width; below about 2.8 * 10**5 the
+    guard is most of the slack, so it must be added.  In each case a float
+    ceil with that part of the slack cut lands on the wrong side of N."""
+
+    @pytest.mark.parametrize("num, den", [
+        # widths of 2-10 * 10**8: the slack's error term decides
+        (8729922311968745, 8729922179833042),
+        (207514566586303636, 207514565942076089),
+        (61742294828666698, 61742294477262959),
+        # widths of 0.9-2 * 10**5: the guard decides
+        (97271723146, 97270260285),
+        (90442573313, 90440819740),
+        (10115852077, 10115503669),
+    ])
+    def test_span_is_the_exact_ceiling(self, num, den):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            width = 3 / (Decimal(num).ln() - Decimal(den).ln())
+        assert abs(width - round(width)) < Decimal("1e-12")
+        assert _numeric.optimum_window(10**6, num, den)[1] == math.ceil(width)
+
+
 class TestAgainstExactArithmetic:
     """Both primitives against Fraction arithmetic, with exponents up to
     1e5: floors of 0, floors at exact ties, and least exponents at exact

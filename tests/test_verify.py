@@ -326,6 +326,23 @@ class TestAgainstReference:
             tracemalloc.stop()
         assert budget // 2 < peak - bits.nbytes <= budget == 1 << 20
 
+    @pytest.mark.parametrize("t, k, v, n", [(2, 3, 64, 8000), (2, 3, 256, 4000),
+                                            (2, 10, 16, 9000)])
+    def test_full_check_peak_within_bitsets_and_the_working_budget(
+            self, monkeypatch, t, k, v, n):
+        # the packing gets what the six 1/32 shares leave of the working
+        # budget, not all of it: given all, these peaked 0.08-0.09 MiB over
+        monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
+        working = limits.Budget.from_env().working
+        arr = random_array(CAParams(t, k, v), n, seed=1)
+        tracemalloc.start()
+        try:
+            full_check(arr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + 63) // 64 * k * v * 8 + working
+
     def test_shares_nothing_with_the_builder_kernel(self):
         with open(verify.__file__, encoding="utf-8") as source:
             tree = ast.parse(source.read())
