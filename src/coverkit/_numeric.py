@@ -1,10 +1,10 @@
 """Numeric helpers behind the bound computations, on one ladder of tiers.
 
 Every bound reduces to a question about integers m, num, den, n and c in
-{0, 1}, c being the power of e: the least n with (num/den)**n past
-e**c * m (``least_power_exponent`` for c = 0, ``least_power_past_e`` for
-the local lemma thresholds), or floor(e**c * m * (num/den)**n)
-(``floor_scaled_powers`` over many n, ``floor_scaled_power`` for one,
+{0, 1}, c being the power of e: the least n with (num/den)**n > e**c * m
+(``least_exponent``; c = 1 for the local lemma thresholds, where e * m
+is irrational, so that >= would give the same n), or
+floor(e**c * m * (num/den)**n) (``floor_scaled_powers`` over any n,
 ``floor_e_scaled_power`` for the conditional bound's leftover).  The
 two-stage search window, floor(n*) and ceil(3 / ln x) for
 n* = ln(m ln x) / ln x (``optimum_window``), is read from the same
@@ -14,15 +14,16 @@ estimate's own error, and add digits until the estimate decides.  A rung
 decides only where it clears its bound, so each gives the value the next
 would give.
 
-1. **binary64** (``_float_log_estimate``), with a bound tau(n) on the
-   error.  It decides where it clears tau(n) plus a guard of 1e-9 (of one
-   step for an exponent, relative to the value for a floor), and
-   ``floor_scaled_powers`` makes one numpy pass over all its n.  The bound
-   rests on IEEE arithmetic (+, -, *, / and int-to-float conversion
-   correctly rounded, u = 2**-53) and on one assumption: math.log,
-   math.log1p, math.exp (the conditional bound's leftover) and numpy's
-   exp each err by at most 4 ulp (8u of their result); they measure under
-   1 ulp on x86-64 Linux with numpy 2.4.
+1. **binary64** (``_float_log_estimate``, its step ``float_log_ratio``,
+   the one float ln(num/den) the bounds' float notes read too), with a
+   bound tau(n) on the error.  It decides where it clears tau(n) plus a
+   guard of 1e-9 (of one step for an exponent, relative to the value for
+   a floor), and ``floor_scaled_powers`` makes one numpy pass over all
+   its n.  The bound rests on IEEE arithmetic (+, -, *, / and
+   int-to-float conversion correctly rounded, u = 2**-53) and on one
+   assumption: math.log, math.log1p, math.exp (the conditional bound's
+   leftover) and numpy's exp each err by at most 4 ulp (8u of their
+   result); they measure under 1 ulp on x86-64 Linux with numpy 2.4.
    Under it, tau(n) = 2**-48 * (c + ln m + n|step| + 1) bounds the error of
    c + ln m + n * step, exp included, with a factor 2 to spare
    (``_float_log_estimate`` has the sum).  On the bench shapes tau(n) is
@@ -31,7 +32,7 @@ would give.
    fractional part a float cannot place within the guard.
 2. **50 digits** (``_log_estimate``), with a proven bound err(n) plus the
    same guard.  The 50-digit log of each integer is computed once
-   (``_ln``, a bounded memo).  A run of consecutive n takes one 50-digit
+   (``dec_ln``, a bounded memo).  A run of consecutive n takes one 50-digit
    exp and then one multiplication by num/den per n.
 3. **More digits**, with err(n) alone: a guard would keep a near tie
    undecided at any precision.  A least exponent is tried at 50 plus twice
@@ -39,7 +40,7 @@ would give.
    last digit while the step shrinks about as 1/n, so that 50 digits
    cannot decide past guesses of about 1e24.  The floor with the factor e
    starts at 50 digits more than it has.
-4. **Exact.**  The rational questions (c = 0) are decided by the exact
+4. **Exact.**  The rational question (c = 0) is decided by the exact
    integers, once the memory cap has passed the powers they build.  This
    tier, reached only where the wider estimates still tie, reads the caps
    (``limits.Budget.from_env``) once for each power it builds.  The
@@ -70,7 +71,7 @@ _TOO_CLOSE = "ratio too close to 1 for 50-digit logarithms"
 
 
 @functools.lru_cache(maxsize=256)
-def _ln(x: int) -> Decimal:
+def dec_ln(x: int) -> Decimal:
     """ln x of an exact positive integer, to 50 digits.  Decimal's ln is
     correctly rounded, so a remembered value is the one a new call gives."""
     with localcontext() as ctx:
@@ -78,9 +79,11 @@ def _ln(x: int) -> Decimal:
         return Decimal(x).ln()
 
 
-def dec_ln(x: int) -> Decimal:
-    """Natural log of an exact positive integer, to 50 digits."""
-    return _ln(x)
+def float_log_ratio(num: int, den: int) -> float:
+    """ln(num/den) in floats, for integers num, den >= 1: log below 1/2 and
+    log1p((num - den)/den) otherwise, which keeps its precision where the
+    ratio is barely above or below 1."""
+    return math.log(num / den) if 2 * num < den else math.log1p((num - den) / den)
 
 
 def _floor_if_clear(value, slack):
@@ -100,17 +103,17 @@ def _float_log_estimate(
     exact values in the log domain, for every n >= 0 (a float or an
     array); None when a float cannot hold the step.
 
-    The step is log(num/den) below 1/2 and log1p((num - den)/den) otherwise,
-    so rounding the quotient moves it by at most 1.5u of its size, and it
-    errs by at most 9.5u|step|.  ln m errs by at most 8u ln m + 8u (m is
-    rounded to a float first, or split by frexp past 2**1024).  The sum
-    c + ln m, the product n * step (with n rounded to a float) and the
-    total each add a rounding, and exp 8u more: 10u(c + ln m) +
-    12.5u n|step| + 16u in all, within half of tau(n) = 32u (c + ln m +
-    n|step| + 1).
+    The step is ``float_log_ratio``: log(num/den) below 1/2 and
+    log1p((num - den)/den) otherwise, so rounding the quotient moves it by
+    at most 1.5u of its size, and it errs by at most 9.5u|step|.  ln m
+    errs by at most 8u ln m + 8u (m is rounded to a float first, or split
+    by frexp past 2**1024).  The sum c + ln m, the product n * step (with
+    n rounded to a float) and the total each add a rounding, and exp 8u
+    more: 10u(c + ln m) + 12.5u n|step| + 16u in all, within half of
+    tau(n) = 32u (c + ln m + n|step| + 1).
     """
     try:
-        step = math.log(num / den) if 2 * num < den else math.log1p((num - den) / den)
+        step = float_log_ratio(num, den)
     except (OverflowError, ValueError):  # the quotient over or under the float range
         return None
     if abs(step) < 1e-200:  # the quotient may have lost digits to underflow
@@ -133,12 +136,12 @@ def _log_estimate(
     So the total error is at most ulp/2 * (3(c + ln m) + n * (ln num +
     ln den + 4|step|)), which is at most 3/4 of err(n) = ulp * (2(c + ln m)
     + n * (ln num + ln den + 3|step|)).  The 50-digit logs are read from
-    the ``_ln`` memo.
+    the ``dec_ln`` memo.
     """
     ulp = Decimal(10) ** (1 - prec)
     with localcontext() as ctx:
         ctx.prec = prec
-        ln = _ln if prec == PRECISION else (lambda x: Decimal(x).ln())
+        ln = dec_ln if prec == PRECISION else (lambda x: Decimal(x).ln())
         at_zero, ln_num, ln_den = c + ln(m), ln(num), ln(den)
         step = ln_num - ln_den
         err_at_zero = 2 * ulp * at_zero
@@ -163,17 +166,17 @@ def _crossing(at_zero, step, bound, guard) -> tuple[int, bool]:
     return n, at_zero + n * step < -e and at_zero + (n - 1) * step > e
 
 
-def _least_exponent(m: int, num: int, den: int, c: int, strict: bool) -> int:
-    """The least n >= 0 with (num/den)**n > e**c * m (>= when not strict),
-    for integers m, num > den >= 1 and c in {0, 1}.
+def least_exponent(m: int, num: int, den: int, c: int = 0) -> int:
+    """The least n >= 0 with (num/den)**n > e**c * m, for integers m,
+    num > den >= 1 and c in {0, 1}.
 
     Each rung estimates L(n) = c + ln m - n ln(num/den) and decides where
-    ``_crossing`` is sure of its guess; the answer is then the same for
-    both comparisons.  The rungs are floats with tau(n) plus the 1e-9
-    guard, 50 digits with err(n) plus the guard, then 50 plus twice the
-    guess's digits with err(n) alone, and last, for c = 0, the exact
-    integer inequality num**n ? m * den**n, stepping from the last guess,
-    or, for c = 1, twice the digits again until the estimate is sure.
+    ``_crossing`` is sure of its guess.  The rungs are floats with tau(n)
+    plus the 1e-9 guard, 50 digits with err(n) plus the guard, then 50 plus
+    twice the guess's digits with err(n) alone, and last, for c = 0, the
+    exact integer inequality num**n > m * den**n, stepping from the last
+    guess, or, for c = 1, twice the digits again until the estimate is
+    sure.
     """
     if num <= den:
         raise ValueError("ratio must exceed 1")
@@ -197,40 +200,22 @@ def _least_exponent(m: int, num: int, den: int, c: int, strict: bool) -> int:
         if prec == PRECISION:
             prec, guard = PRECISION + 2 * len(str(n)), 0
         elif c == 0:
-            return _least_power_exact(m, num, den, n, strict)
+            return _least_power_exact(m, num, den, n)
         else:
             prec *= 2
 
 
-def least_power_exponent(m: int, num: int, den: int, *, strict: bool = True) -> int:
-    """Smallest n >= 0 with (num/den)**n > m (or >= m when not strict), for
-    num > den >= 1, from the ladder of ``_least_exponent``."""
-    return _least_exponent(m, num, den, 0, strict)
-
-
-def _least_power_exact(m: int, num: int, den: int, n: int, strict: bool) -> int:
-    """Smallest n >= 0 with num**n > m * den**n (>= when not strict), found
-    from the candidate n by exact integer steps: the powers are built once,
-    then moved by one multiplication or division per step."""
+def _least_power_exact(m: int, num: int, den: int, n: int) -> int:
+    """Smallest n >= 0 with num**n > m * den**n, found from the candidate n
+    by exact integer steps: the powers are built once, then moved by one
+    multiplication or division per step."""
     _check_power(num, n)
     lhs, rhs = num**n, m * den**n
-
-    def holds(a: int, b: int) -> bool:
-        return a > b if strict else a >= b
-
-    while not holds(lhs, rhs):
+    while lhs <= rhs:
         n, lhs, rhs = n + 1, lhs * num, rhs * den
-    while n > 0 and holds(lhs // num, rhs // den):
+    while n > 0 and lhs // num > rhs // den:
         n, lhs, rhs = n - 1, lhs // num, rhs // den
     return n
-
-
-def least_power_past_e(w: int, num: int, den: int, *, strict: bool) -> int:
-    """Smallest n >= 0 with (num/den)**n > e * w (>= when not strict), for
-    integers w >= 1 and num > den >= 1, from the ladder of
-    ``_least_exponent``.  e * w is irrational, so the two comparisons
-    agree."""
-    return _least_exponent(w, num, den, 1, strict)
 
 
 def optimum_exponent(m: int, num: int, den: int) -> float:
@@ -238,7 +223,7 @@ def optimum_exponent(m: int, num: int, den: int) -> float:
     (0 where m ln x <= 1): the real n >= 0 where n + m * x**-n is least."""
     with localcontext() as ctx:
         ctx.prec = PRECISION
-        lnx = _ln(num) - _ln(den)
+        lnx = dec_ln(num) - dec_ln(den)
         scaled = Decimal(m) * lnx
         return float(scaled.ln() / lnx) if scaled > 1 else 0.0
 
@@ -274,9 +259,7 @@ def optimum_window(m: int, num: int, den: int) -> tuple[int, int]:
         whole = _floor_if_clear(width, _FLOAT_ERR * width + _FLOAT_GUARD)
         span = None if whole is None else whole + 1
     if span is None:
-        with localcontext() as ctx:
-            ctx.prec = PRECISION
-            lnx = _ln(num) - _ln(den)
+        lnx = _log_estimate(1, num, den)[1]
         if lnx == 0:
             raise ValueError(_TOO_CLOSE)
         span = math.ceil(3 / float(lnx))
@@ -370,11 +353,6 @@ def _floor_chain(m: int, num: int, den: int, ns: list[int]) -> list[int]:
                 whole = (m * num**n) // den**n
             out.append(whole)
     return out
-
-
-def floor_scaled_power(m: int, num: int, den: int, n: int) -> int:
-    """floor(m * (num/den)**n) computed exactly, for m >= 0, 0 < num < den."""
-    return floor_scaled_powers(m, num, den, (n,))[0]
 
 
 def floor_e_scaled_power(m: int, num: int, den: int, n: int, *, log_below: int) -> int | None:

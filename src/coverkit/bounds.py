@@ -172,8 +172,8 @@ def slj_bound(params: CAParams) -> BoundReport:
     """Smallest N with C(k,t) * v**t * (1 - 1/v**t)**N < 1."""
     vt = params.tuple_count
     total = params.interaction_space_size
-    n = num.least_power_exponent(total, vt, vt - 1, strict=True)
-    leftover = math.exp(math.log(total) - n * _log_ratio_float(vt, vt - 1))
+    n = num.least_exponent(total, vt, vt - 1)
+    leftover = math.exp(math.log(total) - n * num.float_log_ratio(vt, vt - 1))
     return BoundReport(
         method="slj",
         value=n,
@@ -185,16 +185,11 @@ def slj_bound(params: CAParams) -> BoundReport:
     )
 
 
-def _log_ratio_float(numer: int, denom: int) -> float:
-    # log1p keeps precision when numer/denom is barely above 1
-    return math.log1p((numer - denom) / denom)
-
-
 def _over_log_ratio(x: float, numer: int, denom: int) -> float:
     """x / ln(numer/denom) for x >= 0 and numer > denom, or ValueError where
     that passes the floats, as where ln(numer/denom) rounds to 0 (numer past
     about 1e308): decided before dividing by a rounded zero."""
-    ratio = _log_ratio_float(numer, denom)
+    ratio = num.float_log_ratio(numer, denom)
     if not x < ratio * sys.float_info.max:
         raise ValueError(_FLOAT_TOO_CLOSE)
     return x / ratio
@@ -416,7 +411,7 @@ def _two_stage_analytic_value(params: CAParams) -> float:
     """The closed-form objective value at the real-valued optimum:
     (log C(k,t) + t log v + log log x + 1) / log x."""
     vt = params.tuple_count
-    lnx = _log_ratio_float(vt, vt - 1)
+    lnx = num.float_log_ratio(vt, vt - 1)
     return (math.log(math.comb(params.k, params.t)) + params.t * math.log(params.v)
             + math.log(lnx) + 1) / lnx
 
@@ -469,9 +464,10 @@ def _lll_solve(
     params: CAParams, kind: str, dependence: Dependence = "simple", *, weight: int | None = None
 ) -> tuple[int, tuple[int, int, int, int], dict]:
     """Smallest n >= 0 with e * weight * (1 - hit/base)**n * (d+1) < 1 under
-    the action's census (<= without a group action, as the plain bound is
-    stated), returned with the census and the dependence and ``p`` notes.
-    ``weight`` defaults to the census's event count; with none, n is 0.
+    the action's census, returned with the census and the dependence and
+    ``p`` notes.  The plain bound is stated with <=, which gives the same n:
+    e times a positive rational is irrational, so the product never equals
+    1.  ``weight`` defaults to the census's event count; with none, n is 0.
 
     A column set's events depend only on those of sets sharing a column: at
     most t*C(k-1, t-1) of them, which "simple" relaxes to t*C(k, t-1) and
@@ -491,8 +487,8 @@ def _lll_solve(
         raise ValueError(f"unknown dependence estimate {dependence!r}")
     n, p = 0, 0.0
     if weight:
-        n = num.least_power_past_e(weight * factor, base, base - hit, strict=order > 1)
-        p = math.exp(math.log(weight) - n * _log_ratio_float(base, base - hit))
+        n = num.least_exponent(weight * factor, base, base - hit, 1)
+        p = math.exp(math.log(weight) - n * num.float_log_ratio(base, base - hit))
     return n, census, {
         "p": p,
         "d_plus_1": factor,

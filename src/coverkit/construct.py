@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin, get_type_hints
@@ -500,22 +500,27 @@ def _first_fit_rows(
 ) -> np.ndarray:
     """Greedy first-fit colouring of the leftovers (Sarkar & Colbourn,
     "Two-stage algorithms for covering array construction"): the patch row
-    of each leftover in turn, the first open row whose fixed cells agree
-    with it on its t columns, else a new row.  One vectorised test per
-    leftover checks it against every open row; the table of fixed cells
-    (-1 where free) is checked against the memory cap first."""
-    budget.check_table_bytes(
-        len(cols) * params.k, np.dtype(CELL_DTYPE).itemsize, "stage-2 colour classes")
-    fixed = np.full((len(cols), params.k), -1, dtype=CELL_DTYPE)
-    rows = np.empty(len(cols), dtype=np.intp)
-    opened = 0
-    for i, (c, s) in enumerate(zip(cols, symbols)):
-        held = fixed[:opened, c]
-        agree = np.flatnonzero(((held == s) | (held < 0)).all(axis=1))
-        rows[i] = agree[0] if agree.size else opened
-        opened += not agree.size
-        fixed[rows[i], c] = s
-    return rows
+    of each leftover in turn, the first row whose fixed cells agree with it
+    on its t columns, else a new row.  Rows are bits of Python integers:
+    ``free[c]`` has the rows whose column c is not yet fixed (every row not
+    yet opened too, as it starts at -1, all ones) and ``holds[c * v + s]``
+    those that hold s in column c.  A leftover's row is the lowest bit set
+    in every one of its columns' free | holds.  The bitsets, at most k plus
+    one per (column, symbol) the leftovers name, each of at most one bit
+    per leftover, are checked against the memory cap first."""
+    k, v = params.k, params.v
+    budget.check_table_bytes(k + min(k * v, cols.size), len(cols) // 8 + 1, "stage-2 colour classes")
+    free, holds, rows = [-1] * k, defaultdict(int), []
+    for c, key in zip(cols.tolist(), (cols * v + symbols).tolist()):
+        fits = -1
+        for col, x in zip(c, key):
+            fits &= free[col] | holds[x]
+        bit = fits & -fits
+        rows.append(bit.bit_length() - 1)
+        for col, x in zip(c, key):
+            free[col] &= ~bit
+            holds[x] |= bit
+    return np.array(rows, dtype=np.intp)
 
 
 class _DensityState:

@@ -481,9 +481,9 @@ class TestFloatWindow:
 
     def test_guard_forces_the_fallback(self, monkeypatch):
         calls, logs = [], []
-        optimum, ln = _numeric.optimum_exponent, _numeric._ln
+        optimum, ln = _numeric.optimum_exponent, _numeric.dec_ln
         monkeypatch.setattr(_numeric, "optimum_exponent", lambda *a: calls.append(a) or optimum(*a))
-        monkeypatch.setattr(_numeric, "_ln", lambda x: logs.append(x) or ln(x))
+        monkeypatch.setattr(_numeric, "dec_ln", lambda x: logs.append(x) or ln(x))
         p = CAParams(6, 54, 3)
         total, vt = p.interaction_space_size, p.tuple_count
         assert _numeric.optimum_window(total, vt, vt - 1) == (12433, 2186)

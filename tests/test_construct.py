@@ -374,6 +374,24 @@ class TestTwoStageBuild:
         assert rows.tolist() == reference_first_fit(leftovers[:, :-1], symbols)
         assert colour_log.stage2_rows == len(set(rows.tolist()))
 
+    def test_first_fit_past_64_rows(self):
+        # with no stage-1 rows all 3,584 interactions are leftovers, and the
+        # colour classes run past 64 rows: each row bitset spans several
+        # words.  The leftovers name all 32 (column, symbol) pairs, so the
+        # bitsets are priced as 8 free and 32 held of 3584 // 8 + 1 bytes.
+        p = CAParams(3, 8, 4)
+        arr, log = two_stage_build(p, BuildConfig(seed=1, n_override=0, second_stage="colour"))
+        assert log.stage2_rows > 64 and full_check(arr).is_covering
+        leftovers = construct._uncovered_scan(
+            p, arr.cells[:0], p.interaction_space_size, limits.Budget.from_env())[1]
+        cols, symbols = leftovers[:, :-1], leftovers[:, -1:] // place_values(p.t, p.v) % p.v
+        need = (8 + 32) * (3584 // 8 + 1)
+        with pytest.raises(ResourceLimitError, match="stage-2 colour classes"):
+            construct._first_fit_rows(p, cols, symbols, limits.Budget(need - 1, 10**6))
+        rows = construct._first_fit_rows(p, cols, symbols, limits.Budget(need, 10**6))
+        assert rows.tolist() == reference_first_fit(cols, symbols)
+        assert log.stage2_rows == rows.max() + 1
+
     def test_degenerate_zero_row_stage1(self):
         # at (2,2,2) the objective is minimized at n=0: the whole array is
         # patch rows, one per interaction

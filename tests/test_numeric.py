@@ -15,34 +15,33 @@ from coverkit import _numeric, bounds, cli
 from coverkit.core import CAParams
 from coverkit._numeric import (
     floor_e_scaled_power,
-    floor_scaled_power,
     floor_scaled_powers,
     is_prime_power,
-    least_power_exponent,
-    least_power_past_e,
+    least_exponent,
 )
+
+
+def one_floor(m, num, den, n):
+    """floor(m * (num/den)**n) for one n, through the batched entry."""
+    return floor_scaled_powers(m, num, den, (n,))[0]
 
 
 class TestLeastPowerExponent:
     def test_exact_powers_strict(self):
         # (2/1)**n > 8 first at n=4
-        assert least_power_exponent(8, 2, 1, strict=True) == 4
-
-    def test_exact_powers_nonstrict(self):
-        assert least_power_exponent(8, 2, 1, strict=False) == 3
+        assert least_exponent(8, 2, 1) == 4
 
     def test_fractional_ratio(self):
         # (3/2)**n > 10: 1.5**5 = 7.59, 1.5**6 = 11.39
-        assert least_power_exponent(10, 3, 2) == 6
+        assert least_exponent(10, 3, 2) == 6
 
     def test_trivial_threshold(self):
-        assert least_power_exponent(1, 5, 4, strict=True) == 1
-        assert least_power_exponent(1, 5, 4, strict=False) == 0
+        assert least_exponent(1, 5, 4) == 1
 
     def test_matches_brute_force(self):
         for m in (1, 2, 7, 100, 12345):
             for num, den in ((2, 1), (3, 2), (729, 728), (10, 9)):
-                n = least_power_exponent(m, num, den)
+                n = least_exponent(m, num, den)
                 assert Fraction(num, den) ** n > m
                 assert n == 0 or Fraction(num, den) ** (n - 1) <= m
 
@@ -52,17 +51,17 @@ class TestFloorScaledPower:
     def test_matches_fraction_oracle(self, m, num, den):
         for n in (0, 1, 5, 17, 100):
             expect = int(Fraction(m) * Fraction(num, den) ** n)
-            assert floor_scaled_power(m, num, den, n) == expect
+            assert one_floor(m, num, den, n) == expect
 
     def test_boundary_exactness(self):
         # 64 * (1/2)**6 == 1 exactly; the floor must be 1, not 0
-        assert floor_scaled_power(64, 1, 2, 6) == 1
+        assert one_floor(64, 1, 2, 6) == 1
         # 81 * (2/3)**4 == 16 exactly
-        assert floor_scaled_power(81, 2, 3, 4) == 16
+        assert one_floor(81, 2, 3, 4) == 16
 
     def test_zero_cases(self):
-        assert floor_scaled_power(0, 1, 2, 10) == 0
-        assert floor_scaled_power(7, 1, 2, 0) == 7
+        assert one_floor(0, 1, 2, 10) == 0
+        assert one_floor(7, 1, 2, 0) == 7
 
 
 def exact_floor(m, num, den, n):
@@ -89,7 +88,7 @@ def near_integer_cases(draw):
 
 
 class TestFloorScaledPowerExact:
-    """floor_scaled_power against the exact big-integer floor."""
+    """One floor at a time against the exact big-integer floor."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(m=st.integers(0, 10**80), frac=proper_fractions(), n=st.integers(0, 400))
@@ -97,7 +96,7 @@ class TestFloorScaledPowerExact:
     @example(m=18828003285 * 10**40, frac=(728, 729), n=12402)
     def test_matches_exact_floor(self, m, frac, n):
         num, den = frac
-        assert floor_scaled_power(m, num, den, n) == exact_floor(m, num, den, n)
+        assert one_floor(m, num, den, n) == exact_floor(m, num, den, n)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(near_integer_cases())
@@ -110,12 +109,12 @@ class TestFloorScaledPowerExact:
     @example((697363996128588383383374009608639543587219, 6, 7, 47))
     def test_near_integer_values(self, case):
         m, num, den, n = case
-        assert floor_scaled_power(m, num, den, n) == exact_floor(m, num, den, n)
+        assert one_floor(m, num, den, n) == exact_floor(m, num, den, n)
 
     def test_values_above_fifty_digits(self):
         for m in (10**55 + 7, 3**200, 2**300 - 1):
             for num, den, n in ((728, 729, 5000), (1, 3, 20), (99, 100, 1)):
-                got = floor_scaled_power(m, num, den, n)
+                got = one_floor(m, num, den, n)
                 assert got == exact_floor(m, num, den, n)
 
 
@@ -207,9 +206,8 @@ class TestChainedFloors:
         assert floors[4:9] == [1, 0, 0, 0, 0]
 
 
-def exponent_holds(m, num, den, n, strict):
-    lhs, rhs = num**n, m * den**n
-    return lhs > rhs if strict else lhs >= rhs
+def exponent_holds(m, num, den, n):
+    return num**n > m * den**n
 
 
 class TestLeastPowerExponentMinimal:
@@ -218,17 +216,14 @@ class TestLeastPowerExponentMinimal:
         m=st.integers(1, 10**40),
         den=st.integers(1, 80),
         step=st.integers(1, 80),
-        strict=st.booleans(),
     )
-    @example(m=8, den=1, step=1, strict=True)
-    @example(m=8, den=1, step=1, strict=False)
-    @example(m=1, den=4, step=1, strict=True)
-    @example(m=1, den=4, step=1, strict=False)
-    def test_minimal(self, m, den, step, strict):
+    @example(m=8, den=1, step=1)
+    @example(m=1, den=4, step=1)
+    def test_minimal(self, m, den, step):
         num = den + step
-        n = least_power_exponent(m, num, den, strict=strict)
-        assert exponent_holds(m, num, den, n, strict)
-        assert n == 0 or not exponent_holds(m, num, den, n - 1, strict)
+        n = least_exponent(m, num, den)
+        assert exponent_holds(m, num, den, n)
+        assert n == 0 or not exponent_holds(m, num, den, n - 1)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(num=st.integers(2, 50), j=st.integers(0, 80), shift=st.sampled_from([-1, 0, 1]))
@@ -237,13 +232,11 @@ class TestLeastPowerExponentMinimal:
         m = num**j + shift
         if m < 1:
             return
-        for strict in (True, False):
-            n = least_power_exponent(m, num, 1, strict=strict)
-            assert exponent_holds(m, num, 1, n, strict)
-            assert n == 0 or not exponent_holds(m, num, 1, n - 1, strict)
+        n = least_exponent(m, num, 1)
+        assert exponent_holds(m, num, 1, n)
+        assert n == 0 or not exponent_holds(m, num, 1, n - 1)
         if shift == 0:
-            assert least_power_exponent(m, num, 1, strict=True) == j + 1
-            assert least_power_exponent(m, num, 1, strict=False) == j
+            assert n == j + 1
 
     @pytest.mark.parametrize("t,v", [(6, 3), (4, 4), (3, 7)])
     def test_slj_shapes(self, t, v):
@@ -251,9 +244,9 @@ class TestLeastPowerExponentMinimal:
         vt = v**t
         for k in range(t, 400, 37):
             m = math.comb(k, t) * vt
-            n = least_power_exponent(m, vt, vt - 1, strict=True)
-            assert exponent_holds(m, vt, vt - 1, n, True)
-            assert not exponent_holds(m, vt, vt - 1, n - 1, True)
+            n = least_exponent(m, vt, vt - 1)
+            assert exponent_holds(m, vt, vt - 1, n)
+            assert not exponent_holds(m, vt, vt - 1, n - 1)
 
 
 class TestPowerQuotientErrorBound:
@@ -283,7 +276,7 @@ class TestPowerQuotientErrorBound:
     def test_ratio_lost_to_cancellation_is_rejected(self):
         # ln(10**60 + 1) and ln(10**60) agree to all 50 digits
         with pytest.raises(ValueError, match="too close to 1"):
-            least_power_exponent(5, 10**60 + 1, 10**60)
+            least_exponent(5, 10**60 + 1, 10**60)
 
 
 class TestOptimumWindowSpan:
@@ -339,22 +332,17 @@ class TestAgainstExactArithmetic:
         m=st.integers(1, 10**40),
         den=st.integers(1, 1000),
         step=st.integers(1, 3),
-        strict=st.booleans(),
         power=st.one_of(st.none(), st.integers(0, 10**5)),
     )
-    @example(m=10**40, den=1000, step=1, strict=True, power=None)  # n near 92,000
-    @example(m=1, den=1, step=1, strict=False, power=10**5)  # (2/1)**n >= 2**100000
-    def test_least_exponent(self, m, den, step, strict, power):
+    @example(m=10**40, den=1000, step=1, power=None)  # n near 92,000
+    @example(m=1, den=1, step=1, power=10**5)  # (2/1)**n > 2**100000
+    def test_least_exponent(self, m, den, step, power):
         num = den + step
         if power is not None:  # ln m / ln(num/den) is exactly the integer power
             num, den, m = step + 1, 1, (step + 1) ** power
         ratio = Fraction(num, den)
-
-        def beyond(n):
-            return ratio**n > m if strict else ratio**n >= m
-
-        n = least_power_exponent(m, num, den, strict=strict)
-        assert beyond(n) and (n == 0 or not beyond(n - 1))
+        n = least_exponent(m, num, den)
+        assert ratio**n > m and (n == 0 or ratio ** (n - 1) <= m)
 
 
 class TestExactCheckIsAFallback:
@@ -382,10 +370,9 @@ class TestExactCheckIsAFallback:
             bounds.two_stage_bound(CAParams(6, k, 3))
         assert exact_calls == []
 
-    @pytest.mark.parametrize("strict,expect", [(True, 4), (False, 3)])
-    def test_exact_power_takes_it(self, exact_calls, strict, expect):
+    def test_exact_power_takes_it(self, exact_calls):
         # ln 8 / ln 2 = 3 exactly: 50 digits cannot tell > from >=
-        assert least_power_exponent(8, 2, 1, strict=strict) == expect
+        assert least_exponent(8, 2, 1) == 4
         assert len(exact_calls) == 1
 
 
@@ -457,12 +444,11 @@ def float_rung_is_sure(m, num, den, c):
     return estimate is not None and _numeric._crossing(*estimate, _numeric._FLOAT_GUARD)[1]
 
 
-def beyond_e_times(w, num, den, n, strict):
-    """(num/den)**n > e * w (>= when not strict), by logs at 80 digits."""
+def beyond_e_times(w, num, den, n):
+    """(num/den)**n > e * w, by logs at 80 digits."""
     with localcontext() as ctx:
         ctx.prec = 80
-        lhs, rhs = n * (ctx.ln(num) - ctx.ln(den)), 1 + ctx.ln(w)
-    return lhs > rhs if strict else lhs >= rhs
+        return n * (ctx.ln(num) - ctx.ln(den)) > 1 + ctx.ln(w)
 
 
 class TestFloatTier:
@@ -502,55 +488,53 @@ class TestFloatTier:
         m=st.integers(1, 10**40),
         den=st.integers(1, 1000),
         step=st.integers(1, 80),
-        strict=st.booleans(),
     )
-    @example(m=18828003285 * 729, den=728, step=1, strict=True)  # slj at (6,54,3)
-    def test_least_power_exponent(self, m, den, step, strict):
+    @example(m=18828003285 * 729, den=728, step=1)  # slj at (6,54,3)
+    def test_least_power_exponent(self, m, den, step):
         num = den + step
-        n = least_power_exponent(m, num, den, strict=strict)
-        assert n == with_float_tier_off(least_power_exponent, m, num, den, strict=strict)
-        assert exponent_holds(m, num, den, n, strict)
-        assert n == 0 or not exponent_holds(m, num, den, n - 1, strict)
+        n = least_exponent(m, num, den)
+        assert n == with_float_tier_off(least_exponent, m, num, den)
+        assert exponent_holds(m, num, den, n)
+        assert n == 0 or not exponent_holds(m, num, den, n - 1)
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(case=exponent_near_ties(), strict=st.booleans())
-    @example(case=(2**41, 2, 1), strict=True)  # ln m / ln 2 is exactly 41
-    def test_least_power_exponent_near_ties(self, case, strict):
+    @given(case=exponent_near_ties())
+    @example(case=(2**41, 2, 1))  # ln m / ln 2 is exactly 41
+    def test_least_power_exponent_near_ties(self, case):
         m, num, den = case
         assert not float_rung_is_sure(m, num, den, 0)
-        n = least_power_exponent(m, num, den, strict=strict)
-        assert n == with_float_tier_off(least_power_exponent, m, num, den, strict=strict)
-        assert exponent_holds(m, num, den, n, strict)
-        assert not exponent_holds(m, num, den, n - 1, strict)
+        n = least_exponent(m, num, den)
+        assert n == with_float_tier_off(least_exponent, m, num, den)
+        assert exponent_holds(m, num, den, n)
+        assert not exponent_holds(m, num, den, n - 1)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         w=st.integers(1, 10**40),
         den=st.integers(1, 1000),
         step=st.integers(1, 80),
-        strict=st.booleans(),
     )
-    @example(w=729 * 6 * math.comb(54, 5), den=728, step=1, strict=False)  # gss at (6,54,3)
-    def test_least_power_past_e(self, w, den, step, strict):
+    @example(w=729 * 6 * math.comb(54, 5), den=728, step=1)  # gss at (6,54,3)
+    def test_least_power_past_e(self, w, den, step):
         num = den + step
-        n = least_power_past_e(w, num, den, strict=strict)
-        assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
-        assert beyond_e_times(w, num, den, n, strict)
-        assert n == 0 or not beyond_e_times(w, num, den, n - 1, strict)
+        n = least_exponent(w, num, den, 1)
+        assert n == with_float_tier_off(least_exponent, w, num, den, 1)
+        assert beyond_e_times(w, num, den, n)
+        assert n == 0 or not beyond_e_times(w, num, den, n - 1)
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(case=e_threshold_near_ties(), strict=st.booleans())
-    def test_least_power_past_e_near_ties(self, case, strict):
+    @given(case=e_threshold_near_ties())
+    def test_least_power_past_e_near_ties(self, case):
         w, num, den = case
         assert not float_rung_is_sure(w, num, den, 1)
         # the digits double until the estimate decides: a rung that never
         # decides fails at 1000 digits rather than hanging
         with pytest.MonkeyPatch.context() as mp:
             digit_stop(mp)
-            n = least_power_past_e(w, num, den, strict=strict)
-            assert n == with_float_tier_off(least_power_past_e, w, num, den, strict=strict)
-        assert beyond_e_times(w, num, den, n, strict)
-        assert not beyond_e_times(w, num, den, n - 1, strict)
+            n = least_exponent(w, num, den, 1)
+            assert n == with_float_tier_off(least_exponent, w, num, den, 1)
+        assert beyond_e_times(w, num, den, n)
+        assert not beyond_e_times(w, num, den, n - 1)
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(
@@ -623,8 +607,8 @@ class TestFiftyDigitsIsAFallback:
     @pytest.mark.parametrize("guard", [_numeric._FLOAT_GUARD, math.inf], ids=["on", "off"])
     def test_bench_grid(self, tmp_path, capsys, monkeypatch, guard):
         logs, tiers = [], []
-        ln = _numeric._ln
-        monkeypatch.setattr(_numeric, "_ln", lambda x: logs.append(x) or ln(x))
+        ln = _numeric.dec_ln
+        monkeypatch.setattr(_numeric, "dec_ln", lambda x: logs.append(x) or ln(x))
         estimate, exact = _numeric._log_estimate, _numeric._floor_e_exact
 
         def counted(m, num, den, prec=_numeric.PRECISION, c=0):
@@ -682,11 +666,11 @@ def six_digit_ladder():
         mp.setattr(_numeric, "PRECISION", 6)
         mp.setattr(_numeric, "_FLOAT_GUARD", math.inf)
         mp.setattr(_numeric, "_least_power_exact", no_exact)
-        _numeric._ln.cache_clear()  # the memo must not keep 6-digit logs
+        _numeric.dec_ln.cache_clear()  # the memo must not keep 6-digit logs
         try:
             yield precs
         finally:
-            _numeric._ln.cache_clear()
+            _numeric.dec_ln.cache_clear()
 
 
 @pytest.fixture
@@ -758,10 +742,10 @@ class TestLeastPowerRetry:
         # with d the guess's digits, far below one
         vt = v**t
         m = math.comb(k, t) * vt
-        n = least_power_exponent(m, vt, vt - 1, strict=True)
+        n = least_exponent(m, vt, vt - 1)
         assert six_digits == [6, 6 + 2 * len(str(n))]
-        assert exponent_holds(m, vt, vt - 1, n, True)
-        assert not exponent_holds(m, vt, vt - 1, n - 1, True)
+        assert exponent_holds(m, vt, vt - 1, n)
+        assert not exponent_holds(m, vt, vt - 1, n - 1)
 
 
 class TestLeastPowerPastEDoubling:
@@ -771,13 +755,13 @@ class TestLeastPowerPastEDoubling:
     precision."""
 
     @settings(max_examples=50, deadline=None, database=None)
-    @given(case=e_threshold_near_ties(), strict=st.booleans())
-    def test_near_ties_decide_past_the_retry(self, case, strict):
+    @given(case=e_threshold_near_ties())
+    def test_near_ties_decide_past_the_retry(self, case):
         w, num, den = case
         with six_digit_ladder() as precs:
-            n = least_power_past_e(w, num, den, strict=strict)
-        assert beyond_e_times(w, num, den, n, strict)
-        assert not beyond_e_times(w, num, den, n - 1, strict)
+            n = least_exponent(w, num, den, 1)
+        assert beyond_e_times(w, num, den, n)
+        assert not beyond_e_times(w, num, den, n - 1)
         # 6 digits, 6 plus twice the guess's digits, then doubled
         assert precs[0] == 6 and precs[1] - 6 in (2, 4, 6) and len(precs) >= 3
         assert all(b == 2 * a for a, b in zip(precs[1:], precs[2:]))
@@ -788,23 +772,22 @@ class TestLogThreshold:
     ladder that decides both least exponents."""
 
     def test_plain_threshold(self):
-        # ln(10)/ln(2) = 3.32: first n with n*ln2 > ln10 is 4, with >= also 4;
+        # ln(10)/ln(2) = 3.32: first n with n*ln2 > ln10 is 4;
         # 1 + ln 10 = ln 27.18..., first passed by 2**5
-        for strict in (True, False):
-            assert _numeric._least_exponent(10, 2, 1, 0, strict) == 4
-            assert _numeric._least_exponent(10, 2, 1, 1, strict) == 5
+        assert least_exponent(10, 2, 1, 0) == 4
+        assert least_exponent(10, 2, 1, 1) == 5
 
     def test_result_brackets_threshold(self):
         for m in (3, 10, 1000, 18828003285):
-            n = _numeric._least_exponent(m, 2, 1, 0, True)
+            n = least_exponent(m, 2, 1, 0)
             assert 2**n > m >= 2 ** (n - 1)
-            n = _numeric._least_exponent(m, 2, 1, 1, True)
-            assert beyond_e_times(m, 2, 1, n, True) and not beyond_e_times(m, 2, 1, n - 1, True)
+            n = least_exponent(m, 2, 1, 1)
+            assert beyond_e_times(m, 2, 1, n) and not beyond_e_times(m, 2, 1, n - 1)
 
     def test_negative_threshold(self):
         # m = 0: the threshold ln m is -inf, passed at n = 0
-        for c, strict in itertools.product((0, 1), (True, False)):
-            assert _numeric._least_exponent(0, 2, 1, c, strict) == 0
+        for c in (0, 1):
+            assert least_exponent(0, 2, 1, c) == 0
 
     def test_ln_ratio_sign(self):
         # the step ln(num/den) the thresholds are measured in, both ways round
@@ -814,16 +797,34 @@ class TestLogThreshold:
             assert float(step) == pytest.approx(math.log(num / den), rel=1e-12)
 
 
+class TestFloatLogRatio:
+    """The one float ln(num/den), read by the float tier and the bounds'
+    float notes."""
+
+    @pytest.mark.parametrize("num, den", [(729, 728), (2, 1), (3, 2), (10**20 + 1, 10**20)])
+    def test_above_one_is_log1p(self, num, den):
+        # above 1 the log1p branch, bit for bit: every ratio the bounds pass
+        assert _numeric.float_log_ratio(num, den) == math.log1p((num - den) / den)
+
+    def test_keeps_its_digits_near_one(self):
+        # num / den rounds to 1.0, whose log is 0; the log1p branch keeps
+        # ln(1 + 1e-20) = 1e-20 - 5e-41, and the log branch takes 1/3
+        assert math.log((10**20 + 1) / 10**20) == 0.0
+        assert _numeric.float_log_ratio(10**20 + 1, 10**20) == 1e-20
+        assert _numeric.float_log_ratio(1, 3) == math.log(1 / 3)
+        assert _numeric.float_log_ratio(728, 729) == pytest.approx(-math.log(729 / 728), rel=1e-12)
+
+
 class TestLnMemo:
     def test_matches_a_fresh_50_digit_ln(self):
         ctx = Context(prec=_numeric.PRECISION)
         for x in (1, 2, 728, 729, 18828003285, 10**60 + 1, 3**200):
-            assert _numeric._ln(x) == ctx.ln(x)
+            assert _numeric.dec_ln(x) == ctx.ln(x)
 
     def test_stays_bounded(self):
         for x in range(1, 2000):
-            _numeric._ln(x)
-        info = _numeric._ln.cache_info()
+            _numeric.dec_ln(x)
+        info = _numeric.dec_ln.cache_info()
         assert info.maxsize == 256 and info.currsize <= 256
 
 
