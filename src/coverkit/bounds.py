@@ -50,6 +50,7 @@ import bisect
 import functools
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -91,57 +92,50 @@ class _Later(functools.partial):
     (``_Notes``)."""
 
 
-class _Notes(dict):
-    """A report's notes, where a value given as a ``_Later`` is computed the
-    first time it is read and kept in its place.  Reads by key, ``get``,
-    ``items``, ``values``, ``copy``, comparison, repr, copying or pickling
-    all see the computed values; a note never read is never computed."""
+class _Notes(Mapping):
+    """A report's notes, read-only, where a value given as a ``_Later`` is
+    computed the first time it is read and kept in its place.  ``get``,
+    ``items``, ``values``, ``==`` and ``dict(notes)`` come from the
+    ``Mapping`` ABC and read through ``__getitem__``, so each sees the
+    computed value; a note never read, even when tested with ``in``, is
+    never computed."""
+
+    __slots__ = ("_notes",)
+
+    def __init__(self, notes: dict) -> None:
+        self._notes = notes
 
     def __getitem__(self, key):
-        value = super().__getitem__(key)
+        value = self._notes[key]
         if isinstance(value, _Later):
-            value = value()
-            super().__setitem__(key, value)
+            value = self._notes[key] = value()
         return value
 
     def __iter__(self):
-        # with its own __iter__, a dict subclass is copied by dict(notes)
-        # and {**notes} through keys() and __getitem__, not its raw values
-        return super().__iter__()
+        return iter(self._notes)
 
-    def get(self, key, default=None):
-        return self[key] if key in self else default
+    def __len__(self) -> int:
+        return len(self._notes)
 
-    def copy(self) -> dict:
-        return {key: self[key] for key in self}
-
-    def items(self):
-        return self.copy().items()
-
-    def values(self):
-        return self.copy().values()
-
-    def __eq__(self, other) -> bool:
-        return self.copy() == other
-
-    def __ne__(self, other) -> bool:
-        return self.copy() != other
+    def __contains__(self, key) -> bool:  # the ABC's would compute the note
+        return key in self._notes
 
     def __repr__(self) -> str:
-        return repr(self.copy())
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """A named bound value plus the intermediate quantities behind it.  The
-    bounds below leave their 50-digit notes to be computed when first read
-    (``_Notes``)."""
+    notes are a read-only mapping (``_Notes``) whose costly values, the
+    least deficit and the 50-digit notes, are computed when first read;
+    ``dict(report.notes)`` gives a plain dict, computing them."""
 
     method: str
     value: int | float
     stage1_rows: int | None = None
     expected_leftover: float | None = None
-    notes: dict = field(default_factory=dict)
+    notes: Mapping = field(default_factory=lambda: _Notes({}))
 
     def __post_init__(self) -> None:
         if self.stage1_rows is not None and self.stage1_rows > self.value:
@@ -178,10 +172,7 @@ def slj_bound(params: CAParams) -> BoundReport:
         method="slj",
         value=n,
         expected_leftover=leftover,
-        notes={
-            "total_interactions": total,
-            "inequality": "C(k,t)*v^t*(1-1/v^t)^N < 1",
-        },
+        notes=_Notes({"total_interactions": total, "inequality": "C(k,t)*v^t*(1-1/v^t)^N < 1"}),
     )
 
 
@@ -219,9 +210,8 @@ def discrete_slj_bound(params: CAParams) -> tuple[BoundReport, DiscreteSljTrace]
     report = BoundReport(
         method="discrete_slj",
         value=trace.steps,
-        notes=_Notes(
-            estimate=discrete_slj_estimate(params), deficit_min=_Later(_deficit_min, trace)
-        ),
+        notes=_Notes({"estimate": discrete_slj_estimate(params),
+                      "deficit_min": _Later(_deficit_min, trace)}),
     )
     return report, trace
 
@@ -399,11 +389,11 @@ def two_stage_bound(params: CAParams) -> BoundReport:
         value=best_val,
         stage1_rows=best_n,
         expected_leftover=float(leftover),
-        notes=_Notes(
-            analytic_optimum_n=_Later(num.optimum_exponent, total, vt, vt - 1),
-            analytic_value=analytic,
-            search_window=(lo, hi),
-        ),
+        notes=_Notes({
+            "analytic_optimum_n": _Later(num.optimum_exponent, total, vt, vt - 1),
+            "analytic_value": analytic,
+            "search_window": (lo, hi),
+        }),
     )
 
 
@@ -432,6 +422,16 @@ DEPENDENCE_METHODS = tuple(_ACTIONS)
 COEFFICIENT_METHODS = ("slj", *_ACTIONS)
 
 
+def _sharp_transitivity(kind: str, v: int) -> int:
+    """l of the symbol action ``kind``, or, where it does not act on v
+    symbols, UnsupportedParameterError, in the one wording that bounds and
+    the group builders (``groups.make_frobenius``, ``make_pgl``) give."""
+    ell, acts_on, refusal = _ACTIONS[kind]
+    if not acts_on(v):
+        raise UnsupportedParameterError(refusal.format(v=v))
+    return ell
+
+
 @functools.lru_cache(maxsize=64)
 def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
     """What a symbol action costs the local lemma: (events, base, hit, order).
@@ -448,9 +448,7 @@ def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
     """
     if kind not in _ACTIONS:
         raise ValueError(f"unknown method {kind!r}; expected one of {COEFFICIENT_METHODS}")
-    ell, acts_on, refusal = _ACTIONS[kind]
-    if not acts_on(v):
-        raise UnsupportedParameterError(refusal.format(v=v))
+    ell = _sharp_transitivity(kind, v)
     order = math.perm(v, ell)
     short = sum(
         math.comb(v, j) * sum((-1) ** i * math.comb(j, i) * (j - i) ** t for i in range(j + 1))
@@ -512,7 +510,7 @@ def gss_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
     """
     n, _, notes = _lll_solve(params, "gss", dependence)
     notes["inequality"] = "e*v^t*(1-1/v^t)^N*(d+1) <= 1"
-    return BoundReport(method="gss", value=n, notes=notes)
+    return BoundReport(method="gss", value=n, notes=_Notes(notes))
 
 
 def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
@@ -528,13 +526,13 @@ def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> Bou
         method="cyclic",
         value=order * n,
         stage1_rows=n,
-        notes={
+        notes=_Notes({
             "orbit_count": orbits,
             "orbit_length": order,
             "group_order": order,
             **notes,
             "inequality": "e*v^(t-1)*(1-1/v^(t-1))^n*(d+1) < 1; N = v*n",
-        },
+        }),
     )
 
 
@@ -552,7 +550,7 @@ def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> 
         method="frobenius",
         value=order * n + v,
         stage1_rows=n,
-        notes={
+        notes=_Notes({
             "full_orbit_count": full_orbits,
             "full_orbit_length": order,
             "short_orbit_rows": v,
@@ -562,7 +560,7 @@ def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> 
                 "e*((v^(t-1)-1)/(v-1))*(1-(v-1)/v^(t-1))^n*(d+1) < 1; "
                 "N = v*(v-1)*n + v"
             ),
-        },
+        }),
     )
 
 
@@ -585,7 +583,7 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
         method="pgl",
         value=full_part + pair_part,
         stage1_rows=n,
-        notes={
+        notes=_Notes({
             "full_orbit_count": r,
             "two_symbol_orbit_count": 2 ** (t - 1) - 1,
             "group_order": order,
@@ -597,7 +595,7 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
                 "e*r*(1-(v-1)(v-2)/v^(t-1))^n*(d+1) < 1; "
                 "N = v(v-1)(v-2)*n + v + C(v,2)*cyclic(t,k,2)"
             ),
-        },
+        }),
     )
 
 
@@ -651,13 +649,13 @@ def conditional_lll_two_stage_bound(
         value=n1 + stage2,
         stage1_rows=n1,
         expected_leftover=float(e2),
-        notes=_Notes(
-            second_stage=second_stage,
-            stage2_rows=stage2,
-            expected_leftover_floor=e2,
-            loose_linear_leftover=_Later(_loose_linear_leftover, t, k, vt),
-            inequality="n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1",
-        ),
+        notes=_Notes({
+            "second_stage": second_stage,
+            "stage2_rows": stage2,
+            "expected_leftover_floor": e2,
+            "loose_linear_leftover": _Later(_loose_linear_leftover, t, k, vt),
+            "inequality": "n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1",
+        }),
     )
 
 
@@ -704,7 +702,7 @@ def _katona_report(params: CAParams) -> BoundReport:
     if params.t != 2 or params.v != 2:
         raise UnsupportedParameterError("katona gives exact CAN(2,k,2) and requires t=2, v=2")
     return BoundReport(
-        method="katona", value=katona_kleitman_exact(params.k), notes={"exact": True}
+        method="katona", value=katona_kleitman_exact(params.k), notes=_Notes({"exact": True})
     )
 
 

@@ -33,13 +33,15 @@ DEPENDENCE_CHOICES = get_args(bounds.Dependence)
 
 def _report_record(rep: bounds.BoundReport) -> dict:
     """The JSON record of one report; dslj_estimate's and katona's have
-    never had an expected_leftover key."""
+    never had an expected_leftover key.  Reading every note of the
+    read-only mapping computes those not yet read (a comprehension does it
+    in half the time of dict()); json takes every value as it is."""
     record = {
         "method": rep.method,
         "value": rep.value,
         "stage1_rows": rep.stage1_rows,
         "expected_leftover": rep.expected_leftover,
-        "notes": rep.notes,
+        "notes": {key: rep.notes[key] for key in rep.notes},
     }
     if rep.method in ("dslj_estimate", "katona"):
         del record["expected_leftover"]
@@ -72,20 +74,20 @@ def _method_report(method: str, params: CAParams, dependence: str) -> bounds.Bou
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
     methods = _methods(args)
-    records = [_report_record(_method_report(m, params, args.dependence)) for m in methods]
+    reports = [_method_report(m, params, args.dependence) for m in methods]
     if args.json:
-        doc = {"t": args.t, "k": args.k, "v": args.v, "results": records}
-        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+        results = [_report_record(rep) for rep in reports]
+        doc = {"t": args.t, "k": args.k, "v": args.v, "results": results}
+        print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK
-    for rec in records:
-        stage1 = "" if rec.get("stage1_rows") is None else f"  n={rec['stage1_rows']}"
-        value = rec["value"]
-        shown = f"{value:.3f}" if isinstance(value, float) else f"{value}"
-        print(f"{rec['method']:<28} {shown}{stage1}")
-        notes = rec.get("notes") or {}
+    # text prints four notes, none of them computed on read
+    for rep in reports:
+        stage1 = "" if rep.stage1_rows is None else f"  n={rep.stage1_rows}"
+        shown = f"{rep.value:.3f}" if isinstance(rep.value, float) else f"{rep.value}"
+        print(f"{rep.method:<28} {shown}{stage1}")
         for key in ("full_orbit_count", "orbit_count", "d_plus_1", "inequality"):
-            if key in notes:
-                print(f"{'':<4}{key} = {notes[key]}")
+            if key in rep.notes:
+                print(f"{'':<4}{key} = {rep.notes[key]}")
     return EXIT_OK
 
 

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import bounds
 from .errors import ResourceLimitError
-from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray, colex_unrank, place_values
+from .core import CAParams, CELL_DTYPE, CELL_MAX, SymbolArray, _integer, colex_unrank, place_values
 from .limits import Budget
 from .groups import (
     GroupAction,
@@ -102,8 +102,8 @@ DEFAULT_SEED = 1729
 @dataclass(frozen=True)
 class BuildConfig:
     """Knobs shared by the builders.  The seed fully determines all draws.
-    The seed and the counts must be integers (numpy's too): any type with
-    ``__index__``, which ``operator.index`` takes; ``n_override`` may be None."""
+    The seed and the counts must be integers (numpy's too), and are held as
+    Python ints (``core._integer``); ``n_override`` may be None."""
 
     seed: int = DEFAULT_SEED
     max_stage1_attempts: int = 1000
@@ -115,9 +115,11 @@ class BuildConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "n_override", "max_stage1_attempts", "resample_step_cap"):
             value = getattr(self, name)
-            if not (value is None and name == "n_override" or hasattr(type(value), "__index__")):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if name in ("seed", "n_override") and (value or 0) < 0:
+            if value is None and name == "n_override":
+                continue
+            value = _integer(name, value)
+            object.__setattr__(self, name, value)
+            if name in ("seed", "n_override") and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.max_stage1_attempts < 1:
             raise ValueError("need at least one stage-1 attempt")
@@ -188,9 +190,7 @@ class BuildLog:
 def random_array(params: CAParams, n: int, seed: int) -> SymbolArray:
     """n x k array with cells i.i.d. uniform on 0..v-1, deterministic in
     seed.  n and seed are integers, as ``BuildConfig`` requires."""
-    for name, value in (("n", n), ("seed", seed)):
-        if not hasattr(type(value), "__index__"):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    n, seed = _integer("n", n), _integer("seed", seed)
     if n < 0:
         raise ValueError("row count must be nonnegative")
     rng = np.random.default_rng(seed)

@@ -35,6 +35,7 @@ its table of binomials.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -61,17 +62,29 @@ CELL_DTYPE = np.int32
 CELL_MAX = int(np.iinfo(CELL_DTYPE).max)  # the largest symbol an array holds
 
 
+def _integer(name: str, value) -> int:
+    """value as a Python int, by ``operator.index``: any integer type,
+    numpy's too, and no float; TypeError naming ``name`` otherwise.  A
+    numpy integer is converted, not kept, as its arithmetic wraps."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CAParams:
-    """Covering array parameters: strength t, columns k, alphabet size v."""
+    """Covering array parameters: strength t, columns k, alphabet size v,
+    integers of any type (numpy's too), held as Python ints."""
 
     t: int
     k: int
     v: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t, int) and isinstance(self.k, int) and isinstance(self.v, int)):
-            raise TypeError("t, k, v must be integers")
+        if not type(self.t) is type(self.k) is type(self.v) is int:
+            for name in ("t", "k", "v"):
+                object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.t < 2:
             raise ValueError(f"strength t must be at least 2, got {self.t}")
         if self.k < self.t:

@@ -38,7 +38,7 @@ from itertools import permutations
 
 import numpy as np
 
-from . import _numeric as num
+from . import _numeric as num, bounds
 from .core import CAParams, SymbolArray, place_values, symbols_unrank
 from .limits import Budget
 from .errors import UnsupportedParameterError
@@ -190,11 +190,13 @@ def make_cyclic(v: int) -> GroupAction:
 
 def make_frobenius(v: int) -> GroupAction:
     """The v(v-1) affine maps x -> a*x + b over GF(v), a != 0, in (a, b)
-    order, so the identity (a = 1, b = 0) comes first."""
-    fld = finite_field(v)  # raises UnsupportedParameterError if not a prime power
+    order, so the identity (a = 1, b = 0) comes first.  An alphabet that is
+    not a prime power is refused as ``frobenius_lll_bound`` refuses it."""
+    ell = bounds._sharp_transitivity("frobenius", v)
+    fld = finite_field(v)
     Budget.from_env().check_table_bytes(v**3, _PERM_BYTES, f"Frobenius group table on {v} symbols")
     images = fld.add_table[fld.mul_table[1:, None, :], np.arange(v)[:, None]]
-    return GroupAction("frobenius", v, images.reshape(-1, v), 2)
+    return GroupAction("frobenius", v, images.reshape(-1, v), ell)
 
 
 def make_pgl(v: int) -> GroupAction:
@@ -204,13 +206,11 @@ def make_pgl(v: int) -> GroupAction:
     class by normalizing the first nonzero entry of (a, b, c, d) to 1, in
     lexicographic order with the identity moved first.  Infinity is the
     symbol q; it maps to a/c (or stays at infinity when c = 0), and the
-    pole -d/c maps to infinity.
+    pole -d/c maps to infinity.  An alphabet with v < 3 or v - 1 not a
+    prime power is refused as ``pgl_lll_bound`` refuses it.
     """
-    if v < 3:
-        raise UnsupportedParameterError("pgl needs at least three symbols")
+    ell = bounds._sharp_transitivity("pgl", v)
     q = v - 1
-    if num.is_prime_power(q) is None:
-        raise UnsupportedParameterError(f"pgl requires v-1 to be a prime power, got v-1={q}")
     fld = finite_field(q)
     add, mul = fld.add_table, fld.mul_table
     neg = add.argmin(axis=1)  # row a of add holds 0 at column -a
@@ -227,7 +227,7 @@ def make_pgl(v: int) -> GroupAction:
     infinite = np.where(c != 0, mul[a, inv[c]], q)
     images = np.hstack([finite, infinite])
     identity = (images == np.arange(v)).all(axis=1)
-    return GroupAction("pgl", v, images[np.argsort(~identity, kind="stable")], 3)
+    return GroupAction("pgl", v, images[np.argsort(~identity, kind="stable")], ell)
 
 
 def make_trivial(v: int) -> GroupAction:

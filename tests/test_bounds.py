@@ -8,6 +8,7 @@ regression values carry the arithmetic that produced them.
 import math
 import sys
 import threading
+from collections.abc import Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -159,7 +160,7 @@ class TestDiscreteSlj:
         rep, trace = bounds.discrete_slj_bound(p)
         assert rep.value == trace.steps
         assert "least_deficit" not in vars(trace)
-        assert isinstance(dict.__getitem__(rep.notes, "deficit_min"), bounds._Later)
+        assert isinstance(rep.notes._notes["deficit_min"], bounds._Later)
         least = trace.least_deficit
         assert vars(trace)["least_deficit"] is least
         assert rep.notes["deficit_min"] == (None if least is None else float(least))
@@ -269,10 +270,12 @@ class TestDiscreteSlj:
 
         def unread():
             notes = bounds.discrete_slj_bound(p)[0].notes
-            assert isinstance(dict.__getitem__(notes, "deficit_min"), bounds._Later)
+            assert isinstance(notes._notes["deficit_min"], bounds._Later)
             return notes
 
         notes = unread()
+        assert "deficit_min" in notes and "no such note" not in notes
+        assert isinstance(notes._notes["deficit_min"], bounds._Later)  # in reads no value
         want = {key: notes[key] for key in notes}
         assert isinstance(want["deficit_min"], float)
         assert dict(unread().items()) == want
@@ -281,6 +284,7 @@ class TestDiscreteSlj:
         assert unread().get("no such note") is None and unread().get("no such note", 0) == 0
         assert not unread() != want
         assert unread() != {**want, "deficit_min": None}
+        assert dict(unread()) == want
 
     def test_value_under_a_small_cap_counts_on_read(self, monkeypatch):
         # 268,091 steps: their counts would take about 14 MiB, the value and
@@ -301,6 +305,24 @@ class TestDiscreteSlj:
         assert str(exc.value) == (
             f"discrete recurrence trace would take {length} steps, above the cap of {length - 1}"
         )
+
+
+class TestNotes:
+    @pytest.mark.parametrize("method", bounds.METHODS)
+    def test_every_report_has_read_only_notes(self, method):
+        p = CAParams(2, 6, 2) if method == "katona" else CAParams(3, 8, 3)
+        rep = bounds.METHODS[method](p, "simple")
+        assert type(rep.notes) is bounds._Notes
+        with pytest.raises(TypeError):
+            rep.notes["value"] = 0
+
+    def test_reads_come_from_the_mapping_abc(self):
+        assert issubclass(bounds._Notes, Mapping)
+        inherited = ("get", "keys", "items", "values", "copy", "__eq__", "__ne__")
+        assert [name for name in inherited if name in vars(bounds._Notes)] == []
+        notes = bounds._Notes({"a": 1, "b": bounds._Later(int, "2")})
+        assert repr(notes) == "{'a': 1, 'b': 2}" and len(notes) == 2
+        assert notes == {"a": 1, "b": 2} == notes and not notes != {"b": 2, "a": 1}
 
 
 class TestPastTheFloats:

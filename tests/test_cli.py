@@ -34,6 +34,20 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+# the methods whose reports hold a note computed on first read
+LAZY = "discrete_slj,two_stage,conditional_lll,conditional_lll_density"
+
+
+@pytest.fixture
+def no_note_computed(monkeypatch):
+    """The monkeypatch under which computing any note on read fails the test."""
+    def computed(later):
+        raise AssertionError(f"a note was computed by {later.func.__name__}")
+
+    monkeypatch.setattr(bounds._Later, "__call__", computed)
+    return monkeypatch
+
+
 class TestBoundsCommand:
     def test_reference_values(self, capsys):
         code, out, _ = run(
@@ -162,16 +176,42 @@ class TestBoundsCommand:
     def test_lazy_note_is_what_json_prints(self, capsys, method, note):
         params = CAParams(6, 54, 3)
         rep = bounds.METHODS[method](params, "simple")
-        assert isinstance(dict.__getitem__(rep.notes, note), bounds._Later)  # not yet computed
+        assert isinstance(rep.notes._notes[note], bounds._Later)  # not yet computed
         read = rep.notes[note]
-        assert dict.__getitem__(rep.notes, note) == read  # computed once, then kept
+        assert rep.notes._notes[note] == read  # computed once, then kept
         _, out, _ = run(["bounds", "-t", "6", "-k", "54", "-v", "3", "--methods", method,
                          "--json"], capsys)
         printed = json.loads(out)["results"][0]["notes"]
         assert read == printed[note]
         fresh = bounds.METHODS[method](params, "simple")
-        assert json.loads(json.dumps(fresh.notes, default=str)) == printed
+        assert json.loads(json.dumps(dict(fresh.notes))) == printed
         assert fresh == rep and repr(fresh) == repr(rep)
+
+    @pytest.mark.parametrize("method, strategy, v, line", [
+        ("frobenius", "mt_frobenius", 6,
+         "frobenius action requires a prime-power alphabet, got v=6"),
+        ("pgl", "pgl", 2, "pgl action requires v >= 3 with v-1 a prime power, got v=2"),
+        ("pgl", "pgl", 7, "pgl action requires v >= 3 with v-1 a prime power, got v=7"),
+    ], ids=["frobenius-6", "pgl-2", "pgl-7"])
+    def test_unsupported_alphabet_is_refused_in_one_wording(
+            self, tmp_path, capsys, method, strategy, v, line):
+        shape = ["-t", "2", "-k", "4", "-v", str(v)]
+        bound = run(["bounds", *shape, "--methods", method], capsys)
+        build = run(["build", *shape, "--strategy", strategy, "--out", str(tmp_path / "x.ca")],
+                    capsys)
+        assert bound == build == (2, "", f"error: {line}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_text_mode_computes_no_costly_note(self, capsys, no_note_computed):
+        # text mode prints four notes, none of them computed on read
+        code, out, _ = run(["bounds", "-t", "6", "-k", "54", "-v", "3", "--methods", LAZY], capsys)
+        assert (code, out) == (0, (
+            "discrete_slj                 12853\n"
+            "two_stage                    13162  n=12402\n"
+            "conditional_lll[one_row_each] 13927  n=12938\n"
+            "    inequality = n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1\n"
+            "conditional_lll[discrete_slj] 13796  n=12938\n"
+            "    inequality = n1: e*t*C(k,t-1)*(1-1/v^t)^n1 <= 1\n"))
 
 
 class TestBuildAndVerify:
@@ -554,6 +594,21 @@ class TestSweepCommand:
         assert [int(r["discrete_slj"]) for r in rows] == [
             bounds.discrete_slj_bound(CAParams(3, int(r["k"]), 4))[0].value for r in rows
         ]
+
+    def test_sweep_computes_no_costly_note(self, tmp_path, capsys, no_note_computed):
+        # a sweep writes values alone: no note computed on read is computed
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run(["sweep", "-t", "6", "-v", "3", "--k", "10:1000:15",
+                          "--methods", LAZY, "--out", str(out_csv)], capsys)
+        assert code == 0
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 67
+        no_note_computed.undo()
+        for method in LAZY.split(","):
+            assert [int(r[method]) for r in rows[::22]] == [
+                bounds.METHODS[method](CAParams(6, int(r["k"]), 3), "simple").value
+                for r in rows[::22]]
 
     @pytest.mark.parametrize(
         "v, methods", [(2, "slj,nope"), (6, "slj,frobenius")], ids=["unknown", "unsupported"]

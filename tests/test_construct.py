@@ -9,6 +9,7 @@ colour second stage; verify.full_check decides end-to-end soundness.
 
 import dataclasses
 import hashlib
+import json
 from itertools import combinations, product
 from math import comb
 
@@ -160,6 +161,12 @@ class TestBuildConfig:
                              resample_step_cap=np.uint8(0), n_override=np.int16(4))
         assert (config.seed, config.max_stage1_attempts, config.n_override) == (5, 3, 4)
         assert BuildConfig(n_override=None).n_override is None
+        for integer in (np.int64, np.uint8):
+            held = BuildConfig(seed=integer(5), max_stage1_attempts=integer(3),
+                               resample_step_cap=integer(0), n_override=integer(4))
+            assert all(type(getattr(held, name)) is int for name in (
+                "seed", "max_stage1_attempts", "resample_step_cap", "n_override"))
+            json.dumps(dataclasses.asdict(held))  # the record prints as it is
         p = CAParams(2, 5, 3)
         assert two_stage_build(p, config)[0] == two_stage_build(p, BuildConfig(
             seed=5, max_stage1_attempts=3, resample_step_cap=0, n_override=4))[0]

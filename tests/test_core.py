@@ -31,6 +31,22 @@ class TestCAParams:
         with pytest.raises(ValueError):
             CAParams(t, k, v)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    def test_numpy_integers_are_held_as_python_ints(self, integer):
+        p = CAParams(integer(3), integer(10), integer(3))
+        assert p == CAParams(3, 10, 3)
+        assert all(type(x) is int for x in (p.t, p.k, p.v))
+
+    def test_numpy_integers_do_not_wrap_the_counts(self):
+        # numpy's int64 3**40 would wrap past 2**63
+        assert CAParams(np.int64(40), np.int64(40), np.int64(3)).tuple_count == 3**40
+
+    @pytest.mark.parametrize("name, value", [("t", 3.0), ("k", "10"), ("v", None)])
+    def test_non_integers_are_refused(self, name, value):
+        given = {"t": 3, "k": 10, "v": 3, name: value}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            CAParams(**given)
+
     def test_exact_space_size(self):
         p = CAParams(6, 54, 3)
         assert p.interaction_space_size == math.comb(54, 6) * 3**6
