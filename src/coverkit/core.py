@@ -82,9 +82,8 @@ class CAParams:
     v: int
 
     def __post_init__(self) -> None:
-        if not type(self.t) is type(self.k) is type(self.v) is int:
-            for name in ("t", "k", "v"):
-                object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("t", "k", "v"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.t < 2:
             raise ValueError(f"strength t must be at least 2, got {self.t}")
         if self.k < self.t:
