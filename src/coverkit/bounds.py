@@ -54,7 +54,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 from . import _numeric as num
 from .core import CAParams
@@ -81,8 +81,8 @@ __all__ = [
     "katona_kleitman_exact",
 ]
 
-Dependence = Literal["simple", "improved"]
-SecondStage = Literal["one_row_each", "discrete_slj"]
+# the dependence counts a local lemma bound can use (``_lll_solve``)
+DEPENDENCE_ESTIMATES = ("simple", "improved")
 
 _FLOAT_TOO_CLOSE = "ratio too close to 1 for binary64 logarithms"
 
@@ -459,7 +459,7 @@ def _orbit_census(kind: str, t: int, v: int) -> tuple[int, int, int, int]:
 
 
 def _lll_solve(
-    params: CAParams, kind: str, dependence: Dependence = "simple", *, weight: int | None = None
+    params: CAParams, kind: str, dependence: str = "simple", *, weight: int | None = None
 ) -> tuple[int, tuple[int, int, int, int], dict]:
     """Smallest n >= 0 with e * weight * (1 - hit/base)**n * (d+1) < 1 under
     the action's census, returned with the census and the dependence and
@@ -496,7 +496,7 @@ def _lll_solve(
     }
 
 
-def gss_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
+def gss_lll_bound(params: CAParams, dependence: str = "simple") -> BoundReport:
     """Local lemma bound without a group action.
 
     The bad event for a column t-set is "some of its v**t tuples is
@@ -513,7 +513,7 @@ def gss_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
     return BoundReport(method="gss", value=n, notes=_Notes(notes))
 
 
-def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
+def cyclic_lll_bound(params: CAParams, dependence: str = "simple") -> BoundReport:
     """Local lemma bound under the sharply transitive cyclic symbol action.
 
     The v**t tuples on a column set fall into v**(t-1) orbits of length v;
@@ -536,7 +536,7 @@ def cyclic_lll_bound(params: CAParams, dependence: Dependence = "simple") -> Bou
     )
 
 
-def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
+def frobenius_lll_bound(params: CAParams, dependence: str = "simple") -> BoundReport:
     """Local lemma bound under the sharply 2-transitive affine action x -> ax+b.
 
     Needs v to be a prime power.  Constant tuples form one short orbit of
@@ -564,7 +564,7 @@ def frobenius_lll_bound(params: CAParams, dependence: Dependence = "simple") -> 
     )
 
 
-def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundReport:
+def pgl_lll_bound(params: CAParams, dependence: str = "simple") -> BoundReport:
     """Local lemma bound under the sharply 3-transitive fractional-linear
     action on v = q+1 symbols, q a prime power.
 
@@ -600,7 +600,7 @@ def pgl_lll_bound(params: CAParams, dependence: Dependence = "simple") -> BoundR
 
 
 def conditional_lll_two_stage_bound(
-    params: CAParams, second_stage: SecondStage = "one_row_each"
+    params: CAParams, second_stage: str = "one_row_each"
 ) -> BoundReport:
     """Local lemma first stage plus patching.
 
@@ -709,7 +709,7 @@ def _katona_report(params: CAParams) -> BoundReport:
 # method name -> (params, dependence) -> BoundReport, for `coverkit bounds`
 # and `sweep`.  Each entry looks its function up by name when called, so a
 # wrapper put on this module's functions sees every call.
-METHODS: dict[str, Callable[[CAParams, Dependence], BoundReport]] = {
+METHODS: dict[str, Callable[[CAParams, str], BoundReport]] = {
     "slj": lambda p, d: slj_bound(p),
     "discrete_slj": lambda p, d: discrete_slj_bound(p)[0],
     "dslj_estimate": lambda p, d: BoundReport(

@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import get_args
 
 from . import bounds, limits
 from .arrayfile import ArrayFormatError, read_array, write_array
@@ -28,7 +27,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARAMS = 2
 EXIT_RESOURCE = 3
-DEPENDENCE_CHOICES = get_args(bounds.Dependence)
 
 
 def _report_record(rep: bounds.BoundReport) -> dict:
@@ -245,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print bound values for one (t,k,v)")
     add_params(p_bounds)
     p_bounds.add_argument("--methods", default="slj,two_stage", help="comma-separated")
-    p_bounds.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
+    p_bounds.add_argument("--dependence", choices=bounds.DEPENDENCE_ESTIMATES, default="simple")
     p_bounds.add_argument("--json", action="store_true")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--k", required=True, help="lo:hi[:step] or a single k")
     p_sweep.add_argument("--n", default=None, help="n range for two_stage_curve")
     p_sweep.add_argument("--methods", default="slj,discrete_slj,two_stage")
-    p_sweep.add_argument("--dependence", choices=DEPENDENCE_CHOICES, default="simple")
+    p_sweep.add_argument("--dependence", choices=bounds.DEPENDENCE_ESTIMATES, default="simple")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -64,7 +64,7 @@ import time
 from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Literal, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -98,18 +98,26 @@ __all__ = [
 
 DEFAULT_SEED = 1729
 
+# BuildConfig field -> its choices, which `coverkit build` offers too
+_CONFIG_CHOICES = {
+    "dependence_estimate": bounds.DEPENDENCE_ESTIMATES,
+    "second_stage": ("one_row_each", "colour"),
+}
+
 
 @dataclass(frozen=True)
 class BuildConfig:
     """Knobs shared by the builders.  The seed fully determines all draws.
-    The seed and the counts must be integers (numpy's too), and are held as
-    Python ints (``core._integer``); ``n_override`` may be None."""
+    The seed and the counts must be integers (numpy's too, no bool), and
+    are held as Python ints (``core._integer``); ``n_override`` may be
+    None.  ``dependence_estimate`` and ``second_stage`` are strings, each
+    one of its ``_CONFIG_CHOICES``."""
 
     seed: int = DEFAULT_SEED
     max_stage1_attempts: int = 1000
     resample_step_cap: int = 10_000
-    dependence_estimate: bounds.Dependence = "simple"
-    second_stage: Literal["one_row_each", "colour"] = "one_row_each"
+    dependence_estimate: str = "simple"
+    second_stage: str = "one_row_each"
     n_override: int | None = None
 
     def __post_init__(self) -> None:
@@ -132,20 +140,14 @@ class BuildConfig:
                 )
 
 
-# BuildConfig field -> the choices of its Literal annotation
-_CONFIG_CHOICES = {
-    name: get_args(hint)
-    for name, hint in get_type_hints(BuildConfig).items()
-    if get_origin(hint) is Literal
-}
-
-
 @dataclass
 class BuildLog:
     """What a builder did: row accounting, attempts, resamples, timings.
     Each phase is timed by ``timed``, under its name in ``elapsed``.
     ``resample_witness`` holds the scan positions of the column sets the
-    last 16 resamples redrew, oldest first; ``resample_count`` counts all."""
+    last 16 resamples redrew, oldest first; ``resample_count`` counts all.
+    A build fails by setting ``failure_reason``; ``success`` is derived
+    from it, as ``total_rows`` is from the row counts."""
 
     strategy: str
     stage1_rows: int = 0
@@ -155,7 +157,6 @@ class BuildLog:
     stage2_rows: int = 0
     short_orbit_rows: int = 0
     group_order: int = 1
-    success: bool = True
     failure_reason: str | None = None
     elapsed: dict[str, float] = field(default_factory=dict)
     resample_witness: deque[int] = field(default_factory=lambda: deque(maxlen=16))
@@ -163,6 +164,10 @@ class BuildLog:
     @property
     def total_rows(self) -> int:
         return self.stage1_rows * self.group_order + self.short_orbit_rows + self.stage2_rows
+
+    @property
+    def success(self) -> bool:
+        return self.failure_reason is None
 
     @contextmanager
     def timed(self, phase: str) -> Iterator[None]:
@@ -471,7 +476,6 @@ def two_stage_build(
             if u <= target:
                 break
         else:
-            log.success = False
             log.failure_reason = (
                 f"stage 1 missed target {target} in {config.max_stage1_attempts} attempts"
             )
@@ -666,7 +670,6 @@ def _resample_full_orbits(
     if full_ids.size == 0:
         return cells
     if n < full_ids.size:  # a row hits one orbit per column set
-        log.success = False
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
@@ -680,7 +683,6 @@ def _resample_full_orbits(
             return cells
         pos = lo + int(hit.argmin())  # the first set missing a full orbit
         if log.resample_count >= cap:
-            log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
         columns = colex_unrank(pos, params.t)
@@ -761,7 +763,6 @@ def _pair_rows(params: CAParams, config: BuildConfig, log: BuildLog, budget: Bud
         binary, blog = two_stage_build(
             binary_params, replace(config, n_override=two_stage.stage1_rows))
     if not blog.success:
-        log.success = False
         log.failure_reason = f"binary stage: {blog.failure_reason}"
     budget.check_table_bytes(
         math.comb(params.v, 2) * binary.cells.size, binary.cells.itemsize, "pair rows")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -64,12 +65,14 @@ CELL_MAX = int(np.iinfo(CELL_DTYPE).max)  # the largest symbol an array holds
 
 def _integer(name: str, value) -> int:
     """value as a Python int, by ``operator.index``: any integer type,
-    numpy's too, and no float; TypeError naming ``name`` otherwise.  A
-    numpy integer is converted, not kept, as its arithmetic wraps."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    numpy's too, and no float or bool; TypeError naming ``name``
+    otherwise.  A bool is refused before ``operator.index``, which takes
+    Python's and, with a deprecation warning, numpy 1.x's.  A numpy
+    integer is converted, not kept, as its arithmetic wraps."""
+    if not isinstance(value, (bool, np.bool_)):
+        with suppress(TypeError):
+            return operator.index(value)
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +143,10 @@ class SymbolArray:
 
     @classmethod
     def from_rows(cls, params: CAParams, rows: Sequence[Sequence[int]]) -> "SymbolArray":
-        data = np.array(list(rows), dtype=CELL_DTYPE).reshape((-1, params.k))
-        return cls(params, data)
+        """The rows as given, checked by the constructor like any cells, so
+        no cell is rounded; no rows give a (0, k) array."""
+        data = np.array(list(rows)).reshape((-1, params.k))
+        return cls(params, data if data.size else data.astype(CELL_DTYPE))
 
     @classmethod
     def empty(cls, params: CAParams) -> "SymbolArray":
@@ -163,12 +168,13 @@ class SymbolArray:
 
 @dataclass(frozen=True)
 class ColumnSet:
-    """A strictly increasing tuple of column indices."""
+    """A strictly increasing tuple of column indices, integers of any type
+    but bool (``_integer``), held as Python ints."""
 
     columns: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cols = tuple(int(c) for c in self.columns)
+        cols = tuple(_integer("columns", c) for c in self.columns)
         if any(c < 0 for c in cols):
             raise ValueError("column indices must be nonnegative")
         if any(a >= b for a, b in zip(cols, cols[1:])):
@@ -182,14 +188,15 @@ class ColumnSet:
 @dataclass(frozen=True)
 class Interaction:
     """Symbols assigned to a strictly increasing tuple of columns, which
-    are checked as a ``ColumnSet`` once the two lengths agree."""
+    are checked as a ``ColumnSet`` once the two lengths agree.  Symbols,
+    like columns, are integers of any type but bool, held as Python ints."""
 
     columns: tuple[int, ...]
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
         cols = tuple(self.columns)
-        syms = tuple(int(s) for s in self.symbols)
+        syms = tuple(_integer("symbols", s) for s in self.symbols)
         if len(cols) != len(syms):
             raise ValueError("columns and symbols must have the same length")
         object.__setattr__(self, "columns", ColumnSet(cols).columns)

@@ -505,6 +505,32 @@ class TestLayering:
             assert name != "BuildLog" and not inspect.isfunction(getattr(construct, name)), name
 
 
+class TestDependenceChoices:
+    """bounds, build and sweep offer exactly ``bounds.DEPENDENCE_ESTIMATES``
+    for --dependence, and BuildConfig takes exactly those."""
+
+    @pytest.mark.parametrize("argv, dest", [
+        (["bounds", "-t", "2", "-k", "3", "-v", "2"], "dependence"),
+        (["build", "-t", "2", "-k", "3", "-v", "2", "--out", "x.ca"], "dependence_estimate"),
+        (["sweep", "-t", "2", "-v", "2", "--k", "3", "--out", "x.csv"], "dependence"),
+    ], ids=["bounds", "build", "sweep"])
+    def test_parsers_offer_the_estimates(self, argv, dest, capsys):
+        parser = cli.build_parser()
+        for choice in bounds.DEPENDENCE_ESTIMATES:
+            assert getattr(parser.parse_args([*argv, "--dependence", choice]), dest) == choice
+        with pytest.raises(SystemExit):
+            parser.parse_args([argv[0], "--help"])
+        listed = "{" + ",".join(bounds.DEPENDENCE_ESTIMATES) + "}"
+        assert f"--dependence {listed}" in capsys.readouterr().out
+
+    def test_build_config_takes_the_estimates(self):
+        for choice in bounds.DEPENDENCE_ESTIMATES:
+            assert BuildConfig(dependence_estimate=choice).dependence_estimate == choice
+        listed = ", ".join(bounds.DEPENDENCE_ESTIMATES)
+        with pytest.raises(ValueError, match=f"^dependence_estimate must be one of {listed}, got"):
+            BuildConfig(dependence_estimate="tight")
+
+
 class TestSweepCommand:
     def test_ordering_columns(self, tmp_path, capsys):
         out_csv = tmp_path / "sweep.csv"

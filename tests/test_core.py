@@ -1,11 +1,13 @@
 """Tests for the core domain types and the interaction rank bijection."""
 
 import math
+import re
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from coverkit.construct import BuildConfig, random_array
 from coverkit.core import (
     CAParams,
     ColumnSet,
@@ -189,6 +191,64 @@ class TestInteraction:
             "Interaction(columns=(0, 3), symbols=(0, 3)) is not a 2-way interaction "
             "for CAParams(t=2, k=4, v=3)"
         )
+
+
+P = CAParams(2, 3, 2)
+
+# every entry point that takes an integer scalar from a caller: the name a
+# refusal gives it, and a call that passes x there and returns what is
+# held from it (random_array's seed holds nothing, so its array)
+INTEGER_INPUTS = {
+    "CAParams.t": ("t", lambda x: CAParams(x, 3, 2).t),
+    "CAParams.k": ("k", lambda x: CAParams(2, x, 2).k),
+    "CAParams.v": ("v", lambda x: CAParams(2, 3, x).v),
+    **{f"BuildConfig.{name}": (name, lambda x, name=name: getattr(BuildConfig(**{name: x}), name))
+       for name in ("seed", "max_stage1_attempts", "resample_step_cap", "n_override")},
+    "random_array.n": ("n", lambda x: random_array(P, x, 1).n_rows),
+    "random_array.seed": ("seed", lambda x: random_array(P, 2, x)),
+    "ColumnSet": ("columns", lambda x: ColumnSet((0, x)).columns[1]),
+    "Interaction.columns": ("columns", lambda x: Interaction((0, x), (0, 1)).columns[1]),
+    "Interaction.symbols": ("symbols", lambda x: Interaction((0, 1), (0, x)).symbols[1]),
+}
+
+
+def from_rows(x):
+    """A one-row array whose second cell is x."""
+    return SymbolArray.from_rows(CAParams(2, 2, 3), [[0, x]])
+
+
+class TestIntegerInputs:
+    """One table for every integer a caller hands in: no value is
+    rounded, parsed or read as a bool, and numpy integers are held as
+    the Python ints they equal.  Only array cells take bools."""
+
+    @pytest.mark.parametrize("value", [0.7, 2.0, "1", True, np.True_],
+                             ids=["0.7", "2.0", "'1'", "True", "np.True_"])
+    @pytest.mark.parametrize("entry", INTEGER_INPUTS)
+    def test_non_integers_and_bools_are_refused(self, entry, value):
+        name, call = INTEGER_INPUTS[entry]
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+
+    @pytest.mark.parametrize("value", [0.7, 2.0, "1"], ids=["0.7", "2.0", "'1'"])
+    def test_from_rows_refuses_non_integer_cells(self, value):
+        with pytest.raises(TypeError, match="^cells must be integers, got dtype "):
+            from_rows(value)
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+    def test_from_rows_accepts_bool_cells(self, value):
+        assert from_rows(value) == from_rows(1)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    @pytest.mark.parametrize("entry", [*INTEGER_INPUTS, "from_rows"])
+    def test_numpy_integers_are_held_as_python_ints(self, entry, integer):
+        call = from_rows if entry == "from_rows" else INTEGER_INPUTS[entry][1]
+        held, plain = call(integer(2)), call(2)
+        assert held == plain and type(held) is type(plain)
+
+    def test_from_rows_of_no_rows_is_empty(self):
+        cells = SymbolArray.from_rows(P, []).cells
+        assert cells.shape == (0, 3) and cells.dtype == np.int32
 
 
 class TestCovers:

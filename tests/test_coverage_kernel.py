@@ -57,7 +57,6 @@ def reference_resample(params, orbits, n, rng, cap, log):
     if not full:
         return cells
     if n < len(full):
-        log.success = False
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({len(full)})")
         return cells
@@ -68,7 +67,6 @@ def reference_resample(params, orbits, n, rng, cap, log):
         else:
             return cells
         if log.resample_count >= cap:
-            log.success = False
             log.failure_reason = f"resample cap {cap} reached at scan position {pos}"
             return cells
         for c in cols:
