@@ -17,10 +17,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import bounds, limits
-from .arrayfile import ArrayFormatError, read_array, write_array
+from .arrayfile import read_array, write_array
 from .construct import _CONFIG_CHOICES, DEFAULT_SEED, STRATEGIES, BuildConfig
 from .core import CAParams, SymbolArray
-from .errors import BudgetExceededError, ResourceLimitError, UnsupportedParameterError
+from .errors import ResourceLimitError, UnsupportedParameterError
 from .verify import full_check
 
 EXIT_OK = 0
@@ -307,10 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedParameterError, ArrayFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
-    except (ResourceLimitError, BudgetExceededError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 

@@ -653,7 +653,7 @@ def _resample_full_orbits(
     """Core resampling loop: an n x k random array, rescanned after each
     resample, until every full orbit (``table.full_orbit_ids``, the bound's
     events) is covered on every column t-set.  Returns the array; sets
-    failure flags on the log if the resample cap is hit, or at once if
+    the log's ``failure_reason`` if the resample cap is hit, or at once if
     there are fewer rows than full orbits.
 
     Orbit coverage is decided from the OrbitTable alone: per block of

@@ -144,9 +144,10 @@ class SymbolArray:
     @classmethod
     def from_rows(cls, params: CAParams, rows: Sequence[Sequence[int]]) -> "SymbolArray":
         """The rows as given, checked by the constructor like any cells, so
-        no cell is rounded; no rows give a (0, k) array."""
-        data = np.array(list(rows)).reshape((-1, params.k))
-        return cls(params, data if data.size else data.astype(CELL_DTYPE))
+        no cell is rounded and no row is split; no rows give a (0, k)
+        array."""
+        rows = list(rows)
+        return cls(params, rows) if rows else cls.empty(params)
 
     @classmethod
     def empty(cls, params: CAParams) -> "SymbolArray":
@@ -273,8 +274,6 @@ def symbols_unrank(rank: int, t: int, v: int) -> tuple[int, ...]:
 def covers(array: SymbolArray, interaction: Interaction) -> bool:
     """True iff some row of the array matches the interaction on all t columns."""
     interaction.require_valid_for(array.params)
-    if array.n_rows == 0:
-        return False
     cols = list(interaction.columns)
     syms = np.array(interaction.symbols, dtype=CELL_DTYPE)
     return bool((array.cells[:, cols] == syms).all(axis=1).any())

@@ -10,6 +10,7 @@ class ResourceLimitError(RuntimeError):
     """A configured memory or iteration cap would be exceeded."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ResourceLimitError):
     """An exhaustive search ran out of its node budget before reaching an
-    answer.  Distinct from "no array exists within the row limit"."""
+    answer.  Distinct from "no array exists within the row limit".  An
+    iteration cap like the others, so it is a ``ResourceLimitError``."""

@@ -39,7 +39,9 @@ The test suite holds a plain row loop, one bitmap per column t-set, as
 the reference oracle for it.
 
 ``orbit_check`` is a plain row loop filling one orbit bitmap per column
-t-set.
+t-set.  It returns its first miss, the ``(ColumnSet, orbit id)`` pair of
+the first column t-set in colex order with a required orbit that no row
+hits, or None when every required orbit is hit on every t-set.
 
 ``exhaustive_can`` is a ground-truth oracle for tiny parameters: a
 backtracking search over canonical-form arrays (first row all zeros, rows
@@ -76,7 +78,6 @@ _BUFSIZE = 256  # ufunc buffer elements while full_check runs
 
 __all__ = [
     "CoverageReport",
-    "OrbitCoverageReport",
     "full_check",
     "orbit_check",
     "exhaustive_can",
@@ -85,15 +86,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoverageReport:
-    is_covering: bool
     uncovered_count: int
     first_witness: Interaction | None
 
-
-@dataclass(frozen=True)
-class OrbitCoverageReport:
-    all_covered: bool
-    first_uncovered: tuple[ColumnSet, int] | None
+    @property
+    def is_covering(self) -> bool:
+        return self.uncovered_count == 0
 
 
 def _row_bitsets(cells: np.ndarray, v: int, words: int, budget: int) -> np.ndarray:
@@ -246,14 +244,16 @@ def _full_check(array: SymbolArray, budget: Budget) -> CoverageReport:
                 key = (colex_rank(columns), symbols_rank(symbols, v))
                 if first is None or key < first[0]:
                     first = key, Interaction(columns, symbols)
-    return CoverageReport(uncovered == 0, uncovered, None if first is None else first[1])
+    return CoverageReport(uncovered, None if first is None else first[1])
 
 
 def orbit_check(
     array: SymbolArray, table: OrbitTable, *, full_only: bool = False
-) -> OrbitCoverageReport:
-    """Check that every orbit (each of ``table.full_orbit_ids``, if full_only)
-    is hit on every column t-set: some row's tuple on those columns lies in it."""
+) -> tuple[ColumnSet, int] | None:
+    """The first miss, as (column t-set, orbit id), of the check that every
+    orbit (each of ``table.full_orbit_ids``, if full_only) is hit on every
+    column t-set: some row's tuple on those columns lies in it.  None when
+    every required orbit is hit."""
     params = array.params
     t, v = params.t, params.v
     if table.action.degree != v:
@@ -270,8 +270,8 @@ def orbit_check(
             seen[int(table.orbit_id_of[symbols_rank([row[c] for c in cols], v)])] = 1
         for oid in required:
             if not seen[oid]:
-                return OrbitCoverageReport(False, (ColumnSet(cols), oid))
-    return OrbitCoverageReport(True, None)
+                return ColumnSet(cols), oid
+    return None
 
 
 def exhaustive_can(

@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 from coverkit import bounds, cli, construct
-from coverkit.arrayfile import read_array
+from coverkit.arrayfile import ArrayFormatError, read_array
 from coverkit.cli import main
 from coverkit.construct import BuildConfig, pgl_build
 from coverkit.core import CAParams
+from coverkit.errors import BudgetExceededError, ResourceLimitError, UnsupportedParameterError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -839,6 +840,25 @@ class TestErrorExits:
         assert result.stderr.startswith("error:") and message in result.stderr
         assert "Traceback" not in result.stderr
         assert result.stdout == "" and list(tmp_path.iterdir()) == []
+
+    # each error class a command can raise, and the exit code it maps to
+    @pytest.mark.parametrize("error, code", [
+        (UnsupportedParameterError("unsupported"), 2),
+        (ArrayFormatError(3, "malformed"), 2),
+        (ValueError("bad value"), 2),
+        (OSError("unreadable"), 2),
+        (ResourceLimitError("over the cap"), 3),
+        (BudgetExceededError("out of budget"), 3),
+    ], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
+    def test_exit_code_of_each_error_class(self, capsys, monkeypatch, error, code):
+        def fail(params, dependence):
+            raise error
+
+        monkeypatch.setitem(bounds.METHODS, "slj", fail)
+        result, out, err = run(["bounds", "-t", "2", "-k", "4", "-v", "2", "--methods", "slj"],
+                               capsys)
+        assert result == code and out == ""
+        assert err == f"error: {error}\n" and "Traceback" not in err
 
     def test_long_counts_print_as_six_digits_and_a_power_of_ten(self, capsys):
         # the step count has 401 digits; printed whole, the line was 479 bytes

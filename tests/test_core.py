@@ -250,6 +250,17 @@ class TestIntegerInputs:
         cells = SymbolArray.from_rows(P, []).cells
         assert cells.shape == (0, 3) and cells.dtype == np.int32
 
+    # rows go to the constructor as given, never reshaped to k columns
+    @pytest.mark.parametrize("k, rows, error, message", [
+        (2, [[0, 1, 1, 0]], ValueError, "rows have length 4, expected k=2"),
+        (3, [[0, 1, 1, 0]], ValueError, "rows have length 4, expected k=3"),
+        (2, [0, 1, 1, 0], ValueError, "cells must be a 2-D array, got 1-D"),
+        (2, [[]], TypeError, "cells must be integers, got dtype float64"),
+    ], ids=["long-row", "long-row-k3", "flat", "one-empty-row"])
+    def test_from_rows_splits_no_row(self, k, rows, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            SymbolArray.from_rows(CAParams(2, k, 2), rows)
+
 
 class TestCovers:
     def test_diagonal_array(self):

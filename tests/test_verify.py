@@ -62,7 +62,7 @@ def reference_full_check(array: SymbolArray) -> CoverageReport:
         uncovered += missing
         if first is None and first_idx is not None:
             first = Interaction(cols, symbols_unrank(first_idx, t, v))
-    return CoverageReport(uncovered == 0, uncovered, first)
+    return CoverageReport(uncovered, first)
 
 
 @st.composite
@@ -375,7 +375,7 @@ class TestFaultInjection:
         # density takes no seed; the seed still picks the fault
         array, log = STRATEGIES[strategy].build(p, BuildConfig(seed=seed))
         assert log.success
-        assert full_check(array) == reference_full_check(array) == CoverageReport(True, 0, None)
+        assert full_check(array) == reference_full_check(array) == CoverageReport(0, None)
 
         rng = np.random.default_rng(seed)
         target = interaction_unrank(int(rng.integers(p.interaction_space_size)), p)
@@ -407,7 +407,7 @@ class TestOrbitCheck:
         table = enumerate_orbits(action, 2)
         p = CAParams(2, 2, 3)
         arr = SymbolArray.from_rows(p, list(table.representatives))
-        assert orbit_check(arr, table).all_covered
+        assert orbit_check(arr, table) is None
 
     def test_trivial_group_reduces_to_full_check(self):
         p = CAParams(2, 4, 3)
@@ -415,7 +415,7 @@ class TestOrbitCheck:
         rng = np.random.default_rng(6)
         for _ in range(20):
             arr = random_array(p, int(rng.integers(0, 12)), seed=int(rng.integers(2**31)))
-            assert orbit_check(arr, table).all_covered == full_check(arr).is_covering
+            assert (orbit_check(arr, table) is None) == full_check(arr).is_covering
 
     def test_full_only_ignores_constant_orbits(self):
         # rows hit every full orbit but no constant tuple
@@ -424,8 +424,8 @@ class TestOrbitCheck:
         p = CAParams(2, 2, 3)
         non_constant = [rep for rep in table.representatives if len(set(rep)) > 1]
         arr = SymbolArray.from_rows(p, non_constant)
-        assert orbit_check(arr, table, full_only=True).all_covered
-        assert not orbit_check(arr, table, full_only=False).all_covered
+        assert orbit_check(arr, table, full_only=True) is None
+        assert orbit_check(arr, table, full_only=False) is not None
 
     def test_development_preserves_orbit_coverage(self):
         from coverkit.groups import develop
@@ -437,7 +437,7 @@ class TestOrbitCheck:
         for _ in range(10):
             arr = random_array(p, 3, seed=int(rng.integers(2**31)))
             dev = develop(arr, action)
-            assert orbit_check(arr, table).all_covered == orbit_check(dev, table).all_covered
+            assert (orbit_check(arr, table) is None) == (orbit_check(dev, table) is None)
 
     def test_degree_mismatch_rejected(self):
         table = enumerate_orbits(make_cyclic(3), 2)
@@ -521,15 +521,15 @@ class TestBuilderScansAgainstTrustedBase:
         # the developed stage-1 rows only, as the resampling scan saw them
         developed = SymbolArray(p, arr.cells[: n * log.group_order])
         table = enumerate_orbits(action, p.t)
-        report = orbit_check(developed, table, full_only=True)
+        miss = orbit_check(developed, table, full_only=True)
         if n < len(table.full_orbit_ids):  # failed before any scan
-            assert not report.all_covered and log.failure_reason.startswith("fewer stage-1 rows")
+            assert miss is not None and log.failure_reason.startswith("fewer stage-1 rows")
         elif log.success:
-            assert report.all_covered
+            assert miss is None
         else:
             position = int(log.failure_reason.rsplit(" ", 1)[1])
-            assert report.first_uncovered is not None
-            assert position == colex_rank(report.first_uncovered[0].columns)
+            assert miss is not None
+            assert position == colex_rank(miss[0].columns)
 
     def test_bench_shapes_agree_with_the_kernel(self):
         # the benchmark's verified arrays, each intact, mutilated as its
