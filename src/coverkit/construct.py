@@ -31,9 +31,12 @@ row table a builder allocates (stage-1 rows, the leftover listing, the
 colour classes, stage-2 patch rows, developed and pair rows) is checked
 against that budget's memory cap first.  All coverage questions -
 the uncovered scan, the density state and the resampling scan - go
-through one kernel, ``_coverage_tables``.  It yields the column t-sets
-in colex order, in blocks of consecutive set ranks: whole last columns
-while they fit its rank buffer, and a larger column alone.  A tuple's
+through one kernel, ``_Kernel``, planned once per build: its tables are
+priced and allocated when it is made, and every scan of the build (each
+stage-1 attempt, each rescan after a resample) reuses them.  It yields
+the column t-sets in colex order, in blocks of consecutive set ranks:
+whole last columns while they fit its rank buffer, and a larger column
+alone.  A tuple's
 rank is its (t-1)-prefix's rank times v plus its last symbol, so a
 block's ranks take one gather from a window of top prefix ranks, filled
 from the columns and shared by the blocks, and one from the columns; the
@@ -58,7 +61,6 @@ holding the column has so far.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from collections import defaultdict, deque
@@ -227,62 +229,6 @@ def _colex_unrank(
     return sets
 
 
-@functools.lru_cache(maxsize=64)
-def _binomials(t: int, k: int) -> np.ndarray:
-    """The kernel's colex table, read-only and shared by the scans of a
-    shape: binomials[i - 1, c] is C(c, i) for i = 1..t and c < k, capped at
-    C(k, t), above every set rank."""
-    total = math.comb(k, t)
-    table = np.array([[min(math.comb(c, i), total) for c in range(k)] for i in range(1, t + 1)])
-    table.setflags(write=False)
-    return table
-
-
-class _PrefixWindow:
-    """The top prefix ranks of one row chunk: ``columns[c]`` holds its
-    symbols in column c, and ``ranks`` the ranks of the (t-1)-prefixes of
-    colex rank first..end-1, at most ``span``, one row each.  A prefix's
-    rank is its symbols read in base v, first column first, so a range of
-    prefixes is filled from the columns alone: one colex unrank, then one
-    gather and t-2 multiply-adds in place, ``piece`` prefixes at a time.
-    The last piece's unrank is kept: a block's row chunks fill the same pieces."""
-
-    def __init__(self, params: CAParams, chunk: int, span: int, piece: int, dtype: np.dtype):
-        self.k, self.v, self.span, self.piece = params.k, params.v, span, piece
-        self.binomials = _binomials(params.t, params.k)[:-1]  # C(c, i) for i < t
-        self.store = np.empty(chunk * (self.k + span), dtype=dtype)  # flat: each load contiguous
-        self.prefixes = np.empty((params.t - 1, piece), dtype=np.intp)
-        self.unranked = self.first = self.end = 0  # the kept piece's range, and the window's
-
-    def load(self, rows: np.ndarray) -> None:
-        """Start on a new row chunk, its window empty at the same first."""
-        n, k = len(rows), self.k
-        self.columns = self.store[: k * n].reshape(k, n)
-        self.columns[...] = rows.T
-        self.ranks = self.store[k * n : (k + self.span) * n].reshape(self.span, n)
-        self.end = self.first
-
-    def hold(self, lo: int, hi: int, reach: int) -> None:
-        """Make the window hold the prefixes lo..hi-1, filled on toward
-        ``reach``, past the last prefix the chunk's next blocks read: it
-        extends from its end when that reaches hi, else starts again at lo."""
-        first, end = self.first, self.end
-        if lo < first or lo > end or hi > first + self.span:
-            first = end = self.first = lo
-        self.end = max(end, min(first + self.span, reach))
-        for a in range(end, self.end, self.piece):
-            b = min(a + self.piece, self.end)
-            prefixes = self.prefixes[:, : b - a]
-            if self.unranked != (a, b):
-                self.unranked = a, b
-                _colex_unrank(np.arange(a, b), self.binomials, out=prefixes.T)
-            out = self.ranks[a - first : b - first]
-            self.columns.take(prefixes[0], axis=0, out=out, mode="clip")
-            for c in prefixes[1:]:
-                out *= self.v
-                out += self.columns[c]
-
-
 def _block_ranges(
     t: int, k: int, column: int, sub: int, span: int, group: int
 ) -> Iterator[tuple[int, int, int]]:
@@ -308,35 +254,40 @@ def _block_ranges(
         yield lo, hi, sub
 
 
-def _coverage_tables(
-    params: CAParams,
-    cells: np.ndarray,
-    budget: Budget,
-    orbits: OrbitTable | None = None,
-    column: int = 0,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """The coverage kernel: yield blocks that together hold every column
-    t-set once, in colex order, from C(column, t) on: the first set ending
-    at ``column``, the very first by default.  A block is a pair (lo,
-    seen): the colex rank of its first set, and its seen table, one row
-    per set of rank lo, lo+1, ...: seen[j, i] is True iff some row's symbol
-    tuple on set lo + j has rank i or, given ``orbits``, lies in orbit i.
-    The kernel unranks no set: set lo + j is the colex unrank of lo + j,
-    and each consumer unranks only the sets it reads.
+class _Kernel:
+    """The coverage kernel, planned once per build for its n x k cell
+    matrices and reused by every scan the build makes, one scan at a time.
+    ``tables`` yields blocks that together hold every column t-set once, in
+    colex order, from C(column, t) on: the first set ending at ``column``,
+    the very first by default.  A block is a pair (lo, seen): the colex
+    rank of its first set, and its seen table, one row per set of rank lo,
+    lo+1, ...: seen[j, i] is True iff some row's symbol tuple on set lo + j
+    has rank i or, given ``orbits``, lies in orbit i.  The kernel unranks
+    no set: set lo + j is the colex unrank of lo + j, and each consumer
+    unranks only the sets it reads.
 
     The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
     in colex order plus c, and a tuple's rank is its prefix's rank times v
-    plus its symbol in c: a block's ranks take one gather from the window
-    of prefix ranks (``_PrefixWindow``) and one from the columns, scattered
-    into one flat table.  Of the working budget, ``budget.working``, a
-    row chunk's columns and window take up to half; a window fill's
-    temporaries an eighth; a block's seen table, its sets when a consumer
-    unranks them, its colex split and its sets' offsets a quarter; and
-    the rank buffer of ``sub`` sets and their tuple ranks (in a dtype that
-    holds v**t) 1/128, which keeps it in cache.  A block holds whole
-    consecutive last columns while they fit the rank buffer, and is ranked
-    whole; a larger column is a block alone, cut in parts when it is over
-    that quarter, and ranked up to ``sub`` sets at a time.
+    plus its symbol in c: a block's ranks take one gather from a window of
+    prefix ranks and one from the columns, scattered into one flat table.
+    The window is one row chunk's: ``columns[c]`` holds the chunk's
+    symbols in column c, and ``ranks`` the ranks of the (t-1)-prefixes of
+    colex rank first..end-1, at most ``span``, one row each.  A prefix's
+    rank is its symbols read in base v, first column first, so a range of
+    prefixes is filled from the columns alone: one colex unrank, then one
+    gather and t-2 multiply-adds in place, ``piece`` prefixes at a time.
+    The last piece's unrank is kept: a block's row chunks fill the same
+    pieces, and so do a build's scans.
+
+    Of the working budget, ``budget.working``, a row chunk's columns and
+    window take up to half; a window fill's temporaries an eighth; a
+    block's seen table, its sets when a consumer unranks them, its colex
+    split and its sets' offsets a quarter; and the rank buffer of ``sub``
+    sets and their tuple ranks (in a dtype that holds v**t) 1/128, which
+    keeps it in cache.  A block holds whole consecutive last columns while
+    they fit the rank buffer, and is ranked whole; a larger column is a
+    block alone, cut in parts when it is over that quarter, and ranked up
+    to ``sub`` sets at a time.
 
     When the columns and all C(k-1, t-1) top prefixes of all rows do not
     fit, the rows go in chunks whose tables are ORed, and a block fills
@@ -347,97 +298,142 @@ def _coverage_tables(
     it, and ranks a column whose prefixes it cannot hold a window at a
     time.  The column-set cap and every table (the columns and window, the
     fill's temporaries, the seen table, the block's sets, split and
-    offsets, the rank buffers) are checked before the first is allocated,
-    against the caller's ``budget``: a scan reads no cap of its own.
+    offsets, the rank buffers) are priced against the caller's ``budget``
+    when the kernel is planned, before the first is allocated, and the
+    window and rank buffers are allocated then, once: a scan reads no cap
+    and allocates only its blocks.
 
-    Takes the raw cell matrix rather than a SymbolArray, whose buffer is
-    frozen, so that the resampling loop can rewrite columns between scans.
+    Scans take the raw cell matrix rather than a SymbolArray, whose buffer
+    is frozen, so that the resampling loop can rewrite columns between
+    scans.
     """
-    t, k, v = params.t, params.k, params.v
-    n = len(cells)
-    slots = params.tuple_count if orbits is None else orbits.n_orbits
-    budget.check_column_sets(k, t, "coverage scan")
-    dtype = np.min_scalar_type(v ** (t - 1) - 1)
-    size = math.comb(k - 1, t - 1)  # the top prefixes, those some t-set extends
-    entries = budget.working // 2 // dtype.itemsize  # column and window entries within the budget
-    chunk = max(1, min(n, entries // (k + size), budget.working // 1024))
-    span = max(1, min(size, entries // chunk - k))
-    fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
-    piece = max(1, min(span, budget.working // 8 // fill))
-    group = max(1, min(math.comb(k, t), budget.working // 4 // (slots + 8 * (t + 3))))
-    sub = max(1, min(group, budget.working // 128 // (8 * chunk)))
-    budget.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window")
-    budget.check_table_bytes(piece, fill, "coverage window fill")
-    budget.check_table_bytes(group * slots, 1, "coverage mask")
-    budget.check_table_bytes(group * (t + 3), 8, "coverage column sets")
-    tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
-    budget.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
-    binomials = _binomials(t, k)
-    window = _PrefixWindow(params, chunk, span, piece, dtype)
-    buffer = np.empty((sub, chunk), dtype=np.intp)
-    tuple_buffer = np.empty((sub, chunk), dtype=tuples)
-    offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place in a block
-    window.load(cells[:chunk])  # one chunk of all the rows is loaded once
-    for lo, hi, step in _block_ranges(t, k, column, sub, span, group):
-        seen = np.zeros((hi - lo) * slots, dtype=bool)
-        parents = np.arange(lo, hi)  # the colex split: each set's prefix and last column
-        last = binomials[t - 1, 1:].searchsorted(parents, side="right")  # C(0, t) = 0
-        parents -= binomials[t - 1, last]
-        reach = size if chunk >= n else parents[-1] + 1  # past the block's last prefix
-        for start in range(0, n, chunk):
-            if chunk < n:  # of several, each block loads each again
-                window.load(cells[start : start + chunk])
-            for a in range(lo, hi, step):
-                b = min(a + step, hi)
-                # a step's prefixes run from its first set's to its last set's
-                window.hold(parents[a - lo], parents[b - 1 - lo] + 1, reach)
-                ranks = buffer[: b - a, : window.ranks.shape[1]]
-                tuple_ranks = tuple_buffer[: b - a, : ranks.shape[1]]
-                np.multiply(window.ranks[parents[a - lo : b - lo] - window.first], v,
-                            out=tuple_ranks, dtype=tuples)
-                tuple_ranks += window.columns[last[a - lo : b - lo]]
-                if orbits is None:
-                    np.add(tuple_ranks, offsets[a - lo : b - lo], out=ranks)
-                else:
-                    # every rank is below v**t, so "clip" clips none; it
-                    # writes straight to out, where "raise" buffers it
-                    np.take(orbits.orbit_id_of, tuple_ranks, out=ranks, mode="clip")
-                    ranks += offsets[a - lo : b - lo]
-                seen[ranks] = True
-        yield lo, seen.reshape(hi - lo, slots)
+
+    def __init__(
+        self, params: CAParams, n: int, budget: Budget, orbits: OrbitTable | None = None
+    ) -> None:
+        t, k, v = params.t, params.k, params.v
+        slots = params.tuple_count if orbits is None else orbits.n_orbits
+        budget.check_column_sets(k, t, "coverage scan")
+        dtype = np.min_scalar_type(v ** (t - 1) - 1)
+        m, size = math.comb(k, t), math.comb(k - 1, t - 1)  # the sets and the top prefixes
+        entries = budget.working // 2 // dtype.itemsize  # column and window entries it holds
+        chunk = max(1, min(n, entries // (k + size), budget.working // 1024))
+        span = max(1, min(size, entries // chunk - k))
+        fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
+        piece = max(1, min(span, budget.working // 8 // fill))
+        group = max(1, min(m, budget.working // 4 // (slots + 8 * (t + 3))))
+        sub = max(1, min(group, budget.working // 128 // (8 * chunk)))
+        budget.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window")
+        budget.check_table_bytes(piece, fill, "coverage window fill")
+        budget.check_table_bytes(group * slots, 1, "coverage mask")
+        budget.check_table_bytes(group * (t + 3), 8, "coverage column sets")
+        tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
+        budget.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
+        self.params, self.budget, self.orbits, self.slots = params, budget, orbits, slots
+        self.size, self.chunk, self.span, self.piece, self.group = size, chunk, span, piece, group
+        # the colex table: binomials[i - 1, c] is C(c, i), capped at m, above every set rank
+        self.binomials = np.array([[min(math.comb(c, i), m) for c in range(k)]
+                                   for i in range(1, t + 1)])
+        self.store = np.empty(chunk * (k + span), dtype=dtype)  # flat: each load contiguous
+        self.prefixes = np.empty((t - 1, piece), dtype=np.intp)
+        self.buffer = np.empty((sub, chunk), dtype=np.intp)
+        self.tuple_buffer = np.empty((sub, chunk), dtype=tuples)
+        self.offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place in a block
+        self.unranked = self.first = self.end = 0  # the kept piece's range, and the window's
+
+    def load(self, rows: np.ndarray) -> None:
+        """Start on a new row chunk, its window empty at the same first."""
+        n, k = len(rows), self.params.k
+        self.columns = self.store[: k * n].reshape(k, n)
+        self.columns[...] = rows.T
+        self.ranks = self.store[k * n : (k + self.span) * n].reshape(self.span, n)
+        self.end = self.first
+
+    def hold(self, lo: int, hi: int, reach: int) -> None:
+        """Make the window hold the prefixes lo..hi-1, filled on toward
+        ``reach``, past the last prefix the chunk's next blocks read: it
+        extends from its end when that reaches hi, else starts again at lo."""
+        first, end = self.first, self.end
+        if lo < first or lo > end or hi > first + self.span:
+            first = end = self.first = lo
+        self.end = max(end, min(first + self.span, reach))
+        for a in range(end, self.end, self.piece):
+            b = min(a + self.piece, self.end)
+            prefixes = self.prefixes[:, : b - a]
+            if self.unranked != (a, b):
+                self.unranked = a, b
+                # C(c, i) for i < t
+                _colex_unrank(np.arange(a, b), self.binomials[:-1], out=prefixes.T)
+            out = self.ranks[a - first : b - first]
+            self.columns.take(prefixes[0], axis=0, out=out, mode="clip")
+            for c in prefixes[1:]:
+                out *= self.params.v
+                out += self.columns[c]
+
+    def tables(self, cells: np.ndarray, column: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+        """The blocks (lo, seen) of ``cells`` from C(column, t) on."""
+        t, k, v = self.params.t, self.params.k, self.params.v
+        n, chunk, slots, offsets = len(cells), self.chunk, self.slots, self.offsets
+        self.load(cells[:chunk])  # one chunk of all the rows is loaded once
+        for lo, hi, step in _block_ranges(t, k, column, len(self.buffer), self.span, self.group):
+            seen = np.zeros((hi - lo) * slots, dtype=bool)
+            parents = np.arange(lo, hi)  # the colex split: each set's prefix and last column
+            last = self.binomials[t - 1, 1:].searchsorted(parents, side="right")  # C(0, t) = 0
+            parents -= self.binomials[t - 1, last]
+            reach = self.size if chunk >= n else parents[-1] + 1  # past the block's last prefix
+            for start in range(0, n, chunk):
+                if chunk < n:  # of several, each block loads each again
+                    self.load(cells[start : start + chunk])
+                for a in range(lo, hi, step):
+                    b = min(a + step, hi)
+                    # a step's prefixes run from its first set's to its last set's
+                    self.hold(parents[a - lo], parents[b - 1 - lo] + 1, reach)
+                    ranks = self.buffer[: b - a, : self.ranks.shape[1]]
+                    tuple_ranks = self.tuple_buffer[: b - a, : ranks.shape[1]]
+                    np.multiply(self.ranks[parents[a - lo : b - lo] - self.first], v,
+                                out=tuple_ranks, dtype=tuple_ranks.dtype)
+                    tuple_ranks += self.columns[last[a - lo : b - lo]]
+                    if self.orbits is None:
+                        np.add(tuple_ranks, offsets[a - lo : b - lo], out=ranks)
+                    else:
+                        # every rank is below v**t, so "clip" clips none; it
+                        # writes straight to out, where "raise" buffers it
+                        np.take(self.orbits.orbit_id_of, tuple_ranks, out=ranks, mode="clip")
+                        ranks += offsets[a - lo : b - lo]
+                    seen[ranks] = True
+            yield lo, seen.reshape(hi - lo, slots)
 
 
-def _uncovered_scan(
-    params: CAParams, cells: np.ndarray, keep: int, budget: Budget
-) -> tuple[int, np.ndarray]:
+def _uncovered_scan(kernel: _Kernel, cells: np.ndarray, keep: int) -> tuple[int, np.ndarray]:
     """One kernel pass: the exact uncovered count and, if that count is at
     most ``keep``, the uncovered interactions as rows (columns..., tuple
     rank) in rank order.  Past ``keep`` the listing is empty (t+1 columns,
     no rows) and only the count goes on.  The listing's largest size is
-    checked against the memory cap before the pass."""
-    budget.check_table_bytes(keep * (params.t + 1), 8, "uncovered listing")
+    checked against the kernel's memory cap before the pass."""
+    kernel.budget.check_table_bytes(keep * (kernel.params.t + 1), 8, "uncovered listing")
     count = 0
     found = []  # (set rank, tuple rank) rows
-    for lo, seen in _coverage_tables(params, cells, budget):
+    for lo, seen in kernel.tables(cells):
         missing = seen.size - int(np.count_nonzero(seen))
         count += missing
         if missing and count <= keep:
             which, ranks = np.nonzero(~seen)
             found.append(np.column_stack([lo + which, ranks]))
     if not count or count > keep:  # nothing listed
-        return count, np.empty((0, params.t + 1), dtype=np.int64)
+        return count, np.empty((0, kernel.params.t + 1), dtype=np.int64)
     found = np.vstack(found, dtype=np.int64)
     # the set ranks are sorted: each set is unranked once, in one call for
     # the scan, and repeated for its uncovered tuples
     sets, counts = np.unique(found[:, 0], return_counts=True)
-    columns = np.repeat(_colex_unrank(sets, _binomials(params.t, params.k)), counts, axis=0)
+    columns = np.repeat(_colex_unrank(sets, kernel.binomials), counts, axis=0)
     return count, np.column_stack([columns, found[:, 1]])
 
 
 def count_uncovered(array: SymbolArray) -> int:
     """Exact number of uncovered interactions, streamed block by block
     through the kernel (never a global interaction list)."""
-    return _uncovered_scan(array.params, array.cells, 0, Budget.from_env())[0]
+    kernel = _Kernel(array.params, array.n_rows, Budget.from_env())
+    return _uncovered_scan(kernel, array.cells, 0)[0]
 
 
 def _stage1_rows(params: CAParams, method: str, config: BuildConfig) -> int:
@@ -470,7 +466,10 @@ def two_stage_build(
         best = None
         for attempt in range(1, config.max_stage1_attempts + 1):
             cells = _random_rows(rng, params, n, "stage-1 rows", budget)
-            u, leftovers = _uncovered_scan(params, cells, target, budget)
+            if attempt == 1:  # the first draw's check, its listing's, then the kernel's
+                budget.check_table_bytes(target * (params.t + 1), 8, "uncovered listing")
+                kernel = _Kernel(params, n, budget)
+            u, leftovers = _uncovered_scan(kernel, cells, target)
             if best is None or u < best[1]:
                 best = cells, u, leftovers
             if u <= target:
@@ -485,7 +484,8 @@ def two_stage_build(
 
     with log.timed("stage2"):
         if best_uncovered > target:  # missed: list the best attempt's leftovers
-            leftovers = _uncovered_scan(params, best_cells, best_uncovered, budget)[1]
+            leftovers = _uncovered_scan(kernel, best_cells, best_uncovered)[1]
+        del kernel  # its tables are not held through the patch rows
         cols = leftovers[:, :-1]
         symbols = leftovers[:, -1:] // place_values(params.t, params.v) % params.v
         if config.second_stage == "colour":
@@ -564,11 +564,12 @@ class _DensityState:
                 f"density scores for {params} could exceed the int64 range"
             )
         self.params = params
-        self.sets = _colex_unrank(np.arange(m), _binomials(t, k))
+        kernel = _Kernel(params, len(cells), budget)  # dropped after its one pass
+        self.sets = _colex_unrank(np.arange(m), kernel.binomials)
         self.counts = np.empty(sum(sizes), dtype=dtype)
         starts = np.cumsum([0] + sizes)
         self.levels = [self.counts[a:b].reshape(m, -1) for a, b in zip(starts, starts[1:])]
-        for lo, seen in _coverage_tables(params, cells, budget):
+        for lo, seen in kernel.tables(cells):
             self.levels[-1][lo : lo + len(seen)] = ~seen
         for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
             self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
@@ -673,9 +674,10 @@ def _resample_full_orbits(
         log.failure_reason = (
             f"fewer stage-1 rows ({n}) than full orbits of a column set ({full_ids.size})")
         return cells
+    kernel = _Kernel(params, n, budget, table)
     column = 0  # every set ending before this column is hit
     while True:
-        for lo, seen in _coverage_tables(params, cells, budget, table, column):
+        for lo, seen in kernel.tables(cells, column):
             hit = seen[:, full_ids].all(axis=1)
             if not hit.all():
                 break

@@ -112,13 +112,19 @@ class SymbolArray:
     The cell matrix is stored as a read-only int32 ndarray; instances are
     immutable values and safe to share between threads.  The cells given
     must be integers or booleans, and are range-checked as given, before
-    the int32 cast, so no cell is rounded or wrapped into range.
+    the int32 cast, so no cell is rounded or wrapped into range.  A list
+    of rows of unequal lengths is refused by the first whose length is not
+    k, before numpy reads it.
     """
 
     params: CAParams
     cells: np.ndarray
 
     def __post_init__(self) -> None:
+        rows = self.cells if isinstance(self.cells, (list, tuple)) else []
+        if all(np.ndim(row) == 1 for row in rows) and len({len(row) for row in rows}) > 1:
+            i = next(i for i, row in enumerate(rows) if len(row) != self.params.k)  # ragged
+            raise ValueError(f"row {i} has length {len(rows[i])}, expected k={self.params.k}")
         cells = np.asarray(self.cells)
         if cells.dtype.kind not in "biu":
             raise TypeError(f"cells must be integers, got dtype {cells.dtype}")

@@ -248,10 +248,34 @@ def assert_patch_rows_follow_rank_order(arr: SymbolArray, log) -> None:
         assert covers(SymbolArray(p, row[None, :]), inter)
 
 
+def uncovered_scan(p, cells, keep, budget):
+    """``_uncovered_scan`` through a kernel planned for these cells."""
+    return construct._uncovered_scan(construct._Kernel(p, len(cells), budget), cells, keep)
+
+
+def watch_kernels(monkeypatch):
+    """Two lists, filled as the code runs: each ``_Kernel`` planned, and
+    the kernel of each scan, one entry per ``tables`` call."""
+    planned, scans = [], []
+    init, tables = construct._Kernel.__init__, construct._Kernel.tables
+
+    def counted_init(kernel, *args, **kwargs):
+        planned.append(kernel)
+        init(kernel, *args, **kwargs)
+
+    def counted_tables(kernel, *args, **kwargs):
+        scans.append(kernel)
+        return tables(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(construct._Kernel, "__init__", counted_init)
+    monkeypatch.setattr(construct._Kernel, "tables", counted_tables)
+    return planned, scans
+
+
 def listed(array: SymbolArray, keep: int) -> tuple[int, list[Interaction]]:
     """The one-pass scan's count and listing, as Interactions."""
     p = array.params
-    count, rows = construct._uncovered_scan(p, array.cells, keep, limits.Budget.from_env())
+    count, rows = uncovered_scan(p, array.cells, keep, limits.Budget.from_env())
     assert rows.shape == (len(rows), p.t + 1)
     return count, [
         Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
@@ -285,6 +309,21 @@ class TestUncoveredInteractions:
             assert count == len(inters) == count_uncovered(arr)
 
 
+# a build plans one kernel, after its first draw, and every scan it makes
+# reuses it: one per stage-1 attempt, or the first scan and one after
+# each resample
+@pytest.mark.parametrize("strategy, shape, config, attempts, resamples, scans_made", [
+    ("two_stage", (2, 5, 3), BuildConfig(seed=1), 4, 0, 4),
+    ("mt_frobenius", (3, 16, 4), BuildConfig(seed=1, n_override=30), 0, 26, 27),
+])
+def test_a_build_plans_one_kernel(
+        monkeypatch, strategy, shape, config, attempts, resamples, scans_made):
+    planned, scans = watch_kernels(monkeypatch)
+    _, log = construct.STRATEGIES[strategy].build(CAParams(*shape), config)
+    assert log.success and (log.stage1_attempts, log.resample_count) == (attempts, resamples)
+    assert len(planned) == 1 and scans == planned * scans_made
+
+
 class TestTwoStageBuild:
     def test_output_is_covering_and_within_bound(self):
         p = CAParams(2, 4, 2)
@@ -307,16 +346,9 @@ class TestTwoStageBuild:
         assert_patch_rows_follow_rank_order(arr, log)
 
     def _count_kernel_passes(self, monkeypatch, p, config):
-        passes = []
-        kernel = construct._coverage_tables
-
-        def counted(*args, **kwargs):
-            passes.append(args[0])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(construct, "_coverage_tables", counted)
+        _, scans = watch_kernels(monkeypatch)
         arr, log = two_stage_build(p, config)
-        return len(passes), arr, log
+        return len(scans), arr, log
 
     def test_met_target_makes_one_kernel_pass_per_attempt(self, monkeypatch):
         # seed 1 at (2,5,3) needs four attempts to meet the target
@@ -374,8 +406,7 @@ class TestTwoStageBuild:
         assert colour_log.stage2_rows <= each_log.stage2_rows == each_log.uncovered_after_stage1
         assert full_check(colour).is_covering
         budget = limits.Budget.from_env()
-        leftovers = construct._uncovered_scan(
-            p, each.cells[:n], p.interaction_space_size, budget)[1]
+        leftovers = uncovered_scan(p, each.cells[:n], p.interaction_space_size, budget)[1]
         symbols = leftovers[:, -1:] // place_values(p.t, p.v) % p.v
         rows = construct._first_fit_rows(p, leftovers[:, :-1], symbols, budget)
         assert rows.tolist() == reference_first_fit(leftovers[:, :-1], symbols)
@@ -389,7 +420,7 @@ class TestTwoStageBuild:
         p = CAParams(3, 8, 4)
         arr, log = two_stage_build(p, BuildConfig(seed=1, n_override=0, second_stage="colour"))
         assert log.stage2_rows > 64 and full_check(arr).is_covering
-        leftovers = construct._uncovered_scan(
+        leftovers = uncovered_scan(
             p, arr.cells[:0], p.interaction_space_size, limits.Budget.from_env())[1]
         cols, symbols = leftovers[:, :-1], leftovers[:, -1:] // place_values(p.t, p.v) % p.v
         need = (8 + 32) * (3584 // 8 + 1)
@@ -458,16 +489,9 @@ class TestDensityRow:
         assert np.array_equal(built.cells[: arr.n_rows], arr.cells)
 
     def test_build_makes_one_coverage_pass(self, monkeypatch):
-        passes = []
-        kernel = construct._coverage_tables
-
-        def counted(*args, **kwargs):
-            passes.append(args[0])
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(construct, "_coverage_tables", counted)
+        planned, scans = watch_kernels(monkeypatch)
         arr = density_build(SymbolArray.empty(CAParams(3, 6, 2)))
-        assert arr.n_rows > 1 and len(passes) == 1
+        assert arr.n_rows > 1 and len(scans) == 1 and scans == planned
 
     def test_greedy_build_beats_discrete_bound(self):
         for k in range(4, 9):
@@ -527,8 +551,9 @@ class TestMoserTardos:
         # offender it resamples, by core's scalar unrank: a block-wide unrank
         # would count thousands of sets here.  The kernel's own unranks are
         # of (t-1)-prefixes, counted apart: the window of 30 rows holds all
-        # C(15, 2) = 105 top prefixes, so each scan, the first and one
-        # after each resample, fills it once.  The array is the one the
+        # C(15, 2) = 105 top prefixes in one piece, whose unrank the build's
+        # one kernel keeps, so the first scan fills it and every rescan
+        # gathers from the kept unrank.  The array is the one the
         # builder made when every block's sets were unranked (same digest
         # input as test_golden).
         p = CAParams(3, 16, 4)
@@ -549,7 +574,7 @@ class TestMoserTardos:
         arr, log = moser_tardos_build(p, make_frobenius(4), BuildConfig(seed=1, n_override=n))
         assert log.success and log.resample_count > 0
         assert unranked == [1] * log.resample_count
-        assert filled == [comb(15, 2)] * (log.resample_count + 1)
+        assert filled == [comb(15, 2)]
         h = hashlib.sha256(f"CA {arr.n_rows} {p.t} {p.k} {p.v}\n".encode("ascii"))
         h.update(np.ascontiguousarray(arr.cells, dtype=np.uint8).tobytes())
         assert (n, arr.n_rows, log.resample_count, h.hexdigest()) == (

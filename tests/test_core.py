@@ -256,10 +256,17 @@ class TestIntegerInputs:
         (3, [[0, 1, 1, 0]], ValueError, "rows have length 4, expected k=3"),
         (2, [0, 1, 1, 0], ValueError, "cells must be a 2-D array, got 1-D"),
         (2, [[]], TypeError, "cells must be integers, got dtype float64"),
-    ], ids=["long-row", "long-row-k3", "flat", "one-empty-row"])
+        # rows of unequal lengths: the first whose length is not k, named
+        # before numpy reads them
+        (2, [[0, 1], [0]], ValueError, "row 1 has length 1, expected k=2"),
+    ], ids=["long-row", "long-row-k3", "flat", "one-empty-row", "ragged"])
     def test_from_rows_splits_no_row(self, k, rows, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SymbolArray.from_rows(CAParams(2, k, 2), rows)
+
+    def test_constructor_names_the_first_ragged_row(self):
+        with pytest.raises(ValueError, match=r"^row 0 has length 3, expected k=2$"):
+            SymbolArray(CAParams(2, 2, 2), [(0, 1, 1), (0, 1), [1, 0]])
 
 
 class TestCovers:

@@ -4,8 +4,9 @@
 t-set at a time, each row's tuple ranked by a dot product with the place
 values and scattered into a fresh table.  It is slow and plainly right,
 and it is kept here, as ``full_check``'s row loop is kept in
-test_verify, to check the block kernel on many inputs: its blocks, the
-column sets a consumer unranks from a block, and through the kernel's
+test_verify, to check the block kernel on many inputs: its blocks, a
+rescan by the same kernel after columns are redrawn, the column sets a
+consumer unranks from a block, and through the kernel's
 consumers the uncovered count and listing, the density mask and its
 prefix counts as rows are added, and the resampling scan's first
 offender and, against a loop that rescans from the first set, its
@@ -113,21 +114,21 @@ def resamplings(draw):
     return CAParams(t, k, v), table, n, draw(st.sampled_from(BUDGETS))
 
 
-def block_sets(params, lo, seen, rows=None):
+def block_sets(kernel, lo, seen, rows=None):
     """The column sets of a block's rows (all of them by default), unranked
-    as the kernel's consumers unrank them."""
+    as the kernel's consumers unrank them, by its colex table."""
     rows = np.arange(len(seen)) if rows is None else rows
-    return construct._colex_unrank(lo + rows, construct._binomials(params.t, params.k))
+    return construct._colex_unrank(lo + rows, kernel.binomials)
 
 
-def assert_block_ranges(params, blocks, start=0):
+def assert_block_ranges(kernel, blocks, start=0):
     """Blocks are consecutive set-rank ranges that cover start..C(k,t)-1
     once, and a block spans columns only as whole columns: then it starts
     at the first set ending at its first column and ends after the last
     set ending at its last."""
-    at = start
+    params, at = kernel.params, start
     for lo, seen in blocks:
-        sets = block_sets(params, lo, seen)
+        sets = block_sets(kernel, lo, seen)
         assert lo == at and len(sets) == len(seen) > 0
         first, last = sets[0, -1], sets[-1, -1]
         if first != last:
@@ -140,14 +141,23 @@ def assert_block_ranges(params, blocks, start=0):
 def kernel_tables(params, cells, orbits, budget):
     """The kernel's blocks under a working budget, checked to be set-rank
     ranges as ``assert_block_ranges`` says, then stacked."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = list(construct._coverage_tables(params, cells, limits.Budget.from_env(), orbits))
-    assert_block_ranges(params, blocks)
+    kernel = with_budget(budget, plan, params, cells, orbits)
+    blocks = list(kernel.tables(cells))
+    assert_block_ranges(kernel, blocks)
     for lo, seen in blocks:
-        assert block_sets(params, lo, seen).dtype == np.intp and seen.dtype == bool
-    return (np.vstack([block_sets(params, lo, seen) for lo, seen in blocks]),
+        assert block_sets(kernel, lo, seen).dtype == np.intp and seen.dtype == bool
+    return (np.vstack([block_sets(kernel, lo, seen) for lo, seen in blocks]),
             np.vstack([seen for _, seen in blocks]))
+
+
+def plan(params, cells, orbits, budget):
+    """The kernel of a build whose scans take ``cells``."""
+    return construct._Kernel(params, len(cells), budget, orbits)
+
+
+def uncovered_scan(params, cells, keep, budget):
+    """``_uncovered_scan`` through a kernel planned for these cells."""
+    return construct._uncovered_scan(plan(params, cells, None, budget), cells, keep)
 
 
 def with_budget(budget, fn, *args):
@@ -202,11 +212,12 @@ REGIMES = [
 ]
 
 
-def with_examples(scans):
-    """Run a hypothesis test on each of these scans too."""
+def with_examples(scans, *rest):
+    """Run a hypothesis test on each of these scans too, each followed by
+    the arguments ``rest``."""
     def decorate(test):
         for scan in scans:
-            test = example(scan)(test)
+            test = example(scan, *rest)(test)
         return test
     return decorate
 
@@ -230,13 +241,9 @@ class TestBlocks:
         # so that no sizing change moves a pinned example out of the regime
         # it is there for
         params, cells, orbits, budget = scan
-        windows = []
 
-        class Watched(construct._PrefixWindow):
-            def __init__(self, params, chunk, span, *rest):
-                super().__init__(params, chunk, span, *rest)
-                self.chunk, self.loaded, self.moves = chunk, False, 0
-                windows.append(self)
+        class Watched(construct._Kernel):
+            loaded, moves = False, 0
 
             def load(self, rows):
                 super().load(rows)
@@ -248,14 +255,13 @@ class TestBlocks:
                 self.moves += self.first != first and not self.loaded
                 self.loaded = False
 
-        monkeypatch.setattr(construct, "_PrefixWindow", Watched)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
-        for _ in construct._coverage_tables(params, cells, limits.Budget.from_env(), orbits):
+        kernel = Watched(params, len(cells), limits.Budget.from_env(), orbits)
+        for _ in kernel.tables(cells):
             pass
-        (window,) = windows
         top = comb(params.k - 1, params.t - 1)
-        chunks = -(-len(cells) // window.chunk)
-        assert (chunks, window.span < top, window.moves > 0) == regime
+        chunks = -(-len(cells) // kernel.chunk)
+        assert (chunks, kernel.span < top, kernel.moves > 0) == regime
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())
@@ -264,19 +270,16 @@ class TestBlocks:
         # oracle's sets at those positions
         params, cells, orbits, budget = scan
         ref_sets, _ = reference_tables(params, cells, orbits)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_WORKING_BYTES", budget)
-            for lo, seen in construct._coverage_tables(
-                    params, cells, limits.Budget.from_env(), orbits):
-                rows = np.array(data.draw(st.lists(st.integers(0, len(seen) - 1))),
-                                dtype=np.intp)
-                sets = block_sets(params, lo, seen, rows)
-                assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
-                assert np.array_equal(sets, ref_sets[lo + rows])
-                # and the resampler's scalar unrank, one rank at a time
-                for row in rows:
-                    one = colex_unrank(lo + int(row), params.t)
-                    assert list(one) == ref_sets[lo + row].tolist()
+        kernel = with_budget(budget, plan, params, cells, orbits)
+        for lo, seen in kernel.tables(cells):
+            rows = np.array(data.draw(st.lists(st.integers(0, len(seen) - 1))), dtype=np.intp)
+            sets = block_sets(kernel, lo, seen, rows)
+            assert sets.dtype == np.intp and sets.shape == (len(rows), params.t)
+            assert np.array_equal(sets, ref_sets[lo + rows])
+            # and the resampler's scalar unrank, one rank at a time
+            for row in rows:
+                one = colex_unrank(lo + int(row), params.t)
+                assert list(one) == ref_sets[lo + row].tolist()
 
     def test_small_budgets_cut_blocks(self, monkeypatch):
         # (3,9,3), 40 rows: a 1-byte budget takes one set at a time; 8192
@@ -290,8 +293,9 @@ class TestBlocks:
         cells = random_array(p, 40, seed=2).cells.copy()
         for budget, sizes in ((1, [1] * comb(9, 3)), (8192, [1, 3, 6, 10, 15, 21, 27, 1]),
                               (limits._WORKING_BYTES, [comb(9, 3)])):
-            got = with_budget(budget, lambda b: list(construct._coverage_tables(p, cells, b)))
-            assert_block_ranges(p, got)
+            kernel = with_budget(budget, plan, p, cells, None)
+            got = list(kernel.tables(cells))
+            assert_block_ranges(kernel, got)
             assert [len(seen) for _, seen in got] == sizes
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -301,18 +305,44 @@ class TestBlocks:
         params, cells, orbits, budget = scan
         column = data.draw(st.integers(0, params.k - 1))
         start = comb(column, params.t)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(limits, "_WORKING_BYTES", budget)
-            blocks = list(construct._coverage_tables(
-                params, cells, limits.Budget.from_env(), orbits, column))
-        assert_block_ranges(params, blocks, start)
+        kernel = with_budget(budget, plan, params, cells, orbits)
+        blocks = list(kernel.tables(cells, column))
+        assert_block_ranges(kernel, blocks, start)
         ref_sets, ref_seen = reference_tables(params, cells, orbits)
         if blocks:
-            sets = [block_sets(params, lo, seen) for lo, seen in blocks]
+            sets = [block_sets(kernel, lo, seen) for lo, seen in blocks]
             assert np.array_equal(np.vstack(sets), ref_sets[start:])
             assert np.array_equal(np.vstack([seen for _, seen in blocks]), ref_seen[start:])
         else:
             assert start == len(ref_sets)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.one_of(scans(), scans(orbits=True)), st.integers(0, 2**32 - 1))
+    @with_examples([scan for scan, _ in REGIMES], 1)
+    def test_a_reused_kernel_rescans_what_it_is_given(self, scan, seed):
+        # as the resampler uses it: a scan, left after some blocks or run
+        # out, 1..t columns redrawn, and a rescan from a column by the same
+        # kernel, whose window (first, end and the kept unrank) outlives the
+        # first scan.  The rescan's blocks are a fresh kernel's and the oracle's
+        params, cells, orbits, budget = scan
+        t, k = params.t, params.k
+        cells, rng = cells.copy(), np.random.default_rng(seed)  # pinned cells stay as they are
+        kernel = with_budget(budget, plan, params, cells, orbits)
+        for _ in islice(kernel.tables(cells), int(rng.integers(0, comb(k, t) + 1))):
+            pass
+        for c in rng.choice(k, size=int(rng.integers(1, t + 1)), replace=False):
+            cells[:, c] = rng.integers(0, params.v, size=len(cells), dtype=CELL_DTYPE)
+        column = int(rng.integers(0, k))
+        blocks = list(kernel.tables(cells, column))
+        fresh = list(with_budget(budget, plan, params, cells, orbits).tables(cells, column))
+        assert [lo for lo, _ in blocks] == [lo for lo, _ in fresh]
+        assert all(np.array_equal(seen, other) for (_, seen), (_, other) in zip(blocks, fresh))
+        start = comb(column, t)
+        assert_block_ranges(kernel, blocks, start)
+        ref_sets, ref_seen = reference_tables(params, cells, orbits)
+        sets = np.vstack([block_sets(kernel, lo, seen) for lo, seen in blocks])
+        assert np.array_equal(sets, ref_sets[start:])
+        assert np.array_equal(np.vstack([seen for _, seen in blocks]), ref_seen[start:])
 
     @pytest.mark.parametrize("shape, rows, env, budget", [
         # at (10,30,2) one row's top prefixes are C(29,9), about 10.0M
@@ -333,8 +363,9 @@ class TestBlocks:
         for name, value in env.items():
             monkeypatch.setenv(name, value)
         monkeypatch.setattr(limits, "_WORKING_BYTES", budget)
-        blocks = construct._coverage_tables(p, cells, limits.Budget.from_env())
-        pairs = (pair for lo, seen in blocks for pair in zip(block_sets(p, lo, seen), seen))
+        kernel = plan(p, cells, None, limits.Budget.from_env())
+        pairs = (pair for lo, seen in kernel.tables(cells)
+                 for pair in zip(block_sets(kernel, lo, seen), seen))
         sets, seen = zip(*islice(pairs, 3003))
         ref_sets, ref_seen = zip(*islice(reference_coverage_tables(p, cells), 3003))
         assert np.array_equal(sets, ref_sets) and np.array_equal(seen, ref_seen)
@@ -350,7 +381,7 @@ class TestConsumers:
         listing = np.column_stack([ref_sets[which], ranks])
         exact = len(listing)
         for keep in {0, max(exact - 1, 0), exact, params.interaction_space_size}:
-            count, rows = with_budget(budget, construct._uncovered_scan, params, cells, keep)
+            count, rows = with_budget(budget, uncovered_scan, params, cells, keep)
             assert count == exact
             assert np.array_equal(rows, listing if exact <= keep else listing[:0])
 
@@ -361,12 +392,12 @@ class TestConsumers:
         # byte the one that unranks the set of every uncovered tuple
         params, cells, _, budget = scan
         keep = params.interaction_space_size
-        count, rows = with_budget(budget, construct._uncovered_scan, params, cells, keep)
+        count, rows = with_budget(budget, uncovered_scan, params, cells, keep)
         listing = [np.empty((0, params.t + 1), dtype=np.int64)]
-        blocks = with_budget(budget, lambda *a: list(construct._coverage_tables(*a)), params, cells)
-        for lo, seen in blocks:
+        kernel = with_budget(budget, plan, params, cells, None)
+        for lo, seen in kernel.tables(cells):
             which, ranks = np.nonzero(~seen)
-            listing.append(np.column_stack([block_sets(params, lo, seen, which), ranks]))
+            listing.append(np.column_stack([block_sets(kernel, lo, seen, which), ranks]))
         expected = np.vstack(listing, dtype=np.int64)
         assert count == len(expected)
         assert (rows.dtype, rows.shape, rows.tobytes()) == (

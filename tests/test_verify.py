@@ -477,6 +477,13 @@ class TestExhaustiveCan:
             assert exhaustive_can(CAParams(2, k, 2), 8) == bounds.katona_kleitman_exact(k)
 
 
+def uncovered_scan(arr: SymbolArray, keep: int) -> tuple[int, np.ndarray]:
+    """The builders' one-pass count and listing, through a kernel planned
+    for the array."""
+    kernel = construct._Kernel(arr.params, arr.n_rows, limits.Budget.from_env())
+    return construct._uncovered_scan(kernel, arr.cells, keep)
+
+
 class TestBuilderScansAgainstTrustedBase:
     """The builders' coverage kernel, through its other consumers, agrees
     with core.covers and orbit_check on hypothesis-generated inputs."""
@@ -488,7 +495,7 @@ class TestBuilderScansAgainstTrustedBase:
         every = (interaction_unrank(r, p) for r in range(p.interaction_space_size))
         rejected = [i for i in every if not covers(arr, i)]
         for keep in (len(rejected), p.interaction_space_size):
-            count, rows = construct._uncovered_scan(p, arr.cells, keep, limits.Budget.from_env())
+            count, rows = uncovered_scan(arr, keep)
             listing = [
                 Interaction(tuple(int(c) for c in r[:-1]), symbols_unrank(int(r[-1]), p.t, p.v))
                 for r in rows
@@ -503,7 +510,7 @@ class TestBuilderScansAgainstTrustedBase:
         exact = full_check(arr).uncovered_count
         assert construct.count_uncovered(arr) == exact
         for keep in {max(exact - 1, 0), 0}:
-            count, rows = construct._uncovered_scan(p, arr.cells, keep, limits.Budget.from_env())
+            count, rows = uncovered_scan(arr, keep)
             assert count == exact
             assert rows.shape == (exact if exact <= keep else 0, p.t + 1)
 
@@ -557,8 +564,7 @@ class TestBuilderScansAgainstTrustedBase:
             for arr in (array, SymbolArray(p, array.cells[~first_t]),
                         SymbolArray(p, array.cells[~last_t])):
                 report = full_check(arr)
-                count, rows = construct._uncovered_scan(
-                    p, arr.cells, report.uncovered_count, limits.Budget.from_env())
+                count, rows = uncovered_scan(arr, report.uncovered_count)
                 assert count == report.uncovered_count
                 first = None if count == 0 else Interaction(
                     tuple(int(c) for c in rows[0, :-1]), symbols_unrank(int(rows[0, -1]), p.t, p.v))
