@@ -12,21 +12,20 @@ v <= 10 every cell is one digit, and a chunk's text table is written as
 it is, with no place values and no leading zeros to mask.
 
 ``read_array`` reads a plain file, whose first line is the header
-``CA N t k v`` with single spaces, by the first of two readers that
-takes it:
+``CA N t k v`` with single spaces, by one of two decoders:
 
 * the one-digit layout that ``write_array`` writes when v <= 10 and
-  N >= 1: a body of exactly 2·N·k bytes, each cell one digit below v
+  N >= 1, for a body of exactly 2·N·k bytes: each cell one digit below v
   followed by a space, or by ``\\n`` at a row's end, decoded from one
   view of the bytes as uint16 pairs;
-* numpy's ``loadtxt``, for a body of only ASCII digits, spaces and
-  ``\\n`` or ``\\r\\n`` line ends, with at least one digit, from which
-  it reads N rows of k cells, each cell below v.
+* numpy's ``loadtxt``, for any other body of only ASCII digits, spaces
+  and ``\\n`` or ``\\r\\n`` line ends, with at least one digit.
 
-Any other file goes to the per-line parser, which reads comments, blank
-lines, lone CR line ends, tabs, runs of spaces, signs and the rest.  So
-does a plain file whose shape or cells are wrong, so every error message
-and line number comes from that one parser.
+Both hand their cells to ``SymbolArray``, the one check of shape and
+range.  Any other file goes to the per-line parser, which reads comments,
+blank lines, lone CR line ends, tabs, runs of spaces, signs and the rest.
+So does a plain file that ``SymbolArray`` refuses, or whose row count is
+not N, so every error message and line number comes from that one parser.
 """
 
 from __future__ import annotations
@@ -92,42 +91,39 @@ def read_array(path: str) -> SymbolArray:
 def _read_plain(data: bytes) -> SymbolArray | None:
     """The array of a plain file, or None for any other file: the header
     ``CA N t k v`` on the first line, then the one-digit layout, or a
-    non-blank body of digits, spaces and line ends that loadtxt reads as
-    N rows of k cells below v."""
+    non-blank body of digits, spaces and line ends that loadtxt reads.
+    Either decoder's cells go to ``SymbolArray``; cells it refuses, or
+    other than N rows, give None."""
     head, _, body = data.partition(b"\n")
     fields = head.rstrip(b"\r").split(b" ")
     if len(fields) != 5 or fields[0] != b"CA" or not all(f.isdigit() for f in fields[1:]):
         return None
     n, t, k, v = (int(f) for f in fields[1:])
+    one_digit = v <= 10 and n > 0 and len(body) == 2 * n * k
+    # loadtxt warns on a blank body and, under numpy 1.x, on float-like cells
+    if not one_digit and (body.translate(None, b"0123456789 \r\n") or not body.strip()):
+        return None
     try:
         params = CAParams(t, k, v)
-    except ValueError:  # the line parser refuses the header at once
+        if one_digit:
+            # write_array's layout of one-digit cells: each a digit and then
+            # a space, or "\n" at a row's end.  Read as little-endian uint16
+            # pairs, a cell's pair less that of "0" and its separator is the
+            # cell; any other pair wraps to v or more
+            cells = np.frombuffer(body, "<u2").reshape(n, k) - np.frombuffer(b"0 " * (k - 1) + b"0\n", "<u2")
+        else:
+            cells = np.loadtxt(
+                io.BytesIO(body), dtype=CELL_DTYPE, delimiter=" ", comments=None, ndmin=2
+            )
+        array = SymbolArray(params, cells)
+    except (ValueError, OverflowError):  # the line parser names the fault
         return None
-    if v <= 10 and n and len(body) == 2 * n * k:
-        # write_array's layout of one-digit cells: each a digit and then a
-        # space, or "\n" at a row's end.  Read as little-endian uint16
-        # pairs, a cell's pair less that of "0" and its separator is the
-        # cell; any other pair wraps to v or more
-        cells = np.frombuffer(body, "<u2").reshape(n, k) - np.frombuffer(b"0 " * (k - 1) + b"0\n", "<u2")
-        if cells.max() < v:
-            return SymbolArray(params, cells)
-    # loadtxt warns on a blank body and, under numpy 1.x, on float-like cells
-    if body.translate(None, b"0123456789 \r\n") or not body.strip():
-        return None
-    try:
-        cells = np.loadtxt(
-            io.BytesIO(body), dtype=CELL_DTYPE, delimiter=" ", comments=None, ndmin=2
-        )
-    except (ValueError, OverflowError):
-        return None
-    if cells.shape != (n, k) or int(cells.max()) >= v:
-        return None
-    return SymbolArray(params, cells)
+    return array if array.n_rows == n else None
 
 
 def _read_lines(data: bytes) -> SymbolArray:
     """The per-line parser: any file the format allows, and every error."""
-    header: tuple[int, int, int, int] | None = None
+    params: CAParams | None = None
     header_line = 1
     rows: list[list[int]] = []
     # a non-ASCII byte decodes to a lone surrogate: a comment may hold any
@@ -137,7 +133,7 @@ def _read_lines(data: bytes) -> SymbolArray:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if header is None:
+            if params is None:
                 parts = line.split()
                 if len(parts) != 5 or parts[0] != "CA":
                     raise ArrayFormatError(lineno, "expected header 'CA N t k v'")
@@ -149,31 +145,26 @@ def _read_lines(data: bytes) -> SymbolArray:
                     params = CAParams(t, k, v)
                 except ValueError as exc:
                     raise ArrayFormatError(lineno, str(exc)) from None
-                header, header_line = (n, t, k, v), lineno
+                header_line = lineno
                 top = min(v, CELL_MAX + 1)  # the first symbol refused
                 continue
             try:
                 row = [int(x) for x in line.split()]
             except ValueError:
                 raise ArrayFormatError(lineno, f"non-integer cell in {line!r}")
-            if len(row) != header[2]:
-                raise ArrayFormatError(
-                    lineno, f"row has {len(row)} cells, expected k={header[2]}"
-                )
+            if len(row) != k:
+                raise ArrayFormatError(lineno, f"row has {len(row)} cells, expected k={k}")
             if any(x < 0 or x >= top for x in row):
-                if all(0 <= x < header[3] for x in row):
+                if all(0 <= x < v for x in row):
                     raise ArrayFormatError(
                         lineno, f"cell above {CELL_MAX}, the largest symbol an array holds"
                     )
-                raise ArrayFormatError(
-                    lineno, f"cell out of range 0..{header[3] - 1}"
-                )
+                raise ArrayFormatError(lineno, f"cell out of range 0..{v - 1}")
             rows.append(row)
-    if header is None:
+    if params is None:
         raise ArrayFormatError(1, "missing header line 'CA N t k v'")
     if len(rows) != n:
         raise ArrayFormatError(
             header_line, f"header declares {n} rows but file has {len(rows)}"
         )
-    cells = np.array(rows, dtype=CELL_DTYPE).reshape((-1, k))
-    return SymbolArray(params, cells)
+    return SymbolArray.from_rows(params, rows)

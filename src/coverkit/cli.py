@@ -46,8 +46,10 @@ def _report_record(rep: bounds.BoundReport) -> dict:
     return record
 
 
-def _methods(args: argparse.Namespace) -> list[str]:
-    """The requested methods; --dependence off its default must be read by one."""
+def _methods(args: argparse.Namespace, allowed: tuple[str, ...] = ()) -> list[str]:
+    """The requested methods, each a bound method or one of ``allowed``,
+    refused before any bound runs; --dependence off its default must be
+    read by one."""
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UnsupportedParameterError(
@@ -58,21 +60,18 @@ def _methods(args: argparse.Namespace) -> list[str]:
             f"--dependence is read only by {', '.join(bounds.DEPENDENCE_METHODS)},"
             f" not by {', '.join(methods)}"
         )
+    for method in methods:
+        if method not in bounds.METHODS and method not in allowed:
+            raise UnsupportedParameterError(
+                f"unknown method {method!r}; choose from {', '.join(bounds.METHODS)}"
+            )
     return methods
-
-
-def _method_report(method: str, params: CAParams, dependence: str) -> bounds.BoundReport:
-    if method not in bounds.METHODS:
-        raise UnsupportedParameterError(
-            f"unknown method {method!r}; choose from {', '.join(bounds.METHODS)}"
-        )
-    return bounds.METHODS[method](params, dependence)
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = CAParams(args.t, args.k, args.v)
     methods = _methods(args)
-    reports = [_method_report(m, params, args.dependence) for m in methods]
+    reports = [bounds.METHODS[m](params, args.dependence) for m in methods]
     if args.json:
         results = [_report_record(rep) for rep in reports]
         doc = {"t": args.t, "k": args.k, "v": args.v, "results": results}
@@ -184,7 +183,7 @@ def _parse_range(text: str, flag: str, entry_bytes: int, fixed: int = 0) -> list
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    methods = _methods(args)
+    methods = _methods(args, allowed=("two_stage_curve",))
     # a row is a list (56 bytes) of k and one value per method, each an int
     # of about 32 bytes in a slot of 8, and ks holds k once more
     ks = _parse_range(args.k, "--k", 96 + 40 * len(methods))
@@ -218,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = []
         for k in ks:
             params = CAParams(args.t, k, args.v)
-            rows.append([k] + [_method_report(m, params, args.dependence).value for m in methods])
+            rows.append([k] + [bounds.METHODS[m](params, args.dependence).value for m in methods])
         count = len(ks)
     with open(args.out, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

@@ -112,20 +112,20 @@ class SymbolArray:
     The cell matrix is stored as a read-only int32 ndarray; instances are
     immutable values and safe to share between threads.  The cells given
     must be integers or booleans, and are range-checked as given, before
-    the int32 cast, so no cell is rounded or wrapped into range.  A list
-    of rows of unequal lengths is refused by the first whose length is not
-    k, before numpy reads it.
+    the int32 cast, so no cell is rounded or wrapped into range.  Rows
+    that numpy cannot stack into one array (of unequal lengths, or a row
+    mixed with cells, or a cell that is itself a list) are refused by the
+    first that is not a sequence of k cells.
     """
 
     params: CAParams
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = self.cells if isinstance(self.cells, (list, tuple)) else []
-        if all(np.ndim(row) == 1 for row in rows) and len({len(row) for row in rows}) > 1:
-            i = next(i for i, row in enumerate(rows) if len(row) != self.params.k)  # ragged
-            raise ValueError(f"row {i} has length {len(rows[i])}, expected k={self.params.k}")
-        cells = np.asarray(self.cells)
+        try:
+            cells = np.asarray(self.cells)
+        except ValueError:  # numpy's refusal of rows of unequal shapes
+            raise ValueError(_unstackable(self.cells, self.params.k)) from None
         if cells.dtype.kind not in "biu":
             raise TypeError(f"cells must be integers, got dtype {cells.dtype}")
         if cells.ndim != 2:
@@ -171,6 +171,20 @@ class SymbolArray:
     def __repr__(self) -> str:
         p = self.params
         return f"SymbolArray(n={self.n_rows}, t={p.t}, k={p.k}, v={p.v})"
+
+
+def _unstackable(rows, k: int) -> str:
+    """Why numpy could not stack the rows: the first that is not a
+    sequence of k cells, by its length where it is a sequence of cells."""
+    for i, row in enumerate(rows):
+        shape = ()  # a row numpy cannot read is no sequence of cells
+        with suppress(ValueError):
+            shape = np.shape(row)
+        if len(shape) != 1:
+            return f"row {i} is not a sequence of k={k} cells"
+        if shape[0] != k:
+            return f"row {i} has length {shape[0]}, expected k={k}"
+    return f"cells do not stack into rows of k={k} cells"
 
 
 @dataclass(frozen=True)

@@ -144,8 +144,8 @@ class GroupAction:
             raise ValueError("identity element missing")
         if _distinct_rows(perms) != len(perms):
             raise ValueError("duplicate group elements")
-        images = np.unique(perms[:, :ell] @ place_values(ell, v))  # of (0, ..., l-1)
-        if ell and (len(images) != len(perms) or len(perms) != math.perm(v, ell)):
+        images = _distinct_rows(perms[:, :ell] @ place_values(ell, v)[:, None])  # of (0, ..., l-1)
+        if ell and (images != len(perms) or len(perms) != math.perm(v, ell)):
             raise ValueError(f"action is not sharply {ell}-transitive on {v} symbols")
 
     @property
@@ -171,8 +171,10 @@ class GroupAction:
 
 
 def _distinct_rows(table: np.ndarray) -> int:
-    """The number of distinct rows of a C-contiguous 2-d table."""
-    return len(np.unique(table.view(f"V{table.shape[1] * table.itemsize}")))
+    """The number of distinct rows of a C-contiguous 2-d table.  Asked for
+    counts, np.unique sorts; without them, numpy 2.x's np.unique imports
+    numpy.ma on its first call, which no other orbit step needs."""
+    return len(np.unique(table.view(f"V{table.shape[1] * table.itemsize}"), return_counts=True)[1])
 
 
 # Bytes per entry of a permutation table, its temporaries and its checks

@@ -341,6 +341,7 @@ class TestAgainstReference:
     @example(b"CA 0 2 2 3\n")  # no rows: the fast path takes none
     @example(b"CA 2 2 2 3\n0 1\n2\n0\n")  # the length of two rows, not their layout
     @example(b"CA 2 2 2 3\n0 1\n/ 0\n")  # "/", a byte below "0", wraps past 9
+    @example(b"CA 2 2 2 3\n00 1\n2 1")  # 2·N·k bytes, but not the one-digit layout
     def test_random_bytes_read_as_the_line_parser_reads_them(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("files") / "r.ca"
         path.write_bytes(data)

@@ -651,6 +651,18 @@ class TestSweepCommand:
         assert "error" in err
         assert not out_csv.exists()
 
+    def test_unknown_method_is_refused_before_any_bound_runs(self, tmp_path, capsys, monkeypatch):
+        def never(params, dependence):
+            raise AssertionError("a bound ran before the methods were checked")
+
+        monkeypatch.setitem(bounds.METHODS, "slj", never)
+        message = f"error: unknown method 'nope'; choose from {', '.join(bounds.METHODS)}\n"
+        out_csv = tmp_path / "f.csv"
+        for argv in (["bounds", "-t", "2", "-k", "4", "-v", "2"],
+                     ["sweep", "-t", "2", "-v", "2", "--k", "4:8", "--out", str(out_csv)]):
+            assert run(argv + ["--methods", "slj,nope"], capsys) == (2, "", message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("methods", ["", " , "])
     def test_no_method_is_a_usage_error(self, tmp_path, capsys, methods):
         out_csv = tmp_path / "f.csv"

@@ -6,6 +6,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverkit.construct import BuildConfig, random_array
 from coverkit.core import (
@@ -256,10 +258,12 @@ class TestIntegerInputs:
         (3, [[0, 1, 1, 0]], ValueError, "rows have length 4, expected k=3"),
         (2, [0, 1, 1, 0], ValueError, "cells must be a 2-D array, got 1-D"),
         (2, [[]], TypeError, "cells must be integers, got dtype float64"),
-        # rows of unequal lengths: the first whose length is not k, named
-        # before numpy reads them
+        # rows numpy cannot stack: the first that is not a sequence of k
+        # cells, named once numpy refuses them
         (2, [[0, 1], [0]], ValueError, "row 1 has length 1, expected k=2"),
-    ], ids=["long-row", "long-row-k3", "flat", "one-empty-row", "ragged"])
+        (2, [[0, 1], 0], ValueError, "row 1 is not a sequence of k=2 cells"),
+        (2, [[0, [1]], [0, 1]], ValueError, "row 0 is not a sequence of k=2 cells"),
+    ], ids=["long-row", "long-row-k3", "flat", "one-empty-row", "ragged", "mixed", "nested"])
     def test_from_rows_splits_no_row(self, k, rows, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             SymbolArray.from_rows(CAParams(2, k, 2), rows)
@@ -267,6 +271,26 @@ class TestIntegerInputs:
     def test_constructor_names_the_first_ragged_row(self):
         with pytest.raises(ValueError, match=r"^row 0 has length 3, expected k=2$"):
             SymbolArray(CAParams(2, 2, 2), [(0, 1, 1), (0, 1), [1, 0]])
+        with pytest.raises(ValueError, match=r"^row 1 is not a sequence of k=2 cells$"):
+            SymbolArray(CAParams(2, 2, 2), [[0, 1], 0])
+
+    def test_unstackable_rows_with_no_bad_row_get_coverkit_message(self):
+        class Rows(list):  # every row fits, but the whole will not stack
+            def __array__(self, dtype=None, copy=None):
+                raise ValueError("not an array")
+
+        with pytest.raises(ValueError, match=r"^cells do not stack into rows of k=2 cells$"):
+            SymbolArray(CAParams(2, 2, 2), Rows([[0, 1], [1, 0]]))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.recursive(st.integers(0, 1), lambda cells: st.lists(cells, max_size=3), max_leaves=8))
+    def test_any_nesting_gets_coverkit_message(self, cells):
+        # numpy's "inhomogeneous shape" text, or a StopIteration, never
+        # reaches the caller: the array is made or refused in coverkit's words
+        try:
+            SymbolArray(CAParams(2, 2, 2), cells)
+        except (TypeError, ValueError) as exc:
+            assert "inhomogeneous" not in str(exc) and "setting an array element" not in str(exc)
 
 
 class TestCovers:

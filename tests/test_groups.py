@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -396,3 +399,34 @@ class TestConstantRows:
         base = SymbolArray(p, rng.integers(0, 3, size=(4, 4)))
         merged = SymbolArray(p, np.vstack([base.cells, constant_rows(p).cells]))
         assert full_check(merged).uncovered_count <= full_check(base).uncovered_count
+
+
+# the three actions built and validated, their orbits, and one orbit build
+ORBIT_RUN = """
+import sys
+from coverkit.construct import pgl_build
+from coverkit.core import CAParams
+from coverkit.groups import enumerate_orbits, make_cyclic, make_frobenius, make_pgl
+for action in (make_cyclic(5), make_frobenius(5), make_pgl(6)):
+    action.validate()
+    enumerate_orbits(action, 3)
+pgl_build(CAParams(3, 8, 4))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def _loads_numpy_ma(code: str) -> bool:
+    """Whether a fresh interpreter running ``code`` ends with numpy.ma loaded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, timeout=120, check=True)
+    return result.stdout.split()[-1] == "True"
+
+
+def test_orbit_builds_import_no_masked_arrays():
+    # numpy 2.x's np.unique, asked for no counts, imports numpy.ma on its
+    # first call; under numpy 1.x, importing numpy loads it anyway
+    if _loads_numpy_ma('import sys, numpy; print("numpy.ma" in sys.modules)'):
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert not _loads_numpy_ma(ORBIT_RUN)
