@@ -68,6 +68,8 @@ _ULP = Decimal(10) ** (1 - PRECISION)
 _FLOAT_GUARD = 1e-9
 _FLOAT_ERR = 2.0**-48
 _TOO_CLOSE = "ratio too close to 1 for 50-digit logarithms"
+# floor_e_scaled_power evaluates no value whose log is this or more
+E_FLOOR_LOG_CAP = 200
 
 
 @functools.lru_cache(maxsize=256)
@@ -355,9 +357,10 @@ def _floor_chain(m: int, num: int, den: int, ns: list[int]) -> list[int]:
     return out
 
 
-def floor_e_scaled_power(m: int, num: int, den: int, n: int, *, log_below: int) -> int | None:
+def floor_e_scaled_power(m: int, num: int, den: int, n: int) -> int | None:
     """floor(e * m * (num/den)**n) exactly, for m >= 1, 0 < num < den and
-    n >= 0, or None when the log of the value is at least ``log_below``.
+    n >= 0, or None when the log of the value is at least
+    ``E_FLOOR_LOG_CAP``.
 
     Floats decide both where they are clear, the floor by the rule of
     ``_float_floors`` for one n.  Where they are not, the 50-digit log
@@ -367,7 +370,7 @@ def floor_e_scaled_power(m: int, num: int, den: int, n: int, *, log_below: int) 
     if estimate is not None:
         at_zero, step, tau = estimate
         log, err = at_zero + n * step, tau(n)
-        if log + err + _FLOAT_GUARD < log_below:
+        if log + err + _FLOAT_GUARD < E_FLOOR_LOG_CAP:
             value = math.exp(log)
             whole = _floor_if_clear(value, value * (2 * err + _FLOAT_GUARD))
             return _floor_e_exact(m, num, den, n, log) if whole is None else whole
@@ -375,7 +378,7 @@ def floor_e_scaled_power(m: int, num: int, den: int, n: int, *, log_below: int) 
     with localcontext() as ctx:
         ctx.prec = PRECISION
         log = at_zero + n * step
-    return None if log >= log_below else _floor_e_exact(m, num, den, n, float(log))
+    return None if log >= E_FLOOR_LOG_CAP else _floor_e_exact(m, num, den, n, float(log))
 
 
 def _floor_e_exact(m: int, num: int, den: int, n: int, log: float) -> int:

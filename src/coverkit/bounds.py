@@ -624,16 +624,16 @@ def conditional_lll_two_stage_bound(
     leftovers and is not used.
 
     floor(E2) is exact: where a float cannot place it, it is evaluated
-    with 50 digits more than it has.  E2 is only evaluated while ln E2 < 200
-    (E2 below about 7e86).  At ln E2 >= 200 the bound raises
-    ResourceLimitError("conditional leftover estimate overflows"); at
-    t=6, v=3 that happens near k = 3.58e85.
+    with 50 digits more than it has.  E2 is only evaluated while ln E2 is
+    below ``_numeric.E_FLOOR_LOG_CAP``, 200 (E2 below about 7e86).  At
+    ln E2 >= 200 the bound raises ResourceLimitError("conditional leftover
+    estimate overflows"); at t=6, v=3 that happens near k = 3.58e85.
     """
     t, k, v = params.t, params.k, params.v
     vt = params.tuple_count
     # the plain local lemma solve with one designated event per column set
     n1, _, _ = _lll_solve(params, "gss", weight=1)
-    e2 = num.floor_e_scaled_power(math.comb(k, t) * (vt - 1), vt - 1, vt, n1, log_below=200)
+    e2 = num.floor_e_scaled_power(math.comb(k, t) * (vt - 1), vt - 1, vt, n1)
     if e2 is None:
         raise ResourceLimitError("conditional leftover estimate overflows")
 

@@ -91,8 +91,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # BuildConfig field -> the build flag that sets it, in help order (--seed sets
 # the seed, which every strategy reads)
 CONFIG_FLAGS = {
-    "max_stage1_attempts": "--attempts",
-    "resample_step_cap": "--resample-cap",
     "n_override": "--n-override",
     "second_stage": "--second-stage",
     "dependence_estimate": "--dependence",
@@ -265,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=getattr(default, name),
             choices=choices,
             type=None if choices else int,
-            # the metavar argparse derives from the flag, not from dest
-            metavar=None if choices else flag[2:].replace("-", "_").upper(),
         )
     p_build.set_defaults(func=cmd_build)
 

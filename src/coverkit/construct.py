@@ -87,6 +87,8 @@ from .groups import (
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_STAGE1_ATTEMPTS",
+    "RESAMPLE_CAP",
     "BuildConfig",
     "BuildLog",
     "random_array",
@@ -99,6 +101,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+# a two-stage build that misses its stage-1 target this many times patches its best draw
+MAX_STAGE1_ATTEMPTS = 1000
+# an orbit build still missing a full orbit after this many resamples fails
+RESAMPLE_CAP = 10_000
 
 # BuildConfig field -> its choices, which `coverkit build` offers too
 _CONFIG_CHOICES = {
@@ -109,32 +115,28 @@ _CONFIG_CHOICES = {
 
 @dataclass(frozen=True)
 class BuildConfig:
-    """Knobs shared by the builders.  The seed fully determines all draws.
-    The seed and the counts must be integers (numpy's too, no bool), and
-    are held as Python ints (``core._integer``); ``n_override`` may be
-    None.  ``dependence_estimate`` and ``second_stage`` are strings, each
-    one of its ``_CONFIG_CHOICES``."""
+    """The four choices that shape a built array.  The seed fully
+    determines all draws.  ``seed`` and ``n_override`` must be nonnegative
+    integers (numpy's too, no bool), and are held as Python ints
+    (``core._integer``); ``n_override`` may be None.
+    ``dependence_estimate`` and ``second_stage`` are strings, each one of
+    its ``_CONFIG_CHOICES``.  Where a build gives up is no choice:
+    ``MAX_STAGE1_ATTEMPTS`` and ``RESAMPLE_CAP``."""
 
     seed: int = DEFAULT_SEED
-    max_stage1_attempts: int = 1000
-    resample_step_cap: int = 10_000
     dependence_estimate: str = "simple"
     second_stage: str = "one_row_each"
     n_override: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n_override", "max_stage1_attempts", "resample_step_cap"):
+        for name in ("seed", "n_override"):
             value = getattr(self, name)
             if value is None and name == "n_override":
                 continue
             value = _integer(name, value)
             object.__setattr__(self, name, value)
-            if name in ("seed", "n_override") and value < 0:
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        if self.max_stage1_attempts < 1:
-            raise ValueError("need at least one stage-1 attempt")
-        if self.resample_step_cap < 0:
-            raise ValueError("resample cap must be nonnegative")
         for name, choices in _CONFIG_CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ValueError(
@@ -449,7 +451,9 @@ def two_stage_build(
     params: CAParams, config: BuildConfig | None = None
 ) -> tuple[SymbolArray, BuildLog]:
     """Random stage-1 array of the optimal size, retried until its uncovered
-    count meets the target, then one patch step: each leftover, in the
+    count meets the target, at most ``MAX_STAGE1_ATTEMPTS`` times (read
+    when the build runs; past it the build fails and patches its best
+    draw), then one patch step: each leftover, in the
     listing's rank order, is given a patch row, all patch rows are drawn
     uniformly at random at once, and each leftover's symbols are written
     into its row.  ``one_row_each`` gives leftover i row i; ``colour``
@@ -464,7 +468,7 @@ def two_stage_build(
 
     with log.timed("stage1"):
         best = None
-        for attempt in range(1, config.max_stage1_attempts + 1):
+        for attempt in range(1, MAX_STAGE1_ATTEMPTS + 1):
             cells = _random_rows(rng, params, n, "stage-1 rows", budget)
             if attempt == 1:  # the first draw's check, its listing's, then the kernel's
                 budget.check_table_bytes(target * (params.t + 1), 8, "uncovered listing")
@@ -475,9 +479,7 @@ def two_stage_build(
             if u <= target:
                 break
         else:
-            log.failure_reason = (
-                f"stage 1 missed target {target} in {config.max_stage1_attempts} attempts"
-            )
+            log.failure_reason = f"stage 1 missed target {target} in {MAX_STAGE1_ATTEMPTS} attempts"
         best_cells, best_uncovered, leftovers = best
         log.stage1_attempts = attempt
         log.uncovered_after_stage1 = best_uncovered
@@ -654,8 +656,9 @@ def _resample_full_orbits(
     """Core resampling loop: an n x k random array, rescanned after each
     resample, until every full orbit (``table.full_orbit_ids``, the bound's
     events) is covered on every column t-set.  Returns the array; sets
-    the log's ``failure_reason`` if the resample cap is hit, or at once if
-    there are fewer rows than full orbits.
+    the log's ``failure_reason`` once ``cap`` resamples are made and a
+    full orbit is still missing (``_orbit_build`` passes ``RESAMPLE_CAP``),
+    or at once if there are fewer rows than full orbits.
 
     Orbit coverage is decided from the OrbitTable alone: per block of
     column sets, a boolean table indexed by orbit id.  The first offender
@@ -735,7 +738,7 @@ def _orbit_build(
 
     with log.timed("resample"):
         rng = np.random.default_rng(seed)
-        cells = _resample_full_orbits(params, table, n, rng, config.resample_step_cap, log, budget)
+        cells = _resample_full_orbits(params, table, n, rng, RESAMPLE_CAP, log, budget)
     with log.timed("develop"):
         pieces = [develop(SymbolArray(params, cells), action).cells]
     if ell == 3:
@@ -783,8 +786,8 @@ class Strategy(NamedTuple):
     reads: tuple[str, ...]
 
 
-_TWO_STAGE_FIELDS = ("n_override", "max_stage1_attempts", "second_stage")
-_ORBIT_FIELDS = ("n_override", "resample_step_cap", "dependence_estimate")
+_TWO_STAGE_FIELDS = ("n_override", "second_stage")
+_ORBIT_FIELDS = ("n_override", "dependence_estimate")
 
 # strategy name -> Strategy; pgl reads the two-stage fields too, for the pair
 # rows it takes from two_stage_build

@@ -12,6 +12,7 @@ import hashlib
 import json
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,27 +150,22 @@ class TestBuildConfig:
     @pytest.mark.parametrize("name, value", [
         # a seed of None would draw fresh entropy, so two builds would
         # differ; the others would fail later, in numpy or range
-        ("seed", None), ("seed", 1.5), ("seed", "7"), ("max_stage1_attempts", 2.5),
-        ("max_stage1_attempts", None), ("resample_step_cap", 3.0), ("n_override", 2.0),
+        ("seed", None), ("seed", 1.5), ("seed", "7"), ("n_override", 2.0),
     ])
     def test_non_integers_are_refused(self, name, value):
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
             BuildConfig(**{name: value})
 
     def test_numpy_integers_and_no_override_are_accepted(self):
-        config = BuildConfig(seed=np.int64(5), max_stage1_attempts=np.int32(3),
-                             resample_step_cap=np.uint8(0), n_override=np.int16(4))
-        assert (config.seed, config.max_stage1_attempts, config.n_override) == (5, 3, 4)
+        config = BuildConfig(seed=np.int64(5), n_override=np.int16(4))
+        assert (config.seed, config.n_override) == (5, 4)
         assert BuildConfig(n_override=None).n_override is None
         for integer in (np.int64, np.uint8):
-            held = BuildConfig(seed=integer(5), max_stage1_attempts=integer(3),
-                               resample_step_cap=integer(0), n_override=integer(4))
-            assert all(type(getattr(held, name)) is int for name in (
-                "seed", "max_stage1_attempts", "resample_step_cap", "n_override"))
+            held = BuildConfig(seed=integer(5), n_override=integer(4))
+            assert all(type(getattr(held, name)) is int for name in ("seed", "n_override"))
             json.dumps(dataclasses.asdict(held))  # the record prints as it is
         p = CAParams(2, 5, 3)
-        assert two_stage_build(p, config)[0] == two_stage_build(p, BuildConfig(
-            seed=5, max_stage1_attempts=3, resample_step_cap=0, n_override=4))[0]
+        assert two_stage_build(p, config)[0] == two_stage_build(p, BuildConfig(seed=5, n_override=4))[0]
 
 
 class TestRandomArray:
@@ -361,8 +357,9 @@ class TestTwoStageBuild:
         assert_patch_rows_follow_rank_order(arr, log)
 
     def test_missed_target_rescans_the_best_attempt_once(self, monkeypatch):
+        monkeypatch.setattr(construct, "MAX_STAGE1_ATTEMPTS", 3)
         passes, arr, log = self._count_kernel_passes(
-            monkeypatch, CAParams(2, 5, 3), BuildConfig(seed=1, max_stage1_attempts=3)
+            monkeypatch, CAParams(2, 5, 3), BuildConfig(seed=1)
         )
         assert not log.success and log.stage1_attempts == 3
         assert passes == log.stage1_attempts + 1
@@ -395,10 +392,11 @@ class TestTwoStageBuild:
         config = BuildConfig(
             seed=data.draw(st.integers(0, 2**32 - 1)),
             n_override=data.draw(st.none() | st.integers(0, 2 * p.tuple_count)),
-            max_stage1_attempts=data.draw(st.integers(1, 3)),
         )
-        each, each_log = two_stage_build(p, config)
-        colour, colour_log = two_stage_build(p, dataclasses.replace(config, second_stage="colour"))
+        with mock.patch.object(construct, "MAX_STAGE1_ATTEMPTS", data.draw(st.integers(1, 3))):
+            each, each_log = two_stage_build(p, config)
+            colour, colour_log = two_stage_build(
+                p, dataclasses.replace(config, second_stage="colour"))
         for name in ("stage1_rows", "stage1_attempts", "uncovered_after_stage1", "success"):
             assert getattr(colour_log, name) == getattr(each_log, name), name
         n = each_log.stage1_rows
@@ -521,7 +519,7 @@ class TestMoserTardos:
         assert a1 == a2
         assert l1.resample_count == l2.resample_count
 
-    def test_zero_cap_with_lucky_draw(self):
+    def test_zero_cap_with_lucky_draw(self, monkeypatch):
         # find a seed whose very first draw already covers all orbits, then
         # demand zero resamples under a zero cap
         p = CAParams(2, 4, 2)
@@ -533,14 +531,16 @@ class TestMoserTardos:
                 lucky = seed
                 break
         assert lucky is not None
-        arr, log = moser_tardos_build(p, action, BuildConfig(seed=lucky, resample_step_cap=0))
+        monkeypatch.setattr(construct, "RESAMPLE_CAP", 0)
+        arr, log = moser_tardos_build(p, action, BuildConfig(seed=lucky))
         assert log.success and log.resample_count == 0
         assert full_check(arr).is_covering
 
-    def test_cap_failure_is_flagged(self):
+    def test_cap_failure_is_flagged(self, monkeypatch):
         p = CAParams(2, 8, 2)
         # n far below the bound level: resampling cannot terminate
-        config = BuildConfig(seed=1, n_override=2, resample_step_cap=5)
+        monkeypatch.setattr(construct, "RESAMPLE_CAP", 5)
+        config = BuildConfig(seed=1, n_override=2)
         arr, log = moser_tardos_build(p, make_cyclic(2), config)
         assert not log.success
         assert log.resample_count == 5
@@ -613,19 +613,21 @@ class TestMoserTardos:
                 checked += 1
         assert checked >= 5
 
-    def test_witness_positions_recorded(self):
+    def test_witness_positions_recorded(self, monkeypatch):
         # three binary rows never cover every orbit on all 15 column pairs, so
         # the run resamples up to its cap of 40; a run capped at j resamples
         # takes the same first j, so its last witness is the j-th position
         p = CAParams(2, 6, 2)
-        config = BuildConfig(seed=0, n_override=3, resample_step_cap=40)
-        arr, log = moser_tardos_build(p, make_cyclic(2), config)
+        config = BuildConfig(seed=0, n_override=3)
+
+        def capped(cap):
+            monkeypatch.setattr(construct, "RESAMPLE_CAP", cap)
+            return moser_tardos_build(p, make_cyclic(2), config)[1]
+
+        log = capped(40)
         assert not log.success and log.resample_count == 40
-        positions = [
-            moser_tardos_build(p, make_cyclic(2), dataclasses.replace(config, resample_step_cap=j))
-            [1].resample_witness[-1]
-            for j in range(log.resample_count - 15, log.resample_count + 1)
-        ]
+        positions = [capped(j).resample_witness[-1]
+                     for j in range(log.resample_count - 15, log.resample_count + 1)]
         assert list(log.resample_witness) == positions
         assert all(type(pos) is int and 0 <= pos < comb(6, 2) for pos in positions)
 
@@ -664,10 +666,11 @@ class TestPglBuild:
                 present.add(int(table.orbit_id_of[rank]))
             assert all(oid in present for oid in nonfull), cols
 
-    def test_zero_rows_with_full_orbits_fail_without_resampling(self):
+    def test_zero_rows_with_full_orbits_fail_without_resampling(self, monkeypatch):
         # t=3, v=4 has one full orbit; no row can cover it, so none is drawn again
         p = CAParams(3, 6, 4)
-        arr, log = pgl_build(p, BuildConfig(seed=5, n_override=0, resample_step_cap=3))
+        monkeypatch.setattr(construct, "RESAMPLE_CAP", 3)
+        arr, log = pgl_build(p, BuildConfig(seed=5, n_override=0))
         assert not log.success
         assert log.failure_reason == "fewer stage-1 rows (0) than full orbits of a column set (1)"
         assert log.resample_count == 0 and log.stage1_rows == 0
@@ -759,8 +762,6 @@ class TestSizeDiscipline:
 
 # an off-default value for every BuildConfig field besides the seed
 OFF_DEFAULT = {
-    "max_stage1_attempts": 1,
-    "resample_step_cap": 0,
     "dependence_estimate": "improved",
     "second_stage": "colour",
     "n_override": 4,
@@ -770,18 +771,13 @@ OFF_DEFAULT = {
 # pair rows: at (3,6,3) they come from two_stage_build.
 WITNESSES = {
     ("two_stage", "n_override"): ((2, 4, 3), 1, 4),
-    ("two_stage", "max_stage1_attempts"): ((2, 4, 3), 3, 1),
     ("two_stage", "second_stage"): ((2, 4, 3), 1, "colour"),
     ("mt_cyclic", "n_override"): ((2, 4, 3), 1, 4),
-    ("mt_cyclic", "resample_step_cap"): ((2, 6, 4), 3, 0),
     ("mt_cyclic", "dependence_estimate"): ((2, 4, 3), 1, "improved"),
     ("mt_frobenius", "n_override"): ((2, 4, 3), 1, 4),
-    ("mt_frobenius", "resample_step_cap"): ((2, 4, 3), 1, 0),
     ("mt_frobenius", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
     ("pgl", "n_override"): ((2, 4, 3), 1, 4),
-    ("pgl", "max_stage1_attempts"): ((3, 6, 3), 1, 1),
     ("pgl", "second_stage"): ((3, 6, 3), 1, "colour"),
-    ("pgl", "resample_step_cap"): ((3, 6, 4), 1, 0),
     ("pgl", "dependence_estimate"): ((3, 6, 3), 1, "improved"),
 }
 
@@ -811,7 +807,7 @@ class TestStrategyTable:
         assert value != getattr(config, name)
         assert _build_fingerprint(strategy, shape, config) != _build_fingerprint(
             strategy, shape, dataclasses.replace(config, **{name: value}))
-        if strategy == "pgl" and name in ("max_stage1_attempts", "second_stage"):
+        if strategy == "pgl" and name == "second_stage":
             binary = CAParams(shape[0], shape[1], 2)
             assert not bounds.cyclic_lll_bound(binary).value < bounds.two_stage_bound(binary).value
 

@@ -205,7 +205,7 @@ INTEGER_INPUTS = {
     "CAParams.k": ("k", lambda x: CAParams(2, x, 2).k),
     "CAParams.v": ("v", lambda x: CAParams(2, 3, x).v),
     **{f"BuildConfig.{name}": (name, lambda x, name=name: getattr(BuildConfig(**{name: x}), name))
-       for name in ("seed", "max_stage1_attempts", "resample_step_cap", "n_override")},
+       for name in ("seed", "n_override")},
     "random_array.n": ("n", lambda x: random_array(P, x, 1).n_rows),
     "random_array.seed": ("seed", lambda x: random_array(P, 2, x)),
     "ColumnSet": ("columns", lambda x: ColumnSet((0, x)).columns[1]),

@@ -26,11 +26,12 @@ kernel replaced it.  Three deliberate moves:
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from coverkit import limits
+from coverkit import construct, limits
 from coverkit.construct import (
     BuildConfig,
     density_build,
@@ -65,6 +66,15 @@ def _density(t, k, v):
     return lambda: (density_build(SymbolArray.empty(CAParams(t, k, v))), None)
 
 
+def _capped(case, **constants):
+    """``case`` run with construct's give-up constants patched, so that
+    its build gives up early."""
+    def run():
+        with mock.patch.multiple(construct, **constants):
+            return case()
+    return run
+
+
 CASES = {
     "two_stage-3-8-3-s1": _two_stage(3, 8, 3, seed=1),
     "two_stage-3-8-3-s2": _two_stage(3, 8, 3, seed=2),
@@ -74,13 +84,13 @@ CASES = {
     "two_stage-colour-2-5-4-s3": _two_stage(2, 5, 4, seed=3, second_stage="colour"),
     "two_stage-colour-3-8-3-s1": _two_stage(3, 8, 3, seed=1, second_stage="colour"),
     "two_stage-2-3-256-s1": _two_stage(2, 3, 256, seed=1),
-    "two_stage-3-8-3-s4-n40-missed": _two_stage(
-        3, 8, 3, seed=4, n_override=40, max_stage1_attempts=2),
+    "two_stage-3-8-3-s4-n40-missed": _capped(
+        _two_stage(3, 8, 3, seed=4, n_override=40), MAX_STAGE1_ATTEMPTS=2),
     "mt_cyclic-3-10-3-s1": _mt(make_cyclic, 3, 10, 3, seed=1),
     "mt_cyclic-3-10-3-s2-n45": _mt(make_cyclic, 3, 10, 3, seed=2, n_override=45),
     "mt_cyclic-2-8-4-s3-n11": _mt(make_cyclic, 2, 8, 4, seed=3, n_override=11),
-    "mt_cyclic-3-8-3-s1-capped": _mt(
-        make_cyclic, 3, 8, 3, seed=1, n_override=9, resample_step_cap=3),
+    "mt_cyclic-3-8-3-s1-capped": _capped(
+        _mt(make_cyclic, 3, 8, 3, seed=1, n_override=9), RESAMPLE_CAP=3),
     "mt_frobenius-3-8-4-s1": _mt(make_frobenius, 3, 8, 4, seed=1),
     "mt_frobenius-3-8-4-s2-n19": _mt(make_frobenius, 3, 8, 4, seed=2, n_override=19),
     "mt_frobenius-3-10-3-s3-n18": _mt(make_frobenius, 3, 10, 3, seed=3, n_override=18),

@@ -565,8 +565,8 @@ class TestFloatTier:
     @example(m=math.comb(54, 6) * 728, frac=(728, 729), n=11000)
     def test_floor_e_scaled_power(self, m, frac, n):
         num, den = frac
-        floor = floor_e_scaled_power(m, num, den, n, log_below=200)
-        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n, log_below=200)
+        floor = floor_e_scaled_power(m, num, den, n)
+        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n)
         assert floor == exact_e_floor(m, num, den, n)
 
     @settings(max_examples=200, deadline=None, database=None)
@@ -577,9 +577,9 @@ class TestFloatTier:
         exact = _numeric._floor_e_exact
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_numeric, "_floor_e_exact", lambda *a: calls.append(a) or exact(*a))
-            floor = floor_e_scaled_power(m, num, den, n, log_below=200)
+            floor = floor_e_scaled_power(m, num, den, n)
         assert len(calls) == 1
-        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n, log_below=200)
+        assert floor == with_float_tier_off(floor_e_scaled_power, m, num, den, n)
         assert floor == exact_e_floor(m, num, den, n)
 
     def test_log_cap(self):
@@ -589,9 +589,9 @@ class TestFloatTier:
             ctx.prec = 60
             at = ctx.exp(199)
         below, above = int(at * (1 - Decimal("1e-12"))), int(at * (1 + Decimal("1e-12")))
-        assert floor_e_scaled_power(below, 1, 2, 0, log_below=200) == exact_e_floor(below, 1, 2, 0)
-        assert floor_e_scaled_power(above, 1, 2, 0, log_below=200) is None
-        assert floor_e_scaled_power(10**90, 1, 2, 0, log_below=200) is None
+        assert floor_e_scaled_power(below, 1, 2, 0) == exact_e_floor(below, 1, 2, 0)
+        assert floor_e_scaled_power(above, 1, 2, 0) is None
+        assert floor_e_scaled_power(10**90, 1, 2, 0) is None
 
 
 class TestFiftyDigitsIsAFallback:
@@ -725,7 +725,7 @@ class TestPastTheFloats:
         assert len(str(q)) == 62
         with pytest.MonkeyPatch.context() as mp:
             precs = digit_stop(mp)
-            floor = floor_e_scaled_power(q, 1, 2, 0, log_below=200)
+            floor = floor_e_scaled_power(q, 1, 2, 0)
         with localcontext() as ctx:
             ctx.prec = 400
             assert floor == int(ctx.exp(1) * q)

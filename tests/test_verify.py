@@ -3,6 +3,7 @@
 import ast
 import tracemalloc
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -523,8 +524,8 @@ class TestBuilderScansAgainstTrustedBase:
     )
     def test_resample_scan_position_matches_orbit_check(self, p, make_action, n, seed):
         action = make_action(p.v)
-        config = BuildConfig(seed=seed, n_override=n, resample_step_cap=0)
-        arr, log = moser_tardos_build(p, action, config)
+        with mock.patch.object(construct, "RESAMPLE_CAP", 0):
+            arr, log = moser_tardos_build(p, action, BuildConfig(seed=seed, n_override=n))
         # the developed stage-1 rows only, as the resampling scan saw them
         developed = SymbolArray(p, arr.cells[: n * log.group_order])
         table = enumerate_orbits(action, p.t)
