@@ -40,7 +40,12 @@ alone.  A tuple's
 rank is its (t-1)-prefix's rank times v plus its last symbol, so a
 block's ranks take one gather from a window of top prefix ranks, filled
 from the columns and shared by the blocks, and one from the columns; the
-kernel keeps what is in flight within the budget's working bytes.
+kernel keeps what is in flight within the budget's working bytes.  A set
+of at most 64 slots (v**t tuples, or the orbits of an action) keeps its
+seen table as the bits of one word while its block is ranked: each row's
+rank becomes a bit, the bits are ORed along the rows, and the block's
+words unpack into the seen table.  Past 64 slots the ranks are scattered
+into the table itself.
 A block is a pair (lo, seen): its first set's colex rank and its seen
 table, one row per set from lo on.  It holds no sets: each consumer
 unranks only the sets it reads.  The resampling scan unranks one set per
@@ -271,7 +276,13 @@ class _Kernel:
     The t-sets ending at column c are the first C(c, t-1) (t-1)-prefixes
     in colex order plus c, and a tuple's rank is its prefix's rank times v
     plus its symbol in c: a block's ranks take one gather from a window of
-    prefix ranks and one from the columns, scattered into one flat table.
+    prefix ranks and one from the columns.  With ``slots`` (v**t, or the
+    orbits) over 64 they are scattered into one flat table.  Up to 64,
+    each set's table is the bits of one word, uint32 up to 32 slots and
+    uint64 up to 64: each rank becomes its bit, by a shift, or by a gather
+    from a table of each tuple's orbit's bit, the bits are ORed along the
+    rows into the set's word, and the block's words, little-endian, unpack
+    into its seen table.
     The window is one row chunk's: ``columns[c]`` holds the chunk's
     symbols in column c, and ``ranks`` the ranks of the (t-1)-prefixes of
     colex rank first..end-1, at most ``span``, one row each.  A prefix's
@@ -284,12 +295,13 @@ class _Kernel:
     Of the working budget, ``budget.working``, a row chunk's columns and
     window take up to half; a window fill's temporaries an eighth; a
     block's seen table, its sets when a consumer unranks them, its colex
-    split and its sets' offsets a quarter; and the rank buffer of ``sub``
-    sets and their tuple ranks (in a dtype that holds v**t) 1/128, which
-    keeps it in cache.  A block holds whole consecutive last columns while
-    they fit the rank buffer, and is ranked whole; a larger column is a
-    block alone, cut in parts when it is over that quarter, and ranked up
-    to ``sub`` sets at a time.
+    split and its sets' offsets or words a quarter; and the rank buffer of
+    ``sub`` sets, 1/128 in the bytes of its entries (intp, or the word, so
+    uint32 words step twice the sets), which keeps it in cache, with the
+    sets' tuple ranks beside it in a dtype that holds v**t.  A block holds
+    whole consecutive last columns while they fit the rank buffer, and is
+    ranked whole; a larger column is a block alone, cut in parts when it
+    is over that quarter, and ranked up to ``sub`` sets at a time.
 
     When the columns and all C(k-1, t-1) top prefixes of all rows do not
     fit, the rows go in chunks whose tables are ORed, and a block fills
@@ -298,12 +310,13 @@ class _Kernel:
     once.  When one row's do not fit, the window holds part of the top
     prefixes, starts again at a block's first prefix when it cannot reach
     it, and ranks a column whose prefixes it cannot hold a window at a
-    time.  The column-set cap and every table (the columns and window, the
-    fill's temporaries, the seen table, the block's sets, split and
-    offsets, the rank buffers) are priced against the caller's ``budget``
-    when the kernel is planned, before the first is allocated, and the
-    window and rank buffers are allocated then, once: a scan reads no cap
-    and allocates only its blocks.
+    time.  The column-set cap and every table (the words and the orbit
+    bits, the columns and window, the fill's temporaries, the seen table,
+    the block's sets, split and offsets, the rank buffers) are priced
+    against the caller's ``budget`` when the kernel is planned, before the
+    first is allocated, and the window, rank buffers and orbit bits are
+    allocated then, once: a scan reads no cap and allocates only its
+    blocks.
 
     Scans take the raw cell matrix rather than a SymbolArray, whose buffer
     is frozen, so that the resampling loop can rewrite columns between
@@ -324,13 +337,21 @@ class _Kernel:
         fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
         piece = max(1, min(span, budget.working // 8 // fill))
         group = max(1, min(m, budget.working // 4 // (slots + 8 * (t + 3))))
-        sub = max(1, min(group, budget.working // 128 // (8 * chunk)))
+        # a set's seen slots as the bits of one word, little-endian so that
+        # its bytes unpack in slot order; past 64 slots, a bool row
+        word = None if slots > 64 else np.dtype("<u4" if slots <= 32 else "<u8")
+        lane = 8 if word is None else word.itemsize  # a rank buffer entry's bytes
+        sub = max(1, min(group, budget.working // 128 // (lane * chunk)))
+        if word is not None:
+            budget.check_table_bytes(group, word.itemsize, "coverage words")
+            if orbits is not None:
+                budget.check_table_bytes(v**t, word.itemsize, "coverage orbit bits")
         budget.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window")
         budget.check_table_bytes(piece, fill, "coverage window fill")
         budget.check_table_bytes(group * slots, 1, "coverage mask")
         budget.check_table_bytes(group * (t + 3), 8, "coverage column sets")
         tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
-        budget.check_table_bytes(sub * chunk, 8 + tuples.itemsize, "coverage rank buffer")
+        budget.check_table_bytes(sub * chunk, lane + tuples.itemsize, "coverage rank buffer")
         self.params, self.budget, self.orbits, self.slots = params, budget, orbits, slots
         self.size, self.chunk, self.span, self.piece, self.group = size, chunk, span, piece, group
         # the colex table: binomials[i - 1, c] is C(c, i), capped at m, above every set rank
@@ -338,9 +359,13 @@ class _Kernel:
                                    for i in range(1, t + 1)])
         self.store = np.empty(chunk * (k + span), dtype=dtype)  # flat: each load contiguous
         self.prefixes = np.empty((t - 1, piece), dtype=np.intp)
-        self.buffer = np.empty((sub, chunk), dtype=np.intp)
+        self.buffer = np.empty((sub, chunk), dtype=np.intp if word is None else word)
         self.tuple_buffer = np.empty((sub, chunk), dtype=tuples)
-        self.offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place in a block
+        self.word, self.lookup = word, None if orbits is None else orbits.orbit_id_of
+        if word is None:
+            self.offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place
+        elif orbits is not None:  # each tuple rank's orbit as a bit
+            self.lookup = np.left_shift(word.type(1), orbits.orbit_id_of.astype(word))
         self.unranked = self.first = self.end = 0  # the kept piece's range, and the window's
 
     def load(self, rows: np.ndarray) -> None:
@@ -375,10 +400,13 @@ class _Kernel:
     def tables(self, cells: np.ndarray, column: int = 0) -> Iterator[tuple[int, np.ndarray]]:
         """The blocks (lo, seen) of ``cells`` from C(column, t) on."""
         t, k, v = self.params.t, self.params.k, self.params.v
-        n, chunk, slots, offsets = len(cells), self.chunk, self.slots, self.offsets
+        n, chunk, slots, word = len(cells), self.chunk, self.slots, self.word
         self.load(cells[:chunk])  # one chunk of all the rows is loaded once
         for lo, hi, step in _block_ranges(t, k, column, len(self.buffer), self.span, self.group):
-            seen = np.zeros((hi - lo) * slots, dtype=bool)
+            if word is None:
+                seen = np.zeros((hi - lo) * slots, dtype=bool)
+            else:
+                words = np.zeros(hi - lo, dtype=word)
             parents = np.arange(lo, hi)  # the colex split: each set's prefix and last column
             last = self.binomials[t - 1, 1:].searchsorted(parents, side="right")  # C(0, t) = 0
             parents -= self.binomials[t - 1, last]
@@ -395,14 +423,24 @@ class _Kernel:
                     np.multiply(self.ranks[parents[a - lo : b - lo] - self.first], v,
                                 out=tuple_ranks, dtype=tuple_ranks.dtype)
                     tuple_ranks += self.columns[last[a - lo : b - lo]]
-                    if self.orbits is None:
-                        np.add(tuple_ranks, offsets[a - lo : b - lo], out=ranks)
-                    else:
+                    if self.orbits is not None:  # each rank's orbit, or its orbit's bit
                         # every rank is below v**t, so "clip" clips none; it
                         # writes straight to out, where "raise" buffers it
-                        np.take(self.orbits.orbit_id_of, tuple_ranks, out=ranks, mode="clip")
-                        ranks += offsets[a - lo : b - lo]
-                    seen[ranks] = True
+                        np.take(self.lookup, tuple_ranks, out=ranks, mode="clip")
+                    if word is None:  # each rank's place in the block's flat table
+                        if self.orbits is None:
+                            np.add(tuple_ranks, self.offsets[a - lo : b - lo], out=ranks)
+                        else:
+                            ranks += self.offsets[a - lo : b - lo]
+                        seen[ranks] = True
+                    else:  # a bit per row, ORed along the rows into its set's word
+                        if self.orbits is None:
+                            ranks[...] = tuple_ranks
+                            np.left_shift(1, ranks, out=ranks)
+                        words[a - lo : b - lo] |= np.bitwise_or.reduce(ranks, axis=1)
+            if word is not None:
+                seen = np.unpackbits(words.view(np.uint8).reshape(hi - lo, word.itemsize),
+                                     axis=1, count=slots, bitorder="little").view(bool)
             yield lo, seen.reshape(hi - lo, slots)
 
 

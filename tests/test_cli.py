@@ -889,7 +889,6 @@ class TestErrorExits:
         ("two_stage", ["--dependence", "improved"]),
         ("mt_cyclic", ["--second-stage", "colour"]),
         ("mt_frobenius", ["--second-stage", "colour"]),
-        ("two_stage", ["--dependence", "improved"]),
     ])
     def test_unread_build_flag_is_named(self, tmp_path, capsys, strategy, flags):
         out_file = tmp_path / "a.txt"

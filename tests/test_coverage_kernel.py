@@ -212,6 +212,25 @@ REGIMES = [
 ]
 
 
+# Pinned scans on each side of the kernel's two cuts, each with its slot
+# count and its word's bytes: a set's table of at most 32 slots is a
+# uint32 word, up to 64 a uint64 word, and past that a bool row.  Budgets
+# of 1 and 700 bytes take one row a chunk, so each set's word is ORed over
+# every row chunk; the default takes all the rows at once
+CUTS = [
+    (pinned((3, 7, 3), 30, 11, 700), (27, 4)),
+    (pinned((5, 7, 2), 40, 12, limits._WORKING_BYTES), (32, 4)),
+    (pinned((2, 7, 6), 40, 13, 1), (36, 8)),
+    (pinned((3, 7, 4), 60, 1, 1), (64, 8)),
+    (pinned((4, 7, 3), 90, 14, 700), (81, None)),
+    (pinned((6, 7, 2), 40, 15, 700, enumerate_orbits(make_cyclic(2), 6)), (32, 4)),
+    (pinned((5, 7, 3), 50, 16, limits._WORKING_BYTES, enumerate_orbits(make_frobenius(3), 5)),
+     (41, 8)),
+    (pinned((4, 7, 4), 60, 17, 1, enumerate_orbits(make_cyclic(4), 4)), (64, 8)),
+    (pinned((5, 7, 3), 60, 18, 700, enumerate_orbits(make_cyclic(3), 5)), (81, None)),
+]
+
+
 def with_examples(scans, *rest):
     """Run a hypothesis test on each of these scans too, each followed by
     the arguments ``rest``."""
@@ -227,8 +246,7 @@ class TestBlocks:
     @given(st.one_of(scans(), scans(orbits=True)))
     @example((CAParams(2, 2, 2), np.zeros((0, 2), np.int32), None, 1))
     @example((CAParams(5, 5, 2), np.ones((3, 5), np.int32), None, 64))
-    @example(pinned((3, 7, 4), 60, 1, 1))
-    @with_examples([scan for scan, _ in REGIMES])
+    @with_examples([scan for scan, _ in REGIMES + CUTS])
     def test_blocks_match_reference(self, scan):
         params, cells, orbits, budget = scan
         sets, seen = kernel_tables(params, cells, orbits, budget)
@@ -262,6 +280,14 @@ class TestBlocks:
         top = comb(params.k - 1, params.t - 1)
         chunks = -(-len(cells) // kernel.chunk)
         assert (chunks, kernel.span < top, kernel.moves > 0) == regime
+
+    @pytest.mark.parametrize("scan, cut", CUTS)
+    def test_examples_sit_at_their_cut(self, scan, cut):
+        # so that each example stays on the side of the cut it is there for
+        params, cells, orbits, budget = scan
+        kernel = with_budget(budget, plan, params, cells, orbits)
+        word = None if kernel.word is None else kernel.word.itemsize
+        assert (kernel.slots, word) == cut
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())

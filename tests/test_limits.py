@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coverkit import bounds, cli, limits
+from coverkit import bounds, cli, construct, limits
 from coverkit.arrayfile import write_array
 from coverkit.construct import (
     BuildConfig,
@@ -119,6 +119,26 @@ class TestMemoryCap:
         monkeypatch.setenv("COVERKIT_MEMORY_CAP_MIB", "1")
         with pytest.raises(ResourceLimitError, match="density coverage mask"):
             density_build(SymbolArray.empty(CAParams(3, 60, 4)))
+
+    @pytest.mark.parametrize("shape, action, price, table", [
+        # a set's seen slots as one uint32 word at (2,2,2): the words are
+        # priced first and sized by the working budget, so only a cap below
+        # one word refuses them; at 4 bytes the window fill is refused
+        ((2, 2, 2), None, 4, "coverage words"),
+        # the 64 cyclic orbits of 4**4 tuples: a uint64 bit per tuple rank,
+        # 2048 bytes, over every table the working budget sizes; at 2048
+        # bytes the plan is made
+        ((4, 5, 4), make_cyclic, 2048, "coverage orbit bits"),
+    ])
+    def test_kernel_word_tables_are_checked_before_allocation(self, shape, action, price, table):
+        params = CAParams(*shape)
+        orbits = None if action is None else enumerate_orbits(action(params.v), params.t)
+        with pytest.raises(ResourceLimitError, match=f"^{table} needs {price} bytes"):
+            construct._Kernel(params, 10, limits.Budget(price - 1, limits.column_set_cap()), orbits)
+        try:
+            construct._Kernel(params, 10, limits.Budget(price, limits.column_set_cap()), orbits)
+        except ResourceLimitError as error:
+            assert table not in str(error)
 
     def test_density_count_table_is_checked_before_allocation(self, monkeypatch):
         # at (3,20,6) the mask, C(20,3) * 6**3 = 246,240 bytes, and the
