@@ -41,11 +41,13 @@ rank is its (t-1)-prefix's rank times v plus its last symbol, so a
 block's ranks take one gather from a window of top prefix ranks, filled
 from the columns and shared by the blocks, and one from the columns; the
 kernel keeps what is in flight within the budget's working bytes.  A set
-of at most 64 slots (v**t tuples, or the orbits of an action) keeps its
-seen table as the bits of one word while its block is ranked: each row's
-rank becomes a bit, the bits are ORed along the rows, and the block's
-words unpack into the seen table.  Past 64 slots the ranks are scattered
-into the table itself.
+of at most 128 slots (v**t tuples, or the orbits of an action) keeps its
+seen table as the bits of words while its block is ranked: one word up to
+64 slots, and up to 128 three or four uint32 lanes of 32 slots each.  Each
+row's rank becomes a bit of each lane, none in a lane that does not hold
+it, the bits are ORed along the rows, and the block's words unpack into
+the seen table.  Past 128 slots the ranks are scattered into the table
+itself.
 A block is a pair (lo, seen): its first set's colex rank and its seen
 table, one row per set from lo on.  It holds no sets: each consumer
 unranks only the sets it reads.  The resampling scan unranks one set per
@@ -277,12 +279,17 @@ class _Kernel:
     in colex order plus c, and a tuple's rank is its prefix's rank times v
     plus its symbol in c: a block's ranks take one gather from a window of
     prefix ranks and one from the columns.  With ``slots`` (v**t, or the
-    orbits) over 64 they are scattered into one flat table.  Up to 64,
-    each set's table is the bits of one word, uint32 up to 32 slots and
-    uint64 up to 64: each rank becomes its bit, by a shift, or by a gather
-    from a table of each tuple's orbit's bit, the bits are ORed along the
-    rows into the set's word, and the block's words, little-endian, unpack
-    into its seen table.
+    orbits) over 128 they are scattered into one flat table.  Up to 128,
+    each set's table is the bits of ``lanes`` words of the dtype ``word``:
+    one uint32 up to 32 slots, one uint64 up to 64, and up to 128 one
+    uint32 lane for each 32 slots, three at 81 and four at 128.  Lane w
+    holds slots 32w..32w+31.  Each rank becomes its bit in each lane: the
+    ranks, cast once to the word, lose 32 a lane, a rank below the lane's
+    first slot wraps past its 32 bits, and a shift of 1 by 32 or more is 0
+    in numpy; under an action, a gather from a table of each tuple's
+    orbit's bit in each lane, 0 in the lanes that do not hold it.  The bits
+    are ORed along the rows into the set's lane, and the block's words,
+    little-endian, unpack into its seen table.
     The window is one row chunk's: ``columns[c]`` holds the chunk's
     symbols in column c, and ``ranks`` the ranks of the (t-1)-prefixes of
     colex rank first..end-1, at most ``span``, one row each.  A prefix's
@@ -298,7 +305,8 @@ class _Kernel:
     split and its sets' offsets or words a quarter; and the rank buffer of
     ``sub`` sets, 1/128 in the bytes of its entries (intp, or the word, so
     uint32 words step twice the sets), which keeps it in cache, with the
-    sets' tuple ranks beside it in a dtype that holds v**t.  A block holds
+    sets' tuple ranks beside it in a dtype that holds v**t, and on words
+    without an action once more in the word's dtype.  A block holds
     whole consecutive last columns while they fit the rank buffer, and is
     ranked whole; a larger column is a block alone, cut in parts when it
     is over that quarter, and ranked up to ``sub`` sets at a time.
@@ -311,12 +319,12 @@ class _Kernel:
     prefixes, starts again at a block's first prefix when it cannot reach
     it, and ranks a column whose prefixes it cannot hold a window at a
     time.  The column-set cap and every table (the words and the orbit
-    bits, the columns and window, the fill's temporaries, the seen table,
-    the block's sets, split and offsets, the rank buffers) are priced
-    against the caller's ``budget`` when the kernel is planned, before the
-    first is allocated, and the window, rank buffers and orbit bits are
-    allocated then, once: a scan reads no cap and allocates only its
-    blocks.
+    bits of every lane, the columns and window, the fill's temporaries,
+    the seen table, the block's sets, split and offsets, the rank buffers)
+    are priced against the caller's ``budget`` when the kernel is planned,
+    before the first is allocated, and the window, rank buffers and orbit
+    bits are allocated then, once: a scan reads no cap and allocates only
+    its blocks.
 
     Scans take the raw cell matrix rather than a SymbolArray, whose buffer
     is frozen, so that the resampling loop can rewrite columns between
@@ -336,22 +344,29 @@ class _Kernel:
         span = max(1, min(size, entries // chunk - k))
         fill = 8 * (t + 3) + chunk * dtype.itemsize  # a prefix's unrank and its gather
         piece = max(1, min(span, budget.working // 8 // fill))
-        group = max(1, min(m, budget.working // 4 // (slots + 8 * (t + 3))))
-        # a set's seen slots as the bits of one word, little-endian so that
-        # its bytes unpack in slot order; past 64 slots, a bool row
-        word = None if slots > 64 else np.dtype("<u4" if slots <= 32 else "<u8")
+        # a set's seen slots as the bits of uint32 lanes, one up to 32 slots
+        # and up to four up to 128, or of one uint64 word from 33 to 64,
+        # little-endian so that its bytes unpack in slot order; past 128, a
+        # bool row, and no lanes
+        word = None if slots > 128 else np.dtype("<u8" if 32 < slots <= 64 else "<u4")
+        lanes = 0 if word is None else -(-slots // (8 * word.itemsize))
         lane = 8 if word is None else word.itemsize  # a rank buffer entry's bytes
+        # a set's tuple, its colex split and its place or words, 8 bytes each
+        entry = max(8, lanes * lane)
+        group = max(1, min(m, budget.working // 4 // (slots + 8 * (t + 2) + entry)))
         sub = max(1, min(group, budget.working // 128 // (lane * chunk)))
         if word is not None:
-            budget.check_table_bytes(group, word.itemsize, "coverage words")
+            budget.check_table_bytes(group * lanes, word.itemsize, "coverage words")
             if orbits is not None:
-                budget.check_table_bytes(v**t, word.itemsize, "coverage orbit bits")
+                budget.check_table_bytes(lanes * v**t, word.itemsize, "coverage orbit bits")
         budget.check_table_bytes(chunk * (k + span), dtype.itemsize, "coverage prefix window")
         budget.check_table_bytes(piece, fill, "coverage window fill")
         budget.check_table_bytes(group * slots, 1, "coverage mask")
         budget.check_table_bytes(group * (t + 3), 8, "coverage column sets")
         tuples = np.min_scalar_type(v**t - 1)  # a tuple rank's dtype
-        budget.check_table_bytes(sub * chunk, lane + tuples.itemsize, "coverage rank buffer")
+        wide = word is not None and orbits is None  # tuple ranks cast to the word too
+        budget.check_table_bytes(
+            sub * chunk, lane * (1 + wide) + tuples.itemsize, "coverage rank buffer")
         self.params, self.budget, self.orbits, self.slots = params, budget, orbits, slots
         self.size, self.chunk, self.span, self.piece, self.group = size, chunk, span, piece, group
         # the colex table: binomials[i - 1, c] is C(c, i), capped at m, above every set rank
@@ -361,11 +376,15 @@ class _Kernel:
         self.prefixes = np.empty((t - 1, piece), dtype=np.intp)
         self.buffer = np.empty((sub, chunk), dtype=np.intp if word is None else word)
         self.tuple_buffer = np.empty((sub, chunk), dtype=tuples)
-        self.word, self.lookup = word, None if orbits is None else orbits.orbit_id_of
+        self.word, self.lanes = word, lanes
+        self.lookup = None if orbits is None else orbits.orbit_id_of
         if word is None:
             self.offsets = np.arange(group, dtype=np.intp)[:, None] * slots  # a set's place
-        elif orbits is not None:  # each tuple rank's orbit as a bit
-            self.lookup = np.left_shift(word.type(1), orbits.orbit_id_of.astype(word))
+        elif wide:  # the tuple ranks in the word's dtype, moved on a lane at a time
+            self.wide = np.empty((sub, chunk), dtype=word)
+        else:  # each tuple rank's orbit as a bit of each lane, or 0
+            firsts = np.arange(lanes, dtype=word)[:, None] * (8 * word.itemsize)
+            self.lookup = np.left_shift(word.type(1), orbits.orbit_id_of.astype(word) - firsts)
         self.unranked = self.first = self.end = 0  # the kept piece's range, and the window's
 
     def load(self, rows: np.ndarray) -> None:
@@ -400,13 +419,13 @@ class _Kernel:
     def tables(self, cells: np.ndarray, column: int = 0) -> Iterator[tuple[int, np.ndarray]]:
         """The blocks (lo, seen) of ``cells`` from C(column, t) on."""
         t, k, v = self.params.t, self.params.k, self.params.v
-        n, chunk, slots, word = len(cells), self.chunk, self.slots, self.word
+        n, chunk, slots, word, lanes = len(cells), self.chunk, self.slots, self.word, self.lanes
         self.load(cells[:chunk])  # one chunk of all the rows is loaded once
         for lo, hi, step in _block_ranges(t, k, column, len(self.buffer), self.span, self.group):
             if word is None:
                 seen = np.zeros((hi - lo) * slots, dtype=bool)
             else:
-                words = np.zeros(hi - lo, dtype=word)
+                words = np.zeros((hi - lo, lanes), dtype=word)
             parents = np.arange(lo, hi)  # the colex split: each set's prefix and last column
             last = self.binomials[t - 1, 1:].searchsorted(parents, side="right")  # C(0, t) = 0
             parents -= self.binomials[t - 1, last]
@@ -423,24 +442,29 @@ class _Kernel:
                     np.multiply(self.ranks[parents[a - lo : b - lo] - self.first], v,
                                 out=tuple_ranks, dtype=tuple_ranks.dtype)
                     tuple_ranks += self.columns[last[a - lo : b - lo]]
-                    if self.orbits is not None:  # each rank's orbit, or its orbit's bit
-                        # every rank is below v**t, so "clip" clips none; it
-                        # writes straight to out, where "raise" buffers it
-                        np.take(self.lookup, tuple_ranks, out=ranks, mode="clip")
                     if word is None:  # each rank's place in the block's flat table
                         if self.orbits is None:
                             np.add(tuple_ranks, self.offsets[a - lo : b - lo], out=ranks)
                         else:
+                            # every rank is below v**t, so "clip" clips none; it
+                            # writes straight to out, where "raise" buffers it
+                            np.take(self.lookup, tuple_ranks, out=ranks, mode="clip")
                             ranks += self.offsets[a - lo : b - lo]
                         seen[ranks] = True
-                    else:  # a bit per row, ORed along the rows into its set's word
-                        if self.orbits is None:
-                            ranks[...] = tuple_ranks
-                            np.left_shift(1, ranks, out=ranks)
-                        words[a - lo : b - lo] |= np.bitwise_or.reduce(ranks, axis=1)
+                    elif self.orbits is None:  # the ranks in the word's dtype, cast once
+                        wide = self.wide[: b - a, : ranks.shape[1]]
+                        wide[...] = tuple_ranks
+                    for w in range(lanes):  # a bit per row, ORed along the rows into lane w
+                        if self.orbits is not None:
+                            np.take(self.lookup[w], tuple_ranks, out=ranks, mode="clip")
+                        else:
+                            if w:  # a rank below the lane's first slot wraps past
+                                wide -= 32  # its 32 bits, and shifts the 1 out to 0
+                            np.left_shift(1, wide, out=ranks)
+                        words[a - lo : b - lo, w] |= np.bitwise_or.reduce(ranks, axis=1)
             if word is not None:
-                seen = np.unpackbits(words.view(np.uint8).reshape(hi - lo, word.itemsize),
-                                     axis=1, count=slots, bitorder="little").view(bool)
+                seen = np.unpackbits(words.view(np.uint8), axis=1, count=slots,
+                                     bitorder="little").view(bool)
             yield lo, seen.reshape(hi - lo, slots)
 
 
@@ -457,7 +481,8 @@ def _uncovered_scan(kernel: _Kernel, cells: np.ndarray, keep: int) -> tuple[int,
         missing = seen.size - int(np.count_nonzero(seen))
         count += missing
         if missing and count <= keep:
-            which, ranks = np.nonzero(~seen)
+            # a flat index's divmod: 2-D nonzero takes about five times as long
+            which, ranks = np.divmod(np.flatnonzero(~seen), kernel.slots)
             found.append(np.column_stack([lo + which, ranks]))
     if not count or count > keep:  # nothing listed
         return count, np.empty((0, kernel.params.t + 1), dtype=np.int64)
@@ -614,8 +639,6 @@ class _DensityState:
         for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
             self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
         self.remaining = int(np.count_nonzero(self.levels[-1]))
-        self._places = place_values(t, v)  # v**(t-l) for l = 1..t: a level's rank divisor
-        self._starts = starts[:-1, None]
         order = np.argsort(self.sets, axis=None, kind="stable")  # by column, then set
         cuts = np.searchsorted(self.sets.ravel()[order], np.arange(k + 1))
         held = order // t
@@ -624,6 +647,7 @@ class _DensityState:
         np.power(v, order, out=order)
         self._held = [held[a:b] for a, b in zip(cuts, cuts[1:])]
         self._weights = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+        self._walked = None, None  # the last chosen row and its running indices
 
     def choose_row(self) -> np.ndarray:
         """Fix cells left to right, each maximizing its exact score.
@@ -633,7 +657,8 @@ class _DensityState:
         fixed at positions 0..p-1: the tuple's coverage probability scaled
         by v**t.  That count is the level p+1 entry below the set's running
         index, so a column takes one gather over the sets holding it.  Ties
-        go to the smaller symbol.
+        go to the smaller symbol.  The row's final running indices are kept
+        for ``add_row``.
         """
         m, v = len(self.sets), self.params.v
         children = self.counts.reshape(-1, v)  # row x: the entries below index x
@@ -643,18 +668,33 @@ class _DensityState:
             at = index[held]
             row[j] = s = weights.dot(children.take(at, axis=0)).argmax()
             index[held] = at * v + (s + m)
+        self._walked = row, index
         return row
 
     def add_row(self, row: np.ndarray) -> None:
         """Mark the new row's C(k,t) tuples covered: each newly covered one
         leaves the mask and takes one off its prefix's count at every
-        level, in one subtract (the indices are distinct)."""
-        m, vt = len(self.sets), self.params.tuple_count
-        ranks = row[self.sets] @ self._places
-        new = np.flatnonzero(self.levels[-1][np.arange(m), ranks])
-        self.remaining -= len(new)
-        places = self._places[:, None]
-        self.counts[self._starts + new * (vt // places) + ranks[new] // places] -= 1
+        level.  A set's final running index x has its tuple's entry at
+        x - m, and an entry f its prefix's at f // v - m, so the row's
+        walk gives all t entries, one subtract a level (the indices of a
+        level are distinct).  A row other than the one ``choose_row`` last
+        returned is walked here first, its sets' symbols position by
+        position."""
+        m, v = len(self.sets), self.params.v
+        chosen, index = self._walked
+        if row is not chosen:
+            index = np.arange(m, dtype=np.int64)
+            for column in self.sets.T:
+                index *= v
+                index += row[column]
+                index += m
+        entries = index - m
+        entries = entries[self.counts[entries] != 0]  # the newly covered tuples
+        self.remaining -= len(entries)
+        for _ in range(self.params.t):
+            self.counts[entries] -= 1
+            entries //= v
+            entries -= m
 
 
 def density_build(array: SymbolArray) -> SymbolArray:

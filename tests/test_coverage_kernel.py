@@ -212,22 +212,31 @@ REGIMES = [
 ]
 
 
-# Pinned scans on each side of the kernel's two cuts, each with its slot
-# count and its word's bytes: a set's table of at most 32 slots is a
-# uint32 word, up to 64 a uint64 word, and past that a bool row.  Budgets
-# of 1 and 700 bytes take one row a chunk, so each set's word is ORed over
-# every row chunk; the default takes all the rows at once
+# Pinned scans on each side of the kernel's three cuts, each with its slot
+# count, its word's bytes and its lanes: a set's table of at most 32 slots
+# is one uint32 word, up to 64 one uint64 word, up to 128 three or four
+# uint32 lanes, and past that a bool row.  Budgets of 1 and 700 bytes take
+# one row a chunk, so each set's words are ORed over every row chunk; the
+# default takes all the rows at once
 CUTS = [
-    (pinned((3, 7, 3), 30, 11, 700), (27, 4)),
-    (pinned((5, 7, 2), 40, 12, limits._WORKING_BYTES), (32, 4)),
-    (pinned((2, 7, 6), 40, 13, 1), (36, 8)),
-    (pinned((3, 7, 4), 60, 1, 1), (64, 8)),
-    (pinned((4, 7, 3), 90, 14, 700), (81, None)),
-    (pinned((6, 7, 2), 40, 15, 700, enumerate_orbits(make_cyclic(2), 6)), (32, 4)),
+    (pinned((3, 7, 3), 30, 11, 700), (27, 4, 1)),
+    (pinned((5, 7, 2), 40, 12, limits._WORKING_BYTES), (32, 4, 1)),
+    (pinned((2, 7, 6), 40, 13, 1), (36, 8, 1)),
+    (pinned((3, 7, 4), 60, 1, 1), (64, 8, 1)),
+    (pinned((4, 7, 3), 90, 14, 700), (81, 4, 3)),
+    (pinned((6, 7, 2), 40, 15, 700, enumerate_orbits(make_cyclic(2), 6)), (32, 4, 1)),
     (pinned((5, 7, 3), 50, 16, limits._WORKING_BYTES, enumerate_orbits(make_frobenius(3), 5)),
-     (41, 8)),
-    (pinned((4, 7, 4), 60, 17, 1, enumerate_orbits(make_cyclic(4), 4)), (64, 8)),
-    (pinned((5, 7, 3), 60, 18, 700, enumerate_orbits(make_cyclic(3), 5)), (81, None)),
+     (41, 8, 1)),
+    (pinned((4, 7, 4), 60, 17, 1, enumerate_orbits(make_cyclic(4), 4)), (64, 8, 1)),
+    (pinned((5, 7, 3), 60, 18, 700, enumerate_orbits(make_cyclic(3), 5)), (81, 4, 3)),
+    # at and just past the 128-slot cut
+    (pinned((7, 8, 2), 150, 19, 1), (128, 4, 4)),
+    (pinned((7, 8, 2), 150, 20, limits._WORKING_BYTES), (128, 4, 4)),
+    (pinned((2, 7, 12), 160, 21, 700), (144, None, 0)),
+    (pinned((8, 9, 2), 150, 22, 700, enumerate_orbits(make_cyclic(2), 8)), (128, 4, 4)),
+    (pinned((6, 7, 3), 300, 23, limits._WORKING_BYTES, enumerate_orbits(make_cyclic(3), 6)),
+     (243, None, 0)),
+    (pinned((6, 7, 3), 300, 24, 1, enumerate_orbits(make_cyclic(3), 6)), (243, None, 0)),
 ]
 
 
@@ -287,7 +296,21 @@ class TestBlocks:
         params, cells, orbits, budget = scan
         kernel = with_budget(budget, plan, params, cells, orbits)
         word = None if kernel.word is None else kernel.word.itemsize
-        assert (kernel.slots, word) == cut
+        assert (kernel.slots, word, kernel.lanes) == cut
+
+    def test_lane_w_holds_slots_32w_to_32w_plus_31(self):
+        # a rank below lane w's first slot wraps past 32 bits in the uint32
+        # subtract, and numpy shifts a uint32 by 32 or more to 0, not by the
+        # shift mod 32 as the machine's shift does: so each tuple of the one
+        # set at (7,7,2), 128 slots in four lanes, is seen in its own slot alone
+        assert not np.left_shift(1, np.array([32, 33, 63, 2**32 - 1], dtype="<u4")).any()
+        params = CAParams(7, 7, 2)
+        kernel = plan(params, np.zeros((1, 7), CELL_DTYPE), None, limits.Budget.from_env())
+        assert (kernel.slots, kernel.lanes) == (128, 4)
+        for rank in range(128):
+            cells = ((rank >> np.arange(6, -1, -1)) & 1).astype(CELL_DTYPE)[None, :]
+            [(lo, seen)] = kernel.tables(cells)
+            assert lo == 0 and np.flatnonzero(seen).tolist() == [rank]
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.one_of(scans(), scans(orbits=True)), st.data())

@@ -129,6 +129,11 @@ class TestMemoryCap:
         # 2048 bytes, over every table the working budget sizes; at 2048
         # bytes the plan is made
         ((4, 5, 4), make_cyclic, 2048, "coverage orbit bits"),
+        # 81 tuple ranks at (4,5,3) take three uint32 lanes a set, 12 bytes,
+        # and the 81 cyclic orbits of 3**5 tuples a bit table for each
+        # lane, 3 * 243 * 4 = 2916 bytes
+        ((4, 5, 3), None, 12, "coverage words"),
+        ((5, 6, 3), make_cyclic, 2916, "coverage orbit bits"),
     ])
     def test_kernel_word_tables_are_checked_before_allocation(self, shape, action, price, table):
         params = CAParams(*shape)
