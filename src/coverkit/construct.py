@@ -63,7 +63,8 @@ ones and its prefix counts (per set, the uncovered tuples by their first
 l symbols), built by one kernel pass, updated as each row is added, and
 checked against the memory cap before it is allocated.  A density row
 takes one gather per column, into the counts below the prefix each set
-holding the column has so far.
+holding the column has so far; those prefixes end as the row's walk, and
+the row is covered along it, one subtract a level.
 """
 
 from __future__ import annotations
@@ -598,22 +599,25 @@ class _DensityState:
     the coverage kernel and then updated one added row at a time, never
     rescanned.
 
-    ``sets`` is the m x t column-set matrix in colex order (m = C(k,t)).
+    Set i is the i-th column t-set in colex order (m = C(k,t) sets).
     ``levels[l - 1][i, r]``, for l = 1..t, counts the uncovered tuples on
-    ``sets[i]`` whose first l symbols have rank r.  Level t is the mask
-    itself: ``levels[-1][i, r]`` is nonzero iff the tuple of rank r on
-    ``sets[i]`` is in no row yet.  The levels are one flat table,
-    ``counts``, level after level, in the smallest unsigned dtype that
-    holds v**(t-1): about v/(v-1) times the mask.  Each level's entries go
-    set by set, so a prefix's entry at flat index x - m (or set i's empty
-    prefix, x = i) has the entries of its v extensions at x*v .. x*v + v-1,
-    row x of ``counts`` viewed as v columns: a set's running index x moves
-    one level down with one multiply-add, whatever its level.
-    ``_held[j]`` lists the sets holding column j and ``_weights[j]`` their
-    v**(p+1), p the column's position in each.  The mask, the whole count
-    table, the column index (the set matrix and its unrank's temporaries,
-    ``_held``, ``_weights`` and the running indices) and the exact-integer
-    score range are checked before anything is allocated.
+    set i whose first l symbols have rank r.  Level t is the mask itself:
+    ``levels[-1][i, r]`` is nonzero iff the tuple of rank r on set i is in
+    no row yet.  The levels are one flat table, ``counts``, level after
+    level, in the smallest unsigned dtype that holds v**(t-1): about
+    v/(v-1) times the mask.  Each level's entries go set by set, so a
+    prefix's entry at flat index x - m (or set i's empty prefix, x = i) has
+    the entries of its v extensions at x*v .. x*v + v-1, row x of
+    ``counts`` viewed as v columns: a set's running index x moves one level
+    down with one multiply-add, whatever its level.  A row's walk, every
+    set's final running index, is built by ``choose_row`` and handed to
+    ``cover``.  ``_held[j]`` lists the sets holding column j and
+    ``_weights[j]`` their v**(p+1), p the column's position in each; the
+    set matrix they are built from is dropped once they are.  The mask,
+    the whole count table, the column index (the set matrix and its
+    unrank's temporaries, ``_held``, ``_weights`` and the running indices)
+    and the exact-integer score range are checked before anything is
+    allocated.
     """
 
     def __init__(self, params: CAParams, cells: np.ndarray, budget: Budget) -> None:
@@ -630,7 +634,7 @@ class _DensityState:
             )
         self.params = params
         kernel = _Kernel(params, len(cells), budget)  # dropped after its one pass
-        self.sets = _colex_unrank(np.arange(m), kernel.binomials)
+        sets = _colex_unrank(np.arange(m), kernel.binomials)
         self.counts = np.empty(sum(sizes), dtype=dtype)
         starts = np.cumsum([0] + sizes)
         self.levels = [self.counts[a:b].reshape(m, -1) for a, b in zip(starts, starts[1:])]
@@ -639,28 +643,28 @@ class _DensityState:
         for l in range(t - 1, 0, -1):  # level l sums level l+1 over its last symbol
             self.levels[l].reshape(m, v**l, v).sum(axis=2, dtype=dtype, out=self.levels[l - 1])
         self.remaining = int(np.count_nonzero(self.levels[-1]))
-        order = np.argsort(self.sets, axis=None, kind="stable")  # by column, then set
-        cuts = np.searchsorted(self.sets.ravel()[order], np.arange(k + 1))
+        order = np.argsort(sets, axis=None, kind="stable")  # by column, then set
+        cuts = np.searchsorted(sets.ravel()[order], np.arange(k + 1))
         held = order // t
         order %= t  # each set's position of the column, then its weight
         order += 1
         np.power(v, order, out=order)
         self._held = [held[a:b] for a, b in zip(cuts, cuts[1:])]
         self._weights = [order[a:b] for a, b in zip(cuts, cuts[1:])]
-        self._walked = None, None  # the last chosen row and its running indices
 
-    def choose_row(self) -> np.ndarray:
-        """Fix cells left to right, each maximizing its exact score.
+    def choose_row(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fix cells left to right, each maximizing its exact score, and
+        return the row with its walk.
 
         A set holding column j at position p adds v**(p+1) to symbol s for
         each uncovered tuple with s at p that matches the cells already
         fixed at positions 0..p-1: the tuple's coverage probability scaled
         by v**t.  That count is the level p+1 entry below the set's running
         index, so a column takes one gather over the sets holding it.  Ties
-        go to the smaller symbol.  The row's final running indices are kept
-        for ``add_row``.
+        go to the smaller symbol.  The walk, each set's final running index
+        (int64), is what ``cover`` subtracts along.
         """
-        m, v = len(self.sets), self.params.v
+        m, v = len(self.levels[0]), self.params.v
         children = self.counts.reshape(-1, v)  # row x: the entries below index x
         index = np.arange(m, dtype=np.int64)  # level 0
         row = np.empty(self.params.k, dtype=CELL_DTYPE)
@@ -668,27 +672,17 @@ class _DensityState:
             at = index[held]
             row[j] = s = weights.dot(children.take(at, axis=0)).argmax()
             index[held] = at * v + (s + m)
-        self._walked = row, index
-        return row
+        return row, index
 
-    def add_row(self, row: np.ndarray) -> None:
-        """Mark the new row's C(k,t) tuples covered: each newly covered one
-        leaves the mask and takes one off its prefix's count at every
-        level.  A set's final running index x has its tuple's entry at
-        x - m, and an entry f its prefix's at f // v - m, so the row's
-        walk gives all t entries, one subtract a level (the indices of a
-        level are distinct).  A row other than the one ``choose_row`` last
-        returned is walked here first, its sets' symbols position by
-        position."""
-        m, v = len(self.sets), self.params.v
-        chosen, index = self._walked
-        if row is not chosen:
-            index = np.arange(m, dtype=np.int64)
-            for column in self.sets.T:
-                index *= v
-                index += row[column]
-                index += m
-        entries = index - m
+    def cover(self, walk: np.ndarray) -> None:
+        """Mark a row's C(k,t) tuples covered, given its walk: each newly
+        covered one leaves the mask and takes one off its prefix's count at
+        every level.  A set's final running index x has its tuple's entry
+        at x - m, and an entry f its prefix's at f // v - m, so the walk
+        gives all t entries, one subtract a level (the indices of a level
+        are distinct)."""
+        m, v = len(self.levels[0]), self.params.v
+        entries = walk - m
         entries = entries[self.counts[entries] != 0]  # the newly covered tuples
         self.remaining -= len(entries)
         for _ in range(self.params.t):
@@ -702,12 +696,13 @@ def density_build(array: SymbolArray) -> SymbolArray:
     everything.  Each row fixes its cells left to right, each chosen to
     minimize the conditional expected number of interactions left
     uncovered, in exact integer arithmetic (``_DensityState.choose_row``).
-    The coverage state is built once and updated per row."""
+    The coverage state is built once, and each row is covered along the
+    walk that chose it (``_DensityState.cover``)."""
     state = _DensityState(array.params, array.cells, Budget.from_env())
     rows = []
     while state.remaining:
-        row = state.choose_row()
-        state.add_row(row)
+        row, walk = state.choose_row()
+        state.cover(walk)
         rows.append(row)
     return SymbolArray(array.params, np.vstack([array.cells, *rows]))
 

@@ -55,6 +55,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,8 +70,10 @@ from .core import (
     symbols_unrank,
 )
 from .errors import BudgetExceededError
-from .groups import OrbitTable
 from .limits import Budget
+
+if TYPE_CHECKING:  # the annotation only: the trusted base loads no group code
+    from .groups import OrbitTable
 
 _SHARE = 32  # each of full_check's blocks and buffers: 1/32 of the working budget
 _WORDS = 8  # words per AND block that full_check keeps before it cuts the first columns

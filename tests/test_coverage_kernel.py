@@ -458,23 +458,31 @@ class TestConsumers:
         params, cells, _, budget = scan
         state = with_budget(budget, construct._DensityState, params, cells)
         ref_sets, ref_seen = reference_tables(params, cells)
-        assert np.array_equal(state.sets, ref_sets)
+        for j in range(params.k):  # the sets holding j, ascending, and j's weight in each
+            held, position = np.nonzero(ref_sets == j)
+            assert np.array_equal(state._held[j], held)
+            assert np.array_equal(state._weights[j], params.v ** (position + 1))
         assert np.array_equal(state.levels[-1] != 0, ~ref_seen)
         assert state.remaining == int(np.count_nonzero(~ref_seen))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(scans(), st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_density_counts_follow_added_rows(self, scan, seed, added):
-        # after random rows are added, the mask is the oracle's for the
-        # cells with those rows, each count level is the mask summed over
-        # its suffix symbols, and the remaining count is the mask's
+        # after random rows are covered along their walks, built from the
+        # oracle's sets, the mask is the oracle's for the cells with those
+        # rows, each count level is the mask summed over its suffix
+        # symbols, and the remaining count is the mask's
         params, cells, _, budget = scan
         t, v = params.t, params.v
         state = with_budget(budget, construct._DensityState, params, cells)
         rows = random_array(params, added, seed).cells
+        ref_sets, ref_seen = reference_tables(params, np.vstack([cells, rows]))
+        m = len(ref_sets)
         for row in rows:
-            state.add_row(row)
-        _, ref_seen = reference_tables(params, np.vstack([cells, rows]))
+            walk = np.arange(m, dtype=np.int64)
+            for column in ref_sets.T:
+                walk = walk * v + row[column] + m
+            state.cover(walk)
         mask = state.levels[-1]
         assert np.array_equal(mask, ~ref_seen)
         for l in range(1, t):

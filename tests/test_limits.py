@@ -1,5 +1,6 @@
 """Resource cap behavior: configured limits turn into ResourceLimitError."""
 
+import ast
 import math
 import re
 import tracemalloc
@@ -398,6 +399,14 @@ class TestEnvReads:
             with open(path, encoding="utf-8") as source:
                 text = source.read()
             assert ("os.environ" in text) == (path.name == "limits.py"), path.name
+
+    def test_verify_imports_only_what_it_checks_with(self):
+        # the trusted base's module-level imports from the package: no
+        # construct, groups, bounds or _numeric
+        tree = ast.parse((Path(limits.__file__).parent / "verify.py").read_text(encoding="utf-8"))
+        imported = {node.module for node in tree.body
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert imported == {"core", "errors", "limits"}
 
 
 class TestCliResourceExit:
